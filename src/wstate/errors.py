@@ -89,7 +89,8 @@ class OrthogonalInputs(NumericalPreconditionError):
 class OrthogonalIntermediate(NumericalPreconditionError):
     """A pipeline stage would combine (near-)orthogonal intermediates.
 
-    ``stage`` indexes the offending combination stage.
+    ``stage`` is the 0-based index of the offending linear-combination stage
+    among the pipeline's combination stages.
     """
 
     def __init__(self, stage: int, overlap: float, message: str = ""):

@@ -501,14 +501,24 @@ def joint_expectation(ev: Evolved, a_s: np.ndarray, b_e: np.ndarray) -> complex:
     """Tr[rho_out (A_S (x) B_E (x) I_G)]."""
     if ev.kind == "pure":
         psi = ev.tensor
-        return complex(
-            np.einsum(
-                psi.conj(), [0, 1, 2], a_s, [0, 3], b_e, [1, 4], psi, [3, 4, 2], []
-            )
-        )
+        # <Psi| (A_S (x) B_E (x) I_G) |Psi>, applying B_E then A_S
+        phi = np.tensordot(b_e, psi, axes=([1], [1]))  # (e, s, g)
+        phi = np.tensordot(a_s, phi, axes=([1], [1]))  # (s, e, g)
+        return complex(np.vdot(psi, phi))
+    # every summed index belongs to rho_out, so this single pass reads each
+    # G-diagonal entry once; pairwise orders (optimize=True) only add passes
     return complex(
         np.einsum(ev.tensor, [0, 1, 2, 3, 4, 2], a_s, [3, 0], b_e, [4, 1], [])
     )
+
+
+def measured_output(ev: Evolved, meas: MeasurementOperator) -> np.ndarray:
+    """tau = sum_k c_k weighted_output(ev, N_k) over the normal parts of M."""
+    tau = None
+    for c, n in meas.normal_parts():
+        t = weighted_output(ev, n)
+        tau = c * t if tau is None else tau + c * t
+    return tau
 
 
 def apply_exact(inst: QuantumInstrument, inputs) -> WeightedState:
@@ -522,12 +532,7 @@ def apply_exact(inst: QuantumInstrument, inputs) -> WeightedState:
     output is linear in M, so the decomposition sum is exact).
     """
     ev = evolve(inst, inputs)
-    parts = inst.measurement.normal_parts()
-    tau = None
-    for c, n in parts:
-        t = weighted_output(ev, n)
-        tau = c * t if tau is None else tau + c * t
-    return WeightedState(tau, inst.output_layout)
+    return WeightedState(measured_output(ev, inst.measurement), inst.output_layout)
 
 
 # ---------------------------------------------------------------------------

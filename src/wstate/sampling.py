@@ -25,11 +25,12 @@ from .instrument import (
     MeasurementOperator,
     QuantumInstrument,
     WeightedState,
-    apply_exact,
+    Evolved,
     as_normal_instrument,
     evolve,
     expectation,
     joint_expectation,
+    measured_output,
 )
 from .subroutines import ORTHOGONALITY_TOL, alpha_of, gamma_in, power_state, qsp_oracle
 from .tensor import (
@@ -136,13 +137,6 @@ class EstimatorReport:
         }
 
 
-def relative_error(variance_per_shot: float, mean: complex, shots: int) -> float:
-    """sqrt(Var/s) / |mean|: the figure of merit for decaying weighted traces."""
-    if abs(mean) == 0:
-        return math.inf
-    return math.sqrt(max(variance_per_shot, 0.0) / shots) / abs(mean)
-
-
 def _check_hermitian_obs(obs) -> np.ndarray:
     o = asarray(obs, square=True)
     if hermiticity_residual(o) > 1e-10:
@@ -171,18 +165,17 @@ def _rescaled_parts(meas: MeasurementOperator) -> tuple[tuple[float, complex, np
     return tuple(out)
 
 
-def _joint_cells(inst: QuantumInstrument, inputs, obs: np.ndarray):
+def _joint_cells(ev: Evolved, meas: MeasurementOperator, obs: np.ndarray):
     """Cell probabilities and complex weights of the per-shot estimator.
 
     Cells enumerate (decomposition part, merged observable eigenvalue, merged
-    measurement eigenvalue); probabilities come from the exact output state.
+    measurement eigenvalue); probabilities come from the evolved state.
     """
-    ev = evolve(inst, inputs)
     o_vals, o_vecs, o_labels = eigenbasis(obs)
     n_o = len(o_vals)
     probs: list[float] = []
     weights: list[complex] = []
-    for q, scale, nk in _rescaled_parts(inst.measurement):
+    for q, scale, nk in _rescaled_parts(meas):
         m_vals, m_vecs, m_labels = eigenbasis(nk)
         n_m = len(m_vals)
         if ev.kind == "pure":
@@ -237,14 +230,22 @@ def sample_estimate(
     samples the enlarged normal measurement; 'randomized' draws a
     decomposition part per shot and rescales its eigenvalue. Both define the
     same per-shot distribution; normal measurements ignore the distinction.
+
+    The input is evolved once through inst, and the cells, the analytic mean,
+    the variance and its bound all come from that evolution. Only 'emulate'
+    on a non-normal M evolves a second time, through the extended instrument
+    whose cells are sampled.
     """
     if shots < 1:
         raise ValidationError("shot count must be >= 1")
     o = _check_hermitian_obs(obs)
     if method not in ("emulate", "randomized"):
         raise ValidationError(f"unknown sampling method {method!r}")
+    meas = inst.measurement
+    ev = evolve(inst, inputs)
     work = as_normal_instrument(inst) if method == "emulate" else inst
-    probs, weights = _joint_cells(work, inputs, o)
+    work_ev = ev if work is inst else evolve(work, inputs)
+    probs, weights = _joint_cells(work_ev, work.measurement, o)
     counts = sample_counts(probs, shots, seed, workers=workers)
     total_w = np.dot(counts, weights)
     mean = total_w / shots
@@ -253,17 +254,17 @@ def sample_estimate(
         sample_var = (second - shots * abs(mean) ** 2) / (shots - 1)
     else:
         sample_var = 0.0
-    a_mean = expectation(apply_exact(inst, inputs), o)
-    a_var = variance_exact(inst, inputs, o)
-    bounds = variance_bound(inst, inputs, spectral_norm(o))
+    a_mean = expectation(measured_output(ev, meas), o)
+    eye_s = np.eye(ev.dims[0], dtype=np.complex128)
+    a_second, mean_m2 = _second_moments(ev, meas, (o @ o, eye_s))
     return EstimatorReport(
         shots=shots,
         seed=seed,
         sample_mean=complex(mean),
         sample_variance=float(max(sample_var, 0.0)),
         analytic_mean=complex(a_mean),
-        analytic_variance=a_var,
-        variance_bound=bounds.b1,
+        analytic_variance=float(a_second - abs(a_mean) ** 2),
+        variance_bound=float(spectral_norm(o) ** 2 * mean_m2),
     )
 
 
@@ -271,17 +272,24 @@ def sample_estimate(
 # exact variance and bounds
 
 
+def _second_moments(ev: Evolved, meas: MeasurementOperator, ops) -> list[float]:
+    """sum_k (|c_k|^2/q_k) Tr[rho_out (A (x) N_k N_k^dag (x) I)] for each A_S in
+    ops, forming each N_k N_k^dag once."""
+    out = [0.0] * len(ops)
+    for q, scale, nk in _rescaled_parts(meas):
+        nn = nk @ nk.conj().T
+        for i, a in enumerate(ops):
+            out[i] += q * abs(scale) ** 2 * joint_expectation(ev, a, nn).real
+    return out
+
+
 def variance_exact(inst: QuantumInstrument, inputs, obs) -> float:
     """Per-shot variance of the sampled estimator:
     sum_k (|c_k|^2/q_k) Tr[rho_out (O^2 (x) N_k N_k^dag (x) I)] - |Tr tau O|^2."""
     o = _check_hermitian_obs(obs)
     ev = evolve(inst, inputs)
-    o2 = o @ o
-    second = 0.0
-    for q, scale, nk in _rescaled_parts(inst.measurement):
-        nn = nk @ nk.conj().T
-        second += q * abs(scale) ** 2 * joint_expectation(ev, o2, nn).real
-    mean = expectation(apply_exact(inst, inputs), o)
+    (second,) = _second_moments(ev, inst.measurement, (o @ o,))
+    mean = expectation(measured_output(ev, inst.measurement), o)
     return float(second - abs(mean) ** 2)
 
 
@@ -301,14 +309,11 @@ def variance_bound(inst: QuantumInstrument, inputs, obs_norm: float) -> Variance
     if obs_norm < 0:
         raise ValidationError("observable norm must be nonnegative")
     ev = evolve(inst, inputs)
-    d_s = ev.dims[0]
-    eye_s = np.eye(d_s, dtype=np.complex128)
-    mean_m2 = 0.0
-    worst = 0.0
-    for q, scale, nk in _rescaled_parts(inst.measurement):
-        nn = nk @ nk.conj().T
-        mean_m2 += q * abs(scale) ** 2 * joint_expectation(ev, eye_s, nn).real
-        worst = max(worst, abs(scale) * spectral_norm(nk))
+    eye_s = np.eye(ev.dims[0], dtype=np.complex128)
+    (mean_m2,) = _second_moments(ev, inst.measurement, (eye_s,))
+    worst = max(
+        abs(scale) * spectral_norm(nk) for _, scale, nk in _rescaled_parts(inst.measurement)
+    )
     b1 = obs_norm**2 * mean_m2
     b2 = obs_norm**2 * worst**2
     return VarianceBounds(float(b1), float(b2))

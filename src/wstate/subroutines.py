@@ -601,11 +601,13 @@ def polynomial_pipeline(psi, spec: PolySpec) -> tuple[np.ndarray, PolynomialPipe
         elif kind == "lincombo":
             b, a = stack_vals.pop(), stack_vals.pop()
             na, nb = np.linalg.norm(a), np.linalg.norm(b)
-            if na < 1e-14 or nb < 1e-14:
-                raise OrthogonalIntermediate(str(op[3]), 0.0)
-            ov = abs(np.vdot(a, b)) / (na * nb)
+            ov = 0.0 if na < 1e-14 or nb < 1e-14 else abs(np.vdot(a, b)) / (na * nb)
             if ov < ORTHOGONALITY_TOL:
-                raise OrthogonalIntermediate(str(op[3]), ov)
+                stage = sum(o[0] == "lincombo" for o in pipe.ops) - 1
+                raise OrthogonalIntermediate(
+                    stage, ov, f"stage {stage} ({op[3]}): intermediate overlap {ov:.3e} "
+                    "below tolerance"
+                )
             stack_vals.append(op[1] * a + op[2] * b)
         elif kind == "scale":
             stack_vals.append(op[1] * stack_vals.pop())

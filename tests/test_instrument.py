@@ -1,3 +1,5 @@
+import functools
+
 import numpy as np
 import pytest
 
@@ -16,9 +18,12 @@ from wstate.instrument import (
     as_normal_instrument,
     branches,
     concatenate,
+    evolve,
     expectation,
     identity_instrument,
+    joint_expectation,
     random_density,
+    weighted_output,
 )
 from wstate.subroutines import (
     build_gqt_instrument,
@@ -27,7 +32,7 @@ from wstate.subroutines import (
     build_teleport_instrument,
     qhp,
 )
-from wstate.tensor import Register, RegisterLayout
+from wstate.tensor import Register, RegisterLayout, embed_operator
 
 from conftest import rand_density, rand_hermitian, rand_state, rand_unitary
 
@@ -205,6 +210,67 @@ class TestApplyExact:
                 inst,
                 [QuantumState.pure(rand_state(rng, 4)), QuantumState.pure(rand_state(rng, 4))],
             )
+
+
+def rand_operator(rng, d):
+    return rng.normal(size=(d, d)) + 1j * rng.normal(size=(d, d))
+
+
+class TestContractions:
+    """joint_expectation and weighted_output against the dense trace
+    Tr[U (sigma (x) rho) U^dag (A_S (x) B_E (x) I_G)] in layout order.
+
+    The QSP layout (E, S, G) has d_G > 1; the teleport layout puts two E
+    registers ahead of S.
+    """
+
+    @pytest.mark.parametrize("pure", [True, False], ids=["pure", "density"])
+    @pytest.mark.parametrize("kind", ["qsp", "teleport"])
+    def test_against_dense_trace(self, rng, kind, pure):
+        n, d = 2, 4
+        if kind == "qsp":
+            sigma = rand_state(rng, 2) if pure else rand_density(rng, 2)
+            inst = build_qsp_instrument(sigma, rand_operator(rng, 2), n)
+        else:
+            inst = build_teleport_instrument(n, [(rand_operator(rng, d), rand_operator(rng, d))])
+        inputs = [
+            QuantumState.pure(rand_state(rng, d))
+            if pure
+            else QuantumState.from_density(rand_density(rng, d))
+            for _ in inst.input_labels
+        ]
+        ev = evolve(inst, inputs)
+        assert ev.kind == ("pure" if pure else "density")
+        d_s, d_e, d_g = ev.dims
+        if kind == "qsp":
+            assert d_g > 1
+
+        lay = inst.layout
+        pieces = dict(zip(inst.input_labels, (x.matrix for x in inputs)))
+        pieces.update(zip(inst.ancilla_labels, [inst.ancilla.matrix]))
+        rho0 = functools.reduce(np.kron, (pieces[l] for l in lay.labels))
+        u = inst.unitary_dense()
+        rho_out = u @ rho0 @ u.conj().T
+
+        def dense(a_s, b_e):
+            op = embed_operator(a_s, inst.s_labels, lay) @ embed_operator(
+                b_e, inst.e_labels, lay
+            )
+            return complex(np.trace(rho_out @ op))
+
+        a, b = rand_operator(rng, d_s), rand_operator(rng, d_e)
+        want = dense(a, b)
+        assert abs(joint_expectation(ev, a, b) - want) <= 1e-12 * abs(want)
+
+        # tau[s, t] = Tr[tau |t><s|]
+        tau_want = np.zeros((d_s, d_s), dtype=np.complex128)
+        for s in range(d_s):
+            for t in range(d_s):
+                unit = np.zeros((d_s, d_s))
+                unit[t, s] = 1.0
+                tau_want[s, t] = dense(unit, b)
+        tau = weighted_output(ev, b)
+        assert np.abs(tau - tau_want).max() <= 1e-12 * np.abs(tau_want).max()
 
 
 class TestBranches:

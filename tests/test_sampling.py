@@ -12,7 +12,7 @@ from wstate.errors import (
     OrthogonalInputs,
     ValidationError,
 )
-from wstate.instrument import QuantumState, apply_exact, expectation
+from wstate.instrument import QuantumState, apply_exact, evolve, expectation
 from wstate.sampling import (
     BLOCK_SHOTS,
     EstimatorReport,
@@ -146,6 +146,62 @@ class TestSampleEstimate:
         ]
         with pytest.raises(ValidationError):
             sample_estimate(inst, inputs, np.eye(2), shots=10, seed=0, method="other")
+
+
+def _single_pass_case(rng, name):
+    """(instrument, inputs); the QSP cases measure a non-normal M."""
+    if name == "qhp-density":
+        inputs = [QuantumState.from_density(rand_density(rng, 2)) for _ in range(2)]
+        return build_qhp_instrument(1), inputs
+    if name == "gqt-pure":
+        return build_gqt_instrument(2), [QuantumState.pure(rand_state(rng, 4)) for _ in range(2)]
+    m = rng.normal(size=(2, 2)) + 1j * rng.normal(size=(2, 2))
+    if name == "qsp-density":
+        inputs = [QuantumState.from_density(rand_density(rng, 2)) for _ in range(2)]
+        return build_qsp_instrument(rand_density(rng, 2), m, 1), inputs
+    # a mixed ancilla in front of pure inputs takes the density path
+    sigma = rand_density(rng, 2) if name == "qsp-mixed-ancilla" else rand_state(rng, 2)
+    inputs = [QuantumState.pure(rand_state(rng, 4)) for _ in range(2)]
+    return build_qsp_instrument(sigma, m, 2), inputs
+
+
+class TestSinglePass:
+    """sample_estimate evolves once, plus once through the extended
+    instrument when it emulates a non-normal M."""
+
+    @pytest.mark.parametrize(
+        "name, method, evolutions",
+        [("qhp-density", "emulate", 1), ("gqt-pure", "emulate", 1)]
+        + [
+            (name, method, 2 if method == "emulate" else 1)
+            for name in ("qsp-density", "qsp-pure-ancilla", "qsp-mixed-ancilla")
+            for method in ("emulate", "randomized")
+        ],
+    )
+    def test_evolves_once_and_matches_separate_calls(
+        self, rng, monkeypatch, name, method, evolutions
+    ):
+        inst, inputs = _single_pass_case(rng, name)
+        obs = rand_hermitian(rng, inst.output_layout.total_dim)
+        calls = []
+
+        def counting_evolve(*args):
+            calls.append(args[0])
+            return evolve(*args)
+
+        monkeypatch.setattr("wstate.sampling.evolve", counting_evolve)
+        rep = sample_estimate(inst, inputs, obs, shots=1000, seed=3, method=method)
+        monkeypatch.undo()
+        assert len(calls) == evolutions
+        assert calls[0] is inst
+
+        def close(got, want):
+            return abs(got - want) <= 1e-12 * abs(want)
+
+        assert close(rep.analytic_mean, expectation(apply_exact(inst, inputs), obs))
+        assert close(rep.analytic_variance, variance_exact(inst, inputs, obs))
+        bound = variance_bound(inst, inputs, spectral_norm(obs)).b1
+        assert close(rep.variance_bound, bound)
 
 
 class TestVarianceClosures:

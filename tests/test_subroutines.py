@@ -310,8 +310,11 @@ class TestPolynomialPipeline:
     def test_orthogonal_intermediate_detected(self):
         psi = np.array([1.0, 1.0j]) / math.sqrt(2)
         spec = PolySpec({(1, 0): 1.0, (3, 0): 1.0})
-        with pytest.raises(OrthogonalIntermediate):
+        with pytest.raises(OrthogonalIntermediate) as exc:
             polynomial_pipeline(psi, spec)
+        # the only combination stage adds psi to psi^3, which is orthogonal to it
+        assert type(exc.value.stage) is int and exc.value.stage == 0
+        assert "add k=1,l=0" in str(exc.value)
 
     def test_bad_terms_rejected(self):
         with pytest.raises(ValidationError):
