@@ -40,10 +40,6 @@ class InvalidState(ValidationError):
     """Matrix/vector fails the quantum-state invariants."""
 
 
-class EmptyDecomposition(ValidationError):
-    pass
-
-
 class MissingDecomposition(ValidationError):
     """Non-normal measurement used where a decomposition is required."""
 
@@ -125,3 +121,8 @@ class FullyDestructive(NumericalPreconditionError):
 
 class InvalidDistribution(NumericalPreconditionError):
     """Outcome probabilities fail to sum to one within tolerance."""
+
+
+class ConsistencyError(NumericalPreconditionError):
+    """An internal cross-check failed: two routes to the same quantity
+    disagree, or a result does not meet the bound it was built to meet."""

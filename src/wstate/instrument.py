@@ -30,6 +30,7 @@ from .errors import (
 )
 from .tensor import (
     NORMALITY_TOL,
+    LowRankOperator,
     PermutationUnitary,
     Register,
     RegisterLayout,
@@ -153,11 +154,6 @@ def random_density(dim: int, rng: np.random.Generator) -> np.ndarray:
     return m / np.trace(m).real
 
 
-def haar_vector(dim: int, rng: np.random.Generator) -> np.ndarray:
-    v = rng.normal(size=dim) + 1j * rng.normal(size=dim)
-    return v / np.linalg.norm(v)
-
-
 # ---------------------------------------------------------------------------
 # measurement operators
 
@@ -166,27 +162,34 @@ def haar_vector(dim: int, rng: np.random.Generator) -> np.ndarray:
 class MeasurementOperator:
     """Measurement operator M with its normality class.
 
+    operator holds M in one of three forms: a dense matrix, a
+    PermutationUnitary (the SWAP of the transpose coupling) or a
+    LowRankOperator (the Bell-type map of the teleport instrument). A
+    structured form is validated from its structure, exactly at every size,
+    and apply_exact contracts it without a d_E x d_E matrix; `matrix` builds
+    the dense form on first read and keeps it.
+
     kind is one of hermitian / normal / nonnormal. A non-normal operator
-    carries a decomposition M = sum_k c_k N_k into normal parts, used both for
-    exact linear evaluation and for single-instrument emulation.
+    carries a decomposition M = sum_k c_k N_k into normal parts, used for
+    single-instrument emulation and sampling; a structured non-normal one gets
+    the Hermitian/skew split on first read, as `of` gives a dense one.
     """
 
-    matrix: np.ndarray
+    operator: np.ndarray | PermutationUnitary | LowRankOperator
     kind: str
-    decomposition: tuple[tuple[complex, np.ndarray], ...] | None = None
+    parts: tuple[tuple[complex, np.ndarray], ...] | None = None
 
-    # above this dimension the O(d^3) normality product is skipped in favor
+    # above this dimension `of` skips the O(d^3) normality product in favor
     # of the O(d^2) Hermitian / skew-Hermitian certificates; an operator that
     # is normal in a non-obvious way is then handled through its
-    # decomposition, which is exact regardless of the label
+    # decomposition, which is exact regardless of the label. An explicit
+    # 'normal' label (a structured form read back from JSON) is still checked.
     LARGE_DIM = 512
 
     @staticmethod
     def _normal_certificate(m: np.ndarray) -> bool | None:
         """True if (skew-)Hermitian (hence normal); None if undecided."""
-        # contiguous copy of the adjoint: elementwise passes against a
-        # transposed view are several times slower at large dimension
-        adj = np.ascontiguousarray(m.T).conj() if m.shape[0] > 256 else m.conj().T
+        adj = _adjoint(m)
         if float(np.max(np.abs(m - adj))) <= NORMALITY_TOL:
             return True
         if float(np.max(np.abs(m + adj))) <= NORMALITY_TOL:
@@ -194,24 +197,30 @@ class MeasurementOperator:
         return None
 
     def __post_init__(self):
-        m = asarray(self.matrix, square=True)
-        object.__setattr__(self, "matrix", m)
+        if isinstance(self.operator, (PermutationUnitary, LowRankOperator)):
+            actual = _structured_kind(self.operator)
+            allowed = (actual, "normal") if actual == "hermitian" else (actual,)
+            if self.kind not in allowed:
+                raise ValidationError(f"kind {self.kind!r} but the operator is {actual}")
+            if self.parts is not None:
+                raise ValidationError("a structured measurement takes no decomposition")
+            return
+        m = asarray(self.operator, square=True)
+        object.__setattr__(self, "operator", m)
         large = m.shape[0] > self.LARGE_DIM
         if self.kind == "hermitian":
             if hermiticity_residual(m) > NORMALITY_TOL:
                 raise ValidationError("kind 'hermitian' but the matrix is not Hermitian")
         elif self.kind == "normal":
-            if self._normal_certificate(m) is None and (
-                large or normality_residual(m) > NORMALITY_TOL
-            ):
+            if self._normal_certificate(m) is None and normality_residual(m) > NORMALITY_TOL:
                 raise ValidationError("kind 'normal' but the matrix is not normal")
         elif self.kind == "nonnormal":
             if not large and normality_residual(m) <= NORMALITY_TOL:
                 raise ValidationError("kind 'nonnormal' but the matrix is normal")
         else:
             raise ValidationError(f"unknown measurement kind {self.kind!r}")
-        if self.decomposition is not None:
-            parts = tuple((complex(c), asarray(n, square=True)) for c, n in self.decomposition)
+        if self.parts is not None:
+            parts = tuple((complex(c), asarray(n, square=True)) for c, n in self.parts)
             if not parts:
                 raise ValidationError("empty decomposition")
             acc = np.zeros_like(m)
@@ -225,15 +234,19 @@ class MeasurementOperator:
                 acc = acc + c * n
             if float(np.max(np.abs(acc - m))) > NORMALITY_TOL:
                 raise ValidationError("decomposition does not reconstruct the matrix")
-            object.__setattr__(self, "decomposition", parts)
+            object.__setattr__(self, "parts", parts)
 
     @staticmethod
     def of(matrix, decomposition=None) -> "MeasurementOperator":
         """Classify and wrap. Non-normal operators without an explicit
         decomposition get the Hermitian/skew split M = (1/2)(M+M^dag) +
-        (1/2)(M-M^dag), both parts normal by construction."""
+        (1/2)(M-M^dag), both parts normal by construction. A
+        PermutationUnitary or LowRankOperator is classified from its
+        structure and kept in that form."""
+        if isinstance(matrix, (PermutationUnitary, LowRankOperator)):
+            return MeasurementOperator(matrix, _structured_kind(matrix), decomposition)
         m = asarray(matrix, square=True)
-        adj = np.ascontiguousarray(m.T).conj() if m.shape[0] > 256 else m.conj().T
+        adj = _adjoint(m)
         skew = m - adj
         if float(np.max(np.abs(skew))) <= NORMALITY_TOL:
             return MeasurementOperator(m, "hermitian", decomposition)
@@ -249,7 +262,27 @@ class MeasurementOperator:
 
     @property
     def dim(self) -> int:
-        return self.matrix.shape[0]
+        return self.operator.shape[0]
+
+    @property
+    def matrix(self) -> np.ndarray:
+        """Dense d_E x d_E form of M, built from a structured form on first
+        read and kept."""
+        if isinstance(self.operator, np.ndarray):
+            return self.operator
+        if "_dense" not in self.__dict__:
+            object.__setattr__(self, "_dense", self.operator.dense())
+        return self.__dict__["_dense"]
+
+    @property
+    def decomposition(self) -> tuple[tuple[complex, np.ndarray], ...] | None:
+        """Normal parts of a non-normal M; None when it carries none."""
+        structured = not isinstance(self.operator, np.ndarray)
+        if structured and self.kind == "nonnormal" and self.parts is None:
+            m = self.matrix
+            adj = _adjoint(m)
+            object.__setattr__(self, "parts", ((0.5 + 0j, m + adj), (0.5 + 0j, m - adj)))
+        return self.parts
 
     def normal_parts(self) -> tuple[tuple[complex, np.ndarray], ...]:
         """(coefficient, normal operator) terms summing to M."""
@@ -260,6 +293,25 @@ class MeasurementOperator:
                 "non-normal measurement requires a decomposition into normal parts"
             )
         return self.decomposition
+
+
+def _adjoint(m: np.ndarray) -> np.ndarray:
+    # contiguous copy of the adjoint: elementwise passes against a
+    # transposed view are several times slower at large dimension
+    return np.ascontiguousarray(m.T).conj() if m.shape[0] > 256 else m.conj().T
+
+
+def _structured_kind(op: PermutationUnitary | LowRankOperator) -> str:
+    """Exact class of a structured M: a permutation is unitary, and Hermitian
+    when it is an involution; a low-rank u v^dag is classified by its core."""
+    if isinstance(op, PermutationUnitary):
+        return "hermitian" if op.is_involution else "normal"
+    core = op.core()
+    if hermiticity_residual(core) <= NORMALITY_TOL:
+        return "hermitian"
+    if normality_residual(core) <= NORMALITY_TOL:
+        return "normal"
+    return "nonnormal"
 
 
 # ---------------------------------------------------------------------------
@@ -485,16 +537,39 @@ def evolve(inst: QuantumInstrument, inputs) -> Evolved:
     return Evolved("density", rho_t, (d_s, d_e, d_g))
 
 
-def weighted_output(ev: Evolved, m: np.ndarray) -> np.ndarray:
-    """tau_st = sum_{e,e',g} rho_out[(s,e,g),(t,e',g)] M[e',e]."""
+def weighted_output(
+    ev: Evolved, m: np.ndarray | PermutationUnitary | LowRankOperator
+) -> np.ndarray:
+    """tau_st = sum_{e,e',g} rho_out[(s,e,g),(t,e',g)] M[e',e].
+
+    m is a dense matrix, or a structured form contracted without building
+    one: a permutation (M[e',e] = 1 iff e' = perm[e]) gathers the state
+    along E, and a low-rank u v^dag contracts E with its thin factors.
+    """
     d_s, d_e, d_g = ev.dims
     if ev.kind == "pure":
         psi = ev.tensor
-        # C[t,g,e'] = sum_e Psi[t,e,g] conj(M)[e,e']; tau = <Psi, C> over (g,e)
-        c = np.tensordot(psi, m.conj(), axes=([1], [0]))
-        a = psi.transpose(0, 2, 1).reshape(d_s, d_g * d_e)
-        return a @ c.reshape(d_s, d_g * d_e).conj().T
-    return np.einsum(ev.tensor, [0, 1, 2, 3, 4, 2], m, [4, 1], [0, 3])
+        if isinstance(m, PermutationUnitary):
+            # tau_st = sum_{e,g} Psi[s,e,g] conj(Psi[t,perm[e],g])
+            a, b = psi, psi[:, m.perm, :]
+        elif isinstance(m, LowRankOperator):
+            # tau_st = sum_{k,g} (Psi conj(v))[s,g,k] conj((Psi conj(u))[t,g,k])
+            a = np.tensordot(psi, m.v.conj(), axes=([1], [0]))
+            b = np.tensordot(psi, m.u.conj(), axes=([1], [0]))
+        else:
+            # C[t,g,e'] = sum_e Psi[t,e,g] conj(M)[e,e']; tau = <Psi, C> over (g,e)
+            a = psi.transpose(0, 2, 1)
+            b = np.tensordot(psi, m.conj(), axes=([1], [0]))
+        return a.reshape(d_s, -1) @ b.reshape(d_s, -1).conj().T
+    rho = ev.tensor
+    if isinstance(m, PermutationUnitary):
+        # the (e, e' = perm[e]) entries of rho_out, e first: (e, s, g, t, g')
+        pairs = rho[:, np.arange(d_e), :, :, m.perm, :]
+        return np.einsum(pairs, [1, 0, 2, 3, 2], [0, 3])
+    if isinstance(m, LowRankOperator):
+        w = np.tensordot(rho, m.v.conj(), axes=([1], [0]))  # (s, g, t, e', g', k)
+        return np.einsum(w, [0, 2, 3, 4, 2, 5], m.u, [4, 5], [0, 3])
+    return np.einsum(rho, [0, 1, 2, 3, 4, 2], m, [4, 1], [0, 3])
 
 
 def joint_expectation(ev: Evolved, a_s: np.ndarray, b_e: np.ndarray) -> complex:
@@ -512,27 +587,17 @@ def joint_expectation(ev: Evolved, a_s: np.ndarray, b_e: np.ndarray) -> complex:
     )
 
 
-def measured_output(ev: Evolved, meas: MeasurementOperator) -> np.ndarray:
-    """tau = sum_k c_k weighted_output(ev, N_k) over the normal parts of M."""
-    tau = None
-    for c, n in meas.normal_parts():
-        t = weighted_output(ev, n)
-        tau = c * t if tau is None else tau + c * t
-    return tau
-
-
 def apply_exact(inst: QuantumInstrument, inputs) -> WeightedState:
     """Exact weighted state of the instrument on the given input.
 
     inputs may be a QuantumState, a WeightedState or bare matrix (evaluation
     is linear, so non-physical inputs are allowed), a bare vector (pure), or a
     sequence of such pieces which is tensored in input-register order.
-    Non-normal measurements are evaluated by linearity over their
-    decomposition into normal parts (which must be present; the weighted
-    output is linear in M, so the decomposition sum is exact).
+    The weighted output is linear in M, so M is contracted directly in the
+    form it is held in, whatever its normality class.
     """
     ev = evolve(inst, inputs)
-    return WeightedState(measured_output(ev, inst.measurement), inst.output_layout)
+    return WeightedState(weighted_output(ev, inst.measurement.operator), inst.output_layout)
 
 
 # ---------------------------------------------------------------------------

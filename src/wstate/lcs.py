@@ -21,6 +21,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import (
+    ConsistencyError,
     DimensionMismatch,
     FullyDestructive,
     InvalidState,
@@ -491,7 +492,7 @@ def lcu_prepare(problem: LcsProblem) -> LcuResult:
     # cross-check against the Gram closed form |Phi|^2 / |alpha|_1^2
     phi_sq = float((alphas.conj() @ problem.gram @ alphas).real)
     if abs(norm_sq * one_norm**2 - phi_sq) > 1e-9 * max(1.0, phi_sq):
-        raise AssertionError("LCU branch disagrees with the Gram closed form")
+        raise ConsistencyError("LCU branch disagrees with the Gram closed form")
     if norm_sq <= 1e-24:
         raise FullyDestructive("the combination interferes to zero")
     state = branch / math.sqrt(norm_sq)

@@ -30,7 +30,7 @@ from .instrument import (
     evolve,
     expectation,
     joint_expectation,
-    measured_output,
+    weighted_output,
 )
 from .subroutines import ORTHOGONALITY_TOL, alpha_of, gamma_in, power_state, qsp_oracle
 from .tensor import (
@@ -254,7 +254,7 @@ def sample_estimate(
         sample_var = (second - shots * abs(mean) ** 2) / (shots - 1)
     else:
         sample_var = 0.0
-    a_mean = expectation(measured_output(ev, meas), o)
+    a_mean = expectation(weighted_output(ev, meas.operator), o)
     eye_s = np.eye(ev.dims[0], dtype=np.complex128)
     a_second, mean_m2 = _second_moments(ev, meas, (o @ o, eye_s))
     return EstimatorReport(
@@ -289,7 +289,7 @@ def variance_exact(inst: QuantumInstrument, inputs, obs) -> float:
     o = _check_hermitian_obs(obs)
     ev = evolve(inst, inputs)
     (second,) = _second_moments(ev, inst.measurement, (o @ o,))
-    mean = expectation(measured_output(ev, inst.measurement), o)
+    mean = expectation(weighted_output(ev, inst.measurement.operator), o)
     return float(second - abs(mean) ** 2)
 
 

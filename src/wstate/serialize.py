@@ -14,7 +14,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import NotUnitary, SchemaError, ValidationError
+from .errors import ConsistencyError, NotUnitary, SchemaError, ValidationError
 from .experiments import EXPERIMENTS
 from .instrument import MeasurementOperator, QuantumInstrument, QuantumState
 from .lcs import LcsProblem
@@ -429,5 +429,5 @@ def io_roundtrip(path: str) -> dict:
     twice = dump_any(kind, again)
     stable = json.dumps(once, sort_keys=True) == json.dumps(twice, sort_keys=True)
     if not stable:
-        raise AssertionError("serialization did not reach a fixed point")
+        raise ConsistencyError("serialization did not reach a fixed point")
     return {"kind": kind, "stable": True}

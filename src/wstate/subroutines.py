@@ -18,6 +18,7 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from .errors import (
+    ConsistencyError,
     DimensionMismatch,
     OrthogonalInputs,
     OrthogonalIntermediate,
@@ -32,6 +33,7 @@ from .instrument import (
     apply_exact,
 )
 from .tensor import (
+    LowRankOperator,
     PermutationUnitary,
     Register,
     RegisterLayout,
@@ -162,22 +164,6 @@ def basis_projector(dim: int, index: int = 0) -> np.ndarray:
     return p
 
 
-def plus_state(dim: int) -> np.ndarray:
-    return np.full(dim, 1.0 / math.sqrt(dim), dtype=np.complex128)
-
-
-def swap_matrix(d: int) -> np.ndarray:
-    """SWAP on C^d (x) C^d."""
-    return np.eye(d * d).reshape(d, d, d, d).transpose(1, 0, 2, 3).reshape(d * d, d * d).astype(np.complex128)
-
-
-def phi_plus(d: int) -> np.ndarray:
-    """Maximally entangled vector (1/sqrt(d)) sum_i |ii>."""
-    v = np.zeros(d * d, dtype=np.complex128)
-    v[:: d + 1] = 1.0 / math.sqrt(d)
-    return v
-
-
 def build_qhp_instrument(n: int) -> QuantumInstrument:
     """CNOT ladder (i,j) -> (i, i xor j) with all-zero postselection on the
     second register; realizes the entrywise product."""
@@ -198,7 +184,11 @@ def build_qhp_instrument(n: int) -> QuantumInstrument:
 
 def build_gqt_instrument(n: int) -> QuantumInstrument:
     """CNOT coupling of the input onto a |0..0> register plus a SWAP
-    measurement against the second input; realizes sigma (.) rho^T."""
+    measurement against the second input; realizes sigma (.) rho^T.
+
+    The SWAP |i j> -> |j i> on (E1, E2) is held as a PermutationUnitary, so
+    no d^2 x d^2 matrix is built unless a caller reads measurement.matrix.
+    """
     if n < 1:
         raise ValidationError("qubit count must be >= 1")
     d = 2**n
@@ -210,13 +200,13 @@ def build_gqt_instrument(n: int) -> QuantumInstrument:
     anc = QuantumState(
         layout.sub(("E1",)), vector=np.eye(d, dtype=np.complex128)[0].copy()
     )
-    swap = swap_matrix(d)
-    kind = "hermitian"
+    e = np.arange(d * d)
+    swap = PermutationUnitary((e % d) * d + e // d)
     return QuantumInstrument(
         layout,
         ancilla=anc,
         unitary=_xor_ladder_perm((d, d, d), src=0, dst=1),
-        measurement=MeasurementOperator(swap, kind),
+        measurement=MeasurementOperator(swap, "hermitian"),
     )
 
 
@@ -289,7 +279,13 @@ def build_qsp_instrument(sigma, m, n: int) -> QuantumInstrument:
 def build_teleport_instrument(n: int, maps) -> QuantumInstrument:
     """Teleportation-type instrument: inputs rho (A) and sigma (B), ancilla
     |0..0> (C, the output), CNOT ladder B -> C, and the deformed Bell
-    measurement sum_m (J_m (x) I)|Phi+><Phi+|(K_m (x) I) on (A, B)."""
+    measurement sum_m (J_m (x) I)|Phi+><Phi+|(K_m (x) I) on (A, B).
+
+    The measurement has rank at most len(maps) and is held as a
+    LowRankOperator u v^dag with column m of u equal to vec(J_m) and of v to
+    conj(vec(K_m^T))/d; putting the whole 1/d on v, a power of two, keeps the
+    dense form bit for bit the sum of outer products it replaces.
+    """
     if n < 1:
         raise ValidationError("qubit count must be >= 1")
     d = 2**n
@@ -301,20 +297,21 @@ def build_teleport_instrument(n: int, maps) -> QuantumInstrument:
     anc = QuantumState(
         layout.sub(("C",)), vector=np.eye(d, dtype=np.complex128)[0].copy()
     )
-    mbar = np.zeros((d * d, d * d), dtype=np.complex128)
+    us, vs = [], []
     for j, k in maps:
         j = asarray(j, square=True)
         k = asarray(k, square=True)
         if j.shape != (d, d) or k.shape != (d, d):
             raise DimensionMismatch("map pair dimension differs from 2^n")
         # (J (x) I)|Phi+> = vec(J)/sqrt(d); <Phi+|(K (x) I) row = vec(K^T)/sqrt(d)
-        mbar += np.outer(j.ravel(), k.T.ravel()) / d
-    meas = MeasurementOperator.of(mbar)
+        us.append(j.ravel())
+        vs.append(k.T.ravel().conj() / d)
+    factors = [np.array(f, dtype=np.complex128).reshape(-1, d * d).T for f in (us, vs)]
     return QuantumInstrument(
         layout,
         ancilla=anc,
         unitary=_xor_ladder_perm((d, d, d), src=1, dst=2),
-        measurement=meas,
+        measurement=MeasurementOperator.of(LowRankOperator(*factors)),
     )
 
 
@@ -646,10 +643,10 @@ def polynomial_pipeline(psi, spec: PolySpec) -> tuple[np.ndarray, PolynomialPipe
 
     got = stack_vals[-1]
     if not np.allclose(got, exact, atol=1e-10 * max(1.0, float(np.abs(exact).max()))):
-        raise AssertionError("pipeline program disagrees with the closed form")
+        raise ConsistencyError("pipeline program disagrees with the closed form")
     bound = 150 * n * spec.chi**2
     if pipe.gate_count > bound:
-        raise AssertionError(
+        raise ConsistencyError(
             f"gate count {pipe.gate_count} exceeds 150*n*chi^2 = {bound}"
         )
     return exact, pipe
@@ -705,9 +702,9 @@ def _verify_solution(alpha: np.ndarray, sol: SolverSolution, gamma: np.ndarray):
     recon = sol.sigma * sol.m.T * gamma
     scale = max(1.0, float(np.abs(alpha).max()))
     if float(np.abs(recon - alpha).max()) > 1e-8 * scale:
-        raise AssertionError("solver produced an inaccurate (sigma, M) pair")
+        raise ConsistencyError("solver produced an inaccurate (sigma, M) pair")
     if normality_residual(sol.m) > 1e-10 * max(1.0, float(np.abs(sol.m).max()) ** 2):
-        raise AssertionError("solver produced a non-normal M")
+        raise ConsistencyError("solver produced a non-normal M")
 
 
 def solve_qsp_realizable(alpha, gamma=None) -> SolveResult:

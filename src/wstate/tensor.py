@@ -1,7 +1,8 @@
 """Dense complex linear algebra substrate.
 
 Kronecker products, register layouts, partial traces, spectral decomposition
-of normal matrices, dephasing, and computational-basis permutation unitaries.
+of normal matrices, dephasing, computational-basis permutation unitaries, and
+low-rank operators held as factors.
 
 Conventions: matrices are dense complex128 ndarrays, row-major. Register order
 in a layout matches tensor-product order; the leftmost register carries the
@@ -285,6 +286,52 @@ class PermutationUnitary:
     @staticmethod
     def identity(dim: int) -> "PermutationUnitary":
         return PermutationUnitary(np.arange(dim))
+
+    @property
+    def is_involution(self) -> bool:
+        return bool(np.array_equal(self.perm[self.perm], np.arange(self.dim)))
+
+
+@dataclass(frozen=True)
+class LowRankOperator:
+    """M = u v^dag from two d x r factors.
+
+    Holds a rank <= r operator in O(d r) memory; the dense d x d matrix is
+    only built on request.
+    """
+
+    u: np.ndarray
+    v: np.ndarray
+
+    def __post_init__(self):
+        u, v = asarray(self.u), asarray(self.v)
+        if u.ndim != 2 or u.shape != v.shape:
+            raise DimensionMismatch(f"factor shapes {u.shape} and {v.shape} differ")
+        object.__setattr__(self, "u", u)
+        object.__setattr__(self, "v", v)
+
+    @property
+    def dim(self) -> int:
+        return self.u.shape[0]
+
+    @property
+    def shape(self) -> tuple[int, int]:
+        return (self.dim, self.dim)
+
+    def core(self) -> np.ndarray:
+        """C with M = Q C Q^dag, where Q has orthonormal columns spanning
+        [u v]; M is Hermitian (normal) exactly when C is, and at most 2r x 2r."""
+        q, _ = np.linalg.qr(np.hstack([self.u, self.v]))
+        qh = q.conj().T
+        return (qh @ self.u) @ (qh @ self.v).conj().T
+
+    def dense(self) -> np.ndarray:
+        # summed column by column, not as one GEMM, so that the result is bit
+        # for bit the sum of outer products sum_k u_k v_k^dag in that order
+        out = np.zeros(self.shape, dtype=np.complex128)
+        for a, b in zip(self.u.T, self.v.T):
+            out += np.outer(a, b.conj())
+        return out
 
 
 def register_digits(layout: RegisterLayout) -> list[np.ndarray]:

@@ -119,6 +119,10 @@ class TestMeasurementClassification:
         diag = np.diag(rng.normal(size=dim)).astype(complex)
         assert MeasurementOperator.of(diag).kind == "hermitian"
         assert MeasurementOperator.of(1j * diag).kind == "normal"
+        # an explicit label is checked exactly, so a structured normal M
+        # read back in dense form keeps its class
+        phased = np.exp(0.7j) * diag
+        assert MeasurementOperator(phased, "normal").kind == "normal"
         # no cheap certificate above LARGE_DIM: falls back to a split
         generic = diag.copy()
         generic[0, 1] = 1.0

@@ -1,9 +1,13 @@
+import ast
 import json
 import math
+import pathlib
 
 import numpy as np
 import pytest
 from click.testing import CliRunner
+
+import wstate
 
 from wstate.cli import main
 from wstate.errors import SchemaError
@@ -287,6 +291,15 @@ class TestCli:
         res = runner.invoke(main, ["lcs", "all-at-once", "--spec", str(path)])
         assert res.exit_code == 3
 
+    def test_roundtrip_miss_exits_3(self, runner, task_file, monkeypatch):
+        real, calls = wstate.serialize.dump_any, iter(range(2))
+        monkeypatch.setattr(
+            wstate.serialize, "dump_any", lambda kind, value: {**real(kind, value), "n": next(calls)}
+        )
+        res = runner.invoke(main, ["validate", "--spec", task_file])
+        assert res.exit_code == 3, res.output
+        assert "fixed point" in res.output
+
     def test_unknown_experiment_exits_2(self, runner, tmp_path):
         spec = tmp_path / "exp.json"
         spec.write_text(json.dumps({"experiment": "nope"}))
@@ -298,3 +311,19 @@ class TestCli:
         path = tmp_path / "inst.json"
         path.write_text(json.dumps(instrument_to_json(inst)))
         assert io_roundtrip(str(path)) == {"kind": "instrument", "stable": True}
+
+
+def test_library_raises_only_typed_errors():
+    """No assert statement and no bare AssertionError in library code, so
+    every failure reaches the CLI as a WstateError with exit code 2 or 3."""
+    src = pathlib.Path(wstate.__file__).parent
+    found = []
+    for path in sorted(src.glob("*.py")):
+        for node in ast.walk(ast.parse(path.read_text())):
+            if isinstance(node, ast.Assert):
+                found.append(f"{path.name}:{node.lineno} assert")
+            elif isinstance(node, ast.Raise) and node.exc is not None:
+                exc = node.exc.func if isinstance(node.exc, ast.Call) else node.exc
+                if isinstance(exc, ast.Name) and exc.id == "AssertionError":
+                    found.append(f"{path.name}:{node.lineno} raise AssertionError")
+    assert found == []
