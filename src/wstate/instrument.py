@@ -35,11 +35,14 @@ from .tensor import (
     Register,
     RegisterLayout,
     asarray,
-    eigenbasis,
     embed_operator,
     embed_permutation,
     hermiticity_residual,
+    is_hermitian,
+    is_normal,
+    norm_scale,
     normality_residual,
+    spectral_groups,
     unitarity_residual,
 )
 
@@ -169,8 +172,10 @@ class MeasurementOperator:
     and apply_exact contracts it without a d_E x d_E matrix; `matrix` builds
     the dense form on first read and keeps it.
 
-    kind is one of hermitian / normal / nonnormal. A non-normal operator
-    carries a decomposition M = sum_k c_k N_k into normal parts, used for
+    kind is one of hermitian / normal / nonnormal, decided with NORMALITY_TOL
+    relative to norm_scale(M) (hermiticity) or its square (normality), so
+    that c*M has the class of M. A non-normal operator carries a
+    decomposition M = sum_k c_k N_k into normal parts, used for
     single-instrument emulation and sampling; a structured non-normal one gets
     the Hermitian/skew split on first read, as `of` gives a dense one.
     """
@@ -190,9 +195,10 @@ class MeasurementOperator:
     def _normal_certificate(m: np.ndarray) -> bool | None:
         """True if (skew-)Hermitian (hence normal); None if undecided."""
         adj = _adjoint(m)
-        if float(np.max(np.abs(m - adj))) <= NORMALITY_TOL:
+        tol = NORMALITY_TOL * norm_scale(m)
+        if float(np.max(np.abs(m - adj))) <= tol:
             return True
-        if float(np.max(np.abs(m + adj))) <= NORMALITY_TOL:
+        if float(np.max(np.abs(m + adj))) <= tol:
             return True
         return None
 
@@ -209,13 +215,13 @@ class MeasurementOperator:
         object.__setattr__(self, "operator", m)
         large = m.shape[0] > self.LARGE_DIM
         if self.kind == "hermitian":
-            if hermiticity_residual(m) > NORMALITY_TOL:
+            if not is_hermitian(m):
                 raise ValidationError("kind 'hermitian' but the matrix is not Hermitian")
         elif self.kind == "normal":
-            if self._normal_certificate(m) is None and normality_residual(m) > NORMALITY_TOL:
+            if self._normal_certificate(m) is None and not is_normal(m):
                 raise ValidationError("kind 'normal' but the matrix is not normal")
         elif self.kind == "nonnormal":
-            if not large and normality_residual(m) <= NORMALITY_TOL:
+            if not large and is_normal(m):
                 raise ValidationError("kind 'nonnormal' but the matrix is normal")
         else:
             raise ValidationError(f"unknown measurement kind {self.kind!r}")
@@ -227,12 +233,10 @@ class MeasurementOperator:
             for c, n in parts:
                 if n.shape != m.shape:
                     raise DimensionMismatch("decomposition part has wrong shape")
-                if self._normal_certificate(n) is None:
-                    res = normality_residual(n)
-                    if res > NORMALITY_TOL:
-                        raise NotNormal(res, NORMALITY_TOL)
+                if self._normal_certificate(n) is None and not is_normal(n):
+                    raise NotNormal(normality_residual(n), NORMALITY_TOL * norm_scale(n) ** 2)
                 acc = acc + c * n
-            if float(np.max(np.abs(acc - m))) > NORMALITY_TOL:
+            if float(np.max(np.abs(acc - m))) > NORMALITY_TOL * norm_scale(m):
                 raise ValidationError("decomposition does not reconstruct the matrix")
             object.__setattr__(self, "parts", parts)
 
@@ -246,14 +250,14 @@ class MeasurementOperator:
         if isinstance(matrix, (PermutationUnitary, LowRankOperator)):
             return MeasurementOperator(matrix, _structured_kind(matrix), decomposition)
         m = asarray(matrix, square=True)
+        tol = NORMALITY_TOL * norm_scale(m)
         adj = _adjoint(m)
         skew = m - adj
-        if float(np.max(np.abs(skew))) <= NORMALITY_TOL:
+        if float(np.max(np.abs(skew))) <= tol:
             return MeasurementOperator(m, "hermitian", decomposition)
         herm = m + adj
-        if float(np.max(np.abs(herm))) <= NORMALITY_TOL or (
-            m.shape[0] <= MeasurementOperator.LARGE_DIM
-            and normality_residual(m) <= NORMALITY_TOL
+        if float(np.max(np.abs(herm))) <= tol or (
+            m.shape[0] <= MeasurementOperator.LARGE_DIM and is_normal(m)
         ):
             return MeasurementOperator(m, "normal", decomposition)
         if decomposition is None:
@@ -285,7 +289,7 @@ class MeasurementOperator:
         return self.parts
 
     def normal_parts(self) -> tuple[tuple[complex, np.ndarray], ...]:
-        """(coefficient, normal operator) terms summing to M."""
+        """(coefficient, normal operator) terms summing to M, as dense arrays."""
         if self.kind != "nonnormal":
             return ((1.0 + 0.0j, self.matrix),)
         if self.decomposition is None:
@@ -293,6 +297,21 @@ class MeasurementOperator:
                 "non-normal measurement requires a decomposition into normal parts"
             )
         return self.decomposition
+
+    def normal_forms(self) -> tuple[tuple[complex, object], ...]:
+        """The terms of normal_parts() held in M's own form: a normal M is
+        one term as it is held, and a non-normal low-rank Q C Q^dag splits
+        into the low-rank parts Q (C +- C^dag) Q^dag, which share Q."""
+        op = self.operator
+        if self.kind != "nonnormal":
+            return ((1.0 + 0.0j, op),)
+        if isinstance(op, LowRankOperator):
+            q, c = op.core()
+            ch = c.conj().T
+            return tuple(
+                (0.5 + 0.0j, LowRankOperator(q, q @ x.conj().T)) for x in (c + ch, c - ch)
+            )
+        return self.normal_parts()
 
 
 def _adjoint(m: np.ndarray) -> np.ndarray:
@@ -306,10 +325,10 @@ def _structured_kind(op: PermutationUnitary | LowRankOperator) -> str:
     when it is an involution; a low-rank u v^dag is classified by its core."""
     if isinstance(op, PermutationUnitary):
         return "hermitian" if op.is_involution else "normal"
-    core = op.core()
-    if hermiticity_residual(core) <= NORMALITY_TOL:
+    _, core = op.core()
+    if is_hermitian(core):
         return "hermitian"
-    if normality_residual(core) <= NORMALITY_TOL:
+    if is_normal(core):
         return "normal"
     return "nonnormal"
 
@@ -555,7 +574,7 @@ def weighted_output(
         elif isinstance(m, LowRankOperator):
             # tau_st = sum_{k,g} (Psi conj(v))[s,g,k] conj((Psi conj(u))[t,g,k])
             a = np.tensordot(psi, m.v.conj(), axes=([1], [0]))
-            b = np.tensordot(psi, m.u.conj(), axes=([1], [0]))
+            b = a if m.u is m.v else np.tensordot(psi, m.u.conj(), axes=([1], [0]))
         else:
             # C[t,g,e'] = sum_e Psi[t,e,g] conj(M)[e,e']; tau = <Psi, C> over (g,e)
             a = psi.transpose(0, 2, 1)
@@ -567,24 +586,34 @@ def weighted_output(
         pairs = rho[:, np.arange(d_e), :, :, m.perm, :]
         return np.einsum(pairs, [1, 0, 2, 3, 2], [0, 3])
     if isinstance(m, LowRankOperator):
-        w = np.tensordot(rho, m.v.conj(), axes=([1], [0]))  # (s, g, t, e', g', k)
-        return np.einsum(w, [0, 2, 3, 4, 2, 5], m.u, [4, 5], [0, 3])
+        # rho_out holds (d_s d_e d_g)^2 entries, so the d_e x d_e matrix is
+        # no larger; a tensordot against the factors would copy rho_out whole
+        m = m.u @ m.v.conj().T
     return np.einsum(rho, [0, 1, 2, 3, 4, 2], m, [4, 1], [0, 3])
 
 
-def joint_expectation(ev: Evolved, a_s: np.ndarray, b_e: np.ndarray) -> complex:
-    """Tr[rho_out (A_S (x) B_E (x) I_G)]."""
-    if ev.kind == "pure":
-        psi = ev.tensor
-        # <Psi| (A_S (x) B_E (x) I_G) |Psi>, applying B_E then A_S
-        phi = np.tensordot(b_e, psi, axes=([1], [1]))  # (e, s, g)
-        phi = np.tensordot(a_s, phi, axes=([1], [1]))  # (s, e, g)
-        return complex(np.vdot(psi, phi))
-    # every summed index belongs to rho_out, so this single pass reads each
-    # G-diagonal entry once; pairwise orders (optimize=True) only add passes
-    return complex(
-        np.einsum(ev.tensor, [0, 1, 2, 3, 4, 2], a_s, [3, 0], b_e, [4, 1], [])
-    )
+def joint_expectation(
+    ev: Evolved, a_s: np.ndarray, b_e: np.ndarray | PermutationUnitary | LowRankOperator
+) -> complex:
+    """Tr[rho_out (A_S (x) B_E (x) I_G)] = Tr[W A_S] with W the weighted
+    output of B_E, so B_E may be held in any form weighted_output takes."""
+    return complex(np.einsum("st,ts->", weighted_output(ev, b_e), a_s))
+
+
+def projected_outputs(ev: Evolved, groups) -> list[np.ndarray]:
+    """weighted_output of each (eigenvalue, projector) group of
+    tensor.spectral_groups; a form shared by several projectors, such as the
+    identity and the SWAP in (I +- P)/2, is contracted once."""
+    done: dict[int, np.ndarray] = {}
+    out = []
+    for _, projector in groups:
+        acc = 0
+        for c, form in projector:
+            if id(form) not in done:
+                done[id(form)] = weighted_output(ev, form)
+            acc = acc + c * done[id(form)]
+        out.append(acc)
+    return out
 
 
 def apply_exact(inst: QuantumInstrument, inputs) -> WeightedState:
@@ -616,26 +645,20 @@ class InstrumentBranch:
 
 def branches(inst: QuantumInstrument, inputs) -> list[InstrumentBranch]:
     """Outcome decomposition for a normal measurement: one branch per merged
-    eigenvalue; sum_j lambda_j p_j (conditional) reproduces apply_exact."""
+    eigenvalue, in the order of tensor.spectral_groups; sum_j lambda_j p_j
+    (conditional) reproduces apply_exact. A non-normal low-rank M reports
+    the normality residual of its core."""
     meas = inst.measurement
     if meas.kind == "nonnormal":
-        raise NotNormal(normality_residual(meas.matrix), NORMALITY_TOL)
-    values, z, labels = eigenbasis(meas.matrix)
+        op = meas.operator
+        m = op.core()[1] if isinstance(op, LowRankOperator) else op
+        raise NotNormal(normality_residual(m), NORMALITY_TOL * norm_scale(m) ** 2)
+    groups = spectral_groups(meas.operator)
     ev = evolve(inst, inputs)
-    d_s, d_e, d_g = ev.dims
     out = []
     total_p = 0.0
     out_layout = inst.output_layout
-    for g, val in enumerate(values):
-        cols = z[:, labels == g]
-        if ev.kind == "pure":
-            # B[s,g,c] = sum_e Psi[s,e,g] conj(v_c)[e]; E_j = B B^dag
-            b = np.tensordot(ev.tensor, cols.conj(), axes=([1], [0]))
-            b = b.reshape(d_s, d_g * cols.shape[1])
-            ej = b @ b.conj().T
-        else:
-            proj = cols @ cols.conj().T
-            ej = np.einsum(ev.tensor, [0, 1, 2, 3, 4, 2], proj, [4, 1], [0, 3])
+    for (val, _), ej in zip(groups, projected_outputs(ev, groups)):
         p = float(np.trace(ej).real)
         total_p += p
         if p < ZERO_BRANCH_TOL:
@@ -850,10 +873,7 @@ def concatenate(
 
     m_total = emb(m1, e1) @ emb(m2, e2)
     decomposition = None
-    if (
-        hermiticity_residual(m_total) > NORMALITY_TOL
-        and normality_residual(m_total) > NORMALITY_TOL
-    ):
+    if not is_hermitian(m_total) and not is_normal(m_total):
         parts1 = first.measurement.normal_parts()
         parts2 = second.measurement.normal_parts()
         decomposition = tuple(
@@ -862,7 +882,7 @@ def concatenate(
         # product of commuting normal parts need not be normal; fall back to
         # the Hermitian/skew split of the product when that happens
         for _, n in decomposition:
-            if normality_residual(n) > NORMALITY_TOL:
+            if not is_normal(n):
                 decomposition = None
                 break
 

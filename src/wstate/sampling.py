@@ -26,10 +26,10 @@ from .instrument import (
     QuantumInstrument,
     WeightedState,
     Evolved,
-    as_normal_instrument,
     evolve,
     expectation,
     joint_expectation,
+    projected_outputs,
     weighted_output,
 )
 from .subroutines import ORTHOGONALITY_TOL, alpha_of, gamma_in, power_state, qsp_oracle
@@ -37,7 +37,10 @@ from .tensor import (
     asarray,
     dephase,
     eigenbasis,
+    gram,
     hermiticity_residual,
+    merge_values,
+    spectral_groups,
     spectral_norm,
 )
 
@@ -144,13 +147,14 @@ def _check_hermitian_obs(obs) -> np.ndarray:
     return o
 
 
-def _rescaled_parts(meas: MeasurementOperator) -> tuple[tuple[float, complex, np.ndarray], ...]:
+def _rescaled_parts(meas: MeasurementOperator) -> tuple[tuple[float, complex, object], ...]:
     """(q_k, scale_k, N_k) with q_k = |c_k|/sum|c| and scale_k = c_k/q_k.
 
     The sampled estimator draws part k with probability q_k and multiplies its
     eigenvalue by scale_k; for a normal M there is a single part with q=1.
+    Each N_k is held in the form of MeasurementOperator.normal_forms.
     """
-    parts = meas.normal_parts()
+    parts = meas.normal_forms()
     mags = np.array([abs(c) for c, _ in parts])
     keep = mags > 0
     total = float(mags.sum())
@@ -165,47 +169,39 @@ def _rescaled_parts(meas: MeasurementOperator) -> tuple[tuple[float, complex, np
     return tuple(out)
 
 
-def _joint_cells(ev: Evolved, meas: MeasurementOperator, obs: np.ndarray):
+def _joint_cells(ev: Evolved, meas: MeasurementOperator, obs: np.ndarray, merge: bool = False):
     """Cell probabilities and complex weights of the per-shot estimator.
 
-    Cells enumerate (decomposition part, merged observable eigenvalue, merged
-    measurement eigenvalue); probabilities come from the evolved state.
+    Cells enumerate (decomposition part, merged observable eigenvalue,
+    spectral group of the part); cell (i, g) of part k has probability
+    q_k sum_{a in i} <o_a| E_g |o_a> with E_g the weighted output of the
+    group's projector, so no d_E x d_E array is formed for a structured M.
+    merge=True gives the cells of the emulated instrument instead: its state
+    is rho_out (x) diag(q) and its block measurement sum_k |k><k| (x) scale_k
+    N_k, so its cells are the parts' cells summed over equal eigenvalues.
     """
     o_vals, o_vecs, o_labels = eigenbasis(obs)
     n_o = len(o_vals)
-    probs: list[float] = []
-    weights: list[complex] = []
+    tables: list[np.ndarray] = []
+    weights: list[np.ndarray] = []
+    scaled: list[np.ndarray] = []
     for q, scale, nk in _rescaled_parts(meas):
-        m_vals, m_vecs, m_labels = eigenbasis(nk)
-        n_m = len(m_vals)
-        if ev.kind == "pure":
-            amp = np.einsum(
-                "seg,sa,eb->abg", ev.tensor, o_vecs.conj(), m_vecs.conj(), optimize=True
-            )
-            cell = (np.abs(amp) ** 2).sum(axis=2)
-        else:
-            cell = np.einsum(
-                ev.tensor,
-                [0, 1, 2, 3, 4, 2],
-                o_vecs.conj(),
-                [0, 5],
-                o_vecs,
-                [3, 5],
-                m_vecs.conj(),
-                [1, 6],
-                m_vecs,
-                [4, 6],
-                [5, 6],
-                optimize=True,
-            ).real
-        table = np.zeros((n_o, n_m))
-        np.add.at(table, (o_labels[:, None], m_labels[None, :]), cell)
-        for i in range(n_o):
-            for j in range(n_m):
-                probs.append(q * table[i, j])
-                weights.append(o_vals[i].real * scale * m_vals[j])
-    p = np.array(probs)
-    w = np.array(weights, dtype=np.complex128)
+        groups = spectral_groups(nk)
+        vals = np.array([val for val, _ in groups])
+        outs = np.array(projected_outputs(ev, groups))
+        cell = np.einsum("sa,gst,ta->ag", o_vecs.conj(), outs, o_vecs).real
+        table = np.zeros((n_o, len(groups)))
+        np.add.at(table, o_labels, cell)
+        tables.append(q * table)
+        weights.append((o_vals.real[:, None] * scale) * vals[None, :])
+        scaled.append(scale * vals)
+    if merge and len(tables) > 1:
+        labels, merged = merge_values(np.concatenate(scaled))
+        table = np.zeros((len(merged), n_o))
+        np.add.at(table, labels, np.hstack(tables).T)
+        tables, weights = [table.T], [o_vals.real[:, None] * merged[None, :]]
+    p = np.concatenate([t.ravel() for t in tables])
+    w = np.concatenate([x.ravel() for x in weights])
     total = float(p.sum())
     if abs(total - 1.0) > 1e-9 or float(p.min()) < -1e-9:
         raise InvalidDistribution(
@@ -226,15 +222,15 @@ def sample_estimate(
     """Shot-based estimate of Tr(tau O) with exact reference statistics.
 
     method selects how a non-normal measurement is realized: 'emulate'
-    (default) extends the instrument with a part-selection register and
-    samples the enlarged normal measurement; 'randomized' draws a
-    decomposition part per shot and rescales its eigenvalue. Both define the
-    same per-shot distribution; normal measurements ignore the distinction.
+    (default) samples the instrument of emulate_nonnormal, which adds a
+    part-selection register and measures the enlarged normal operator;
+    'randomized' draws a decomposition part per shot and rescales its
+    eigenvalue. Both define the same per-shot distribution; normal
+    measurements ignore the distinction.
 
     The input is evolved once through inst, and the cells, the analytic mean,
-    the variance and its bound all come from that evolution. Only 'emulate'
-    on a non-normal M evolves a second time, through the extended instrument
-    whose cells are sampled.
+    the variance and its bound all come from that evolution; the emulated
+    instrument's cells are summed from the parts' cells, not evolved.
     """
     if shots < 1:
         raise ValidationError("shot count must be >= 1")
@@ -243,9 +239,7 @@ def sample_estimate(
         raise ValidationError(f"unknown sampling method {method!r}")
     meas = inst.measurement
     ev = evolve(inst, inputs)
-    work = as_normal_instrument(inst) if method == "emulate" else inst
-    work_ev = ev if work is inst else evolve(work, inputs)
-    probs, weights = _joint_cells(work_ev, work.measurement, o)
+    probs, weights = _joint_cells(ev, meas, o, merge=method == "emulate")
     counts = sample_counts(probs, shots, seed, workers=workers)
     total_w = np.dot(counts, weights)
     mean = total_w / shots
@@ -274,10 +268,10 @@ def sample_estimate(
 
 def _second_moments(ev: Evolved, meas: MeasurementOperator, ops) -> list[float]:
     """sum_k (|c_k|^2/q_k) Tr[rho_out (A (x) N_k N_k^dag (x) I)] for each A_S in
-    ops, forming each N_k N_k^dag once."""
+    ops, forming each N_k N_k^dag once, in the form N_k is held in."""
     out = [0.0] * len(ops)
     for q, scale, nk in _rescaled_parts(meas):
-        nn = nk @ nk.conj().T
+        nn = gram(nk)
         for i, a in enumerate(ops):
             out[i] += q * abs(scale) ** 2 * joint_expectation(ev, a, nn).real
     return out

@@ -1,8 +1,8 @@
 """Dense complex linear algebra substrate.
 
 Kronecker products, register layouts, partial traces, spectral decomposition
-of normal matrices, dephasing, computational-basis permutation unitaries, and
-low-rank operators held as factors.
+of normal matrices, dephasing, computational-basis permutation unitaries,
+low-rank operators held as factors, and the spectral groups of each form.
 
 Conventions: matrices are dense complex128 ndarrays, row-major. Register order
 in a layout matches tensor-product order; the leftmost register carries the
@@ -186,30 +186,49 @@ def unitarity_residual(m) -> float:
     return float(np.max(np.abs(a.conj().T @ a - np.eye(a.shape[0]))))
 
 
+def norm_scale(m) -> float:
+    """max(1, largest |entry|) of a dense matrix.
+
+    The largest entry is a lower bound on the spectral norm (and within a
+    factor d of it) that costs one pass. Classification tolerances are
+    multiplied by this scale (hermiticity) or its square (normality): c*M is
+    then classified as M is once its entries exceed 1, and an operator with
+    ||M|| <= 1 keeps the absolute tolerance.
+    """
+    a = np.asarray(m)
+    return max(1.0, float(np.max(np.abs(a)))) if a.size else 1.0
+
+
+def is_hermitian(m, tol: float = NORMALITY_TOL) -> bool:
+    return hermiticity_residual(m) <= tol * norm_scale(m)
+
+
+def is_normal(m, tol: float = NORMALITY_TOL) -> bool:
+    return normality_residual(m) <= tol * norm_scale(m) ** 2
+
+
 def spectral_norm(m) -> float:
+    """||M||_2 of a dense matrix or a structured form: 1 for a permutation,
+    the norm of the 2r x 2r core for a low-rank u v^dag."""
+    if isinstance(m, PermutationUnitary):
+        return 1.0
+    if isinstance(m, LowRankOperator):
+        return float(np.linalg.norm(m.core()[1], 2))
     return float(np.linalg.norm(np.asarray(m), 2))
 
 
-def eigenbasis(m, tol: float = NORMALITY_TOL, merge_tol: float = DEGENERACY_TOL):
-    """Unitary diagonalization of a normal matrix with degeneracy merging.
+def merge_values(values, merge_tol: float = DEGENERACY_TOL):
+    """Group values that lie within merge_tol of a group's first member.
 
-    Returns (values, vectors, labels): values[g] is the merged eigenvalue of
-    group g, vectors is a unitary whose columns are eigenvectors, labels[j]
-    assigns column j to its group. Groups appear in the order the Schur
-    diagonal first visits them, which makes the output deterministic.
+    Returns (labels, means): labels[j] is the group of values[j], groups are
+    numbered in the order they are first visited, and means[g] is the mean
+    of group g's members.
     """
-    a = asarray(m, square=True)
-    res = normality_residual(a)
-    if res > tol:
-        raise NotNormal(res, tol)
-    # Schur of a normal matrix is a unitary diagonalization; unlike a raw
-    # eigendecomposition the basis stays orthonormal inside degenerate spaces.
-    t, z = scipy.linalg.schur(a, output="complex")
-    w = np.diag(t)
-    labels = np.empty(len(w), dtype=np.intp)
+    values = np.asarray(values)
+    labels = np.empty(len(values), dtype=np.intp)
     reps: list[complex] = []
     members: list[list[int]] = []
-    for j, val in enumerate(w):
+    for j, val in enumerate(values):
         for g, rep in enumerate(reps):
             if abs(val - rep) <= merge_tol:
                 labels[j] = g
@@ -219,19 +238,28 @@ def eigenbasis(m, tol: float = NORMALITY_TOL, merge_tol: float = DEGENERACY_TOL)
             labels[j] = len(reps)
             reps.append(val)
             members.append([j])
-    values = np.array([np.mean(w[idx]) for idx in members])
+    return labels, np.array([np.mean(values[idx]) for idx in members])
+
+
+def eigenbasis(m, tol: float = NORMALITY_TOL, merge_tol: float = DEGENERACY_TOL):
+    """Unitary diagonalization of a normal matrix with degeneracy merging.
+
+    Returns (values, vectors, labels): values[g] is the merged eigenvalue of
+    group g, vectors is a unitary whose columns are eigenvectors, labels[j]
+    assigns column j to its group. Groups appear in the order the Schur
+    diagonal first visits them, which makes the output deterministic.
+    Normality is checked relative to norm_scale(m)^2.
+    """
+    a = asarray(m, square=True)
+    res = normality_residual(a)
+    scaled_tol = tol * norm_scale(a) ** 2
+    if res > scaled_tol:
+        raise NotNormal(res, scaled_tol)
+    # Schur of a normal matrix is a unitary diagonalization; unlike a raw
+    # eigendecomposition the basis stays orthonormal inside degenerate spaces.
+    t, z = scipy.linalg.schur(a, output="complex")
+    labels, values = merge_values(np.diag(t), merge_tol)
     return values, z, labels
-
-
-def spectral_decompose(m, tol: float = NORMALITY_TOL):
-    """Decompose a normal matrix into (eigenvalue, orthogonal projector)
-    pairs; degenerate eigenvalues share a single projector."""
-    values, z, labels = eigenbasis(m, tol)
-    out = []
-    for g, val in enumerate(values):
-        cols = z[:, labels == g]
-        out.append((complex(val), cols @ cols.conj().T))
-    return out
 
 
 @dataclass(frozen=True)
@@ -318,12 +346,13 @@ class LowRankOperator:
     def shape(self) -> tuple[int, int]:
         return (self.dim, self.dim)
 
-    def core(self) -> np.ndarray:
-        """C with M = Q C Q^dag, where Q has orthonormal columns spanning
-        [u v]; M is Hermitian (normal) exactly when C is, and at most 2r x 2r."""
+    def core(self) -> tuple[np.ndarray, np.ndarray]:
+        """(Q, C) with M = Q C Q^dag, where Q has orthonormal columns spanning
+        [u v]; M is Hermitian (normal) exactly when C is, and C is at most
+        2r x 2r."""
         q, _ = np.linalg.qr(np.hstack([self.u, self.v]))
         qh = q.conj().T
-        return (qh @ self.u) @ (qh @ self.v).conj().T
+        return q, (qh @ self.u) @ (qh @ self.v).conj().T
 
     def dense(self) -> np.ndarray:
         # summed column by column, not as one GEMM, so that the result is bit
@@ -332,6 +361,54 @@ class LowRankOperator:
         for a, b in zip(self.u.T, self.v.T):
             out += np.outer(a, b.conj())
         return out
+
+
+def spectral_groups(op, merge_tol: float = DEGENERACY_TOL):
+    """(eigenvalue, projector) groups of a normal operator held in any form.
+
+    Each projector is a tuple of (coefficient, form) terms, so that a
+    contraction linear in M (weighted_output) takes it term by term without
+    a d x d matrix:
+    - an involutive permutation P has the groups (I +- P)/2 for +1 and -1;
+    - a low-rank Q C Q^dag has one group Q W_g (Q W_g)^dag per nonzero
+      eigenvalue of its core C = W diag W^dag, in Schur order, and a last
+      zero group I - sum_g P_g, which also spans the complement of Q;
+    - a dense matrix keeps its Schur groups, as LowRankOperator(cols, cols).
+    A permutation that is not an involution takes the dense path.
+    """
+    if isinstance(op, PermutationUnitary) and op.is_involution:
+        eye = PermutationUnitary.identity(op.dim)
+        return [(1.0 + 0j, ((0.5, eye), (0.5, op))), (-1.0 + 0j, ((0.5, eye), (-0.5, op)))]
+    if isinstance(op, LowRankOperator):
+        q, c = op.core()
+        values, w, labels = eigenbasis(c, merge_tol=merge_tol)
+        basis = q @ w
+        zero = np.abs(values) <= merge_tol
+    else:
+        dense = op.dense() if isinstance(op, PermutationUnitary) else op
+        values, basis, labels = eigenbasis(dense, merge_tol=merge_tol)
+        zero = np.zeros(len(values), dtype=bool)
+    groups = []
+    for g in np.flatnonzero(~zero):
+        cols = basis[:, labels == g]
+        groups.append((complex(values[g]), ((1.0, LowRankOperator(cols, cols)),)))
+    kept = ~zero[labels]
+    dim = basis.shape[0]
+    if kept.sum() < dim:
+        cols = basis[:, kept]
+        eye = PermutationUnitary.identity(dim)
+        groups.append((0j, ((1.0, eye), (-1.0, LowRankOperator(cols, cols)))))
+    return groups
+
+
+def gram(op):
+    """N N^dag in the form N is held in: the identity for a permutation,
+    a (b^dag b) a^dag for a low-rank a b^dag."""
+    if isinstance(op, PermutationUnitary):
+        return PermutationUnitary.identity(op.dim)
+    if isinstance(op, LowRankOperator):
+        return LowRankOperator(op.u @ (op.v.conj().T @ op.v), op.u)
+    return op @ op.conj().T
 
 
 def register_digits(layout: RegisterLayout) -> list[np.ndarray]:

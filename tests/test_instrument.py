@@ -2,6 +2,8 @@ import functools
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from wstate.errors import (
     DimensionMismatch,
@@ -130,6 +132,69 @@ class TestMeasurementClassification:
         assert op.kind == "nonnormal"
         acc = sum(c * p for c, p in op.normal_parts())
         assert np.abs(acc - generic).max() < 1e-12
+
+
+def _operator_of_kind(rng, kind, d):
+    a = rng.normal(size=(d, d)) + 1j * rng.normal(size=(d, d))
+    if kind == "hermitian":
+        return a + a.conj().T
+    if kind == "normal":
+        u = rand_unitary(rng, d)
+        vals = rng.normal(size=d) + 1j * rng.normal(size=d)
+        return u @ np.diag(vals) @ u.conj().T
+    return a
+
+
+class TestScaleInvariantClassification:
+    """Normality and hermiticity are judged relative to the operator's scale,
+    so c*M has the class of M and its weighted output is c*tau."""
+
+    def test_large_normal_operators_stay_normal(self, rng):
+        # eigenvalues near 1e3: an absolute 1e-10 called all 20 non-normal
+        for _ in range(20):
+            u = rand_unitary(rng, 8)
+            vals = 1e3 * (1 + 0.1 * rng.normal(size=8)) * np.exp(2j * np.pi * rng.uniform(size=8))
+            m = u @ np.diag(vals) @ u.conj().T
+            assert MeasurementOperator.of(m).kind == "normal"
+            assert MeasurementOperator(m, "normal").kind == "normal"
+
+    @given(
+        kind=st.sampled_from(["hermitian", "normal", "nonnormal"]),
+        seed=st.integers(0, 2**32 - 1),
+        log_c=st.floats(-2.0, 6.0),
+    )
+    @settings(max_examples=60)
+    def test_scaling_keeps_class_and_scales_output(self, kind, seed, log_c):
+        rng = np.random.default_rng(seed)
+        c = 10.0**log_c
+        m = _operator_of_kind(rng, kind, 2)
+        assert MeasurementOperator.of(m).kind == kind
+        assert MeasurementOperator.of(c * m).kind == kind
+        assert MeasurementOperator.of(_operator_of_kind(rng, kind, 6) * c).kind == kind
+        sigma = rand_density(rng, 2)
+        inputs = [QuantumState.from_density(rand_density(rng, 2)) for _ in range(2)]
+        tau = apply_exact(build_qsp_instrument(sigma, m, 1), inputs).matrix
+        tau_c = apply_exact(build_qsp_instrument(sigma, c * m, 1), inputs).matrix
+        assert np.abs(tau_c - c * tau).max() <= 1e-12 * c * np.abs(tau).max()
+
+    def test_scaled_low_rank_keeps_class(self, rng):
+        j, k = (rng.normal(size=(4, 4)) + 1j * rng.normal(size=(4, 4)) for _ in range(2))
+        for maps in ([(j, k)], [(np.exp(0.7j) * np.eye(4), np.eye(4))], [(np.eye(4), np.eye(4))]):
+            kind = build_teleport_instrument(2, maps).measurement.kind
+            for c in (1e-2, 1e3, 1e6):
+                scaled = [(c * a, b) for a, b in maps]
+                assert build_teleport_instrument(2, scaled).measurement.kind == kind
+
+    def test_scaled_normal_branches(self, rng):
+        # branches diagonalizes c*M: eigenvalues scale, probabilities do not
+        m = _operator_of_kind(rng, "normal", 2)
+        sigma = rand_density(rng, 2)
+        inputs = [QuantumState.from_density(rand_density(rng, 2)) for _ in range(2)]
+        base = branches(build_qsp_instrument(sigma, m, 1), inputs)
+        scaled = branches(build_qsp_instrument(sigma, 1e4 * m, 1), inputs)
+        for a, b in zip(base, scaled):
+            assert abs(b.eigenvalue - 1e4 * a.eigenvalue) <= 1e-9 * abs(b.eigenvalue)
+            assert abs(b.probability - a.probability) <= 1e-12
 
 
 class TestInstrumentValidation:

@@ -166,14 +166,15 @@ def _single_pass_case(rng, name):
 
 
 class TestSinglePass:
-    """sample_estimate evolves once, plus once through the extended
-    instrument when it emulates a non-normal M."""
+    """sample_estimate evolves once for every method: an emulated non-normal
+    M takes its cells from the same evolution, not from a second one through
+    the extended instrument."""
 
     @pytest.mark.parametrize(
         "name, method, evolutions",
         [("qhp-density", "emulate", 1), ("gqt-pure", "emulate", 1)]
         + [
-            (name, method, 2 if method == "emulate" else 1)
+            (name, method, 1)
             for name in ("qsp-density", "qsp-pure-ancilla", "qsp-mixed-ancilla")
             for method in ("emulate", "randomized")
         ],

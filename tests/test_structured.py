@@ -1,10 +1,12 @@
 """Structured measurement forms against their dense matrices.
 
 GQT holds its SWAP as a PermutationUnitary and teleport its Bell-type map as
-a LowRankOperator; every result must match the dense d_E x d_E path.
+a LowRankOperator; every result must match the dense d_E x d_E path, and at
+n = 7, where a dense M would take 4.3 GB, the structured path must stay small.
 """
 
 import tracemalloc
+from dataclasses import replace
 
 import numpy as np
 import pytest
@@ -14,8 +16,17 @@ from wstate.instrument import (
     MeasurementOperator,
     QuantumState,
     apply_exact,
+    branches,
     evolve,
+    expectation,
     weighted_output,
+)
+from wstate.sampling import (
+    _joint_cells,
+    sample_estimate,
+    variance_bound,
+    variance_exact,
+    variance_gqt,
 )
 from wstate.subroutines import (
     build_gqt_instrument,
@@ -23,9 +34,9 @@ from wstate.subroutines import (
     gqt,
     teleport_map,
 )
-from wstate.tensor import LowRankOperator, PermutationUnitary
+from wstate.tensor import LowRankOperator, PermutationUnitary, merge_values, spectral_norm
 
-from conftest import rand_density, rand_state
+from conftest import rand_density, rand_hermitian, rand_state
 
 
 def _complex(rng, d):
@@ -47,21 +58,63 @@ def _instruments(rng, n):
         yield f"teleport-{name}", build_teleport_instrument(n, make(rng, d))
 
 
+def _inputs(rng, d, pure):
+    if pure:
+        return [QuantumState.pure(rand_state(rng, d)) for _ in range(2)]
+    return [QuantumState.from_density(rand_density(rng, d)) for _ in range(2)]
+
+
 @pytest.mark.parametrize("n", [1, 2, 3])
 @pytest.mark.parametrize("pure", [True, False], ids=["pure", "density"])
 def test_structured_matches_dense(rng, n, pure):
     d = 2**n
     for name, inst in _instruments(rng, n):
         assert not isinstance(inst.measurement.operator, np.ndarray), name
-        if pure:
-            inputs = [QuantumState.pure(rand_state(rng, d)) for _ in range(2)]
-        else:
-            inputs = [QuantumState.from_density(rand_density(rng, d)) for _ in range(2)]
+        inputs = _inputs(rng, d, pure)
         got = apply_exact(inst, inputs).matrix
         want = weighted_output(evolve(inst, inputs), inst.measurement.matrix)
         assert np.abs(got - want).max() <= 1e-12 * np.abs(want).max(), name
         dense_kind = MeasurementOperator.of(inst.measurement.matrix).kind
         assert inst.measurement.kind == dense_kind, name
+
+
+def _law(probs, weights):
+    """Outcome law of a cell table: total probability per distinct weight,
+    with weights within 1e-9 merged and sorted."""
+    labels, values = merge_values(weights, 1e-9)
+    mass = np.zeros(len(values))
+    np.add.at(mass, labels, probs)
+    order = np.lexsort((np.round(values.imag, 9), np.round(values.real, 9)))
+    return values[order], mass[order]
+
+
+@pytest.mark.parametrize("n", [1, 2, 3])
+@pytest.mark.parametrize("pure", [True, False], ids=["pure", "density"])
+@pytest.mark.parametrize("method", ["emulate", "randomized"])
+def test_structured_cells_match_dense(rng, n, pure, method):
+    # the same instrument with M rebuilt densely: Schur groups of .matrix
+    d = 2**n
+    for name, inst in _instruments(rng, n):
+        dense = replace(inst, measurement=MeasurementOperator.of(inst.measurement.matrix))
+        assert isinstance(dense.measurement.operator, np.ndarray)
+        inputs = _inputs(rng, d, pure)
+        obs = rand_hermitian(rng, d)
+        ev = evolve(inst, inputs)
+        merge = method == "emulate"
+        got = _law(*_joint_cells(ev, inst.measurement, obs, merge))
+        want = _law(*_joint_cells(ev, dense.measurement, obs, merge))
+        assert len(got[0]) == len(want[0]), name
+        assert np.abs(got[0] - want[0]).max() <= 1e-12 * np.abs(want[0]).max(), name
+        assert np.abs(got[1] - want[1]).max() <= 1e-12, name
+
+        a = sample_estimate(inst, inputs, obs, 1000, seed=5, method=method)
+        b = sample_estimate(dense, inputs, obs, 1000, seed=5, method=method)
+        for field in ("analytic_mean", "analytic_variance", "variance_bound"):
+            x, y = getattr(a, field), getattr(b, field)
+            assert abs(x - y) <= 1e-12 * abs(y), (name, field)
+        norm = spectral_norm(obs)
+        x, y = variance_bound(inst, inputs, norm), variance_bound(dense, inputs, norm)
+        assert abs(x.b2 - y.b2) <= 1e-12 * y.b2, name
 
 
 def test_kinds_of_the_teleport_maps(rng):
@@ -133,3 +186,41 @@ def test_n7_exact_path_stays_small(rng, kind):
     want = gqt(ra, rb) if kind == "gqt" else teleport_map(rb, maps, ra)
     assert np.abs(tau - want).max() <= 1e-10 * max(1.0, np.abs(want).max())
     assert peak < 512 * 2**20
+
+
+@pytest.mark.parametrize("kind", ["gqt", "teleport"])
+def test_n7_sampling_path_stays_small(rng, kind):
+    # sampling, variances, bounds and (for the normal SWAP) branches read no
+    # dense M: the same 512 MB bound as the exact path
+    n, d = 7, 2**7
+    a, b = rand_state(rng, d), rand_state(rng, d)
+    ra, rb = np.outer(a, a.conj()), np.outer(b, b.conj())
+    maps = [(_complex(rng, d), _complex(rng, d))]
+    obs = rand_hermitian(rng, d)
+    inputs = [QuantumState.pure(a), QuantumState.pure(b)]
+
+    def run():
+        if kind == "gqt":
+            inst = build_gqt_instrument(n)
+        else:
+            inst = build_teleport_instrument(n, maps)
+        rep = sample_estimate(inst, inputs, obs, shots=20000, seed=11)
+        var = variance_exact(inst, inputs, obs)
+        bounds = variance_bound(inst, inputs, spectral_norm(obs))
+        outs = branches(inst, inputs) if kind == "gqt" else []
+        return rep, var, bounds, outs
+
+    (rep, var, bounds, outs), peak = _traced_peak(run)
+    assert peak < 512 * 2**20
+    tau = gqt(ra, rb) if kind == "gqt" else teleport_map(rb, maps, ra)
+    mean = expectation(tau, obs)
+    assert abs(rep.analytic_mean - mean) <= 1e-10 * max(1.0, abs(mean))
+    assert abs(rep.analytic_variance - var) <= 1e-10 * var
+    assert abs(rep.sample_mean - rep.analytic_mean) <= 5 * rep.standard_error
+    assert var <= bounds.b1 * (1 + 1e-12) and bounds.b1 <= bounds.b2 * (1 + 1e-12)
+    if kind == "gqt":
+        assert abs(var - variance_gqt(ra, rb, obs, 1)) <= 1e-10 * var
+        assert bounds.b2 == spectral_norm(obs) ** 2
+        acc = sum(br.eigenvalue * br.probability * br.conditional_state.matrix for br in outs)
+        assert [br.eigenvalue for br in outs] == [1.0, -1.0]
+        assert np.abs(acc - tau).max() <= 1e-10 * np.abs(tau).max()

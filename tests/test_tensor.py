@@ -11,6 +11,7 @@ from wstate.errors import (
     ValidationError,
 )
 from wstate.tensor import (
+    LowRankOperator,
     PermutationUnitary,
     Register,
     RegisterLayout,
@@ -28,7 +29,7 @@ from wstate.tensor import (
     normality_residual,
     partial_trace,
     register_digits,
-    spectral_decompose,
+    spectral_groups,
     spectral_norm,
     unitarity_residual,
     vector_from_json,
@@ -141,13 +142,30 @@ class TestEigenbasis:
         vals, vecs, labels = eigenbasis(m)
         assert np.abs(np.sort_complex(vals) - np.sort_complex(np.array([-1, -1j, 1j, 1]))).max() < 1e-9
 
-    def test_spectral_decompose_projectors(self, rng):
-        m = rand_hermitian(rng, 4)
-        pairs = spectral_decompose(m)
-        acc = sum(val * proj for val, proj in pairs)
-        assert np.abs(acc - m).max() < 1e-9
-        for _, p in pairs:
-            assert np.abs(p @ p - p).max() < 1e-9
+    def test_spectral_groups_projectors(self, rng):
+        # a dense Hermitian matrix, the two-qubit SWAP, and a normal low-rank
+        # q diag(lam) q^dag with a zero group left over
+        q = np.linalg.qr(rng.normal(size=(6, 2)) + 1j * rng.normal(size=(6, 2)))[0]
+        lam = np.array([2.0 + 1j, -0.5])
+        forms = [
+            rand_hermitian(rng, 4),
+            PermutationUnitary(np.array([0, 2, 1, 3])),
+            LowRankOperator(q, q * lam.conj()),
+        ]
+
+        def dense(form):
+            return form if isinstance(form, np.ndarray) else form.dense()
+
+        for form in forms:
+            groups = spectral_groups(form)
+            projs = [sum(c * dense(f) for c, f in proj) for _, proj in groups]
+            acc = sum(val * p for (val, _), p in zip(groups, projs))
+            assert np.abs(acc - dense(form)).max() < 1e-9
+            assert np.abs(sum(projs) - np.eye(len(acc))).max() < 1e-9
+            for p in projs:
+                assert np.abs(p @ p - p).max() < 1e-9
+        assert [val for val, _ in spectral_groups(forms[1])] == [1.0, -1.0]
+        assert [val for val, _ in spectral_groups(forms[2])][-1] == 0.0
 
 
 class TestPermutationUnitary:
