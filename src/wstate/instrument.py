@@ -174,7 +174,10 @@ class MeasurementOperator:
 
     kind is one of hermitian / normal / nonnormal, decided with NORMALITY_TOL
     relative to norm_scale(M) (hermiticity) or its square (normality), so
-    that c*M has the class of M. A non-normal operator carries a
+    that c*M keeps the class of M while its largest entry is at least 1.
+    Below that the tolerance is absolute, and a non-normal M scaled until
+    its residual falls under NORMALITY_TOL is classified normal. A
+    non-normal operator carries a
     decomposition M = sum_k c_k N_k into normal parts, used for
     single-instrument emulation and sampling; a structured non-normal one gets
     the Hermitian/skew split on first read, as `of` gives a dense one.

@@ -28,7 +28,6 @@ from .instrument import (
     Evolved,
     evolve,
     expectation,
-    joint_expectation,
     projected_outputs,
     weighted_output,
 )
@@ -268,12 +267,12 @@ def sample_estimate(
 
 def _second_moments(ev: Evolved, meas: MeasurementOperator, ops) -> list[float]:
     """sum_k (|c_k|^2/q_k) Tr[rho_out (A (x) N_k N_k^dag (x) I)] for each A_S in
-    ops, forming each N_k N_k^dag once, in the form N_k is held in."""
+    ops, contracting each N_k N_k^dag once, in the form N_k is held in."""
     out = [0.0] * len(ops)
     for q, scale, nk in _rescaled_parts(meas):
-        nn = gram(nk)
+        w = weighted_output(ev, gram(nk))
         for i, a in enumerate(ops):
-            out[i] += q * abs(scale) ** 2 * joint_expectation(ev, a, nn).real
+            out[i] += q * abs(scale) ** 2 * np.einsum("st,ts->", w, a).real
     return out
 
 

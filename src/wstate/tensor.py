@@ -199,12 +199,12 @@ def norm_scale(m) -> float:
     return max(1.0, float(np.max(np.abs(a)))) if a.size else 1.0
 
 
-def is_hermitian(m, tol: float = NORMALITY_TOL) -> bool:
-    return hermiticity_residual(m) <= tol * norm_scale(m)
+def is_hermitian(m) -> bool:
+    return hermiticity_residual(m) <= NORMALITY_TOL * norm_scale(m)
 
 
-def is_normal(m, tol: float = NORMALITY_TOL) -> bool:
-    return normality_residual(m) <= tol * norm_scale(m) ** 2
+def is_normal(m) -> bool:
+    return normality_residual(m) <= NORMALITY_TOL * norm_scale(m) ** 2
 
 
 def spectral_norm(m) -> float:
@@ -217,8 +217,8 @@ def spectral_norm(m) -> float:
     return float(np.linalg.norm(np.asarray(m), 2))
 
 
-def merge_values(values, merge_tol: float = DEGENERACY_TOL):
-    """Group values that lie within merge_tol of a group's first member.
+def merge_values(values):
+    """Group values that lie within DEGENERACY_TOL of a group's first member.
 
     Returns (labels, means): labels[j] is the group of values[j], groups are
     numbered in the order they are first visited, and means[g] is the mean
@@ -230,7 +230,7 @@ def merge_values(values, merge_tol: float = DEGENERACY_TOL):
     members: list[list[int]] = []
     for j, val in enumerate(values):
         for g, rep in enumerate(reps):
-            if abs(val - rep) <= merge_tol:
+            if abs(val - rep) <= DEGENERACY_TOL:
                 labels[j] = g
                 members[g].append(j)
                 break
@@ -241,7 +241,7 @@ def merge_values(values, merge_tol: float = DEGENERACY_TOL):
     return labels, np.array([np.mean(values[idx]) for idx in members])
 
 
-def eigenbasis(m, tol: float = NORMALITY_TOL, merge_tol: float = DEGENERACY_TOL):
+def eigenbasis(m):
     """Unitary diagonalization of a normal matrix with degeneracy merging.
 
     Returns (values, vectors, labels): values[g] is the merged eigenvalue of
@@ -252,13 +252,13 @@ def eigenbasis(m, tol: float = NORMALITY_TOL, merge_tol: float = DEGENERACY_TOL)
     """
     a = asarray(m, square=True)
     res = normality_residual(a)
-    scaled_tol = tol * norm_scale(a) ** 2
+    scaled_tol = NORMALITY_TOL * norm_scale(a) ** 2
     if res > scaled_tol:
         raise NotNormal(res, scaled_tol)
     # Schur of a normal matrix is a unitary diagonalization; unlike a raw
     # eigendecomposition the basis stays orthonormal inside degenerate spaces.
     t, z = scipy.linalg.schur(a, output="complex")
-    labels, values = merge_values(np.diag(t), merge_tol)
+    labels, values = merge_values(np.diag(t))
     return values, z, labels
 
 
@@ -363,7 +363,7 @@ class LowRankOperator:
         return out
 
 
-def spectral_groups(op, merge_tol: float = DEGENERACY_TOL):
+def spectral_groups(op):
     """(eigenvalue, projector) groups of a normal operator held in any form.
 
     Each projector is a tuple of (coefficient, form) terms, so that a
@@ -381,12 +381,12 @@ def spectral_groups(op, merge_tol: float = DEGENERACY_TOL):
         return [(1.0 + 0j, ((0.5, eye), (0.5, op))), (-1.0 + 0j, ((0.5, eye), (-0.5, op)))]
     if isinstance(op, LowRankOperator):
         q, c = op.core()
-        values, w, labels = eigenbasis(c, merge_tol=merge_tol)
+        values, w, labels = eigenbasis(c)
         basis = q @ w
-        zero = np.abs(values) <= merge_tol
+        zero = np.abs(values) <= DEGENERACY_TOL
     else:
         dense = op.dense() if isinstance(op, PermutationUnitary) else op
-        values, basis, labels = eigenbasis(dense, merge_tol=merge_tol)
+        values, basis, labels = eigenbasis(dense)
         zero = np.zeros(len(values), dtype=bool)
     groups = []
     for g in np.flatnonzero(~zero):

@@ -80,8 +80,8 @@ def test_structured_matches_dense(rng, n, pure):
 
 def _law(probs, weights):
     """Outcome law of a cell table: total probability per distinct weight,
-    with weights within 1e-9 merged and sorted."""
-    labels, values = merge_values(weights, 1e-9)
+    with weights within DEGENERACY_TOL (1e-9) merged and sorted."""
+    labels, values = merge_values(weights)
     mass = np.zeros(len(values))
     np.add.at(mass, labels, probs)
     order = np.lexsort((np.round(values.imag, 9), np.round(values.real, 9)))
