@@ -26,7 +26,7 @@ from .sampling import (
     variance_postprocessing,
 )
 from .subroutines import power_state
-from .tensor import spectral_norm
+from .tensor import _pauli_string, spectral_norm
 
 
 @dataclass
@@ -113,14 +113,6 @@ def overlap_pair(dim: int, r: float, seed: int) -> tuple[np.ndarray, np.ndarray]
     w /= np.linalg.norm(w)
     psi1 = math.sqrt(r) * u + math.sqrt(1.0 - r) * w
     return u, psi1
-
-
-def _z_chain(n_qubits: int) -> np.ndarray:
-    z = np.array([[1.0, 0.0], [0.0, -1.0]], dtype=np.complex128)
-    out = z
-    for _ in range(n_qubits - 1):
-        out = np.kron(out, z)
-    return out
 
 
 def _grid(values, name: str, low: float, high: float, closed_high=True) -> list:
@@ -211,7 +203,7 @@ def lincombo_variance(params: dict, seed: int, workers: int = 1) -> ResultTable:
                           "alpha0", 0.0, 1.0, closed_high=False)
     beta_grid = _grid(params.get("beta_grid", [round(0.05 * i, 2) for i in range(1, 20)]),
                       "beta0_sq", 0.0, 1.0, closed_high=False)
-    obs = _z_chain(n)
+    obs = _pauli_string("Z" * n)
     table = ResultTable(
         "lincombo-variance",
         ("r", "alpha0", "beta0_sq", "mean", "variance", "std_dev", "bound"),
@@ -253,21 +245,10 @@ def method_comparison(params: dict, seed: int, workers: int = 1) -> ResultTable:
     alpha1 = math.sqrt(1.0 - alpha0**2)
     d = 2**n
     obs = np.zeros((d, d), dtype=np.complex128)
-    z = np.array([[1.0, 0.0], [0.0, -1.0]], dtype=np.complex128)
-    x = np.array([[0.0, 1.0], [1.0, 0.0]], dtype=np.complex128)
-    eye = np.eye(2, dtype=np.complex128)
     for site in range(n):
-        ops = [z if j == site else eye for j in range(n)]
-        acc = ops[0]
-        for o in ops[1:]:
-            acc = np.kron(acc, o)
-        obs += acc
+        obs += _pauli_string("I" * site + "Z" + "I" * (n - 1 - site))
     for site in range(n - 1):
-        ops = [x if j in (site, site + 1) else eye for j in range(n)]
-        acc = ops[0]
-        for o in ops[1:]:
-            acc = np.kron(acc, o)
-        obs += 0.5 * acc
+        obs += 0.5 * _pauli_string("I" * site + "XX" + "I" * (n - 2 - site))
     decomposition = pauli_decompose(obs)
     table = ResultTable(
         "method-comparison",
@@ -302,7 +283,7 @@ def qhp_vs_gqt(params: dict, seed: int, workers: int = 1) -> ResultTable:
     families = list(params.get("families", sorted(FAMILY_FORMULAS)))
     if kmax < 1 or n < 1:
         raise InvalidGrid("need kmax >= 1 and n >= 1")
-    obs = _z_chain(n)
+    obs = _pauli_string("Z" * n)
     table = ResultTable(
         "qhp-vs-gqt",
         ("family", "k", "mean", "var_entrywise", "var_transpose", "difference"),

@@ -15,7 +15,6 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass, replace
-from typing import Sequence
 
 import numpy as np
 
@@ -35,11 +34,10 @@ from .tensor import (
     Register,
     RegisterLayout,
     asarray,
+    classify,
     embed_operator,
     embed_permutation,
     hermiticity_residual,
-    is_hermitian,
-    is_normal,
     norm_scale,
     normality_residual,
     spectral_groups,
@@ -167,105 +165,69 @@ class MeasurementOperator:
 
     operator holds M in one of three forms: a dense matrix, a
     PermutationUnitary (the SWAP of the transpose coupling) or a
-    LowRankOperator (the Bell-type map of the teleport instrument). A
-    structured form is validated from its structure, exactly at every size,
-    and apply_exact contracts it without a d_E x d_E matrix; `matrix` builds
+    LowRankOperator (the Bell-type map of the teleport instrument). apply_exact
+    contracts a structured form without a d_E x d_E matrix; `matrix` builds
     the dense form on first read and keeps it.
 
-    kind is one of hermitian / normal / nonnormal, decided with NORMALITY_TOL
+    kind is one of hermitian / normal / nonnormal. Each construction decides
+    the class once with tensor.classify, exactly and at every size: a
+    structured form from its structure, a dense matrix with NORMALITY_TOL
     relative to norm_scale(M) (hermiticity) or its square (normality), so
     that c*M keeps the class of M while its largest entry is at least 1.
     Below that the tolerance is absolute, and a non-normal M scaled until
-    its residual falls under NORMALITY_TOL is classified normal. A
-    non-normal operator carries a
-    decomposition M = sum_k c_k N_k into normal parts, used for
-    single-instrument emulation and sampling; a structured non-normal one gets
-    the Hermitian/skew split on first read, as `of` gives a dense one.
+    its residual falls under NORMALITY_TOL is classified normal. An omitted
+    kind is filled in from the class; a given kind must equal it, or be
+    'normal' for a Hermitian M.
+
+    A non-normal operator carries a decomposition M = sum_k c_k N_k into
+    normal parts, used for single-instrument emulation and sampling. A dense
+    one built without kind or decomposition (as `of` builds it) gets the
+    Hermitian/skew split M = (1/2)(M+M^dag) + (1/2)(M-M^dag); a structured one
+    gets the same split on first read.
     """
 
     operator: np.ndarray | PermutationUnitary | LowRankOperator
-    kind: str
+    kind: str | None = None
     parts: tuple[tuple[complex, np.ndarray], ...] | None = None
 
-    # above this dimension `of` skips the O(d^3) normality product in favor
-    # of the O(d^2) Hermitian / skew-Hermitian certificates; an operator that
-    # is normal in a non-obvious way is then handled through its
-    # decomposition, which is exact regardless of the label. An explicit
-    # 'normal' label (a structured form read back from JSON) is still checked.
-    LARGE_DIM = 512
-
-    @staticmethod
-    def _normal_certificate(m: np.ndarray) -> bool | None:
-        """True if (skew-)Hermitian (hence normal); None if undecided."""
-        adj = _adjoint(m)
-        tol = NORMALITY_TOL * norm_scale(m)
-        if float(np.max(np.abs(m - adj))) <= tol:
-            return True
-        if float(np.max(np.abs(m + adj))) <= tol:
-            return True
-        return None
-
     def __post_init__(self):
-        if isinstance(self.operator, (PermutationUnitary, LowRankOperator)):
-            actual = _structured_kind(self.operator)
-            allowed = (actual, "normal") if actual == "hermitian" else (actual,)
-            if self.kind not in allowed:
-                raise ValidationError(f"kind {self.kind!r} but the operator is {actual}")
-            if self.parts is not None:
-                raise ValidationError("a structured measurement takes no decomposition")
+        op = self.operator
+        dense = not isinstance(op, (PermutationUnitary, LowRankOperator))
+        if dense:
+            op = asarray(op, square=True)
+            object.__setattr__(self, "operator", op)
+        actual = classify(op)
+        given = self.kind
+        if given is not None and given not in (
+            (actual, "normal") if actual == "hermitian" else (actual,)
+        ):
+            raise ValidationError(f"kind {given!r} but the operator is {actual}")
+        object.__setattr__(self, "kind", given or actual)
+        if self.parts is None:
+            if dense and given is None and actual == "nonnormal":
+                object.__setattr__(self, "parts", _split(op))
             return
-        m = asarray(self.operator, square=True)
-        object.__setattr__(self, "operator", m)
-        large = m.shape[0] > self.LARGE_DIM
-        if self.kind == "hermitian":
-            if not is_hermitian(m):
-                raise ValidationError("kind 'hermitian' but the matrix is not Hermitian")
-        elif self.kind == "normal":
-            if self._normal_certificate(m) is None and not is_normal(m):
-                raise ValidationError("kind 'normal' but the matrix is not normal")
-        elif self.kind == "nonnormal":
-            if not large and is_normal(m):
-                raise ValidationError("kind 'nonnormal' but the matrix is normal")
-        else:
-            raise ValidationError(f"unknown measurement kind {self.kind!r}")
-        if self.parts is not None:
-            parts = tuple((complex(c), asarray(n, square=True)) for c, n in self.parts)
-            if not parts:
-                raise ValidationError("empty decomposition")
-            acc = np.zeros_like(m)
-            for c, n in parts:
-                if n.shape != m.shape:
-                    raise DimensionMismatch("decomposition part has wrong shape")
-                if self._normal_certificate(n) is None and not is_normal(n):
-                    raise NotNormal(normality_residual(n), NORMALITY_TOL * norm_scale(n) ** 2)
-                acc = acc + c * n
-            if float(np.max(np.abs(acc - m))) > NORMALITY_TOL * norm_scale(m):
-                raise ValidationError("decomposition does not reconstruct the matrix")
-            object.__setattr__(self, "parts", parts)
+        if not dense:
+            raise ValidationError("a structured measurement takes no decomposition")
+        parts = tuple((complex(c), asarray(n, square=True)) for c, n in self.parts)
+        if not parts:
+            raise ValidationError("empty decomposition")
+        acc = np.zeros_like(op)
+        for c, n in parts:
+            if n.shape != op.shape:
+                raise DimensionMismatch("decomposition part has wrong shape")
+            if classify(n) == "nonnormal":
+                raise NotNormal(normality_residual(n), NORMALITY_TOL * norm_scale(n) ** 2)
+            acc = acc + c * n
+        if float(np.max(np.abs(acc - op))) > NORMALITY_TOL * norm_scale(op):
+            raise ValidationError("decomposition does not reconstruct the matrix")
+        object.__setattr__(self, "parts", parts)
 
     @staticmethod
     def of(matrix, decomposition=None) -> "MeasurementOperator":
-        """Classify and wrap. Non-normal operators without an explicit
-        decomposition get the Hermitian/skew split M = (1/2)(M+M^dag) +
-        (1/2)(M-M^dag), both parts normal by construction. A
-        PermutationUnitary or LowRankOperator is classified from its
-        structure and kept in that form."""
-        if isinstance(matrix, (PermutationUnitary, LowRankOperator)):
-            return MeasurementOperator(matrix, _structured_kind(matrix), decomposition)
-        m = asarray(matrix, square=True)
-        tol = NORMALITY_TOL * norm_scale(m)
-        adj = _adjoint(m)
-        skew = m - adj
-        if float(np.max(np.abs(skew))) <= tol:
-            return MeasurementOperator(m, "hermitian", decomposition)
-        herm = m + adj
-        if float(np.max(np.abs(herm))) <= tol or (
-            m.shape[0] <= MeasurementOperator.LARGE_DIM and is_normal(m)
-        ):
-            return MeasurementOperator(m, "normal", decomposition)
-        if decomposition is None:
-            decomposition = ((0.5, herm), (0.5, skew))
-        return MeasurementOperator(m, "nonnormal", decomposition)
+        """Wrap M, held in any of the three forms, with the class that the
+        construction decides."""
+        return MeasurementOperator(matrix, None, decomposition)
 
     @property
     def dim(self) -> int:
@@ -286,9 +248,7 @@ class MeasurementOperator:
         """Normal parts of a non-normal M; None when it carries none."""
         structured = not isinstance(self.operator, np.ndarray)
         if structured and self.kind == "nonnormal" and self.parts is None:
-            m = self.matrix
-            adj = _adjoint(m)
-            object.__setattr__(self, "parts", ((0.5 + 0j, m + adj), (0.5 + 0j, m - adj)))
+            object.__setattr__(self, "parts", _split(self.matrix))
         return self.parts
 
     def normal_parts(self) -> tuple[tuple[complex, np.ndarray], ...]:
@@ -317,23 +277,11 @@ class MeasurementOperator:
         return self.normal_parts()
 
 
-def _adjoint(m: np.ndarray) -> np.ndarray:
-    # contiguous copy of the adjoint: elementwise passes against a
-    # transposed view are several times slower at large dimension
-    return np.ascontiguousarray(m.T).conj() if m.shape[0] > 256 else m.conj().T
-
-
-def _structured_kind(op: PermutationUnitary | LowRankOperator) -> str:
-    """Exact class of a structured M: a permutation is unitary, and Hermitian
-    when it is an involution; a low-rank u v^dag is classified by its core."""
-    if isinstance(op, PermutationUnitary):
-        return "hermitian" if op.is_involution else "normal"
-    _, core = op.core()
-    if is_hermitian(core):
-        return "hermitian"
-    if is_normal(core):
-        return "normal"
-    return "nonnormal"
+def _split(m: np.ndarray) -> tuple[tuple[complex, np.ndarray], ...]:
+    """M = (1/2)(M + M^dag) + (1/2)(M - M^dag): a Hermitian and a
+    skew-Hermitian part, both normal by construction."""
+    adj = m.conj().T
+    return ((0.5 + 0j, m + adj), (0.5 + 0j, m - adj))
 
 
 # ---------------------------------------------------------------------------
@@ -417,10 +365,6 @@ class QuantumInstrument:
     @property
     def input_dim(self) -> int:
         return self.layout.dim_of(self.input_labels)
-
-    def unitary_dense(self) -> np.ndarray:
-        u = self.unitary
-        return u.dense() if isinstance(u, PermutationUnitary) else u
 
 
 def identity_instrument(dim: int, label: str = "S") -> QuantumInstrument:
@@ -595,14 +539,6 @@ def weighted_output(
     return np.einsum(rho, [0, 1, 2, 3, 4, 2], m, [4, 1], [0, 3])
 
 
-def joint_expectation(
-    ev: Evolved, a_s: np.ndarray, b_e: np.ndarray | PermutationUnitary | LowRankOperator
-) -> complex:
-    """Tr[rho_out (A_S (x) B_E (x) I_G)] = Tr[W A_S] with W the weighted
-    output of B_E, so B_E may be held in any form weighted_output takes."""
-    return complex(np.einsum("st,ts->", weighted_output(ev, b_e), a_s))
-
-
 def projected_outputs(ev: Evolved, groups) -> list[np.ndarray]:
     """weighted_output of each (eigenvalue, projector) group of
     tensor.spectral_groups; a form shared by several projectors, such as the
@@ -742,14 +678,6 @@ def emulate_nonnormal(inst: QuantumInstrument) -> QuantumInstrument:
     )
 
 
-def as_normal_instrument(inst: QuantumInstrument) -> QuantumInstrument:
-    """Pass through instruments that already measure a normal operator;
-    emulate the rest."""
-    if inst.measurement.kind != "nonnormal":
-        return inst
-    return emulate_nonnormal(inst)
-
-
 # ---------------------------------------------------------------------------
 # concatenation
 
@@ -876,18 +804,14 @@ def concatenate(
 
     m_total = emb(m1, e1) @ emb(m2, e2)
     decomposition = None
-    if not is_hermitian(m_total) and not is_normal(m_total):
+    if "nonnormal" in (first.measurement.kind, second.measurement.kind):
+        # the stages measure disjoint registers, so each product of their
+        # normal parts is a tensor product of normal operators, hence normal
         parts1 = first.measurement.normal_parts()
         parts2 = second.measurement.normal_parts()
         decomposition = tuple(
             (c1 * c2, emb(n1, e1) @ emb(n2, e2)) for c1, n1 in parts1 for c2, n2 in parts2
         )
-        # product of commuting normal parts need not be normal; fall back to
-        # the Hermitian/skew split of the product when that happens
-        for _, n in decomposition:
-            if not is_normal(n):
-                decomposition = None
-                break
 
     if first.ancilla is None and second.ancilla is None:
         anc = None

@@ -35,14 +35,16 @@ from .instrument import (
     WeightedState,
     apply_exact,
 )
-from .sampling import EstimatorReport, allocate_shots, sample_counts
+from .sampling import EstimatorReport, _check_hermitian_obs, allocate_shots, sample_counts
 from .tensor import (
     PermutationUnitary,
     Register,
     RegisterLayout,
+    _pauli_string,
     asarray,
+    combine_digits,
     eigenbasis,
-    hermiticity_residual,
+    register_digits,
     spectral_norm,
     unitarity_residual,
 )
@@ -231,26 +233,15 @@ def build_all_at_once_instrument(
         Register(f"R{k}", d, role="G", source="input") for k in range(1, count)
     )
     layout = RegisterLayout.of(*regs)
-    dims = layout.dims
-    total = layout.total_dim
-    idx = np.arange(total)
-    digits = []
-    rem = idx
-    for dd in reversed(dims):
-        digits.append(rem % dd)
-        rem = rem // dd
-    digits.reverse()
+    digits = register_digits(layout)
     anc = digits[0]
-    regs_digits = digits[1:]
     out_digits = [anc] + [np.zeros_like(anc) for _ in range(count)]
     for l in range(count):
         sel = anc == l
         for k in range(count):
             # branch l places input register pi_l(k) at position k
-            out_digits[1 + k][sel] = regs_digits[perms[l][k]][sel]
-    perm = np.zeros(total, dtype=np.int64)
-    for dig, dd in zip(out_digits, dims):
-        perm = perm * dd + dig
+            out_digits[1 + k][sel] = digits[1 + perms[l][k]][sel]
+    perm = combine_digits(out_digits, layout.dims)
     b = asarray(beta)
     anc_state = QuantumState(layout.sub(("A",)), vector=b)
     return QuantumInstrument(
@@ -268,14 +259,6 @@ def all_at_once_apply(problem: LcsProblem, beta=None, permutations=None) -> Weig
 
 # ---------------------------------------------------------------------------
 # observable decompositions
-
-
-_P1 = {
-    "I": np.eye(2, dtype=np.complex128),
-    "X": np.array([[0, 1], [1, 0]], dtype=np.complex128),
-    "Y": np.array([[0, -1j], [1j, 0]], dtype=np.complex128),
-    "Z": np.array([[1, 0], [0, -1]], dtype=np.complex128),
-}
 
 
 @dataclass(frozen=True)
@@ -317,9 +300,7 @@ def pauli_decompose(obs) -> PauliDecomposition:
         raise DimensionMismatch("Pauli expansion needs a 2^n-dimensional observable")
     terms = []
     for labels in itertools.product("IXYZ", repeat=n):
-        p = _P1[labels[0]]
-        for c in labels[1:]:
-            p = np.kron(p, _P1[c])
+        p = _pauli_string(labels)
         eta = complex(np.trace(p @ o)) / d
         if abs(eta) > 1e-12:
             terms.append((eta, p))
@@ -376,9 +357,7 @@ def incoherent_estimate(
     """
     if shots < 1:
         raise ValidationError("shot count must be >= 1")
-    o = obs_decomposition.target
-    if hermiticity_residual(o) > 1e-10:
-        raise ValidationError("observable must be Hermitian")
+    o = _check_hermitian_obs(obs_decomposition.target)
     d = problem.dim
     vv = np.eye(d, dtype=np.complex128) if v is None else asarray(v, square=True)
     if unitarity_residual(vv) > 1e-10:

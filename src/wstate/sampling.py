@@ -221,15 +221,17 @@ def sample_estimate(
     """Shot-based estimate of Tr(tau O) with exact reference statistics.
 
     method selects how a non-normal measurement is realized: 'emulate'
-    (default) samples the instrument of emulate_nonnormal, which adds a
-    part-selection register and measures the enlarged normal operator;
-    'randomized' draws a decomposition part per shot and rescales its
-    eigenvalue. Both define the same per-shot distribution; normal
-    measurements ignore the distinction.
+    (default) draws from the cells of the instrument that emulate_nonnormal
+    builds, which adds a part-selection register and measures the enlarged
+    normal operator; 'randomized' draws a decomposition part per shot and
+    rescales its eigenvalue. Both give the estimator the same law and differ
+    only in the order of the cells; normal measurements ignore the
+    distinction.
 
     The input is evolved once through inst, and the cells, the analytic mean,
-    the variance and its bound all come from that evolution; the emulated
-    instrument's cells are summed from the parts' cells, not evolved.
+    the variance and its bound all come from that evolution. The emulating
+    instrument is never built: its cells are the parts' cells summed over
+    equal scaled eigenvalues (_joint_cells with merge=True).
     """
     if shots < 1:
         raise ValidationError("shot count must be >= 1")

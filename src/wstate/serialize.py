@@ -23,16 +23,12 @@ from .tensor import (
     PermutationUnitary,
     Register,
     RegisterLayout,
+    _require,
     matrix_from_json,
     matrix_to_json,
     vector_from_json,
     vector_to_json,
 )
-
-
-def _require(cond: bool, field_path: str, msg: str):
-    if not cond:
-        raise SchemaError(field_path, msg)
 
 
 def _require_dict(obj, field_path: str) -> dict:

@@ -30,15 +30,17 @@ from .instrument import (
     QuantumInstrument,
     QuantumState,
     WeightedState,
-    apply_exact,
 )
 from .tensor import (
+    _PAULIS,
     LowRankOperator,
     PermutationUnitary,
     Register,
     RegisterLayout,
     asarray,
-    normality_residual,
+    classify,
+    combine_digits,
+    register_digits,
 )
 
 ORTHOGONALITY_TOL = 1e-6
@@ -141,21 +143,11 @@ def alpha_of(sigma, m, gamma=None) -> np.ndarray:
 # instrument builders
 
 
-def _xor_ladder_perm(dims: tuple[int, ...], src: int, dst: int) -> PermutationUnitary:
+def _xor_ladder_perm(layout: RegisterLayout, src: int, dst: int) -> PermutationUnitary:
     """Permutation sending digit[dst] -> digit[dst] XOR digit[src]."""
-    total = math.prod(dims)
-    idx = np.arange(total)
-    digits = []
-    rem = idx
-    for d in reversed(dims):
-        digits.append(rem % d)
-        rem = rem // d
-    digits.reverse()
+    digits = register_digits(layout)
     digits[dst] = np.bitwise_xor(digits[dst], digits[src])
-    out = np.zeros(total, dtype=np.int64)
-    for pos, d in enumerate(dims):
-        out = out * d + digits[pos]
-    return PermutationUnitary(out)
+    return PermutationUnitary(combine_digits(digits, layout.dims))
 
 
 def basis_projector(dim: int, index: int = 0) -> np.ndarray:
@@ -177,7 +169,7 @@ def build_qhp_instrument(n: int) -> QuantumInstrument:
     return QuantumInstrument(
         layout,
         ancilla=None,
-        unitary=_xor_ladder_perm((d, d), src=0, dst=1),
+        unitary=_xor_ladder_perm(layout, src=0, dst=1),
         measurement=MeasurementOperator.of(basis_projector(d, 0)),
     )
 
@@ -205,39 +197,9 @@ def build_gqt_instrument(n: int) -> QuantumInstrument:
     return QuantumInstrument(
         layout,
         ancilla=anc,
-        unitary=_xor_ladder_perm((d, d, d), src=0, dst=1),
+        unitary=_xor_ladder_perm(layout, src=0, dst=1),
         measurement=MeasurementOperator(swap, "hermitian"),
     )
-
-
-def bell_eigenvalue(x: int, y: int) -> int:
-    """SWAP eigenvalue of the Bell-basis outcome labelled by bitstrings
-    (x, y): +1 when x.y is even, -1 when odd."""
-    return -1 if bin(x & y).count("1") % 2 else 1
-
-
-def bell_basis(n: int) -> tuple[np.ndarray, np.ndarray]:
-    """Bell basis on 2n qubits as (columns, eigenvalues).
-
-    Column (x, y) (index x*2^n + y) is (Z^x X^y (x) I)|Phi+>, an eigenvector
-    of the n-pair SWAP with eigenvalue (-1)^(x.y). This is the readout model
-    of the SWAP measurement: measuring in this basis yields bitstrings (x, y)
-    whose parity of x & y gives the eigenvalue.
-    """
-    d = 2**n
-    cols = np.zeros((d * d, d * d), dtype=np.complex128)
-    vals = np.zeros(d * d)
-    scale = 1.0 / math.sqrt(d)
-    ks = np.arange(d)
-    for x in range(d):
-        for y in range(d):
-            col = np.zeros(d * d, dtype=np.complex128)
-            signs = (-1.0) ** np.array([bin(x & (k ^ y)).count("1") % 2 for k in ks])
-            col[(ks ^ y) * d + ks] = signs * scale
-            idx = x * d + y
-            cols[:, idx] = col
-            vals[idx] = bell_eigenvalue(x, y)
-    return cols, vals
 
 
 def build_qsp_instrument(sigma, m, n: int) -> QuantumInstrument:
@@ -267,12 +229,9 @@ def build_qsp_instrument(sigma, m, n: int) -> QuantumInstrument:
     if meas.dim != 2:
         raise DimensionMismatch("QSP measurement must be 2x2")
     # c=1 branch swaps the two d-dim registers
-    total = 2 * d * d
-    idx = np.arange(total)
-    c, rest = idx // (d * d), idx % (d * d)
-    i, j = rest // d, rest % d
-    swapped = np.where(c == 1, j * d + i, rest)
-    perm = PermutationUnitary(c * d * d + swapped)
+    c, i, j = register_digits(layout)
+    swapped = [c, np.where(c == 1, j, i), np.where(c == 1, i, j)]
+    perm = PermutationUnitary(combine_digits(swapped, layout.dims))
     return QuantumInstrument(layout, ancilla=anc, unitary=perm, measurement=meas)
 
 
@@ -310,7 +269,7 @@ def build_teleport_instrument(n: int, maps) -> QuantumInstrument:
     return QuantumInstrument(
         layout,
         ancilla=anc,
-        unitary=_xor_ladder_perm((d, d, d), src=1, dst=2),
+        unitary=_xor_ladder_perm(layout, src=1, dst=2),
         measurement=MeasurementOperator.of(LowRankOperator(*factors)),
     )
 
@@ -509,30 +468,6 @@ class PolynomialPipeline:
     ops: list = field(default_factory=list)
     gate_count: int = 0
 
-    def evaluate(self, psi) -> np.ndarray:
-        v = asarray(psi)
-        stack: list[np.ndarray] = []
-        for op in self.ops:
-            kind = op[0]
-            if kind == "psi":
-                stack.append(v)
-            elif kind == "qhp":
-                b, a = stack.pop(), stack.pop()
-                stack.append(a * b)
-            elif kind == "gqt":
-                b, a = stack.pop(), stack.pop()
-                stack.append(a * b.conj())
-            elif kind == "lincombo":
-                b, a = stack.pop(), stack.pop()
-                stack.append(op[1] * a + op[2] * b)
-            elif kind == "scale":
-                stack.append(op[1] * stack.pop())
-            else:
-                raise ValidationError(f"unknown pipeline op {kind!r}")
-        if len(stack) != 1:
-            raise ValidationError("pipeline program left a non-singleton stack")
-        return stack[0]
-
     def stage_instruments(self, psi):
         """Replay the program, yielding (op, instrument, inputs, expected)
         tuples for every gate-bearing stage; used to check the program against
@@ -541,27 +476,39 @@ class PolynomialPipeline:
         n = self.n_qubits
         stack: list[np.ndarray] = []
         for op in self.ops:
-            kind = op[0]
-            if kind == "psi":
-                stack.append(v)
-            elif kind == "qhp":
-                b, a = stack.pop(), stack.pop()
-                out = a * b
-                yield op, build_qhp_instrument(n), (a, b), out
-                stack.append(out)
-            elif kind == "gqt":
-                b, a = stack.pop(), stack.pop()
-                out = a * b.conj()
-                yield op, build_gqt_instrument(n), (a, b), out
-                stack.append(out)
-            elif kind == "lincombo":
-                b, a = stack.pop(), stack.pop()
-                out = op[1] * a + op[2] * b
+            operands = _step(stack, op, v)
+            if operands is None:
+                continue
+            if op[0] == "qhp":
+                inst = build_qhp_instrument(n)
+            elif op[0] == "gqt":
+                inst = build_gqt_instrument(n)
+            else:
                 beta = np.array([1, 1]) / math.sqrt(2)
-                yield op, build_lincombo_instrument(op[1], op[2], beta, a, b), (a, b), out
-                stack.append(out)
-            elif kind == "scale":
-                stack.append(op[1] * stack.pop())
+                inst = build_lincombo_instrument(op[1], op[2], beta, *operands)
+            yield op, inst, operands, stack[-1]
+
+
+def _step(stack: list, op: tuple, v: np.ndarray):
+    """Run one pipeline op on the value stack. Returns the popped operands
+    (a, b) of a two-operand op, None for 'psi' and 'scale'."""
+    kind = op[0]
+    if kind == "psi":
+        stack.append(v)
+        return None
+    if kind == "scale":
+        stack.append(op[1] * stack.pop())
+        return None
+    b, a = stack.pop(), stack.pop()
+    if kind == "qhp":
+        stack.append(a * b)
+    elif kind == "gqt":
+        stack.append(a * b.conj())
+    elif kind == "lincombo":
+        stack.append(op[1] * a + op[2] * b)
+    else:
+        raise ValidationError(f"unknown pipeline op {kind!r}")
+    return a, b
 
 
 def polynomial_pipeline(psi, spec: PolySpec) -> tuple[np.ndarray, PolynomialPipeline]:
@@ -586,17 +533,9 @@ def polynomial_pipeline(psi, spec: PolySpec) -> tuple[np.ndarray, PolynomialPipe
     def emit(op, gates: int):
         pipe.ops.append(op)
         pipe.gate_count += gates
-        kind = op[0]
-        if kind == "psi":
-            stack_vals.append(v)
-        elif kind == "qhp":
-            b, a = stack_vals.pop(), stack_vals.pop()
-            stack_vals.append(a * b)
-        elif kind == "gqt":
-            b, a = stack_vals.pop(), stack_vals.pop()
-            stack_vals.append(a * b.conj())
-        elif kind == "lincombo":
-            b, a = stack_vals.pop(), stack_vals.pop()
+        operands = _step(stack_vals, op, v)
+        if op[0] == "lincombo":
+            a, b = operands
             na, nb = np.linalg.norm(a), np.linalg.norm(b)
             ov = 0.0 if na < 1e-14 or nb < 1e-14 else abs(np.vdot(a, b)) / (na * nb)
             if ov < ORTHOGONALITY_TOL:
@@ -605,9 +544,6 @@ def polynomial_pipeline(psi, spec: PolySpec) -> tuple[np.ndarray, PolynomialPipe
                     stage, ov, f"stage {stage} ({op[3]}): intermediate overlap {ov:.3e} "
                     "below tolerance"
                 )
-            stack_vals.append(op[1] * a + op[2] * b)
-        elif kind == "scale":
-            stack_vals.append(op[1] * stack_vals.pop())
 
     def plan_inner(l: int):
         """Push sum_k alpha_{kl} psi^k onto the stack."""
@@ -657,14 +593,6 @@ def polynomial_pipeline(psi, spec: PolySpec) -> tuple[np.ndarray, PolynomialPipe
 # 1-qubit sigma and normal M
 
 
-_PAULIS = {
-    "I": np.eye(2, dtype=np.complex128),
-    "X": np.array([[0, 1], [1, 0]], dtype=np.complex128),
-    "Y": np.array([[0, -1j], [1j, 0]], dtype=np.complex128),
-    "Z": np.array([[1, 0], [0, -1]], dtype=np.complex128),
-}
-
-
 def pauli_coeffs(m) -> np.ndarray:
     """(z_I, z_X, z_Y, z_Z) with m = sum z_P P."""
     a = asarray(m, square=True)
@@ -703,7 +631,7 @@ def _verify_solution(alpha: np.ndarray, sol: SolverSolution, gamma: np.ndarray):
     scale = max(1.0, float(np.abs(alpha).max()))
     if float(np.abs(recon - alpha).max()) > 1e-8 * scale:
         raise ConsistencyError("solver produced an inaccurate (sigma, M) pair")
-    if normality_residual(sol.m) > 1e-10 * max(1.0, float(np.abs(sol.m).max()) ** 2):
+    if classify(sol.m) == "nonnormal":
         raise ConsistencyError("solver produced a non-normal M")
 
 

@@ -1,8 +1,9 @@
 """Dense complex linear algebra substrate.
 
-Kronecker products, register layouts, partial traces, spectral decomposition
-of normal matrices, dephasing, computational-basis permutation unitaries,
-low-rank operators held as factors, and the spectral groups of each form.
+Register layouts, partial traces, operator classification, spectral
+decomposition of normal matrices, dephasing, computational-basis permutation
+unitaries, low-rank operators held as factors, the spectral groups of each
+form, Pauli strings, and the JSON forms of arrays.
 
 Conventions: matrices are dense complex128 ndarrays, row-major. Register order
 in a layout matches tensor-product order; the leftmost register carries the
@@ -41,18 +42,6 @@ def asarray(m, square: bool | None = None) -> np.ndarray:
         if a.ndim != 2 or a.shape[0] != a.shape[1]:
             raise DimensionMismatch(f"expected a square matrix, got shape {a.shape}")
     return a
-
-
-def kron(a, b) -> np.ndarray:
-    """Kronecker product; dimensions multiply."""
-    return np.kron(asarray(a), asarray(b))
-
-
-def kron_all(ms: Sequence) -> np.ndarray:
-    out = asarray(ms[0])
-    for m in ms[1:]:
-        out = np.kron(out, asarray(m))
-    return out
 
 
 @dataclass(frozen=True)
@@ -164,13 +153,6 @@ def dephase(m) -> np.ndarray:
     return np.diag(np.diag(a))
 
 
-def hermitian_skew_split(m) -> tuple[np.ndarray, np.ndarray]:
-    """m = h + s with h Hermitian and s skew-Hermitian, both normal."""
-    a = asarray(m, square=True)
-    h = (a + a.conj().T) / 2
-    return h, a - h
-
-
 def hermiticity_residual(m) -> float:
     a = np.asarray(m)
     return float(np.max(np.abs(a - a.conj().T))) if a.size else 0.0
@@ -205,6 +187,29 @@ def is_hermitian(m) -> bool:
 
 def is_normal(m) -> bool:
     return normality_residual(m) <= NORMALITY_TOL * norm_scale(m) ** 2
+
+
+def classify(op) -> str:
+    """'hermitian', 'normal' or 'nonnormal': the class of an operator held in
+    any form, decided exactly at every size.
+
+    A permutation is unitary, and Hermitian when it is an involution. A
+    low-rank u v^dag has the class of its 2r x 2r core. A dense matrix is
+    tested for hermiticity, then for skew-hermiticity (O(d^2), normal), then
+    with the O(d^3) normality residual. Tolerances are relative to
+    norm_scale, as in is_hermitian and is_normal.
+    """
+    if isinstance(op, PermutationUnitary):
+        return "hermitian" if op.is_involution else "normal"
+    if isinstance(op, LowRankOperator):
+        op = op.core()[1]
+    a = np.asarray(op)
+    if is_hermitian(a):
+        return "hermitian"
+    skew = float(np.max(np.abs(a + a.conj().T)))
+    if skew <= NORMALITY_TOL * norm_scale(a) or is_normal(a):
+        return "normal"
+    return "nonnormal"
 
 
 def spectral_norm(m) -> float:
@@ -472,6 +477,26 @@ def embed_operator(op, labels: Sequence[str], layout: RegisterLayout) -> np.ndar
     inv = [order.index(r) for r in range(k)]
     t = t.transpose(inv + [k + p for p in inv])
     return t.reshape(layout.total_dim, layout.total_dim)
+
+
+# ---------------------------------------------------------------------------
+# Pauli strings
+
+_PAULIS = {
+    "I": np.eye(2, dtype=np.complex128),
+    "X": np.array([[0, 1], [1, 0]], dtype=np.complex128),
+    "Y": np.array([[0, -1j], [1j, 0]], dtype=np.complex128),
+    "Z": np.array([[1, 0], [0, -1]], dtype=np.complex128),
+}
+
+
+def _pauli_string(labels: Sequence[str]) -> np.ndarray:
+    """Kronecker product of the Paulis named by labels, taken left to right,
+    so the first label acts on the most significant qubit."""
+    out = _PAULIS[labels[0]]
+    for c in labels[1:]:
+        out = np.kron(out, _PAULIS[c])
+    return out
 
 
 # ---------------------------------------------------------------------------

@@ -17,13 +17,12 @@ from wstate.instrument import (
     QuantumInstrument,
     QuantumState,
     apply_exact,
-    as_normal_instrument,
     branches,
     concatenate,
+    emulate_nonnormal,
     evolve,
     expectation,
     identity_instrument,
-    joint_expectation,
     random_density,
     weighted_output,
 )
@@ -34,7 +33,14 @@ from wstate.subroutines import (
     build_teleport_instrument,
     qhp,
 )
-from wstate.tensor import Register, RegisterLayout, embed_operator
+from wstate.tensor import (
+    LowRankOperator,
+    PermutationUnitary,
+    Register,
+    RegisterLayout,
+    classify,
+    embed_operator,
+)
 
 from conftest import rand_density, rand_hermitian, rand_state, rand_unitary
 
@@ -117,7 +123,7 @@ class TestMeasurementClassification:
             MeasurementOperator(m, "nonnormal", ((1.0, m),))
 
     def test_large_dim_certificate_paths(self, rng):
-        dim = MeasurementOperator.LARGE_DIM + 1
+        dim = 513
         diag = np.diag(rng.normal(size=dim)).astype(complex)
         assert MeasurementOperator.of(diag).kind == "hermitian"
         assert MeasurementOperator.of(1j * diag).kind == "normal"
@@ -125,13 +131,45 @@ class TestMeasurementClassification:
         # read back in dense form keeps its class
         phased = np.exp(0.7j) * diag
         assert MeasurementOperator(phased, "normal").kind == "normal"
-        # no cheap certificate above LARGE_DIM: falls back to a split
+        # a non-normal M gets the Hermitian/skew split at any size
         generic = diag.copy()
         generic[0, 1] = 1.0
         op = MeasurementOperator.of(generic)
         assert op.kind == "nonnormal"
         acc = sum(c * p for c, p in op.normal_parts())
         assert np.abs(acc - generic).max() < 1e-12
+
+    def test_large_normal_classified_exactly(self, rng):
+        # neither Hermitian nor skew-Hermitian, so only the normality
+        # residual can tell that it is normal, at any size
+        diag = np.diag(rng.normal(size=513)).astype(complex)
+        assert MeasurementOperator.of(np.exp(0.7j) * diag).kind == "normal"
+
+    @pytest.mark.parametrize(
+        "form", ["hermitian", "normal", "nonnormal", "permutation", "low-rank"]
+    )
+    def test_of_classifies_once(self, rng, monkeypatch, form):
+        import wstate.instrument
+
+        calls = []
+
+        def counting(op):
+            calls.append(op)
+            return classify(op)
+
+        monkeypatch.setattr(wstate.instrument, "classify", counting)
+        ops = {
+            "hermitian": lambda: rand_hermitian(rng, 4),
+            "normal": lambda: rand_unitary(rng, 4),
+            "nonnormal": lambda: np.array([[1.0, 1.0], [0.0, 1.0]]),
+            "permutation": lambda: PermutationUnitary(np.array([1, 2, 0])),
+            "low-rank": lambda: LowRankOperator(*(rand_operator(rng, 4)[:, :2] for _ in "uv")),
+        }
+        op = MeasurementOperator.of(ops[form]())
+        assert len(calls) == 1
+        assert op.kind == classify(op.operator)
+        if form == "nonnormal":
+            assert len(op.normal_parts()) == 2
 
 
 def _operator_of_kind(rng, kind, d):
@@ -286,8 +324,8 @@ def rand_operator(rng, d):
 
 
 class TestContractions:
-    """joint_expectation and weighted_output against the dense trace
-    Tr[U (sigma (x) rho) U^dag (A_S (x) B_E (x) I_G)] in layout order.
+    """weighted_output and Tr[weighted_output(ev, B) A] against the dense
+    trace Tr[U (sigma (x) rho) U^dag (A_S (x) B_E (x) I_G)] in layout order.
 
     The QSP layout (E, S, G) has d_G > 1; the teleport layout puts two E
     registers ahead of S.
@@ -318,7 +356,7 @@ class TestContractions:
         pieces = dict(zip(inst.input_labels, (x.matrix for x in inputs)))
         pieces.update(zip(inst.ancilla_labels, [inst.ancilla.matrix]))
         rho0 = functools.reduce(np.kron, (pieces[l] for l in lay.labels))
-        u = inst.unitary_dense()
+        u = inst.unitary.dense()
         rho_out = u @ rho0 @ u.conj().T
 
         def dense(a_s, b_e):
@@ -329,7 +367,8 @@ class TestContractions:
 
         a, b = rand_operator(rng, d_s), rand_operator(rng, d_e)
         want = dense(a, b)
-        assert abs(joint_expectation(ev, a, b) - want) <= 1e-12 * abs(want)
+        got = complex(np.einsum("st,ts->", weighted_output(ev, b), a))
+        assert abs(got - want) <= 1e-12 * abs(want)
 
         # tau[s, t] = Tr[tau |t><s|]
         tau_want = np.zeros((d_s, d_s), dtype=np.complex128)
@@ -370,7 +409,7 @@ class TestEmulation:
     def test_as_normal_instrument_same_weighted_state(self, rng):
         x = np.array([[0.0, 1.0], [1.0, 0.0]])
         inst = build_teleport_instrument(1, [(np.eye(2), x), (x, np.eye(2))])
-        merged = as_normal_instrument(inst)
+        merged = emulate_nonnormal(inst)
         assert merged.measurement.kind in ("hermitian", "normal")
         inputs = [
             QuantumState.from_density(rand_density(rng, 2)),
@@ -380,9 +419,15 @@ class TestEmulation:
         t2 = apply_exact(merged, inputs)
         assert np.abs(t1.matrix - t2.matrix).max() < 1e-10
 
-    def test_normal_instrument_passes_through(self):
-        inst = build_qhp_instrument(1)
-        assert as_normal_instrument(inst) is inst
+    def test_large_teleport_emulation_is_normal(self, rng):
+        # d_E = 1024: the block measurement is 2048 x 2048, classified
+        # exactly, neither Hermitian nor skew-Hermitian
+        d = 32
+        inst = build_teleport_instrument(5, [(rand_operator(rng, d), rand_operator(rng, d))])
+        assert inst.measurement.kind == "nonnormal"
+        emulated = emulate_nonnormal(inst)
+        assert emulated.measurement.dim == 2048
+        assert emulated.measurement.kind == "normal"
 
 
 class TestConcatenate:

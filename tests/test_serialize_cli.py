@@ -327,3 +327,38 @@ def test_library_raises_only_typed_errors():
                 if isinstance(exc, ast.Name) and exc.id == "AssertionError":
                     found.append(f"{path.name}:{node.lineno} raise AssertionError")
     assert found == []
+
+
+def _is_click_command(node) -> bool:
+    return any(
+        isinstance(dec, ast.Call)
+        and isinstance(dec.func, ast.Attribute)
+        and dec.func.attr in ("command", "group")
+        for dec in node.decorator_list
+    )
+
+
+def test_library_holds_no_test_only_code():
+    """Every top-level function and class in library code is used by the
+    library or exported from the package, so none exists only for tests.
+    Click commands are entry points and exempt."""
+    src = pathlib.Path(wstate.__file__).parent
+    trees = {path.name: ast.parse(path.read_text()) for path in sorted(src.glob("*.py"))}
+    exported = {
+        alias.asname or alias.name
+        for node in ast.walk(trees.pop("__init__.py"))
+        if isinstance(node, ast.ImportFrom)
+        for alias in node.names
+    }
+    used = {
+        node.id for tree in trees.values() for node in ast.walk(tree) if isinstance(node, ast.Name)
+    }
+    found = [
+        f"{name}:{node.name}"
+        for name, tree in trees.items()
+        for node in tree.body
+        if isinstance(node, (ast.FunctionDef, ast.ClassDef))
+        and node.name not in used | exported
+        and not _is_click_command(node)
+    ]
+    assert found == []

@@ -17,6 +17,7 @@ from wstate.instrument import (
     QuantumState,
     apply_exact,
     branches,
+    emulate_nonnormal,
     evolve,
     expectation,
     weighted_output,
@@ -30,6 +31,7 @@ from wstate.sampling import (
 )
 from wstate.subroutines import (
     build_gqt_instrument,
+    build_qsp_instrument,
     build_teleport_instrument,
     gqt,
     teleport_map,
@@ -115,6 +117,30 @@ def test_structured_cells_match_dense(rng, n, pure, method):
         norm = spectral_norm(obs)
         x, y = variance_bound(inst, inputs, norm), variance_bound(dense, inputs, norm)
         assert abs(x.b2 - y.b2) <= 1e-12 * y.b2, name
+
+
+@pytest.mark.parametrize("n", [1, 2, 3])
+@pytest.mark.parametrize("pure", [True, False], ids=["pure", "density"])
+@pytest.mark.parametrize("kind", ["qsp", "teleport"])
+def test_merged_cells_match_emulated_instrument(rng, n, pure, kind):
+    # method="emulate" claims the law of emulate_nonnormal's instrument
+    d = 2**n
+    if kind == "qsp":
+        inst = build_qsp_instrument(rand_density(rng, 2), _complex(rng, 2), n)
+        assert isinstance(inst.measurement.operator, np.ndarray)
+    else:
+        inst = build_teleport_instrument(n, MAPS["one-random"](rng, d))
+        assert isinstance(inst.measurement.operator, LowRankOperator)
+    assert inst.measurement.kind == "nonnormal"
+    emulated = emulate_nonnormal(inst)
+    assert emulated.measurement.kind != "nonnormal"
+    inputs = _inputs(rng, d, pure)
+    obs = rand_hermitian(rng, d)
+    got = _law(*_joint_cells(evolve(inst, inputs), inst.measurement, obs, merge=True))
+    want = _law(*_joint_cells(evolve(emulated, inputs), emulated.measurement, obs))
+    assert len(got[0]) == len(want[0])
+    assert np.abs(got[0] - want[0]).max() <= 1e-12 * np.abs(want[0]).max()
+    assert np.abs(got[1] - want[1]).max() <= 1e-12
 
 
 def test_kinds_of_the_teleport_maps(rng):

@@ -17,8 +17,6 @@ from wstate.subroutines import (
     PolySpec,
     alpha_of,
     anticommutator_case,
-    bell_basis,
-    bell_eigenvalue,
     build_gqt_instrument,
     build_lincombo_instrument,
     build_qhp_instrument,
@@ -78,22 +76,6 @@ class TestGqt:
         rho = rand_density(rng, d)
         tau = apply_pair(inst, plus, rho)
         assert np.abs(tau - rho.T / d).max() < 1e-12
-
-    def test_bell_basis_diagonalizes_swap(self):
-        for n in (1, 2):
-            cols, vals = bell_basis(n)
-            d = 2**n
-            swap = np.zeros((d * d, d * d))
-            for i in range(d):
-                for j in range(d):
-                    swap[j * d + i, i * d + j] = 1.0
-            assert np.abs(cols.conj().T @ cols - np.eye(d * d)).max() < 1e-12
-            assert np.abs(swap @ cols - cols * vals).max() < 1e-12
-
-    def test_bell_eigenvalue_parity(self):
-        assert bell_eigenvalue(0b11, 0b01) == -1
-        assert bell_eigenvalue(0b11, 0b11) == 1
-        assert bell_eigenvalue(0, 7) == 1
 
 
 class TestQsp:

@@ -21,9 +21,6 @@ from wstate.tensor import (
     eigenbasis,
     embed_operator,
     embed_permutation,
-    hermitian_skew_split,
-    hermiticity_residual,
-    kron_all,
     matrix_from_json,
     matrix_to_json,
     normality_residual,
@@ -100,13 +97,6 @@ class TestResiduals:
         d = dephase(m)
         assert np.abs(d - np.diag(np.diag(m))).max() == 0
         assert np.abs(dephase(d) - d).max() == 0
-
-    def test_split_reconstructs(self, rng):
-        m = rng.normal(size=(4, 4)) + 1j * rng.normal(size=(4, 4))
-        h, s = hermitian_skew_split(m)
-        assert hermiticity_residual(h) < 1e-12
-        assert np.abs(s + s.conj().T).max() < 1e-12
-        assert np.abs(h + s - m).max() < 1e-12
 
     def test_normality(self, rng):
         assert normality_residual(rand_hermitian(rng, 4)) < 1e-12
@@ -235,7 +225,3 @@ class TestArrayJson:
     def test_asarray_square_check(self):
         with pytest.raises(DimensionMismatch):
             asarray(np.zeros((2, 3)), square=True)
-
-    def test_kron_all(self, rng):
-        a, b, c = (rand_density(rng, 2) for _ in range(3))
-        assert np.abs(kron_all([a, b, c]) - np.kron(np.kron(a, b), c)).max() < 1e-12
