@@ -101,7 +101,8 @@ def main():
 @workers_option
 @click.option("--method", default="emulate", show_default=True,
               type=click.Choice(["emulate", "randomized"]),
-              help="Sample one merged instrument or randomize over normal parts.")
+              help="Realization of a non-normal M, echoed in the report; "
+                   "both draw the same cells.")
 @out_option
 @handles_errors
 def estimate(spec_path, shots, seed, workers, method, out):

@@ -173,11 +173,9 @@ class MeasurementOperator:
     the class once with tensor.classify, exactly and at every size: a
     structured form from its structure, a dense matrix with NORMALITY_TOL
     relative to norm_scale(M) (hermiticity) or its square (normality), so
-    that c*M keeps the class of M while its largest entry is at least 1.
-    Below that the tolerance is absolute, and a non-normal M scaled until
-    its residual falls under NORMALITY_TOL is classified normal. An omitted
-    kind is filled in from the class; a given kind must equal it, or be
-    'normal' for a Hermitian M.
+    that c*M keeps the class of M for every c != 0. An omitted kind is
+    filled in from the class; a given kind must equal it, or be 'normal'
+    for a Hermitian M.
 
     A non-normal operator carries a decomposition M = sum_k c_k N_k into
     normal parts, used for single-instrument emulation and sampling. A dense

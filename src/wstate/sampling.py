@@ -51,7 +51,7 @@ _MASK64 = (1 << 64) - 1
 # deterministic block sampling
 
 
-def _block_counts(probs: np.ndarray, shots: int, seed: int, stream_key: tuple, block: int, size: int) -> np.ndarray:
+def _block_counts(probs: np.ndarray, seed: int, stream_key: tuple, block: int, size: int) -> np.ndarray:
     ss = np.random.SeedSequence(entropy=seed & _MASK64, spawn_key=(*stream_key, block))
     rng = np.random.Generator(np.random.Philox(ss))
     return rng.multinomial(size, probs)
@@ -85,14 +85,14 @@ def sample_counts(
     ]
     if workers == 1 or n_blocks == 1:
         parts = [
-            _block_counts(p, shots, seed, stream_key, b, sz)
+            _block_counts(p, seed, stream_key, b, sz)
             for b, sz in enumerate(sizes)
         ]
     else:
         with ThreadPoolExecutor(max_workers=workers) as pool:
             parts = list(
                 pool.map(
-                    lambda bs: _block_counts(p, shots, seed, stream_key, bs[0], bs[1]),
+                    lambda bs: _block_counts(p, seed, stream_key, bs[0], bs[1]),
                     enumerate(sizes),
                 )
             )
@@ -168,39 +168,33 @@ def _rescaled_parts(meas: MeasurementOperator) -> tuple[tuple[float, complex, ob
     return tuple(out)
 
 
-def _joint_cells(ev: Evolved, meas: MeasurementOperator, obs: np.ndarray, merge: bool = False):
+def _joint_cells(ev: Evolved, meas: MeasurementOperator, obs: np.ndarray):
     """Cell probabilities and complex weights of the per-shot estimator.
 
-    Cells enumerate (decomposition part, merged observable eigenvalue,
-    spectral group of the part); cell (i, g) of part k has probability
-    q_k sum_{a in i} <o_a| E_g |o_a> with E_g the weighted output of the
-    group's projector, so no d_E x d_E array is formed for a structured M.
-    merge=True gives the cells of the emulated instrument instead: its state
-    is rho_out (x) diag(q) and its block measurement sum_k |k><k| (x) scale_k
-    N_k, so its cells are the parts' cells summed over equal eigenvalues.
+    Cells enumerate (merged observable eigenvalue, merged scaled measurement
+    eigenvalue) pairs. Spectral group g of part k, drawn with probability q_k,
+    carries the value scale_k lambda_g and the probability
+    q_k sum_{a in i} <o_a| E_g |o_a> in the cell of observable group i, with
+    E_g the weighted output of the group's projector, so no d_E x d_E array
+    is formed for a structured M. Groups of different parts share a cell when
+    their scaled values agree within DEGENERACY_TOL times the largest. This is
+    the law of the instrument emulate_nonnormal builds: state
+    rho_out (x) diag(q) and block measurement sum_k |k><k| (x) scale_k N_k.
     """
     o_vals, o_vecs, o_labels = eigenbasis(obs)
-    n_o = len(o_vals)
-    tables: list[np.ndarray] = []
-    weights: list[np.ndarray] = []
+    cells: list[np.ndarray] = []
     scaled: list[np.ndarray] = []
     for q, scale, nk in _rescaled_parts(meas):
         groups = spectral_groups(nk)
-        vals = np.array([val for val, _ in groups])
         outs = np.array(projected_outputs(ev, groups))
-        cell = np.einsum("sa,gst,ta->ag", o_vecs.conj(), outs, o_vecs).real
-        table = np.zeros((n_o, len(groups)))
-        np.add.at(table, o_labels, cell)
-        tables.append(q * table)
-        weights.append((o_vals.real[:, None] * scale) * vals[None, :])
-        scaled.append(scale * vals)
-    if merge and len(tables) > 1:
-        labels, merged = merge_values(np.concatenate(scaled))
-        table = np.zeros((len(merged), n_o))
-        np.add.at(table, labels, np.hstack(tables).T)
-        tables, weights = [table.T], [o_vals.real[:, None] * merged[None, :]]
-    p = np.concatenate([t.ravel() for t in tables])
-    w = np.concatenate([x.ravel() for x in weights])
+        cells.append(q * np.einsum("sa,gst,ta->ga", o_vecs.conj(), outs, o_vecs).real)
+        scaled.append(scale * np.array([val for val, _ in groups]))
+    values = np.concatenate(scaled)
+    labels, merged = merge_values(values, float(np.abs(values).max()))
+    table = np.zeros((len(merged), len(o_vals)))
+    np.add.at(table, (labels[:, None], o_labels[None, :]), np.concatenate(cells))
+    p = table.T.ravel()
+    w = (o_vals.real[:, None] * merged[None, :]).ravel()
     total = float(p.sum())
     if abs(total - 1.0) > 1e-9 or float(p.min()) < -1e-9:
         raise InvalidDistribution(
@@ -220,18 +214,17 @@ def sample_estimate(
 ) -> EstimatorReport:
     """Shot-based estimate of Tr(tau O) with exact reference statistics.
 
-    method selects how a non-normal measurement is realized: 'emulate'
-    (default) draws from the cells of the instrument that emulate_nonnormal
-    builds, which adds a part-selection register and measures the enlarged
-    normal operator; 'randomized' draws a decomposition part per shot and
-    rescales its eigenvalue. Both give the estimator the same law and differ
-    only in the order of the cells; normal measurements ignore the
-    distinction.
+    method names how a non-normal measurement is realized: 'emulate'
+    (default) measures the instrument that emulate_nonnormal builds, which
+    adds a part-selection register; 'randomized' draws a decomposition part
+    per shot and rescales its eigenvalue. Both give the estimator the same
+    law, so both draw from the one cell table of _joint_cells, and method is
+    only validated: it does not change the draws.
 
     The input is evolved once through inst, and the cells, the analytic mean,
     the variance and its bound all come from that evolution. The emulating
     instrument is never built: its cells are the parts' cells summed over
-    equal scaled eigenvalues (_joint_cells with merge=True).
+    equal scaled eigenvalues.
     """
     if shots < 1:
         raise ValidationError("shot count must be >= 1")
@@ -240,7 +233,7 @@ def sample_estimate(
         raise ValidationError(f"unknown sampling method {method!r}")
     meas = inst.measurement
     ev = evolve(inst, inputs)
-    probs, weights = _joint_cells(ev, meas, o, merge=method == "emulate")
+    probs, weights = _joint_cells(ev, meas, o)
     counts = sample_counts(probs, shots, seed, workers=workers)
     total_w = np.dot(counts, weights)
     mean = total_w / shots

@@ -17,7 +17,6 @@ from dataclasses import dataclass
 from typing import Iterable, Sequence
 
 import numpy as np
-import scipy.linalg
 
 from .errors import (
     DimensionMismatch,
@@ -169,16 +168,16 @@ def unitarity_residual(m) -> float:
 
 
 def norm_scale(m) -> float:
-    """max(1, largest |entry|) of a dense matrix.
+    """Largest |entry| of a dense matrix; 0 for the zero matrix.
 
     The largest entry is a lower bound on the spectral norm (and within a
     factor d of it) that costs one pass. Classification tolerances are
-    multiplied by this scale (hermiticity) or its square (normality): c*M is
-    then classified as M is once its entries exceed 1, and an operator with
-    ||M|| <= 1 keeps the absolute tolerance.
+    multiplied by this scale (hermiticity) or its square (normality), so
+    c*M is classified as M is at every scale. The zero matrix has residuals
+    of 0 and passes every test.
     """
     a = np.asarray(m)
-    return max(1.0, float(np.max(np.abs(a)))) if a.size else 1.0
+    return float(np.max(np.abs(a))) if a.size else 0.0
 
 
 def is_hermitian(m) -> bool:
@@ -222,28 +221,29 @@ def spectral_norm(m) -> float:
     return float(np.linalg.norm(np.asarray(m), 2))
 
 
-def merge_values(values):
-    """Group values that lie within DEGENERACY_TOL of a group's first member.
+def merge_values(values, scale: float):
+    """Group values that lie within DEGENERACY_TOL * scale of a group's first
+    member, where scale is the size of the operator they come from.
 
     Returns (labels, means): labels[j] is the group of values[j], groups are
     numbered in the order they are first visited, and means[g] is the mean
     of group g's members.
     """
     values = np.asarray(values)
+    tol = DEGENERACY_TOL * scale
     labels = np.empty(len(values), dtype=np.intp)
     reps: list[complex] = []
-    members: list[list[int]] = []
-    for j, val in enumerate(values):
+    for j, val in enumerate(values.tolist()):
         for g, rep in enumerate(reps):
-            if abs(val - rep) <= DEGENERACY_TOL:
+            if abs(val - rep) <= tol:
                 labels[j] = g
-                members[g].append(j)
                 break
         else:
             labels[j] = len(reps)
             reps.append(val)
-            members.append([j])
-    return labels, np.array([np.mean(values[idx]) for idx in members])
+    sums = np.zeros(len(reps), dtype=values.dtype)
+    np.add.at(sums, labels, values)
+    return labels, sums / np.bincount(labels)
 
 
 def eigenbasis(m):
@@ -251,20 +251,39 @@ def eigenbasis(m):
 
     Returns (values, vectors, labels): values[g] is the merged eigenvalue of
     group g, vectors is a unitary whose columns are eigenvectors, labels[j]
-    assigns column j to its group. Groups appear in the order the Schur
-    diagonal first visits them, which makes the output deterministic.
+    assigns column j to its group. A Hermitian matrix takes one eigh. Any
+    other normal A = H + iK takes eigh(H), then eigh of K compressed onto
+    each eigenspace of H; H and K commute, so this is exact, degenerate
+    eigenspaces included. Groups come in ascending order of the real part,
+    then of the imaginary part. Both stages merge values within
+    DEGENERACY_TOL * ||A||_F, so c*A has the groups of A at every scale.
     Normality is checked relative to norm_scale(m)^2.
     """
     a = asarray(m, square=True)
-    res = normality_residual(a)
-    scaled_tol = NORMALITY_TOL * norm_scale(a) ** 2
-    if res > scaled_tol:
-        raise NotNormal(res, scaled_tol)
-    # Schur of a normal matrix is a unitary diagonalization; unlike a raw
-    # eigendecomposition the basis stays orthonormal inside degenerate spaces.
-    t, z = scipy.linalg.schur(a, output="complex")
-    labels, values = merge_values(np.diag(t))
-    return values, z, labels
+    hermitian = is_hermitian(a)
+    if not hermitian:
+        res = normality_residual(a)
+        scaled_tol = NORMALITY_TOL * norm_scale(a) ** 2
+        if res > scaled_tol:
+            raise NotNormal(res, scaled_tol)
+    scale = float(np.linalg.norm(a))
+    adj = a.conj().T
+    h_vals, vecs = np.linalg.eigh((a + adj) / 2)
+    h_labels, h_means = merge_values(h_vals, scale)
+    if hermitian:
+        return h_means.astype(np.complex128), vecs, h_labels
+    k = (a - adj) / 2j
+    values: list[complex] = []
+    labels = np.empty_like(h_labels)
+    for g, h in enumerate(h_means):
+        cols = h_labels == g
+        v = vecs[:, cols]
+        k_vals, w = np.linalg.eigh(v.conj().T @ k @ v)
+        vecs[:, cols] = v @ w
+        k_labels, k_means = merge_values(k_vals, scale)
+        labels[cols] = len(values) + k_labels
+        values.extend(h + 1j * k_means)
+    return np.array(values), vecs, labels
 
 
 @dataclass(frozen=True)
@@ -376,9 +395,12 @@ def spectral_groups(op):
     a d x d matrix:
     - an involutive permutation P has the groups (I +- P)/2 for +1 and -1;
     - a low-rank Q C Q^dag has one group Q W_g (Q W_g)^dag per nonzero
-      eigenvalue of its core C = W diag W^dag, in Schur order, and a last
-      zero group I - sum_g P_g, which also spans the complement of Q;
-    - a dense matrix keeps its Schur groups, as LowRankOperator(cols, cols).
+      eigenvalue of its core C = W diag W^dag, in eigenbasis order, and a
+      last zero group I - sum_g P_g, which also spans the complement of Q;
+      an eigenvalue counts as zero when it is at most DEGENERACY_TOL times
+      the largest |eigenvalue|;
+    - a dense matrix keeps its eigenbasis groups, as
+      LowRankOperator(cols, cols).
     A permutation that is not an involution takes the dense path.
     """
     if isinstance(op, PermutationUnitary) and op.is_involution:
@@ -388,7 +410,7 @@ def spectral_groups(op):
         q, c = op.core()
         values, w, labels = eigenbasis(c)
         basis = q @ w
-        zero = np.abs(values) <= DEGENERACY_TOL
+        zero = np.abs(values) <= DEGENERACY_TOL * np.abs(values).max()
     else:
         dense = op.dense() if isinstance(op, PermutationUnitary) else op
         values, basis, labels = eigenbasis(dense)

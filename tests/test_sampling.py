@@ -15,6 +15,7 @@ from wstate.errors import (
 from wstate.instrument import QuantumState, apply_exact, evolve, expectation
 from wstate.sampling import (
     BLOCK_SHOTS,
+    _joint_cells,
     EstimatorReport,
     allocate_shots,
     beta_variance_bound,
@@ -124,19 +125,44 @@ class TestSampleEstimate:
         assert abs(rep.sample_variance / rep.analytic_variance - 1.0) < 0.05
 
     def test_emulate_and_randomized_agree_in_law(self, rng):
+        # one cell table serves both methods, normal and non-normal M alike
         case = SPECIAL_CASES["commutator"]()
-        inst = build_qsp_instrument(case.sigma, case.m, 1)
-        inputs = [
-            QuantumState.from_density(rand_density(rng, 2)),
-            QuantumState.from_density(rand_density(rng, 2)),
-        ]
-        obs = rand_hermitian(rng, 2)
-        a = sample_estimate(inst, inputs, obs, shots=50000, seed=2, method="emulate")
-        b = sample_estimate(inst, inputs, obs, shots=50000, seed=2, method="randomized")
-        assert abs(a.analytic_mean - b.analytic_mean) < 1e-12
-        assert abs(a.sample_mean - b.sample_mean) < 5 * (
-            a.standard_error + b.standard_error
-        )
+        nonnormal = rng.normal(size=(2, 2)) + 1j * rng.normal(size=(2, 2))
+        for sigma, m in ((case.sigma, case.m), (rand_density(rng, 2), nonnormal)):
+            inst = build_qsp_instrument(sigma, m, 1)
+            inputs = [
+                QuantumState.from_density(rand_density(rng, 2)),
+                QuantumState.from_density(rand_density(rng, 2)),
+            ]
+            obs = rand_hermitian(rng, 2)
+            a = sample_estimate(inst, inputs, obs, shots=50000, seed=2, method="emulate")
+            b = sample_estimate(inst, inputs, obs, shots=50000, seed=2, method="randomized")
+            assert a == b
+
+    @given(m_name=st.sampled_from(["diagonal", "commutator", "nonnormal"]), k=st.integers(-40, 40))
+    @settings(max_examples=40)
+    def test_scaling_m_by_a_power_of_two_scales_the_estimate(self, m_name, k):
+        # scaling by 2^k is exact in floating point, so kinds, counts and
+        # means must follow it exactly
+        rng = np.random.default_rng(41)
+        m = {
+            "diagonal": np.diag([1.0, -0.5]).astype(complex),
+            "commutator": SPECIAL_CASES["commutator"]().m,
+            "nonnormal": rng.normal(size=(2, 2)) + 1j * rng.normal(size=(2, 2)),
+        }[m_name]
+        sigma = rand_density(rng, 2)
+        inputs = [QuantumState.pure(rand_state(rng, 4)) for _ in range(2)]
+        obs = rand_hermitian(rng, 4)
+        c = 2.0**k
+        base, scaled = (build_qsp_instrument(sigma, x, 2) for x in (m, c * m))
+        assert scaled.measurement.kind == base.measurement.kind
+        counts = []
+        for inst in (base, scaled):
+            probs, _ = _joint_cells(evolve(inst, inputs), inst.measurement, obs)
+            counts.append(sample_counts(probs, 20000, seed=3))
+        assert np.array_equal(counts[0], counts[1])
+        a, b = (sample_estimate(inst, inputs, obs, 20000, seed=3) for inst in (base, scaled))
+        assert b.sample_mean / c == a.sample_mean
 
     def test_unknown_method_rejected(self, rng):
         inst = build_qhp_instrument(1)

@@ -1,7 +1,10 @@
 import ast
 import json
 import math
+import os
 import pathlib
+import subprocess
+import sys
 
 import numpy as np
 import pytest
@@ -362,3 +365,23 @@ def test_library_holds_no_test_only_code():
         and not _is_click_command(node)
     ]
     assert found == []
+
+
+def test_cli_import_leaves_scipy_out():
+    """SciPy is a test dependency only: the command line never imports it."""
+    code = "import sys, wstate.cli; print('scipy' in sys.modules)"
+    src = pathlib.Path(wstate.__file__).parents[1]
+    out = subprocess.run(
+        [sys.executable, "-c", code], capture_output=True, text=True, check=True,
+        env=dict(os.environ, PYTHONPATH=str(src)),
+    )
+    assert out.stdout.strip() == "False"
+
+
+def test_estimate_and_incoherent_run_without_scipy(runner, task_file, combo_file, monkeypatch):
+    for name in {m for m in sys.modules if m.split(".")[0] == "scipy"} | {"scipy"}:
+        monkeypatch.setitem(sys.modules, name, None)
+    est = runner.invoke(main, ["estimate", "--spec", task_file, "--shots", "1000"])
+    assert est.exit_code == 0, est.output
+    inc = runner.invoke(main, ["lcs", "incoherent", "--spec", combo_file, "--shots", "1000"])
+    assert inc.exit_code == 0, inc.output

@@ -82,8 +82,8 @@ def test_structured_matches_dense(rng, n, pure):
 
 def _law(probs, weights):
     """Outcome law of a cell table: total probability per distinct weight,
-    with weights within DEGENERACY_TOL (1e-9) merged and sorted."""
-    labels, values = merge_values(weights)
+    with weights within DEGENERACY_TOL (1e-9) of the largest merged, sorted."""
+    labels, values = merge_values(weights, np.abs(weights).max())
     mass = np.zeros(len(values))
     np.add.at(mass, labels, probs)
     order = np.lexsort((np.round(values.imag, 9), np.round(values.real, 9)))
@@ -94,7 +94,7 @@ def _law(probs, weights):
 @pytest.mark.parametrize("pure", [True, False], ids=["pure", "density"])
 @pytest.mark.parametrize("method", ["emulate", "randomized"])
 def test_structured_cells_match_dense(rng, n, pure, method):
-    # the same instrument with M rebuilt densely: Schur groups of .matrix
+    # the same instrument with M rebuilt densely: eigenbasis groups of .matrix
     d = 2**n
     for name, inst in _instruments(rng, n):
         dense = replace(inst, measurement=MeasurementOperator.of(inst.measurement.matrix))
@@ -102,9 +102,8 @@ def test_structured_cells_match_dense(rng, n, pure, method):
         inputs = _inputs(rng, d, pure)
         obs = rand_hermitian(rng, d)
         ev = evolve(inst, inputs)
-        merge = method == "emulate"
-        got = _law(*_joint_cells(ev, inst.measurement, obs, merge))
-        want = _law(*_joint_cells(ev, dense.measurement, obs, merge))
+        got = _law(*_joint_cells(ev, inst.measurement, obs))
+        want = _law(*_joint_cells(ev, dense.measurement, obs))
         assert len(got[0]) == len(want[0]), name
         assert np.abs(got[0] - want[0]).max() <= 1e-12 * np.abs(want[0]).max(), name
         assert np.abs(got[1] - want[1]).max() <= 1e-12, name
@@ -136,7 +135,7 @@ def test_merged_cells_match_emulated_instrument(rng, n, pure, kind):
     assert emulated.measurement.kind != "nonnormal"
     inputs = _inputs(rng, d, pure)
     obs = rand_hermitian(rng, d)
-    got = _law(*_joint_cells(evolve(inst, inputs), inst.measurement, obs, merge=True))
+    got = _law(*_joint_cells(evolve(inst, inputs), inst.measurement, obs))
     want = _law(*_joint_cells(evolve(emulated, inputs), emulated.measurement, obs))
     assert len(got[0]) == len(want[0])
     assert np.abs(got[0] - want[0]).max() <= 1e-12 * np.abs(want[0]).max()

@@ -1,6 +1,6 @@
 import numpy as np
 import pytest
-from hypothesis import given
+from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from wstate.errors import (
@@ -131,6 +131,45 @@ class TestEigenbasis:
         m = u @ np.diag([1j, -1j, 1.0, -1.0]) @ u.conj().T
         vals, vecs, labels = eigenbasis(m)
         assert np.abs(np.sort_complex(vals) - np.sort_complex(np.array([-1, -1j, 1j, 1]))).max() < 1e-9
+
+    @staticmethod
+    def check(a, lam):
+        """eigenbasis(a) against the spectrum lam of a: unitary vectors, a
+        residual relative to ||a||_F, one group per distinct eigenvalue, and
+        groups in ascending order of the real part."""
+        vals, vecs, labels = eigenbasis(a)
+        scale = np.linalg.norm(a)
+        assert np.abs(vecs.conj().T @ vecs - np.eye(len(a))).max() <= 1e-12
+        assert np.linalg.norm(a @ vecs - vecs * vals[labels]) <= 1e-10 * scale
+        distinct = np.unique(lam)
+        assert len(vals) == len(distinct)
+        assert np.abs(vals[:, None] - distinct[None, :]).min(axis=1).max() <= 1e-10 * scale
+        assert np.all(np.diff(vals.real) >= -1e-10 * scale)
+
+    @given(
+        kind=st.sampled_from(["hermitian", "skew", "normal"]),
+        picks=st.lists(st.integers(0, 8), min_size=1, max_size=6),
+        seed=st.integers(0, 2**32 - 1),
+        k=st.integers(-30, 30),
+    )
+    @settings(max_examples=60)
+    def test_random_normal_with_exact_degeneracies(self, kind, picks, seed, k):
+        # drawing eigenvalues from a pool of 9 repeats some of them exactly
+        pool = {
+            "hermitian": np.arange(-4.0, 5.0),
+            "skew": 1j * np.arange(-4.0, 5.0),
+            "normal": np.array([a + 1j * b for a in (-2.0, 0.0, 1.0) for b in (-1.0, 0.0, 2.0)]),
+        }[kind]
+        lam = 2.0**k * pool[picks]
+        u = rand_unitary(np.random.default_rng(seed), len(lam))
+        self.check((u * lam) @ u.conj().T, lam)
+
+    def test_permutation_zero_and_scalar(self):
+        # a 3-cycle and a swap: eigenvalues 1, w, w^2, 1, -1 with w^3 = 1
+        cycle = PermutationUnitary(np.array([1, 2, 0, 4, 3])).dense()
+        self.check(cycle, np.append(np.exp(2j * np.pi * np.arange(3) / 3), [1.0, -1.0]))
+        self.check(np.zeros((4, 4), dtype=complex), np.zeros(4))
+        self.check(np.array([[2.0 - 3.0j]]), np.array([2.0 - 3.0j]))
 
     def test_spectral_groups_projectors(self, rng):
         # a dense Hermitian matrix, the two-qubit SWAP, and a normal low-rank
