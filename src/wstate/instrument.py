@@ -9,11 +9,15 @@ weighted state
     tau = Tr_EG( U (sigma (x) rho_in) U^dag  (I_S (x) M_E (x) I_G) )
 
 which in general is neither Hermitian, positive, nor normalized.
+
+tau is linear in the input, so the joint state sigma (x) rho_in is held in
+one form: ket and bra factor columns K B^dag (one column per pure piece). U
+acts on the columns, and M is contracted as for a pure state, with the
+columns traced alongside G; no D x D joint density is formed.
 """
 
 from __future__ import annotations
 
-import math
 from dataclasses import dataclass, replace
 
 import numpy as np
@@ -380,41 +384,59 @@ def identity_instrument(dim: int, label: str = "S") -> QuantumInstrument:
 # joint-state assembly and evolution
 
 
-def _as_piece(x):
-    """Normalize an input piece to ('vec', v) or ('mat', m)."""
+def _factor(x):
+    """Factor columns (K, B) of one input piece, x = K B^dag, none dropped.
+
+    A vector is one column and its own bra. A density V diag(w) V^dag gives
+    K = V sqrt|w| sign(w), B = V sqrt|w|: the bra is the ket unless some
+    w < 0. Any other matrix, possibly indefinite or non-Hermitian, gives
+    K = U sqrt(s), B = V sqrt(s) from its SVD U diag(s) V^dag.
+    """
     if isinstance(x, QuantumState):
-        return ("vec", x.vector) if x.is_pure else ("mat", x.density)
-    if isinstance(x, WeightedState):
-        return ("mat", x.matrix)
-    a = asarray(x)
+        if x.is_pure:
+            v = x.vector[:, None]
+            return v, v
+        w, v = np.linalg.eigh(x.density)
+        bra = v * np.sqrt(np.abs(w))
+        return (bra * np.sign(w) if (w < 0).any() else bra), bra
+    a = asarray(x.matrix if isinstance(x, WeightedState) else x)
     if a.ndim == 1:
-        return ("vec", a)
-    if a.ndim == 2:
-        return ("mat", a)
-    raise ValidationError(f"cannot interpret input with ndim {a.ndim}")
+        v = a[:, None]
+        return v, v
+    u, s, vh = np.linalg.svd(asarray(a, square=True))
+    r = np.sqrt(s)
+    return u * r, vh.conj().T * r
 
 
-def _kron_pieces(pieces):
-    """Kron a list of ('vec'|'mat', array) pieces; vectors stay vectors only
-    if every piece is a vector."""
-    if all(k == "vec" for k, _ in pieces):
-        out = pieces[0][1]
-        for _, v in pieces[1:]:
-            out = np.kron(out, v)
-        return "vec", out
-    out = None
-    for k, a in pieces:
-        m = np.outer(a, a.conj()) if k == "vec" else a
-        out = m if out is None else np.kron(out, m)
-    return "mat", out
+def _kron_factors(factors):
+    """Factor columns of the tensor product of factored pieces; the bra
+    stays the ket while every piece's does."""
+
+    def kron(x, y):
+        return (x[:, None, :, None] * y[None, :, None, :]).reshape(len(x) * len(y), -1)
+
+    ket, bra = factors[0]
+    for k, b in factors[1:]:
+        same = ket is bra and k is b
+        ket = kron(ket, k)
+        bra = ket if same else kron(bra, b)
+    return ket, bra
+
+
+def _input_factors(inputs):
+    """Factor columns of the caller's input: one piece, or a sequence of
+    pieces tensored in input-register order."""
+    if isinstance(inputs, (QuantumState, WeightedState, np.ndarray)):
+        inputs = [inputs]
+    return _kron_factors([_factor(x) for x in inputs])
 
 
 def assemble_product(pieces, layout: RegisterLayout):
-    """Arrange pieces onto register positions.
+    """Arrange factored pieces onto register positions.
 
-    pieces: list of ((kind, array), positions) where positions index
-    layout.registers; positions must partition the layout. Returns
-    ('vec'|'mat', array) in layout register order.
+    pieces: list of ((ket, bra), positions) where positions index
+    layout.registers; positions must partition the layout. Returns the
+    (ket, bra) columns of the product with rows in layout register order.
     """
     dims = layout.dims
     k = len(dims)
@@ -423,118 +445,94 @@ def assemble_product(pieces, layout: RegisterLayout):
         order.extend(pos)
     if sorted(order) != list(range(k)):
         raise ValidationError("piece positions do not partition the layout")
-    kind, flat = _kron_pieces([p for p, _ in pieces])
+    ket, bra = _kron_factors([f for f, _ in pieces])
     if order == list(range(k)):
-        return kind, flat
+        return ket, bra
     axis_dims = [dims[p] for p in order]
-    inv = [order.index(r) for r in range(k)]
-    if kind == "vec":
-        return kind, flat.reshape(axis_dims).transpose(inv).reshape(-1)
-    t = flat.reshape(axis_dims + axis_dims)
-    t = t.transpose(inv + [k + p for p in inv])
-    d = layout.total_dim
-    return kind, t.reshape(d, d)
+    perm = [order.index(r) for r in range(k)] + [k]
+
+    def reorder(x):
+        return x.reshape(axis_dims + [x.shape[1]]).transpose(perm).reshape(x.shape)
+
+    out = reorder(ket)
+    return out, (out if bra is ket else reorder(bra))
 
 
-def _joint_initial(inst: QuantumInstrument, inputs):
-    """Full-layout initial state from the ancilla and caller inputs."""
-    if isinstance(inputs, (QuantumState, WeightedState, np.ndarray)):
-        inputs = [inputs]
-    pieces = [_as_piece(x) for x in inputs]
-    kind_in, flat_in = _kron_pieces(pieces)
+def _joint_initial(inst: QuantumInstrument, factors):
+    """Full-layout factor columns from the ancilla and the factored input."""
     d_in = inst.input_dim
-    got = flat_in.shape[0]
+    got = factors[0].shape[0]
     if got != d_in:
         raise DimensionMismatch(f"input dim {got} vs instrument input dim {d_in}")
     inp_pos = [inst.layout.index(l) for l in inst.input_labels]
-    parts = [((kind_in, flat_in), inp_pos)]
+    parts = [(factors, inp_pos)]
     if inst.ancilla is not None:
         anc_pos = [inst.layout.index(l) for l in inst.ancilla_labels]
-        anc_kind = "vec" if inst.ancilla.is_pure else "mat"
-        anc_arr = inst.ancilla.vector if inst.ancilla.is_pure else inst.ancilla.density
-        parts.insert(0, ((anc_kind, anc_arr), anc_pos))
+        parts.insert(0, (_factor(inst.ancilla), anc_pos))
     return assemble_product(parts, inst.layout)
-
-
-def _role_positions(inst: QuantumInstrument):
-    lay = inst.layout
-    s = [lay.index(l) for l in inst.s_labels]
-    e = [lay.index(l) for l in inst.e_labels]
-    g = [lay.index(l) for l in inst.g_labels]
-    return s, e, g
 
 
 @dataclass(frozen=True)
 class Evolved:
-    """State after U, grouped by role.
+    """Joint state after U as factor columns, rho_out = K B^dag.
 
-    pure: tensor is Psi with axes (S, E, G).
-    density: tensor is rho_out with axes (S, E, G, S', E', G'); the primed
-    axes are the column indices.
+    ket and bra are U K and U B with axes (S, G r, E): the r columns ride
+    along with G and are traced with it, and E comes last, so M contracts
+    it without a transpose. bra is ket when the input's bra was its ket.
+    dims is (d_S, d_E, d_G).
     """
 
-    kind: str
-    tensor: np.ndarray
+    ket: np.ndarray
+    bra: np.ndarray
     dims: tuple[int, int, int]
 
 
 def evolve(inst: QuantumInstrument, inputs) -> Evolved:
-    kind, state = _joint_initial(inst, inputs)
-    dims = inst.layout.dims
-    s_pos, e_pos, g_pos = _role_positions(inst)
-    group = s_pos + e_pos + g_pos
-    d_s = math.prod(dims[p] for p in s_pos) if s_pos else 1
-    d_e = math.prod(dims[p] for p in e_pos) if e_pos else 1
-    d_g = math.prod(dims[p] for p in g_pos) if g_pos else 1
+    """U on the D x r columns of ancilla (x) input: one row gather or one
+    GEMM, and a second one for the bra only when it is not the ket."""
+    return _evolve_factors(inst, _input_factors(inputs))
+
+
+def _evolve_factors(inst: QuantumInstrument, factors) -> Evolved:
+    ket, bra = _joint_initial(inst, factors)
+    lay = inst.layout
+    s, e, g = (inst.s_labels, inst.e_labels, inst.g_labels)
+    k = len(lay.registers)
+    group = [lay.index(l) for l in s + g] + [k] + [lay.index(l) for l in e]
+    d_s, d_e, d_g = lay.dim_of(s), lay.dim_of(e), lay.dim_of(g)
     u = inst.unitary
-    if kind == "vec":
-        psi = u.apply_vector(state) if isinstance(u, PermutationUnitary) else u @ state
-        psi_t = psi.reshape(dims).transpose(group).reshape(d_s, d_e, d_g)
-        return Evolved("pure", psi_t, (d_s, d_e, d_g))
-    if isinstance(u, PermutationUnitary):
-        rho = u.apply_density(state)
-    else:
-        rho = u @ state @ u.conj().T
-    k = len(dims)
-    rho_t = rho.reshape(dims + dims).transpose(group + [k + p for p in group])
-    rho_t = rho_t.reshape(d_s, d_e, d_g, d_s, d_e, d_g)
-    return Evolved("density", rho_t, (d_s, d_e, d_g))
+
+    def step(x):
+        y = u.apply_vector(x) if isinstance(u, PermutationUnitary) else u @ x
+        return y.reshape(lay.dims + (x.shape[1],)).transpose(group).reshape(d_s, -1, d_e)
+
+    out = step(ket)
+    return Evolved(out, out if bra is ket else step(bra), (d_s, d_e, d_g))
 
 
 def weighted_output(
     ev: Evolved, m: np.ndarray | PermutationUnitary | LowRankOperator
 ) -> np.ndarray:
-    """tau_st = sum_{e,e',g} rho_out[(s,e,g),(t,e',g)] M[e',e].
+    """tau_st = sum_{x,e,e'} K[s,x,e] conj(B[t,x,e']) M[e',e], x = (g, column).
 
-    m is a dense matrix, or a structured form contracted without building
-    one: a permutation (M[e',e] = 1 iff e' = perm[e]) gathers the state
-    along E, and a low-rank u v^dag contracts E with its thin factors.
+    Each form of M gives a from the ket and b from the bra, tau = a b^dag.
+    A structured m is contracted without a dense matrix: a permutation
+    (M[e',e] = 1 iff e' = perm[e]) gathers the bra along E, and a low-rank
+    u v^dag contracts E with its thin factors.
     """
-    d_s, d_e, d_g = ev.dims
-    if ev.kind == "pure":
-        psi = ev.tensor
-        if isinstance(m, PermutationUnitary):
-            # tau_st = sum_{e,g} Psi[s,e,g] conj(Psi[t,perm[e],g])
-            a, b = psi, psi[:, m.perm, :]
-        elif isinstance(m, LowRankOperator):
-            # tau_st = sum_{k,g} (Psi conj(v))[s,g,k] conj((Psi conj(u))[t,g,k])
-            a = np.tensordot(psi, m.v.conj(), axes=([1], [0]))
-            b = a if m.u is m.v else np.tensordot(psi, m.u.conj(), axes=([1], [0]))
-        else:
-            # C[t,g,e'] = sum_e Psi[t,e,g] conj(M)[e,e']; tau = <Psi, C> over (g,e)
-            a = psi.transpose(0, 2, 1)
-            b = np.tensordot(psi, m.conj(), axes=([1], [0]))
-        return a.reshape(d_s, -1) @ b.reshape(d_s, -1).conj().T
-    rho = ev.tensor
+    d_s, d_e, _ = ev.dims
+    ket, bra = ev.ket.reshape(-1, d_e), ev.bra.reshape(-1, d_e)
     if isinstance(m, PermutationUnitary):
-        # the (e, e' = perm[e]) entries of rho_out, e first: (e, s, g, t, g')
-        pairs = rho[:, np.arange(d_e), :, :, m.perm, :]
-        return np.einsum(pairs, [1, 0, 2, 3, 2], [0, 3])
-    if isinstance(m, LowRankOperator):
-        # rho_out holds (d_s d_e d_g)^2 entries, so the d_e x d_e matrix is
-        # no larger; a tensordot against the factors would copy rho_out whole
-        m = m.u @ m.v.conj().T
-    return np.einsum(rho, [0, 1, 2, 3, 4, 2], m, [4, 1], [0, 3])
+        # tau_st = sum_{x,e} K[s,x,e] conj(B[t,x,perm[e]])
+        a, b = ket, bra[:, m.perm]
+    elif isinstance(m, LowRankOperator):
+        # tau_st = sum_{x,k} (K conj(v))[s,x,k] conj((B conj(u))[t,x,k])
+        a = ket @ m.v.conj()
+        b = a if m.u is m.v and ev.bra is ev.ket else bra @ m.u.conj()
+    else:
+        # C[t,x,e] = sum_e' B[t,x,e'] conj(M)[e',e]; tau = <K, C> over (x, e)
+        a, b = ket, bra @ m.conj()
+    return a.reshape(d_s, -1) @ b.reshape(d_s, -1).conj().T
 
 
 def projected_outputs(ev: Evolved, groups) -> list[np.ndarray]:
@@ -685,8 +683,9 @@ class Pipeline:
     """Two instruments wired in sequence plus the flattened equivalent.
 
     wiring maps each S register of the first stage onto an input register of
-    the second. Staged evaluation applies the second stage to
-    tau_1 (x) fresh inputs by linearity; the flattened form is a single
+    the second. Staged evaluation applies the second stage by linearity to
+    the factor columns of tau_1 (x) fresh inputs, with tau_1 factored by its
+    SVD and no D_in x D_in matrix formed; the flattened form is a single
     instrument with the combined unitary and the product measurement, used
     for sampling and variance analysis.
     """
@@ -703,16 +702,13 @@ class Pipeline:
         wired_labels = [self.wiring[l] for l in self.first.s_labels]
         wired_pos = [sub.index(l) for l in wired_labels]
         other_pos = [i for i in range(len(sub.registers)) if i not in set(wired_pos)]
-        pieces = [(("mat", tau1.matrix), wired_pos)]
+        pieces = [(_factor(tau1), wired_pos)]
         if other_pos:
-            if isinstance(fresh_inputs, (QuantumState, WeightedState, np.ndarray)):
-                fresh_inputs = [fresh_inputs]
-            kind, flat = _kron_pieces([_as_piece(x) for x in fresh_inputs])
-            pieces.append(((kind, flat), other_pos))
-        kind, joint = assemble_product(pieces, sub)
-        if kind == "vec":
-            joint = np.outer(joint, joint.conj())
-        return apply_exact(self.second, joint)
+            pieces.append((_input_factors(fresh_inputs), other_pos))
+        ev = _evolve_factors(self.second, assemble_product(pieces, sub))
+        return WeightedState(
+            weighted_output(ev, self.second.measurement.operator), self.second.output_layout
+        )
 
     def apply_flattened(self, first_inputs, fresh_inputs=()) -> WeightedState:
         xs: list = []
@@ -815,7 +811,6 @@ def concatenate(
         anc = None
     else:
         anc_regs: list[Register] = []
-        pieces = []
         if first.ancilla is not None:
             anc_regs.extend(first.ancilla.layout.registers)
         if second.ancilla is not None:

@@ -37,7 +37,7 @@ from .tensor import (
     dephase,
     eigenbasis,
     gram,
-    hermiticity_residual,
+    is_hermitian,
     merge_values,
     spectral_groups,
     spectral_norm,
@@ -140,8 +140,9 @@ class EstimatorReport:
 
 
 def _check_hermitian_obs(obs) -> np.ndarray:
+    """O as a square array, Hermitian within NORMALITY_TOL of its scale."""
     o = asarray(obs, square=True)
-    if hermiticity_residual(o) > 1e-10:
+    if not is_hermitian(o):
         raise ValidationError("observable must be Hermitian")
     return o
 

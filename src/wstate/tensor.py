@@ -290,8 +290,9 @@ def eigenbasis(m):
 class PermutationUnitary:
     """Computational-basis permutation: U|x> = |perm[x]>.
 
-    Structurally unitary; applies to vectors and density matrices in O(D)
-    and O(D^2) without materializing the dense matrix.
+    Structurally unitary; apply_vector permutes the rows of a vector or of
+    a D x r block of columns in O(D r) without materializing the dense
+    matrix.
     """
 
     perm: np.ndarray
@@ -314,11 +315,6 @@ class PermutationUnitary:
     def apply_vector(self, psi: np.ndarray) -> np.ndarray:
         out = np.empty_like(psi)
         out[self.perm] = psi
-        return out
-
-    def apply_density(self, rho: np.ndarray) -> np.ndarray:
-        out = np.empty_like(rho)
-        out[np.ix_(self.perm, self.perm)] = rho
         return out
 
     def inverse(self) -> "PermutationUnitary":

@@ -16,6 +16,7 @@ from wstate.instrument import (
     MeasurementOperator,
     QuantumInstrument,
     QuantumState,
+    WeightedState,
     apply_exact,
     branches,
     concatenate,
@@ -323,62 +324,108 @@ def rand_operator(rng, d):
     return rng.normal(size=(d, d)) + 1j * rng.normal(size=(d, d))
 
 
+# every kind of input piece evolve accepts: the densities and the bare
+# matrices are factored (eigh or SVD), the rank-1 density has eigenvalues of
+# about -1e-17 and the indefinite and non-Hermitian ones have separate bras
+INPUT_KINDS = ("pure", "density", "rank1", "vector", "indefinite", "weighted")
+
+
+def _input_of_kind(rng, kind, d):
+    if kind == "pure":
+        return QuantumState.pure(rand_state(rng, d))
+    if kind == "density":
+        return QuantumState.from_density(rand_density(rng, d))
+    if kind == "rank1":
+        v = rand_state(rng, d)
+        return QuantumState.from_density(np.outer(v, v.conj()))
+    if kind == "vector":
+        return rand_state(rng, d)
+    if kind == "indefinite":
+        return rand_hermitian(rng, d)
+    return WeightedState(rand_operator(rng, d), RegisterLayout.of(Register("R", d)))
+
+
+def _dense_input(x):
+    if isinstance(x, (QuantumState, WeightedState)):
+        return x.matrix
+    return np.outer(x, x.conj()) if x.ndim == 1 else x
+
+
 class TestContractions:
     """weighted_output and Tr[weighted_output(ev, B) A] against the dense
     trace Tr[U (sigma (x) rho) U^dag (A_S (x) B_E (x) I_G)] in layout order.
 
     The QSP layout (E, S, G) has d_G > 1; the teleport layout puts two E
-    registers ahead of S.
+    registers ahead of S. Each example runs the pinned pure or full-rank
+    density inputs, whose bra is their ket, then inputs of drawn kinds.
     """
 
     @pytest.mark.parametrize("pure", [True, False], ids=["pure", "density"])
     @pytest.mark.parametrize("kind", ["qsp", "teleport"])
-    def test_against_dense_trace(self, rng, kind, pure):
+    @given(
+        seed=st.integers(0, 2**32 - 1),
+        drawn=st.lists(st.sampled_from(INPUT_KINDS), min_size=2, max_size=2),
+    )
+    @settings(max_examples=15)
+    def test_against_dense_trace(self, kind, pure, seed, drawn):
+        rng = np.random.default_rng(seed)
         n, d = 2, 4
         if kind == "qsp":
             sigma = rand_state(rng, 2) if pure else rand_density(rng, 2)
             inst = build_qsp_instrument(sigma, rand_operator(rng, 2), n)
         else:
             inst = build_teleport_instrument(n, [(rand_operator(rng, d), rand_operator(rng, d))])
-        inputs = [
-            QuantumState.pure(rand_state(rng, d))
-            if pure
-            else QuantumState.from_density(rand_density(rng, d))
-            for _ in inst.input_labels
-        ]
-        ev = evolve(inst, inputs)
-        assert ev.kind == ("pure" if pure else "density")
-        d_s, d_e, d_g = ev.dims
-        if kind == "qsp":
-            assert d_g > 1
+        base = ["pure" if pure else "density"] * len(inst.input_labels)
+        for kinds in (base, drawn):
+            inputs = [_input_of_kind(rng, k, d) for k in kinds]
+            ev = evolve(inst, inputs)
+            if kinds is base:
+                assert ev.bra is ev.ket
+            if kind == "qsp":
+                assert ev.dims[2] > 1
+            self._check(inst, inputs, ev, rng)
 
+    @staticmethod
+    def _check(inst, inputs, ev, rng):
+        # B_E in each form weighted_output takes: dense, a permutation, and
+        # low-rank u v^dag with u is v (the projectors of spectral_groups)
+        d_s, d_e, _ = ev.dims
         lay = inst.layout
-        pieces = dict(zip(inst.input_labels, (x.matrix for x in inputs)))
+        pieces = dict(zip(inst.input_labels, map(_dense_input, inputs)))
         pieces.update(zip(inst.ancilla_labels, [inst.ancilla.matrix]))
         rho0 = functools.reduce(np.kron, (pieces[l] for l in lay.labels))
         u = inst.unitary.dense()
         rho_out = u @ rho0 @ u.conj().T
+        q = rand_operator(rng, d_e)[:, :2]
+        forms = [
+            rand_operator(rng, d_e),
+            PermutationUnitary(rng.permutation(d_e)),
+            LowRankOperator(q, rand_operator(rng, d_e)[:, :2]),
+            LowRankOperator(q, q),
+        ]
+        for b in forms:
+            dense_b = b if isinstance(b, np.ndarray) else b.dense()
+            # A_S and B_E act on different registers, so they commute under the trace
+            rho_b = rho_out @ embed_operator(dense_b, inst.e_labels, lay)
 
-        def dense(a_s, b_e):
-            op = embed_operator(a_s, inst.s_labels, lay) @ embed_operator(
-                b_e, inst.e_labels, lay
-            )
-            return complex(np.trace(rho_out @ op))
+            def dense(a_s):
+                op = embed_operator(a_s, inst.s_labels, lay)
+                return complex(np.einsum("ij,ji->", rho_b, op))
 
-        a, b = rand_operator(rng, d_s), rand_operator(rng, d_e)
-        want = dense(a, b)
-        got = complex(np.einsum("st,ts->", weighted_output(ev, b), a))
-        assert abs(got - want) <= 1e-12 * abs(want)
+            a = rand_operator(rng, d_s)
+            want = dense(a)
+            tau = weighted_output(ev, b)
+            got = complex(np.einsum("st,ts->", tau, a))
+            assert abs(got - want) <= 1e-12 * abs(want)
 
-        # tau[s, t] = Tr[tau |t><s|]
-        tau_want = np.zeros((d_s, d_s), dtype=np.complex128)
-        for s in range(d_s):
-            for t in range(d_s):
-                unit = np.zeros((d_s, d_s))
-                unit[t, s] = 1.0
-                tau_want[s, t] = dense(unit, b)
-        tau = weighted_output(ev, b)
-        assert np.abs(tau - tau_want).max() <= 1e-12 * np.abs(tau_want).max()
+            # tau[s, t] = Tr[tau |t><s|]
+            tau_want = np.zeros((d_s, d_s), dtype=np.complex128)
+            for s in range(d_s):
+                for t in range(d_s):
+                    unit = np.zeros((d_s, d_s))
+                    unit[t, s] = 1.0
+                    tau_want[s, t] = dense(unit)
+            assert np.abs(tau - tau_want).max() <= 1e-12 * np.abs(tau_want).max()
 
 
 class TestBranches:
@@ -441,15 +488,41 @@ class TestConcatenate:
         tau = chained.apply_flattened(inputs, fresh)
         assert np.abs(tau.matrix - qhp(qhp(a, b), c)).max() < 1e-10
 
-    def test_staged_equals_flattened(self, rng):
-        inst = build_qhp_instrument(1)
-        chained = concatenate(inst, inst)
-        states = [rand_density(rng, 2) for _ in range(3)]
-        inputs = [QuantumState.from_density(s) for s in states[:2]]
-        fresh = [QuantumState.from_density(states[2])]
+    @given(
+        seed=st.integers(0, 2**32 - 1),
+        stages=st.lists(st.sampled_from(["qhp", "gqt", "qsp", "teleport"]), min_size=2, max_size=2),
+        to_second=st.booleans(),
+        mixed=st.lists(st.booleans(), min_size=3, max_size=3),
+    )
+    @settings(max_examples=40)
+    def test_staged_equals_flattened(self, seed, stages, to_second, mixed):
+        # QSP and teleport stages with random maps make tau_1 non-Hermitian,
+        # so the second stage takes it through the SVD factor
+        rng = np.random.default_rng(seed)
+
+        def build(name):
+            if name == "qhp":
+                return build_qhp_instrument(1)
+            if name == "gqt":
+                return build_gqt_instrument(1)
+            if name == "qsp":
+                return build_qsp_instrument(rand_density(rng, 2), rand_operator(rng, 2), 1)
+            return build_teleport_instrument(1, [(rand_operator(rng, 2), rand_operator(rng, 2))])
+
+        first, second = map(build, stages)
+        target = second.input_labels[int(to_second)]
+        chained = concatenate(first, second, {first.s_labels[0]: target})
+        states = [
+            QuantumState.from_density(rand_density(rng, 2))
+            if m
+            else QuantumState.pure(rand_state(rng, 2))
+            for m in mixed
+        ]
+        k = len(first.input_labels)
+        inputs, fresh = states[:k], states[k:]
         staged = chained.apply_staged(inputs, fresh)
         flat = chained.apply_flattened(inputs, fresh)
-        assert np.abs(staged.matrix - flat.matrix).max() < 1e-10
+        assert np.abs(staged.matrix - flat.matrix).max() <= 1e-10 * np.abs(flat.matrix).max()
 
     def test_expectation_matches_composition(self, rng):
         inst = build_qhp_instrument(1)

@@ -42,9 +42,9 @@ from wstate.subroutines import (
     power_state,
     qhp,
 )
-from wstate.tensor import dephase, spectral_norm
+from wstate.tensor import dephase, hermiticity_residual, spectral_norm
 
-from conftest import rand_density, rand_hermitian, rand_state
+from conftest import rand_density, rand_hermitian, rand_state, rand_unitary
 
 
 class TestSampleCounts:
@@ -164,6 +164,21 @@ class TestSampleEstimate:
         a, b = (sample_estimate(inst, inputs, obs, 20000, seed=3) for inst in (base, scaled))
         assert b.sample_mean / c == a.sample_mean
 
+    def test_observable_check_is_relative_to_scale(self, rng):
+        # a Hermitian O of scale 1e6 carries a rounding residual above an
+        # absolute 1e-10, and a non-Hermitian O of scale 1e-12 one below it
+        u = rand_unitary(np.random.default_rng(0), 4)
+        big = 1e6 * u @ np.diag([1.0, 2.0, 3.0, 4.0]) @ u.conj().T
+        tiny = 1e-12 * (rng.normal(size=(4, 4)) + 1j * rng.normal(size=(4, 4)))
+        assert hermiticity_residual(big) > 1e-10 > hermiticity_residual(tiny)
+        inst = build_qhp_instrument(2)
+        inputs = [QuantumState.pure(rand_state(rng, 4)) for _ in range(2)]
+        rep = sample_estimate(inst, inputs, big, shots=1000, seed=4)
+        want = expectation(apply_exact(inst, inputs), big)
+        assert abs(rep.analytic_mean - want) <= 1e-12 * abs(want)
+        with pytest.raises(ValidationError, match="observable must be Hermitian"):
+            sample_estimate(inst, inputs, tiny, shots=1000, seed=4)
+
     def test_unknown_method_rejected(self, rng):
         inst = build_qhp_instrument(1)
         inputs = [
@@ -185,7 +200,7 @@ def _single_pass_case(rng, name):
     if name == "qsp-density":
         inputs = [QuantumState.from_density(rand_density(rng, 2)) for _ in range(2)]
         return build_qsp_instrument(rand_density(rng, 2), m, 1), inputs
-    # a mixed ancilla in front of pure inputs takes the density path
+    # a mixed ancilla in front of pure inputs gives two factor columns
     sigma = rand_density(rng, 2) if name == "qsp-mixed-ancilla" else rand_state(rng, 2)
     inputs = [QuantumState.pure(rand_state(rng, 4)) for _ in range(2)]
     return build_qsp_instrument(sigma, m, 2), inputs

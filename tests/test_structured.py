@@ -192,6 +192,23 @@ def _traced_peak(fn):
     return out, peak
 
 
+def test_mixed_ancilla_sampling_stays_small(rng):
+    # one mixed qubit ancilla in front of pure inputs gives two factor
+    # columns; a D x D joint density at n = 5 would take 2048^2 x 16 B = 64 MB
+    sigma = rand_density(rng, 2)
+    m = _complex(rng, 2)
+    inputs = [QuantumState.pure(rand_state(rng, 32)) for _ in range(2)]
+    obs = rand_hermitian(rng, 32)
+
+    def run():
+        inst = build_qsp_instrument(sigma, m, 5)
+        return sample_estimate(inst, inputs, obs, shots=1000, seed=5)
+
+    rep, peak = _traced_peak(run)
+    assert abs(rep.sample_mean - rep.analytic_mean) < 6 * rep.standard_error
+    assert peak < 16 * 2**20
+
+
 @pytest.mark.parametrize("kind", ["gqt", "teleport"])
 def test_n7_exact_path_stays_small(rng, kind):
     # a dense n = 7 measurement would be 16384^2 x 16 B = 4.3 GB
