@@ -19,6 +19,7 @@ columns traced alongside G; no D x D joint density is formed.
 from __future__ import annotations
 
 from dataclasses import dataclass, replace
+from functools import reduce
 
 import numpy as np
 
@@ -39,6 +40,7 @@ from .tensor import (
     RegisterLayout,
     asarray,
     classify,
+    dense,
     embed_operator,
     embed_permutation,
     hermiticity_residual,
@@ -143,9 +145,20 @@ class WeightedState:
         return complex(np.trace(self.matrix))
 
 
+def _mat(x) -> np.ndarray:
+    """An operand as a square array: the matrix of a QuantumState or
+    WeightedState, the projector |v><v| of a vector, or a square array."""
+    if isinstance(x, (QuantumState, WeightedState)):
+        return x.matrix
+    a = asarray(x)
+    if a.ndim == 1:
+        return np.outer(a, a.conj())
+    return asarray(a, square=True)
+
+
 def expectation(tau, obs) -> complex:
-    """Tr(tau O). Accepts a WeightedState, QuantumState, or bare matrix."""
-    m = tau.matrix if hasattr(tau, "matrix") else asarray(tau, square=True)
+    """Tr(tau O) for any operand that _mat accepts."""
+    m = _mat(tau)
     o = asarray(obs, square=True)
     if o.shape != m.shape:
         raise DimensionMismatch(f"observable shape {o.shape} vs state shape {m.shape}")
@@ -171,7 +184,7 @@ class MeasurementOperator:
     PermutationUnitary (the SWAP of the transpose coupling) or a
     LowRankOperator (the Bell-type map of the teleport instrument). apply_exact
     contracts a structured form without a d_E x d_E matrix; `matrix` builds
-    the dense form on first read and keeps it.
+    the dense form through tensor.dense on every read and keeps nothing.
 
     kind is one of hermitian / normal / nonnormal. Each construction decides
     the class once with tensor.classify, exactly and at every size: a
@@ -181,11 +194,14 @@ class MeasurementOperator:
     filled in from the class; a given kind must equal it, or be 'normal'
     for a Hermitian M.
 
-    A non-normal operator carries a decomposition M = sum_k c_k N_k into
-    normal parts, used for single-instrument emulation and sampling. A dense
-    one built without kind or decomposition (as `of` builds it) gets the
-    Hermitian/skew split M = (1/2)(M+M^dag) + (1/2)(M-M^dag); a structured one
-    gets the same split on first read.
+    A non-normal operator has a decomposition M = sum_k c_k N_k into normal
+    parts, used for single-instrument emulation and sampling, and
+    normal_parts() gives each N_k in the form M is held in. A dense M takes
+    its parts at construction: given, or, when built without kind or
+    decomposition (as `of` builds it), the Hermitian/skew split
+    M = (1/2)(M+M^dag) + (1/2)(M-M^dag). A structured M takes none; a
+    non-normal low-rank one splits its core on each call to normal_parts().
+    Nothing is written to the instance after construction.
     """
 
     operator: np.ndarray | PermutationUnitary | LowRankOperator
@@ -194,8 +210,8 @@ class MeasurementOperator:
 
     def __post_init__(self):
         op = self.operator
-        dense = not isinstance(op, (PermutationUnitary, LowRankOperator))
-        if dense:
+        structured = isinstance(op, (PermutationUnitary, LowRankOperator))
+        if not structured:
             op = asarray(op, square=True)
             object.__setattr__(self, "operator", op)
         actual = classify(op)
@@ -206,10 +222,10 @@ class MeasurementOperator:
             raise ValidationError(f"kind {given!r} but the operator is {actual}")
         object.__setattr__(self, "kind", given or actual)
         if self.parts is None:
-            if dense and given is None and actual == "nonnormal":
+            if not structured and given is None and actual == "nonnormal":
                 object.__setattr__(self, "parts", _split(op))
             return
-        if not dense:
+        if structured:
             raise ValidationError("a structured measurement takes no decomposition")
         parts = tuple((complex(c), asarray(n, square=True)) for c, n in self.parts)
         if not parts:
@@ -237,53 +253,36 @@ class MeasurementOperator:
 
     @property
     def matrix(self) -> np.ndarray:
-        """Dense d_E x d_E form of M, built from a structured form on first
-        read and kept."""
-        if isinstance(self.operator, np.ndarray):
-            return self.operator
-        if "_dense" not in self.__dict__:
-            object.__setattr__(self, "_dense", self.operator.dense())
-        return self.__dict__["_dense"]
+        """Dense d_E x d_E form of M."""
+        return dense(self.operator)
 
-    @property
-    def decomposition(self) -> tuple[tuple[complex, np.ndarray], ...] | None:
-        """Normal parts of a non-normal M; None when it carries none."""
-        structured = not isinstance(self.operator, np.ndarray)
-        if structured and self.kind == "nonnormal" and self.parts is None:
-            object.__setattr__(self, "parts", _split(self.matrix))
-        return self.parts
-
-    def normal_parts(self) -> tuple[tuple[complex, np.ndarray], ...]:
-        """(coefficient, normal operator) terms summing to M, as dense arrays."""
-        if self.kind != "nonnormal":
-            return ((1.0 + 0.0j, self.matrix),)
-        if self.decomposition is None:
-            raise MissingDecomposition(
-                "non-normal measurement requires a decomposition into normal parts"
-            )
-        return self.decomposition
-
-    def normal_forms(self) -> tuple[tuple[complex, object], ...]:
-        """The terms of normal_parts() held in M's own form: a normal M is
-        one term as it is held, and a non-normal low-rank Q C Q^dag splits
-        into the low-rank parts Q (C +- C^dag) Q^dag, which share Q."""
+    def normal_parts(self) -> tuple[tuple[complex, object], ...]:
+        """(coefficient, normal operator) terms summing to M, each held in
+        M's form: a normal M is one term as it is held, a non-normal dense M
+        gives its parts, and a non-normal low-rank M gives the split of its
+        core."""
         op = self.operator
         if self.kind != "nonnormal":
             return ((1.0 + 0.0j, op),)
         if isinstance(op, LowRankOperator):
-            q, c = op.core()
-            ch = c.conj().T
-            return tuple(
-                (0.5 + 0.0j, LowRankOperator(q, q @ x.conj().T)) for x in (c + ch, c - ch)
+            return _split(op)
+        if self.parts is None:
+            raise MissingDecomposition(
+                "non-normal measurement requires a decomposition into normal parts"
             )
-        return self.normal_parts()
+        return self.parts
 
 
-def _split(m: np.ndarray) -> tuple[tuple[complex, np.ndarray], ...]:
+def _split(op) -> tuple[tuple[complex, object], ...]:
     """M = (1/2)(M + M^dag) + (1/2)(M - M^dag): a Hermitian and a
-    skew-Hermitian part, both normal by construction."""
-    adj = m.conj().T
-    return ((0.5 + 0j, m + adj), (0.5 + 0j, m - adj))
+    skew-Hermitian part, both normal by construction. A low-rank Q C Q^dag
+    splits its core, so the parts Q (C +- C^dag) Q^dag stay low-rank and
+    share Q."""
+    if isinstance(op, LowRankOperator):
+        q, c = op.core()
+        return tuple((h, LowRankOperator(q, q @ x.conj().T)) for h, x in _split(c))
+    adj = op.conj().T
+    return ((0.5 + 0j, op + adj), (0.5 + 0j, op - adj))
 
 
 # ---------------------------------------------------------------------------
@@ -423,12 +422,17 @@ def _kron_factors(factors):
     return ket, bra
 
 
-def _input_factors(inputs):
-    """Factor columns of the caller's input: one piece, or a sequence of
-    pieces tensored in input-register order."""
+def _pieces(inputs) -> list:
+    """The caller's input as a list of pieces: one piece, or a sequence."""
     if isinstance(inputs, (QuantumState, WeightedState, np.ndarray)):
-        inputs = [inputs]
-    return _kron_factors([_factor(x) for x in inputs])
+        return [inputs]
+    return list(inputs)
+
+
+def _input_factors(inputs):
+    """Factor columns of the caller's input, its pieces tensored in
+    input-register order."""
+    return _kron_factors([_factor(x) for x in _pieces(inputs)])
 
 
 def assemble_product(pieces, layout: RegisterLayout):
@@ -635,7 +639,6 @@ def emulate_nonnormal(inst: QuantumInstrument) -> QuantumInstrument:
         raise MissingDecomposition("decomposition has no nonzero terms")
     total = sum(abs(c) for c, _ in parts)
     q = np.array([abs(c) / total for c, _ in parts])
-    scaled = [(c / qk) * n for (c, n), qk in zip(parts, q)]
     nk = len(parts)
 
     taken = set(inst.layout.labels)
@@ -643,22 +646,17 @@ def emulate_nonnormal(inst: QuantumInstrument) -> QuantumInstrument:
     k_reg = Register(k_label, nk, role="E", source="ancilla")
     new_layout = RegisterLayout(inst.layout.registers + (k_reg,))
 
-    # measurement on the E sub-layout: old E registers (major) then K (minor)
+    # measurement on the E sub-layout: old E registers (major) then K (minor),
+    # block k on the diagonal of K
     d_e_old = inst.layout.dim_of(inst.e_labels)
-    m_new = np.zeros((d_e_old * nk, d_e_old * nk), dtype=np.complex128)
-    for k, n in enumerate(scaled):
-        ekk = np.zeros((nk, nk))
-        ekk[k, k] = 1.0
-        m_new += np.kron(n, ekk)
+    blocks = np.zeros((d_e_old, nk, d_e_old, nk), dtype=np.complex128)
+    for k, ((c, n), qk) in enumerate(zip(parts, q)):
+        blocks[:, k, :, k] = (c / qk) * dense(n)
+    m_new = blocks.reshape(d_e_old * nk, d_e_old * nk)
 
-    if inst.ancilla is None:
-        anc_layout = RegisterLayout.of(k_reg)
-        anc_state = QuantumState(anc_layout, density=np.diag(q).astype(np.complex128))
-    else:
-        anc_layout = RegisterLayout(inst.ancilla.layout.registers + (k_reg,))
-        anc_state = QuantumState(
-            anc_layout, density=np.kron(inst.ancilla.matrix, np.diag(q))
-        )
+    anc_layout = new_layout.sub(r.label for r in new_layout.registers if r.source == "ancilla")
+    rho = inst.ancilla.matrix if inst.ancilla else np.ones((1, 1))
+    anc_state = QuantumState(anc_layout, density=np.kron(rho, np.diag(q)))
 
     u = inst.unitary
     if isinstance(u, PermutationUnitary):
@@ -694,7 +692,6 @@ class Pipeline:
     second: QuantumInstrument
     wiring: dict
     flattened: QuantumInstrument
-    fresh_labels: tuple[str, ...]
 
     def apply_staged(self, first_inputs, fresh_inputs=()) -> WeightedState:
         tau1 = apply_exact(self.first, first_inputs)
@@ -711,13 +708,7 @@ class Pipeline:
         )
 
     def apply_flattened(self, first_inputs, fresh_inputs=()) -> WeightedState:
-        xs: list = []
-        for part in (first_inputs, fresh_inputs):
-            if isinstance(part, (QuantumState, WeightedState, np.ndarray)):
-                xs.append(part)
-            else:
-                xs.extend(part)
-        return apply_exact(self.flattened, xs)
+        return apply_exact(self.flattened, _pieces(first_inputs) + _pieces(fresh_inputs))
 
 
 def concatenate(
@@ -760,7 +751,6 @@ def concatenate(
             combined.append(replace(r, role=tgt.role))
         else:
             combined.append(r)
-    appended: list[Register] = []
     for r in lay2.registers:
         if r.label in inverse:
             rename[r.label] = inverse[r.label]
@@ -768,9 +758,7 @@ def concatenate(
         new_label = _fresh_label(r.label, taken)
         taken.add(new_label)
         rename[r.label] = new_label
-        reg = replace(r, label=new_label)
-        combined.append(reg)
-        appended.append(reg)
+        combined.append(replace(r, label=new_label))
     new_layout = RegisterLayout(tuple(combined))
 
     # second-stage unitary acts on its registers wherever they now live
@@ -781,57 +769,37 @@ def concatenate(
             u1, list(first.layout.labels), new_layout
         )
     else:
-        d1 = u1.dense() if isinstance(u1, PermutationUnitary) else u1
-        d2 = u2.dense() if isinstance(u2, PermutationUnitary) else u2
-        u_total = embed_operator(d2, u2_labels, new_layout) @ embed_operator(
-            d1, list(first.layout.labels), new_layout
+        u_total = embed_operator(dense(u2), u2_labels, new_layout) @ embed_operator(
+            dense(u1), list(first.layout.labels), new_layout
         )
 
-    e_labels = [r.label for r in combined if r.role == "E"]
-    e_sub = new_layout.sub(e_labels)
-    e1 = list(first.e_labels)
-    e2 = [rename[l] for l in second.e_labels]
-    m1, m2 = first.measurement.matrix, second.measurement.matrix
+    # the stages measure disjoint registers, so M1 (x) M2, and each product
+    # of their normal parts (a tensor product of normal operators, hence
+    # normal), is one Kronecker product placed on the union of E registers
+    e_sub = new_layout.sub(r.label for r in combined if r.role == "E")
+    e12 = list(first.e_labels) + [rename[l] for l in second.e_labels]
 
-    def emb(m, labels):
-        return embed_operator(m, labels, e_sub) if labels else np.eye(e_sub.total_dim)
+    def product(a, b):
+        return embed_operator(np.kron(dense(a), dense(b)), e12, e_sub)
 
-    m_total = emb(m1, e1) @ emb(m2, e2)
+    meas1, meas2 = first.measurement, second.measurement
+    m_total = product(meas1.operator, meas2.operator)
     decomposition = None
-    if "nonnormal" in (first.measurement.kind, second.measurement.kind):
-        # the stages measure disjoint registers, so each product of their
-        # normal parts is a tensor product of normal operators, hence normal
-        parts1 = first.measurement.normal_parts()
-        parts2 = second.measurement.normal_parts()
+    if "nonnormal" in (meas1.kind, meas2.kind):
+        parts2 = meas2.normal_parts()
         decomposition = tuple(
-            (c1 * c2, emb(n1, e1) @ emb(n2, e2)) for c1, n1 in parts1 for c2, n2 in parts2
+            (c1 * c2, product(n1, n2)) for c1, n1 in meas1.normal_parts() for c2, n2 in parts2
         )
 
-    if first.ancilla is None and second.ancilla is None:
-        anc = None
-    else:
-        anc_regs: list[Register] = []
-        if first.ancilla is not None:
-            anc_regs.extend(first.ancilla.layout.registers)
-        if second.ancilla is not None:
-            anc_regs.extend(
-                replace(r, label=rename[r.label]) for r in second.ancilla.layout.registers
-            )
-        anc_layout = RegisterLayout(tuple(anc_regs))
-        both_pure = (first.ancilla is None or first.ancilla.is_pure) and (
-            second.ancilla is None or second.ancilla.is_pure
-        )
-        arrays = [a for a in (first.ancilla, second.ancilla) if a is not None]
-        if both_pure:
-            v = arrays[0].vector
-            for a in arrays[1:]:
-                v = np.kron(v, a.vector)
-            anc = QuantumState(anc_layout, vector=v)
+    # the ancilla registers of both stages, in layout order: first, then second
+    ancillas = [a for a in (first.ancilla, second.ancilla) if a is not None]
+    anc = None
+    if ancillas:
+        anc_layout = new_layout.sub(r.label for r in combined if r.source == "ancilla")
+        if all(a.is_pure for a in ancillas):
+            anc = QuantumState(anc_layout, vector=reduce(np.kron, [a.vector for a in ancillas]))
         else:
-            m = arrays[0].matrix
-            for a in arrays[1:]:
-                m = np.kron(m, a.matrix)
-            anc = QuantumState(anc_layout, density=m)
+            anc = QuantumState(anc_layout, density=reduce(np.kron, [a.matrix for a in ancillas]))
 
     flattened = QuantumInstrument(
         new_layout,
@@ -844,5 +812,4 @@ def concatenate(
         second=second,
         wiring=dict(wiring),
         flattened=flattened,
-        fresh_labels=tuple(r.label for r in appended if r.source == "input"),
     )

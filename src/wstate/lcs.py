@@ -25,8 +25,10 @@ from .errors import (
     DimensionMismatch,
     FullyDestructive,
     InvalidState,
+    NotUnitary,
     ValidationError,
     VanishingOverlapProduct,
+    ZeroBeta,
 )
 from .instrument import (
     MeasurementOperator,
@@ -192,8 +194,6 @@ def all_at_once_M(problem: LcsProblem, beta, permutations=None) -> MeasurementOp
     if b.shape != (count,):
         raise DimensionMismatch("one ancilla amplitude per state")
     if float(np.abs(b).min()) < 1e-12:
-        from .errors import ZeroBeta
-
         raise ZeroBeta("all ancilla amplitudes must be nonzero")
     perms = default_permutations(count) if permutations is None else tuple(
         tuple(p) for p in permutations
@@ -315,8 +315,6 @@ def hadamard_test(u, part: str, shots: int, seed: int, stream_key: tuple = ()) -
     """Estimate Re or Im of <0|u|0> from +-1 shots: P(+1) = (1 +- value)/2."""
     mat = asarray(u, square=True)
     if unitarity_residual(mat) > 1e-10:
-        from .errors import NotUnitary
-
         raise NotUnitary("Hadamard test needs a unitary")
     if part not in ("re", "im"):
         raise ValidationError(f"part must be 're' or 'im', got {part!r}")
@@ -361,8 +359,6 @@ def incoherent_estimate(
     d = problem.dim
     vv = np.eye(d, dtype=np.complex128) if v is None else asarray(v, square=True)
     if unitarity_residual(vv) > 1e-10:
-        from .errors import NotUnitary
-
         raise NotUnitary("the processing circuit must be unitary")
     o_eff = vv.conj().T @ o @ vv
     o_vals, o_vecs, o_labels = eigenbasis(o_eff)

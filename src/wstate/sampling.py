@@ -24,8 +24,8 @@ from .errors import (
 from .instrument import (
     MeasurementOperator,
     QuantumInstrument,
-    WeightedState,
     Evolved,
+    _mat,
     evolve,
     expectation,
     projected_outputs,
@@ -152,9 +152,9 @@ def _rescaled_parts(meas: MeasurementOperator) -> tuple[tuple[float, complex, ob
 
     The sampled estimator draws part k with probability q_k and multiplies its
     eigenvalue by scale_k; for a normal M there is a single part with q=1.
-    Each N_k is held in the form of MeasurementOperator.normal_forms.
+    Each N_k is held in M's form, as MeasurementOperator.normal_parts gives it.
     """
-    parts = meas.normal_forms()
+    parts = meas.normal_parts()
     mags = np.array([abs(c) for c, _ in parts])
     keep = mags > 0
     total = float(mags.sum())
@@ -316,7 +316,7 @@ def variance_qhp(tau, obs, shots: int) -> float:
     """(Tr[tau O^2] - |Tr tau O|^2) / shots for the entrywise product's
     projective instrument."""
     o = _check_hermitian_obs(obs)
-    t = tau.matrix if isinstance(tau, WeightedState) else asarray(tau, square=True)
+    t = _mat(tau)
     return float(
         (expectation(t, o @ o).real - abs(expectation(t, o)) ** 2) / shots
     )
@@ -327,8 +327,7 @@ def variance_gqt(sigma, rho, obs, shots: int) -> float:
     SWAP measurement squares to the identity, leaving only the dephased
     first input."""
     o = _check_hermitian_obs(obs)
-    s = sigma.matrix if isinstance(sigma, WeightedState) else asarray(sigma, square=True)
-    r = rho.matrix if isinstance(rho, WeightedState) else asarray(rho, square=True)
+    s, r = _mat(sigma), _mat(rho)
     tau = s * r.T
     second = expectation(dephase(s), o @ o).real * np.trace(r).real
     return float((second - abs(expectation(tau, o)) ** 2) / shots)
@@ -337,9 +336,9 @@ def variance_gqt(sigma, rho, obs, shots: int) -> float:
 def variance_qsp(sigma, m, rho0, rho1, obs, shots: int) -> float:
     """Per-run variance of the controlled-SWAP instrument in closed form."""
     o = _check_hermitian_obs(obs)
-    s = asarray(sigma, square=True)
+    s = _mat(sigma)
     mm = asarray(m, square=True)
-    r0, r1 = asarray(rho0, square=True), asarray(rho1, square=True)
+    r0, r1 = _mat(rho0), _mat(rho1)
     o2 = o @ o
     mm2 = mm @ mm.conj().T
     tau = qsp_from_parts(s, mm, r0, r1)
@@ -563,7 +562,7 @@ def compare_concat_vs_direct(rho0, rho1, obs) -> ConcatComparison:
     entrywise stage. Both have the same mean; the concatenation pays a d^2
     factor on the second moment."""
     o = _check_hermitian_obs(obs)
-    r0, r1 = asarray(rho0, square=True), asarray(rho1, square=True)
+    r0, r1 = _mat(rho0), _mat(rho1)
     d = r0.shape[0]
     tau = r0 * r1.T
     o2 = o @ o

@@ -24,6 +24,7 @@ from .tensor import (
     Register,
     RegisterLayout,
     _require,
+    dense,
     matrix_from_json,
     matrix_to_json,
     vector_from_json,
@@ -128,11 +129,16 @@ def state_from_json(obj, field_path: str = "state",
 
 
 def measurement_to_json(meas: MeasurementOperator) -> dict:
+    """M as a dense matrix with its kind. A dense M writes the parts it
+    holds; a non-normal structured M, which holds none, writes its
+    normal_parts() as dense matrices."""
     out = {"matrix": matrix_to_json(meas.matrix), "kind": meas.kind}
-    if meas.decomposition is not None:
+    structured = not isinstance(meas.operator, np.ndarray)
+    parts = meas.normal_parts() if structured and meas.kind == "nonnormal" else meas.parts
+    if parts is not None:
         out["decomposition"] = [
-            {"coefficient": [float(c.real), float(c.imag)], "part": matrix_to_json(p)}
-            for c, p in meas.decomposition
+            {"coefficient": [float(c.real), float(c.imag)], "part": matrix_to_json(dense(p))}
+            for c, p in parts
         ]
     return out
 
@@ -377,13 +383,13 @@ def detect_kind(obj: dict) -> str:
 
 
 _LOADERS = {
-    "experiment": lambda o: experiment_spec_from_json(o),
-    "task": lambda o: task_from_json(o, "task"),
-    "instrument": lambda o: instrument_from_json(o, "instrument"),
-    "layout": lambda o: layout_from_json(o, "layout"),
-    "state": lambda o: state_from_json(o, "state"),
-    "polynomial": lambda o: polyspec_from_json(o, "polynomial"),
-    "combination": lambda o: lcs_from_json(o, "combination"),
+    "experiment": experiment_spec_from_json,
+    "task": task_from_json,
+    "instrument": instrument_from_json,
+    "layout": layout_from_json,
+    "state": state_from_json,
+    "polynomial": polyspec_from_json,
+    "combination": lcs_from_json,
     "array": lambda o: (matrix_from_json(o, "array") if len(o.get("dims", [])) == 2
                         else vector_from_json(o, "array")),
 }

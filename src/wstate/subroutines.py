@@ -29,7 +29,7 @@ from .instrument import (
     MeasurementOperator,
     QuantumInstrument,
     QuantumState,
-    WeightedState,
+    _mat,
 )
 from .tensor import (
     _PAULIS,
@@ -50,15 +50,6 @@ ORTHOGONALITY_TOL = 1e-6
 GATES_QHP = 1
 GATES_GQT = 3
 GATES_LINCOMBO = 18
-
-
-def _mat(x) -> np.ndarray:
-    if isinstance(x, (QuantumState, WeightedState)):
-        return x.matrix
-    a = asarray(x)
-    if a.ndim == 1:
-        return np.outer(a, a.conj())
-    return asarray(a, square=True)
 
 
 def _check_same_dim(a: np.ndarray, b: np.ndarray):
@@ -242,8 +233,7 @@ def build_teleport_instrument(n: int, maps) -> QuantumInstrument:
 
     The measurement has rank at most len(maps) and is held as a
     LowRankOperator u v^dag with column m of u equal to vec(J_m) and of v to
-    conj(vec(K_m^T))/d; putting the whole 1/d on v, a power of two, keeps the
-    dense form bit for bit the sum of outer products it replaces.
+    conj(vec(K_m^T))/d.
     """
     if n < 1:
         raise ValidationError("qubit count must be >= 1")

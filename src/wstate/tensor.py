@@ -375,12 +375,14 @@ class LowRankOperator:
         return q, (qh @ self.u) @ (qh @ self.v).conj().T
 
     def dense(self) -> np.ndarray:
-        # summed column by column, not as one GEMM, so that the result is bit
-        # for bit the sum of outer products sum_k u_k v_k^dag in that order
-        out = np.zeros(self.shape, dtype=np.complex128)
-        for a, b in zip(self.u.T, self.v.T):
-            out += np.outer(a, b.conj())
-        return out
+        return self.u @ self.v.conj().T
+
+
+def dense(op) -> np.ndarray:
+    """The d x d array of an operator held in any form: an ndarray as it is,
+    a structured form built out. Code outside this module turns a form into
+    an array only through here."""
+    return op if isinstance(op, np.ndarray) else op.dense()
 
 
 def spectral_groups(op):
@@ -408,8 +410,7 @@ def spectral_groups(op):
         basis = q @ w
         zero = np.abs(values) <= DEGENERACY_TOL * np.abs(values).max()
     else:
-        dense = op.dense() if isinstance(op, PermutationUnitary) else op
-        values, basis, labels = eigenbasis(dense)
+        values, basis, labels = eigenbasis(dense(op))
         zero = np.zeros(len(values), dtype=bool)
     groups = []
     for g in np.flatnonzero(~zero):

@@ -535,3 +535,20 @@ class TestConcatenate:
         )
         direct = np.trace(qhp(qhp(states[0], states[1]), states[2]) @ obs)
         assert abs(expectation(tau, obs) - direct) < 1e-10
+
+    def test_stage_without_e_registers_keeps_its_scalar_measurement(self, rng):
+        # a 1 x 1 M on no E registers scales the weighted state; the
+        # flattened product M1 (x) M2 keeps that factor
+        scaled = QuantumInstrument(
+            RegisterLayout.of(Register("S", 2, role="S")),
+            ancilla=None,
+            unitary=PermutationUnitary.identity(2),
+            measurement=MeasurementOperator.of(np.array([[2.0]])),
+        )
+        rho = QuantumState.from_density(rand_density(rng, 2))
+        for first, second in ((scaled, build_qhp_instrument(1)), (scaled, scaled)):
+            chained = concatenate(first, second)
+            fresh = [rho] * (len(second.input_labels) - 1)
+            staged = chained.apply_staged(rho, fresh)
+            flat = chained.apply_flattened(rho, fresh)
+            assert np.abs(staged.matrix - flat.matrix).max() < 1e-12

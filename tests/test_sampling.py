@@ -295,6 +295,20 @@ class TestVarianceClosures:
         with pytest.raises(OrthogonalInputs):
             variance_lincombo(0.6, 0.8, 0.7, (e0, e1), np.eye(4), 1)
 
+    def test_closures_accept_states(self, rng):
+        # every operand a QuantumState gives the value of its matrix
+        r0, r1 = rand_density(rng, 2), rand_density(rng, 2)
+        s0, s1 = QuantumState.from_density(r0), QuantumState.from_density(r1)
+        m = np.diag([1.0, -0.5]).astype(complex)
+        obs = rand_hermitian(rng, 2)
+        assert variance_qhp(s0, obs, 3) == variance_qhp(r0, obs, 3)
+        assert variance_gqt(s0, s1, obs, 3) == variance_gqt(r0, r1, obs, 3)
+        assert variance_qsp(s0, m, s0, s1, obs, 3) == variance_qsp(r0, m, r0, r1, obs, 3)
+        assert compare_concat_vs_direct(s0, s1, obs) == compare_concat_vs_direct(r0, r1, obs)
+        # a bare vector is the projector onto it
+        v = rand_state(rng, 2)
+        assert abs(expectation(v, obs) - np.vdot(v, obs @ v)) < 1e-12
+
     def test_bounds_chain(self, rng):
         inst = build_qhp_instrument(1)
         inputs = [

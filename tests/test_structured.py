@@ -169,7 +169,24 @@ def test_structured_nonnormal_split_matches_dense(rng):
     inst = build_teleport_instrument(2, MAPS["one-random"](rng, 4))
     dense = MeasurementOperator.of(inst.measurement.matrix)
     for (c, n), (c0, n0) in zip(inst.measurement.normal_parts(), dense.normal_parts()):
-        assert c == c0 and np.array_equal(n, n0)
+        assert isinstance(n, LowRankOperator)
+        assert c == c0 and np.abs(n.dense() - n0).max() <= 1e-12 * np.abs(n0).max()
+
+
+def test_reads_leave_the_measurement_unchanged(rng):
+    # M is held in one form: reading its matrix or its parts writes nothing
+    ops = [
+        np.array([[1.0, 1.0], [0.0, 1.0]]),
+        PermutationUnitary(np.array([0, 2, 1, 3])),
+        build_teleport_instrument(1, MAPS["one-random"](rng, 2)).measurement.operator,
+    ]
+    assert MeasurementOperator.of(ops[2]).kind == "nonnormal"
+    for form in ops:
+        meas = MeasurementOperator.of(form)
+        before = dict(vars(meas))
+        meas.matrix, meas.normal_parts()
+        assert vars(meas).keys() == before.keys()
+        assert all(vars(meas)[k] is v for k, v in before.items())
 
 
 def test_low_rank_factors_are_checked():
