@@ -14,7 +14,7 @@ import sys
 import click
 import numpy as np
 
-from .errors import NumericalPreconditionError, ValidationError
+from .errors import NumericalPreconditionError, SchemaError, ValidationError
 from .experiments import run_experiment
 from .instrument import apply_exact, expectation
 from .lcs import (
@@ -37,7 +37,7 @@ from .serialize import (
     matrix_from_json,
     task_from_json,
 )
-from .tensor import matrix_to_json, spectral_norm
+from .tensor import complex_from_json, matrix_to_json, spectral_norm
 
 
 def _load_spec(path: str) -> dict:
@@ -85,7 +85,8 @@ out_option = click.option("--out", default=None, help="Write the result here ins
 seed_option = click.option("--seed", default=0, show_default=True, help="RNG stream seed.")
 shots_option = click.option("--shots", default=10000, show_default=True, help="Total shot budget.")
 workers_option = click.option("--workers", default=1, show_default=True,
-                              help="Worker threads; results are identical for any count.")
+                              help="Accepted for compatibility (at least 1); sampling runs in "
+                                   "the calling thread, so results are identical for any count.")
 
 
 @click.group()
@@ -187,7 +188,10 @@ def lcs_all_at_once(spec_path, out):
     beta = None
     if "beta" in doc:
         pairs = doc["beta"]
-        beta = np.array([complex(re, im) for re, im in pairs])
+        if not isinstance(pairs, list):
+            raise SchemaError("combination.beta", "must be a list of [re, im] pairs")
+        beta = np.array([complex_from_json(p, f"combination.beta[{i}]")
+                         for i, p in enumerate(pairs)])
     tau = all_at_once_apply(problem, beta)
     payload = {"weighted_state": matrix_to_json(tau.matrix), "trace": _pair(tau.trace)}
     if obs is not None:

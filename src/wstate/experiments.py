@@ -26,7 +26,7 @@ from .sampling import (
     variance_postprocessing,
 )
 from .subroutines import power_state
-from .tensor import _pauli_string, spectral_norm
+from .tensor import _pauli_string, is_json_number, spectral_norm
 
 
 @dataclass
@@ -115,15 +115,37 @@ def overlap_pair(dim: int, r: float, seed: int) -> tuple[np.ndarray, np.ndarray]
     return u, psi1
 
 
+def _int_param(params: dict, name: str, default: int, low: int) -> int:
+    v = params.get(name, default)
+    if not isinstance(v, (int, np.integer)) or isinstance(v, bool) or v < low:
+        raise InvalidGrid(f"{name} must be an integer >= {low}, got {v!r}")
+    return v
+
+
+def _number(v, name: str) -> float:
+    if not is_json_number(v):
+        raise InvalidGrid(f"{name} must be a finite number, got {v!r}")
+    return float(v)
+
+
 def _grid(values, name: str, low: float, high: float, closed_high=True) -> list:
-    vals = [float(v) for v in values]
-    if not vals:
-        raise InvalidGrid(f"{name} grid is empty")
+    if not isinstance(values, (list, tuple)) or not values:
+        raise InvalidGrid(f"{name} grid must be a non-empty list of numbers")
+    vals = [_number(v, name) for v in values]
     for v in vals:
         ok = low < v <= high if closed_high else low < v < high
         if not ok:
             raise InvalidGrid(f"{name}={v} outside ({low}, {high}{']' if closed_high else ')'}")
     return vals
+
+
+def _families(params: dict) -> list:
+    families = params.get("families", sorted(FAMILY_FORMULAS))
+    if not isinstance(families, (list, tuple)) or not all(
+        isinstance(f, str) and f in FAMILY_FORMULAS for f in families
+    ):
+        raise InvalidGrid(f"families must be a list of names from {sorted(FAMILY_FORMULAS)}")
+    return list(families)
 
 
 # ---------------------------------------------------------------------------
@@ -137,12 +159,10 @@ def power_error(params: dict, seed: int, workers: int = 1) -> ResultTable:
     sqrt((1-q)/(q s)) of the reweighted projector estimate at q =
     |psi^k_0|^2 / tr; sampled_rel_error is one Monte Carlo draw.
     """
-    n = int(params.get("n", 6))
-    kmax = int(params.get("kmax", 6))
-    shots = int(params.get("shots", 1000))
-    families = list(params.get("families", sorted(FAMILY_FORMULAS)))
-    if kmax < 1 or shots < 2 or n < 1:
-        raise InvalidGrid("need kmax >= 1, shots >= 2, n >= 1")
+    n = _int_param(params, "n", 6, 1)
+    kmax = _int_param(params, "kmax", 6, 1)
+    shots = _int_param(params, "shots", 1000, 2)
+    families = _families(params)
     table = ResultTable(
         "power-error",
         ("family", "k", "trace", "exact", "std_dev", "bound", "estimate",
@@ -196,8 +216,8 @@ def lincombo_variance(params: dict, seed: int, workers: int = 1) -> ResultTable:
     """Exact pair-combination variance and its overlap-independent bound as
     functions of the ancilla weight beta0^2, for several overlaps and
     coefficient splits."""
-    n = int(params.get("n", 6))
-    shots = int(params.get("shots", 100))
+    n = _int_param(params, "n", 6, 1)
+    shots = _int_param(params, "shots", 100, 1)
     r_values = _grid(params.get("r_values", [0.067, 0.58, 0.95]), "r", 0.0, 1.0)
     alpha0_values = _grid(params.get("alpha0_values", [0.25, 0.5, 0.95]),
                           "alpha0", 0.0, 1.0, closed_high=False)
@@ -235,9 +255,9 @@ def lincombo_variance(params: dict, seed: int, workers: int = 1) -> ResultTable:
 def method_comparison(params: dict, seed: int, workers: int = 1) -> ResultTable:
     """Pair combination through one reweighting instrument versus term-by-term
     estimation, for a multi-term observable, as the overlap varies."""
-    n = int(params.get("n", 4))
-    shots = int(params.get("shots", 100))
-    alpha0 = float(params.get("alpha0", 0.6))
+    n = _int_param(params, "n", 4, 1)
+    shots = _int_param(params, "shots", 100, 1)
+    alpha0 = _number(params.get("alpha0", 0.6), "alpha0")
     r_grid = _grid(params.get("r_grid", [round(0.1 * i, 1) for i in range(1, 10)]),
                    "r", 0.0, 1.0)
     if not 0.0 < alpha0 < 1.0:
@@ -278,11 +298,9 @@ def method_comparison(params: dict, seed: int, workers: int = 1) -> ResultTable:
 def qhp_vs_gqt(params: dict, seed: int, workers: int = 1) -> ResultTable:
     """Per-shot variance of the iterated entrywise product against the
     transpose-coupling route for state powers."""
-    n = int(params.get("n", 4))
-    kmax = int(params.get("kmax", 6))
-    families = list(params.get("families", sorted(FAMILY_FORMULAS)))
-    if kmax < 1 or n < 1:
-        raise InvalidGrid("need kmax >= 1 and n >= 1")
+    n = _int_param(params, "n", 4, 1)
+    kmax = _int_param(params, "kmax", 6, 1)
+    families = _families(params)
     obs = _pauli_string("Z" * n)
     table = ResultTable(
         "qhp-vs-gqt",
@@ -321,7 +339,7 @@ def run_experiment(spec: dict, workers: int = 1) -> ResultTable:
         raise UnknownExperiment(
             f"unknown experiment {name!r}; available: {sorted(EXPERIMENTS)}"
         )
-    seed = int(spec.get("seed", 0))
+    seed = _int_param(spec, "seed", 0, 0)
     params = spec.get("params", {})
     if not isinstance(params, dict):
         raise ValidationError("params must be a mapping")

@@ -16,7 +16,7 @@ from __future__ import annotations
 
 import itertools
 import math
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 
 import numpy as np
 
@@ -60,13 +60,14 @@ class LcsProblem:
     """L+1 normalized states with combination coefficients alpha.
 
     unitaries, when present, prepare the states from |0>; otherwise
-    preparation circuits are synthesized as Householder reflections.
+    preparation circuits are synthesized as Householder reflections. gram
+    holds the overlaps <phi_i|phi_j>, computed from the states.
     """
 
     states: tuple
     alphas: tuple
     unitaries: tuple | None = None
-    gram: np.ndarray = None
+    gram: np.ndarray = field(init=False)
 
     def __post_init__(self):
         states = tuple(asarray(s) for s in self.states)
@@ -97,10 +98,6 @@ class LcsProblem:
         for i, si in enumerate(states):
             for j, sj in enumerate(states):
                 gram[i, j] = np.vdot(si, sj)
-        if self.gram is not None:
-            given = asarray(self.gram, square=True)
-            if given.shape != gram.shape or float(np.abs(given - gram).max()) > 1e-8:
-                raise ValidationError("supplied gram matrix disagrees with the states")
         if float(np.linalg.eigvalsh((gram + gram.conj().T) / 2).min()) < -GRAM_PSD_TOL:
             raise ValidationError("gram matrix is not positive semidefinite")
         object.__setattr__(self, "states", states)

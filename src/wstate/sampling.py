@@ -10,7 +10,6 @@ only on (seed, shots), never on scheduling or worker count.
 from __future__ import annotations
 
 import math
-from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass
 
 import numpy as np
@@ -64,7 +63,10 @@ def sample_counts(
 
     Block b uses the Philox stream spawned at (*stream_key, b) from the seed,
     and the counts are summed over blocks, so the result is a function of
-    (seed, shots, stream_key) alone; workers only adds thread parallelism.
+    (seed, shots, stream_key) alone. Blocks run in the calling thread:
+    generator setup and the multinomial draw hold the GIL, so threads would
+    not overlap them. workers is accepted and checked to be at least 1, and
+    changes nothing.
     """
     p = np.asarray(probs, dtype=float)
     if p.ndim != 1 or p.size == 0:
@@ -80,22 +82,10 @@ def sample_counts(
     if workers < 1:
         raise ValidationError("workers must be >= 1")
     n_blocks = max(1, math.ceil(shots / BLOCK_SHOTS))
-    sizes = [
-        min(BLOCK_SHOTS, shots - b * BLOCK_SHOTS) for b in range(n_blocks)
+    parts = [
+        _block_counts(p, seed, stream_key, b, min(BLOCK_SHOTS, shots - b * BLOCK_SHOTS))
+        for b in range(n_blocks)
     ]
-    if workers == 1 or n_blocks == 1:
-        parts = [
-            _block_counts(p, seed, stream_key, b, sz)
-            for b, sz in enumerate(sizes)
-        ]
-    else:
-        with ThreadPoolExecutor(max_workers=workers) as pool:
-            parts = list(
-                pool.map(
-                    lambda bs: _block_counts(p, seed, stream_key, bs[0], bs[1]),
-                    enumerate(sizes),
-                )
-            )
     return np.sum(parts, axis=0, dtype=np.int64)
 
 

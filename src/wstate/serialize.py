@@ -24,7 +24,9 @@ from .tensor import (
     Register,
     RegisterLayout,
     _require,
+    complex_from_json,
     dense,
+    is_json_number,
     matrix_from_json,
     matrix_to_json,
     vector_from_json,
@@ -159,12 +161,9 @@ def measurement_from_json(obj, field_path: str = "measurement") -> MeasurementOp
         for i, ej in enumerate(dj):
             loc = f"{field_path}.decomposition[{i}]"
             ej = _require_dict(ej, loc)
-            pair = ej.get("coefficient")
-            _require(isinstance(pair, list) and len(pair) == 2, f"{loc}.coefficient",
-                     "expected [re, im]")
+            coefficient = complex_from_json(ej.get("coefficient"), f"{loc}.coefficient")
             _require("part" in ej, f"{loc}.part", "required")
-            parts.append((complex(pair[0], pair[1]),
-                          matrix_from_json(ej["part"], f"{loc}.part")))
+            parts.append((coefficient, matrix_from_json(ej["part"], f"{loc}.part")))
         decomposition = tuple(parts)
     try:
         return MeasurementOperator(m, kind, decomposition)
@@ -289,8 +288,8 @@ def polyspec_from_json(obj, field_path: str = "polynomial") -> PolySpec:
         k, l = ej.get("k"), ej.get("l")
         _require(isinstance(k, int) and isinstance(l, int), loc, "k and l must be integers")
         re, im = ej.get("re", 0.0), ej.get("im", 0.0)
-        _require(isinstance(re, (int, float)) and isinstance(im, (int, float)),
-                 loc, "re and im must be numbers")
+        _require(is_json_number(re) and is_json_number(im), loc,
+                 "re and im must be finite numbers")
         _require((k, l) not in terms, loc, f"duplicate term ({k},{l})")
         terms[(k, l)] = complex(re, im)
     try:
@@ -320,11 +319,7 @@ def lcs_from_json(obj, field_path: str = "combination") -> LcsProblem:
     aj = obj.get("alphas")
     _require(isinstance(aj, list) and len(aj) == len(sj), f"{field_path}.alphas",
              "must be one [re, im] pair per state")
-    alphas = []
-    for i, pair in enumerate(aj):
-        _require(isinstance(pair, list) and len(pair) == 2, f"{field_path}.alphas[{i}]",
-                 "expected [re, im]")
-        alphas.append(complex(pair[0], pair[1]))
+    alphas = [complex_from_json(pair, f"{field_path}.alphas[{i}]") for i, pair in enumerate(aj)]
     as_unitary = [isinstance(e, dict) and "unitary" in e for e in sj]
     _require(all(as_unitary) or not any(as_unitary), f"{field_path}.states",
              "states must be all vectors or all preparation unitaries")

@@ -32,7 +32,6 @@ from .instrument import (
     _mat,
 )
 from .tensor import (
-    _PAULIS,
     LowRankOperator,
     PermutationUnitary,
     Register,
@@ -583,12 +582,6 @@ def polynomial_pipeline(psi, spec: PolySpec) -> tuple[np.ndarray, PolynomialPipe
 # 1-qubit sigma and normal M
 
 
-def pauli_coeffs(m) -> np.ndarray:
-    """(z_I, z_X, z_Y, z_Z) with m = sum z_P P."""
-    a = asarray(m, square=True)
-    return np.array([np.trace(a @ p) / 2.0 for p in _PAULIS.values()])
-
-
 @dataclass(frozen=True)
 class SolverSolution:
     theta: float
@@ -604,22 +597,9 @@ class SolveResult:
     detail: str
 
 
-def _sigma_of_theta(theta: float) -> np.ndarray:
-    return 0.5 * (
-        _PAULIS["I"] + math.sin(theta) * _PAULIS["X"] + math.cos(theta) * _PAULIS["Z"]
-    )
-
-
-def _pauli_combo(a: float, b: float, c: float, v: np.ndarray) -> np.ndarray:
-    return (a + 1j * b) * _PAULIS["I"] + (1.0 + 1j * c) * (
-        v[0] * _PAULIS["X"] + v[1] * _PAULIS["Y"] + v[2] * _PAULIS["Z"]
-    )
-
-
 def _verify_solution(alpha: np.ndarray, sol: SolverSolution, gamma: np.ndarray):
     recon = sol.sigma * sol.m.T * gamma
-    scale = max(1.0, float(np.abs(alpha).max()))
-    if float(np.abs(recon - alpha).max()) > 1e-8 * scale:
+    if float(np.abs(recon - alpha).max()) > 1e-8 * float(np.abs(alpha).max()):
         raise ConsistencyError("solver produced an inaccurate (sigma, M) pair")
     if classify(sol.m) == "nonnormal":
         raise ConsistencyError("solver produced a non-normal M")
@@ -629,13 +609,21 @@ def solve_qsp_realizable(alpha, gamma=None) -> SolveResult:
     """Classify a 2x2 coefficient matrix by whether a single instrument with a
     pure one-qubit ancilla and a normal measurement realizes it.
 
-    Cases: 'diagonal' (free ancilla phase, canonical theta = pi/2);
-    'case1' (alpha is a global phase times a Hermitian matrix: an infinite
-    family, returned at the canonical theta = pi/2); 'case2' (generic: exactly
-    two ancilla states, theta = +/- arccos R); or not-realizable. The ancilla
-    is parameterized as sigma = (I + sin(theta) X + cos(theta) Z)/2; a free
-    overall phase on the off-diagonals is absorbed into M by conjugation with
-    a diagonal phase unitary, so sigma can be taken real.
+    Closed form: with A = alpha / gamma entrywise, M = (A / sigma)^T. The
+    ancilla sigma = (I + sin(theta) X + cos(theta) Z)/2 can be taken real (a
+    phase on its off-diagonals cancels out of normality), and the 2x2 M is
+    then normal iff |A_01| = |A_10| and p / sigma_00 = q / sigma_11, where
+    u = exp(-i (arg A_01 + arg A_10) / 2), p = Im(u A_00), q = Im(u A_11).
+
+    Cases: 'diagonal' (A_01 = A_10 = 0: sigma free, canonical theta = pi/2);
+    'case1' (p = q = 0: alpha is a global phase times a Hermitian matrix, an
+    infinite family returned at theta = pi/2); 'case2' (p q > 0: exactly two
+    ancilla states, sigma_00 = |p| / (|p| + |q|), theta = +/- 2 atan2(
+    sqrt(sigma_11), sqrt(sigma_00)), which is +/- arccos((p - q)/(p + q))
+    without its cancellation near 0 and pi); or 'not-realizable'. Every
+    tolerance is relative to max|A|. Within tolerance, M is built from u^* times
+    the Hermitian part of u A plus i diag(p, q) (with p = q = 0 in case1), so
+    it is normal to working precision.
     """
     a = asarray(alpha, square=True)
     if a.shape != (2, 2):
@@ -643,85 +631,44 @@ def solve_qsp_realizable(alpha, gamma=None) -> SolveResult:
     g = gamma_in() if gamma is None else asarray(gamma, square=True)
     if float(np.abs(g).min()) < 1e-12:
         raise ValidationError("gamma has a vanishing entry")
-    a_eff = a / g  # solve sigma (.) M^T = alpha / gamma entrywise
-    scale = max(1.0, float(np.abs(a_eff).max()))
+    a_eff = a / g
+    scale = float(np.abs(a_eff).max())
     tol = 1e-9 * scale
+    r01, r10 = abs(a_eff[0, 1]), abs(a_eff[1, 0])
+    u = np.exp(-0.5j * (np.angle(a_eff[0, 1]) + np.angle(a_eff[1, 0])))
+    b = u * a_eff
+    p, q = b[0, 0].imag, b[1, 1].imag
 
-    # diagonal alpha: sigma free, M diagonal
-    if abs(a_eff[0, 1]) <= 1e-12 * scale and abs(a_eff[1, 0]) <= 1e-12 * scale:
-        m = np.diag([2.0 * a_eff[0, 0], 2.0 * a_eff[1, 1]]).astype(np.complex128)
-        sol = SolverSolution(math.pi / 2.0, _sigma_of_theta(math.pi / 2.0), m)
-        _verify_solution(a, sol, g)
-        return SolveResult(
-            True, "diagonal", (sol,),
-            "ancilla free (any theta with nonzero diagonal); theta=pi/2 shown",
-        )
-
-    if abs(abs(a_eff[0, 1]) - abs(a_eff[1, 0])) > tol:
+    theta, signs, s00, s11 = math.pi / 2.0, (1.0,), 0.5, 0.5
+    if r01 <= 1e-12 * scale and r10 <= 1e-12 * scale:
+        case = "diagonal"
+        detail = "ancilla free (any theta with nonzero diagonal); theta=pi/2 shown"
+    elif abs(r01 - r10) > tol:
         return SolveResult(
             False, "not-realizable", (),
             "|alpha_01| != |alpha_10|: normal M forces equal magnitudes",
         )
-
-    z = pauli_coeffs(a_eff)
-
-    # case 1: all Pauli coefficients share one complex phase
-    w = z[np.argmax(np.abs(z))]
-    w_hat = w / abs(w)
-    if float(np.abs(np.imag(z * np.conj(w_hat))).max()) <= tol:
-        rotated = abs(w_hat.real) < abs(w_hat.imag)
-        zz = z * (-1j) if rotated else z
-        h, s = zz.real, zz.imag
-        k = (s[np.argmax(np.abs(h))]) / (h[np.argmax(np.abs(h))])
-        aa = 2.0 * h[0]
-        m = _pauli_combo(aa, k * aa, k, np.array([2 * h[1], -2 * h[2], 2 * h[3]]))
-        if rotated:
-            m = 1j * m
-        sol = SolverSolution(math.pi / 2.0, _sigma_of_theta(math.pi / 2.0), m)
-        _verify_solution(a, sol, g)
-        return SolveResult(
-            True, "case1", (sol,),
-            "alpha = phase * Hermitian: one-parameter family, theta=pi/2 shown",
-        )
-
-    # case 2: z_X and z_Y must be mutually phase-aligned
-    if abs(np.imag(z[1] * np.conj(z[2]))) > tol * max(1.0, abs(z[1]) * abs(z[2])):
+    elif abs(p) <= tol and abs(q) <= tol:
+        case = "case1"
+        detail = "alpha = phase * Hermitian: one-parameter family, theta=pi/2 shown"
+        p = q = 0.0
+    elif np.sign(p) != np.sign(q):
         return SolveResult(
             False, "not-realizable", (),
-            "off-diagonal Pauli coefficients are not phase-aligned",
+            f"p = {p:.6g} and q = {q:.6g} do not share a sign: no pure ancilla exists",
         )
-    w = z[1] if abs(z[1]) >= abs(z[2]) else z[2]
-    rotated = abs(w.real) < abs(w.imag)
-    zz = z * (-1j) if rotated else z
-    h, s = zz.real, zz.imag
-    hw, sw = (h[1], s[1]) if abs(zz[1]) >= abs(zz[2]) else (h[2], s[2])
-    c = sw / hw
-    den = s[0] - c * h[0]
-    if abs(den) <= 1e-12 * scale:
-        return SolveResult(
-            False, "not-realizable", (),
-            "diagonal constraints are degenerate (R undefined)",
-        )
-    big_r = (s[3] - c * h[3]) / den
-    if not -1.0 < big_r < 1.0:
-        return SolveResult(
-            False, "not-realizable", (),
-            f"R = {big_r:.6g} outside (-1, 1): no pure ancilla exists",
-        )
+    else:
+        case = "case2"
+        detail = "exactly two pure ancilla states (theta = +/- arccos((p-q)/(p+q)))"
+        s00, s11 = abs(p) / (abs(p) + abs(q)), abs(q) / (abs(p) + abs(q))
+        theta, signs = 2.0 * math.atan2(math.sqrt(s11), math.sqrt(s00)), (1.0, -1.0)
+
+    a_hat = np.conj(u) * ((b + b.conj().T) / 2.0 + 1j * np.diag([p, q]))
     sols = []
-    for theta in (math.acos(big_r), -math.acos(big_r)):
-        ct, st = math.cos(theta), math.sin(theta)
-        design = np.array(
-            [[1, 0, ct], [0, 1, c * ct], [ct, 0, 1], [0, ct, c]], dtype=float
-        )
-        y = np.array([2 * h[0], 2 * s[0], 2 * h[3], 2 * s[3]])
-        (aa, bb, vz), *_ = np.linalg.lstsq(design, y, rcond=None)
-        m = _pauli_combo(aa, bb, c, np.array([2 * h[1] / st, -2 * h[2] / st, vz]))
-        # bb is determined as k*aa analogue through the system; c fixed above
-        m = m if not rotated else 1j * m
-        sol = SolverSolution(theta, _sigma_of_theta(theta), m)
+    for sign in signs:
+        s01 = sign * math.sqrt(s00 * s11)
+        sigma = np.array([[s00, s01], [s01, s11]], dtype=np.complex128)
+        sol = SolverSolution(sign * theta, sigma, (a_hat / sigma).T)
         _verify_solution(a, sol, g)
         sols.append(sol)
-    return SolveResult(
-        True, "case2", tuple(sols), "exactly two pure ancilla states (theta = +/- arccos R)"
-    )
+    return SolveResult(True, case, tuple(sols), detail)

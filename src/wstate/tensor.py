@@ -13,6 +13,7 @@ most significant index bits. All functions here are pure.
 from __future__ import annotations
 
 import math
+import sys
 from dataclasses import dataclass
 from typing import Iterable, Sequence
 
@@ -79,16 +80,6 @@ class RegisterLayout:
 
     @staticmethod
     def of(*regs: Register) -> "RegisterLayout":
-        return RegisterLayout(tuple(regs))
-
-    @staticmethod
-    def qubits(spec: Iterable[tuple[str, int]]) -> "RegisterLayout":
-        """Build from (label, qubit count) pairs."""
-        regs = []
-        for label, n in spec:
-            if n < 1:
-                raise ValidationError(f"register {label!r}: qubit count must be >= 1")
-            regs.append(Register(label, 2**n))
         return RegisterLayout(tuple(regs))
 
     @property
@@ -300,8 +291,8 @@ class PermutationUnitary:
     def __post_init__(self):
         p = np.asarray(self.perm, dtype=np.intp)
         object.__setattr__(self, "perm", p)
-        # bijectivity check; counts are cheaper than sorting
-        if np.bincount(p, minlength=p.size).max(initial=0) != 1:
+        # bijectivity check on indices in range; counts are cheaper than sorting
+        if p.size == 0 or p.min() < 0 or p.max() >= p.size or np.bincount(p).max() != 1:
             raise NotUnitary("index map is not a permutation")
 
     @property
@@ -316,11 +307,6 @@ class PermutationUnitary:
         out = np.empty_like(psi)
         out[self.perm] = psi
         return out
-
-    def inverse(self) -> "PermutationUnitary":
-        inv = np.empty_like(self.perm)
-        inv[self.perm] = np.arange(self.dim)
-        return PermutationUnitary(inv)
 
     def __matmul__(self, other: "PermutationUnitary") -> "PermutationUnitary":
         # matrix semantics: other acts first
@@ -542,25 +528,28 @@ def vector_to_json(v) -> dict:
     return {"dims": [int(a.shape[0])], "data": [[float(x.real), float(x.imag)] for x in a]}
 
 
+def is_json_number(x) -> bool:
+    """A JSON number that is a finite float: not a boolean, NaN, Inf, or an
+    integer too large for a float."""
+    return isinstance(x, (int, float)) and not isinstance(x, bool) and abs(x) <= sys.float_info.max
+
+
+def complex_from_json(pair, field_path: str) -> complex:
+    """One [re, im] pair of finite numbers; SchemaError naming field_path
+    otherwise."""
+    _require(isinstance(pair, (list, tuple)) and len(pair) == 2, field_path, "expected [re, im]")
+    _require(is_json_number(pair[0]), field_path, "re must be a finite number")
+    _require(is_json_number(pair[1]), field_path, "im must be a finite number")
+    return complex(pair[0], pair[1])
+
+
 def _entries_from_json(obj, field_path: str, count: int) -> np.ndarray:
     data = obj.get("data")
     _require(isinstance(data, list), f"{field_path}.data", "must be a list")
     _require(len(data) == count, f"{field_path}.data", f"expected {count} entries, got {len(data)}")
     out = np.empty(count, dtype=np.complex128)
     for i, pair in enumerate(data):
-        loc = f"{field_path}.data[{i}]"
-        _require(
-            isinstance(pair, (list, tuple)) and len(pair) == 2, loc, "expected [re, im]"
-        )
-        re, im = pair
-        _require(
-            isinstance(re, (int, float)) and not isinstance(re, bool), loc, "re must be a number"
-        )
-        _require(
-            isinstance(im, (int, float)) and not isinstance(im, bool), loc, "im must be a number"
-        )
-        _require(math.isfinite(re) and math.isfinite(im), loc, "NaN/Inf rejected")
-        out[i] = complex(re, im)
+        out[i] = complex_from_json(pair, f"{field_path}.data[{i}]")
     return out
 
 

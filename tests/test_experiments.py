@@ -104,6 +104,14 @@ class TestDispatch:
         with pytest.raises(InvalidGrid):
             run_experiment({"experiment": "lincombo-variance", "params": {"r_values": [1.2]}})
 
+    def test_params_are_typed(self):
+        # int() used to truncate 2.5 to 2; "sin" used to be read as ["s", "i", "n"]
+        for params in ({"n": 2.5}, {"kmax": "3"}, {"shots": True}, {"families": "sin"}):
+            with pytest.raises(InvalidGrid):
+                run_experiment({"experiment": "power-error", "params": params})
+        with pytest.raises(InvalidGrid):
+            run_experiment({"experiment": "lincombo-variance", "seed": -1})
+
 
 class TestPowerError:
     def test_sin_family_trends(self):

@@ -316,6 +316,100 @@ class TestCli:
         assert io_roundtrip(str(path)) == {"kind": "instrument", "stable": True}
 
 
+MALFORMED_CORPUS = {
+    "task": (
+        {
+            "instrument": {
+                "layout": {"registers": [{"label": "S", "qubits": 1, "role": "S"},
+                                         {"label": "E", "qubits": 1, "role": "E"}]},
+                "unitary": {"permutation": [0, 1, 3, 2]},
+                "measurement": {
+                    "matrix": {"dims": [2, 2], "data": [[1, 0], [0, 0], [0, 0], [0, 0]]},
+                    "kind": "hermitian",
+                    "decomposition": [{"coefficient": [1, 0], "part": {
+                        "dims": [2, 2], "data": [[1, 0], [0, 0], [0, 0], [0, 0]]}}],
+                },
+            },
+            "inputs": [
+                {"kind": "density", "matrix": {"dims": [2, 2],
+                                               "data": [[0.7, 0], [0.2, 0], [0.2, 0], [0.3, 0]]}},
+                {"kind": "pure", "vector": {"dims": [2], "data": [[0.6, 0], [0.8, 0]]}},
+            ],
+            "observable": {"dims": [2, 2], "data": [[1, 0], [0, 0], [0, 0], [-1, 0]]},
+        },
+        [["estimate", "--shots", "50"], ["variance"], ["bound"], ["validate"]],
+    ),
+    "combination": (
+        {
+            "states": [{"dims": [2], "data": [[1, 0], [0, 0]]},
+                       {"dims": [2], "data": [[0.7071067811865475, 0], [0.7071067811865475, 0]]}],
+            "alphas": [[0.6, 0], [0.8, 0]],
+            "observable": {"dims": [2, 2], "data": [[1, 0], [0, 0], [0, 0], [-1, 0]]},
+            "beta": [[0.6, 0], [0.8, 0]],
+            "processing": {"dims": [2, 2], "data": [[1, 0], [0, 0], [0, 0], [1, 0]]},
+        },
+        [["lcs", "all-at-once"], ["lcs", "incoherent", "--shots", "50"], ["lcs", "lcu"],
+         ["validate"]],
+    ),
+    "power-error": (
+        {"experiment": "power-error", "seed": 1,
+         "params": {"n": 2, "kmax": 2, "shots": 10, "families": ["sin", "flat"]}},
+        [["experiment"], ["validate"]],
+    ),
+    "lincombo-variance": (
+        {"experiment": "lincombo-variance", "seed": 1,
+         "params": {"n": 1, "shots": 10, "r_values": [0.5], "alpha0_values": [0.5],
+                    "beta_grid": [0.5]}},
+        [["experiment"], ["validate"]],
+    ),
+    "polynomial": (
+        {"terms": [{"k": 1, "l": 0, "re": 1.0, "im": 0.0},
+                   {"k": 2, "l": 1, "re": 0.5, "im": -0.5}]},
+        [["validate"]],
+    ),
+}
+WRONG_VALUES = ("x", True, None, 1.5, -3, [], {}, ["x", 0], math.nan)
+
+
+def _field_paths(doc, prefix=()):
+    """Every key of every object and the first entry of every list."""
+    items = doc.items() if isinstance(doc, dict) else [(0, doc[0])] if doc else []
+    for key, value in items:
+        yield prefix + (key,)
+        if isinstance(value, (dict, list)):
+            yield from _field_paths(value, prefix + (key,))
+
+
+def _with_value(doc, path, value):
+    out = json.loads(json.dumps(doc))
+    node = out
+    for key in path[:-1]:
+        node = node[key]
+    node[path[-1]] = value
+    return out
+
+
+def test_malformed_documents_exit_0_2_or_3(runner, tmp_path):
+    """Each field of each document, replaced by each wrong-typed value, makes
+    every verb that reads the document succeed or fail with a typed error:
+    exit code 0, 2 or 3, never 1 with a traceback."""
+    spec = tmp_path / "doc.json"
+    crashed = []
+    for name, (doc, calls) in MALFORMED_CORPUS.items():
+        for path in _field_paths(doc):
+            for value in WRONG_VALUES:
+                spec.write_text(json.dumps(_with_value(doc, path, value)))
+                for argv in calls:
+                    res = runner.invoke(main, [*argv, "--spec", str(spec)])
+                    if res.exit_code not in (0, 2, 3):
+                        field = ".".join(map(str, path))
+                        crashed.append(f"{name}.{field}={value!r} {' '.join(argv)}: "
+                                       f"{type(res.exception).__name__}")
+    assert crashed == []
+    spec.write_text(json.dumps({"terms": [{"k": 1, "l": 0, "re": True, "im": math.nan}]}))
+    assert runner.invoke(main, ["validate", "--spec", str(spec)]).exit_code == 2
+
+
 def test_library_raises_only_typed_errors():
     """No assert statement and no bare AssertionError in library code, so
     every failure reaches the CLI as a WstateError with exit code 2 or 3."""

@@ -32,9 +32,12 @@ from wstate.subroutines import (
     power_state,
     qhp,
     qsp_oracle,
+    solve_qsp_realizable,
     square_case,
     teleport_map,
 )
+
+from wstate.tensor import classify
 
 from conftest import rand_density, rand_state, rand_unitary
 
@@ -303,3 +306,70 @@ class TestPolynomialPipeline:
             PolySpec({(0, 0): 1.0})
         with pytest.raises(ValidationError):
             PolySpec({(1, -1): 1.0})
+
+
+def _normal_2x2(rng) -> np.ndarray:
+    u = rand_unitary(rng, 2)
+    return u @ np.diag(rng.normal(size=2) + 1j * rng.normal(size=2)) @ u.conj().T
+
+
+def _solver_alpha(seed: int, kind: str) -> np.ndarray:
+    """A realizable coefficient matrix: generic (case2), phase * Hermitian
+    (case1) or diagonal."""
+    rng = np.random.default_rng(seed)
+    if kind == "diagonal":
+        return np.diag(rng.normal(size=2) + 1j * rng.normal(size=2))
+    if kind == "case1":
+        h = rng.normal(size=(2, 2)) + 1j * rng.normal(size=(2, 2))
+        return np.exp(1j * rng.uniform(0, 2 * np.pi)) * (h + h.conj().T)
+    theta = rng.uniform(0.1, np.pi - 0.1)
+    sigma = 0.5 * np.array([[1 + np.cos(theta), np.sin(theta)],
+                            [np.sin(theta), 1 - np.cos(theta)]])
+    return alpha_of(sigma, _normal_2x2(rng))
+
+
+class TestRealizabilitySolver:
+    @given(seed=st.integers(0, 2**32 - 1), kind=st.sampled_from(["case2", "case1", "diagonal"]),
+           k=st.integers(-40, 40))
+    @settings(max_examples=60)
+    def test_scale_free(self, seed, kind, k):
+        alpha = _solver_alpha(seed, kind)
+        base = solve_qsp_realizable(alpha)
+        scaled = solve_qsp_realizable(2.0**k * alpha)
+        assert (scaled.case, len(scaled.solutions)) == (base.case, len(base.solutions))
+        assert base.case == kind
+        for got, want in zip(scaled.solutions, base.solutions):
+            assert abs(got.theta - want.theta) <= 1e-12 * abs(want.theta)
+            assert np.abs(got.m - 2.0**k * want.m).max() <= 1e-12 * np.abs(got.m).max()
+
+    @pytest.mark.parametrize("theta", [1e-8, 1e-6, np.pi - 1e-6])
+    def test_ill_conditioned_round_trip(self, theta):
+        rng = np.random.default_rng(17)
+        sigma = np.array([[math.cos(theta / 2) ** 2, math.sin(theta) / 2],
+                          [math.sin(theta) / 2, math.sin(theta / 2) ** 2]])
+        for _ in range(20):
+            alpha = alpha_of(sigma, _normal_2x2(rng))
+            res = solve_qsp_realizable(alpha)
+            assert res.case == "case2" and len(res.solutions) == 2
+            for sol in res.solutions:
+                recon = alpha_of(sol.sigma, sol.m)
+                assert np.abs(recon - alpha).max() <= 1e-12 * np.abs(alpha).max()
+
+    @pytest.mark.parametrize("eps", [1e-10, 5e-10])
+    def test_within_tolerance_gives_normal_m(self, eps):
+        """An alpha within the classification tolerance of case1, with unequal
+        off-diagonal magnitudes or a small anti-Hermitian diagonal, is solved
+        with a normal M that reconstructs it to that tolerance."""
+        rng = np.random.default_rng(29)
+        for _ in range(20):
+            h = rng.normal(size=(2, 2)) + 1j * rng.normal(size=(2, 2))
+            alpha = h + h.conj().T
+            s = np.abs(alpha).max()
+            alpha[0, 1] *= 1 + eps * s / abs(alpha[0, 1])
+            alpha[0, 0] += 1j * eps * s
+            alpha[1, 1] -= 1j * eps * s
+            res = solve_qsp_realizable(alpha)
+            assert res.case == "case1"
+            sol = res.solutions[0]
+            assert np.abs(alpha_of(sol.sigma, sol.m) - alpha).max() <= 2e-9 * s
+            assert classify(sol.m) != "nonnormal"

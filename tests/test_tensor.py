@@ -212,10 +212,10 @@ class TestPermutationUnitary:
         with pytest.raises(NotUnitary):
             PermutationUnitary(np.array([0, 0, 1]))
 
-    @given(st.permutations(list(range(6))))
-    def test_inverse_composition(self, perm):
-        u = PermutationUnitary(np.array(perm))
-        assert np.array_equal((u @ u.inverse()).perm, np.arange(6))
+    @given(st.permutations(list(range(6))), st.permutations(list(range(6))))
+    def test_inverse_composition(self, perm, other):
+        u, v = PermutationUnitary(np.array(perm)), PermutationUnitary(np.array(other))
+        assert np.array_equal((u @ v).dense(), u.dense() @ v.dense())
 
     def test_embed_permutation(self, rng):
         lay = RegisterLayout.of(Register("A", 2), Register("B", 2))
