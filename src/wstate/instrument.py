@@ -480,10 +480,10 @@ def _joint_initial(inst: QuantumInstrument, factors):
 class Evolved:
     """Joint state after U as factor columns, rho_out = K B^dag.
 
-    ket and bra are U K and U B with axes (S, G r, E): the r columns ride
-    along with G and are traced with it, and E comes last, so M contracts
-    it without a transpose. bra is ket when the input's bra was its ket.
-    dims is (d_S, d_E, d_G).
+    ket and bra are U K and U B as C-contiguous (S, G r, E) arrays: the r
+    columns ride along with G and are traced with it, and E comes last, so
+    M contracts it through free reshapes. bra is ket when the input's bra
+    was its ket. dims is (d_S, d_E, d_G).
     """
 
     ket: np.ndarray
@@ -508,7 +508,8 @@ def _evolve_factors(inst: QuantumInstrument, factors) -> Evolved:
 
     def step(x):
         y = u.apply_vector(x) if isinstance(u, PermutationUnitary) else u @ x
-        return y.reshape(lay.dims + (x.shape[1],)).transpose(group).reshape(d_s, -1, d_e)
+        y = y.reshape(lay.dims + (x.shape[1],)).transpose(group)
+        return np.ascontiguousarray(y).reshape(d_s, -1, d_e)
 
     out = step(ket)
     return Evolved(out, out if bra is ket else step(bra), (d_s, d_e, d_g))
@@ -522,21 +523,23 @@ def weighted_output(
     Each form of M gives a from the ket and b from the bra, tau = a b^dag.
     A structured m is contracted without a dense matrix: a permutation
     (M[e',e] = 1 iff e' = perm[e]) gathers the bra along E, and a low-rank
-    u v^dag contracts E with its thin factors.
+    u v^dag contracts E with its thin factors. b is fresh and conjugated in
+    place, so a call allocates about one bra's bytes beyond tau.
     """
     d_s, d_e, _ = ev.dims
     ket, bra = ev.ket.reshape(-1, d_e), ev.bra.reshape(-1, d_e)
     if isinstance(m, PermutationUnitary):
         # tau_st = sum_{x,e} K[s,x,e] conj(B[t,x,perm[e]])
-        a, b = ket, bra[:, m.perm]
+        a, b = ket, np.take(bra, m.perm, axis=1)
     elif isinstance(m, LowRankOperator):
         # tau_st = sum_{x,k} (K conj(v))[s,x,k] conj((B conj(u))[t,x,k])
         a = ket @ m.v.conj()
-        b = a if m.u is m.v and ev.bra is ev.ket else bra @ m.u.conj()
+        b = a.copy() if m.u is m.v and ev.bra is ev.ket else bra @ m.u.conj()
     else:
         # C[t,x,e] = sum_e' B[t,x,e'] conj(M)[e',e]; tau = <K, C> over (x, e)
         a, b = ket, bra @ m.conj()
-    return a.reshape(d_s, -1) @ b.reshape(d_s, -1).conj().T
+    np.conjugate(b, out=b)
+    return a.reshape(d_s, -1) @ b.reshape(d_s, -1).T
 
 
 def projected_outputs(ev: Evolved, groups) -> list[np.ndarray]:

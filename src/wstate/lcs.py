@@ -230,15 +230,11 @@ def build_all_at_once_instrument(
         Register(f"R{k}", d, role="G", source="input") for k in range(1, count)
     )
     layout = RegisterLayout.of(*regs)
-    digits = register_digits(layout)
-    anc = digits[0]
-    out_digits = [anc] + [np.zeros_like(anc) for _ in range(count)]
-    for l in range(count):
-        sel = anc == l
-        for k in range(count):
-            # branch l places input register pi_l(k) at position k
-            out_digits[1 + k][sel] = digits[1 + perms[l][k]][sel]
-    perm = combine_digits(out_digits, layout.dims)
+    anc, *inputs = register_digits(layout)
+    branch = [anc == l for l in range(count)]
+    # branch l places input register pi_l(k) at position k
+    out = [np.select(branch, [inputs[p[k]] for p in perms]) for k in range(count)]
+    perm = combine_digits([anc, *out], layout.dims)
     b = asarray(beta)
     anc_state = QuantumState(layout.sub(("A",)), vector=b)
     return QuantumInstrument(

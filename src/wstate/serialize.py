@@ -65,6 +65,7 @@ def layout_from_json(obj, field_path: str = "layout") -> RegisterLayout:
     _require(isinstance(regs_json, list) and regs_json, f"{field_path}.registers",
              "must be a non-empty list")
     regs = []
+    total = 1
     for i, rj in enumerate(regs_json):
         loc = f"{field_path}.registers[{i}]"
         rj = _require_dict(rj, loc)
@@ -75,10 +76,14 @@ def layout_from_json(obj, field_path: str = "layout") -> RegisterLayout:
         if has_q:
             q = rj["qubits"]
             _require(isinstance(q, int) and q >= 0, f"{loc}.qubits", "must be a non-negative integer")
+            # checked before the power: basis indices are signed 64-bit integers
+            _require(q <= 62, f"{loc}.qubits", "must be at most 62, so that dim < 2**63")
             dim = 2**q
         else:
             dim = rj["dim"]
             _require(isinstance(dim, int) and dim >= 1, f"{loc}.dim", "must be a positive integer")
+        _require(dim <= (2**63 - 1) // total, loc, "the layout dimension must stay below 2**63")
+        total *= dim
         role = rj.get("role")
         _require(role is None or role in ("S", "E", "G"), f"{loc}.role", "must be S, E or G")
         source = rj.get("source", "input")

@@ -140,12 +140,6 @@ def _xor_ladder_perm(layout: RegisterLayout, src: int, dst: int) -> PermutationU
     return PermutationUnitary(combine_digits(digits, layout.dims))
 
 
-def basis_projector(dim: int, index: int = 0) -> np.ndarray:
-    p = np.zeros((dim, dim), dtype=np.complex128)
-    p[index, index] = 1.0
-    return p
-
-
 def build_qhp_instrument(n: int) -> QuantumInstrument:
     """CNOT ladder (i,j) -> (i, i xor j) with all-zero postselection on the
     second register; realizes the entrywise product."""
@@ -160,7 +154,7 @@ def build_qhp_instrument(n: int) -> QuantumInstrument:
         layout,
         ancilla=None,
         unitary=_xor_ladder_perm(layout, src=0, dst=1),
-        measurement=MeasurementOperator.of(basis_projector(d, 0)),
+        measurement=MeasurementOperator.of(np.diag(np.eye(d, dtype=np.complex128)[0])),
     )
 
 
@@ -182,8 +176,7 @@ def build_gqt_instrument(n: int) -> QuantumInstrument:
     anc = QuantumState(
         layout.sub(("E1",)), vector=np.eye(d, dtype=np.complex128)[0].copy()
     )
-    e = np.arange(d * d)
-    swap = PermutationUnitary((e % d) * d + e // d)
+    swap = PermutationUnitary(combine_digits(np.indices((d, d), sparse=True)[::-1], (d, d)))
     return QuantumInstrument(
         layout,
         ancilla=anc,

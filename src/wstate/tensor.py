@@ -422,22 +422,18 @@ def gram(op):
 
 
 def register_digits(layout: RegisterLayout) -> list[np.ndarray]:
-    """digits[r][x] = value of register r in basis state x (mixed radix)."""
-    dims = layout.dims
-    idx = np.arange(layout.total_dim)
-    digits: list[np.ndarray] = [np.empty(0)] * len(dims)
-    rem = idx
-    for r in range(len(dims) - 1, -1, -1):
-        digits[r] = rem % dims[r]
-        rem = rem // dims[r]
-    return digits
+    """digits[r] = value of register r (mixed radix) as a grid of dims[r]
+    entries on axis r and length 1 on every other axis, not a D-length array."""
+    return list(np.indices(layout.dims, sparse=True))
 
 
 def combine_digits(digits: Sequence[np.ndarray], dims: Sequence[int]) -> np.ndarray:
-    out = np.zeros_like(digits[0])
+    """D-length basis index of digits, register_digits grids or arrays made
+    from them, broadcast together; together they must span every register."""
+    out = 0
     for d, dim in zip(digits, dims):
         out = out * dim + d
-    return out
+    return out.reshape(-1)
 
 
 def embed_permutation(
@@ -453,13 +449,15 @@ def embed_permutation(
             f"permutation dim {u.dim} does not match registers {list(labels)}"
         )
     digits = register_digits(layout)
-    sub = combine_digits([digits[p] for p in pos], sub_dims)
-    sub_out = u.perm[sub]
-    new_digits = list(digits)
+    # the index over pos and its image, as grids of u.dim entries (not by
+    # np.unravel_index, which NumPy 2.4 gets wrong on some such grids)
+    sub = 0
+    for p in pos:
+        sub = sub * dims[p] + digits[p]
+    sub = u.perm[sub]
     for p in reversed(pos):
-        new_digits[p] = sub_out % dims[p]
-        sub_out = sub_out // dims[p]
-    return PermutationUnitary(combine_digits(new_digits, dims))
+        sub, digits[p] = np.divmod(sub, dims[p])
+    return PermutationUnitary(combine_digits(digits, dims))
 
 
 def embed_operator(op, labels: Sequence[str], layout: RegisterLayout) -> np.ndarray:

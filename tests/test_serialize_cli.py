@@ -410,6 +410,30 @@ def test_malformed_documents_exit_0_2_or_3(runner, tmp_path):
     assert runner.invoke(main, ["validate", "--spec", str(spec)]).exit_code == 2
 
 
+@pytest.mark.parametrize(
+    "registers",
+    [
+        [{"label": "S", "qubits": 10**400, "role": "S"}],
+        [{"label": "S", "qubits": 2**70, "role": "S"}],
+        [{"label": "S", "dim": 10**400, "role": "S"}],
+        [{"label": "S", "dim": 2**70, "role": "S"}],
+        # each register fits, their product does not
+        [{"label": "S", "qubits": 40, "role": "S"}, {"label": "E", "dim": 2**40, "role": "E"}],
+    ],
+)
+def test_huge_register_sizes_exit_2(runner, tmp_path, registers):
+    """A register size or layout dimension of 2**63 or more is a schema
+    error raised before any power or product of it, so it exits 2 at once."""
+    doc, calls = MALFORMED_CORPUS["task"]
+    doc = _with_value(doc, ("instrument", "layout", "registers"), registers)
+    spec = tmp_path / "doc.json"
+    spec.write_text(json.dumps(doc))
+    for argv in calls:
+        res = runner.invoke(main, [*argv, "--spec", str(spec)])
+        assert res.exit_code == 2, (argv, res.output)
+        assert "2**63" in res.output, res.output
+
+
 def test_library_raises_only_typed_errors():
     """No assert statement and no bare AssertionError in library code, so
     every failure reaches the CLI as a WstateError with exit code 2 or 3."""

@@ -226,6 +226,24 @@ def test_mixed_ancilla_sampling_stays_small(rng):
     assert peak < 16 * 2**20
 
 
+@pytest.mark.parametrize("kind", ["gqt-swap", "qsp-dense"])
+def test_weighted_output_allocates_one_bra(rng, kind):
+    # full-rank density inputs: the GQT n = 4 ket is 4096 x 256 columns
+    # (16.8 MB); QSP n = 3 has a dense 2 x 2 M and a G register
+    if kind == "gqt-swap":
+        inst, d = build_gqt_instrument(4), 16
+    else:
+        inst, d = build_qsp_instrument(rand_density(rng, 2), _complex(rng, 2), 3), 8
+    inputs = [QuantumState.from_density(rand_density(rng, d)) for _ in inst.input_labels]
+    ev = evolve(inst, inputs)
+    assert ev.ket.flags.c_contiguous and ev.bra.flags.c_contiguous
+    m = inst.measurement.operator
+    tau, peak = _traced_peak(lambda: weighted_output(ev, m))
+    assert peak <= 1.25 * ev.ket.nbytes
+    want = apply_exact(inst, inputs).matrix
+    assert np.abs(tau - want).max() <= 1e-12 * np.abs(want).max()
+
+
 @pytest.mark.parametrize("kind", ["gqt", "teleport"])
 def test_n7_exact_path_stays_small(rng, kind):
     # a dense n = 7 measurement would be 16384^2 x 16 B = 4.3 GB

@@ -10,6 +10,14 @@ from wstate.errors import (
     UnknownLabel,
     ValidationError,
 )
+from wstate.lcs import LcsProblem, build_all_at_once_instrument
+from wstate.subroutines import (
+    _xor_ladder_perm,
+    build_gqt_instrument,
+    build_qhp_instrument,
+    build_qsp_instrument,
+    build_teleport_instrument,
+)
 from wstate.tensor import (
     LowRankOperator,
     PermutationUnitary,
@@ -226,8 +234,11 @@ class TestPermutationUnitary:
         assert np.abs(big.apply_vector(psi) - x @ psi).max() < 1e-12
 
     def test_register_digits_roundtrip(self):
+        # each register's digits are a grid over its own axis; together they
+        # combine to every basis index in order
         lay = RegisterLayout.of(Register("A", 2), Register("B", 3), Register("C", 2))
         digits = register_digits(lay)
+        assert [d.shape for d in digits] == [(2, 1, 1), (1, 3, 1), (1, 1, 2)]
         back = combine_digits(digits, lay.dims)
         assert np.array_equal(back, np.arange(12))
 
@@ -265,3 +276,80 @@ class TestArrayJson:
     def test_asarray_square_check(self):
         with pytest.raises(DimensionMismatch):
             asarray(np.zeros((2, 3)), square=True)
+
+
+def reference_perm(dims, image):
+    """Index map x -> combine(image(digits of x)), from the flat D-length
+    digit arrays of np.unravel_index, independent of the digit grids."""
+    digits = np.unravel_index(np.arange(int(np.prod(dims))), dims)
+    return np.ravel_multi_index(image(list(digits)), dims)
+
+
+def _xor(src, dst):
+    def image(digits):
+        digits[dst] = digits[dst] ^ digits[src]
+        return digits
+
+    return image
+
+
+class TestPermutationBuilders:
+    """Every permutation built from digit grids against reference_perm."""
+
+    MIXED = RegisterLayout.of(Register("A", 2), Register("B", 3), Register("C", 2))
+
+    def test_xor_ladder_mixed_radix(self):
+        for src, dst in ((0, 2), (2, 0)):
+            got = _xor_ladder_perm(self.MIXED, src, dst).perm
+            assert np.array_equal(got, reference_perm(self.MIXED.dims, _xor(src, dst)))
+
+    @pytest.mark.parametrize("n", [1, 2, 3])
+    def test_builders(self, n):
+        d = 2**n
+        eye = np.eye(d)
+
+        def cswap(digits):
+            c, i, j = digits
+            return [c, np.where(c == 1, j, i), np.where(c == 1, i, j)]
+
+        cases = [
+            (build_qhp_instrument(n), _xor(0, 1)),
+            (build_gqt_instrument(n), _xor(0, 1)),
+            (build_teleport_instrument(n, [(eye, eye)]), _xor(1, 2)),
+            (build_qsp_instrument(np.array([1.0, 0.0]), np.eye(2), n), cswap),
+        ]
+        for inst, image in cases:
+            assert np.array_equal(inst.unitary.perm, reference_perm(inst.layout.dims, image))
+        swap = build_gqt_instrument(n).measurement.operator.perm
+        assert np.array_equal(swap, reference_perm((d, d), lambda g: g[::-1]))
+
+    @pytest.mark.parametrize("labels", [("B",), ("C", "A"), ("A", "B", "C"), ("C", "B")])
+    def test_embed_permutation_mixed_radix(self, rng, labels):
+        lay = self.MIXED
+        sub = rng.permutation(lay.dim_of(labels))
+        pos = [lay.index(l) for l in labels]
+        sub_dims = [lay.dims[p] for p in pos]
+
+        def image(digits):
+            out = np.unravel_index(sub[np.ravel_multi_index([digits[p] for p in pos], sub_dims)],
+                                   sub_dims)
+            for p, o in zip(pos, out):
+                digits[p] = o
+            return digits
+
+        got = embed_permutation(PermutationUnitary(sub), labels, lay).perm
+        assert np.array_equal(got, reference_perm(lay.dims, image))
+
+    @pytest.mark.parametrize("count,d", [(2, 3), (3, 2), (4, 2)])
+    def test_all_at_once_instrument(self, rng, count, d):
+        prob = LcsProblem.from_states([rand_state(rng, d) for _ in range(count)], [1.0] * count)
+        # not the cyclic default: branch l keeps the other registers in order
+        perms = [(l,) + tuple(k for k in range(count) if k != l) for l in range(count)]
+        inst = build_all_at_once_instrument(prob, np.full(count, count**-0.5), perms)
+
+        def image(digits):
+            anc = digits[0]
+            outs = [np.choose(anc, [digits[1 + p[k]] for p in perms]) for k in range(count)]
+            return [anc] + outs
+
+        assert np.array_equal(inst.unitary.perm, reference_perm(inst.layout.dims, image))
