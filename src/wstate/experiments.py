@@ -180,7 +180,14 @@ def power_error(params: dict, seed: int, workers: int = 1) -> ResultTable:
             vk = power_state(psi, k)
             trace = float(np.vdot(vk, vk).real)
             exact = float(abs(vk[0]) ** 2)
-            q = exact / trace
+            if exact == 0.0:
+                what = "trace" if trace == 0.0 else "|psi^k_0|^2"
+                raise InvalidGrid(
+                    f"family {family!r}: the {what} underflows to 0 at k = {k}, "
+                    "so its relative error is undefined; lower kmax"
+                )
+            # exact <= trace, but rounding can put q just above 1
+            q = min(exact / trace, 1.0)
             counts = sample_counts(
                 np.array([q, 1.0 - q]), shots, seed, stream_key=(fi, k), workers=workers
             )

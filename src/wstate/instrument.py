@@ -165,13 +165,6 @@ def expectation(tau, obs) -> complex:
     return complex(np.einsum("ij,ji->", m, o))
 
 
-def random_density(dim: int, rng: np.random.Generator) -> np.ndarray:
-    """Full-rank random density matrix (normalized Wishart)."""
-    a = rng.normal(size=(dim, dim)) + 1j * rng.normal(size=(dim, dim))
-    m = a @ a.conj().T
-    return m / np.trace(m).real
-
-
 # ---------------------------------------------------------------------------
 # measurement operators
 
@@ -366,17 +359,6 @@ class QuantumInstrument:
     @property
     def input_dim(self) -> int:
         return self.layout.dim_of(self.input_labels)
-
-
-def identity_instrument(dim: int, label: str = "S") -> QuantumInstrument:
-    """Pass-through: one S register, trivial measurement, no ancilla."""
-    layout = RegisterLayout.of(Register(label, dim, role="S"))
-    return QuantumInstrument(
-        layout,
-        ancilla=None,
-        unitary=PermutationUnitary.identity(dim),
-        measurement=MeasurementOperator.of(np.ones((1, 1))),
-    )
 
 
 # ---------------------------------------------------------------------------

@@ -16,6 +16,7 @@ import numpy as np
 
 from .errors import (
     AllocationError,
+    DimensionMismatch,
     InvalidDistribution,
     OrthogonalInputs,
     ValidationError,
@@ -28,14 +29,12 @@ from .instrument import (
     evolve,
     expectation,
     projected_outputs,
-    weighted_output,
 )
 from .subroutines import ORTHOGONALITY_TOL, alpha_of, gamma_in, power_state, qsp_oracle
 from .tensor import (
     asarray,
     dephase,
     eigenbasis,
-    gram,
     is_hermitian,
     merge_values,
     spectral_groups,
@@ -159,33 +158,78 @@ def _rescaled_parts(meas: MeasurementOperator) -> tuple[tuple[float, complex, ob
     return tuple(out)
 
 
-def _joint_cells(ev: Evolved, meas: MeasurementOperator, obs: np.ndarray):
+@dataclass(frozen=True)
+class _GroupTable:
+    """The estimator's law from one evolution, one row per spectral group.
+
+    Row r is group g of normal part k: drawn with probability q[r] = q_k, it
+    carries the value scale_k lambda_g, and t[r, a] = <b_a|E_g|b_a>, where
+    E_g is the weighted output of the group's projector and b_a is column a
+    of the observable's eigenbasis. obs_values[obs_labels[a]] is the merged
+    eigenvalue of b_a. Every statistic of the estimator is a sum over it.
+    """
+
+    q: np.ndarray
+    value: np.ndarray
+    t: np.ndarray
+    obs_values: np.ndarray
+    obs_labels: np.ndarray
+
+    def mean(self) -> complex:
+        """sum_k c_k sum_g lambda_g Tr(E_g O) = Tr(tau O), as W(N_k) =
+        sum_g lambda_g E_g."""
+        o = self.obs_values.real[self.obs_labels]
+        return complex((self.q * self.value) @ (self.t @ o))
+
+    def second_moment(self, power: int) -> float:
+        """sum_k q_k |scale_k|^2 sum_g |lambda_g|^2 Tr(E_g O^power): the
+        per-shot second moment for power 2, <|M|^2> for power 0, as
+        W(N_k N_k^dag) = sum_g |lambda_g|^2 E_g."""
+        o = self.obs_values.real[self.obs_labels] ** power
+        return float(((self.q * np.abs(self.value) ** 2) @ (self.t @ o)).real)
+
+
+def _group_table(ev: Evolved, meas: MeasurementOperator, obs: np.ndarray | None = None):
+    """The _GroupTable of an evolution in the eigenbasis of obs, or in the
+    computational basis (a single eigenvalue 1) when obs is None.
+
+    Each part's groups come from tensor.spectral_groups and their outputs
+    from projected_outputs, so each distinct projector form is contracted
+    once and no d_E x d_E array is formed for a structured M.
+    """
+    d_s = ev.dims[0]
+    if obs is None:
+        o_vals, o_vecs, o_labels = np.ones(1), np.eye(d_s), np.zeros(d_s, dtype=np.intp)
+    elif obs.shape[0] != d_s:
+        raise DimensionMismatch(f"observable dim {obs.shape[0]} vs output dim {d_s}")
+    else:
+        o_vals, o_vecs, o_labels = eigenbasis(obs)
+    rows = []
+    for qk, scale, nk in _rescaled_parts(meas):
+        groups = spectral_groups(nk)
+        outs = np.array(projected_outputs(ev, groups))
+        t = np.einsum("sa,gsa->ga", o_vecs.conj(), outs @ o_vecs)
+        rows.append((np.full(len(groups), qk), scale * np.array([v for v, _ in groups]), t))
+    q, value, t = (np.concatenate(col) for col in zip(*rows))
+    return _GroupTable(q, value, t, o_vals, o_labels)
+
+
+def _joint_cells(table: _GroupTable):
     """Cell probabilities and complex weights of the per-shot estimator.
 
     Cells enumerate (merged observable eigenvalue, merged scaled measurement
-    eigenvalue) pairs. Spectral group g of part k, drawn with probability q_k,
-    carries the value scale_k lambda_g and the probability
-    q_k sum_{a in i} <o_a| E_g |o_a> in the cell of observable group i, with
-    E_g the weighted output of the group's projector, so no d_E x d_E array
-    is formed for a structured M. Groups of different parts share a cell when
-    their scaled values agree within DEGENERACY_TOL times the largest. This is
-    the law of the instrument emulate_nonnormal builds: state
-    rho_out (x) diag(q) and block measurement sum_k |k><k| (x) scale_k N_k.
+    eigenvalue) pairs: row r of the table puts q[r] t[r, a] into the cell of
+    b_a's observable group and its value's merged group. Groups of different
+    parts share a cell when their scaled values agree within DEGENERACY_TOL
+    times the largest. This is the law of the instrument emulate_nonnormal
+    builds: state rho_out (x) diag(q) and block measurement
+    sum_k |k><k| (x) scale_k N_k.
     """
-    o_vals, o_vecs, o_labels = eigenbasis(obs)
-    cells: list[np.ndarray] = []
-    scaled: list[np.ndarray] = []
-    for q, scale, nk in _rescaled_parts(meas):
-        groups = spectral_groups(nk)
-        outs = np.array(projected_outputs(ev, groups))
-        cells.append(q * np.einsum("sa,gst,ta->ga", o_vecs.conj(), outs, o_vecs).real)
-        scaled.append(scale * np.array([val for val, _ in groups]))
-    values = np.concatenate(scaled)
-    labels, merged = merge_values(values, float(np.abs(values).max()))
-    table = np.zeros((len(merged), len(o_vals)))
-    np.add.at(table, (labels[:, None], o_labels[None, :]), np.concatenate(cells))
-    p = table.T.ravel()
-    w = (o_vals.real[:, None] * merged[None, :]).ravel()
+    labels, merged = merge_values(table.value, float(np.abs(table.value).max()))
+    cells = np.zeros((len(merged), len(table.obs_values)))
+    np.add.at(cells, (labels[:, None], table.obs_labels[None, :]), table.q[:, None] * table.t.real)
+    p = cells.T.ravel()
+    w = (table.obs_values.real[:, None] * merged[None, :]).ravel()
     total = float(p.sum())
     if abs(total - 1.0) > 1e-9 or float(p.min()) < -1e-9:
         raise InvalidDistribution(
@@ -212,19 +256,21 @@ def sample_estimate(
     law, so both draw from the one cell table of _joint_cells, and method is
     only validated: it does not change the draws.
 
-    The input is evolved once through inst, and the cells, the analytic mean,
-    the variance and its bound all come from that evolution. The emulating
-    instrument is never built: its cells are the parts' cells summed over
-    equal scaled eigenvalues.
+    The input is evolved once through inst and contracted once per distinct
+    projector form of M's parts N_k = sum_g lambda_g P_g, giving the group
+    outputs E_g = W(P_g). The cells, the analytic mean, the variance and its
+    bound are all sums over that one group table: W(N_k) = sum_g lambda_g E_g
+    and W(N_k N_k^dag) = sum_g |lambda_g|^2 E_g. The emulating instrument is
+    never built: its cells are the parts' cells summed over equal scaled
+    eigenvalues.
     """
     if shots < 1:
         raise ValidationError("shot count must be >= 1")
     o = _check_hermitian_obs(obs)
     if method not in ("emulate", "randomized"):
         raise ValidationError(f"unknown sampling method {method!r}")
-    meas = inst.measurement
-    ev = evolve(inst, inputs)
-    probs, weights = _joint_cells(ev, meas, o)
+    table = _group_table(evolve(inst, inputs), inst.measurement, o)
+    probs, weights = _joint_cells(table)
     counts = sample_counts(probs, shots, seed, workers=workers)
     total_w = np.dot(counts, weights)
     mean = total_w / shots
@@ -233,17 +279,15 @@ def sample_estimate(
         sample_var = (second - shots * abs(mean) ** 2) / (shots - 1)
     else:
         sample_var = 0.0
-    a_mean = expectation(weighted_output(ev, meas.operator), o)
-    eye_s = np.eye(ev.dims[0], dtype=np.complex128)
-    a_second, mean_m2 = _second_moments(ev, meas, (o @ o, eye_s))
+    a_mean = table.mean()
     return EstimatorReport(
         shots=shots,
         seed=seed,
         sample_mean=complex(mean),
         sample_variance=float(max(sample_var, 0.0)),
-        analytic_mean=complex(a_mean),
-        analytic_variance=float(a_second - abs(a_mean) ** 2),
-        variance_bound=float(spectral_norm(o) ** 2 * mean_m2),
+        analytic_mean=a_mean,
+        analytic_variance=table.second_moment(2) - abs(a_mean) ** 2,
+        variance_bound=spectral_norm(o) ** 2 * table.second_moment(0),
     )
 
 
@@ -251,25 +295,13 @@ def sample_estimate(
 # exact variance and bounds
 
 
-def _second_moments(ev: Evolved, meas: MeasurementOperator, ops) -> list[float]:
-    """sum_k (|c_k|^2/q_k) Tr[rho_out (A (x) N_k N_k^dag (x) I)] for each A_S in
-    ops, contracting each N_k N_k^dag once, in the form N_k is held in."""
-    out = [0.0] * len(ops)
-    for q, scale, nk in _rescaled_parts(meas):
-        w = weighted_output(ev, gram(nk))
-        for i, a in enumerate(ops):
-            out[i] += q * abs(scale) ** 2 * np.einsum("st,ts->", w, a).real
-    return out
-
-
 def variance_exact(inst: QuantumInstrument, inputs, obs) -> float:
     """Per-shot variance of the sampled estimator:
-    sum_k (|c_k|^2/q_k) Tr[rho_out (O^2 (x) N_k N_k^dag (x) I)] - |Tr tau O|^2."""
+    sum_k (|c_k|^2/q_k) Tr[rho_out (O^2 (x) N_k N_k^dag (x) I)] - |Tr tau O|^2,
+    read from one group table through W(N_k N_k^dag) = sum_g |lambda_g|^2 E_g."""
     o = _check_hermitian_obs(obs)
-    ev = evolve(inst, inputs)
-    (second,) = _second_moments(ev, inst.measurement, (o @ o,))
-    mean = expectation(weighted_output(ev, inst.measurement.operator), o)
-    return float(second - abs(mean) ** 2)
+    table = _group_table(evolve(inst, inputs), inst.measurement, o)
+    return float(table.second_moment(2) - abs(table.mean()) ** 2)
 
 
 @dataclass(frozen=True)
@@ -285,15 +317,17 @@ class VarianceBounds:
 
 
 def variance_bound(inst: QuantumInstrument, inputs, obs_norm: float) -> VarianceBounds:
+    """b1 from one group table in the computational basis, where
+    <|M|^2> = sum_k (|c_k|^2/q_k) sum_g |lambda_g|^2 Tr E_g by
+    W(N_k N_k^dag) = sum_g |lambda_g|^2 E_g; b2 from the parts' spectral
+    norms."""
     if obs_norm < 0:
         raise ValidationError("observable norm must be nonnegative")
-    ev = evolve(inst, inputs)
-    eye_s = np.eye(ev.dims[0], dtype=np.complex128)
-    (mean_m2,) = _second_moments(ev, inst.measurement, (eye_s,))
+    table = _group_table(evolve(inst, inputs), inst.measurement)
     worst = max(
         abs(scale) * spectral_norm(nk) for _, scale, nk in _rescaled_parts(inst.measurement)
     )
-    b1 = obs_norm**2 * mean_m2
+    b1 = obs_norm**2 * table.second_moment(0)
     b2 = obs_norm**2 * worst**2
     return VarianceBounds(float(b1), float(b2))
 

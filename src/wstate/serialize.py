@@ -190,6 +190,9 @@ def _unitary_from_json(obj, field_path: str):
                  "must be a non-empty list")
         _require(all(isinstance(p, int) for p in perm), f"{field_path}.permutation",
                  "entries must be integers")
+        # checked as Python ints, before an int64 conversion can overflow
+        _require(all(0 <= p < len(perm) for p in perm), f"{field_path}.permutation",
+                 f"entries must lie in [0, {len(perm)})")
         try:
             return PermutationUnitary(np.asarray(perm, dtype=np.int64))
         except (ValidationError, NotUnitary) as exc:

@@ -1,9 +1,9 @@
 """Dense complex linear algebra substrate.
 
-Register layouts, partial traces, operator classification, spectral
-decomposition of normal matrices, dephasing, computational-basis permutation
-unitaries, low-rank operators held as factors, the spectral groups of each
-form, Pauli strings, and the JSON forms of arrays.
+Register layouts, operator classification, spectral decomposition of normal
+matrices, dephasing, computational-basis permutation unitaries, low-rank
+operators held as factors, the spectral groups of each form, Pauli strings,
+and the JSON forms of arrays.
 
 Conventions: matrices are dense complex128 ndarrays, row-major. Register order
 in a layout matches tensor-product order; the leftmost register carries the
@@ -112,29 +112,6 @@ class RegisterLayout:
 
     def dim_of(self, labels: Iterable[str]) -> int:
         return math.prod(self.registers[self.index(l)].dim for l in labels)
-
-
-def partial_trace(m, layout: RegisterLayout, keep: Iterable[str]) -> np.ndarray:
-    """Trace out every register not in keep. Kept registers stay in layout
-    order; the total trace is preserved."""
-    a = asarray(m, square=True)
-    dims = layout.dims
-    if a.shape[0] != layout.total_dim:
-        raise DimensionMismatch(
-            f"matrix dim {a.shape[0]} does not match layout total {layout.total_dim}"
-        )
-    keep = set(keep)
-    for lab in keep:
-        layout.index(lab)
-    k = len(dims)
-    kept_pos = [i for i in range(k) if layout.registers[i].label in keep]
-    t = a.reshape(dims + dims)
-    row_ids = [2 * i for i in range(k)]
-    col_ids = [2 * i + 1 if i in set(kept_pos) else 2 * i for i in range(k)]
-    out_ids = [2 * i for i in kept_pos] + [2 * i + 1 for i in kept_pos]
-    traced = np.einsum(t, row_ids + col_ids, out_ids)
-    d_keep = math.prod(dims[i] for i in kept_pos) if kept_pos else 1
-    return traced.reshape(d_keep, d_keep)
 
 
 def dephase(m) -> np.ndarray:
@@ -409,16 +386,6 @@ def spectral_groups(op):
         eye = PermutationUnitary.identity(dim)
         groups.append((0j, ((1.0, eye), (-1.0, LowRankOperator(cols, cols)))))
     return groups
-
-
-def gram(op):
-    """N N^dag in the form N is held in: the identity for a permutation,
-    a (b^dag b) a^dag for a low-rank a b^dag."""
-    if isinstance(op, PermutationUnitary):
-        return PermutationUnitary.identity(op.dim)
-    if isinstance(op, LowRankOperator):
-        return LowRankOperator(op.u @ (op.v.conj().T @ op.v), op.u)
-    return op @ op.conj().T
 
 
 def register_digits(layout: RegisterLayout) -> list[np.ndarray]:

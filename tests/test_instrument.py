@@ -23,8 +23,6 @@ from wstate.instrument import (
     emulate_nonnormal,
     evolve,
     expectation,
-    identity_instrument,
-    random_density,
     weighted_output,
 )
 from wstate.subroutines import (
@@ -64,11 +62,6 @@ class TestQuantumState:
         v = rand_state(rng, 3)
         st = QuantumState.pure(v)
         assert np.abs(st.matrix - np.outer(v, v.conj())).max() < 1e-12
-
-    def test_random_density_is_state(self, rng):
-        rho = random_density(4, rng)
-        assert abs(np.trace(rho) - 1) < 1e-12
-        assert np.linalg.eigvalsh(rho).min() > -1e-12
 
 
 class TestMeasurementClassification:
@@ -267,7 +260,10 @@ class TestInstrumentValidation:
 
 class TestApplyExact:
     def test_identity_instrument_returns_input(self, rng):
-        inst = identity_instrument(3)
+        layout = RegisterLayout.of(Register("S", 3, role="S"))
+        inst = QuantumInstrument(
+            layout, None, PermutationUnitary.identity(3), MeasurementOperator.of(np.ones((1, 1)))
+        )
         rho = rand_density(rng, 3)
         tau = apply_exact(inst, [QuantumState.from_density(rho)])
         assert np.abs(tau.matrix - rho).max() < 1e-12

@@ -8,14 +8,17 @@ from scipy import optimize
 
 from wstate.errors import (
     AllocationError,
+    DimensionMismatch,
     InvalidDistribution,
     OrthogonalInputs,
     ValidationError,
 )
-from wstate.instrument import QuantumState, apply_exact, evolve, expectation
+from wstate.instrument import QuantumState, apply_exact, evolve, expectation, weighted_output
 from wstate.sampling import (
     BLOCK_SHOTS,
+    _group_table,
     _joint_cells,
+    _rescaled_parts,
     EstimatorReport,
     allocate_shots,
     beta_variance_bound,
@@ -38,11 +41,12 @@ from wstate.subroutines import (
     build_lincombo_instrument,
     build_qhp_instrument,
     build_qsp_instrument,
+    build_teleport_instrument,
     gqt,
     power_state,
     qhp,
 )
-from wstate.tensor import dephase, hermiticity_residual, spectral_norm
+from wstate.tensor import dense, dephase, hermiticity_residual, spectral_norm
 
 from conftest import rand_density, rand_hermitian, rand_state, rand_unitary
 
@@ -158,7 +162,7 @@ class TestSampleEstimate:
         assert scaled.measurement.kind == base.measurement.kind
         counts = []
         for inst in (base, scaled):
-            probs, _ = _joint_cells(evolve(inst, inputs), inst.measurement, obs)
+            probs, _ = _joint_cells(_group_table(evolve(inst, inputs), inst.measurement, obs))
             counts.append(sample_counts(probs, 20000, seed=3))
         assert np.array_equal(counts[0], counts[1])
         a, b = (sample_estimate(inst, inputs, obs, 20000, seed=3) for inst in (base, scaled))
@@ -187,6 +191,14 @@ class TestSampleEstimate:
         ]
         with pytest.raises(ValidationError):
             sample_estimate(inst, inputs, np.eye(2), shots=10, seed=0, method="other")
+
+    def test_observable_of_the_wrong_dim_rejected(self, rng):
+        inst = build_qhp_instrument(1)
+        inputs = [QuantumState.pure(rand_state(rng, 2)) for _ in range(2)]
+        with pytest.raises(DimensionMismatch):
+            sample_estimate(inst, inputs, np.eye(3), shots=10, seed=0)
+        with pytest.raises(DimensionMismatch):
+            variance_exact(inst, inputs, np.eye(3))
 
 
 def _single_pass_case(rng, name):
@@ -244,6 +256,79 @@ class TestSinglePass:
         assert close(rep.analytic_variance, variance_exact(inst, inputs, obs))
         bound = variance_bound(inst, inputs, spectral_norm(obs)).b1
         assert close(rep.variance_bound, bound)
+
+
+def _complex(rng, shape):
+    return rng.normal(size=shape) + 1j * rng.normal(size=shape)
+
+
+# each form of M: (kind of the measurement, instrument on n qubits)
+TABLE_FORMS = {
+    "dense-hermitian": ("hermitian", lambda rng, n: build_qhp_instrument(n)),
+    "dense-normal": (
+        "normal",
+        lambda rng, n: build_qsp_instrument(rand_density(rng, 2), np.diag(_complex(rng, 2)), n),
+    ),
+    "dense-parts": (
+        "nonnormal",
+        lambda rng, n: build_qsp_instrument(rand_density(rng, 2), _complex(rng, (2, 2)), n),
+    ),
+    "permutation": ("hermitian", lambda rng, n: build_gqt_instrument(n)),
+    "low-rank": (
+        "nonnormal",
+        lambda rng, n: build_teleport_instrument(
+            n, [(_complex(rng, (2**n, 2**n)), _complex(rng, (2**n, 2**n)))]
+        ),
+    ),
+}
+
+
+class TestGroupTable:
+    """The group table's statistics against direct contractions of the
+    evolved state with M and with each N_k N_k^dag, built densely here."""
+
+    @given(
+        form=st.sampled_from(sorted(TABLE_FORMS)),
+        n=st.integers(1, 2),
+        pure=st.booleans(),
+        seed=st.integers(0, 2**32 - 1),
+    )
+    @settings(max_examples=60)
+    def test_statistics_match_direct_contractions(self, form, n, pure, seed):
+        rng = np.random.default_rng(seed)
+        kind, build = TABLE_FORMS[form]
+        inst = build(rng, n)
+        meas = inst.measurement
+        assert meas.kind == kind
+        d = 2**n
+        if pure:
+            inputs = [QuantumState.pure(rand_state(rng, d)) for _ in range(2)]
+        else:
+            inputs = [QuantumState.from_density(rand_density(rng, d)) for _ in range(2)]
+        obs = rand_hermitian(rng, d)
+        ev = evolve(inst, inputs)
+        table = _group_table(ev, meas, obs)
+
+        # tolerances relative to the operator scale, not to the value
+        o_norm = spectral_norm(obs)
+        parts = _rescaled_parts(meas)
+        mean_scale = o_norm * sum(abs(q * s) * spectral_norm(nk) for q, s, nk in parts)
+        bounds = variance_bound(inst, inputs, o_norm)  # b2 = |O|^2 max_k |s_k|^2 |N_k|^2
+
+        mean = expectation(weighted_output(ev, meas.operator), obs)
+        assert abs(table.mean() - mean) <= 1e-12 * mean_scale
+
+        def second_moment(a):
+            return sum(
+                q * abs(s) ** 2
+                * expectation(weighted_output(ev, dense(nk) @ dense(nk).conj().T), a).real
+                for q, s, nk in parts
+            )
+
+        assert abs(table.second_moment(2) - second_moment(obs @ obs)) <= 1e-12 * bounds.b2
+        b1 = o_norm**2 * second_moment(np.eye(d))
+        assert abs(bounds.b1 - b1) <= 1e-12 * bounds.b2
+        assert abs(o_norm**2 * table.second_moment(0) - b1) <= 1e-12 * bounds.b2
 
 
 class TestVarianceClosures:

@@ -309,6 +309,25 @@ class TestCli:
         res = runner.invoke(main, ["experiment", "--spec", str(spec)])
         assert res.exit_code == 2
 
+    def test_power_error_underflow_exits_2(self, runner, tmp_path):
+        # the flat family's trace is 4 * 2**(-2k): 0 in float64 from k = 538
+        spec = tmp_path / "exp.json"
+        spec.write_text(json.dumps({"experiment": "power-error", "params": {"n": 2, "kmax": 600}}))
+        res = runner.invoke(main, ["experiment", "--spec", str(spec)])
+        assert res.exit_code == 2, res.output
+        assert "'flat'" in res.output and "k = 538" in res.output
+
+    def test_power_error_rounded_ratio_is_clipped(self, runner, tmp_path):
+        # at k = 1794 the expdecay ratio |psi^k_0|^2 / trace rounds to 1 + 2**-52
+        spec = tmp_path / "exp.json"
+        spec.write_text(json.dumps({"experiment": "power-error",
+                                    "params": {"n": 2, "kmax": 1794, "families": ["expdecay"]}}))
+        res = runner.invoke(main, ["experiment", "--spec", str(spec)])
+        assert res.exit_code == 0, res.output
+        last = res.output.splitlines()[-1].split(",")
+        assert last[:2] == ["expdecay", "1794"]
+        assert float(last[4]) == 0.0 and float(last[7]) == 0.0
+
     def test_io_roundtrip_function(self, tmp_path, rng):
         inst = build_gqt_instrument(1)
         path = tmp_path / "inst.json"
@@ -432,6 +451,20 @@ def test_huge_register_sizes_exit_2(runner, tmp_path, registers):
         res = runner.invoke(main, [*argv, "--spec", str(spec)])
         assert res.exit_code == 2, (argv, res.output)
         assert "2**63" in res.output, res.output
+
+
+@pytest.mark.parametrize("entry", [2**70, 10**400], ids=["2**70", "10**400"])
+def test_huge_permutation_entries_exit_2(runner, tmp_path, entry):
+    """A permutation entry too large for int64 is a schema error raised
+    before the conversion, so every verb that reads the task exits 2."""
+    doc, calls = MALFORMED_CORPUS["task"]
+    doc = _with_value(doc, ("instrument", "unitary", "permutation", 0), entry)
+    spec = tmp_path / "doc.json"
+    spec.write_text(json.dumps(doc))
+    for argv in calls:
+        res = runner.invoke(main, [*argv, "--spec", str(spec)])
+        assert res.exit_code == 2, (argv, res.output)
+        assert "unitary.permutation" in res.output, res.output
 
 
 def test_library_raises_only_typed_errors():

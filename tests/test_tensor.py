@@ -32,7 +32,6 @@ from wstate.tensor import (
     matrix_from_json,
     matrix_to_json,
     normality_residual,
-    partial_trace,
     register_digits,
     spectral_groups,
     spectral_norm,
@@ -74,29 +73,6 @@ class TestRegisters:
         lay = RegisterLayout.of(Register("A", 2))
         with pytest.raises(UnknownLabel):
             lay.index("B")
-
-
-class TestPartialTrace:
-    def test_trace_preserved(self, rng):
-        lay = RegisterLayout.of(Register("A", 2), Register("B", 3))
-        m = rand_density(rng, 6)
-        for keep in (("A",), ("B",), ("A", "B")):
-            red = partial_trace(m, lay, keep)
-            assert abs(np.trace(red) - np.trace(m)) < 1e-12
-
-    def test_product_state_factors(self, rng):
-        a = rand_density(rng, 2)
-        b = rand_density(rng, 3)
-        lay = RegisterLayout.of(Register("A", 2), Register("B", 3))
-        joint = np.kron(a, b)
-        assert np.abs(partial_trace(joint, lay, ("A",)) - a).max() < 1e-12
-        assert np.abs(partial_trace(joint, lay, ("B",)) - b).max() < 1e-12
-
-    def test_kept_registers_stay_in_layout_order(self, rng):
-        lay = RegisterLayout.of(Register("A", 2), Register("B", 2))
-        a, b = rand_density(rng, 2), rand_density(rng, 2)
-        out = partial_trace(np.kron(a, b), lay, ("B", "A"))
-        assert np.abs(out - np.kron(a, b)).max() < 1e-12
 
 
 class TestResiduals:
