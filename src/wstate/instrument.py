@@ -527,7 +527,8 @@ def weighted_output(
 def projected_outputs(ev: Evolved, groups) -> list[np.ndarray]:
     """weighted_output of each (eigenvalue, projector) group of
     tensor.spectral_groups; a form shared by several projectors, such as the
-    identity and the SWAP in (I +- P)/2, is contracted once."""
+    identity and the SWAP in (I +- P)/2, or a group form and its reuse in
+    a zero group I - sum_g P_g, is contracted once."""
     done: dict[int, np.ndarray] = {}
     out = []
     for _, projector in groups:

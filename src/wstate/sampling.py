@@ -2,9 +2,10 @@
 
 The estimator draws joint (observable outcome, measurement outcome) pairs
 from the instrument's output distribution and averages the product of the
-observable eigenvalue with the measurement eigenvalue. Sampling is organized
-in fixed-size blocks with per-block counter RNG streams, so results depend
-only on (seed, shots), never on scheduling or worker count.
+observable eigenvalue with the measurement eigenvalue. Each call draws all
+of its shots with one multinomial from one counter-based (Philox) stream,
+keyed by (seed, stream key), so results depend only on (seed, shots, stream
+key), never on scheduling or worker count.
 """
 
 from __future__ import annotations
@@ -41,31 +42,25 @@ from .tensor import (
     spectral_norm,
 )
 
-BLOCK_SHOTS = 1 << 14
 _MASK64 = (1 << 64) - 1
+_MAX_SHOTS = (1 << 63) - 1
 
 
 # ---------------------------------------------------------------------------
-# deterministic block sampling
-
-
-def _block_counts(probs: np.ndarray, seed: int, stream_key: tuple, block: int, size: int) -> np.ndarray:
-    ss = np.random.SeedSequence(entropy=seed & _MASK64, spawn_key=(*stream_key, block))
-    rng = np.random.Generator(np.random.Philox(ss))
-    return rng.multinomial(size, probs)
+# deterministic sampling
 
 
 def sample_counts(
     probs, shots: int, seed: int, stream_key: tuple = (), workers: int = 1
 ) -> np.ndarray:
-    """Multinomial counts over the given cells, drawn in 2^14-shot blocks.
+    """Multinomial counts over the given cells, every shot drawn at once.
 
-    Block b uses the Philox stream spawned at (*stream_key, b) from the seed,
-    and the counts are summed over blocks, so the result is a function of
-    (seed, shots, stream_key) alone. Blocks run in the calling thread:
-    generator setup and the multinomial draw hold the GIL, so threads would
-    not overlap them. workers is accepted and checked to be at least 1, and
-    changes nothing.
+    The draw uses the Philox stream spawned at (*stream_key, 0) from the
+    seed, so the result is a function of (seed, shots, stream_key) alone. A
+    call of at most 2^14 shots draws what the former 2^14-shot block layout
+    drew, whose first block used that stream. shots must fit the
+    multinomial's int64 count. workers is accepted and checked to be at
+    least 1, and changes nothing.
     """
     p = np.asarray(probs, dtype=float)
     if p.ndim != 1 or p.size == 0:
@@ -76,16 +71,12 @@ def sample_counts(
         )
     p = np.clip(p, 0.0, None)
     p = p / p.sum()
-    if shots < 0:
-        raise ValidationError("shot count must be nonnegative")
+    if not 0 <= shots <= _MAX_SHOTS:
+        raise ValidationError("shot count must lie in [0, 2**63 - 1]")
     if workers < 1:
         raise ValidationError("workers must be >= 1")
-    n_blocks = max(1, math.ceil(shots / BLOCK_SHOTS))
-    parts = [
-        _block_counts(p, seed, stream_key, b, min(BLOCK_SHOTS, shots - b * BLOCK_SHOTS))
-        for b in range(n_blocks)
-    ]
-    return np.sum(parts, axis=0, dtype=np.int64)
+    ss = np.random.SeedSequence(entropy=seed & _MASK64, spawn_key=(*stream_key, 0))
+    return np.random.Generator(np.random.Philox(ss)).multinomial(shots, p)
 
 
 # ---------------------------------------------------------------------------
@@ -136,26 +127,27 @@ def _check_hermitian_obs(obs) -> np.ndarray:
     return o
 
 
-def _rescaled_parts(meas: MeasurementOperator) -> tuple[tuple[float, complex, object], ...]:
-    """(q_k, scale_k, N_k) with q_k = |c_k|/sum|c| and scale_k = c_k/q_k.
+def _spectrum(meas: MeasurementOperator) -> tuple[tuple[float, complex, object, list], ...]:
+    """Rows (q_k, scale_k, N_k, groups_k) over the parts c_k N_k of M with
+    c_k != 0: q_k = |c_k| / sum|c|, scale_k = c_k / q_k, N_k in M's form, as
+    MeasurementOperator.normal_parts gives it, and groups_k =
+    tensor.spectral_groups(N_k).
 
-    The sampled estimator draws part k with probability q_k and multiplies its
-    eigenvalue by scale_k; for a normal M there is a single part with q=1.
-    Each N_k is held in M's form, as MeasurementOperator.normal_parts gives it.
+    The sampled estimator draws part k with probability q_k and multiplies
+    its eigenvalue by scale_k; a normal M is one row with q = 1. Each
+    statistic builds it once per call and reads every part from it.
     """
     parts = meas.normal_parts()
     mags = np.array([abs(c) for c, _ in parts])
-    keep = mags > 0
     total = float(mags.sum())
-    out = []
-    for (c, n), mag, k in zip(parts, mags, keep):
-        if not k:
-            continue
-        q = mag / total
-        out.append((q, c / q, n))
-    if not out:
+    rows = []
+    for (c, n), mag in zip(parts, mags):
+        if mag > 0:
+            q = mag / total
+            rows.append((q, c / q, n, spectral_groups(n)))
+    if not rows:
         raise ValidationError("measurement decomposition has no nonzero part")
-    return tuple(out)
+    return tuple(rows)
 
 
 @dataclass(frozen=True)
@@ -189,13 +181,14 @@ class _GroupTable:
         return float(((self.q * np.abs(self.value) ** 2) @ (self.t @ o)).real)
 
 
-def _group_table(ev: Evolved, meas: MeasurementOperator, obs: np.ndarray | None = None):
-    """The _GroupTable of an evolution in the eigenbasis of obs, or in the
-    computational basis (a single eigenvalue 1) when obs is None.
+def _group_table(ev: Evolved, spectrum, obs: np.ndarray | None = None):
+    """The _GroupTable of an evolution over the rows of _spectrum, in the
+    eigenbasis of obs, or in the computational basis (a single eigenvalue 1)
+    when obs is None.
 
-    Each part's groups come from tensor.spectral_groups and their outputs
-    from projected_outputs, so each distinct projector form is contracted
-    once and no d_E x d_E array is formed for a structured M.
+    The outputs of all parts' groups come from one projected_outputs call,
+    so each distinct projector form is contracted once and no d_E x d_E
+    array is formed for a structured M.
     """
     d_s = ev.dims[0]
     if obs is None:
@@ -204,13 +197,12 @@ def _group_table(ev: Evolved, meas: MeasurementOperator, obs: np.ndarray | None 
         raise DimensionMismatch(f"observable dim {obs.shape[0]} vs output dim {d_s}")
     else:
         o_vals, o_vecs, o_labels = eigenbasis(obs)
-    rows = []
-    for qk, scale, nk in _rescaled_parts(meas):
-        groups = spectral_groups(nk)
-        outs = np.array(projected_outputs(ev, groups))
-        t = np.einsum("sa,gsa->ga", o_vecs.conj(), outs @ o_vecs)
-        rows.append((np.full(len(groups), qk), scale * np.array([v for v, _ in groups]), t))
-    q, value, t = (np.concatenate(col) for col in zip(*rows))
+    outs = np.array(projected_outputs(ev, [g for *_, groups in spectrum for g in groups]))
+    t = np.einsum("sa,gsa->ga", o_vecs.conj(), outs @ o_vecs)
+    q = np.concatenate([np.full(len(groups), qk) for qk, _, _, groups in spectrum])
+    value = np.concatenate(
+        [scale * np.array([v for v, _ in groups]) for _, scale, _, groups in spectrum]
+    )
     return _GroupTable(q, value, t, o_vals, o_labels)
 
 
@@ -260,7 +252,8 @@ def sample_estimate(
     projector form of M's parts N_k = sum_g lambda_g P_g, giving the group
     outputs E_g = W(P_g). The cells, the analytic mean, the variance and its
     bound are all sums over that one group table: W(N_k) = sum_g lambda_g E_g
-    and W(N_k N_k^dag) = sum_g |lambda_g|^2 E_g. The emulating instrument is
+    and W(N_k N_k^dag) = sum_g |lambda_g|^2 E_g, with ||O|| the largest
+    |eigenvalue| in the table. The emulating instrument is
     never built: its cells are the parts' cells summed over equal scaled
     eigenvalues.
     """
@@ -269,7 +262,7 @@ def sample_estimate(
     o = _check_hermitian_obs(obs)
     if method not in ("emulate", "randomized"):
         raise ValidationError(f"unknown sampling method {method!r}")
-    table = _group_table(evolve(inst, inputs), inst.measurement, o)
+    table = _group_table(evolve(inst, inputs), _spectrum(inst.measurement), o)
     probs, weights = _joint_cells(table)
     counts = sample_counts(probs, shots, seed, workers=workers)
     total_w = np.dot(counts, weights)
@@ -287,7 +280,7 @@ def sample_estimate(
         sample_variance=float(max(sample_var, 0.0)),
         analytic_mean=a_mean,
         analytic_variance=table.second_moment(2) - abs(a_mean) ** 2,
-        variance_bound=spectral_norm(o) ** 2 * table.second_moment(0),
+        variance_bound=float(np.abs(table.obs_values).max()) ** 2 * table.second_moment(0),
     )
 
 
@@ -300,7 +293,7 @@ def variance_exact(inst: QuantumInstrument, inputs, obs) -> float:
     sum_k (|c_k|^2/q_k) Tr[rho_out (O^2 (x) N_k N_k^dag (x) I)] - |Tr tau O|^2,
     read from one group table through W(N_k N_k^dag) = sum_g |lambda_g|^2 E_g."""
     o = _check_hermitian_obs(obs)
-    table = _group_table(evolve(inst, inputs), inst.measurement, o)
+    table = _group_table(evolve(inst, inputs), _spectrum(inst.measurement), o)
     return float(table.second_moment(2) - abs(table.mean()) ** 2)
 
 
@@ -323,10 +316,9 @@ def variance_bound(inst: QuantumInstrument, inputs, obs_norm: float) -> Variance
     norms."""
     if obs_norm < 0:
         raise ValidationError("observable norm must be nonnegative")
-    table = _group_table(evolve(inst, inputs), inst.measurement)
-    worst = max(
-        abs(scale) * spectral_norm(nk) for _, scale, nk in _rescaled_parts(inst.measurement)
-    )
+    spectrum = _spectrum(inst.measurement)
+    table = _group_table(evolve(inst, inputs), spectrum)
+    worst = max(abs(scale) * spectral_norm(nk) for _, scale, nk, _ in spectrum)
     b1 = obs_norm**2 * table.second_moment(0)
     b2 = obs_norm**2 * worst**2
     return VarianceBounds(float(b1), float(b2))

@@ -357,9 +357,9 @@ def spectral_groups(op):
     - an involutive permutation P has the groups (I +- P)/2 for +1 and -1;
     - a low-rank Q C Q^dag has one group Q W_g (Q W_g)^dag per nonzero
       eigenvalue of its core C = W diag W^dag, in eigenbasis order, and a
-      last zero group I - sum_g P_g, which also spans the complement of Q;
-      an eigenvalue counts as zero when it is at most DEGENERACY_TOL times
-      the largest |eigenvalue|;
+      last zero group I - sum_g P_g over the same group forms, which also
+      spans the complement of Q; an eigenvalue counts as zero when it is at
+      most DEGENERACY_TOL times the largest |eigenvalue|;
     - a dense matrix keeps its eigenbasis groups, as
       LowRankOperator(cols, cols).
     A permutation that is not an involution takes the dense path.
@@ -379,12 +379,10 @@ def spectral_groups(op):
     for g in np.flatnonzero(~zero):
         cols = basis[:, labels == g]
         groups.append((complex(values[g]), ((1.0, LowRankOperator(cols, cols)),)))
-    kept = ~zero[labels]
-    dim = basis.shape[0]
-    if kept.sum() < dim:
-        cols = basis[:, kept]
-        eye = PermutationUnitary.identity(dim)
-        groups.append((0j, ((1.0, eye), (-1.0, LowRankOperator(cols, cols)))))
+    if (~zero[labels]).sum() < basis.shape[0]:
+        kept = tuple((-c, form) for _, projector in groups for c, form in projector)
+        eye = PermutationUnitary.identity(basis.shape[0])
+        groups.append((0j, ((1.0, eye), *kept)))
     return groups
 
 

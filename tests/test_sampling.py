@@ -6,6 +6,8 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 from scipy import optimize
 
+import wstate.instrument
+import wstate.sampling
 from wstate.errors import (
     AllocationError,
     DimensionMismatch,
@@ -15,10 +17,9 @@ from wstate.errors import (
 )
 from wstate.instrument import QuantumState, apply_exact, evolve, expectation, weighted_output
 from wstate.sampling import (
-    BLOCK_SHOTS,
     _group_table,
     _joint_cells,
-    _rescaled_parts,
+    _spectrum,
     EstimatorReport,
     allocate_shots,
     beta_variance_bound,
@@ -60,7 +61,7 @@ class TestSampleCounts:
 
     def test_worker_count_does_not_change_counts(self):
         p = np.array([0.4, 0.6])
-        shots = 3 * BLOCK_SHOTS + 17
+        shots = 3 * 16384 + 17
         ref = sample_counts(p, shots, seed=5)
         for workers in (2, 4):
             assert np.array_equal(ref, sample_counts(p, shots, seed=5, workers=workers))
@@ -73,8 +74,24 @@ class TestSampleCounts:
 
     def test_counts_sum_to_shots(self):
         p = np.array([0.1, 0.2, 0.7])
-        for shots in (1, BLOCK_SHOTS, BLOCK_SHOTS + 1, 2 * BLOCK_SHOTS - 1):
+        for shots in (1, 16384, 16385, 32767, 3 * 16384 + 17, 10**12):
             assert sample_counts(p, shots, seed=3).sum() == shots
+
+    def test_one_stream_spawned_at_key_and_zero(self):
+        # the stream of the former first 2^14-shot block, so such calls keep
+        # their draws
+        p = np.array([0.1, 0.2, 0.3, 0.4])
+        for shots, key in ((1, ()), (977, (4,)), (16384, (2, 5))):
+            ss = np.random.SeedSequence(1234, spawn_key=(*key, 0))
+            want = np.random.Generator(np.random.Philox(ss)).multinomial(shots, p)
+            assert np.array_equal(sample_counts(p, shots, seed=1234, stream_key=key), want)
+
+    def test_shot_count_beyond_int64_rejected(self):
+        p = np.array([0.5, 0.5])
+        assert sample_counts(p, 2**63 - 1, seed=0).sum() == 2**63 - 1
+        for shots in (2**63, 10**400, -1):
+            with pytest.raises(ValidationError):
+                sample_counts(p, shots, seed=0)
 
     def test_invalid_distribution_rejected(self):
         with pytest.raises(InvalidDistribution):
@@ -82,7 +99,7 @@ class TestSampleCounts:
         with pytest.raises(InvalidDistribution):
             sample_counts(np.array([1.5, -0.5]), 10, seed=0)
 
-    @given(st.integers(min_value=1, max_value=3 * BLOCK_SHOTS))
+    @given(st.integers(min_value=1, max_value=3 * 16384))
     @settings(max_examples=15)
     def test_total_preserved_any_shots(self, shots):
         p = np.array([0.25, 0.25, 0.5])
@@ -162,7 +179,8 @@ class TestSampleEstimate:
         assert scaled.measurement.kind == base.measurement.kind
         counts = []
         for inst in (base, scaled):
-            probs, _ = _joint_cells(_group_table(evolve(inst, inputs), inst.measurement, obs))
+            table = _group_table(evolve(inst, inputs), _spectrum(inst.measurement), obs)
+            probs, _ = _joint_cells(table)
             counts.append(sample_counts(probs, 20000, seed=3))
         assert np.array_equal(counts[0], counts[1])
         a, b = (sample_estimate(inst, inputs, obs, 20000, seed=3) for inst in (base, scaled))
@@ -307,11 +325,12 @@ class TestGroupTable:
             inputs = [QuantumState.from_density(rand_density(rng, d)) for _ in range(2)]
         obs = rand_hermitian(rng, d)
         ev = evolve(inst, inputs)
-        table = _group_table(ev, meas, obs)
+        spectrum = _spectrum(meas)
+        table = _group_table(ev, spectrum, obs)
 
         # tolerances relative to the operator scale, not to the value
         o_norm = spectral_norm(obs)
-        parts = _rescaled_parts(meas)
+        parts = [(q, s, nk) for q, s, nk, _ in spectrum]
         mean_scale = o_norm * sum(abs(q * s) * spectral_norm(nk) for q, s, nk in parts)
         bounds = variance_bound(inst, inputs, o_norm)  # b2 = |O|^2 max_k |s_k|^2 |N_k|^2
 
@@ -329,6 +348,67 @@ class TestGroupTable:
         b1 = o_norm**2 * second_moment(np.eye(d))
         assert abs(bounds.b1 - b1) <= 1e-12 * bounds.b2
         assert abs(o_norm**2 * table.second_moment(0) - b1) <= 1e-12 * bounds.b2
+
+
+class TestOneDecompositionPerCall:
+    """Each statistic decomposes every part of M once, writes nothing to the
+    measurement, and a reused instrument gives the numbers a fresh one does."""
+
+    @pytest.mark.parametrize("form", sorted(TABLE_FORMS))
+    def test_each_part_decomposed_once_per_call(self, monkeypatch, form):
+        def build(seed):
+            rng = np.random.default_rng(seed)
+            inst = TABLE_FORMS[form][1](rng, 2)
+            inputs = [QuantumState.from_density(rand_density(rng, 4)) for _ in range(2)]
+            return inst, inputs, rand_hermitian(rng, 4)
+
+        def run(inst, inputs, obs, call):
+            if call == "variance_exact":
+                return variance_exact(inst, inputs, obs)
+            if call == "variance_bound":
+                return variance_bound(inst, inputs, 2.0)
+            return sample_estimate(inst, inputs, obs, shots=5000, seed=call)
+
+        calls = (1, 2, "variance_exact", "variance_bound", 1)
+        inst, inputs, obs = build(17)
+        n_parts = len(_spectrum(inst.measurement))
+        fields = dict(vars(inst.measurement))
+        real = wstate.sampling.spectral_groups
+        seen = []
+
+        def spy(op):
+            seen.append(op)
+            return real(op)
+
+        monkeypatch.setattr(wstate.sampling, "spectral_groups", spy)
+        got = []
+        for call in calls:
+            got.append(run(inst, inputs, obs, call))
+            assert len(seen) == n_parts * len(got)
+        monkeypatch.undo()
+        assert vars(inst.measurement).keys() == fields.keys()
+        assert all(vars(inst.measurement)[k] is v for k, v in fields.items())
+        assert got == [run(*build(17), call) for call in calls]
+
+    @pytest.mark.parametrize("maps, contractions", [("one-random", 6), ("identity", 2)])
+    def test_each_form_contracted_once(self, rng, monkeypatch, maps, contractions):
+        # non-normal: two parts of two groups each, and each part's zero
+        # group adds only its identity; Hermitian: one group and the identity
+        m = {"one-random": [(_complex(rng, (4, 4)), _complex(rng, (4, 4)))],
+             "identity": [(np.eye(4), np.eye(4))]}[maps]
+        inst = build_teleport_instrument(2, m)
+        inputs = [QuantumState.pure(rand_state(rng, 4)) for _ in range(2)]
+        obs = rand_hermitian(rng, 4)
+        want = sample_estimate(inst, inputs, obs, shots=1000, seed=3)
+        forms = []
+
+        def spy(ev, form):
+            forms.append(form)
+            return weighted_output(ev, form)
+
+        monkeypatch.setattr(wstate.instrument, "weighted_output", spy)
+        assert sample_estimate(inst, inputs, obs, shots=1000, seed=3) == want
+        assert len(forms) == len({id(f) for f in forms}) == contractions
 
 
 class TestVarianceClosures:

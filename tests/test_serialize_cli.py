@@ -317,6 +317,14 @@ class TestCli:
         assert res.exit_code == 2, res.output
         assert "'flat'" in res.output and "k = 538" in res.output
 
+    def test_power_error_shots_beyond_int64_exit_2(self, runner, tmp_path):
+        spec = tmp_path / "exp.json"
+        spec.write_text(json.dumps({"experiment": "power-error",
+                                    "params": {"n": 2, "kmax": 2, "shots": 10**400}}))
+        res = runner.invoke(main, ["experiment", "--spec", str(spec)])
+        assert res.exit_code == 2, res.output
+        assert "2**63 - 1" in res.output
+
     def test_power_error_rounded_ratio_is_clipped(self, runner, tmp_path):
         # at k = 1794 the expdecay ratio |psi^k_0|^2 / trace rounds to 1 + 2**-52
         spec = tmp_path / "exp.json"

@@ -169,16 +169,19 @@ class TestEigenbasis:
         def dense(form):
             return form if isinstance(form, np.ndarray) else form.dense()
 
-        for form in forms:
-            groups = spectral_groups(form)
+        groups_of = [spectral_groups(form) for form in forms]
+        for form, groups in zip(forms, groups_of):
             projs = [sum(c * dense(f) for c, f in proj) for _, proj in groups]
             acc = sum(val * p for (val, _), p in zip(groups, projs))
             assert np.abs(acc - dense(form)).max() < 1e-9
             assert np.abs(sum(projs) - np.eye(len(acc))).max() < 1e-9
             for p in projs:
                 assert np.abs(p @ p - p).max() < 1e-9
-        assert [val for val, _ in spectral_groups(forms[1])] == [1.0, -1.0]
-        assert [val for val, _ in spectral_groups(forms[2])][-1] == 0.0
+        assert [val for val, _ in groups_of[1]] == [1.0, -1.0]
+        # the zero group is I minus the other groups, over the same forms
+        *kept, (zero_val, zero_proj) = groups_of[2]
+        assert zero_val == 0.0
+        assert [id(f) for _, f in zero_proj[1:]] == [id(proj[0][1]) for _, proj in kept]
 
 
 class TestPermutationUnitary:
