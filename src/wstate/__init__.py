@@ -1,110 +1,69 @@
 """Weighted states: nonlinear transformations of quantum states by
 classically reweighted instruments, with exact simulation, shot-based
-estimation, and variance analysis."""
+estimation, and variance analysis.
 
-from .errors import (
-    AllocationError,
-    ConsistencyError,
-    DimensionMismatch,
-    FullyDestructive,
-    InvalidDistribution,
-    InvalidGrid,
-    InvalidState,
-    MissingDecomposition,
-    NotNormal,
-    NotUnitary,
-    NumericalPreconditionError,
-    OrthogonalInputs,
-    OrthogonalIntermediate,
-    SchemaError,
-    UnknownExperiment,
-    UnknownLabel,
-    ValidationError,
-    VanishingOverlapProduct,
-    WstateError,
-    ZeroBeta,
-)
-from .experiments import ResultTable, family_state, run_experiment
-from .instrument import (
-    InstrumentBranch,
-    MeasurementOperator,
-    Pipeline,
-    QuantumInstrument,
-    QuantumState,
-    WeightedState,
-    apply_exact,
-    branches,
-    concatenate,
-    emulate_nonnormal,
-    expectation,
-)
-from .lcs import (
-    LcsProblem,
-    LcuResult,
-    PauliDecomposition,
-    all_at_once_M,
-    all_at_once_apply,
-    build_all_at_once_instrument,
-    hadamard_test,
-    incoherent_estimate,
-    incoherent_exact,
-    lcu_prepare,
-    pauli_decompose,
-    preparation_unitary,
-)
-from .sampling import (
-    BetaDesign,
-    ConcatComparison,
-    EstimatorReport,
-    PowerComparison,
-    VarianceBounds,
-    allocate_shots,
-    beta_variance_bound,
-    compare_concat_vs_direct,
-    compare_power_methods,
-    hoeffding_shots,
-    optimal_beta,
-    sample_counts,
-    sample_estimate,
-    variance_bound,
-    variance_exact,
-    variance_gqt,
-    variance_lincombo,
-    variance_postprocessing,
-    variance_qhp,
-    variance_qsp,
-)
-from .subroutines import (
-    PolySpec,
-    PolynomialPipeline,
-    SPECIAL_CASES,
-    SolveResult,
-    SolverSolution,
-    alpha_of,
-    build_gqt_instrument,
-    build_lincombo_instrument,
-    build_qhp_instrument,
-    build_qsp_instrument,
-    build_teleport_instrument,
-    gamma_in,
-    gqt,
-    lincombo_pair_M,
-    polynomial_pipeline,
-    power_pipeline_states,
-    power_state,
-    qhp,
-    qsp_oracle,
-    solve_qsp_realizable,
-    teleport_map,
-)
-from .tensor import (
-    LowRankOperator,
-    PermutationUnitary,
-    Register,
-    RegisterLayout,
-    dephase,
-)
+`import wstate` loads no submodule. Each exported name is imported from its
+submodule on first access (PEP 562) and then kept in this namespace.
+"""
+
+import importlib as _importlib
 
 __version__ = "0.1.0"
 
-__all__ = [name for name in dir() if not name.startswith("_")]
+# submodule -> the names it exports from the package
+_EXPORTS = {
+    "errors": (
+        "AllocationError", "ConsistencyError", "DimensionMismatch", "FullyDestructive",
+        "InvalidDistribution", "InvalidGrid", "InvalidState", "MissingDecomposition",
+        "NotNormal", "NotUnitary", "NumericalPreconditionError", "OrthogonalInputs",
+        "OrthogonalIntermediate", "SchemaError", "UnknownExperiment", "UnknownLabel",
+        "ValidationError", "VanishingOverlapProduct", "WstateError", "ZeroBeta",
+    ),
+    "experiments": ("ResultTable", "family_state", "run_experiment"),
+    "instrument": (
+        "InstrumentBranch", "MeasurementOperator", "Pipeline", "QuantumInstrument",
+        "QuantumState", "WeightedState", "apply_exact", "branches", "concatenate",
+        "emulate_nonnormal", "expectation",
+    ),
+    "lcs": (
+        "LcsProblem", "LcuResult", "PauliDecomposition", "all_at_once_M", "all_at_once_apply",
+        "build_all_at_once_instrument", "hadamard_test", "incoherent_estimate",
+        "incoherent_exact", "lcu_prepare", "pauli_decompose", "preparation_unitary",
+    ),
+    "sampling": (
+        "BetaDesign", "ConcatComparison", "EstimatorReport", "PowerComparison",
+        "VarianceBounds", "allocate_shots", "beta_variance_bound", "compare_concat_vs_direct",
+        "compare_power_methods", "hoeffding_shots", "optimal_beta", "sample_counts",
+        "sample_estimate", "variance_bound", "variance_exact", "variance_gqt",
+        "variance_lincombo", "variance_postprocessing", "variance_qhp", "variance_qsp",
+    ),
+    "subroutines": (
+        "PolySpec", "PolynomialPipeline", "SPECIAL_CASES", "SolveResult", "SolverSolution",
+        "alpha_of", "build_gqt_instrument", "build_lincombo_instrument", "build_qhp_instrument",
+        "build_qsp_instrument", "build_teleport_instrument", "gamma_in", "gqt",
+        "lincombo_pair_M", "polynomial_pipeline", "power_pipeline_states", "power_state", "qhp",
+        "qsp_oracle", "solve_qsp_realizable", "teleport_map",
+    ),
+    "tensor": (
+        "LowRankOperator", "PermutationUnitary", "Register", "RegisterLayout", "dephase",
+    ),
+}
+_MODULE_OF = {name: module for module, names in _EXPORTS.items() for name in names}
+
+# the submodules themselves resolve as attributes too
+__all__ = sorted([*_EXPORTS, *_MODULE_OF])
+
+
+def __getattr__(name: str):
+    if name in _EXPORTS:
+        return _importlib.import_module(f"{__name__}.{name}")
+    module = _MODULE_OF.get(name)
+    if module is None:
+        raise AttributeError(f"module {__name__!r} has no attribute {name!r}")
+    value = getattr(_importlib.import_module(f"{__name__}.{module}"), name)
+    globals()[name] = value
+    return value
+
+
+def __dir__():
+    return sorted({*globals(), *__all__})

@@ -3,6 +3,9 @@ combination workflows, experiment reproduction, and spec validation.
 
 Exit codes: 0 success, 2 validation or schema failure, 3 numerical
 precondition failure (for example orthogonal inputs).
+
+Each verb imports the library functions it calls in its own body, so one
+process loads only the modules of the verb it runs.
 """
 
 from __future__ import annotations
@@ -15,29 +18,6 @@ import click
 import numpy as np
 
 from .errors import NumericalPreconditionError, SchemaError, ValidationError
-from .experiments import run_experiment
-from .instrument import apply_exact, expectation
-from .lcs import (
-    all_at_once_apply,
-    incoherent_estimate,
-    lcu_prepare,
-    pauli_decompose,
-)
-from .sampling import (
-    hoeffding_shots,
-    optimal_beta,
-    sample_estimate,
-    variance_bound,
-    variance_exact,
-)
-from .serialize import (
-    experiment_spec_from_json,
-    io_roundtrip,
-    lcs_from_json,
-    matrix_from_json,
-    task_from_json,
-)
-from .tensor import complex_from_json, matrix_to_json, spectral_norm
 
 
 def _load_spec(path: str) -> dict:
@@ -108,6 +88,9 @@ def main():
 @handles_errors
 def estimate(spec_path, shots, seed, workers, method, out):
     """Shot-based estimate of Tr(tau O) for an instrument task document."""
+    from .sampling import sample_estimate
+    from .serialize import task_from_json
+
     task = task_from_json(_load_spec(spec_path))
     report = sample_estimate(task.instrument, list(task.inputs), task.observable,
                              shots, seed, workers=workers, method=method)
@@ -122,6 +105,10 @@ def estimate(spec_path, shots, seed, workers, method, out):
 @handles_errors
 def variance(spec_path, out):
     """Exact mean and per-shot estimator variance for a task document."""
+    from .instrument import apply_exact, expectation
+    from .sampling import variance_exact
+    from .serialize import task_from_json
+
     task = task_from_json(_load_spec(spec_path))
     tau = apply_exact(task.instrument, list(task.inputs))
     mean = expectation(tau, task.observable)
@@ -135,6 +122,10 @@ def variance(spec_path, out):
 @handles_errors
 def bound(spec_path, out):
     """Variance upper bounds for a task document."""
+    from .sampling import variance_bound
+    from .serialize import task_from_json
+    from .tensor import spectral_norm
+
     task = task_from_json(_load_spec(spec_path))
     norm = spectral_norm(task.observable)
     bounds = variance_bound(task.instrument, list(task.inputs), norm)
@@ -148,6 +139,8 @@ def bound(spec_path, out):
 @handles_errors
 def design_beta(p, r, out):
     """Variance-minimizing ancilla weight for a two-state combination."""
+    from .sampling import optimal_beta
+
     _emit(optimal_beta(p, r).to_json(), out)
 
 
@@ -160,6 +153,8 @@ def design_beta(p, r, out):
 @handles_errors
 def hoeffding(epsilon, delta, obs_norm, m_norm, out):
     """Shots sufficient for |estimate - mean| <= epsilon with confidence 1 - delta."""
+    from .sampling import hoeffding_shots
+
     shots = hoeffding_shots(epsilon, delta, obs_norm, m_norm)
     _emit({"epsilon": epsilon, "delta": delta, "shots": shots}, out)
 
@@ -170,6 +165,9 @@ def lcs():
 
 
 def _combo_doc(spec_path):
+    from .serialize import lcs_from_json
+    from .tensor import matrix_from_json
+
     doc = _load_spec(spec_path)
     problem = lcs_from_json(doc, "combination")
     obs = None
@@ -184,6 +182,10 @@ def _combo_doc(spec_path):
 @handles_errors
 def lcs_all_at_once(spec_path, out):
     """Exact weighted state (and expectation, if an observable is given)."""
+    from .instrument import expectation
+    from .lcs import all_at_once_apply
+    from .tensor import complex_from_json, matrix_to_json
+
     doc, problem, obs = _combo_doc(spec_path)
     beta = None
     if "beta" in doc:
@@ -208,6 +210,9 @@ def lcs_all_at_once(spec_path, out):
 @handles_errors
 def lcs_incoherent(spec_path, shots, seed, workers, out):
     """Term-by-term estimate of the combination expectation value."""
+    from .lcs import incoherent_estimate, pauli_decompose
+    from .tensor import matrix_from_json
+
     doc, problem, obs = _combo_doc(spec_path)
     if obs is None:
         raise ValidationError("incoherent estimation needs an 'observable' entry")
@@ -225,6 +230,8 @@ def lcs_incoherent(spec_path, shots, seed, workers, out):
 @handles_errors
 def lcs_lcu(spec_path, out):
     """Postselected coherent preparation of the combination."""
+    from .lcs import lcu_prepare
+
     doc, problem, obs = _combo_doc(spec_path)
     result = lcu_prepare(problem)
     payload = result.to_json()
@@ -243,6 +250,9 @@ def lcs_lcu(spec_path, out):
 @handles_errors
 def experiment(spec_path, out, seed, workers):
     """Run a named parameter sweep and emit its CSV table."""
+    from .experiments import run_experiment
+    from .serialize import experiment_spec_from_json
+
     spec = experiment_spec_from_json(_load_spec(spec_path))
     if seed is not None:
         spec["seed"] = seed
@@ -257,6 +267,8 @@ def experiment(spec_path, out, seed, workers):
 @handles_errors
 def validate(spec_path):
     """Parse a document and check it reserializes to a fixed point."""
+    from .serialize import io_roundtrip
+
     _emit(io_roundtrip(spec_path), None)
 
 

@@ -18,6 +18,7 @@ import numpy as np
 from .errors import InvalidGrid, UnknownExperiment, ValidationError
 from .lcs import LcsProblem, pauli_decompose
 from .sampling import (
+    _MAX_SHOTS,
     beta_variance_bound,
     compare_power_methods,
     optimal_beta,
@@ -115,10 +116,20 @@ def overlap_pair(dim: int, r: float, seed: int) -> tuple[np.ndarray, np.ndarray]
     return u, psi1
 
 
+# upper bounds of the integer parameters, by name, with the rule each keeps
+_INT_LIMITS = {
+    "n": (62, "62, the layout's qubit rule"),
+    "shots": (_MAX_SHOTS, "2**63 - 1, the most shots sample_counts draws"),
+}
+
+
 def _int_param(params: dict, name: str, default: int, low: int) -> int:
     v = params.get(name, default)
     if not isinstance(v, (int, np.integer)) or isinstance(v, bool) or v < low:
         raise InvalidGrid(f"{name} must be an integer >= {low}, got {v!r}")
+    high, rule = _INT_LIMITS.get(name, (None, ""))
+    if high is not None and v > high:
+        raise InvalidGrid(f"{name} must be at most {rule}, got {v!r}")
     return v
 
 

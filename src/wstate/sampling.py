@@ -31,7 +31,6 @@ from .instrument import (
     expectation,
     projected_outputs,
 )
-from .subroutines import ORTHOGONALITY_TOL, alpha_of, gamma_in, power_state, qsp_oracle
 from .tensor import (
     asarray,
     dephase,
@@ -368,6 +367,8 @@ def variance_qsp(sigma, m, rho0, rho1, obs, shots: int) -> float:
 
 
 def qsp_from_parts(sigma, m, rho0, rho1) -> np.ndarray:
+    from .subroutines import alpha_of, gamma_in, qsp_oracle
+
     g = gamma_in(np.trace(rho0), np.trace(rho1))
     return qsp_oracle(rho0, rho1, alpha_of(sigma, m, g))
 
@@ -378,6 +379,8 @@ def variance_lincombo(alpha0, alpha1, beta0, states, obs, shots: int) -> float:
     states = (psi0, psi1), normalized; beta0 is the first ancilla amplitude
     (q = |beta0|^2 of the ancilla weight sits on the first input).
     """
+    from .subroutines import ORTHOGONALITY_TOL
+
     o = _check_hermitian_obs(obs)
     p0, p1 = (asarray(v) for v in states)
     q = abs(beta0) ** 2
@@ -603,6 +606,8 @@ class PowerComparison:
 
 
 def compare_power_methods(psi, k: int, obs) -> PowerComparison:
+    from .subroutines import power_state
+
     o = _check_hermitian_obs(obs)
     v = asarray(psi)
     vk = power_state(v, k)

@@ -11,14 +11,12 @@ from __future__ import annotations
 
 import json
 from dataclasses import dataclass
+from typing import TYPE_CHECKING
 
 import numpy as np
 
 from .errors import ConsistencyError, NotUnitary, SchemaError, ValidationError
-from .experiments import EXPERIMENTS
 from .instrument import MeasurementOperator, QuantumInstrument, QuantumState
-from .lcs import LcsProblem
-from .subroutines import PolySpec
 from .tensor import (
     PermutationUnitary,
     Register,
@@ -32,6 +30,10 @@ from .tensor import (
     vector_from_json,
     vector_to_json,
 )
+
+if TYPE_CHECKING:
+    from .lcs import LcsProblem
+    from .subroutines import PolySpec
 
 
 def _require_dict(obj, field_path: str) -> dict:
@@ -286,6 +288,8 @@ def polyspec_to_json(spec: PolySpec) -> dict:
 
 
 def polyspec_from_json(obj, field_path: str = "polynomial") -> PolySpec:
+    from .subroutines import PolySpec
+
     obj = _require_dict(obj, field_path)
     tj = obj.get("terms")
     _require(isinstance(tj, list) and tj, f"{field_path}.terms", "must be a non-empty list")
@@ -321,6 +325,8 @@ def lcs_to_json(problem: LcsProblem) -> dict:
 
 
 def lcs_from_json(obj, field_path: str = "combination") -> LcsProblem:
+    from .lcs import LcsProblem
+
     obj = _require_dict(obj, field_path)
     sj = obj.get("states")
     _require(isinstance(sj, list) and sj, f"{field_path}.states", "must be a non-empty list")
@@ -347,6 +353,8 @@ def lcs_from_json(obj, field_path: str = "combination") -> LcsProblem:
 
 
 def experiment_spec_from_json(obj, field_path: str = "spec") -> dict:
+    from .experiments import EXPERIMENTS
+
     obj = _require_dict(obj, field_path)
     name = obj.get("experiment")
     _require(isinstance(name, str), f"{field_path}.experiment", "must be a string")

@@ -325,6 +325,34 @@ class TestCli:
         assert res.exit_code == 2, res.output
         assert "2**63 - 1" in res.output
 
+    def test_lincombo_variance_shots_beyond_int64_exit_2(self, runner, tmp_path):
+        spec = tmp_path / "exp.json"
+        spec.write_text(json.dumps({"experiment": "lincombo-variance",
+                                    "params": {"shots": 10**400}}))
+        res = runner.invoke(main, ["experiment", "--spec", str(spec)])
+        assert res.exit_code == 2, res.output
+        assert "shots must be at most 2**63 - 1" in res.output
+
+    def test_power_error_qubits_beyond_layout_rule_exit_2(self, tmp_path):
+        # refused before 2**n is formed; without the bound, forming it grows
+        # memory without end, so the child runs under a 1 GB address-space
+        # cap that turns that into a quick MemoryError (exit 1), with one BLAS
+        # thread so that the cap holds numpy's own buffers on any core count
+        spec = tmp_path / "exp.json"
+        spec.write_text(json.dumps({"experiment": "power-error", "params": {"n": 2**70}}))
+        code = ("import resource, sys\n"
+                "resource.setrlimit(resource.RLIMIT_AS, (2**30, 2**30))\n"
+                "from wstate.cli import main\n"
+                "main.main(args=sys.argv[1:], prog_name='wstate')\n")
+        proc = subprocess.run(
+            [sys.executable, "-c", code, "experiment", "--spec", str(spec)],
+            capture_output=True, text=True, timeout=120,
+            env=dict(os.environ, PYTHONPATH=str(pathlib.Path(wstate.__file__).parents[1]),
+                     OPENBLAS_NUM_THREADS="1", OMP_NUM_THREADS="1"),
+        )
+        assert proc.returncode == 2, proc.stderr
+        assert "n must be at most 62" in proc.stderr
+
     def test_power_error_rounded_ratio_is_clipped(self, runner, tmp_path):
         # at k = 1794 the expdecay ratio |psi^k_0|^2 / trace rounds to 1 + 2**-52
         spec = tmp_path / "exp.json"
@@ -506,12 +534,8 @@ def test_library_holds_no_test_only_code():
     Click commands are entry points and exempt."""
     src = pathlib.Path(wstate.__file__).parent
     trees = {path.name: ast.parse(path.read_text()) for path in sorted(src.glob("*.py"))}
-    exported = {
-        alias.asname or alias.name
-        for node in ast.walk(trees.pop("__init__.py"))
-        if isinstance(node, ast.ImportFrom)
-        for alias in node.names
-    }
+    del trees["__init__.py"]
+    exported = {name for names in wstate._EXPORTS.values() for name in names}
     used = {
         node.id for tree in trees.values() for node in ast.walk(tree) if isinstance(node, ast.Name)
     }
@@ -526,15 +550,62 @@ def test_library_holds_no_test_only_code():
     assert found == []
 
 
-def test_cli_import_leaves_scipy_out():
-    """SciPy is a test dependency only: the command line never imports it."""
-    code = "import sys, wstate.cli; print('scipy' in sys.modules)"
+def _fresh(code: str, *argv: str):
+    """Run code in a fresh interpreter on this source tree; returns the JSON
+    value of the last line it prints."""
     src = pathlib.Path(wstate.__file__).parents[1]
     out = subprocess.run(
-        [sys.executable, "-c", code], capture_output=True, text=True, check=True,
+        [sys.executable, "-c", code, *argv], capture_output=True, text=True, check=True,
         env=dict(os.environ, PYTHONPATH=str(src)),
     )
-    assert out.stdout.strip() == "False"
+    return json.loads(out.stdout.splitlines()[-1])
+
+
+_LOADED = "sorted(m for m in sys.modules if m.startswith('wstate.'))"
+
+
+def test_cli_import_leaves_scipy_out():
+    """SciPy is a test dependency only: the command line never imports it."""
+    assert _fresh("import json, sys, wstate.cli; print(json.dumps('scipy' in sys.modules))") is False
+
+
+def test_package_import_loads_no_submodule():
+    assert _fresh(f"import json, sys, wstate; print(json.dumps({_LOADED}))") == []
+
+
+def test_every_export_resolves_and_is_listed():
+    missing, unlisted = _fresh(
+        "import importlib, json, wstate\n"
+        "missing = [name for name in wstate.__all__ if not hasattr(wstate, name)]\n"
+        "missing += [name for mod, names in wstate._EXPORTS.items() for name in names\n"
+        "            if getattr(wstate, name) is not\n"
+        "            getattr(importlib.import_module('wstate.' + mod), name)]\n"
+        "print(json.dumps([missing, sorted(set(wstate.__all__) - set(dir(wstate)))]))"
+    )
+    assert missing == [] and unlisted == []
+
+
+def test_unknown_attribute_raises_attribute_error():
+    # hasattr is False only when the lookup raises AttributeError
+    has, loaded = _fresh(
+        f"import json, sys, wstate; print(json.dumps([hasattr(wstate, 'no_such_name'), {_LOADED}]))"
+    )
+    assert has is False and loaded == []
+
+
+@pytest.mark.parametrize("verb", ["hoeffding", "estimate"])
+def test_verb_loads_only_its_modules(verb, task_file):
+    argv = {"hoeffding": ["hoeffding", "--epsilon", "0.1", "--delta", "0.05"],
+            "estimate": ["estimate", "--spec", task_file, "--shots", "100"]}[verb]
+    loaded = _fresh(
+        "import json, sys\n"
+        "from wstate.cli import main\n"
+        "main.main(args=sys.argv[1:], prog_name='wstate', standalone_mode=False)\n"
+        f"print(json.dumps({_LOADED}))",
+        *argv,
+    )
+    assert "wstate.sampling" in loaded
+    assert not {"wstate.experiments", "wstate.lcs", "wstate.subroutines"} & set(loaded)
 
 
 def test_estimate_and_incoherent_run_without_scipy(runner, task_file, combo_file, monkeypatch):
