@@ -29,13 +29,14 @@ _EXPORTS = {
         "LcsProblem", "LcuResult", "PauliDecomposition", "all_at_once_M", "all_at_once_apply",
         "build_all_at_once_instrument", "hadamard_test", "incoherent_estimate",
         "incoherent_exact", "lcu_prepare", "pauli_decompose", "preparation_unitary",
+        "variance_postprocessing",
     ),
     "sampling": (
         "BetaDesign", "ConcatComparison", "EstimatorReport", "PowerComparison",
         "VarianceBounds", "allocate_shots", "beta_variance_bound", "compare_concat_vs_direct",
         "compare_power_methods", "hoeffding_shots", "optimal_beta", "sample_counts",
         "sample_estimate", "variance_bound", "variance_exact", "variance_gqt",
-        "variance_lincombo", "variance_postprocessing", "variance_qhp", "variance_qsp",
+        "variance_lincombo", "variance_qhp", "variance_qsp",
     ),
     "subroutines": (
         "PolySpec", "PolynomialPipeline", "SPECIAL_CASES", "SolveResult", "SolverSolution",

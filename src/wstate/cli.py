@@ -24,7 +24,7 @@ def _load_spec(path: str) -> dict:
     try:
         with open(path) as fh:
             return json.load(fh)
-    except json.JSONDecodeError as exc:
+    except ValueError as exc:  # JSONDecodeError, or an integer beyond int's digit limit
         raise ValidationError(f"{path}: not valid JSON: {exc}") from exc
     except OSError as exc:
         raise ValidationError(f"{path}: {exc.strerror}") from exc
@@ -65,8 +65,9 @@ out_option = click.option("--out", default=None, help="Write the result here ins
 seed_option = click.option("--seed", default=0, show_default=True, help="RNG stream seed.")
 shots_option = click.option("--shots", default=10000, show_default=True, help="Total shot budget.")
 workers_option = click.option("--workers", default=1, show_default=True,
-                              help="Accepted for compatibility (at least 1); sampling runs in "
-                                   "the calling thread, so results are identical for any count.")
+                              type=click.IntRange(min=1),
+                              help="Accepted for compatibility; sampling runs in the calling "
+                                   "thread, so results are identical for any count.")
 
 
 @click.group()
@@ -219,8 +220,7 @@ def lcs_incoherent(spec_path, shots, seed, workers, out):
     v = None
     if "processing" in doc:
         v = matrix_from_json(doc["processing"], "combination.processing")
-    report = incoherent_estimate(problem, v, pauli_decompose(obs), shots, seed,
-                                 workers=workers)
+    report = incoherent_estimate(problem, v, pauli_decompose(obs), shots, seed)
     _emit(report.to_json(), out)
 
 
@@ -256,7 +256,7 @@ def experiment(spec_path, out, seed, workers):
     spec = experiment_spec_from_json(_load_spec(spec_path))
     if seed is not None:
         spec["seed"] = seed
-    table = run_experiment(spec, workers=workers)
+    table = run_experiment(spec)
     text = table.to_csv(out)
     if not out:
         click.echo(text, nl=False)

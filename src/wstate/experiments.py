@@ -16,7 +16,7 @@ from datetime import datetime, timezone
 import numpy as np
 
 from .errors import InvalidGrid, UnknownExperiment, ValidationError
-from .lcs import LcsProblem, pauli_decompose
+from .lcs import LcsProblem, pauli_decompose, variance_postprocessing
 from .sampling import (
     _MAX_SHOTS,
     beta_variance_bound,
@@ -24,7 +24,6 @@ from .sampling import (
     optimal_beta,
     sample_counts,
     variance_lincombo,
-    variance_postprocessing,
 )
 from .subroutines import power_state
 from .tensor import _pauli_string, is_json_number, spectral_norm
@@ -150,6 +149,18 @@ def _grid(values, name: str, low: float, high: float, closed_high=True) -> list:
     return vals
 
 
+def _power(psi, k: int, family: str) -> tuple[np.ndarray, float, float]:
+    """(psi^k, its trace, |psi^k_0|^2) for the power sweeps; InvalidGrid once
+    either number underflows to 0, as every later power's does too."""
+    vk = power_state(psi, k)
+    trace = float(np.vdot(vk, vk).real)
+    exact = float(abs(vk[0]) ** 2)
+    if exact == 0.0:
+        what = "trace" if trace == 0.0 else "|psi^k_0|^2"
+        raise InvalidGrid(f"family {family!r}: the {what} underflows to 0 at k = {k}; lower kmax")
+    return vk, trace, exact
+
+
 def _families(params: dict) -> list:
     families = params.get("families", sorted(FAMILY_FORMULAS))
     if not isinstance(families, (list, tuple)) or not all(
@@ -163,7 +174,7 @@ def _families(params: dict) -> list:
 # experiments
 
 
-def power_error(params: dict, seed: int, workers: int = 1) -> ResultTable:
+def power_error(params: dict, seed: int) -> ResultTable:
     """Entrywise power pipeline: surviving trace and estimator error vs k.
 
     rel_error is the analytic per-shot relative standard error
@@ -188,20 +199,10 @@ def power_error(params: dict, seed: int, workers: int = 1) -> ResultTable:
     for fi, family in enumerate(families):
         psi = family_state(family, n)
         for k in range(1, kmax + 1):
-            vk = power_state(psi, k)
-            trace = float(np.vdot(vk, vk).real)
-            exact = float(abs(vk[0]) ** 2)
-            if exact == 0.0:
-                what = "trace" if trace == 0.0 else "|psi^k_0|^2"
-                raise InvalidGrid(
-                    f"family {family!r}: the {what} underflows to 0 at k = {k}, "
-                    "so its relative error is undefined; lower kmax"
-                )
+            vk, trace, exact = _power(psi, k, family)
             # exact <= trace, but rounding can put q just above 1
             q = min(exact / trace, 1.0)
-            counts = sample_counts(
-                np.array([q, 1.0 - q]), shots, seed, stream_key=(fi, k), workers=workers
-            )
+            counts = sample_counts(np.array([q, 1.0 - q]), shots, seed, stream_key=(fi, k))
             estimate = trace * float(counts[0]) / shots
             std = trace * math.sqrt(q * (1.0 - q) / shots)
             # second-moment bound on the std dev of the reweighted estimate
@@ -212,7 +213,7 @@ def power_error(params: dict, seed: int, workers: int = 1) -> ResultTable:
     return table
 
 
-def opt_beta_surface(params: dict, seed: int, workers: int = 1) -> ResultTable:
+def opt_beta_surface(params: dict, seed: int) -> ResultTable:
     """Optimal ancilla weight q* and its variance bound over a (p, r) grid."""
     p_grid = _grid(params.get("p_grid", [round(0.1 * i, 1) for i in range(1, 10)]),
                    "p", 0.0, 1.0, closed_high=False)
@@ -230,7 +231,7 @@ def opt_beta_surface(params: dict, seed: int, workers: int = 1) -> ResultTable:
     return table
 
 
-def lincombo_variance(params: dict, seed: int, workers: int = 1) -> ResultTable:
+def lincombo_variance(params: dict, seed: int) -> ResultTable:
     """Exact pair-combination variance and its overlap-independent bound as
     functions of the ancilla weight beta0^2, for several overlaps and
     coefficient splits."""
@@ -270,7 +271,7 @@ def lincombo_variance(params: dict, seed: int, workers: int = 1) -> ResultTable:
     return table
 
 
-def method_comparison(params: dict, seed: int, workers: int = 1) -> ResultTable:
+def method_comparison(params: dict, seed: int) -> ResultTable:
     """Pair combination through one reweighting instrument versus term-by-term
     estimation, for a multi-term observable, as the overlap varies."""
     n = _int_param(params, "n", 4, 1)
@@ -313,7 +314,7 @@ def method_comparison(params: dict, seed: int, workers: int = 1) -> ResultTable:
     return table
 
 
-def qhp_vs_gqt(params: dict, seed: int, workers: int = 1) -> ResultTable:
+def qhp_vs_gqt(params: dict, seed: int) -> ResultTable:
     """Per-shot variance of the iterated entrywise product against the
     transpose-coupling route for state powers."""
     n = _int_param(params, "n", 4, 1)
@@ -332,7 +333,7 @@ def qhp_vs_gqt(params: dict, seed: int, workers: int = 1) -> ResultTable:
     for family in families:
         psi = family_state(family, n)
         for k in range(1, kmax + 1):
-            vk = power_state(psi, k)
+            vk, _, _ = _power(psi, k, family)
             mean = float(np.vdot(vk, obs @ vk).real)
             cmp = compare_power_methods(psi, k, obs)
             table.add(family, k, mean, cmp.var_qhp, cmp.var_gqt, cmp.difference)
@@ -348,7 +349,7 @@ EXPERIMENTS = {
 }
 
 
-def run_experiment(spec: dict, workers: int = 1) -> ResultTable:
+def run_experiment(spec: dict) -> ResultTable:
     """Dispatch {"experiment": name, "seed": int, "params": {...}}."""
     if not isinstance(spec, dict):
         raise ValidationError("experiment spec must be a mapping")
@@ -361,4 +362,4 @@ def run_experiment(spec: dict, workers: int = 1) -> ResultTable:
     params = spec.get("params", {})
     if not isinstance(params, dict):
         raise ValidationError("params must be a mapping")
-    return EXPERIMENTS[name](params, seed, workers=workers)
+    return EXPERIMENTS[name](params, seed)

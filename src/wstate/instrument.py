@@ -28,7 +28,6 @@ from .errors import (
     InvalidState,
     InvalidDistribution,
     MissingDecomposition,
-    NotNormal,
     NotUnitary,
     ValidationError,
 )
@@ -45,7 +44,7 @@ from .tensor import (
     embed_permutation,
     hermiticity_residual,
     norm_scale,
-    normality_residual,
+    not_normal,
     spectral_groups,
     unitarity_residual,
 )
@@ -228,7 +227,7 @@ class MeasurementOperator:
             if n.shape != op.shape:
                 raise DimensionMismatch("decomposition part has wrong shape")
             if classify(n) == "nonnormal":
-                raise NotNormal(normality_residual(n), NORMALITY_TOL * norm_scale(n) ** 2)
+                raise not_normal(n)
             acc = acc + c * n
         if float(np.max(np.abs(acc - op))) > NORMALITY_TOL * norm_scale(op):
             raise ValidationError("decomposition does not reconstruct the matrix")
@@ -577,7 +576,7 @@ def branches(inst: QuantumInstrument, inputs) -> list[InstrumentBranch]:
     if meas.kind == "nonnormal":
         op = meas.operator
         m = op.core()[1] if isinstance(op, LowRankOperator) else op
-        raise NotNormal(normality_residual(m), NORMALITY_TOL * norm_scale(m) ** 2)
+        raise not_normal(m)
     groups = spectral_groups(meas.operator)
     ev = evolve(inst, inputs)
     out = []

@@ -304,6 +304,13 @@ def pauli_decompose(obs) -> PauliDecomposition:
 # incoherent estimation
 
 
+def _hadamard_circuit(pref: float, target: float) -> tuple:
+    """Plan row of a Hadamard test with <+-1> = target: P(+1) = (1 + target)/2,
+    clipped to [0, 1], and a per-shot variance of at most 1."""
+    p_plus = min(max((1.0 + target) / 2.0, 0.0), 1.0)
+    return pref, 1.0, np.array([1.0, -1.0]), np.array([p_plus, 1.0 - p_plus])
+
+
 def hadamard_test(u, part: str, shots: int, seed: int, stream_key: tuple = ()) -> float:
     """Estimate Re or Im of <0|u|0> from +-1 shots: P(+1) = (1 +- value)/2."""
     mat = asarray(u, square=True)
@@ -312,10 +319,9 @@ def hadamard_test(u, part: str, shots: int, seed: int, stream_key: tuple = ()) -
     if part not in ("re", "im"):
         raise ValidationError(f"part must be 're' or 'im', got {part!r}")
     val = complex(mat[0, 0])
-    target = val.real if part == "re" else val.imag
-    p_plus = min(max((1.0 + target) / 2.0, 0.0), 1.0)
-    counts = sample_counts(np.array([p_plus, 1.0 - p_plus]), shots, seed, stream_key)
-    return float((counts[0] - counts[1]) / shots)
+    _, _, values, probs = _hadamard_circuit(1.0, val.real if part == "re" else val.imag)
+    counts = sample_counts(probs, shots, seed, stream_key)
+    return float(np.dot(counts, values) / shots)
 
 
 def incoherent_exact(problem: LcsProblem, v, obs) -> float:
@@ -331,23 +337,16 @@ def incoherent_exact(problem: LcsProblem, v, obs) -> float:
     return float(total.real)
 
 
-def incoherent_estimate(
-    problem: LcsProblem,
-    v,
-    obs_decomposition: PauliDecomposition,
-    shots: int,
-    seed: int,
-    workers: int = 1,
-) -> EstimatorReport:
-    """Term-by-term estimate of <Phi|V^dag O V|Phi>.
+def _incoherent_circuits(problem: LcsProblem, v, obs_decomposition: PauliDecomposition):
+    """The incoherent route's circuits, one row (prefactor, max per-shot
+    variance, values, probabilities) each: the estimate is
+    sum_c prefactor_c <values>_c, where <values>_c is the mean outcome of
+    circuit c, whose exact per-shot law is (values, probabilities).
 
     Diagonal terms measure O directly in V|phi_l>; cross terms estimate
-    Re/Im <phi_l'|V^dag U_i V|phi_l> with Hadamard tests per decomposition
-    term. The budget is allocated proportionally to the term prefactors;
-    every active circuit gets its own deterministic RNG stream.
+    Re/Im <phi_l'|V^dag U_i V|phi_l> with a Hadamard test per decomposition
+    term. V must be unitary (None is the identity).
     """
-    if shots < 1:
-        raise ValidationError("shot count must be >= 1")
     o = _check_hermitian_obs(obs_decomposition.target)
     d = problem.dim
     vv = np.eye(d, dtype=np.complex128) if v is None else asarray(v, square=True)
@@ -358,8 +357,6 @@ def incoherent_estimate(
     count = problem.count
     o_norm = spectral_norm(o)
 
-    # circuit plan: (prefactor used in the estimate, max variance, exact
-    # per-shot distribution described by (values, probabilities))
     circuits = []
     for l in range(count):
         amps = o_vecs.conj().T @ problem.states[l]
@@ -377,13 +374,32 @@ def incoherent_estimate(
                 )
                 w = cross * eta
                 for pref, target in ((2.0 * w.real, z.real), (-2.0 * w.imag, z.imag)):
-                    if pref == 0:
-                        continue
-                    p_plus = min(max((1.0 + target) / 2.0, 0.0), 1.0)
-                    circuits.append(
-                        (pref, 1.0, np.array([1.0, -1.0]), np.array([p_plus, 1 - p_plus]))
-                    )
+                    if pref != 0:
+                        circuits.append(_hadamard_circuit(pref, target))
+    return circuits
 
+
+def _law_variance(values, probs) -> float:
+    mean = float(np.dot(probs, values))
+    return float(np.dot(probs, values**2)) - mean**2
+
+
+def incoherent_estimate(
+    problem: LcsProblem,
+    v,
+    obs_decomposition: PauliDecomposition,
+    shots: int,
+    seed: int,
+) -> EstimatorReport:
+    """Term-by-term estimate of <Phi|V^dag O V|Phi> over the circuits of
+    _incoherent_circuits.
+
+    The budget is allocated proportionally to the term prefactors; every
+    active circuit gets its own deterministic RNG stream.
+    """
+    if shots < 1:
+        raise ValidationError("shot count must be >= 1")
+    circuits = _incoherent_circuits(problem, v, obs_decomposition)
     alloc = allocate_shots([abs(c[0]) for c in circuits], shots)
     estimate = 0.0
     sample_var = 0.0
@@ -392,17 +408,15 @@ def incoherent_estimate(
     for idx, ((pref, maxvar, values, probs), s_c) in enumerate(zip(circuits, alloc)):
         if s_c == 0:
             continue
-        counts = sample_counts(probs, s_c, seed, stream_key=(idx,), workers=workers)
+        counts = sample_counts(probs, s_c, seed, stream_key=(idx,))
         mean_c = float(np.dot(counts, values) / s_c)
         estimate += pref * mean_c
-        exact_mean = float(np.dot(probs, values))
-        exact_var = float(np.dot(probs, values**2)) - exact_mean**2
-        analytic_var += pref**2 * exact_var / s_c
+        analytic_var += pref**2 * _law_variance(values, probs) / s_c
         bound += pref**2 * maxvar / s_c
         if s_c > 1:
             var_c = (float(np.dot(counts, values**2)) - s_c * mean_c**2) / (s_c - 1)
             sample_var += pref**2 * max(var_c, 0.0) / s_c
-    exact_total = incoherent_exact(problem, v, o)
+    exact_total = incoherent_exact(problem, v, obs_decomposition.target)
     return EstimatorReport(
         shots=shots,
         seed=seed,
@@ -412,6 +426,22 @@ def incoherent_estimate(
         analytic_variance=float(analytic_var * shots),
         variance_bound=float(bound * shots),
     )
+
+
+def variance_postprocessing(problem, obs_decomposition, total_shots: int, v=None) -> float:
+    """Variance of the incoherent estimate under proportional shot allocation:
+    W sum_c |pref_c| var_c / total_shots over the circuits of
+    _incoherent_circuits, with W = sum_c |pref_c| and var_c the exact
+    per-shot variance of circuit c.
+
+    The allocation s_c = total_shots |pref_c| / W is treated as continuous,
+    which is the infinite-total limit of the integer allocator.
+    """
+    if not isinstance(obs_decomposition, PauliDecomposition):
+        raise ValidationError("need a PauliDecomposition of the observable")
+    circuits = _incoherent_circuits(problem, v, obs_decomposition)
+    terms = [(abs(pref), _law_variance(values, probs)) for pref, _, values, probs in circuits]
+    return sum(w for w, _ in terms) * sum(w * var for w, var in terms) / total_shots
 
 
 # ---------------------------------------------------------------------------
@@ -425,8 +455,6 @@ class LcuResult:
     state: np.ndarray
     success_probability: float
     norm: float  # |Phi|
-    prep: np.ndarray
-    select: np.ndarray
 
     def to_json(self) -> dict:
         return {
@@ -438,7 +466,12 @@ class LcuResult:
 
 def lcu_prepare(problem: LcsProblem) -> LcuResult:
     """Statevector simulation of PREP^dag . SELECT . PREP postselected on the
-    ancilla |0>; the surviving branch is Phi / |alpha|_1."""
+    ancilla |0>; the surviving branch is Phi / |alpha|_1.
+
+    The circuit is applied one ancilla branch at a time: PREP puts amplitude
+    prep[l, 0] on branch l, SELECT applies phase_l U_l to the register's |0>
+    there, and row 0 of PREP^dag sums the branches into the postselected one.
+    """
     count, d = problem.count, problem.dim
     alphas = np.array(problem.alphas)
     one_norm = float(np.abs(alphas).sum())
@@ -446,16 +479,10 @@ def lcu_prepare(problem: LcsProblem) -> LcuResult:
         raise ValidationError("all combination coefficients vanish")
     amps = np.sqrt(np.abs(alphas) / one_norm)
     prep = preparation_unitary(amps)
-    select = np.zeros((count * d, count * d), dtype=np.complex128)
+    branch = np.zeros(d, dtype=np.complex128)
     for l in range(count):
         phase = alphas[l] / abs(alphas[l]) if abs(alphas[l]) > 0 else 1.0
-        select[l * d : (l + 1) * d, l * d : (l + 1) * d] = phase * problem.preparation(l)
-    joint = np.zeros(count * d, dtype=np.complex128)
-    joint[0] = 1.0
-    joint = np.kron(prep, np.eye(d)) @ joint
-    joint = select @ joint
-    joint = np.kron(prep.conj().T, np.eye(d)) @ joint
-    branch = joint.reshape(count, d)[0]
+        branch += np.conj(prep[l, 0]) * (phase * problem.preparation(l)[:, 0] * prep[l, 0])
     norm_sq = float(np.vdot(branch, branch).real)
     # cross-check against the Gram closed form |Phi|^2 / |alpha|_1^2
     phi_sq = float((alphas.conj() @ problem.gram @ alphas).real)
@@ -468,6 +495,4 @@ def lcu_prepare(problem: LcsProblem) -> LcuResult:
         state=state,
         success_probability=norm_sq,
         norm=math.sqrt(norm_sq) * one_norm,
-        prep=prep,
-        select=select,
     )

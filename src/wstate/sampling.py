@@ -49,17 +49,14 @@ _MAX_SHOTS = (1 << 63) - 1
 # deterministic sampling
 
 
-def sample_counts(
-    probs, shots: int, seed: int, stream_key: tuple = (), workers: int = 1
-) -> np.ndarray:
+def sample_counts(probs, shots: int, seed: int, stream_key: tuple = ()) -> np.ndarray:
     """Multinomial counts over the given cells, every shot drawn at once.
 
     The draw uses the Philox stream spawned at (*stream_key, 0) from the
     seed, so the result is a function of (seed, shots, stream_key) alone. A
     call of at most 2^14 shots draws what the former 2^14-shot block layout
     drew, whose first block used that stream. shots must fit the
-    multinomial's int64 count. workers is accepted and checked to be at
-    least 1, and changes nothing.
+    multinomial's int64 count.
     """
     p = np.asarray(probs, dtype=float)
     if p.ndim != 1 or p.size == 0:
@@ -72,8 +69,6 @@ def sample_counts(
     p = p / p.sum()
     if not 0 <= shots <= _MAX_SHOTS:
         raise ValidationError("shot count must lie in [0, 2**63 - 1]")
-    if workers < 1:
-        raise ValidationError("workers must be >= 1")
     ss = np.random.SeedSequence(entropy=seed & _MASK64, spawn_key=(*stream_key, 0))
     return np.random.Generator(np.random.Philox(ss)).multinomial(shots, p)
 
@@ -244,8 +239,8 @@ def sample_estimate(
     (default) measures the instrument that emulate_nonnormal builds, which
     adds a part-selection register; 'randomized' draws a decomposition part
     per shot and rescales its eigenvalue. Both give the estimator the same
-    law, so both draw from the one cell table of _joint_cells, and method is
-    only validated: it does not change the draws.
+    law, so both draw from the one cell table of _joint_cells. method and
+    workers (at least 1) are only validated: they do not change the draws.
 
     The input is evolved once through inst and contracted once per distinct
     projector form of M's parts N_k = sum_g lambda_g P_g, giving the group
@@ -261,9 +256,11 @@ def sample_estimate(
     o = _check_hermitian_obs(obs)
     if method not in ("emulate", "randomized"):
         raise ValidationError(f"unknown sampling method {method!r}")
+    if workers < 1:
+        raise ValidationError("workers must be >= 1")
     table = _group_table(evolve(inst, inputs), _spectrum(inst.measurement), o)
     probs, weights = _joint_cells(table)
-    counts = sample_counts(probs, shots, seed, workers=workers)
+    counts = sample_counts(probs, shots, seed)
     total_w = np.dot(counts, weights)
     mean = total_w / shots
     second = float(np.dot(counts, np.abs(weights) ** 2).real)
@@ -510,52 +507,6 @@ def allocate_shots(weights, total: int) -> list[int]:
         base[donor] -= 1
         base[i] = 1
     return [int(x) for x in base]
-
-
-# ---------------------------------------------------------------------------
-# incoherent post-processing variance
-
-
-def variance_postprocessing(problem, obs_decomposition, total_shots: int, v=None) -> float:
-    """Variance of the pairwise estimate assembled from direct diagonal
-    measurements plus Hadamard tests, under proportional shot allocation.
-
-    problem must have exactly two states; obs_decomposition is a
-    PauliDecomposition of the observable. The allocation is treated as
-    continuous, which is the infinite-total limit of the integer allocator.
-    """
-    from .lcs import PauliDecomposition
-
-    if not isinstance(obs_decomposition, PauliDecomposition):
-        raise ValidationError("need a PauliDecomposition of the observable")
-    states = problem.states
-    if len(states) != 2:
-        raise ValidationError("post-processing variance is defined for pairs")
-    p0, p1 = states
-    a0, a1 = problem.alphas
-    o = obs_decomposition.target
-    d = o.shape[0]
-    vv = np.eye(d, dtype=np.complex128) if v is None else asarray(v, square=True)
-    o_eff = vv.conj().T @ o @ vv
-    o2 = o_eff @ o_eff
-    e = [float(np.vdot(p, o2 @ p).real) for p in (p0, p1)]
-    m = [float(np.vdot(p, o_eff @ p).real) for p in (p0, p1)]
-    diag_var = [e[0] - m[0] ** 2, e[1] - m[1] ** 2]
-    cross = a0 * np.conj(a1)
-    weights = [abs(a0) ** 2, abs(a1) ** 2]
-    terms = [abs(a0) ** 2 * diag_var[0], abs(a1) ** 2 * diag_var[1]]
-    for eta, u in obs_decomposition.terms:
-        z = complex(np.vdot(p1, vv.conj().T @ asarray(u, square=True) @ vv @ p0))
-        w = cross * eta
-        a_i, b_i = 2.0 * w.real, -2.0 * w.imag
-        if a_i != 0:
-            weights.append(abs(a_i))
-            terms.append(abs(a_i) * (1.0 - z.real**2))
-        if b_i != 0:
-            weights.append(abs(b_i))
-            terms.append(abs(b_i) * (1.0 - z.imag**2))
-    big_w = sum(weights)
-    return big_w * sum(terms) / total_shots
 
 
 # ---------------------------------------------------------------------------

@@ -434,7 +434,7 @@ def io_roundtrip(path: str) -> dict:
     with open(path) as fh:
         try:
             obj = json.load(fh)
-        except json.JSONDecodeError as exc:
+        except ValueError as exc:  # JSONDecodeError, or an integer beyond int's digit limit
             raise SchemaError("file", f"not valid JSON: {exc}") from exc
     kind, value = load_any(obj)
     once = dump_any(kind, value)

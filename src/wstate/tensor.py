@@ -156,6 +156,12 @@ def is_normal(m) -> bool:
     return normality_residual(m) <= NORMALITY_TOL * norm_scale(m) ** 2
 
 
+def not_normal(m) -> NotNormal:
+    """The NotNormal error of a dense m: its normality residual against the
+    tolerance is_normal applies."""
+    return NotNormal(normality_residual(m), NORMALITY_TOL * norm_scale(m) ** 2)
+
+
 def classify(op) -> str:
     """'hermitian', 'normal' or 'nonnormal': the class of an operator held in
     any form, decided exactly at every size.
@@ -229,11 +235,8 @@ def eigenbasis(m):
     """
     a = asarray(m, square=True)
     hermitian = is_hermitian(a)
-    if not hermitian:
-        res = normality_residual(a)
-        scaled_tol = NORMALITY_TOL * norm_scale(a) ** 2
-        if res > scaled_tol:
-            raise NotNormal(res, scaled_tol)
+    if not hermitian and not is_normal(a):
+        raise not_normal(a)
     scale = float(np.linalg.norm(a))
     adj = a.conj().T
     h_vals, vecs = np.linalg.eigh((a + adj) / 2)

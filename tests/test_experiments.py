@@ -92,12 +92,6 @@ class TestDispatch:
         b = run_experiment(spec).to_csv().splitlines()
         assert a[1:] == b[1:]
 
-    def test_workers_do_not_change_rows(self):
-        spec = {"experiment": "power-error", "seed": 2, "params": {"n": 2, "kmax": 2, "shots": 3 * 16384}}
-        a = run_experiment(spec, workers=1).to_csv().splitlines()[1:]
-        b = run_experiment(spec, workers=3).to_csv().splitlines()[1:]
-        assert a == b
-
     def test_invalid_grid_reported(self):
         with pytest.raises(InvalidGrid):
             run_experiment({"experiment": "opt-beta-surface", "params": {"p_grid": []}})

@@ -1,4 +1,5 @@
 import math
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -25,8 +26,8 @@ from wstate.lcs import (
     lcu_prepare,
     pauli_decompose,
     preparation_unitary,
+    variance_postprocessing,
 )
-from wstate.sampling import variance_postprocessing
 from wstate.subroutines import lincombo_pair_M
 
 from conftest import rand_hermitian, rand_state, rand_unitary
@@ -245,6 +246,22 @@ class TestLcu:
         res = lcu_prepare(prob)
         assert np.abs(res.state - (0.6 * e0 + 0.8 * e1)).max() < 1e-12
         assert abs(res.success_probability - 1.0 / 1.96) < 1e-12
+
+    def test_branches_applied_without_dense_circuit_matrices(self, rng):
+        # L = 3, n = 9: dense PREP (x) I and SELECT of (4 * 512)^2 entries
+        # each would put the traced peak above 100 MiB
+        prob = LcsProblem.from_states(
+            [rand_state(rng, 512) for _ in range(4)], [0.5, -0.3 + 0.2j, 0.4j, 0.1]
+        )
+        tracemalloc.start()
+        try:
+            res = lcu_prepare(prob)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak < 32 * 2**20
+        target = prob.target
+        assert abs(abs(np.vdot(res.state, target / np.linalg.norm(target))) - 1.0) < 1e-10
 
     def test_destructive_combination_raises(self):
         e0 = np.zeros(2, dtype=complex)

@@ -59,13 +59,6 @@ class TestSampleCounts:
         b = sample_counts(p, 99991, seed=7)
         assert np.array_equal(a, b)
 
-    def test_worker_count_does_not_change_counts(self):
-        p = np.array([0.4, 0.6])
-        shots = 3 * 16384 + 17
-        ref = sample_counts(p, shots, seed=5)
-        for workers in (2, 4):
-            assert np.array_equal(ref, sample_counts(p, shots, seed=5, workers=workers))
-
     def test_stream_key_changes_draws(self):
         p = np.array([0.5, 0.5])
         a = sample_counts(p, 10000, seed=1, stream_key=(0,))
@@ -209,6 +202,8 @@ class TestSampleEstimate:
         ]
         with pytest.raises(ValidationError):
             sample_estimate(inst, inputs, np.eye(2), shots=10, seed=0, method="other")
+        with pytest.raises(ValidationError, match="workers must be >= 1"):
+            sample_estimate(inst, inputs, np.eye(2), shots=10, seed=0, workers=0)
 
     def test_observable_of_the_wrong_dim_rejected(self, rng):
         inst = build_qhp_instrument(1)

@@ -202,6 +202,25 @@ def combo_file(tmp_path, rng):
     return str(path)
 
 
+def _capped_experiment(tmp_path, doc):
+    """Run `wstate experiment` on doc in a child process. A sweep that grows
+    without end meets the child's 1 GB address-space cap as a quick
+    MemoryError (exit 1), or the timeout; one BLAS thread lets the cap hold
+    numpy's own buffers on any core count."""
+    spec = tmp_path / "exp.json"
+    spec.write_text(json.dumps(doc))
+    code = ("import resource, sys\n"
+            "resource.setrlimit(resource.RLIMIT_AS, (2**30, 2**30))\n"
+            "from wstate.cli import main\n"
+            "main.main(args=sys.argv[1:], prog_name='wstate')\n")
+    return subprocess.run(
+        [sys.executable, "-c", code, "experiment", "--spec", str(spec)],
+        capture_output=True, text=True, timeout=120,
+        env=dict(os.environ, PYTHONPATH=str(pathlib.Path(wstate.__file__).parents[1]),
+                 OPENBLAS_NUM_THREADS="1", OMP_NUM_THREADS="1"),
+    )
+
+
 class TestCli:
     def test_estimate_consistent_with_variance(self, runner, task_file):
         est = runner.invoke(main, ["estimate", "--spec", task_file, "--shots", "50000", "--seed", "1"])
@@ -335,23 +354,37 @@ class TestCli:
 
     def test_power_error_qubits_beyond_layout_rule_exit_2(self, tmp_path):
         # refused before 2**n is formed; without the bound, forming it grows
-        # memory without end, so the child runs under a 1 GB address-space
-        # cap that turns that into a quick MemoryError (exit 1), with one BLAS
-        # thread so that the cap holds numpy's own buffers on any core count
-        spec = tmp_path / "exp.json"
-        spec.write_text(json.dumps({"experiment": "power-error", "params": {"n": 2**70}}))
-        code = ("import resource, sys\n"
-                "resource.setrlimit(resource.RLIMIT_AS, (2**30, 2**30))\n"
-                "from wstate.cli import main\n"
-                "main.main(args=sys.argv[1:], prog_name='wstate')\n")
-        proc = subprocess.run(
-            [sys.executable, "-c", code, "experiment", "--spec", str(spec)],
-            capture_output=True, text=True, timeout=120,
-            env=dict(os.environ, PYTHONPATH=str(pathlib.Path(wstate.__file__).parents[1]),
-                     OPENBLAS_NUM_THREADS="1", OMP_NUM_THREADS="1"),
-        )
+        # memory without end
+        proc = _capped_experiment(tmp_path, {"experiment": "power-error", "params": {"n": 2**70}})
         assert proc.returncode == 2, proc.stderr
         assert "n must be at most 62" in proc.stderr
+
+    def test_qhp_vs_gqt_underflow_stops_exit_2(self, tmp_path):
+        # without the stop, k runs on to 2**70 over powers that are all 0
+        proc = _capped_experiment(
+            tmp_path, {"experiment": "qhp-vs-gqt", "params": {"n": 1, "kmax": 2**70}}
+        )
+        assert proc.returncode == 2, proc.stderr
+        assert "'expdecay': the trace underflows to 0 at k = 15336" in proc.stderr
+
+    @pytest.mark.parametrize("verb", ["experiment", "validate"])
+    def test_integer_beyond_digit_limit_exits_2(self, runner, tmp_path, verb):
+        # json.load raises a plain ValueError, not a JSONDecodeError, for an
+        # integer literal longer than int's 4,300-digit conversion limit
+        spec = tmp_path / "exp.json"
+        spec.write_text('{"experiment": "power-error", "params": {"n": 1' + "0" * 5000 + "}}")
+        res = runner.invoke(main, [verb, "--spec", str(spec)])
+        assert res.exit_code == 2, res.output
+        assert "not valid JSON" in res.output
+
+    def test_workers_below_one_exit_2(self, runner, task_file, combo_file, tmp_path):
+        spec = tmp_path / "exp.json"
+        spec.write_text(json.dumps({"experiment": "opt-beta-surface"}))
+        for argv in (["estimate", "--spec", task_file],
+                     ["lcs", "incoherent", "--spec", combo_file],
+                     ["experiment", "--spec", str(spec)]):
+            res = runner.invoke(main, [*argv, "--workers", "0"])
+            assert res.exit_code == 2, (argv, res.output)
 
     def test_power_error_rounded_ratio_is_clipped(self, runner, tmp_path):
         # at k = 1794 the expdecay ratio |psi^k_0|^2 / trace rounds to 1 + 2**-52
