@@ -130,7 +130,7 @@ def bound(spec_path, out):
     task = task_from_json(_load_spec(spec_path))
     norm = spectral_norm(task.observable)
     bounds = variance_bound(task.instrument, list(task.inputs), norm)
-    _emit({"b1": bounds.b1, "b2": bounds.b2, "obs_norm": norm}, out)
+    _emit({**bounds.to_json(), "obs_norm": norm}, out)
 
 
 @main.command("design-beta")

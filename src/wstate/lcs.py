@@ -5,8 +5,8 @@ controlled register permutation produces |Phi><Phi|, Phi = sum alpha_l phi_l,
 in one shot per sample.
 
 incoherent: estimate <Phi|V^dag O V|Phi> term by term, diagonal entries from
-direct measurements and cross terms from Hadamard tests, with the shot budget
-split proportionally to the term prefactors.
+measurements of O on V|phi_l> and cross terms from Hadamard tests, with the
+shot budget split proportionally to the term prefactors.
 
 LCU: prepare Phi by postselecting a select-ancilla, trading shots for a
 success probability (|Phi| / |alpha|_1)^2.
@@ -42,12 +42,13 @@ from .tensor import (
     PermutationUnitary,
     Register,
     RegisterLayout,
+    _PAULIS,
     _pauli_string,
     asarray,
     combine_digits,
     eigenbasis,
+    norm_scale,
     register_digits,
-    spectral_norm,
     unitarity_residual,
 )
 
@@ -59,8 +60,8 @@ GRAM_PSD_TOL = 1e-9
 class LcsProblem:
     """L+1 normalized states with combination coefficients alpha.
 
-    unitaries, when present, prepare the states from |0>; otherwise
-    preparation circuits are synthesized as Householder reflections. gram
+    unitaries, when present, prepare the states from |0>: each is checked
+    here to have its state as first column, so U_l|0> is states[l]. gram
     holds the overlaps <phi_i|phi_j>, computed from the states.
     """
 
@@ -94,10 +95,8 @@ class LcsProblem:
                 if float(np.abs(u[:, 0] - s).max()) > 1e-10:
                     raise ValidationError("unitary does not prepare its state from |0>")
             object.__setattr__(self, "unitaries", us)
-        gram = np.empty((len(states), len(states)), dtype=np.complex128)
-        for i, si in enumerate(states):
-            for j, sj in enumerate(states):
-                gram[i, j] = np.vdot(si, sj)
+        mat = np.array(states)
+        gram = mat.conj() @ mat.T
         if float(np.linalg.eigvalsh((gram + gram.conj().T) / 2).min()) < -GRAM_PSD_TOL:
             raise ValidationError("gram matrix is not positive semidefinite")
         object.__setattr__(self, "states", states)
@@ -124,15 +123,7 @@ class LcsProblem:
     @property
     def target(self) -> np.ndarray:
         """Phi = sum_l alpha_l phi_l (unnormalized)."""
-        out = np.zeros(self.dim, dtype=np.complex128)
-        for a, s in zip(self.alphas, self.states):
-            out += a * s
-        return out
-
-    def preparation(self, l: int) -> np.ndarray:
-        if self.unitaries is not None:
-            return self.unitaries[l]
-        return preparation_unitary(self.states[l])
+        return np.array(self.alphas) @ np.array(self.states)
 
 
 def preparation_unitary(phi) -> np.ndarray:
@@ -273,31 +264,36 @@ class PauliDecomposition:
             if unitarity_residual(u) > 1e-10:
                 raise ValidationError("decomposition terms must be unitary")
             acc = acc + c * u
-        if float(np.abs(acc - t).max()) > 1e-10:
+        if float(np.abs(acc - t).max()) > 1e-10 * norm_scale(t):
             raise ValidationError("terms do not reconstruct the target observable")
         object.__setattr__(self, "terms", terms)
         object.__setattr__(self, "target", t)
 
-    @property
-    def one_norm(self) -> float:
-        return float(sum(abs(c) for c, _ in self.terms))
-
 
 def pauli_decompose(obs) -> PauliDecomposition:
     """Expand a qubit observable in the Pauli-string basis, dropping
-    coefficients below 1e-12."""
+    coefficients below 1e-12 * norm_scale(obs).
+
+    Contracting each qubit's row and column index of O with the Pauli table,
+    last qubit first (Hantzko, Binkowski and Gupta, arXiv:2310.13421), gives
+    every eta_P = Tr(P O) / d in itertools.product("IXYZ") order. Only kept
+    coefficients get a dense Pauli string.
+    """
     o = asarray(obs, square=True)
     d = o.shape[0]
     n = int(round(math.log2(d)))
     if 2**n != d:
         raise DimensionMismatch("Pauli expansion needs a 2^n-dimensional observable")
-    terms = []
-    for labels in itertools.product("IXYZ", repeat=n):
-        p = _pauli_string(labels)
-        eta = complex(np.trace(p @ o)) / d
-        if abs(eta) > 1e-12:
-            terms.append((eta, p))
-    return PauliDecomposition(tuple(terms), o)
+    # Tr(P O) = sum_{i,j} prod_k P_k[j_k, i_k] O[i, j]: the table's (column,
+    # row) axes meet qubit k's (row, column) axes of O
+    t = o.reshape((2,) * (2 * n))
+    for _ in range(n):
+        t = np.tensordot(_PAULIS, t, axes=([2, 1], [n - 1, t.ndim - 1]))
+    eta = t.reshape(-1) / d
+    keep = np.abs(eta) > 1e-12 * norm_scale(o)
+    labels = itertools.compress(itertools.product("IXYZ", repeat=n), keep)
+    terms = tuple((c, _pauli_string(p)) for c, p in zip(eta[keep], labels))
+    return PauliDecomposition(terms, o)
 
 
 # ---------------------------------------------------------------------------
@@ -325,16 +321,13 @@ def hadamard_test(u, part: str, shots: int, seed: int, stream_key: tuple = ()) -
 
 
 def incoherent_exact(problem: LcsProblem, v, obs) -> float:
-    """Infinite-shot value sum_{l,l'} alpha_l alpha_l'^* <phi_l'|V^dag O V|phi_l>."""
+    """Infinite-shot value Re <V Phi|O|V Phi>, the sum over l, l' of
+    alpha_l alpha_l'^* <phi_l'|V^dag O V|phi_l> (None for V is the identity)."""
     o = asarray(obs, square=True)
-    d = problem.dim
-    vv = np.eye(d, dtype=np.complex128) if v is None else asarray(v, square=True)
-    o_eff = vv.conj().T @ o @ vv
-    total = 0.0j
-    for l, (al, sl) in enumerate(zip(problem.alphas, problem.states)):
-        for lp, (alp, slp) in enumerate(zip(problem.alphas, problem.states)):
-            total += al * np.conj(alp) * np.vdot(slp, o_eff @ sl)
-    return float(total.real)
+    phi = problem.target
+    if v is not None:
+        phi = asarray(v, square=True) @ phi
+    return float(np.vdot(phi, o @ phi).real)
 
 
 def _incoherent_circuits(problem: LcsProblem, v, obs_decomposition: PauliDecomposition):
@@ -343,39 +336,34 @@ def _incoherent_circuits(problem: LcsProblem, v, obs_decomposition: PauliDecompo
     sum_c prefactor_c <values>_c, where <values>_c is the mean outcome of
     circuit c, whose exact per-shot law is (values, probabilities).
 
-    Diagonal terms measure O directly in V|phi_l>; cross terms estimate
-    Re/Im <phi_l'|V^dag U_i V|phi_l> with a Hadamard test per decomposition
-    term. V must be unitary (None is the identity).
+    With psi_l = V phi_l, diagonal terms measure O in its own eigenbasis on
+    psi_l; cross terms estimate Re/Im <psi_l'|U_i|psi_l> with a Hadamard test
+    per decomposition term. V must be unitary (None is the identity).
     """
     o = _check_hermitian_obs(obs_decomposition.target)
-    d = problem.dim
-    vv = np.eye(d, dtype=np.complex128) if v is None else asarray(v, square=True)
-    if unitarity_residual(vv) > 1e-10:
-        raise NotUnitary("the processing circuit must be unitary")
-    o_eff = vv.conj().T @ o @ vv
-    o_vals, o_vecs, o_labels = eigenbasis(o_eff)
-    count = problem.count
-    o_norm = spectral_norm(o)
+    psi = np.array(problem.states)
+    if v is not None:
+        v = asarray(v, square=True)
+        if unitarity_residual(v) > 1e-10:
+            raise NotUnitary("the processing circuit must be unitary")
+        psi = psi @ v.T
+    o_vals, o_vecs, o_labels = eigenbasis(o)
+    o_norm = float(np.abs(o_vals).max())
+    alphas = problem.alphas
 
     circuits = []
-    for l in range(count):
-        amps = o_vecs.conj().T @ problem.states[l]
-        weights_full = np.abs(amps) ** 2
+    for a, s in zip(alphas, psi):
         probs = np.zeros(len(o_vals))
-        np.add.at(probs, o_labels, weights_full)
-        pref = abs(problem.alphas[l]) ** 2
-        circuits.append((pref, o_norm**2, o_vals.real, probs))
-    for l in range(count):
-        for lp in range(l + 1, count):
-            cross = problem.alphas[l] * np.conj(problem.alphas[lp])
-            for eta, u in obs_decomposition.terms:
-                z = complex(
-                    np.vdot(problem.states[lp], vv.conj().T @ u @ vv @ problem.states[l])
-                )
-                w = cross * eta
-                for pref, target in ((2.0 * w.real, z.real), (-2.0 * w.imag, z.imag)):
-                    if pref != 0:
-                        circuits.append(_hadamard_circuit(pref, target))
+        np.add.at(probs, o_labels, np.abs(o_vecs.conj().T @ s) ** 2)
+        circuits.append((abs(a) ** 2, o_norm**2, o_vals.real, probs))
+    for l, lp in itertools.combinations(range(problem.count), 2):
+        cross = alphas[l] * np.conj(alphas[lp])
+        for eta, u in obs_decomposition.terms:
+            z = complex(np.vdot(psi[lp], u @ psi[l]))
+            w = cross * eta
+            for pref, target in ((2.0 * w.real, z.real), (-2.0 * w.imag, z.imag)):
+                if pref != 0:
+                    circuits.append(_hadamard_circuit(pref, target))
     return circuits
 
 
@@ -469,20 +457,17 @@ def lcu_prepare(problem: LcsProblem) -> LcuResult:
     ancilla |0>; the surviving branch is Phi / |alpha|_1.
 
     The circuit is applied one ancilla branch at a time: PREP puts amplitude
-    prep[l, 0] on branch l, SELECT applies phase_l U_l to the register's |0>
-    there, and row 0 of PREP^dag sums the branches into the postselected one.
+    a_l = sqrt(|alpha_l| / |alpha|_1) on branch l, SELECT applies phase_l U_l
+    to the register's |0> there, which gives phase_l states[l], and row 0 of
+    PREP^dag weighs branch l by a_l again as it sums the branches into the
+    postselected one. A vanishing alpha_l keeps phase 1.
     """
-    count, d = problem.count, problem.dim
     alphas = np.array(problem.alphas)
     one_norm = float(np.abs(alphas).sum())
     if one_norm <= 0:
         raise ValidationError("all combination coefficients vanish")
     amps = np.sqrt(np.abs(alphas) / one_norm)
-    prep = preparation_unitary(amps)
-    branch = np.zeros(d, dtype=np.complex128)
-    for l in range(count):
-        phase = alphas[l] / abs(alphas[l]) if abs(alphas[l]) > 0 else 1.0
-        branch += np.conj(prep[l, 0]) * (phase * problem.preparation(l)[:, 0] * prep[l, 0])
+    branch = (amps * np.exp(1j * np.angle(alphas)) * amps) @ np.array(problem.states)
     norm_sq = float(np.vdot(branch, branch).real)
     # cross-check against the Gram closed form |Phi|^2 / |alpha|_1^2
     phi_sq = float((alphas.conj() @ problem.gram @ alphas).real)

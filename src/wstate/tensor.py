@@ -453,20 +453,19 @@ def embed_operator(op, labels: Sequence[str], layout: RegisterLayout) -> np.ndar
 # ---------------------------------------------------------------------------
 # Pauli strings
 
-_PAULIS = {
-    "I": np.eye(2, dtype=np.complex128),
-    "X": np.array([[0, 1], [1, 0]], dtype=np.complex128),
-    "Y": np.array([[0, -1j], [1j, 0]], dtype=np.complex128),
-    "Z": np.array([[1, 0], [0, -1]], dtype=np.complex128),
-}
+_PAULIS = np.array(
+    [[[1, 0], [0, 1]], [[0, 1], [1, 0]], [[0, -1j], [1j, 0]], [[1, 0], [0, -1]]],
+    dtype=np.complex128,
+)  # I, X, Y, Z
 
 
 def _pauli_string(labels: Sequence[str]) -> np.ndarray:
-    """Kronecker product of the Paulis named by labels, taken left to right,
-    so the first label acts on the most significant qubit."""
-    out = _PAULIS[labels[0]]
-    for c in labels[1:]:
-        out = np.kron(out, _PAULIS[c])
+    """Kronecker product of the Paulis named by labels (letters of "IXYZ"),
+    taken left to right, so the first label acts on the most significant
+    qubit; no labels give the 1 x 1 identity."""
+    out = np.ones((1, 1), dtype=np.complex128)
+    for c in labels:
+        out = np.kron(out, _PAULIS["IXYZ".index(c)])
     return out
 
 

@@ -1,8 +1,9 @@
 import functools
+from dataclasses import replace
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from wstate.errors import (
@@ -452,15 +453,17 @@ class TestEmulation:
     def test_as_normal_instrument_same_weighted_state(self, rng):
         x = np.array([[0.0, 1.0], [1.0, 0.0]])
         inst = build_teleport_instrument(1, [(np.eye(2), x), (x, np.eye(2))])
-        merged = emulate_nonnormal(inst)
-        assert merged.measurement.kind in ("hermitian", "normal")
         inputs = [
             QuantumState.from_density(rand_density(rng, 2)),
             QuantumState.pure(rand_state(rng, 2)),
         ]
         t1 = apply_exact(inst, inputs)
-        t2 = apply_exact(merged, inputs)
-        assert np.abs(t1.matrix - t2.matrix).max() < 1e-10
+        # the permutation unitary, and the same unitary held as a dense matrix
+        for variant in (inst, replace(inst, unitary=inst.unitary.dense())):
+            merged = emulate_nonnormal(variant)
+            assert merged.measurement.kind in ("hermitian", "normal")
+            t2 = apply_exact(merged, inputs)
+            assert np.abs(t1.matrix - t2.matrix).max() < 1e-10
 
     def test_large_teleport_emulation_is_normal(self, rng):
         # d_E = 1024: the block measurement is 2048 x 2048, classified
@@ -489,11 +492,15 @@ class TestConcatenate:
         stages=st.lists(st.sampled_from(["qhp", "gqt", "qsp", "teleport"]), min_size=2, max_size=2),
         to_second=st.booleans(),
         mixed=st.lists(st.booleans(), min_size=3, max_size=3),
+        dense=st.booleans(),
     )
+    @example(seed=0, stages=["qsp", "teleport"], to_second=False, mixed=[True, False, True],
+             dense=True)
     @settings(max_examples=40)
-    def test_staged_equals_flattened(self, seed, stages, to_second, mixed):
+    def test_staged_equals_flattened(self, seed, stages, to_second, mixed, dense):
         # QSP and teleport stages with random maps make tau_1 non-Hermitian,
-        # so the second stage takes it through the SVD factor
+        # so the second stage takes it through the SVD factor; a first stage
+        # with a dense unitary makes the flattened unitary dense
         rng = np.random.default_rng(seed)
 
         def build(name):
@@ -506,6 +513,8 @@ class TestConcatenate:
             return build_teleport_instrument(1, [(rand_operator(rng, 2), rand_operator(rng, 2))])
 
         first, second = map(build, stages)
+        if dense:
+            first = replace(first, unitary=first.unitary.dense())
         target = second.input_labels[int(to_second)]
         chained = concatenate(first, second, {first.s_labels[0]: target})
         states = [

@@ -4,6 +4,7 @@ import tracemalloc
 import numpy as np
 import pytest
 
+import wstate.lcs
 from wstate.errors import (
     DimensionMismatch,
     FullyDestructive,
@@ -29,6 +30,7 @@ from wstate.lcs import (
     variance_postprocessing,
 )
 from wstate.subroutines import lincombo_pair_M
+from wstate.tensor import _pauli_string
 
 from conftest import rand_hermitian, rand_state, rand_unitary
 
@@ -145,11 +147,25 @@ class TestPauliDecomposition:
         dec = pauli_decompose(obs)
         acc = sum(c * u for c, u in dec.terms)
         assert np.abs(acc - obs).max() < 1e-10
+        # tolerances follow the scale of O: 2^k O keeps every term and
+        # scales every coefficient by 2^k
+        for k in range(-40, 41):
+            scaled = pauli_decompose(2.0**k * obs)
+            assert len(scaled.terms) == len(dec.terms)
+            for (c, u), (c0, u0) in zip(scaled.terms, dec.terms):
+                assert np.array_equal(u, u0)
+                assert abs(c - 2.0**k * c0) <= 1e-15 * abs(2.0**k * c0)
 
-    def test_sparse_observable_has_few_terms(self):
+    def test_sparse_observable_has_few_terms(self, monkeypatch):
+        # a dense string is built for a kept coefficient only
+        built = []
+        monkeypatch.setattr(
+            wstate.lcs, "_pauli_string", lambda labels: built.append(labels) or _pauli_string(labels)
+        )
         z = np.diag([1.0, -1.0]).astype(complex)
         dec = pauli_decompose(np.kron(z, z))
         assert len(dec.terms) == 1
+        assert built == [("Z", "Z")]
 
     def test_non_power_of_two_rejected(self):
         with pytest.raises(DimensionMismatch):

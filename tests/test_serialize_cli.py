@@ -5,6 +5,7 @@ import os
 import pathlib
 import subprocess
 import sys
+from dataclasses import replace
 
 import numpy as np
 import pytest
@@ -73,16 +74,19 @@ class TestDocumentRoundtrips:
 
     def test_instrument_with_permutation_unitary(self, rng):
         inst = build_qhp_instrument(1)
-        doc = instrument_to_json(inst)
-        assert "permutation" in doc["unitary"]
-        back = fixed_point(doc)
         inputs = [
             QuantumState.from_density(rand_density(rng, 2)),
             QuantumState.from_density(rand_density(rng, 2)),
         ]
-        assert np.abs(
-            apply_exact(back, inputs).matrix - apply_exact(inst, inputs).matrix
-        ).max() < 1e-12
+        # the same unitary as a dense matrix takes the matrix form
+        dense = replace(inst, unitary=inst.unitary.dense())
+        for variant, form in ((inst, "permutation"), (dense, "data")):
+            doc = instrument_to_json(variant)
+            assert form in doc["unitary"]
+            back = fixed_point(doc)
+            assert np.abs(
+                apply_exact(back, inputs).matrix - apply_exact(inst, inputs).matrix
+            ).max() < 1e-12
 
     def test_instrument_with_decomposed_measurement(self, rng):
         x = np.array([[0.0, 1.0], [1.0, 0.0]])
@@ -261,14 +265,23 @@ class TestCli:
         e2 = json.loads(lcu.output)["combination_expectation"][0]
         assert abs(e1 - e2) < 1e-9
 
-    def test_lcs_incoherent_reports(self, runner, combo_file):
-        res = runner.invoke(
-            main,
-            ["lcs", "incoherent", "--spec", combo_file, "--shots", "20000", "--seed", "2"],
-        )
-        assert res.exit_code == 0
-        payload = json.loads(res.output)
-        assert payload["shots"] == 20000
+    def test_lcs_incoherent_reports(self, runner, combo_file, tmp_path):
+        # also on 1-dimensional states: O = 2 is 2 times the Pauli string on
+        # zero qubits, and |0.6 + 0.8i|^2 = 1
+        one_dim = tmp_path / "combo1.json"
+        one_dim.write_text(json.dumps({
+            "states": [{"dims": [1], "data": [[1, 0]]}, {"dims": [1], "data": [[0, 1]]}],
+            "alphas": [[0.6, 0], [0.8, 0]],
+            "observable": {"dims": [1, 1], "data": [[2, 0]]},
+        }))
+        for spec in (combo_file, str(one_dim)):
+            res = runner.invoke(
+                main, ["lcs", "incoherent", "--spec", spec, "--shots", "20000", "--seed", "2"]
+            )
+            assert res.exit_code == 0, res.output
+            payload = json.loads(res.output)
+            assert payload["shots"] == 20000
+        assert abs(payload["analytic_mean"][0] - 2.0) < 1e-12
 
     def test_experiment_writes_csv(self, runner, tmp_path):
         spec = tmp_path / "exp.json"

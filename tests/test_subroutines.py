@@ -283,14 +283,16 @@ class TestPolynomialPipeline:
 
     def test_stage_instruments_replay(self, rng):
         psi = rand_state(rng, 4)
-        spec = PolySpec({(1, 0): 1.0, (3, 0): -1.0 / 3.0})
-        _, pipe = polynomial_pipeline(psi, spec)
-        replayed = 0
-        for op, inst, inputs, expected in pipe.stage_instruments(psi):
-            tau = apply_exact(inst, inputs)
-            assert np.abs(tau.matrix - np.outer(expected, expected.conj())).max() < 1e-8
-            replayed += 1
-        assert replayed > 0
+        # conjugate powers replay through GQT stages, here psi (x) psi* (x) psi*
+        # from the trailing GQT emits alone
+        for terms in ({(1, 0): 1.0, (3, 0): -1.0 / 3.0}, {(1, 2): 1.0}):
+            _, pipe = polynomial_pipeline(psi, PolySpec(terms))
+            replayed = set()
+            for op, inst, inputs, expected in pipe.stage_instruments(psi):
+                tau = apply_exact(inst, inputs)
+                assert np.abs(tau.matrix - np.outer(expected, expected.conj())).max() < 1e-8
+                replayed.add(op[0])
+            assert replayed == ({"qhp", "lincombo"} if (1, 0) in terms else {"gqt"})
 
     def test_orthogonal_intermediate_detected(self):
         psi = np.array([1.0, 1.0j]) / math.sqrt(2)
