@@ -28,8 +28,7 @@ _EXPORTS = {
     "lcs": (
         "LcsProblem", "LcuResult", "PauliDecomposition", "all_at_once_M", "all_at_once_apply",
         "build_all_at_once_instrument", "hadamard_test", "incoherent_estimate",
-        "incoherent_exact", "lcu_prepare", "pauli_decompose", "preparation_unitary",
-        "variance_postprocessing",
+        "incoherent_exact", "lcu_prepare", "pauli_decompose", "variance_postprocessing",
     ),
     "sampling": (
         "BetaDesign", "ConcatComparison", "EstimatorReport", "PowerComparison",

@@ -11,13 +11,18 @@ weighted state
 which in general is neither Hermitian, positive, nor normalized.
 
 tau is linear in the input, so the joint state sigma (x) rho_in is held in
-one form: ket and bra factor columns K B^dag (one column per pure piece). U
-acts on the columns, and M is contracted as for a pure state, with the
-columns traced alongside G; no D x D joint density is formed.
+one form: ket and bra factor columns K B^dag (one column per pure piece), and
+no D x D joint density is formed. An evolution writes one joint-sized array
+per side: a permutation U, held on the registers it acts on, gathers each
+factored piece at its preimage indices straight into that array, and a dense
+U takes one GEMM. M is contracted as for a pure state, with the columns
+traced alongside G; a permutation M is contracted one block of at most
+CONTRACTION_BLOCK_BYTES (512 KiB) of the bra at a time.
 """
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass, replace
 from functools import reduce
 
@@ -52,6 +57,8 @@ from .tensor import (
 STATE_TOL = 1e-10
 ZERO_BRANCH_TOL = 1e-12
 PROBABILITY_TOL = 1e-9
+# bytes of bra one block of a permutation contraction gathers (weighted_output)
+CONTRACTION_BLOCK_BYTES = 1 << 19
 
 
 # ---------------------------------------------------------------------------
@@ -288,6 +295,8 @@ class QuantumInstrument:
     The ancilla state occupies the source='ancilla' registers (a dim-1 layout
     is represented by ancilla=None); callers supply the source='input'
     registers at application time. M acts on the E registers in layout order.
+    U is a dense unitary or a PermutationUnitary: a full-layout table, or a
+    table held on some of this layout's registers.
     """
 
     layout: RegisterLayout
@@ -313,6 +322,8 @@ class QuantumInstrument:
         if isinstance(self.unitary, PermutationUnitary):
             if self.unitary.dim != d:
                 raise DimensionMismatch(f"unitary dim {self.unitary.dim} vs layout {d}")
+            if self.unitary.layout not in (None, self.layout):
+                raise ValidationError("the unitary's registers belong to another layout")
         else:
             u = asarray(self.unitary, square=True)
             if u.shape != (d, d):
@@ -336,10 +347,6 @@ class QuantumInstrument:
         return tuple(r.label for r in self.layout.registers if r.source == "input")
 
     @property
-    def input_layout(self) -> RegisterLayout:
-        return self.layout.sub(self.input_labels)
-
-    @property
     def s_labels(self) -> tuple[str, ...]:
         return self.layout.with_role("S")
 
@@ -354,10 +361,6 @@ class QuantumInstrument:
     @property
     def output_layout(self) -> RegisterLayout:
         return self.layout.sub(self.s_labels)
-
-    @property
-    def input_dim(self) -> int:
-        return self.layout.dim_of(self.input_labels)
 
 
 # ---------------------------------------------------------------------------
@@ -416,55 +419,15 @@ def _input_factors(inputs):
     return _kron_factors([_factor(x) for x in _pieces(inputs)])
 
 
-def assemble_product(pieces, layout: RegisterLayout):
-    """Arrange factored pieces onto register positions.
-
-    pieces: list of ((ket, bra), positions) where positions index
-    layout.registers; positions must partition the layout. Returns the
-    (ket, bra) columns of the product with rows in layout register order.
-    """
-    dims = layout.dims
-    k = len(dims)
-    order: list[int] = []
-    for _, pos in pieces:
-        order.extend(pos)
-    if sorted(order) != list(range(k)):
-        raise ValidationError("piece positions do not partition the layout")
-    ket, bra = _kron_factors([f for f, _ in pieces])
-    if order == list(range(k)):
-        return ket, bra
-    axis_dims = [dims[p] for p in order]
-    perm = [order.index(r) for r in range(k)] + [k]
-
-    def reorder(x):
-        return x.reshape(axis_dims + [x.shape[1]]).transpose(perm).reshape(x.shape)
-
-    out = reorder(ket)
-    return out, (out if bra is ket else reorder(bra))
-
-
-def _joint_initial(inst: QuantumInstrument, factors):
-    """Full-layout factor columns from the ancilla and the factored input."""
-    d_in = inst.input_dim
-    got = factors[0].shape[0]
-    if got != d_in:
-        raise DimensionMismatch(f"input dim {got} vs instrument input dim {d_in}")
-    inp_pos = [inst.layout.index(l) for l in inst.input_labels]
-    parts = [(factors, inp_pos)]
-    if inst.ancilla is not None:
-        anc_pos = [inst.layout.index(l) for l in inst.ancilla_labels]
-        parts.insert(0, (_factor(inst.ancilla), anc_pos))
-    return assemble_product(parts, inst.layout)
-
-
 @dataclass(frozen=True)
 class Evolved:
     """Joint state after U as factor columns, rho_out = K B^dag.
 
     ket and bra are U K and U B as C-contiguous (S, G r, E) arrays: the r
     columns ride along with G and are traced with it, and E comes last, so
-    M contracts it through free reshapes. bra is ket when the input's bra
-    was its ket. dims is (d_S, d_E, d_G).
+    M contracts it through free reshapes. Each is the one joint-sized array
+    an evolution writes. bra is ket when the input's bra was its ket. dims
+    is (d_S, d_E, d_G).
     """
 
     ket: np.ndarray
@@ -473,27 +436,72 @@ class Evolved:
 
 
 def evolve(inst: QuantumInstrument, inputs) -> Evolved:
-    """U on the D x r columns of ancilla (x) input: one row gather or one
-    GEMM, and a second one for the bra only when it is not the ket."""
-    return _evolve_factors(inst, _input_factors(inputs))
+    """U on ancilla (x) input, written into one (S, G r, E) array per side.
+
+    A permutation U, held on the registers it acts on, gathers each factored
+    piece at its index under U^dag (PermutationUnitary.preimage_indices, from
+    small register grids and the inverse table) and multiplies the pieces in
+    place into that array; no joint-sized table, product or copy is formed.
+    A dense U takes one GEMM on the D x r product columns. The bra takes a
+    second pass only when it is not the ket.
+    """
+    regs = inst.layout.registers
+    return _evolve(inst, [(_input_factors(inputs), [i for i, r in enumerate(regs)
+                                                    if r.source == "input"])])
 
 
-def _evolve_factors(inst: QuantumInstrument, factors) -> Evolved:
-    ket, bra = _joint_initial(inst, factors)
-    lay = inst.layout
-    s, e, g = (inst.s_labels, inst.e_labels, inst.g_labels)
-    k = len(lay.registers)
-    group = [lay.index(l) for l in s + g] + [k] + [lay.index(l) for l in e]
-    d_s, d_e, d_g = lay.dim_of(s), lay.dim_of(e), lay.dim_of(g)
+def _evolve(inst: QuantumInstrument, pieces) -> Evolved:
+    """evolve of factored pieces ((ket, bra), positions): positions index the
+    layout's registers, the piece's rows run over them in that order, and
+    the ancilla piece goes first. The columns of the product are the
+    Kronecker product of the pieces' columns, in piece order."""
+    regs, dims = inst.layout.registers, inst.layout.dims
+    if inst.ancilla is not None:
+        anc = [i for i, r in enumerate(regs) if r.source == "ancilla"]
+        pieces = [(_factor(inst.ancilla), anc), *pieces]
+    for (ket, _), pos in pieces:
+        want = math.prod(dims[p] for p in pos)
+        if ket.shape[0] != want:
+            raise DimensionMismatch(f"input dim {ket.shape[0]} vs instrument input dim {want}")
+    k, n = len(dims), len(pieces)
+    role, size = {"S": [], "E": [], "G": []}, {"S": 1, "E": 1, "G": 1}
+    for i, r in enumerate(regs):
+        role[r.role].append(i)
+        size[r.role] *= r.dim
+    # axes: the k registers, then one column axis per piece
+    shape = dims + tuple(f[0].shape[1] for f, _ in pieces)
+    group = role["S"] + role["G"] + list(range(k, k + n)) + role["E"]
+    d_s, d_e, d_g = size["S"], size["E"], size["G"]
     u = inst.unitary
+    permuted = isinstance(u, PermutationUnitary)
+    # a dense U is applied after the pieces are placed in layout order
+    table = u if permuted else PermutationUnitary.identity(math.prod(dims))
+    indices = table.preimage_indices(inst.layout, [pos for _, pos in pieces])
+    order = group if permuted else list(range(k + n))
 
-    def step(x):
-        y = u.apply_vector(x) if isinstance(u, PermutationUnitary) else u @ x
-        y = y.reshape(lay.dims + (x.shape[1],)).transpose(group)
-        return np.ascontiguousarray(y).reshape(d_s, -1, d_e)
+    def place(cols):
+        # out[y, c] = prod_i cols[i][index of piece i at U^dag y, c_i],
+        # multiplied right to left, as _kron_factors nests the pieces
+        terms = []
+        for i, (x, idx) in enumerate(zip(cols, indices)):
+            t = x.take(idx, axis=0)
+            terms.append(t.reshape(idx.shape + (1,) * i + x.shape[1:]
+                                   + (1,) * (n - 1 - i)).transpose(order))
+        out = np.empty([shape[a] for a in order], dtype=np.complex128)
+        if n == 1:
+            np.copyto(out, terms[0])
+        else:
+            np.multiply(terms[-2], terms[-1], out=out)
+            for t in reversed(terms[:-2]):
+                np.multiply(t, out, out=out)
+        if not permuted:
+            y = u @ out.reshape(-1, math.prod(shape[k:]))
+            out = np.ascontiguousarray(y.reshape(shape).transpose(group))
+        return out.reshape(d_s, -1, d_e)
 
-    out = step(ket)
-    return Evolved(out, out if bra is ket else step(bra), (d_s, d_e, d_g))
+    ket = place([f[0] for f, _ in pieces])
+    same = all(f[0] is f[1] for f, _ in pieces)
+    return Evolved(ket, ket if same else place([f[1] for f, _ in pieces]), (d_s, d_e, d_g))
 
 
 def weighted_output(
@@ -502,17 +510,33 @@ def weighted_output(
     """tau_st = sum_{x,e,e'} K[s,x,e] conj(B[t,x,e']) M[e',e], x = (g, column).
 
     Each form of M gives a from the ket and b from the bra, tau = a b^dag.
-    A structured m is contracted without a dense matrix: a permutation
-    (M[e',e] = 1 iff e' = perm[e]) gathers the bra along E, and a low-rank
-    u v^dag contracts E with its thin factors. b is fresh and conjugated in
-    place, so a call allocates about one bra's bytes beyond tau.
+    A structured m is contracted without a dense matrix: a low-rank u v^dag
+    contracts E with its thin factors, and a permutation (M[e',e] = 1 iff
+    e' = perm[e]) gathers the bra along E one block at a time, at most
+    CONTRACTION_BLOCK_BYTES (512 KiB) of bra per block (one column when a
+    column is larger), so that the contraction holds the evolved state plus
+    one block. A dense m gives b = B conj(M), fresh and conjugated in place,
+    about one bra's bytes beyond tau.
     """
     d_s, d_e, _ = ev.dims
-    ket, bra = ev.ket.reshape(-1, d_e), ev.bra.reshape(-1, d_e)
     if isinstance(m, PermutationUnitary):
-        # tau_st = sum_{x,e} K[s,x,e] conj(B[t,x,perm[e]])
-        a, b = ket, np.take(bra, m.perm, axis=1)
-    elif isinstance(m, LowRankOperator):
+        # tau_st = sum_{x,e} K[s,x,e] conj(B[t,x,perm[e]]), over blocks of
+        # whole E rows, or of E columns in one x when an E row is too big
+        ket, bra = ev.ket, ev.bra
+        e_step = min(d_e, max(1, CONTRACTION_BLOCK_BYTES // (16 * d_s)))
+        x_step = max(1, CONTRACTION_BLOCK_BYTES // (16 * d_s * d_e)) if e_step == d_e else 1
+        tau = None
+        for x in range(0, bra.shape[1], x_step):
+            for e in range(0, d_e, e_step):
+                b = np.take(bra[:, x : x + x_step], m.perm[e : e + e_step], axis=2)
+                np.conjugate(b, out=b)
+                a = ket[:, x : x + x_step, e : e + e_step].reshape(d_s, -1)
+                part = a @ b.reshape(d_s, -1).T
+                del b  # so that the next block's gather does not overlap this one
+                tau = part if tau is None else np.add(tau, part, out=tau)
+        return tau
+    ket, bra = ev.ket.reshape(-1, d_e), ev.bra.reshape(-1, d_e)
+    if isinstance(m, LowRankOperator):
         # tau_st = sum_{x,k} (K conj(v))[s,x,k] conj((B conj(u))[t,x,k])
         a = ket @ m.v.conj()
         b = a.copy() if m.u is m.v and ev.bra is ev.ket else bra @ m.u.conj()
@@ -617,7 +641,8 @@ def emulate_nonnormal(inst: QuantumInstrument) -> QuantumInstrument:
     Adds a measured qudit ancilla in the mixed state diag(q_k) with
     q_k = |c_k|/sum|c_k| and the block measurement sum_k |k><k| (x) N_k
     (rescaled so each block absorbs c_k/q_k); the result has a normal
-    measurement and the same weighted output on every input.
+    measurement and the same weighted output on every input. A permutation
+    U keeps its table, held on the same registers of the new layout.
     """
     parts = [(c, n) for c, n in inst.measurement.normal_parts() if c != 0]
     if not parts:
@@ -645,7 +670,8 @@ def emulate_nonnormal(inst: QuantumInstrument) -> QuantumInstrument:
 
     u = inst.unitary
     if isinstance(u, PermutationUnitary):
-        u_new = embed_permutation(u, list(inst.layout.labels), new_layout)
+        labels = inst.layout.labels if u.labels is None else u.labels
+        u_new = PermutationUnitary(u.perm, labels, new_layout)
     else:
         u_new = np.kron(u, np.eye(nk))
 
@@ -680,14 +706,13 @@ class Pipeline:
 
     def apply_staged(self, first_inputs, fresh_inputs=()) -> WeightedState:
         tau1 = apply_exact(self.first, first_inputs)
-        sub = self.second.input_layout
-        wired_labels = [self.wiring[l] for l in self.first.s_labels]
-        wired_pos = [sub.index(l) for l in wired_labels]
-        other_pos = [i for i in range(len(sub.registers)) if i not in set(wired_pos)]
-        pieces = [(_factor(tau1), wired_pos)]
-        if other_pos:
-            pieces.append((_input_factors(fresh_inputs), other_pos))
-        ev = _evolve_factors(self.second, assemble_product(pieces, sub))
+        lay = self.second.layout
+        wired = [lay.index(self.wiring[l]) for l in self.first.s_labels]
+        other = [lay.index(l) for l in self.second.input_labels if lay.index(l) not in wired]
+        pieces = [(_factor(tau1), wired)]
+        if other:
+            pieces.append((_input_factors(fresh_inputs), other))
+        ev = _evolve(self.second, pieces)
         return WeightedState(
             weighted_output(ev, self.second.measurement.operator), self.second.output_layout
         )
@@ -750,9 +775,11 @@ def concatenate(
     u2_labels = [rename[r.label] for r in lay2.registers]
     u1, u2 = first.unitary, second.unitary
     if isinstance(u1, PermutationUnitary) and isinstance(u2, PermutationUnitary):
-        u_total = embed_permutation(u2, u2_labels, new_layout) @ embed_permutation(
-            u1, list(first.layout.labels), new_layout
-        )
+        labels1 = first.layout.labels if u1.labels is None else u1.labels
+        labels2 = lay2.labels if u2.labels is None else u2.labels
+        u_total = embed_permutation(
+            u2, [rename[l] for l in labels2], new_layout
+        ) @ embed_permutation(u1, labels1, new_layout)
     else:
         u_total = embed_operator(dense(u2), u2_labels, new_layout) @ embed_operator(
             dense(u1), list(first.layout.labels), new_layout

@@ -126,26 +126,6 @@ class LcsProblem:
         return np.array(self.alphas) @ np.array(self.states)
 
 
-def preparation_unitary(phi) -> np.ndarray:
-    """Unitary with phi as its first column (Householder reflection)."""
-    v = asarray(phi)
-    d = v.shape[0]
-    if abs(np.linalg.norm(v) - 1.0) > 1e-10:
-        raise InvalidState("can only prepare a normalized state")
-    phase = v[0] / abs(v[0]) if abs(v[0]) > 1e-14 else 1.0
-    e0 = np.zeros(d, dtype=np.complex128)
-    e0[0] = 1.0
-    w = v - phase * e0
-    nw = float(np.linalg.norm(w))
-    if nw < 1e-14:
-        u = np.eye(d, dtype=np.complex128)
-    else:
-        w = w / nw
-        u = np.eye(d, dtype=np.complex128) - 2.0 * np.outer(w, w.conj())
-    u[:, 0] *= phase  # H maps phase*e0 -> v, so fold the phase into column 0
-    return u
-
-
 # ---------------------------------------------------------------------------
 # all-at-once
 

@@ -179,8 +179,10 @@ def measurement_from_json(obj, field_path: str = "measurement") -> MeasurementOp
 
 
 def _unitary_to_json(u) -> dict:
+    """A permutation is written as its full-layout table, whichever registers
+    it is held on, and a full table reads back as acting on every register."""
     if isinstance(u, PermutationUnitary):
-        return {"permutation": [int(p) for p in u.perm]}
+        return {"permutation": [int(p) for p in u.lifted().perm]}
     return matrix_to_json(u)
 
 

@@ -134,10 +134,14 @@ def alpha_of(sigma, m, gamma=None) -> np.ndarray:
 
 
 def _xor_ladder_perm(layout: RegisterLayout, src: int, dst: int) -> PermutationUnitary:
-    """Permutation sending digit[dst] -> digit[dst] XOR digit[src]."""
-    digits = register_digits(layout)
-    digits[dst] = np.bitwise_xor(digits[dst], digits[src])
-    return PermutationUnitary(combine_digits(digits, layout.dims))
+    """Permutation sending digit[dst] -> digit[dst] XOR digit[src], held on
+    the two registers as a d_src d_dst table in layout order; the
+    PermutationUnitary checks that the table is a bijection."""
+    pair = layout.sub((layout.registers[src].label, layout.registers[dst].label))
+    digits = register_digits(pair)
+    i, j = (0, 1) if src < dst else (1, 0)
+    digits[j] = np.bitwise_xor(digits[j], digits[i])
+    return PermutationUnitary(combine_digits(digits, pair.dims), pair.labels, layout)
 
 
 def build_qhp_instrument(n: int) -> QuantumInstrument:

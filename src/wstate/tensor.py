@@ -261,12 +261,20 @@ def eigenbasis(m):
 class PermutationUnitary:
     """Computational-basis permutation: U|x> = |perm[x]>.
 
-    Structurally unitary; apply_vector permutes the rows of a vector or of
-    a D x r block of columns in O(D r) without materializing the dense
-    matrix.
+    Structurally unitary. Given labels and the layout they belong to, perm is
+    a table over those registers only (in the order of labels), U is the
+    identity on every other register, and an evolution gathers at the
+    table's preimage_indices without a full-layout table. dim and shape are
+    those of U on the whole layout; lifted() builds the full table through
+    embed_permutation. Without labels the table spans the whole space, as a
+    JSON table or the SWAP of a measurement does. apply_vector permutes the
+    rows of a vector or of a block of columns over the table's own index
+    space, in O(size r).
     """
 
     perm: np.ndarray
+    labels: tuple[str, ...] | None = None
+    layout: RegisterLayout | None = None
 
     def __post_init__(self):
         p = np.asarray(self.perm, dtype=np.intp)
@@ -274,10 +282,18 @@ class PermutationUnitary:
         # bijectivity check on indices in range; counts are cheaper than sorting
         if p.size == 0 or p.min() < 0 or p.max() >= p.size or np.bincount(p).max() != 1:
             raise NotUnitary("index map is not a permutation")
+        if (self.labels is None) != (self.layout is None):
+            raise ValidationError("a permutation on registers needs both labels and layout")
+        if self.labels is not None:
+            object.__setattr__(self, "labels", tuple(self.labels))
+            if self.layout.dim_of(self.labels) != p.size:
+                raise DimensionMismatch(
+                    f"permutation dim {p.size} does not match registers {list(self.labels)}"
+                )
 
     @property
     def dim(self) -> int:
-        return self.perm.size
+        return self.perm.size if self.layout is None else self.layout.total_dim
 
     @property
     def shape(self) -> tuple[int, int]:
@@ -290,11 +306,20 @@ class PermutationUnitary:
 
     def __matmul__(self, other: "PermutationUnitary") -> "PermutationUnitary":
         # matrix semantics: other acts first
-        return PermutationUnitary(self.perm[other.perm])
+        if (self.labels, self.layout) != (other.labels, other.layout):
+            raise DimensionMismatch("permutations held on different registers")
+        return PermutationUnitary(self.perm[other.perm], self.labels, self.layout)
+
+    def lifted(self) -> "PermutationUnitary":
+        """The same U as one table over the whole layout."""
+        if self.labels is None:
+            return self
+        return embed_permutation(self, self.labels, self.layout)
 
     def dense(self) -> np.ndarray:
-        z = np.zeros((self.dim, self.dim), dtype=np.complex128)
-        z[self.perm, np.arange(self.dim)] = 1.0
+        perm = self.lifted().perm
+        z = np.zeros((perm.size, perm.size), dtype=np.complex128)
+        z[perm, np.arange(perm.size)] = 1.0
         return z
 
     @staticmethod
@@ -303,7 +328,60 @@ class PermutationUnitary:
 
     @property
     def is_involution(self) -> bool:
-        return bool(np.array_equal(self.perm[self.perm], np.arange(self.dim)))
+        return bool(np.array_equal(self.perm[self.perm], np.arange(self.perm.size)))
+
+    def preimage_indices(self, layout: RegisterLayout, groups) -> list[np.ndarray]:
+        """For each list of register positions in groups, the index over those
+        registers (in that order) of U^dag|y> for every basis state y of
+        layout, as a grid that broadcasts against register_digits(layout).
+
+        The inverse table is viewed as a grid over the table's registers, and
+        a run of registers that sit next to each other in the table is cut
+        out of it by one floor division and remainder. A register off the
+        table takes its own digits, and so does a run that U leaves alone
+        (the control of a CNOT ladder) when the group holds other runs or
+        registers, so that the group's grid does not grow to the whole
+        layout. Without labels the table spans the layout."""
+        dims = layout.dims
+        table = [layout.index(l) for l in (layout.labels if self.labels is None else self.labels)]
+        inverse = np.empty_like(self.perm)
+        inverse[self.perm] = np.arange(self.perm.size)
+        own = None  # register_digits(layout), built on first use
+        shape, below, size = [1] * len(dims), {}, 1  # below[p]: the table's dims after p
+        for p in reversed(table):
+            shape[p], below[p] = dims[p], size
+            size *= dims[p]
+        axes = sorted(range(len(table)), key=table.__getitem__)
+        grid = inverse.reshape([dims[p] for p in table]).transpose(axes).reshape(shape)
+        out = []
+        for pos in groups:
+            runs, i = [], 0  # the table registers adjacent in the table form one run
+            while i < len(pos):
+                j = i + 1
+                while pos[i] in below and j < len(pos) and (
+                    below.get(pos[j], 0) * dims[pos[j]] == below[pos[j - 1]]
+                ):
+                    j += 1
+                runs.append(pos[i:j])
+                i = j
+            idx = None
+            for run in runs:
+                size, on_table = math.prod(dims[p] for p in run), run[0] in below
+                if on_table:
+                    after = below[run[-1]]
+                    seg = grid // after if after > 1 else grid
+                    if size * after < self.perm.size:
+                        seg = seg - seg // size * size
+                if not on_table or len(runs) > 1:
+                    own = register_digits(layout) if own is None else own
+                    mine = own[run[0]]
+                    for p in run[1:]:
+                        mine = mine * dims[p] + own[p]
+                    if not on_table or (seg == mine).all():
+                        seg = mine
+                idx = seg if idx is None else idx * size + seg
+            out.append(idx)
+        return out
 
 
 @dataclass(frozen=True)
@@ -407,25 +485,19 @@ def combine_digits(digits: Sequence[np.ndarray], dims: Sequence[int]) -> np.ndar
 def embed_permutation(
     u: PermutationUnitary, labels: Sequence[str], layout: RegisterLayout
 ) -> PermutationUnitary:
-    """Extend a permutation acting on the given registers (in the order of
-    labels) to the full layout, identity elsewhere."""
-    dims = layout.dims
-    pos = [layout.index(l) for l in labels]
-    sub_dims = [dims[p] for p in pos]
-    if math.prod(sub_dims) != u.dim:
-        raise DimensionMismatch(
-            f"permutation dim {u.dim} does not match registers {list(labels)}"
-        )
-    digits = register_digits(layout)
-    # the index over pos and its image, as grids of u.dim entries (not by
-    # np.unravel_index, which NumPy 2.4 gets wrong on some such grids)
-    sub = 0
-    for p in pos:
-        sub = sub * dims[p] + digits[p]
-    sub = u.perm[sub]
-    for p in reversed(pos):
-        sub, digits[p] = np.divmod(sub, dims[p])
-    return PermutationUnitary(combine_digits(digits, dims))
+    """The table of u, which acts on the given registers (in the order of
+    labels), extended to one table over the full layout, identity elsewhere:
+    the preimage table of u^dag.
+
+    The one place a full-layout table is built from a register table: only
+    a dense U, a JSON document and the flattened unitary of a concatenation
+    need one."""
+    inverse = np.empty_like(u.perm)
+    inverse[u.perm] = np.arange(u.perm.size)
+    full = PermutationUnitary(inverse, labels, layout).preimage_indices(
+        layout, [range(len(layout.registers))]
+    )[0]
+    return PermutationUnitary(np.broadcast_to(full, layout.dims).reshape(-1))
 
 
 def embed_operator(op, labels: Sequence[str], layout: RegisterLayout) -> np.ndarray:

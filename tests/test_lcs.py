@@ -26,13 +26,12 @@ from wstate.lcs import (
     incoherent_exact,
     lcu_prepare,
     pauli_decompose,
-    preparation_unitary,
     variance_postprocessing,
 )
 from wstate.subroutines import lincombo_pair_M
 from wstate.tensor import _pauli_string
 
-from conftest import rand_hermitian, rand_state, rand_unitary
+from conftest import preparation_unitary, rand_hermitian, rand_state, rand_unitary
 
 
 class TestLcsProblem:

@@ -1,4 +1,5 @@
 import ast
+import hashlib
 import json
 import math
 import os
@@ -16,7 +17,7 @@ import wstate
 from wstate.cli import main
 from wstate.errors import SchemaError
 from wstate.instrument import QuantumState, apply_exact
-from wstate.lcs import LcsProblem, preparation_unitary
+from wstate.lcs import LcsProblem
 from wstate.serialize import (
     EstimationTask,
     detect_kind,
@@ -45,7 +46,7 @@ from wstate.subroutines import (
 )
 from wstate.tensor import Register, RegisterLayout
 
-from conftest import rand_density, rand_state
+from conftest import preparation_unitary, rand_density, rand_state
 
 
 def fixed_point(doc):
@@ -87,6 +88,30 @@ class TestDocumentRoundtrips:
             assert np.abs(
                 apply_exact(back, inputs).matrix - apply_exact(inst, inputs).matrix
             ).max() < 1e-12
+
+    def test_register_table_written_in_full(self):
+        # GQT holds its CNOT ladder as a 16-entry table on (S, E1); the task
+        # document carries the 64-entry table of the whole layout, the same
+        # bytes as when the builder made the full table (the SHA-256 of that
+        # document), and reads back as one table acting on every register
+        inst = build_gqt_instrument(2)
+        assert inst.unitary.perm.size == 16
+        inputs = [QuantumState.from_density(np.diag([0.4, 0.3, 0.2, 0.1]).astype(complex)),
+                  QuantumState.pure(np.full(4, 0.5, dtype=complex))]
+        task = EstimationTask(inst, inputs, np.diag([1.0, -1.0, 2.0, 0.0]).astype(complex))
+        text = json.dumps(task_to_json(task), sort_keys=True)
+        assert hashlib.sha256(text.encode()).hexdigest() == (
+            "e608297d84afdb3b41763bbdba8f81c5e5bd0899f1a9e1a62b0b94cd26acf0b9"
+        )
+        d = 4
+        s, e1, e2 = np.unravel_index(np.arange(d**3), (d, d, d))
+        want = (s * d + (e1 ^ s)) * d + e2
+        assert json.loads(text)["instrument"]["unitary"]["permutation"] == want.tolist()
+        back = task_from_json(json.loads(text))
+        assert back.instrument.unitary.labels is None
+        assert back.instrument.unitary.perm.size == d**3
+        assert np.array_equal(apply_exact(back.instrument, inputs).matrix,
+                              apply_exact(inst, inputs).matrix)
 
     def test_instrument_with_decomposed_measurement(self, rng):
         x = np.array([[0.0, 1.0], [1.0, 0.0]])

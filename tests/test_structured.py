@@ -1,8 +1,10 @@
-"""Structured measurement forms against their dense matrices.
+"""Structured operator forms against their dense or full-layout forms.
 
 GQT holds its SWAP as a PermutationUnitary and teleport its Bell-type map as
 a LowRankOperator; every result must match the dense d_E x d_E path, and at
 n = 7, where a dense M would take 4.3 GB, the structured path must stay small.
+A permutation U held on some of the registers must evolve as its lift to the
+whole layout does, and an exact evaluation must hold little beyond one ket.
 """
 
 import tracemalloc
@@ -10,12 +12,17 @@ from dataclasses import replace
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from wstate.errors import DimensionMismatch, ValidationError
 from wstate.instrument import (
     MeasurementOperator,
+    QuantumInstrument,
     QuantumState,
+    WeightedState,
     apply_exact,
+    concatenate,
     branches,
     emulate_nonnormal,
     evolve,
@@ -38,7 +45,15 @@ from wstate.subroutines import (
     gqt,
     teleport_map,
 )
-from wstate.tensor import LowRankOperator, PermutationUnitary, merge_values, spectral_norm
+from wstate.tensor import (
+    LowRankOperator,
+    PermutationUnitary,
+    Register,
+    RegisterLayout,
+    embed_permutation,
+    merge_values,
+    spectral_norm,
+)
 
 from conftest import rand_density, rand_hermitian, rand_state
 
@@ -305,3 +320,103 @@ def test_n7_sampling_path_stays_small(rng, kind):
         acc = sum(br.eigenvalue * br.probability * br.conditional_state.matrix for br in outs)
         assert [br.eigenvalue for br in outs] == [1.0, -1.0]
         assert np.abs(acc - tau).max() <= 1e-10 * np.abs(tau).max()
+
+
+@pytest.mark.parametrize("kind", ["gqt", "teleport"])
+def test_n6_exact_path_holds_one_ket(rng, kind):
+    # the evolution writes one (S, G r, E) array of d^3 entries and the
+    # contraction adds one block of the bra, not a copy of it
+    n, d = 6, 2**6
+    maps = [(_complex(rng, d), _complex(rng, d))]
+    inst = build_gqt_instrument(n) if kind == "gqt" else build_teleport_instrument(n, maps)
+    a, b = rand_state(rng, d), rand_state(rng, d)
+    inputs = [QuantumState.pure(a), QuantumState.pure(b)]
+    tau, peak = _traced_peak(lambda: apply_exact(inst, inputs).matrix)
+    assert peak <= 1.3 * d**3 * 16
+    ra, rb = np.outer(a, a.conj()), np.outer(b, b.conj())
+    want = gqt(ra, rb) if kind == "gqt" else teleport_map(rb, maps, ra)
+    assert np.abs(tau - want).max() <= 1e-10 * max(1.0, np.abs(want).max())
+
+
+def _close(got, want, rtol=1e-12):
+    return np.abs(np.asarray(got) - want).max() <= rtol * max(1.0, np.abs(want).max())
+
+
+class TestRegisterTables:
+    """A permutation U held on a subset of the registers against its
+    embed_permutation lift and its dense matrix: the same evolved ket and
+    bra, weighted output and estimator law, on mixed-radix layouts with G
+    registers, with no, a pure or a mixed ancilla and every kind of input."""
+
+    @given(
+        seed=st.integers(0, 2**32 - 1),
+        dims=st.lists(st.sampled_from([2, 3]), min_size=2, max_size=4),
+        ancilla=st.sampled_from(["none", "pure", "mixed"]),
+        kinds=st.lists(st.sampled_from(["pure", "density", "weighted"]), min_size=4, max_size=4),
+        data=st.data(),
+    )
+    @settings(max_examples=60)
+    def test_register_table_evolves_as_its_lift(self, seed, dims, ancilla, kinds, data):
+        rng = np.random.default_rng(seed)
+        k = len(dims)
+        # S first, at least one G, the rest E or G; registers in drawn order
+        roles = ["S", "G"] + data.draw(st.lists(st.sampled_from("SEG"), min_size=k - 2,
+                                                max_size=k - 2))
+        order = data.draw(st.permutations(range(k)))
+        anc = set() if ancilla == "none" else data.draw(
+            st.sets(st.sampled_from(range(k)), min_size=1, max_size=k - 1))
+        regs = [Register(f"R{i}", dim, role=roles[order.index(i)],
+                         source="ancilla" if i in anc else "input")
+                for i, dim in enumerate(dims)]
+        layout = RegisterLayout(tuple(regs))
+        labels = data.draw(st.lists(st.sampled_from(layout.labels), min_size=1, max_size=k,
+                                    unique=True))
+        local = PermutationUnitary(rng.permutation(layout.dim_of(labels)), labels, layout)
+        lifted = embed_permutation(local, labels, layout)
+        d_e = layout.dim_of(layout.with_role("E"))
+        m = MeasurementOperator.of(rand_hermitian(rng, d_e) if d_e > 1 else np.eye(1))
+        sigma = None
+        if ancilla != "none":
+            sub = layout.sub([regs[i].label for i in anc])
+            sigma = (QuantumState(sub, vector=rand_state(rng, sub.total_dim))
+                     if ancilla == "pure"
+                     else QuantumState(sub, density=rand_density(rng, sub.total_dim)))
+        inst = QuantumInstrument(layout, sigma, local, m)
+        inputs = []
+        for r, kind in zip((r for r in regs if r.source == "input"), kinds):
+            if kind == "pure":
+                inputs.append(QuantumState.pure(rand_state(rng, r.dim)))
+            elif kind == "density":
+                inputs.append(QuantumState.from_density(rand_density(rng, r.dim)))
+            else:
+                inputs.append(WeightedState(_complex(rng, r.dim), RegisterLayout.of(r)))
+
+        ev = evolve(inst, inputs)
+        tau = apply_exact(inst, inputs).matrix
+        for other in (replace(inst, unitary=lifted), replace(inst, unitary=local.dense())):
+            ev_other = evolve(other, inputs)
+            assert (ev.bra is ev.ket) == (ev_other.bra is ev_other.ket)
+            assert _close(ev.ket, ev_other.ket) and _close(ev.bra, ev_other.bra)
+            assert _close(tau, apply_exact(other, inputs).matrix)
+        if "weighted" not in kinds[: len(inputs)]:
+            obs = rand_hermitian(rng, layout.dim_of(layout.with_role("S")))
+            got = sample_estimate(inst, inputs, obs, shots=100, seed=3)
+            want = sample_estimate(replace(inst, unitary=lifted), inputs, obs, shots=100, seed=3)
+            for field in ("analytic_mean", "analytic_variance", "variance_bound"):
+                assert _close(getattr(got, field), getattr(want, field)), field
+
+    @given(seed=st.integers(0, 2**32 - 1), pure=st.lists(st.booleans(), min_size=3, max_size=3))
+    @settings(max_examples=10)
+    def test_two_gqt_stages(self, seed, pure):
+        # both stages hold their ladder on two of three registers; the
+        # flattened pipeline holds one full-layout table
+        rng = np.random.default_rng(seed)
+        chained = concatenate(build_gqt_instrument(2), build_gqt_instrument(2))
+        assert chained.flattened.unitary.labels is None
+        states = [QuantumState.pure(rand_state(rng, 4)) if p
+                  else QuantumState.from_density(rand_density(rng, 4)) for p in pure]
+        staged = chained.apply_staged(states[:2], states[2:])
+        flat = chained.apply_flattened(states[:2], states[2:])
+        assert _close(staged.matrix, flat.matrix)
+        want = gqt(gqt(states[0].matrix, states[1].matrix), states[2].matrix)
+        assert _close(flat.matrix, want, 1e-10)

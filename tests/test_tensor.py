@@ -186,7 +186,7 @@ class TestEigenbasis:
 
 class TestPermutationUnitary:
     def test_vector_and_column_block_match_dense(self, rng):
-        # evolve applies U to the D x r block of factor columns in one gather
+        # a table permutes the rows of a vector or of a block of columns
         perm = np.array([2, 0, 3, 1])
         u = PermutationUnitary(perm)
         psi = rand_state(rng, 4)
@@ -278,8 +278,11 @@ class TestPermutationBuilders:
     MIXED = RegisterLayout.of(Register("A", 2), Register("B", 3), Register("C", 2))
 
     def test_xor_ladder_mixed_radix(self):
+        # the ladder holds a d_src d_dst table on its two registers only
         for src, dst in ((0, 2), (2, 0)):
-            got = _xor_ladder_perm(self.MIXED, src, dst).perm
+            u = _xor_ladder_perm(self.MIXED, src, dst)
+            assert u.labels == ("A", "C") and u.perm.size == 4
+            got = u.lifted().perm
             assert np.array_equal(got, reference_perm(self.MIXED.dims, _xor(src, dst)))
 
     @pytest.mark.parametrize("n", [1, 2, 3])
@@ -298,7 +301,8 @@ class TestPermutationBuilders:
             (build_qsp_instrument(np.array([1.0, 0.0]), np.eye(2), n), cswap),
         ]
         for inst, image in cases:
-            assert np.array_equal(inst.unitary.perm, reference_perm(inst.layout.dims, image))
+            got = inst.unitary.lifted().perm
+            assert np.array_equal(got, reference_perm(inst.layout.dims, image))
         swap = build_gqt_instrument(n).measurement.operator.perm
         assert np.array_equal(swap, reference_perm((d, d), lambda g: g[::-1]))
 
