@@ -24,7 +24,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass, replace
-from functools import reduce
+from functools import cached_property, reduce
 
 import numpy as np
 
@@ -51,6 +51,7 @@ from .tensor import (
     norm_scale,
     not_normal,
     spectral_groups,
+    spectral_norm,
     unitarity_residual,
 )
 
@@ -199,8 +200,9 @@ class MeasurementOperator:
     its parts at construction: given, or, when built without kind or
     decomposition (as `of` builds it), the Hermitian/skew split
     M = (1/2)(M+M^dag) + (1/2)(M-M^dag). A structured M takes none; a
-    non-normal low-rank one splits its core on each call to normal_parts().
-    Nothing is written to the instance after construction.
+    non-normal low-rank one splits its core on each call to normal_parts()
+    and keeps nothing. `spectrum` and `part_norms` are kept from their first
+    read, which, as kind and parts do, assumes M's arrays stay unchanged.
     """
 
     operator: np.ndarray | PermutationUnitary | LowRankOperator
@@ -271,6 +273,30 @@ class MeasurementOperator:
             )
         return self.parts
 
+    @cached_property
+    def spectrum(self) -> tuple[tuple[float, complex, object, list], ...]:
+        """Rows (q_k, scale_k, N_k, groups_k) over the normal_parts c_k N_k
+        with c_k != 0: q_k = |c_k| / sum|c|, scale_k = c_k / q_k, groups_k =
+        tensor.spectral_groups(N_k). The estimator draws part k with
+        probability q_k and scales its eigenvalue by scale_k; a normal M is
+        one row, q = 1."""
+        parts = self.normal_parts()
+        mags = np.array([abs(c) for c, _ in parts])
+        total = float(mags.sum())
+        rows = []
+        for (c, n), mag in zip(parts, mags):
+            if mag > 0:
+                q = mag / total
+                rows.append((q, c / q, n, spectral_groups(n)))
+        if not rows:
+            raise ValidationError("measurement decomposition has no nonzero part")
+        return tuple(rows)
+
+    @cached_property
+    def part_norms(self) -> tuple[float, ...]:
+        """tensor.spectral_norm(N_k) of each row of spectrum."""
+        return tuple(spectral_norm(n) for _, _, n, _ in self.spectrum)
+
 
 def _split(op) -> tuple[tuple[complex, object], ...]:
     """M = (1/2)(M + M^dag) + (1/2)(M - M^dag): a Hermitian and a
@@ -296,7 +322,10 @@ class QuantumInstrument:
     is represented by ancilla=None); callers supply the source='input'
     registers at application time. M acts on the E registers in layout order.
     U is a dense unitary or a PermutationUnitary: a full-layout table, or a
-    table held on some of this layout's registers.
+    table held on some of this layout's registers. The evaluation plan, the
+    ancilla's factor columns and U's preimage_indices grids per tuple of
+    piece positions (register- or table-sized), is kept from first use;
+    dataclasses.replace builds a new instance with an empty plan.
     """
 
     layout: RegisterLayout
@@ -337,6 +366,9 @@ class QuantumInstrument:
             raise DimensionMismatch(
                 f"measurement dim {self.measurement.dim} vs E-register dim {de}"
             )
+        # the evaluation plan, filled by _evolve: "ancilla" -> the ancilla's
+        # piece, a tuple of piece positions -> their preimage_indices grids
+        object.__setattr__(self, "_plan", {})
 
     @property
     def ancilla_labels(self) -> tuple[str, ...]:
@@ -443,7 +475,8 @@ def evolve(inst: QuantumInstrument, inputs) -> Evolved:
     small register grids and the inverse table) and multiplies the pieces in
     place into that array; no joint-sized table, product or copy is formed.
     A dense U takes one GEMM on the D x r product columns. The bra takes a
-    second pass only when it is not the ket.
+    second pass only when it is not the ket. The instrument keeps the
+    ancilla's factor columns and the index grids from its first evolution.
     """
     regs = inst.layout.registers
     return _evolve(inst, [(_input_factors(inputs), [i for i, r in enumerate(regs)
@@ -456,9 +489,12 @@ def _evolve(inst: QuantumInstrument, pieces) -> Evolved:
     the ancilla piece goes first. The columns of the product are the
     Kronecker product of the pieces' columns, in piece order."""
     regs, dims = inst.layout.registers, inst.layout.dims
+    plan = inst._plan
     if inst.ancilla is not None:
-        anc = [i for i, r in enumerate(regs) if r.source == "ancilla"]
-        pieces = [(_factor(inst.ancilla), anc), *pieces]
+        if "ancilla" not in plan:
+            anc = [i for i, r in enumerate(regs) if r.source == "ancilla"]
+            plan["ancilla"] = (_factor(inst.ancilla), anc)
+        pieces = [plan["ancilla"], *pieces]
     for (ket, _), pos in pieces:
         want = math.prod(dims[p] for p in pos)
         if ket.shape[0] != want:
@@ -474,9 +510,12 @@ def _evolve(inst: QuantumInstrument, pieces) -> Evolved:
     d_s, d_e, d_g = size["S"], size["E"], size["G"]
     u = inst.unitary
     permuted = isinstance(u, PermutationUnitary)
-    # a dense U is applied after the pieces are placed in layout order
-    table = u if permuted else PermutationUnitary.identity(math.prod(dims))
-    indices = table.preimage_indices(inst.layout, [pos for _, pos in pieces])
+    key = tuple(tuple(pos) for _, pos in pieces)
+    indices = plan.get(key)
+    if indices is None:
+        # a dense U is applied after the pieces are placed in layout order
+        table = u if permuted else PermutationUnitary.identity(math.prod(dims))
+        indices = plan[key] = table.preimage_indices(inst.layout, key)
     order = group if permuted else list(range(k + n))
 
     def place(cols):
@@ -593,15 +632,15 @@ class InstrumentBranch:
 
 def branches(inst: QuantumInstrument, inputs) -> list[InstrumentBranch]:
     """Outcome decomposition for a normal measurement: one branch per merged
-    eigenvalue, in the order of tensor.spectral_groups; sum_j lambda_j p_j
-    (conditional) reproduces apply_exact. A non-normal low-rank M reports
-    the normality residual of its core."""
+    eigenvalue, in the order of the groups of M's one-row spectrum; sum_j
+    lambda_j p_j (conditional) reproduces apply_exact. A non-normal
+    low-rank M reports the normality residual of its core."""
     meas = inst.measurement
     if meas.kind == "nonnormal":
         op = meas.operator
         m = op.core()[1] if isinstance(op, LowRankOperator) else op
         raise not_normal(m)
-    groups = spectral_groups(meas.operator)
+    ((*_, groups),) = meas.spectrum
     ev = evolve(inst, inputs)
     out = []
     total_p = 0.0

@@ -43,10 +43,10 @@ from .tensor import (
     Register,
     RegisterLayout,
     _PAULIS,
+    _eigenbasis,
     _pauli_string,
     asarray,
     combine_digits,
-    eigenbasis,
     norm_scale,
     register_digits,
     unitarity_residual,
@@ -327,7 +327,7 @@ def _incoherent_circuits(problem: LcsProblem, v, obs_decomposition: PauliDecompo
         if unitarity_residual(v) > 1e-10:
             raise NotUnitary("the processing circuit must be unitary")
         psi = psi @ v.T
-    o_vals, o_vecs, o_labels = eigenbasis(o)
+    o_vals, o_vecs, o_labels = _eigenbasis(o, True)
     o_norm = float(np.abs(o_vals).max())
     alphas = problem.alphas
 

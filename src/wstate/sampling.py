@@ -23,7 +23,6 @@ from .errors import (
     ValidationError,
 )
 from .instrument import (
-    MeasurementOperator,
     QuantumInstrument,
     Evolved,
     _mat,
@@ -32,13 +31,11 @@ from .instrument import (
     projected_outputs,
 )
 from .tensor import (
+    _eigenbasis,
     asarray,
     dephase,
-    eigenbasis,
     is_hermitian,
     merge_values,
-    spectral_groups,
-    spectral_norm,
 )
 
 _MASK64 = (1 << 64) - 1
@@ -91,7 +88,7 @@ class EstimatorReport:
     variance_bound: float
 
     def __post_init__(self):
-        if self.analytic_variance > self.variance_bound + 1e-12:
+        if self.analytic_variance - self.variance_bound > 1e-12 * abs(self.variance_bound):
             raise ValidationError(
                 f"analytic variance {self.analytic_variance} exceeds its bound "
                 f"{self.variance_bound}"
@@ -119,29 +116,6 @@ def _check_hermitian_obs(obs) -> np.ndarray:
     if not is_hermitian(o):
         raise ValidationError("observable must be Hermitian")
     return o
-
-
-def _spectrum(meas: MeasurementOperator) -> tuple[tuple[float, complex, object, list], ...]:
-    """Rows (q_k, scale_k, N_k, groups_k) over the parts c_k N_k of M with
-    c_k != 0: q_k = |c_k| / sum|c|, scale_k = c_k / q_k, N_k in M's form, as
-    MeasurementOperator.normal_parts gives it, and groups_k =
-    tensor.spectral_groups(N_k).
-
-    The sampled estimator draws part k with probability q_k and multiplies
-    its eigenvalue by scale_k; a normal M is one row with q = 1. Each
-    statistic builds it once per call and reads every part from it.
-    """
-    parts = meas.normal_parts()
-    mags = np.array([abs(c) for c, _ in parts])
-    total = float(mags.sum())
-    rows = []
-    for (c, n), mag in zip(parts, mags):
-        if mag > 0:
-            q = mag / total
-            rows.append((q, c / q, n, spectral_groups(n)))
-    if not rows:
-        raise ValidationError("measurement decomposition has no nonzero part")
-    return tuple(rows)
 
 
 @dataclass(frozen=True)
@@ -176,9 +150,9 @@ class _GroupTable:
 
 
 def _group_table(ev: Evolved, spectrum, obs: np.ndarray | None = None):
-    """The _GroupTable of an evolution over the rows of _spectrum, in the
-    eigenbasis of obs, or in the computational basis (a single eigenvalue 1)
-    when obs is None.
+    """The _GroupTable of an evolution over MeasurementOperator.spectrum
+    rows, in the eigenbasis of obs (checked by _check_hermitian_obs), or in
+    the computational basis (a single eigenvalue 1) when obs is None.
 
     The outputs of all parts' groups come from one projected_outputs call,
     so each distinct projector form is contracted once and no d_E x d_E
@@ -190,7 +164,7 @@ def _group_table(ev: Evolved, spectrum, obs: np.ndarray | None = None):
     elif obs.shape[0] != d_s:
         raise DimensionMismatch(f"observable dim {obs.shape[0]} vs output dim {d_s}")
     else:
-        o_vals, o_vecs, o_labels = eigenbasis(obs)
+        o_vals, o_vecs, o_labels = _eigenbasis(obs, True)
     outs = np.array(projected_outputs(ev, [g for *_, groups in spectrum for g in groups]))
     t = np.einsum("sa,gsa->ga", o_vecs.conj(), outs @ o_vecs)
     q = np.concatenate([np.full(len(groups), qk) for qk, _, _, groups in spectrum])
@@ -247,9 +221,8 @@ def sample_estimate(
     outputs E_g = W(P_g). The cells, the analytic mean, the variance and its
     bound are all sums over that one group table: W(N_k) = sum_g lambda_g E_g
     and W(N_k N_k^dag) = sum_g |lambda_g|^2 E_g, with ||O|| the largest
-    |eigenvalue| in the table. The emulating instrument is
-    never built: its cells are the parts' cells summed over equal scaled
-    eigenvalues.
+    |eigenvalue| in the table. The emulating instrument is never built: its
+    cells are the parts' cells summed over equal scaled eigenvalues.
     """
     if shots < 1:
         raise ValidationError("shot count must be >= 1")
@@ -258,7 +231,7 @@ def sample_estimate(
         raise ValidationError(f"unknown sampling method {method!r}")
     if workers < 1:
         raise ValidationError("workers must be >= 1")
-    table = _group_table(evolve(inst, inputs), _spectrum(inst.measurement), o)
+    table = _group_table(evolve(inst, inputs), inst.measurement.spectrum, o)
     probs, weights = _joint_cells(table)
     counts = sample_counts(probs, shots, seed)
     total_w = np.dot(counts, weights)
@@ -289,7 +262,7 @@ def variance_exact(inst: QuantumInstrument, inputs, obs) -> float:
     sum_k (|c_k|^2/q_k) Tr[rho_out (O^2 (x) N_k N_k^dag (x) I)] - |Tr tau O|^2,
     read from one group table through W(N_k N_k^dag) = sum_g |lambda_g|^2 E_g."""
     o = _check_hermitian_obs(obs)
-    table = _group_table(evolve(inst, inputs), _spectrum(inst.measurement), o)
+    table = _group_table(evolve(inst, inputs), inst.measurement.spectrum, o)
     return float(table.second_moment(2) - abs(table.mean()) ** 2)
 
 
@@ -310,11 +283,12 @@ def variance_bound(inst: QuantumInstrument, inputs, obs_norm: float) -> Variance
     <|M|^2> = sum_k (|c_k|^2/q_k) sum_g |lambda_g|^2 Tr E_g by
     W(N_k N_k^dag) = sum_g |lambda_g|^2 E_g; b2 from the parts' spectral
     norms."""
-    if obs_norm < 0:
-        raise ValidationError("observable norm must be nonnegative")
-    spectrum = _spectrum(inst.measurement)
+    if not math.isfinite(obs_norm) or obs_norm < 0:
+        raise ValidationError("observable norm must be finite and nonnegative")
+    meas = inst.measurement
+    spectrum = meas.spectrum
     table = _group_table(evolve(inst, inputs), spectrum)
-    worst = max(abs(scale) * spectral_norm(nk) for _, scale, nk, _ in spectrum)
+    worst = max(abs(scale) * nrm for (_, scale, _, _), nrm in zip(spectrum, meas.part_norms))
     b1 = obs_norm**2 * table.second_moment(0)
     b2 = obs_norm**2 * worst**2
     return VarianceBounds(float(b1), float(b2))

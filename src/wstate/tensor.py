@@ -237,6 +237,11 @@ def eigenbasis(m):
     hermitian = is_hermitian(a)
     if not hermitian and not is_normal(a):
         raise not_normal(a)
+    return _eigenbasis(a, hermitian)
+
+
+def _eigenbasis(a: np.ndarray, hermitian: bool):
+    """eigenbasis of a checked complex128 array; hermitian = is_hermitian(a)."""
     scale = float(np.linalg.norm(a))
     adj = a.conj().T
     h_vals, vecs = np.linalg.eigh((a + adj) / 2)

@@ -1,3 +1,4 @@
+import dataclasses
 import math
 
 import numpy as np
@@ -15,11 +16,17 @@ from wstate.errors import (
     OrthogonalInputs,
     ValidationError,
 )
-from wstate.instrument import QuantumState, apply_exact, evolve, expectation, weighted_output
+from wstate.instrument import (
+    QuantumState,
+    apply_exact,
+    branches,
+    evolve,
+    expectation,
+    weighted_output,
+)
 from wstate.sampling import (
     _group_table,
     _joint_cells,
-    _spectrum,
     EstimatorReport,
     allocate_shots,
     beta_variance_bound,
@@ -47,7 +54,7 @@ from wstate.subroutines import (
     power_state,
     qhp,
 )
-from wstate.tensor import dense, dephase, hermiticity_residual, spectral_norm
+from wstate.tensor import PermutationUnitary, dense, dephase, hermiticity_residual, spectral_norm
 
 from conftest import rand_density, rand_hermitian, rand_state, rand_unitary
 
@@ -112,6 +119,17 @@ class TestEstimatorReport:
                 variance_bound=1.0,
             )
 
+    def test_bound_check_is_relative_to_the_bound(self):
+        def report(variance, bound):
+            return EstimatorReport(10, 0, 0.0, 1.0, 0.0, variance, bound)
+
+        with pytest.raises(ValidationError):
+            report(1.01e-24, 1e-24)
+        for scale in (1e-24, 1.0, 1e24):
+            report(scale * (1 + 1e-13), scale)
+            with pytest.raises(ValidationError):
+                report(scale * (1 + 1e-9), scale)
+
     def test_standard_error(self):
         rep = EstimatorReport(
             shots=400,
@@ -172,7 +190,7 @@ class TestSampleEstimate:
         assert scaled.measurement.kind == base.measurement.kind
         counts = []
         for inst in (base, scaled):
-            table = _group_table(evolve(inst, inputs), _spectrum(inst.measurement), obs)
+            table = _group_table(evolve(inst, inputs), inst.measurement.spectrum, obs)
             probs, _ = _joint_cells(table)
             counts.append(sample_counts(probs, 20000, seed=3))
         assert np.array_equal(counts[0], counts[1])
@@ -320,7 +338,7 @@ class TestGroupTable:
             inputs = [QuantumState.from_density(rand_density(rng, d)) for _ in range(2)]
         obs = rand_hermitian(rng, d)
         ev = evolve(inst, inputs)
-        spectrum = _spectrum(meas)
+        spectrum = meas.spectrum
         table = _group_table(ev, spectrum, obs)
 
         # tolerances relative to the operator scale, not to the value
@@ -346,8 +364,9 @@ class TestGroupTable:
 
 
 class TestOneDecompositionPerCall:
-    """Each statistic decomposes every part of M once, writes nothing to the
-    measurement, and a reused instrument gives the numbers a fresh one does."""
+    """Each part of M is decomposed once per measurement, by the first
+    statistic that reads it; the measurement's fields stay as they were, and
+    a reused instrument gives the numbers a fresh one does."""
 
     @pytest.mark.parametrize("form", sorted(TABLE_FORMS))
     def test_each_part_decomposed_once_per_call(self, monkeypatch, form):
@@ -366,24 +385,43 @@ class TestOneDecompositionPerCall:
 
         calls = (1, 2, "variance_exact", "variance_bound", 1)
         inst, inputs, obs = build(17)
-        n_parts = len(_spectrum(inst.measurement))
-        fields = dict(vars(inst.measurement))
-        real = wstate.sampling.spectral_groups
+        n_parts = len(build(17)[0].measurement.spectrum)
+        meas = inst.measurement
+        fields = {f.name: getattr(meas, f.name) for f in dataclasses.fields(meas)}
+        real = wstate.instrument.spectral_groups
         seen = []
 
         def spy(op):
             seen.append(op)
             return real(op)
 
-        monkeypatch.setattr(wstate.sampling, "spectral_groups", spy)
-        got = []
-        for call in calls:
-            got.append(run(inst, inputs, obs, call))
-            assert len(seen) == n_parts * len(got)
+        monkeypatch.setattr(wstate.instrument, "spectral_groups", spy)
+        got = [run(inst, inputs, obs, call) for call in calls]
         monkeypatch.undo()
-        assert vars(inst.measurement).keys() == fields.keys()
-        assert all(vars(inst.measurement)[k] is v for k, v in fields.items())
+        assert len(seen) == n_parts
+        assert all(getattr(meas, k) is v for k, v in fields.items())
         assert got == [run(*build(17), call) for call in calls]
+
+    @pytest.mark.parametrize("form", ["dense-hermitian", "dense-normal", "permutation"])
+    def test_branches_and_estimates_share_one_decomposition(self, monkeypatch, form):
+        inst, inputs, obs = _fresh(form, 23)
+        real = wstate.instrument.spectral_groups
+        seen = []
+
+        def spy(op):
+            seen.append(op)
+            return real(op)
+
+        monkeypatch.setattr(wstate.instrument, "spectral_groups", spy)
+        first = branches(inst, inputs)
+        rep = sample_estimate(inst, inputs, obs, shots=1000, seed=2)
+        again = branches(inst, inputs)
+        monkeypatch.undo()
+        assert len(seen) == 1
+        assert [b.eigenvalue for b in first] == [b.eigenvalue for b in again]
+        assert [b.probability for b in first] == [b.probability for b in again]
+        assert abs(sum(b.probability for b in first) - 1.0) <= 1e-9
+        assert rep == sample_estimate(*_fresh(form, 23), shots=1000, seed=2)
 
     @pytest.mark.parametrize("maps, contractions", [("one-random", 6), ("identity", 2)])
     def test_each_form_contracted_once(self, rng, monkeypatch, maps, contractions):
@@ -404,6 +442,66 @@ class TestOneDecompositionPerCall:
         monkeypatch.setattr(wstate.instrument, "weighted_output", spy)
         assert sample_estimate(inst, inputs, obs, shots=1000, seed=3) == want
         assert len(forms) == len({id(f) for f in forms}) == contractions
+
+
+def _fresh(form, seed):
+    """(instrument, inputs, obs) of TABLE_FORMS[form] at n = 2, built anew."""
+    rng = np.random.default_rng(seed)
+    inst = TABLE_FORMS[form][1](rng, 2)
+    inputs = [QuantumState.from_density(rand_density(rng, 4)) for _ in range(2)]
+    return inst, inputs, rand_hermitian(rng, 4)
+
+
+class TestEvaluationPlan:
+    """The instrument's plan (the ancilla's factor columns and U's gather
+    indices) is derived by the first evaluation and reused by every later
+    one; a replaced instrument derives its own."""
+
+    @pytest.mark.parametrize("form", sorted(TABLE_FORMS))
+    def test_plan_derived_once_per_instrument(self, monkeypatch, form):
+        inst, inputs, obs = _fresh(form, 29)
+        real_indices = PermutationUnitary.preimage_indices
+        real_factor = wstate.instrument._factor
+        tables, factored = [], []
+
+        def indices_spy(table, layout, groups):
+            tables.append(table)
+            return real_indices(table, layout, groups)
+
+        def factor_spy(x):
+            factored.append(x)
+            return real_factor(x)
+
+        monkeypatch.setattr(PermutationUnitary, "preimage_indices", indices_spy)
+        monkeypatch.setattr(wstate.instrument, "_factor", factor_spy)
+        got = []
+        for _ in range(3):
+            got.append(evolve(inst, inputs).ket)
+            got.append(apply_exact(inst, inputs).matrix)
+            got.append(sample_estimate(inst, inputs, obs, shots=1000, seed=4))
+        monkeypatch.undo()
+        assert len(tables) == 1
+        assert sum(x is inst.ancilla for x in factored) == (inst.ancilla is not None)
+        assert all(np.array_equal(a, b) for a, b in zip(got[:2], got[3:5]))
+        assert got[2] == got[5] == got[8]
+        fresh, inputs, obs = _fresh(form, 29)
+        assert np.array_equal(evolve(fresh, inputs).ket, got[0])
+
+    @pytest.mark.parametrize("form", ["dense-normal", "permutation", "low-rank"])
+    def test_replaced_unitary_takes_its_own_plan(self, form):
+        inst, inputs, obs = _fresh(form, 31)
+        before = apply_exact(inst, inputs).matrix
+        d = inst.layout.total_dim
+        other = PermutationUnitary(np.random.default_rng(3).permutation(d))
+        moved = dataclasses.replace(inst, unitary=other)
+        got = apply_exact(moved, inputs).matrix
+        want = apply_exact(dataclasses.replace(inst, unitary=dense(other)), inputs).matrix
+        assert np.abs(got - want).max() <= 1e-12 * max(1.0, np.abs(want).max())
+        assert np.abs(got - before).max() > 1e-6
+        assert np.array_equal(apply_exact(inst, inputs).matrix, before)
+        rep = sample_estimate(moved, inputs, obs, shots=1000, seed=6)
+        assert abs(rep.analytic_mean - expectation(want, obs)) <= 1e-12 * max(
+            1.0, abs(rep.analytic_mean))
 
 
 class TestVarianceClosures:
@@ -468,6 +566,13 @@ class TestVarianceClosures:
         # a bare vector is the projector onto it
         v = rand_state(rng, 2)
         assert abs(expectation(v, obs) - np.vdot(v, obs @ v)) < 1e-12
+
+    @pytest.mark.parametrize("norm", [-1.0, math.nan, math.inf])
+    def test_bound_rejects_a_bad_observable_norm(self, rng, norm):
+        inst = build_qhp_instrument(1)
+        inputs = [QuantumState.from_density(rand_density(rng, 2)) for _ in range(2)]
+        with pytest.raises(ValidationError, match="finite and nonnegative"):
+            variance_bound(inst, inputs, norm)
 
     def test_bounds_chain(self, rng):
         inst = build_qhp_instrument(1)

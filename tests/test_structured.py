@@ -32,7 +32,6 @@ from wstate.instrument import (
 from wstate.sampling import (
     _group_table,
     _joint_cells,
-    _spectrum,
     sample_estimate,
     variance_bound,
     variance_exact,
@@ -119,8 +118,8 @@ def test_structured_cells_match_dense(rng, n, pure, method):
         inputs = _inputs(rng, d, pure)
         obs = rand_hermitian(rng, d)
         ev = evolve(inst, inputs)
-        got = _law(*_joint_cells(_group_table(ev, _spectrum(inst.measurement), obs)))
-        want = _law(*_joint_cells(_group_table(ev, _spectrum(dense.measurement), obs)))
+        got = _law(*_joint_cells(_group_table(ev, inst.measurement.spectrum, obs)))
+        want = _law(*_joint_cells(_group_table(ev, dense.measurement.spectrum, obs)))
         assert len(got[0]) == len(want[0]), name
         assert np.abs(got[0] - want[0]).max() <= 1e-12 * np.abs(want[0]).max(), name
         assert np.abs(got[1] - want[1]).max() <= 1e-12, name
@@ -152,9 +151,9 @@ def test_merged_cells_match_emulated_instrument(rng, n, pure, kind):
     assert emulated.measurement.kind != "nonnormal"
     inputs = _inputs(rng, d, pure)
     obs = rand_hermitian(rng, d)
-    got = _law(*_joint_cells(_group_table(evolve(inst, inputs), _spectrum(inst.measurement), obs)))
+    got = _law(*_joint_cells(_group_table(evolve(inst, inputs), inst.measurement.spectrum, obs)))
     want = _law(
-        *_joint_cells(_group_table(evolve(emulated, inputs), _spectrum(emulated.measurement), obs))
+        *_joint_cells(_group_table(evolve(emulated, inputs), emulated.measurement.spectrum, obs))
     )
     assert len(got[0]) == len(want[0])
     assert np.abs(got[0] - want[0]).max() <= 1e-12 * np.abs(want[0]).max()
