@@ -27,8 +27,8 @@ _EXPORTS = {
     ),
     "lcs": (
         "LcsProblem", "LcuResult", "PauliDecomposition", "all_at_once_M", "all_at_once_apply",
-        "build_all_at_once_instrument", "hadamard_test", "incoherent_estimate",
-        "incoherent_exact", "lcu_prepare", "pauli_decompose", "variance_postprocessing",
+        "build_all_at_once_instrument", "incoherent_estimate", "incoherent_exact",
+        "lcu_prepare", "pauli_decompose", "variance_postprocessing",
     ),
     "sampling": (
         "BetaDesign", "ConcatComparison", "EstimatorReport", "PowerComparison",
@@ -41,11 +41,12 @@ _EXPORTS = {
         "PolySpec", "PolynomialPipeline", "SPECIAL_CASES", "SolveResult", "SolverSolution",
         "alpha_of", "build_gqt_instrument", "build_lincombo_instrument", "build_qhp_instrument",
         "build_qsp_instrument", "build_teleport_instrument", "gamma_in", "gqt",
-        "lincombo_pair_M", "polynomial_pipeline", "power_pipeline_states", "power_state", "qhp",
-        "qsp_oracle", "solve_qsp_realizable", "teleport_map",
+        "lincombo_pair_M", "polynomial_pipeline", "power_state", "qhp", "qsp_oracle",
+        "solve_qsp_realizable", "teleport_map",
     ),
     "tensor": (
-        "LowRankOperator", "PermutationUnitary", "Register", "RegisterLayout", "dephase",
+        "DenseOperator", "LowRankOperator", "PermutationUnitary", "Register", "RegisterLayout",
+        "dephase",
     ),
 }
 _MODULE_OF = {name: module for module, names in _EXPORTS.items() for name in names}

@@ -16,8 +16,7 @@ no D x D joint density is formed. An evolution writes one joint-sized array
 per side: a permutation U, held on the registers it acts on, gathers each
 factored piece at its preimage indices straight into that array, and a dense
 U takes one GEMM. M is contracted as for a pure state, with the columns
-traced alongside G; a permutation M is contracted one block of at most
-CONTRACTION_BLOCK_BYTES (512 KiB) of the bra at a time.
+traced alongside G, by the contract method of its form (tensor.form).
 """
 
 from __future__ import annotations
@@ -33,33 +32,24 @@ from .errors import (
     InvalidState,
     InvalidDistribution,
     MissingDecomposition,
-    NotUnitary,
     ValidationError,
 )
 from .tensor import (
     NORMALITY_TOL,
-    LowRankOperator,
-    PermutationUnitary,
     Register,
     RegisterLayout,
     asarray,
-    classify,
-    dense,
+    compose,
     embed_operator,
-    embed_permutation,
+    form,
     hermiticity_residual,
     norm_scale,
     not_normal,
-    spectral_groups,
-    spectral_norm,
-    unitarity_residual,
 )
 
 STATE_TOL = 1e-10
 ZERO_BRANCH_TOL = 1e-12
 PROBABILITY_TOL = 1e-9
-# bytes of bra one block of a permutation contraction gathers (weighted_output)
-CONTRACTION_BLOCK_BYTES = 1 << 19
 
 
 # ---------------------------------------------------------------------------
@@ -180,42 +170,32 @@ def expectation(tau, obs) -> complex:
 class MeasurementOperator:
     """Measurement operator M with its normality class.
 
-    operator holds M in one of three forms: a dense matrix, a
-    PermutationUnitary (the SWAP of the transpose coupling) or a
-    LowRankOperator (the Bell-type map of the teleport instrument). apply_exact
-    contracts a structured form without a d_E x d_E matrix; `matrix` builds
-    the dense form through tensor.dense on every read and keeps nothing.
+    operator holds M in a form (tensor.form): a dense matrix, kept as a plain
+    ndarray, a PermutationUnitary (the SWAP of the transpose coupling), kept
+    as one table over the E space, or a LowRankOperator (the teleport
+    instrument's Bell-type map). `matrix` builds the dense form on each read.
 
-    kind is one of hermitian / normal / nonnormal. Each construction decides
-    the class once with tensor.classify, exactly and at every size: a
-    structured form from its structure, a dense matrix with NORMALITY_TOL
-    relative to norm_scale(M) (hermiticity) or its square (normality), so
-    that c*M keeps the class of M for every c != 0. An omitted kind is
-    filled in from the class; a given kind must equal it, or be 'normal'
-    for a Hermitian M.
+    kind is one of hermitian / normal / nonnormal, decided once by the form,
+    exactly and at every size; a dense class is relative to norm_scale(M),
+    so c*M keeps the class of M for every c != 0. An omitted kind is filled
+    in; a given kind must equal the class, or be 'normal' for a Hermitian M.
 
-    A non-normal operator has a decomposition M = sum_k c_k N_k into normal
-    parts, used for single-instrument emulation and sampling, and
-    normal_parts() gives each N_k in the form M is held in. A dense M takes
-    its parts at construction: given, or, when built without kind or
-    decomposition (as `of` builds it), the Hermitian/skew split
-    M = (1/2)(M+M^dag) + (1/2)(M-M^dag). A structured M takes none; a
-    non-normal low-rank one splits its core on each call to normal_parts()
-    and keeps nothing. `spectrum` and `part_norms` are kept from their first
-    read, which, as kind and parts do, assumes M's arrays stay unchanged.
+    A non-normal M = sum_k c_k N_k takes normal parts at construction: given,
+    or, built without kind or decomposition (as `of` builds it), the form's
+    split into (1/2)(M + M^dag) and (1/2)(M - M^dag). `spectrum` and
+    `part_norms` are kept from their first read; all of this assumes M's
+    arrays stay unchanged.
     """
 
-    operator: np.ndarray | PermutationUnitary | LowRankOperator
+    operator: np.ndarray | object
     kind: str | None = None
-    parts: tuple[tuple[complex, np.ndarray], ...] | None = None
+    parts: tuple[tuple[complex, object], ...] | None = None
 
     def __post_init__(self):
-        op = self.operator
-        structured = isinstance(op, (PermutationUnitary, LowRankOperator))
-        if not structured:
-            op = asarray(op, square=True)
-            object.__setattr__(self, "operator", op)
-        actual = classify(op)
+        op = form(self.operator).as_measurement()
+        object.__setattr__(self, "operator", op)
+        m = form(op)
+        actual = m.kind
         given = self.kind
         if given is not None and given not in (
             (actual, "normal") if actual == "hermitian" else (actual,)
@@ -223,22 +203,20 @@ class MeasurementOperator:
             raise ValidationError(f"kind {given!r} but the operator is {actual}")
         object.__setattr__(self, "kind", given or actual)
         if self.parts is None:
-            if not structured and given is None and actual == "nonnormal":
-                object.__setattr__(self, "parts", _split(op))
+            if given is None and actual == "nonnormal":
+                object.__setattr__(self, "parts", m.split())
             return
-        if structured:
-            raise ValidationError("a structured measurement takes no decomposition")
-        parts = tuple((complex(c), asarray(n, square=True)) for c, n in self.parts)
+        parts = tuple((complex(c), form(n).as_measurement()) for c, n in self.parts)
         if not parts:
             raise ValidationError("empty decomposition")
-        acc = np.zeros_like(op)
-        for c, n in parts:
-            if n.shape != op.shape:
+        full = m.dense()
+        for _, n in parts:
+            if n.shape != full.shape:
                 raise DimensionMismatch("decomposition part has wrong shape")
-            if classify(n) == "nonnormal":
-                raise not_normal(n)
-            acc = acc + c * n
-        if float(np.max(np.abs(acc - op))) > NORMALITY_TOL * norm_scale(op):
+            if form(n).kind == "nonnormal":
+                raise not_normal(form(n).dense())
+        acc = sum(c * form(n).dense() for c, n in parts)
+        if float(np.max(np.abs(acc - full))) > NORMALITY_TOL * norm_scale(full):
             raise ValidationError("decomposition does not reconstruct the matrix")
         object.__setattr__(self, "parts", parts)
 
@@ -255,18 +233,13 @@ class MeasurementOperator:
     @property
     def matrix(self) -> np.ndarray:
         """Dense d_E x d_E form of M."""
-        return dense(self.operator)
+        return form(self.operator).dense()
 
     def normal_parts(self) -> tuple[tuple[complex, object], ...]:
-        """(coefficient, normal operator) terms summing to M, each held in
-        M's form: a normal M is one term as it is held, a non-normal dense M
-        gives its parts, and a non-normal low-rank M gives the split of its
-        core."""
-        op = self.operator
+        """(coefficient, normal operator) terms summing to M: a normal M is
+        one term as it is held, a non-normal M gives its parts."""
         if self.kind != "nonnormal":
-            return ((1.0 + 0.0j, op),)
-        if isinstance(op, LowRankOperator):
-            return _split(op)
+            return ((1.0 + 0.0j, self.operator),)
         if self.parts is None:
             raise MissingDecomposition(
                 "non-normal measurement requires a decomposition into normal parts"
@@ -277,7 +250,7 @@ class MeasurementOperator:
     def spectrum(self) -> tuple[tuple[float, complex, object, list], ...]:
         """Rows (q_k, scale_k, N_k, groups_k) over the normal_parts c_k N_k
         with c_k != 0: q_k = |c_k| / sum|c|, scale_k = c_k / q_k, groups_k =
-        tensor.spectral_groups(N_k). The estimator draws part k with
+        the spectral groups of N_k's form. The estimator draws part k with
         probability q_k and scales its eigenvalue by scale_k; a normal M is
         one row, q = 1."""
         parts = self.normal_parts()
@@ -287,27 +260,15 @@ class MeasurementOperator:
         for (c, n), mag in zip(parts, mags):
             if mag > 0:
                 q = mag / total
-                rows.append((q, c / q, n, spectral_groups(n)))
+                rows.append((q, c / q, n, form(n).groups()))
         if not rows:
             raise ValidationError("measurement decomposition has no nonzero part")
         return tuple(rows)
 
     @cached_property
     def part_norms(self) -> tuple[float, ...]:
-        """tensor.spectral_norm(N_k) of each row of spectrum."""
-        return tuple(spectral_norm(n) for _, _, n, _ in self.spectrum)
-
-
-def _split(op) -> tuple[tuple[complex, object], ...]:
-    """M = (1/2)(M + M^dag) + (1/2)(M - M^dag): a Hermitian and a
-    skew-Hermitian part, both normal by construction. A low-rank Q C Q^dag
-    splits its core, so the parts Q (C +- C^dag) Q^dag stay low-rank and
-    share Q."""
-    if isinstance(op, LowRankOperator):
-        q, c = op.core()
-        return tuple((h, LowRankOperator(q, q @ x.conj().T)) for h, x in _split(c))
-    adj = op.conj().T
-    return ((0.5 + 0j, op + adj), (0.5 + 0j, op - adj))
+        """||N_k||_2 of each row of spectrum."""
+        return tuple(form(n).norm() for _, _, n, _ in self.spectrum)
 
 
 # ---------------------------------------------------------------------------
@@ -321,10 +282,10 @@ class QuantumInstrument:
     The ancilla state occupies the source='ancilla' registers (a dim-1 layout
     is represented by ancilla=None); callers supply the source='input'
     registers at application time. M acts on the E registers in layout order.
-    U is a dense unitary or a PermutationUnitary: a full-layout table, or a
-    table held on some of this layout's registers. The evaluation plan, the
-    ancilla's factor columns and U's preimage_indices grids per tuple of
-    piece positions (register- or table-sized), is kept from first use;
+    U is a dense unitary, kept as a plain ndarray, or a PermutationUnitary: a
+    full-layout table, or a table on some of this layout's registers. The
+    evaluation plan, the ancilla's factor columns and U's preimage_indices
+    grids per tuple of piece positions, is kept from first use;
     dataclasses.replace builds a new instance with an empty plan.
     """
 
@@ -347,20 +308,7 @@ class QuantumInstrument:
                 raise DimensionMismatch(
                     f"ancilla dims {self.ancilla.layout.dims} vs registers {sub.dims}"
                 )
-        d = self.layout.total_dim
-        if isinstance(self.unitary, PermutationUnitary):
-            if self.unitary.dim != d:
-                raise DimensionMismatch(f"unitary dim {self.unitary.dim} vs layout {d}")
-            if self.unitary.layout not in (None, self.layout):
-                raise ValidationError("the unitary's registers belong to another layout")
-        else:
-            u = asarray(self.unitary, square=True)
-            if u.shape != (d, d):
-                raise DimensionMismatch(f"unitary shape {u.shape} vs layout dim {d}")
-            res = unitarity_residual(u)
-            if res > NORMALITY_TOL:
-                raise NotUnitary(f"U^dag U deviates from identity by {res:.3e}")
-            object.__setattr__(self, "unitary", u)
+        object.__setattr__(self, "unitary", form(self.unitary).as_unitary(self.layout))
         de = self.layout.dim_of(self.e_labels)
         if self.measurement.dim != de:
             raise DimensionMismatch(
@@ -508,89 +456,52 @@ def _evolve(inst: QuantumInstrument, pieces) -> Evolved:
     shape = dims + tuple(f[0].shape[1] for f, _ in pieces)
     group = role["S"] + role["G"] + list(range(k, k + n)) + role["E"]
     d_s, d_e, d_g = size["S"], size["E"], size["G"]
-    u = inst.unitary
-    permuted = isinstance(u, PermutationUnitary)
+    u = form(inst.unitary)
     key = tuple(tuple(pos) for _, pos in pieces)
     indices = plan.get(key)
     if indices is None:
-        # a dense U is applied after the pieces are placed in layout order
-        table = u if permuted else PermutationUnitary.identity(math.prod(dims))
-        indices = plan[key] = table.preimage_indices(inst.layout, key)
-    order = group if permuted else list(range(k + n))
+        indices = plan[key] = u.preimage_indices(inst.layout, key)
 
     def place(cols):
-        # out[y, c] = prod_i cols[i][index of piece i at U^dag y, c_i],
-        # multiplied right to left, as _kron_factors nests the pieces
-        terms = []
-        for i, (x, idx) in enumerate(zip(cols, indices)):
-            t = x.take(idx, axis=0)
-            terms.append(t.reshape(idx.shape + (1,) * i + x.shape[1:]
-                                   + (1,) * (n - 1 - i)).transpose(order))
-        out = np.empty([shape[a] for a in order], dtype=np.complex128)
-        if n == 1:
-            np.copyto(out, terms[0])
-        else:
-            np.multiply(terms[-2], terms[-1], out=out)
-            for t in reversed(terms[:-2]):
-                np.multiply(t, out, out=out)
-        if not permuted:
-            y = u @ out.reshape(-1, math.prod(shape[k:]))
-            out = np.ascontiguousarray(y.reshape(shape).transpose(group))
-        return out.reshape(d_s, -1, d_e)
+        def gather(order):
+            # out[y, c] = prod_i cols[i][index of piece i at y, c_i], axes in
+            # order, multiplied right to left, as _kron_factors nests the pieces
+            terms = []
+            for i, (x, idx) in enumerate(zip(cols, indices)):
+                t = x.take(idx, axis=0)
+                terms.append(t.reshape(idx.shape + (1,) * i + x.shape[1:]
+                                       + (1,) * (n - 1 - i)).transpose(order))
+            out = np.empty([shape[a] for a in order], dtype=np.complex128)
+            if n == 1:
+                np.copyto(out, terms[0])
+            else:
+                np.multiply(terms[-2], terms[-1], out=out)
+                for t in reversed(terms[:-2]):
+                    np.multiply(t, out, out=out)
+            return out
+
+        return u.apply_gathered(gather, shape, group).reshape(d_s, -1, d_e)
 
     ket = place([f[0] for f, _ in pieces])
     same = all(f[0] is f[1] for f, _ in pieces)
     return Evolved(ket, ket if same else place([f[1] for f, _ in pieces]), (d_s, d_e, d_g))
 
 
-def weighted_output(
-    ev: Evolved, m: np.ndarray | PermutationUnitary | LowRankOperator
-) -> np.ndarray:
+def weighted_output(ev: Evolved, m) -> np.ndarray:
     """tau_st = sum_{x,e,e'} K[s,x,e] conj(B[t,x,e']) M[e',e], x = (g, column).
 
-    Each form of M gives a from the ket and b from the bra, tau = a b^dag.
-    A structured m is contracted without a dense matrix: a low-rank u v^dag
-    contracts E with its thin factors, and a permutation (M[e',e] = 1 iff
-    e' = perm[e]) gathers the bra along E one block at a time, at most
-    CONTRACTION_BLOCK_BYTES (512 KiB) of bra per block (one column when a
-    column is larger), so that the contraction holds the evolved state plus
-    one block. A dense m gives b = B conj(M), fresh and conjugated in place,
-    about one bra's bytes beyond tau.
+    The one entry point of every contraction with M: m, an array or a form,
+    is contracted by its form's contract method, a structured m without a
+    dense matrix.
     """
-    d_s, d_e, _ = ev.dims
-    if isinstance(m, PermutationUnitary):
-        # tau_st = sum_{x,e} K[s,x,e] conj(B[t,x,perm[e]]), over blocks of
-        # whole E rows, or of E columns in one x when an E row is too big
-        ket, bra = ev.ket, ev.bra
-        e_step = min(d_e, max(1, CONTRACTION_BLOCK_BYTES // (16 * d_s)))
-        x_step = max(1, CONTRACTION_BLOCK_BYTES // (16 * d_s * d_e)) if e_step == d_e else 1
-        tau = None
-        for x in range(0, bra.shape[1], x_step):
-            for e in range(0, d_e, e_step):
-                b = np.take(bra[:, x : x + x_step], m.perm[e : e + e_step], axis=2)
-                np.conjugate(b, out=b)
-                a = ket[:, x : x + x_step, e : e + e_step].reshape(d_s, -1)
-                part = a @ b.reshape(d_s, -1).T
-                del b  # so that the next block's gather does not overlap this one
-                tau = part if tau is None else np.add(tau, part, out=tau)
-        return tau
-    ket, bra = ev.ket.reshape(-1, d_e), ev.bra.reshape(-1, d_e)
-    if isinstance(m, LowRankOperator):
-        # tau_st = sum_{x,k} (K conj(v))[s,x,k] conj((B conj(u))[t,x,k])
-        a = ket @ m.v.conj()
-        b = a.copy() if m.u is m.v and ev.bra is ev.ket else bra @ m.u.conj()
-    else:
-        # C[t,x,e] = sum_e' B[t,x,e'] conj(M)[e',e]; tau = <K, C> over (x, e)
-        a, b = ket, bra @ m.conj()
-    np.conjugate(b, out=b)
-    return a.reshape(d_s, -1) @ b.reshape(d_s, -1).T
+    return form(m).contract(ev)
 
 
 def projected_outputs(ev: Evolved, groups) -> list[np.ndarray]:
-    """weighted_output of each (eigenvalue, projector) group of
-    tensor.spectral_groups; a form shared by several projectors, such as the
-    identity and the SWAP in (I +- P)/2, or a group form and its reuse in
-    a zero group I - sum_g P_g, is contracted once."""
+    """weighted_output of each (eigenvalue, projector) group of a form's
+    groups(); a form shared by several projectors, such as the identity and
+    the SWAP in (I +- P)/2, or a group form and its reuse in a zero group
+    I - sum_g P_g, is contracted once."""
     done: dict[int, np.ndarray] = {}
     out = []
     for _, projector in groups:
@@ -637,9 +548,8 @@ def branches(inst: QuantumInstrument, inputs) -> list[InstrumentBranch]:
     low-rank M reports the normality residual of its core."""
     meas = inst.measurement
     if meas.kind == "nonnormal":
-        op = meas.operator
-        m = op.core()[1] if isinstance(op, LowRankOperator) else op
-        raise not_normal(m)
+        # raises the NotNormal of the matrix the form diagonalizes
+        form(meas.operator).groups()
     ((*_, groups),) = meas.spectrum
     ev = evolve(inst, inputs)
     out = []
@@ -700,24 +610,17 @@ def emulate_nonnormal(inst: QuantumInstrument) -> QuantumInstrument:
     d_e_old = inst.layout.dim_of(inst.e_labels)
     blocks = np.zeros((d_e_old, nk, d_e_old, nk), dtype=np.complex128)
     for k, ((c, n), qk) in enumerate(zip(parts, q)):
-        blocks[:, k, :, k] = (c / qk) * dense(n)
+        blocks[:, k, :, k] = (c / qk) * form(n).dense()
     m_new = blocks.reshape(d_e_old * nk, d_e_old * nk)
 
     anc_layout = new_layout.sub(r.label for r in new_layout.registers if r.source == "ancilla")
     rho = inst.ancilla.matrix if inst.ancilla else np.ones((1, 1))
     anc_state = QuantumState(anc_layout, density=np.kron(rho, np.diag(q)))
 
-    u = inst.unitary
-    if isinstance(u, PermutationUnitary):
-        labels = inst.layout.labels if u.labels is None else u.labels
-        u_new = PermutationUnitary(u.perm, labels, new_layout)
-    else:
-        u_new = np.kron(u, np.eye(nk))
-
     return QuantumInstrument(
         new_layout,
         ancilla=anc_state,
-        unitary=u_new,
+        unitary=form(inst.unitary).placed(inst.layout.labels, new_layout),
         measurement=MeasurementOperator.of(m_new),
     )
 
@@ -812,17 +715,10 @@ def concatenate(
 
     # second-stage unitary acts on its registers wherever they now live
     u2_labels = [rename[r.label] for r in lay2.registers]
-    u1, u2 = first.unitary, second.unitary
-    if isinstance(u1, PermutationUnitary) and isinstance(u2, PermutationUnitary):
-        labels1 = first.layout.labels if u1.labels is None else u1.labels
-        labels2 = lay2.labels if u2.labels is None else u2.labels
-        u_total = embed_permutation(
-            u2, [rename[l] for l in labels2], new_layout
-        ) @ embed_permutation(u1, labels1, new_layout)
-    else:
-        u_total = embed_operator(dense(u2), u2_labels, new_layout) @ embed_operator(
-            dense(u1), list(first.layout.labels), new_layout
-        )
+    u_total = compose(
+        form(second.unitary).placed(u2_labels, new_layout),
+        form(first.unitary).placed(first.layout.labels, new_layout),
+    )
 
     # the stages measure disjoint registers, so M1 (x) M2, and each product
     # of their normal parts (a tensor product of normal operators, hence
@@ -831,7 +727,7 @@ def concatenate(
     e12 = list(first.e_labels) + [rename[l] for l in second.e_labels]
 
     def product(a, b):
-        return embed_operator(np.kron(dense(a), dense(b)), e12, e_sub)
+        return embed_operator(np.kron(form(a).dense(), form(b).dense()), e12, e_sub)
 
     meas1, meas2 = first.measurement, second.measurement
     m_total = product(meas1.operator, meas2.operator)

@@ -287,19 +287,6 @@ def _hadamard_circuit(pref: float, target: float) -> tuple:
     return pref, 1.0, np.array([1.0, -1.0]), np.array([p_plus, 1.0 - p_plus])
 
 
-def hadamard_test(u, part: str, shots: int, seed: int, stream_key: tuple = ()) -> float:
-    """Estimate Re or Im of <0|u|0> from +-1 shots: P(+1) = (1 +- value)/2."""
-    mat = asarray(u, square=True)
-    if unitarity_residual(mat) > 1e-10:
-        raise NotUnitary("Hadamard test needs a unitary")
-    if part not in ("re", "im"):
-        raise ValidationError(f"part must be 're' or 'im', got {part!r}")
-    val = complex(mat[0, 0])
-    _, _, values, probs = _hadamard_circuit(1.0, val.real if part == "re" else val.imag)
-    counts = sample_counts(probs, shots, seed, stream_key)
-    return float(np.dot(counts, values) / shots)
-
-
 def incoherent_exact(problem: LcsProblem, v, obs) -> float:
     """Infinite-shot value Re <V Phi|O|V Phi>, the sum over l, l' of
     alpha_l alpha_l'^* <phi_l'|V^dag O V|phi_l> (None for V is the identity)."""

@@ -23,7 +23,7 @@ from .tensor import (
     RegisterLayout,
     _require,
     complex_from_json,
-    dense,
+    form,
     is_json_number,
     matrix_from_json,
     matrix_to_json,
@@ -138,16 +138,13 @@ def state_from_json(obj, field_path: str = "state",
 
 
 def measurement_to_json(meas: MeasurementOperator) -> dict:
-    """M as a dense matrix with its kind. A dense M writes the parts it
-    holds; a non-normal structured M, which holds none, writes its
-    normal_parts() as dense matrices."""
+    """M as a dense matrix with its kind, and the parts it holds as dense
+    matrices."""
     out = {"matrix": matrix_to_json(meas.matrix), "kind": meas.kind}
-    structured = not isinstance(meas.operator, np.ndarray)
-    parts = meas.normal_parts() if structured and meas.kind == "nonnormal" else meas.parts
-    if parts is not None:
+    if meas.parts is not None:
         out["decomposition"] = [
-            {"coefficient": [float(c.real), float(c.imag)], "part": matrix_to_json(dense(p))}
-            for c, p in parts
+            {"coefficient": [float(c.real), float(c.imag)], "part": matrix_to_json(form(p).dense())}
+            for c, p in meas.parts
         ]
     return out
 
@@ -178,14 +175,6 @@ def measurement_from_json(obj, field_path: str = "measurement") -> MeasurementOp
         raise SchemaError(field_path, str(exc)) from exc
 
 
-def _unitary_to_json(u) -> dict:
-    """A permutation is written as its full-layout table, whichever registers
-    it is held on, and a full table reads back as acting on every register."""
-    if isinstance(u, PermutationUnitary):
-        return {"permutation": [int(p) for p in u.lifted().perm]}
-    return matrix_to_json(u)
-
-
 def _unitary_from_json(obj, field_path: str):
     obj = _require_dict(obj, field_path)
     if "permutation" in obj:
@@ -205,9 +194,12 @@ def _unitary_from_json(obj, field_path: str):
 
 
 def instrument_to_json(inst: QuantumInstrument) -> dict:
+    """A permutation U is written as its full-layout table, whichever
+    registers it is held on, and a full table reads back as acting on every
+    register."""
     out = {
         "layout": layout_to_json(inst.layout),
-        "unitary": _unitary_to_json(inst.unitary),
+        "unitary": form(inst.unitary).to_json(),
         "measurement": measurement_to_json(inst.measurement),
     }
     if inst.ancilla is not None:

@@ -374,34 +374,6 @@ def build_lincombo_instrument(alpha0, alpha1, beta, psi0, psi1) -> QuantumInstru
 
 
 # ---------------------------------------------------------------------------
-# power pipeline (iterated QHP)
-
-
-def power_pipeline_states(psi, k: int) -> list[np.ndarray]:
-    """Stage-by-stage pure-state chain of iterated QHP instruments.
-
-    Each stage applies the CNOT-ladder unitary to (previous (x) psi) and keeps
-    the all-zero postselection branch, whose amplitudes are exactly the next
-    power. Returns [psi, psi^2, ..., psi^k] (unnormalized weighted vectors).
-    """
-    v = asarray(psi)
-    d = v.shape[0]
-    n = int(round(math.log2(d)))
-    if 2**n != d:
-        raise DimensionMismatch("power pipeline needs qubit-shaped states")
-    inst = build_qhp_instrument(n)
-    states = [v]
-    cur = v
-    for _ in range(k - 1):
-        joint = np.kron(cur, v)
-        out = inst.unitary.apply_vector(joint)
-        # M = |0..0><0..0| on the second register: branch vector is column 0
-        cur = out.reshape(d, d)[:, 0].copy()
-        states.append(cur)
-    return states
-
-
-# ---------------------------------------------------------------------------
 # polynomial pipeline
 
 

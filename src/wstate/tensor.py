@@ -1,13 +1,14 @@
-"""Dense complex linear algebra substrate.
+"""Complex linear algebra substrate and the operator protocol.
 
-Register layouts, operator classification, spectral decomposition of normal
-matrices, dephasing, computational-basis permutation unitaries, low-rank
-operators held as factors, the spectral groups of each form, Pauli strings,
-and the JSON forms of arrays.
+Register layouts, classification and spectral decomposition of normal
+matrices, dephasing, Pauli strings, JSON forms of arrays, and the forms an
+operator is held in: DenseOperator, PermutationUnitary and LowRankOperator.
+As with SciPy's aslinearoperator, form(x) wraps a plain array once and
+callers use only the forms' methods, so only this module tells forms apart.
 
-Conventions: matrices are dense complex128 ndarrays, row-major. Register order
-in a layout matches tensor-product order; the leftmost register carries the
-most significant index bits. All functions here are pure.
+Conventions: arrays are complex128, row-major. Register order in a layout
+matches tensor-product order; the leftmost register carries the most
+significant index bits. Functions are pure; LowRankOperator caches its core.
 """
 
 from __future__ import annotations
@@ -15,6 +16,7 @@ from __future__ import annotations
 import math
 import sys
 from dataclasses import dataclass
+from functools import cached_property
 from typing import Iterable, Sequence
 
 import numpy as np
@@ -30,6 +32,8 @@ from .errors import (
 
 NORMALITY_TOL = 1e-10
 DEGENERACY_TOL = 1e-9
+# bytes of bra one block of a permutation contraction gathers
+CONTRACTION_BLOCK_BYTES = 1 << 19
 
 Roles = ("S", "E", "G")
 
@@ -162,21 +166,15 @@ def not_normal(m) -> NotNormal:
     return NotNormal(normality_residual(m), NORMALITY_TOL * norm_scale(m) ** 2)
 
 
-def classify(op) -> str:
-    """'hermitian', 'normal' or 'nonnormal': the class of an operator held in
-    any form, decided exactly at every size.
+def classify(a) -> str:
+    """'hermitian', 'normal' or 'nonnormal': the class of a dense matrix,
+    decided exactly at every size (the kind of a dense or low-rank form).
 
-    A permutation is unitary, and Hermitian when it is an involution. A
-    low-rank u v^dag has the class of its 2r x 2r core. A dense matrix is
-    tested for hermiticity, then for skew-hermiticity (O(d^2), normal), then
-    with the O(d^3) normality residual. Tolerances are relative to
-    norm_scale, as in is_hermitian and is_normal.
+    The matrix is tested for hermiticity, then for skew-hermiticity (O(d^2),
+    normal), then with the O(d^3) normality residual. Tolerances are
+    relative to norm_scale, as in is_hermitian and is_normal.
     """
-    if isinstance(op, PermutationUnitary):
-        return "hermitian" if op.is_involution else "normal"
-    if isinstance(op, LowRankOperator):
-        op = op.core()[1]
-    a = np.asarray(op)
+    a = np.asarray(a)
     if is_hermitian(a):
         return "hermitian"
     skew = float(np.max(np.abs(a + a.conj().T)))
@@ -186,12 +184,7 @@ def classify(op) -> str:
 
 
 def spectral_norm(m) -> float:
-    """||M||_2 of a dense matrix or a structured form: 1 for a permutation,
-    the norm of the 2r x 2r core for a low-rank u v^dag."""
-    if isinstance(m, PermutationUnitary):
-        return 1.0
-    if isinstance(m, LowRankOperator):
-        return float(np.linalg.norm(m.core()[1], 2))
+    """||M||_2 of a dense matrix."""
     return float(np.linalg.norm(np.asarray(m), 2))
 
 
@@ -262,6 +255,98 @@ def _eigenbasis(a: np.ndarray, hermitian: bool):
     return np.array(values), vecs, labels
 
 
+# ---------------------------------------------------------------------------
+# operator forms
+
+
+def _projector_groups(values, basis, labels, zero) -> list:
+    """(eigenvalue, projector) groups of sum_g values[g] B_g B_g^dag, B_g the
+    columns of basis labeled g. A projector is a tuple of (coefficient, form)
+    terms, which a contraction linear in M takes one by one: B_g B_g^dag as
+    LowRankOperator(B_g, B_g) for each g not marked zero, then, unless those
+    span the space, a zero group I - sum_g P_g over the same forms."""
+    groups = []
+    for g in np.flatnonzero(~zero):
+        cols = basis[:, labels == g]
+        groups.append((complex(values[g]), ((1.0, LowRankOperator(cols, cols)),)))
+    if (~zero[labels]).sum() < basis.shape[0]:
+        kept = tuple((-c, f) for _, projector in groups for c, f in projector)
+        eye = PermutationUnitary.identity(basis.shape[0])
+        groups.append((0j, ((1.0, eye), *kept)))
+    return groups
+
+
+@dataclass(frozen=True)
+class DenseOperator:
+    """An operator held as its d x d array. form() wraps an array in it
+    without a copy or a check: its holder checked it once, through
+    as_measurement or as_unitary."""
+
+    array: np.ndarray
+
+    @property
+    def kind(self) -> str:
+        return classify(self.array)
+
+    def norm(self) -> float:
+        return spectral_norm(self.array)
+
+    def groups(self) -> list:
+        """The eigenbasis groups of a normal matrix (_projector_groups)."""
+        values, basis, labels = eigenbasis(self.array)
+        return _projector_groups(values, basis, labels, np.zeros(len(values), dtype=bool))
+
+    def contract(self, ev) -> np.ndarray:
+        """The weighted output of M on an evolved state: b = B conj(M),
+        fresh and conjugated in place, about one bra's bytes beyond tau."""
+        d_s, d_e, _ = ev.dims
+        # C[t,x,e] = sum_e' B[t,x,e'] conj(M)[e',e]; tau = <K, C> over (x, e)
+        b = ev.bra.reshape(-1, d_e) @ self.array.conj()
+        np.conjugate(b, out=b)
+        return ev.ket.reshape(d_s, -1) @ b.reshape(d_s, -1).T
+
+    def split(self) -> tuple:
+        """M = (1/2)(M + M^dag) + (1/2)(M - M^dag), two normal parts."""
+        adj = self.array.conj().T
+        return ((0.5 + 0j, self.array + adj), (0.5 + 0j, self.array - adj))
+
+    def dense(self) -> np.ndarray:
+        return self.array
+
+    def as_measurement(self) -> np.ndarray:
+        """The array a measurement keeps: square, finite, complex128."""
+        return asarray(self.array, square=True)
+
+    def as_unitary(self, layout: RegisterLayout) -> np.ndarray:
+        """The array an instrument on layout keeps as U, checked unitary."""
+        u = asarray(self.array, square=True)
+        d = layout.total_dim
+        if u.shape != (d, d):
+            raise DimensionMismatch(f"unitary shape {u.shape} vs layout dim {d}")
+        res = unitarity_residual(u)
+        if res > NORMALITY_TOL:
+            raise NotUnitary(f"U^dag U deviates from identity by {res:.3e}")
+        return u
+
+    def preimage_indices(self, layout: RegisterLayout, groups) -> list[np.ndarray]:
+        """The identity's: pieces are placed in layout order, U applied after."""
+        return PermutationUnitary.identity(self.array.shape[0]).preimage_indices(layout, groups)
+
+    def apply_gathered(self, gather, shape, group) -> np.ndarray:
+        """U on the joint block (axes: the layout's registers, then the
+        columns, of sizes shape) that gather(order) writes at preimage_indices
+        with its axes in order: one GEMM in layout order, then a transpose."""
+        y = self.array @ gather(list(range(len(shape)))).reshape(self.array.shape[0], -1)
+        return np.ascontiguousarray(y.reshape(shape).transpose(group))
+
+    def placed(self, labels: Sequence[str], layout: RegisterLayout) -> "DenseOperator":
+        """U on the registers labels (those of U's layout, renamed) of layout."""
+        return DenseOperator(embed_operator(self.array, labels, layout))
+
+    def to_json(self) -> dict:
+        return matrix_to_json(self.array)
+
+
 @dataclass(frozen=True)
 class PermutationUnitary:
     """Computational-basis permutation: U|x> = |perm[x]>.
@@ -272,9 +357,7 @@ class PermutationUnitary:
     table's preimage_indices without a full-layout table. dim and shape are
     those of U on the whole layout; lifted() builds the full table through
     embed_permutation. Without labels the table spans the whole space, as a
-    JSON table or the SWAP of a measurement does. apply_vector permutes the
-    rows of a vector or of a block of columns over the table's own index
-    space, in O(size r).
+    JSON table or the SWAP of a measurement does.
     """
 
     perm: np.ndarray
@@ -304,11 +387,6 @@ class PermutationUnitary:
     def shape(self) -> tuple[int, int]:
         return (self.dim, self.dim)
 
-    def apply_vector(self, psi: np.ndarray) -> np.ndarray:
-        out = np.empty_like(psi)
-        out[self.perm] = psi
-        return out
-
     def __matmul__(self, other: "PermutationUnitary") -> "PermutationUnitary":
         # matrix semantics: other acts first
         if (self.labels, self.layout) != (other.labels, other.layout):
@@ -334,6 +412,70 @@ class PermutationUnitary:
     @property
     def is_involution(self) -> bool:
         return bool(np.array_equal(self.perm[self.perm], np.arange(self.perm.size)))
+
+    @property
+    def kind(self) -> str:
+        """Unitary, hence normal; Hermitian when it is an involution."""
+        return "hermitian" if self.is_involution else "normal"
+
+    def norm(self) -> float:
+        return 1.0
+
+    def groups(self) -> list:
+        """An involution P has the groups (I +- P)/2 for +1 and -1; any other
+        permutation takes the groups of its dense matrix."""
+        if not self.is_involution:
+            return DenseOperator(self.dense()).groups()
+        eye = PermutationUnitary.identity(self.dim)
+        return [(1.0 + 0j, ((0.5, eye), (0.5, self))), (-1.0 + 0j, ((0.5, eye), (-0.5, self)))]
+
+    def contract(self, ev) -> np.ndarray:
+        """The weighted output of M[e',e] = 1 iff e' = perm[e], gathering the
+        bra along E in blocks of at most CONTRACTION_BLOCK_BYTES (or one column)."""
+        d_s, d_e, _ = ev.dims
+        # tau_st = sum_{x,e} K[s,x,e] conj(B[t,x,perm[e]]), over blocks of
+        # whole E rows, or of E columns in one x when an E row is too big
+        ket, bra = ev.ket, ev.bra
+        e_step = min(d_e, max(1, CONTRACTION_BLOCK_BYTES // (16 * d_s)))
+        x_step = max(1, CONTRACTION_BLOCK_BYTES // (16 * d_s * d_e)) if e_step == d_e else 1
+        tau = None
+        for x in range(0, bra.shape[1], x_step):
+            for e in range(0, d_e, e_step):
+                b = np.take(bra[:, x : x + x_step], self.perm[e : e + e_step], axis=2)
+                np.conjugate(b, out=b)
+                a = ket[:, x : x + x_step, e : e + e_step].reshape(d_s, -1)
+                part = a @ b.reshape(d_s, -1).T
+                del b  # so that the next block's gather does not overlap this one
+                tau = part if tau is None else np.add(tau, part, out=tau)
+        return tau
+
+    def as_measurement(self) -> "PermutationUnitary":
+        """The table a measurement keeps: one over its whole space."""
+        return self.lifted()
+
+    def as_unitary(self, layout: RegisterLayout) -> "PermutationUnitary":
+        """The permutation, checked to act on layout."""
+        if self.dim != layout.total_dim:
+            raise DimensionMismatch(f"unitary dim {self.dim} vs layout {layout.total_dim}")
+        if self.layout not in (None, layout):
+            raise ValidationError("the unitary's registers belong to another layout")
+        return self
+
+    def apply_gathered(self, gather, shape, group) -> np.ndarray:
+        """U on the joint block that gather(order) writes at preimage_indices:
+        the gather itself applies U, straight in group order."""
+        return gather(group)
+
+    def placed(self, labels: Sequence[str], layout: RegisterLayout) -> "PermutationUnitary":
+        """U on the registers labels (those of U's layout, renamed) of layout."""
+        if self.labels is not None:
+            new = dict(zip(self.layout.labels, labels))
+            labels = [new[label] for label in self.labels]
+        return PermutationUnitary(self.perm, labels, layout)
+
+    def to_json(self) -> dict:
+        """The full-layout table, whichever registers U is held on."""
+        return {"permutation": [int(p) for p in self.lifted().perm]}
 
     def preimage_indices(self, layout: RegisterLayout, groups) -> list[np.ndarray]:
         """For each list of register positions in groups, the index over those
@@ -394,7 +536,7 @@ class LowRankOperator:
     """M = u v^dag from two d x r factors.
 
     Holds a rank <= r operator in O(d r) memory; the dense d x d matrix is
-    only built on request.
+    only built on request. The QR behind its core runs once, on first read.
     """
 
     u: np.ndarray
@@ -415,6 +557,7 @@ class LowRankOperator:
     def shape(self) -> tuple[int, int]:
         return (self.dim, self.dim)
 
+    @cached_property
     def core(self) -> tuple[np.ndarray, np.ndarray]:
         """(Q, C) with M = Q C Q^dag, where Q has orthonormal columns spanning
         [u v]; M is Hermitian (normal) exactly when C is, and C is at most
@@ -423,53 +566,61 @@ class LowRankOperator:
         qh = q.conj().T
         return q, (qh @ self.u) @ (qh @ self.v).conj().T
 
+    @property
+    def kind(self) -> str:
+        """The class of the core."""
+        return classify(self.core[1])
+
+    def norm(self) -> float:
+        return spectral_norm(self.core[1])
+
+    def groups(self) -> list:
+        """One group Q W_g (Q W_g)^dag per nonzero eigenvalue of the core
+        C = W diag W^dag, and a zero group that also spans the complement of
+        Q: an eigenvalue is zero at most DEGENERACY_TOL times the largest
+        |eigenvalue| away from 0, and a rank-0 M has only the zero group, I."""
+        q, c = self.core
+        values, w, labels = eigenbasis(c)
+        mags = np.abs(values)
+        zero = mags <= DEGENERACY_TOL * mags.max(initial=0.0)
+        return _projector_groups(values, q @ w, labels, zero)
+
+    def contract(self, ev) -> np.ndarray:
+        """The weighted output of M on an evolved state, through the factors."""
+        d_s, d_e, _ = ev.dims
+        # tau_st = sum_{x,k} (K conj(v))[s,x,k] conj((B conj(u))[t,x,k])
+        a = ev.ket.reshape(-1, d_e) @ self.v.conj()
+        same = self.u is self.v and ev.bra is ev.ket
+        b = a.copy() if same else ev.bra.reshape(-1, d_e) @ self.u.conj()
+        np.conjugate(b, out=b)
+        return a.reshape(d_s, -1) @ b.reshape(d_s, -1).T
+
+    def split(self) -> tuple:
+        """The split of the core: low-rank parts Q (C +- C^dag) Q^dag."""
+        q, c = self.core
+        return tuple((h, LowRankOperator(q, q @ x.conj().T)) for h, x in DenseOperator(c).split())
+
     def dense(self) -> np.ndarray:
         return self.u @ self.v.conj().T
 
-
-def dense(op) -> np.ndarray:
-    """The d x d array of an operator held in any form: an ndarray as it is,
-    a structured form built out. Code outside this module turns a form into
-    an array only through here."""
-    return op if isinstance(op, np.ndarray) else op.dense()
+    def as_measurement(self) -> "LowRankOperator":
+        return self
 
 
-def spectral_groups(op):
-    """(eigenvalue, projector) groups of a normal operator held in any form.
+def form(op):
+    """op as a form: a form as it is, anything else (the plain ndarray a
+    public field holds) wrapped in a DenseOperator, uncopied and unchecked."""
+    if isinstance(op, (DenseOperator, PermutationUnitary, LowRankOperator)):
+        return op
+    return DenseOperator(op)
 
-    Each projector is a tuple of (coefficient, form) terms, so that a
-    contraction linear in M (weighted_output) takes it term by term without
-    a d x d matrix:
-    - an involutive permutation P has the groups (I +- P)/2 for +1 and -1;
-    - a low-rank Q C Q^dag has one group Q W_g (Q W_g)^dag per nonzero
-      eigenvalue of its core C = W diag W^dag, in eigenbasis order, and a
-      last zero group I - sum_g P_g over the same group forms, which also
-      spans the complement of Q; an eigenvalue counts as zero when it is at
-      most DEGENERACY_TOL times the largest |eigenvalue|;
-    - a dense matrix keeps its eigenbasis groups, as
-      LowRankOperator(cols, cols).
-    A permutation that is not an involution takes the dense path.
-    """
-    if isinstance(op, PermutationUnitary) and op.is_involution:
-        eye = PermutationUnitary.identity(op.dim)
-        return [(1.0 + 0j, ((0.5, eye), (0.5, op))), (-1.0 + 0j, ((0.5, eye), (-0.5, op)))]
-    if isinstance(op, LowRankOperator):
-        q, c = op.core()
-        values, w, labels = eigenbasis(c)
-        basis = q @ w
-        zero = np.abs(values) <= DEGENERACY_TOL * np.abs(values).max()
-    else:
-        values, basis, labels = eigenbasis(dense(op))
-        zero = np.zeros(len(values), dtype=bool)
-    groups = []
-    for g in np.flatnonzero(~zero):
-        cols = basis[:, labels == g]
-        groups.append((complex(values[g]), ((1.0, LowRankOperator(cols, cols)),)))
-    if (~zero[labels]).sum() < basis.shape[0]:
-        kept = tuple((-c, form) for _, projector in groups for c, form in projector)
-        eye = PermutationUnitary.identity(basis.shape[0])
-        groups.append((0j, ((1.0, eye), *kept)))
-    return groups
+
+def compose(second, first):
+    """second @ first of two unitary forms placed on one layout: one
+    full-layout table when both are permutations, a dense array otherwise."""
+    if isinstance(second, PermutationUnitary) and isinstance(first, PermutationUnitary):
+        return second.lifted() @ first.lifted()
+    return second.dense() @ first.dense()
 
 
 def register_digits(layout: RegisterLayout) -> list[np.ndarray]:
@@ -495,8 +646,8 @@ def embed_permutation(
     the preimage table of u^dag.
 
     The one place a full-layout table is built from a register table: only
-    a dense U, a JSON document and the flattened unitary of a concatenation
-    need one."""
+    a dense U, a JSON document, a measurement and the flattened unitary of a
+    concatenation need one."""
     inverse = np.empty_like(u.perm)
     inverse[u.perm] = np.arange(u.perm.size)
     full = PermutationUnitary(inverse, labels, layout).preimage_indices(

@@ -34,12 +34,13 @@ from wstate.subroutines import (
     qhp,
 )
 from wstate.tensor import (
+    DenseOperator,
     LowRankOperator,
     PermutationUnitary,
     Register,
     RegisterLayout,
-    classify,
     embed_operator,
+    form,
 )
 
 from conftest import rand_density, rand_hermitian, rand_state, rand_unitary
@@ -141,18 +142,16 @@ class TestMeasurementClassification:
         assert MeasurementOperator.of(np.exp(0.7j) * diag).kind == "normal"
 
     @pytest.mark.parametrize(
-        "form", ["hermitian", "normal", "nonnormal", "permutation", "low-rank"]
+        "held", ["hermitian", "normal", "nonnormal", "permutation", "low-rank"]
     )
-    def test_of_classifies_once(self, rng, monkeypatch, form):
-        import wstate.instrument
-
+    def test_of_classifies_once(self, rng, monkeypatch, held):
         calls = []
+        for cls in (DenseOperator, PermutationUnitary, LowRankOperator):
+            def counting(op, real=cls.kind.fget):
+                calls.append(op)
+                return real(op)
 
-        def counting(op):
-            calls.append(op)
-            return classify(op)
-
-        monkeypatch.setattr(wstate.instrument, "classify", counting)
+            monkeypatch.setattr(cls, "kind", property(counting))
         ops = {
             "hermitian": lambda: rand_hermitian(rng, 4),
             "normal": lambda: rand_unitary(rng, 4),
@@ -160,10 +159,11 @@ class TestMeasurementClassification:
             "permutation": lambda: PermutationUnitary(np.array([1, 2, 0])),
             "low-rank": lambda: LowRankOperator(*(rand_operator(rng, 4)[:, :2] for _ in "uv")),
         }
-        op = MeasurementOperator.of(ops[form]())
+        op = MeasurementOperator.of(ops[held]())
         assert len(calls) == 1
-        assert op.kind == classify(op.operator)
-        if form == "nonnormal":
+        monkeypatch.undo()
+        assert op.kind == form(op.operator).kind
+        if held == "nonnormal":
             assert len(op.normal_parts()) == 2
 
 
@@ -384,8 +384,9 @@ class TestContractions:
 
     @staticmethod
     def _check(inst, inputs, ev, rng):
-        # B_E in each form weighted_output takes: dense, a permutation, and
-        # low-rank u v^dag with u is v (the projectors of spectral_groups)
+        # B_E in each form weighted_output takes, as an array or through
+        # form(): dense, a permutation, low-rank u v^dag, u v^dag with u is v
+        # (the projectors of groups()), and the rank-0 zero operator
         d_s, d_e, _ = ev.dims
         lay = inst.layout
         pieces = dict(zip(inst.input_labels, map(_dense_input, inputs)))
@@ -396,12 +397,14 @@ class TestContractions:
         q = rand_operator(rng, d_e)[:, :2]
         forms = [
             rand_operator(rng, d_e),
+            DenseOperator(rand_operator(rng, d_e)),
             PermutationUnitary(rng.permutation(d_e)),
             LowRankOperator(q, rand_operator(rng, d_e)[:, :2]),
             LowRankOperator(q, q),
+            LowRankOperator(q[:, :0], q[:, :0]),
         ]
         for b in forms:
-            dense_b = b if isinstance(b, np.ndarray) else b.dense()
+            dense_b = form(b).dense()
             # A_S and B_E act on different registers, so they commute under the trace
             rho_b = rho_out @ embed_operator(dense_b, inst.e_labels, lay)
 
@@ -412,6 +415,7 @@ class TestContractions:
             a = rand_operator(rng, d_s)
             want = dense(a)
             tau = weighted_output(ev, b)
+            assert np.array_equal(form(b).contract(ev), tau)
             got = complex(np.einsum("st,ts->", tau, a))
             assert abs(got - want) <= 1e-12 * abs(want)
 

@@ -9,7 +9,6 @@ from wstate.errors import (
     DimensionMismatch,
     FullyDestructive,
     InvalidState,
-    NotUnitary,
     ValidationError,
     VanishingOverlapProduct,
 )
@@ -21,7 +20,6 @@ from wstate.lcs import (
     all_at_once_apply,
     build_all_at_once_instrument,
     default_permutations,
-    hadamard_test,
     incoherent_estimate,
     incoherent_exact,
     lcu_prepare,
@@ -173,26 +171,6 @@ class TestPauliDecomposition:
     def test_terms_must_reconstruct(self, rng):
         with pytest.raises(ValidationError):
             PauliDecomposition(((1.0, np.eye(2)),), np.diag([1.0, -1.0]))
-
-
-class TestHadamardTest:
-    def test_estimates_both_parts(self, rng):
-        u = rand_unitary(rng, 4)
-        val = complex(u[0, 0])
-        shots = 200000
-        re = hadamard_test(u, "re", shots, seed=13)
-        im = hadamard_test(u, "im", shots, seed=13, stream_key=(1,))
-        tol = 5.0 / math.sqrt(shots)
-        assert abs(re - val.real) < tol
-        assert abs(im - val.imag) < tol
-
-    def test_requires_unitary(self):
-        with pytest.raises(NotUnitary):
-            hadamard_test(2 * np.eye(2), "re", 10, seed=0)
-
-    def test_part_validation(self, rng):
-        with pytest.raises(ValidationError):
-            hadamard_test(np.eye(2), "abs", 10, seed=0)
 
 
 class TestIncoherent:

@@ -54,7 +54,15 @@ from wstate.subroutines import (
     power_state,
     qhp,
 )
-from wstate.tensor import PermutationUnitary, dense, dephase, hermiticity_residual, spectral_norm
+from wstate.tensor import form as as_form
+from wstate.tensor import (
+    DenseOperator,
+    LowRankOperator,
+    PermutationUnitary,
+    dephase,
+    hermiticity_residual,
+    spectral_norm,
+)
 
 from conftest import rand_density, rand_hermitian, rand_state, rand_unitary
 
@@ -343,7 +351,7 @@ class TestGroupTable:
 
         # tolerances relative to the operator scale, not to the value
         o_norm = spectral_norm(obs)
-        parts = [(q, s, nk) for q, s, nk, _ in spectrum]
+        parts = [(q, s, as_form(nk).dense()) for q, s, nk, _ in spectrum]
         mean_scale = o_norm * sum(abs(q * s) * spectral_norm(nk) for q, s, nk in parts)
         bounds = variance_bound(inst, inputs, o_norm)  # b2 = |O|^2 max_k |s_k|^2 |N_k|^2
 
@@ -353,7 +361,7 @@ class TestGroupTable:
         def second_moment(a):
             return sum(
                 q * abs(s) ** 2
-                * expectation(weighted_output(ev, dense(nk) @ dense(nk).conj().T), a).real
+                * expectation(weighted_output(ev, nk @ nk.conj().T), a).real
                 for q, s, nk in parts
             )
 
@@ -388,14 +396,7 @@ class TestOneDecompositionPerCall:
         n_parts = len(build(17)[0].measurement.spectrum)
         meas = inst.measurement
         fields = {f.name: getattr(meas, f.name) for f in dataclasses.fields(meas)}
-        real = wstate.instrument.spectral_groups
-        seen = []
-
-        def spy(op):
-            seen.append(op)
-            return real(op)
-
-        monkeypatch.setattr(wstate.instrument, "spectral_groups", spy)
+        seen = _spy_groups(monkeypatch)
         got = [run(inst, inputs, obs, call) for call in calls]
         monkeypatch.undo()
         assert len(seen) == n_parts
@@ -405,14 +406,7 @@ class TestOneDecompositionPerCall:
     @pytest.mark.parametrize("form", ["dense-hermitian", "dense-normal", "permutation"])
     def test_branches_and_estimates_share_one_decomposition(self, monkeypatch, form):
         inst, inputs, obs = _fresh(form, 23)
-        real = wstate.instrument.spectral_groups
-        seen = []
-
-        def spy(op):
-            seen.append(op)
-            return real(op)
-
-        monkeypatch.setattr(wstate.instrument, "spectral_groups", spy)
+        seen = _spy_groups(monkeypatch)
         first = branches(inst, inputs)
         rep = sample_estimate(inst, inputs, obs, shots=1000, seed=2)
         again = branches(inst, inputs)
@@ -442,6 +436,18 @@ class TestOneDecompositionPerCall:
         monkeypatch.setattr(wstate.instrument, "weighted_output", spy)
         assert sample_estimate(inst, inputs, obs, shots=1000, seed=3) == want
         assert len(forms) == len({id(f) for f in forms}) == contractions
+
+
+def _spy_groups(monkeypatch) -> list:
+    """The forms whose groups() runs from now on, in call order."""
+    seen = []
+    for cls in (DenseOperator, PermutationUnitary, LowRankOperator):
+        def spy(op, real=cls.groups):
+            seen.append(op)
+            return real(op)
+
+        monkeypatch.setattr(cls, "groups", spy)
+    return seen
 
 
 def _fresh(form, seed):
@@ -495,7 +501,7 @@ class TestEvaluationPlan:
         other = PermutationUnitary(np.random.default_rng(3).permutation(d))
         moved = dataclasses.replace(inst, unitary=other)
         got = apply_exact(moved, inputs).matrix
-        want = apply_exact(dataclasses.replace(inst, unitary=dense(other)), inputs).matrix
+        want = apply_exact(dataclasses.replace(inst, unitary=other.dense()), inputs).matrix
         assert np.abs(got - want).max() <= 1e-12 * max(1.0, np.abs(want).max())
         assert np.abs(got - before).max() > 1e-6
         assert np.array_equal(apply_exact(inst, inputs).matrix, before)

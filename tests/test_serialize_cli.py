@@ -590,6 +590,28 @@ def test_library_raises_only_typed_errors():
     assert found == []
 
 
+def test_operator_forms_chosen_only_in_tensor():
+    """No library module but tensor asks which form (dense, permutation or
+    low-rank) an operator is held in, and tensor asks only in the adapter
+    (form) and in the product of two permutations (compose)."""
+    forms = {"DenseOperator", "LowRankOperator", "PermutationUnitary"}
+    src = pathlib.Path(wstate.__file__).parent
+    found = []
+    for path in sorted(src.glob("*.py")):
+        for top in ast.parse(path.read_text()).body:
+            scopes = top.body if isinstance(top, ast.ClassDef) else [top]
+            for scope in scopes:
+                for node in ast.walk(scope):
+                    if (
+                        isinstance(node, ast.Call)
+                        and getattr(node.func, "id", None) == "isinstance"
+                        and forms & {getattr(n, "id", None) for n in ast.walk(node.args[1])}
+                    ):
+                        found.append((path.name, getattr(scope, "name", None)))
+    assert [f for f in found if f[0] != "tensor.py"] == []
+    assert {name for _, name in found} <= {"form", "compose"}
+
+
 def _is_click_command(node) -> bool:
     return any(
         isinstance(dec, ast.Call)

@@ -15,7 +15,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from wstate.errors import DimensionMismatch, ValidationError
+from wstate.errors import DimensionMismatch, NotNormal, ValidationError
 from wstate.instrument import (
     MeasurementOperator,
     QuantumInstrument,
@@ -205,6 +205,75 @@ def test_reads_leave_the_measurement_unchanged(rng):
         meas.matrix, meas.normal_parts()
         assert vars(meas).keys() == before.keys()
         assert all(vars(meas)[k] is v for k, v in before.items())
+
+
+def test_zero_rank_measurement_matches_dense_zero(rng):
+    # teleport without maps holds M = u v^dag with factors of shape (4, 0):
+    # its one spectral group is the identity, with eigenvalue 0, as for a
+    # dense zero M
+    inst = build_teleport_instrument(1, [])
+    assert inst.measurement.operator.u.shape == (4, 0)
+    zero = replace(inst, measurement=MeasurementOperator.of(np.zeros((4, 4))))
+    inputs, obs = _inputs(rng, 2, pure=False), rand_hermitian(rng, 2)
+    reports = [sample_estimate(x, inputs, obs, shots=100, seed=3) for x in (inst, zero)]
+    assert reports[0] == reports[1]
+    assert reports[0].sample_mean == reports[0].analytic_mean == 0
+    assert reports[0].sample_variance == reports[0].analytic_variance == 0
+    for x in (inst, zero):
+        assert variance_exact(x, inputs, obs) == 0
+        assert variance_bound(x, inputs, 1.0).to_json() == {"b1": 0.0, "b2": 0.0}
+        (branch,) = branches(x, inputs)
+        assert branch.eigenvalue == 0 and abs(branch.probability - 1.0) <= 1e-12
+
+
+def test_permutation_held_on_registers_measures_as_its_lift(rng):
+    # a flip of E2 alone, held on that register of the E layout (E1, E2): M
+    # keeps its table over the whole E space and measures as the dense flip
+    inst = build_gqt_instrument(1)
+    elay = inst.layout.sub(inst.e_labels)
+    flip = PermutationUnitary(np.array([1, 0]), ("E2",), elay)
+    meas = MeasurementOperator.of(flip)
+    assert meas.dim == 4 and meas.operator.labels is None
+    dense = MeasurementOperator.of(flip.dense())
+    assert meas.kind == dense.kind == "hermitian"
+    held, want = (replace(inst, measurement=m) for m in (meas, dense))
+    inputs, obs = _inputs(rng, 2, pure=False), rand_hermitian(rng, 2)
+    tau = apply_exact(want, inputs).matrix
+    assert np.abs(apply_exact(held, inputs).matrix - tau).max() <= 1e-12
+    a, b = (sample_estimate(x, inputs, obs, shots=1000, seed=4) for x in (held, want))
+    assert abs(a.analytic_mean - b.analytic_mean) <= 1e-12
+    assert abs(a.analytic_variance - b.analytic_variance) <= 1e-12
+    got = [(br.eigenvalue, br.probability) for br in branches(held, inputs)]
+    ref = [(br.eigenvalue, br.probability) for br in branches(want, inputs)]
+    assert np.allclose(sorted(got, key=lambda x: x[0].real), sorted(ref, key=lambda x: x[0].real),
+                       rtol=0, atol=1e-12)
+
+
+@pytest.mark.parametrize("maps", ["identity", "one-random"])
+def test_low_rank_core_factored_once(rng, monkeypatch, maps):
+    # the QR of M's [u v] (16 x 2) runs once across construction, spectrum,
+    # part norms, normal parts and branches; each low-rank part of a
+    # non-normal M (16 x 4) factors its own once
+    real = np.linalg.qr
+    seen = []
+
+    def spy(a, *args, **kwargs):
+        seen.append(a.shape)
+        return real(a, *args, **kwargs)
+
+    monkeypatch.setattr(np.linalg, "qr", spy)
+    inst = build_teleport_instrument(2, MAPS[maps](rng, 4))
+    meas = inst.measurement
+    inputs = _inputs(rng, 4, pure=True)
+    meas.spectrum, meas.part_norms, meas.normal_parts()
+    if meas.kind == "nonnormal":
+        with pytest.raises(NotNormal):
+            branches(inst, inputs)
+    else:
+        branches(inst, inputs)
+    sample_estimate(inst, inputs, rand_hermitian(rng, 4), shots=100, seed=1)
+    parts = len(meas.parts) if meas.kind == "nonnormal" else 0
+    assert seen == [(16, 2)] + [(16, 4)] * parts
 
 
 def test_low_rank_factors_are_checked():

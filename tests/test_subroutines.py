@@ -28,7 +28,6 @@ from wstate.subroutines import (
     lincombo_pair_M,
     mixture_case,
     polynomial_pipeline,
-    power_pipeline_states,
     power_state,
     qhp,
     qsp_oracle,
@@ -237,12 +236,6 @@ class TestPowerChain:
         psi = np.array([0.5, -0.5j, 0.5, 0.5])
         p3 = power_state(psi, 3)
         assert np.abs(p3 - psi**3).max() == 0
-
-    def test_pipeline_states_exact(self, rng):
-        psi = rand_state(rng, 4)
-        chain = power_pipeline_states(psi, 4)
-        for k, vk in enumerate(chain, start=1):
-            assert np.abs(vk - psi**k).max() < 1e-12
 
     @given(st.integers(min_value=1, max_value=5))
     @settings(max_examples=10)

@@ -24,16 +24,17 @@ from wstate.tensor import (
     Register,
     RegisterLayout,
     asarray,
+    classify,
     combine_digits,
     dephase,
     eigenbasis,
     embed_operator,
     embed_permutation,
+    form,
     matrix_from_json,
     matrix_to_json,
     normality_residual,
     register_digits,
-    spectral_groups,
     spectral_norm,
     unitarity_residual,
     vector_from_json,
@@ -156,45 +157,57 @@ class TestEigenbasis:
         self.check(np.array([[2.0 - 3.0j]]), np.array([2.0 - 3.0j]))
 
     def test_spectral_groups_projectors(self, rng):
-        # a dense Hermitian matrix, the two-qubit SWAP, and a normal low-rank
-        # q diag(lam) q^dag with a zero group left over
+        # every form through form(), against the dense path: a dense
+        # Hermitian matrix, the two-qubit SWAP, a 3-cycle (the groups of its
+        # dense matrix), a normal low-rank q diag(lam) q^dag with a zero
+        # group left over, and the rank-0 zero operator; then non-normal
+        # dense and low-rank operators, which split into normal parts
         q = np.linalg.qr(rng.normal(size=(6, 2)) + 1j * rng.normal(size=(6, 2)))[0]
         lam = np.array([2.0 + 1j, -0.5])
-        forms = [
+        u, v = (rng.normal(size=(6, 2)) + 1j * rng.normal(size=(6, 2)) for _ in "uv")
+        normal = [
             rand_hermitian(rng, 4),
             PermutationUnitary(np.array([0, 2, 1, 3])),
+            PermutationUnitary(np.array([1, 2, 0])),
             LowRankOperator(q, q * lam.conj()),
+            LowRankOperator(np.zeros((4, 0)), np.zeros((4, 0))),
         ]
+        nonnormal = [np.array([[1.0, 1.0], [0.0, 1.0]], dtype=complex), LowRankOperator(u, v)]
+        assert form(normal[0]).array is normal[0]
+        assert all(form(x) is x for x in normal[1:])
+        for x in normal + nonnormal:
+            f = form(x)
+            assert f.kind == classify(f.dense())
+            assert abs(f.norm() - spectral_norm(f.dense())) <= 1e-12 * max(1.0, f.norm())
 
-        def dense(form):
-            return form if isinstance(form, np.ndarray) else form.dense()
-
-        groups_of = [spectral_groups(form) for form in forms]
-        for form, groups in zip(forms, groups_of):
-            projs = [sum(c * dense(f) for c, f in proj) for _, proj in groups]
+        groups_of = [form(x).groups() for x in normal]
+        for x, groups in zip(normal, groups_of):
+            a = form(x).dense()
+            projs = [sum(c * form(f).dense() for c, f in proj) for _, proj in groups]
             acc = sum(val * p for (val, _), p in zip(groups, projs))
-            assert np.abs(acc - dense(form)).max() < 1e-9
+            assert np.abs(acc - a).max() < 1e-9
             assert np.abs(sum(projs) - np.eye(len(acc))).max() < 1e-9
             for p in projs:
                 assert np.abs(p @ p - p).max() < 1e-9
         assert [val for val, _ in groups_of[1]] == [1.0, -1.0]
         # the zero group is I minus the other groups, over the same forms
-        *kept, (zero_val, zero_proj) = groups_of[2]
+        *kept, (zero_val, zero_proj) = groups_of[3]
         assert zero_val == 0.0
         assert [id(f) for _, f in zero_proj[1:]] == [id(proj[0][1]) for _, proj in kept]
+        # the zero operator has one group: the identity, with eigenvalue 0
+        ((zero_val, zero_proj),) = groups_of[4]
+        assert zero_val == 0.0 and len(zero_proj) == 1
+
+        for x in nonnormal:
+            f = form(x)
+            assert f.kind == "nonnormal"
+            parts = f.split()
+            acc = sum(c * form(n).dense() for c, n in parts)
+            assert np.abs(acc - f.dense()).max() <= 1e-12 * np.abs(f.dense()).max()
+            assert all(form(n).kind != "nonnormal" for _, n in parts)
 
 
 class TestPermutationUnitary:
-    def test_vector_and_column_block_match_dense(self, rng):
-        # a table permutes the rows of a vector or of a block of columns
-        perm = np.array([2, 0, 3, 1])
-        u = PermutationUnitary(perm)
-        psi = rand_state(rng, 4)
-        k = rng.normal(size=(4, 3)) + 1j * rng.normal(size=(4, 3))
-        ud = u.dense()
-        assert np.abs(u.apply_vector(psi) - ud @ psi).max() < 1e-12
-        assert np.abs(u.apply_vector(k) - ud @ k).max() < 1e-12
-
     def test_not_a_permutation(self):
         with pytest.raises(NotUnitary):
             PermutationUnitary(np.array([0, 0, 1]))
@@ -204,13 +217,11 @@ class TestPermutationUnitary:
         u, v = PermutationUnitary(np.array(perm)), PermutationUnitary(np.array(other))
         assert np.array_equal((u @ v).dense(), u.dense() @ v.dense())
 
-    def test_embed_permutation(self, rng):
+    def test_embed_permutation(self):
         lay = RegisterLayout.of(Register("A", 2), Register("B", 2))
         flip = PermutationUnitary(np.array([1, 0]))
         big = embed_permutation(flip, ("B",), lay)
-        psi = rand_state(rng, 4)
-        x = np.kron(np.eye(2), flip.dense())
-        assert np.abs(big.apply_vector(psi) - x @ psi).max() < 1e-12
+        assert np.array_equal(big.dense(), np.kron(np.eye(2), flip.dense()))
 
     def test_register_digits_roundtrip(self):
         # each register's digits are a grid over its own axis; together they
