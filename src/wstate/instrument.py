@@ -43,6 +43,7 @@ from .tensor import (
     embed_operator,
     form,
     hermiticity_residual,
+    merge_values,
     norm_scale,
     not_normal,
 )
@@ -58,7 +59,12 @@ PROBABILITY_TOL = 1e-9
 
 @dataclass(frozen=True)
 class QuantumState:
-    """A physical state: pure vector fast path or a density matrix."""
+    """A physical state: pure vector fast path or a density matrix.
+
+    The factor columns an evolution takes (factors) are kept from their
+    first read, so a density input is diagonalized once however many
+    evaluations it enters; this assumes its array stays unchanged.
+    """
 
     layout: RegisterLayout
     vector: np.ndarray | None = None
@@ -116,6 +122,18 @@ class QuantumState:
         if self.vector is not None:
             return np.outer(self.vector, self.vector.conj())
         return self.density
+
+    @cached_property
+    def factors(self) -> tuple[np.ndarray, np.ndarray]:
+        """Factor columns (K, B), K B^dag the state: a vector is one column
+        and its own bra; a density V diag(w) V^dag gives K = V sqrt|w| sign(w)
+        and B = V sqrt|w|, the bra being the ket unless some w < 0."""
+        if self.vector is not None:
+            v = self.vector[:, None]
+            return v, v
+        w, v = np.linalg.eigh(self.density)
+        bra = v * np.sqrt(np.abs(w))
+        return (bra * np.sign(w) if (w < 0).any() else bra), bra
 
 
 @dataclass(frozen=True)
@@ -182,9 +200,10 @@ class MeasurementOperator:
 
     A non-normal M = sum_k c_k N_k takes normal parts at construction: given,
     or, built without kind or decomposition (as `of` builds it), the form's
-    split into (1/2)(M + M^dag) and (1/2)(M - M^dag). `spectrum` and
-    `part_norms` are kept from their first read; all of this assumes M's
-    arrays stay unchanged.
+    split into (1/2)(M + M^dag) and (1/2)(M - M^dag). `spectrum`, `rows`
+    (the estimator's probabilities, scaled values and merged outcome labels
+    over the spectral groups) and `part_norms` are kept from their first
+    read; all of this assumes M's arrays stay unchanged.
     """
 
     operator: np.ndarray | object
@@ -266,6 +285,22 @@ class MeasurementOperator:
         return tuple(rows)
 
     @cached_property
+    def rows(self) -> tuple[np.ndarray, np.ndarray, np.ndarray, np.ndarray, list]:
+        """(q, value, labels, merged, groups), one row r per group g of each
+        part k of spectrum: q[r] = q_k, value[r] = scale_k lambda_g, and
+        groups[r] its (eigenvalue, projector) group. labels and merged are
+        merge_values of value at its largest |value|: the merged outcomes,
+        in which groups of different parts share a cell when their scaled
+        values agree."""
+        spectrum = self.spectrum
+        q = np.concatenate([np.full(len(groups), qk) for qk, _, _, groups in spectrum])
+        value = np.concatenate(
+            [scale * np.array([v for v, _ in groups]) for _, scale, _, groups in spectrum]
+        )
+        labels, merged = merge_values(value, float(np.abs(value).max()))
+        return q, value, labels, merged, [g for *_, groups in spectrum for g in groups]
+
+    @cached_property
     def part_norms(self) -> tuple[float, ...]:
         """||N_k||_2 of each row of spectrum."""
         return tuple(form(n).norm() for _, _, n, _ in self.spectrum)
@@ -284,9 +319,12 @@ class QuantumInstrument:
     registers at application time. M acts on the E registers in layout order.
     U is a dense unitary, kept as a plain ndarray, or a PermutationUnitary: a
     full-layout table, or a table on some of this layout's registers. The
-    evaluation plan, the ancilla's factor columns and U's preimage_indices
-    grids per tuple of piece positions, is kept from first use;
-    dataclasses.replace builds a new instance with an empty plan.
+    evaluation plan is kept from first use: the ancilla's factor columns,
+    U's preimage_indices grids per tuple of piece positions, and the last
+    observable an estimate read, checked and in its eigenbasis, under a key
+    of its shape, dtype and bytes' digest (so one edited in place is checked
+    and decomposed again); dataclasses.replace builds a new instance with an
+    empty plan.
     """
 
     layout: RegisterLayout
@@ -315,7 +353,8 @@ class QuantumInstrument:
                 f"measurement dim {self.measurement.dim} vs E-register dim {de}"
             )
         # the evaluation plan, filled by _evolve: "ancilla" -> the ancilla's
-        # piece, a tuple of piece positions -> their preimage_indices grids
+        # piece, a tuple of piece positions -> their preimage_indices grids;
+        # and by the estimators: "observable" -> (key, eigenbasis)
         object.__setattr__(self, "_plan", {})
 
     @property
@@ -350,18 +389,12 @@ class QuantumInstrument:
 def _factor(x):
     """Factor columns (K, B) of one input piece, x = K B^dag, none dropped.
 
-    A vector is one column and its own bra. A density V diag(w) V^dag gives
-    K = V sqrt|w| sign(w), B = V sqrt|w|: the bra is the ket unless some
-    w < 0. Any other matrix, possibly indefinite or non-Hermitian, gives
-    K = U sqrt(s), B = V sqrt(s) from its SVD U diag(s) V^dag.
+    A QuantumState gives the factors it keeps; a vector is one column and
+    its own bra. Any other matrix, possibly indefinite or non-Hermitian,
+    gives K = U sqrt(s), B = V sqrt(s) from its SVD U diag(s) V^dag.
     """
     if isinstance(x, QuantumState):
-        if x.is_pure:
-            v = x.vector[:, None]
-            return v, v
-        w, v = np.linalg.eigh(x.density)
-        bra = v * np.sqrt(np.abs(w))
-        return (bra * np.sign(w) if (w < 0).any() else bra), bra
+        return x.factors
     a = asarray(x.matrix if isinstance(x, WeightedState) else x)
     if a.ndim == 1:
         v = a[:, None]

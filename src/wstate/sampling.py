@@ -35,7 +35,6 @@ from .tensor import (
     asarray,
     dephase,
     is_hermitian,
-    merge_values,
 )
 
 _MASK64 = (1 << 64) - 1
@@ -58,16 +57,20 @@ def sample_counts(probs, shots: int, seed: int, stream_key: tuple = ()) -> np.nd
     p = np.asarray(probs, dtype=float)
     if p.ndim != 1 or p.size == 0:
         raise ValidationError("probabilities must form a nonempty vector")
-    if float(p.min()) < -1e-12 or abs(float(p.sum()) - 1.0) > 1e-9:
+    total = float(p.sum())
+    if not math.isfinite(total) or float(p.min()) < -1e-12 or abs(total - 1.0) > 1e-9:
         raise InvalidDistribution(
-            f"cell probabilities sum to {float(p.sum()):.12f} with min {float(p.min()):.3e}"
+            f"cell probabilities sum to {total:.12f} with min {float(p.min()):.3e}"
         )
-    p = np.clip(p, 0.0, None)
-    p = p / p.sum()
     if not 0 <= shots <= _MAX_SHOTS:
         raise ValidationError("shot count must lie in [0, 2**63 - 1]")
+    return _draw(np.clip(p, 0.0, None), shots, seed, stream_key)
+
+
+def _draw(p: np.ndarray, shots: int, seed: int, stream_key: tuple = ()) -> np.ndarray:
+    """The multinomial of sample_counts on checked nonnegative p and shots."""
     ss = np.random.SeedSequence(entropy=seed & _MASK64, spawn_key=(*stream_key, 0))
-    return np.random.Generator(np.random.Philox(ss)).multinomial(shots, p)
+    return np.random.Generator(np.random.Philox(ss)).multinomial(shots, p / p.sum())
 
 
 # ---------------------------------------------------------------------------
@@ -118,19 +121,43 @@ def _check_hermitian_obs(obs) -> np.ndarray:
     return o
 
 
+def _observable_basis(inst: QuantumInstrument, obs):
+    """The eigenbasis (values, vectors, labels) of a Hermitian O on inst's
+    output, kept in inst's plan for the last observable read.
+
+    The key is O's shape, dtype and a BLAKE2b digest of its bytes, not a
+    copy of them, so an O edited in place is checked and decomposed again.
+    """
+    import hashlib  # the command line does not load it otherwise
+
+    o = np.asarray(obs, dtype=np.complex128)
+    key = (o.shape, o.dtype.str, hashlib.blake2b(np.ascontiguousarray(o)).digest())
+    kept = inst._plan.get("observable")
+    if kept is None or kept[0] != key:
+        o = _check_hermitian_obs(o)
+        d_s = inst.layout.dim_of(inst.s_labels)
+        if o.shape[0] != d_s:
+            raise DimensionMismatch(f"observable dim {o.shape[0]} vs output dim {d_s}")
+        kept = inst._plan["observable"] = (key, _eigenbasis(o, True))
+    return kept[1]
+
+
 @dataclass(frozen=True)
 class _GroupTable:
     """The estimator's law from one evolution, one row per spectral group.
 
-    Row r is group g of normal part k: drawn with probability q[r] = q_k, it
-    carries the value scale_k lambda_g, and t[r, a] = <b_a|E_g|b_a>, where
-    E_g is the weighted output of the group's projector and b_a is column a
-    of the observable's eigenbasis. obs_values[obs_labels[a]] is the merged
+    Row r is group g of normal part k (MeasurementOperator.rows): drawn with
+    probability q[r] = q_k, it carries the value scale_k lambda_g, merged
+    into outcome merged[labels[r]], and t[r, a] = <b_a|E_g|b_a>, where E_g
+    is the weighted output of the group's projector and b_a is column a of
+    the observable's eigenbasis. obs_values[obs_labels[a]] is the merged
     eigenvalue of b_a. Every statistic of the estimator is a sum over it.
     """
 
     q: np.ndarray
     value: np.ndarray
+    labels: np.ndarray
+    merged: np.ndarray
     t: np.ndarray
     obs_values: np.ndarray
     obs_labels: np.ndarray
@@ -149,29 +176,24 @@ class _GroupTable:
         return float(((self.q * np.abs(self.value) ** 2) @ (self.t @ o)).real)
 
 
-def _group_table(ev: Evolved, spectrum, obs: np.ndarray | None = None):
-    """The _GroupTable of an evolution over MeasurementOperator.spectrum
-    rows, in the eigenbasis of obs (checked by _check_hermitian_obs), or in
-    the computational basis (a single eigenvalue 1) when obs is None.
+def _group_table(ev: Evolved, meas, basis=None):
+    """The _GroupTable of an evolution over the rows of MeasurementOperator
+    meas, in the observable eigenbasis basis (_observable_basis), or in the
+    computational basis (a single eigenvalue 1) when basis is None.
 
     The outputs of all parts' groups come from one projected_outputs call,
     so each distinct projector form is contracted once and no d_E x d_E
     array is formed for a structured M.
     """
     d_s = ev.dims[0]
-    if obs is None:
+    if basis is None:
         o_vals, o_vecs, o_labels = np.ones(1), np.eye(d_s), np.zeros(d_s, dtype=np.intp)
-    elif obs.shape[0] != d_s:
-        raise DimensionMismatch(f"observable dim {obs.shape[0]} vs output dim {d_s}")
     else:
-        o_vals, o_vecs, o_labels = _eigenbasis(obs, True)
-    outs = np.array(projected_outputs(ev, [g for *_, groups in spectrum for g in groups]))
+        o_vals, o_vecs, o_labels = basis
+    q, value, labels, merged, groups = meas.rows
+    outs = np.array(projected_outputs(ev, groups))
     t = np.einsum("sa,gsa->ga", o_vecs.conj(), outs @ o_vecs)
-    q = np.concatenate([np.full(len(groups), qk) for qk, _, _, groups in spectrum])
-    value = np.concatenate(
-        [scale * np.array([v for v, _ in groups]) for _, scale, _, groups in spectrum]
-    )
-    return _GroupTable(q, value, t, o_vals, o_labels)
+    return _GroupTable(q, value, labels, merged, t, o_vals, o_labels)
 
 
 def _joint_cells(table: _GroupTable):
@@ -185,13 +207,13 @@ def _joint_cells(table: _GroupTable):
     builds: state rho_out (x) diag(q) and block measurement
     sum_k |k><k| (x) scale_k N_k.
     """
-    labels, merged = merge_values(table.value, float(np.abs(table.value).max()))
-    cells = np.zeros((len(merged), len(table.obs_values)))
-    np.add.at(cells, (labels[:, None], table.obs_labels[None, :]), table.q[:, None] * table.t.real)
+    cells = np.zeros((len(table.merged), len(table.obs_values)))
+    np.add.at(cells, (table.labels[:, None], table.obs_labels[None, :]),
+              table.q[:, None] * table.t.real)
     p = cells.T.ravel()
-    w = (table.obs_values.real[:, None] * merged[None, :]).ravel()
+    w = (table.obs_values.real[:, None] * table.merged[None, :]).ravel()
     total = float(p.sum())
-    if abs(total - 1.0) > 1e-9 or float(p.min()) < -1e-9:
+    if not math.isfinite(total) or abs(total - 1.0) > 1e-9 or float(p.min()) < -1e-9:
         raise InvalidDistribution(
             f"joint outcome probabilities sum to {total:.12f} (min {float(p.min()):.3e})"
         )
@@ -223,17 +245,21 @@ def sample_estimate(
     and W(N_k N_k^dag) = sum_g |lambda_g|^2 E_g, with ||O|| the largest
     |eigenvalue| in the table. The emulating instrument is never built: its
     cells are the parts' cells summed over equal scaled eigenvalues.
+
+    Repeated on one task, it decomposes nothing again: O's eigenbasis, the
+    inputs' factor columns and M's rows are kept by their owners (module
+    docstring), and the shots are drawn from the cells _joint_cells checked.
     """
-    if shots < 1:
-        raise ValidationError("shot count must be >= 1")
-    o = _check_hermitian_obs(obs)
+    if not 1 <= shots <= _MAX_SHOTS:
+        raise ValidationError("shot count must lie in [1, 2**63 - 1]")
+    basis = _observable_basis(inst, obs)
     if method not in ("emulate", "randomized"):
         raise ValidationError(f"unknown sampling method {method!r}")
     if workers < 1:
         raise ValidationError("workers must be >= 1")
-    table = _group_table(evolve(inst, inputs), inst.measurement.spectrum, o)
+    table = _group_table(evolve(inst, inputs), inst.measurement, basis)
     probs, weights = _joint_cells(table)
-    counts = sample_counts(probs, shots, seed)
+    counts = _draw(probs, shots, seed)
     total_w = np.dot(counts, weights)
     mean = total_w / shots
     second = float(np.dot(counts, np.abs(weights) ** 2).real)
@@ -261,8 +287,8 @@ def variance_exact(inst: QuantumInstrument, inputs, obs) -> float:
     """Per-shot variance of the sampled estimator:
     sum_k (|c_k|^2/q_k) Tr[rho_out (O^2 (x) N_k N_k^dag (x) I)] - |Tr tau O|^2,
     read from one group table through W(N_k N_k^dag) = sum_g |lambda_g|^2 E_g."""
-    o = _check_hermitian_obs(obs)
-    table = _group_table(evolve(inst, inputs), inst.measurement.spectrum, o)
+    basis = _observable_basis(inst, obs)
+    table = _group_table(evolve(inst, inputs), inst.measurement, basis)
     return float(table.second_moment(2) - abs(table.mean()) ** 2)
 
 
@@ -286,9 +312,8 @@ def variance_bound(inst: QuantumInstrument, inputs, obs_norm: float) -> Variance
     if not math.isfinite(obs_norm) or obs_norm < 0:
         raise ValidationError("observable norm must be finite and nonnegative")
     meas = inst.measurement
-    spectrum = meas.spectrum
-    table = _group_table(evolve(inst, inputs), spectrum)
-    worst = max(abs(scale) * nrm for (_, scale, _, _), nrm in zip(spectrum, meas.part_norms))
+    table = _group_table(evolve(inst, inputs), meas)
+    worst = max(abs(scale) * nrm for (_, scale, _, _), nrm in zip(meas.spectrum, meas.part_norms))
     b1 = obs_norm**2 * table.second_moment(0)
     b2 = obs_norm**2 * worst**2
     return VarianceBounds(float(b1), float(b2))

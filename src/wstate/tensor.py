@@ -40,7 +40,7 @@ Roles = ("S", "E", "G")
 
 def asarray(m, square: bool | None = None) -> np.ndarray:
     a = np.asarray(m, dtype=np.complex128)
-    if not np.all(np.isfinite(a)):
+    if not np.isfinite(a).all():
         raise ValidationError("array contains NaN or Inf entries")
     if square is True:
         if a.ndim != 2 or a.shape[0] != a.shape[1]:
@@ -194,10 +194,15 @@ def merge_values(values, scale: float):
 
     Returns (labels, means): labels[j] is the group of values[j], groups are
     numbered in the order they are first visited, and means[g] is the mean
-    of group g's members.
+    of group g's members. When no two real parts lie within the tolerance,
+    every value is its own group and the pairwise search is skipped.
     """
     values = np.asarray(values)
     tol = DEGENERACY_TOL * scale
+    if (np.diff(np.sort(values.real)) > tol).all():
+        # each value is its group's mean; adding a float 0 gives the dtype
+        # and the +0.0 for -0.0 of the sums below
+        return np.arange(len(values)), values + np.zeros(1)
     labels = np.empty(len(values), dtype=np.intp)
     reps: list[complex] = []
     for j, val in enumerate(values.tolist()):
@@ -268,7 +273,7 @@ def _projector_groups(values, basis, labels, zero) -> list:
     groups = []
     for g in np.flatnonzero(~zero):
         cols = basis[:, labels == g]
-        groups.append((complex(values[g]), ((1.0, LowRankOperator(cols, cols)),)))
+        groups.append((complex(values[g]), ((1.0, LowRankOperator.derived(cols, cols)),)))
     if (~zero[labels]).sum() < basis.shape[0]:
         kept = tuple((-c, f) for _, projector in groups for c, f in projector)
         eye = PermutationUnitary.identity(basis.shape[0])
@@ -537,6 +542,8 @@ class LowRankOperator:
 
     Holds a rank <= r operator in O(d r) memory; the dense d x d matrix is
     only built on request. The QR behind its core runs once, on first read.
+    The constructor checks its factors; derived() builds the parts and group
+    projectors that come from checked factors without a second check.
     """
 
     u: np.ndarray
@@ -548,6 +555,14 @@ class LowRankOperator:
             raise DimensionMismatch(f"factor shapes {u.shape} and {v.shape} differ")
         object.__setattr__(self, "u", u)
         object.__setattr__(self, "v", v)
+
+    @classmethod
+    def derived(cls, u: np.ndarray, v: np.ndarray) -> "LowRankOperator":
+        """u v^dag of complex128 d x r factors computed from checked ones."""
+        op = object.__new__(cls)
+        object.__setattr__(op, "u", u)
+        object.__setattr__(op, "v", v)
+        return op
 
     @property
     def dim(self) -> int:
@@ -598,7 +613,8 @@ class LowRankOperator:
     def split(self) -> tuple:
         """The split of the core: low-rank parts Q (C +- C^dag) Q^dag."""
         q, c = self.core
-        return tuple((h, LowRankOperator(q, q @ x.conj().T)) for h, x in DenseOperator(c).split())
+        return tuple((h, LowRankOperator.derived(q, q @ x.conj().T))
+                     for h, x in DenseOperator(c).split())
 
     def dense(self) -> np.ndarray:
         return self.u @ self.v.conj().T

@@ -6,7 +6,7 @@ times the bytes of the evolved ket (d^3 complex entries for pure inputs):
 256 MiB at n = 8 and 32 MiB at n = 7. Two sample_estimate calls on the same
 instrument must then give equal reports, and what the instrument keeps of
 its evaluation plan (tracemalloc, current bytes after gc.collect()) must
-stay below 1/16 of that ket. Run from the repository root:
+stay below 1/8 of that ket. Run from the repository root:
 
     PYTHONPATH=src timeout 60 python tests/scale_smoke.py
 """

@@ -60,6 +60,7 @@ from wstate.tensor import (
     LowRankOperator,
     PermutationUnitary,
     dephase,
+    eigenbasis,
     hermiticity_residual,
     spectral_norm,
 )
@@ -106,6 +107,19 @@ class TestSampleCounts:
             sample_counts(np.array([0.5, 0.6]), 10, seed=0)
         with pytest.raises(InvalidDistribution):
             sample_counts(np.array([1.5, -0.5]), 10, seed=0)
+
+    @pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf])
+    def test_non_finite_probabilities_rejected(self, bad):
+        # a NaN passes both the sum and the min comparison, and an inf the
+        # min one; neither may reach the multinomial
+        with pytest.raises(InvalidDistribution):
+            sample_counts(np.array([0.5, bad, 0.5]), 10, seed=1)
+        inst, inputs, obs = _fresh("dense-parts", 5)
+        table = _group_table(evolve(inst, inputs), inst.measurement, eigenbasis(obs))
+        t = table.t.copy()
+        t[0, 0] = bad
+        with pytest.raises(InvalidDistribution):
+            _joint_cells(dataclasses.replace(table, t=t))
 
     @given(st.integers(min_value=1, max_value=3 * 16384))
     @settings(max_examples=15)
@@ -198,7 +212,7 @@ class TestSampleEstimate:
         assert scaled.measurement.kind == base.measurement.kind
         counts = []
         for inst in (base, scaled):
-            table = _group_table(evolve(inst, inputs), inst.measurement.spectrum, obs)
+            table = _group_table(evolve(inst, inputs), inst.measurement, eigenbasis(obs))
             probs, _ = _joint_cells(table)
             counts.append(sample_counts(probs, 20000, seed=3))
         assert np.array_equal(counts[0], counts[1])
@@ -347,7 +361,7 @@ class TestGroupTable:
         obs = rand_hermitian(rng, d)
         ev = evolve(inst, inputs)
         spectrum = meas.spectrum
-        table = _group_table(ev, spectrum, obs)
+        table = _group_table(ev, meas, eigenbasis(obs))
 
         # tolerances relative to the operator scale, not to the value
         o_norm = spectral_norm(obs)
@@ -508,6 +522,99 @@ class TestEvaluationPlan:
         rep = sample_estimate(moved, inputs, obs, shots=1000, seed=6)
         assert abs(rep.analytic_mean - expectation(want, obs)) <= 1e-12 * max(
             1.0, abs(rep.analytic_mean))
+
+
+class TestOperandReuse:
+    """A repeated estimate decomposes nothing again: the instrument's plan
+    keeps the last observable's eigenbasis, a QuantumState its factor
+    columns and the measurement its rows. Each kept piece gives the numbers
+    a fresh derivation does, and an operand that changed is derived anew."""
+
+    @pytest.mark.parametrize("form", sorted(TABLE_FORMS))
+    def test_repeated_estimate_runs_no_eigh(self, monkeypatch, form):
+        inst, inputs, obs = _fresh(form, 37)
+        first = sample_estimate(inst, inputs, obs, shots=1000, seed=8)
+        calls = []
+
+        def eigh_spy(*args, real=np.linalg.eigh, **kwargs):
+            calls.append(args[0])
+            return real(*args, **kwargs)
+
+        monkeypatch.setattr(np.linalg, "eigh", eigh_spy)
+        again = sample_estimate(inst, inputs, obs, shots=1000, seed=8)
+        monkeypatch.undo()
+        assert calls == []
+        assert again == first == sample_estimate(*_fresh(form, 37), shots=1000, seed=8)
+
+    def test_observable_edited_in_place_is_derived_anew(self, rng):
+        inst, inputs, obs = _fresh("dense-parts", 41)
+        sample_estimate(inst, inputs, obs, shots=1000, seed=1)
+        other = rand_hermitian(rng, 4)
+        obs[...] = other
+        got = sample_estimate(inst, inputs, obs, shots=1000, seed=1)
+        fresh, inputs, _ = _fresh("dense-parts", 41)
+        assert got == sample_estimate(fresh, inputs, other, shots=1000, seed=1)
+        assert variance_exact(inst, inputs, obs) == variance_exact(fresh, inputs, other)
+        obs[0, 1] += 1.0  # no longer Hermitian
+        with pytest.raises(ValidationError, match="observable must be Hermitian"):
+            sample_estimate(inst, inputs, obs, shots=1000, seed=1)
+        obs[0, 1] = np.nan
+        with pytest.raises(ValidationError):
+            variance_exact(inst, inputs, obs)
+
+    @pytest.mark.parametrize("form", ["dense-hermitian", "permutation", "low-rank"])
+    def test_observables_a_b_a_match_fresh_instruments(self, rng, form):
+        inst, inputs, a = _fresh(form, 43)
+        b = rand_hermitian(rng, 4)
+        got = [sample_estimate(inst, inputs, o, shots=2000, seed=3) for o in (a, b, a)]
+        got += [variance_exact(inst, inputs, o) for o in (b, a)]
+        want = [sample_estimate(_fresh(form, 43)[0], inputs, o, shots=2000, seed=3)
+                for o in (a, b, a)]
+        want += [variance_exact(_fresh(form, 43)[0], inputs, o) for o in (b, a)]
+        assert got == want
+
+    def test_bad_second_observable_keeps_its_typed_error(self, rng):
+        inst, inputs, obs = _fresh("dense-normal", 47)
+        rep = sample_estimate(inst, inputs, obs, shots=1000, seed=2)
+        skew = rng.normal(size=(4, 4)) + 1j * rng.normal(size=(4, 4))
+        for call in (lambda o: sample_estimate(inst, inputs, o, shots=1000, seed=2),
+                     lambda o: variance_exact(inst, inputs, o)):
+            with pytest.raises(ValidationError, match="observable must be Hermitian"):
+                call(skew)
+            with pytest.raises(DimensionMismatch):
+                call(rand_hermitian(rng, 8))
+            with pytest.raises(DimensionMismatch):
+                call(obs[:, :3])
+        assert sample_estimate(inst, inputs, obs, shots=1000, seed=2) == rep
+
+    def test_density_input_factored_once(self, monkeypatch):
+        inst, inputs, obs = _fresh("dense-parts", 53)
+        densities = [x.density for x in inputs]
+        calls = []
+
+        def eigh_spy(a, *args, real=np.linalg.eigh):
+            calls.append(a)
+            return real(a, *args)
+
+        monkeypatch.setattr(np.linalg, "eigh", eigh_spy)
+        got = [sample_estimate(inst, inputs, obs, shots=1000, seed=5),
+               variance_exact(inst, inputs, obs),
+               variance_bound(inst, inputs, 2.0),
+               sample_estimate(inst, inputs, obs, shots=1000, seed=5)]
+        monkeypatch.undo()
+        assert [sum(a is d for a in calls) for d in densities] == [1, 1]
+        fresh = _fresh("dense-parts", 53)
+        assert got == [sample_estimate(*fresh, shots=1000, seed=5),
+                       variance_exact(*fresh),
+                       variance_bound(*fresh[:2], 2.0),
+                       sample_estimate(*fresh, shots=1000, seed=5)]
+
+    def test_shot_count_beyond_int64_rejected(self):
+        inst, inputs, obs = _fresh("low-rank", 59)
+        for shots in (2**63, 0):
+            with pytest.raises(ValidationError, match="shot count"):
+                sample_estimate(inst, inputs, obs, shots=shots, seed=0)
+        assert sample_estimate(inst, inputs, obs, shots=2**63 - 1, seed=0).shots == 2**63 - 1
 
 
 class TestVarianceClosures:

@@ -49,6 +49,7 @@ from wstate.tensor import (
     PermutationUnitary,
     Register,
     RegisterLayout,
+    eigenbasis,
     embed_permutation,
     merge_values,
     spectral_norm,
@@ -118,8 +119,8 @@ def test_structured_cells_match_dense(rng, n, pure, method):
         inputs = _inputs(rng, d, pure)
         obs = rand_hermitian(rng, d)
         ev = evolve(inst, inputs)
-        got = _law(*_joint_cells(_group_table(ev, inst.measurement.spectrum, obs)))
-        want = _law(*_joint_cells(_group_table(ev, dense.measurement.spectrum, obs)))
+        got = _law(*_joint_cells(_group_table(ev, inst.measurement, eigenbasis(obs))))
+        want = _law(*_joint_cells(_group_table(ev, dense.measurement, eigenbasis(obs))))
         assert len(got[0]) == len(want[0]), name
         assert np.abs(got[0] - want[0]).max() <= 1e-12 * np.abs(want[0]).max(), name
         assert np.abs(got[1] - want[1]).max() <= 1e-12, name
@@ -151,10 +152,9 @@ def test_merged_cells_match_emulated_instrument(rng, n, pure, kind):
     assert emulated.measurement.kind != "nonnormal"
     inputs = _inputs(rng, d, pure)
     obs = rand_hermitian(rng, d)
-    got = _law(*_joint_cells(_group_table(evolve(inst, inputs), inst.measurement.spectrum, obs)))
-    want = _law(
-        *_joint_cells(_group_table(evolve(emulated, inputs), emulated.measurement.spectrum, obs))
-    )
+    basis = eigenbasis(obs)
+    got = _law(*_joint_cells(_group_table(evolve(inst, inputs), inst.measurement, basis)))
+    want = _law(*_joint_cells(_group_table(evolve(emulated, inputs), emulated.measurement, basis)))
     assert len(got[0]) == len(want[0])
     assert np.abs(got[0] - want[0]).max() <= 1e-12 * np.abs(want[0]).max()
     assert np.abs(got[1] - want[1]).max() <= 1e-12
@@ -274,6 +274,27 @@ def test_low_rank_core_factored_once(rng, monkeypatch, maps):
     sample_estimate(inst, inputs, rand_hermitian(rng, 4), shots=100, seed=1)
     parts = len(meas.parts) if meas.kind == "nonnormal" else 0
     assert seen == [(16, 2)] + [(16, 4)] * parts
+
+
+@pytest.mark.parametrize("maps", ["identity", "one-random"])
+def test_derived_low_rank_forms_skip_the_factor_check(rng, monkeypatch, maps):
+    # the parts of a split and the group projectors come from checked
+    # factors, so only the public constructor checks
+    checked = []
+    real = LowRankOperator.__post_init__
+
+    def spy(op):
+        checked.append(op)
+        real(op)
+
+    monkeypatch.setattr(LowRankOperator, "__post_init__", spy)
+    inst = build_teleport_instrument(2, MAPS[maps](rng, 4))
+    meas = inst.measurement
+    groups = [g for *_, gs in meas.spectrum for g in gs]
+    assert checked == [meas.operator]
+    derived = [f for _, proj in groups for _, f in proj if isinstance(f, LowRankOperator)]
+    derived += [n for _, n in meas.parts or ()]
+    assert derived and all(f.u.dtype == f.v.dtype == np.complex128 for f in derived)
 
 
 def test_low_rank_factors_are_checked():
