@@ -63,7 +63,8 @@ class QuantumState:
 
     The factor columns an evolution takes (factors) are kept from their
     first read, so a density input is diagonalized once however many
-    evaluations it enters; this assumes its array stays unchanged.
+    evaluations it enters. The density is copied at construction, so an
+    edit of the caller's array after it is not seen by the state.
     """
 
     layout: RegisterLayout
@@ -83,7 +84,7 @@ class QuantumState:
                 raise InvalidState(f"pure state norm {nrm} is not 1 within {STATE_TOL}")
             object.__setattr__(self, "vector", v)
         else:
-            m = asarray(self.density, square=True)
+            m = asarray(np.array(self.density, dtype=np.complex128), square=True)
             if m.shape != (d, d):
                 raise DimensionMismatch(f"density shape {m.shape} vs layout dim {d}")
             if hermiticity_residual(m) > STATE_TOL:

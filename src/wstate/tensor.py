@@ -194,15 +194,10 @@ def merge_values(values, scale: float):
 
     Returns (labels, means): labels[j] is the group of values[j], groups are
     numbered in the order they are first visited, and means[g] is the mean
-    of group g's members. When no two real parts lie within the tolerance,
-    every value is its own group and the pairwise search is skipped.
+    of group g's members.
     """
     values = np.asarray(values)
     tol = DEGENERACY_TOL * scale
-    if (np.diff(np.sort(values.real)) > tol).all():
-        # each value is its group's mean; adding a float 0 gives the dtype
-        # and the +0.0 for -0.0 of the sums below
-        return np.arange(len(values)), values + np.zeros(1)
     labels = np.empty(len(values), dtype=np.intp)
     reps: list[complex] = []
     for j, val in enumerate(values.tolist()):

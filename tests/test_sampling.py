@@ -609,6 +609,17 @@ class TestOperandReuse:
                        variance_bound(*fresh[:2], 2.0),
                        sample_estimate(*fresh, shots=1000, seed=5)]
 
+    def test_density_edited_after_construction_is_not_seen(self):
+        inst, inputs, obs = _fresh("dense-parts", 61)
+        rho = inputs[0].density
+        mine = rho.copy()
+        state = QuantumState.from_density(mine)
+        first = sample_estimate(inst, [state, inputs[1]], obs, shots=1000, seed=6)
+        mine[...] = inputs[1].density
+        assert np.array_equal(state.density, rho)
+        assert sample_estimate(inst, [state, inputs[1]], obs, shots=1000, seed=6) == first
+        assert first == sample_estimate(*_fresh("dense-parts", 61), shots=1000, seed=6)
+
     def test_shot_count_beyond_int64_rejected(self):
         inst, inputs, obs = _fresh("low-rank", 59)
         for shots in (2**63, 0):

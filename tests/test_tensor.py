@@ -32,7 +32,6 @@ from wstate.tensor import (
     embed_permutation,
     form,
     matrix_from_json,
-    merge_values,
     matrix_to_json,
     normality_residual,
     register_digits,
@@ -206,60 +205,6 @@ class TestEigenbasis:
             acc = sum(c * form(n).dense() for c, n in parts)
             assert np.abs(acc - f.dense()).max() <= 1e-12 * np.abs(f.dense()).max()
             assert all(form(n).kind != "nonnormal" for _, n in parts)
-
-
-def _merge_by_search(values, scale):
-    """merge_values by its definition: each value joins the first group
-    whose first member lies within DEGENERACY_TOL * scale of it."""
-    tol = 1e-9 * scale
-    labels, reps = [], []
-    for val in values.tolist():
-        near = [g for g, rep in enumerate(reps) if abs(val - rep) <= tol]
-        labels.append(near[0] if near else len(reps))
-        if not near:
-            reps.append(val)
-    labels = np.array(labels, dtype=np.intp)
-    sums = np.zeros(len(reps), dtype=values.dtype)
-    np.add.at(sums, labels, values)
-    return labels, sums / np.bincount(labels, minlength=len(reps))
-
-
-class TestMergeValues:
-    """merge_values skips the pairwise search when every real part is more
-    than the tolerance from every other; both paths give the labels and
-    means of the search, bit for bit."""
-
-    @given(
-        centers=st.lists(st.sampled_from([-2.0, -0.0, 0.0, 0.5, 1.0, 3.0]), max_size=8),
-        offsets=st.lists(st.sampled_from([-1.5, -1.0, -0.5, 0.0, 0.5, 1.0, 1.5, 2.5]),
-                         min_size=8, max_size=8),
-        imag=st.lists(st.sampled_from([0.0, 1e-9, 0.5]), min_size=8, max_size=8),
-        spread=st.lists(st.floats(-10, 10), max_size=6),
-        complex_values=st.booleans(),
-        scale=st.sampled_from([0.0, 1e-3, 1.0, 7.0]),
-    )
-    @settings(max_examples=200)
-    def test_both_paths_match_the_search(self, centers, offsets, imag, spread,
-                                         complex_values, scale):
-        # offsets are multiples of the tolerance, so values sit exactly at,
-        # just inside and just outside it from a center
-        tol = 1e-9 * scale
-        vals = [c + o * tol for c, o in zip(centers, offsets)] + spread
-        if complex_values:
-            vals = [v + 1j * b for v, b in zip(vals, imag + [0.0] * len(spread))]
-        values = np.array(vals, dtype=complex if complex_values else float)
-        labels, means = merge_values(values, scale)
-        want_labels, want_means = _merge_by_search(values, scale)
-        assert labels.dtype == want_labels.dtype and np.array_equal(labels, want_labels)
-        assert means.dtype == want_means.dtype
-        assert means.tobytes() == want_means.tobytes()
-
-    def test_distinct_values_are_their_own_groups(self):
-        # groups are numbered in visiting order, not in sorted order
-        values = np.linspace(-1.0, 1.0, 32)[::-1] + 0.25j
-        labels, means = merge_values(values, 1.0)
-        assert np.array_equal(labels, np.arange(32))
-        assert np.array_equal(means, values)
 
 
 class TestPermutationUnitary:
