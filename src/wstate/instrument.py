@@ -12,11 +12,15 @@ which in general is neither Hermitian, positive, nor normalized.
 
 tau is linear in the input, so the joint state sigma (x) rho_in is held in
 one form: ket and bra factor columns K B^dag (one column per pure piece), and
-no D x D joint density is formed. An evolution writes one joint-sized array
-per side: a permutation U, held on the registers it acts on, gathers each
-factored piece at its preimage indices straight into that array, and a dense
-U takes one GEMM. M is contracted as for a pure state, with the columns
-traced alongside G, by the contract method of its form (tensor.form).
+no D x D joint density is formed. When the ancilla is one computational
+basis vector and U a permutation (the CNOT ladders of GQT and teleport), U K
+has one nonzero row per input row, so the evolution keeps only the input's
+columns and where U sends each row (a Support, D / d_anc rows). Any other
+evolution writes one joint-sized array per side: a permutation U, held on
+the registers it acts on, gathers each factored piece at its preimage
+indices straight into that array, and a dense U takes one GEMM. M is
+contracted as for a pure state, with the columns traced alongside G, by the
+contract method of its form (tensor.form), which reads either.
 """
 
 from __future__ import annotations
@@ -51,6 +55,8 @@ from .tensor import (
 STATE_TOL = 1e-10
 ZERO_BRANCH_TOL = 1e-12
 PROBABILITY_TOL = 1e-9
+# derivations a Support's cache keeps before it starts afresh
+KEPT_DERIVATIONS = 8
 
 
 # ---------------------------------------------------------------------------
@@ -320,12 +326,14 @@ class QuantumInstrument:
     registers at application time. M acts on the E registers in layout order.
     U is a dense unitary, kept as a plain ndarray, or a PermutationUnitary: a
     full-layout table, or a table on some of this layout's registers. The
-    evaluation plan is kept from first use: the ancilla's factor columns,
-    U's preimage_indices grids per tuple of piece positions, and the last
-    observable an estimate read, checked and in its eigenbasis, under a key
-    of its shape, dtype and bytes' digest (so one edited in place is checked
-    and decomposed again); dataclasses.replace builds a new instance with an
-    empty plan.
+    evaluation plan is kept from first use: the ancilla's factor columns and
+    its basis index, if it is one basis vector; per tuple of piece
+    positions, the Support rows of a permutation U on such an ancilla (with
+    what each form's contraction derives from them) or else U's
+    preimage_indices grids; and the last observable an estimate read,
+    checked and in its eigenbasis, under a key of its shape, dtype and
+    bytes' digest (so one edited in place is checked and decomposed again);
+    dataclasses.replace builds a new instance with an empty plan.
     """
 
     layout: RegisterLayout
@@ -354,8 +362,9 @@ class QuantumInstrument:
                 f"measurement dim {self.measurement.dim} vs E-register dim {de}"
             )
         # the evaluation plan, filled by _evolve: "ancilla" -> the ancilla's
-        # piece, a tuple of piece positions -> their preimage_indices grids;
-        # and by the estimators: "observable" -> (key, eigenbasis)
+        # piece, "basis" -> _basis_entry of that piece, a tuple of piece
+        # positions -> their Support rows or preimage_indices grids; and by
+        # the estimators: "observable" -> (key, eigenbasis)
         object.__setattr__(self, "_plan", {})
 
     @property
@@ -434,67 +443,149 @@ def _input_factors(inputs):
 
 
 @dataclass(frozen=True)
+class Support:
+    """The evolved state on the support of a basis-state ancilla.
+
+    A permutation U sends each basis state with the ancilla at its basis
+    index to one basis state, so row n of the input's factor columns (the
+    input registers in piece order, as _kron_factors gives them) lands at
+    S G index sg[n] = s d_G + g and E index e[n]. ket and bra are those
+    (D / d_anc) x r columns as they are, times the ancilla's entry; bra is
+    ket when the input's is. The plan keeps sg, e, dims (d_S, d_E, d_G) and
+    cache (see kept) with ket and bra None; holding() fills them in.
+    """
+
+    sg: np.ndarray
+    e: np.ndarray
+    dims: tuple[int, int, int]
+    cache: dict
+    ket: np.ndarray | None = None
+    bra: np.ndarray | None = None
+
+    def holding(self, ket: np.ndarray, bra: np.ndarray) -> "Support":
+        return Support(self.sg, self.e, self.dims, self.cache, ket, bra)
+
+    def kept(self, owner, derive):
+        """derive(self), kept in cache under owner (the form that contracts
+        with it, or a name) from its first call; at most KEPT_DERIVATIONS
+        owners are kept."""
+        hit = self.cache.get(id(owner))
+        if hit is None or hit[0] is not owner:
+            if len(self.cache) >= KEPT_DERIVATIONS:
+                self.cache.clear()
+            hit = self.cache[id(owner)] = (owner, derive(self))
+        return hit[1]
+
+    def scatter(self, values: np.ndarray) -> np.ndarray:
+        """values written at their rows into a zero (S, G r, E) array."""
+        d_s, d_e, d_g = self.dims
+        out = np.zeros((d_s * d_g, values.shape[1], d_e), dtype=np.complex128)
+        out[self.sg, :, self.e] = values
+        return out.reshape(d_s, -1, d_e)
+
+
 class Evolved:
     """Joint state after U as factor columns, rho_out = K B^dag.
 
     ket and bra are U K and U B as C-contiguous (S, G r, E) arrays: the r
     columns ride along with G and are traced with it, and E comes last, so
-    M contracts it through free reshapes. Each is the one joint-sized array
-    an evolution writes. bra is ket when the input's bra was its ket. dims
-    is (d_S, d_E, d_G).
+    M contracts it through free reshapes. bra is ket when the input's bra
+    was its ket. dims is (d_S, d_E, d_G). An evolution on the support of a
+    basis-state ancilla holds only its Support, which each form contracts;
+    ket and bra are then scattered from it on first read.
     """
 
-    ket: np.ndarray
-    bra: np.ndarray
-    dims: tuple[int, int, int]
+    def __init__(self, dims, ket=None, bra=None, support: Support | None = None):
+        self.dims, self.support = dims, support
+        if support is None:
+            self.ket, self.bra = ket, bra
+
+    @cached_property
+    def ket(self) -> np.ndarray:
+        return self.support.scatter(self.support.ket)
+
+    @cached_property
+    def bra(self) -> np.ndarray:
+        sup = self.support
+        return self.ket if sup.bra is sup.ket else sup.scatter(sup.bra)
 
 
 def evolve(inst: QuantumInstrument, inputs) -> Evolved:
-    """U on ancilla (x) input, written into one (S, G r, E) array per side.
+    """U on ancilla (x) input.
 
-    A permutation U, held on the registers it acts on, gathers each factored
-    piece at its index under U^dag (PermutationUnitary.preimage_indices, from
-    small register grids and the inverse table) and multiplies the pieces in
-    place into that array; no joint-sized table, product or copy is formed.
-    A dense U takes one GEMM on the D x r product columns. The bra takes a
-    second pass only when it is not the ket. The instrument keeps the
-    ancilla's factor columns and the index grids from its first evolution.
+    When the ancilla is one computational basis vector and U a permutation,
+    the evolution is a Support: the input's factor columns as they are, and
+    the rows U sends them to (PermutationUnitary.image_indices). Any other
+    instrument writes one (S, G r, E) array per side: a permutation U gathers
+    each factored piece at its index under U^dag (preimage_indices) and
+    multiplies the pieces in place into that array; a dense U takes one GEMM
+    on the D x r product columns. The bra takes a second pass only when it
+    is not the ket. The instrument keeps the ancilla's factor columns and the
+    rows or index grids from its first evolution.
     """
     regs = inst.layout.registers
     return _evolve(inst, [(_input_factors(inputs), [i for i, r in enumerate(regs)
                                                     if r.source == "input"])])
 
 
+def _basis_entry(piece, dims):
+    """(digits, amplitude) of an ancilla piece that is one computational
+    basis vector: its registers' digits at the one nonzero entry, by
+    position, and that entry; None for any other piece."""
+    (ket, bra), pos = piece
+    nonzero = np.flatnonzero(ket) if ket is bra and ket.shape[1] == 1 else ()
+    if len(nonzero) != 1:
+        return None
+    i, digits = int(nonzero[0]), {}
+    amplitude = complex(ket[i, 0])
+    for p in reversed(pos):
+        i, digits[p] = divmod(i, dims[p])
+    return digits, amplitude
+
+
 def _evolve(inst: QuantumInstrument, pieces) -> Evolved:
     """evolve of factored pieces ((ket, bra), positions): positions index the
-    layout's registers, the piece's rows run over them in that order, and
-    the ancilla piece goes first. The columns of the product are the
-    Kronecker product of the pieces' columns, in piece order."""
+    layout's registers, and the piece's rows run over them in that order.
+    The columns of the product are the Kronecker product of the pieces'
+    columns, in piece order."""
     regs, dims = inst.layout.registers, inst.layout.dims
     plan = inst._plan
-    if inst.ancilla is not None:
-        if "ancilla" not in plan:
-            anc = [i for i, r in enumerate(regs) if r.source == "ancilla"]
-            plan["ancilla"] = (_factor(inst.ancilla), anc)
-        pieces = [plan["ancilla"], *pieces]
     for (ket, _), pos in pieces:
         want = math.prod(dims[p] for p in pos)
         if ket.shape[0] != want:
             raise DimensionMismatch(f"input dim {ket.shape[0]} vs instrument input dim {want}")
+    if inst.ancilla is not None:
+        if "ancilla" not in plan:
+            anc = [i for i, r in enumerate(regs) if r.source == "ancilla"]
+            plan["ancilla"] = (_factor(inst.ancilla), anc)
+            plan["basis"] = _basis_entry(plan["ancilla"], dims)
+        pieces = [plan["ancilla"], *pieces]
     k, n = len(dims), len(pieces)
     role, size = {"S": [], "E": [], "G": []}, {"S": 1, "E": 1, "G": 1}
     for i, r in enumerate(regs):
         role[r.role].append(i)
         size[r.role] *= r.dim
-    # axes: the k registers, then one column axis per piece
-    shape = dims + tuple(f[0].shape[1] for f, _ in pieces)
-    group = role["S"] + role["G"] + list(range(k, k + n)) + role["E"]
     d_s, d_e, d_g = size["S"], size["E"], size["G"]
     u = form(inst.unitary)
     key = tuple(tuple(pos) for _, pos in pieces)
     indices = plan.get(key)
     if indices is None:
-        indices = plan[key] = u.preimage_indices(inst.layout, key)
+        basis, rows = plan.get("basis"), None
+        if basis is not None:
+            rows = u.image_indices(inst.layout, basis[0], [p for _, pos in pieces[1:] for p in pos],
+                                   [role["S"] + role["G"], role["E"]])
+        indices = plan[key] = (Support(*rows, (d_s, d_e, d_g), {}) if rows
+                               else u.preimage_indices(inst.layout, key))
+    if isinstance(indices, Support):
+        factors = [f for f, _ in pieces[1:]]
+        amplitude = plan["basis"][1]
+        if amplitude != 1:
+            a = np.full((1, 1), amplitude)
+            factors.insert(0, (a, a))
+        return Evolved((d_s, d_e, d_g), support=indices.holding(*_kron_factors(factors)))
+    # axes: the k registers, then one column axis per piece
+    shape = dims + tuple(f[0].shape[1] for f, _ in pieces)
+    group = role["S"] + role["G"] + list(range(k, k + n)) + role["E"]
 
     def place(cols):
         def gather(order):
@@ -518,7 +609,7 @@ def _evolve(inst: QuantumInstrument, pieces) -> Evolved:
 
     ket = place([f[0] for f, _ in pieces])
     same = all(f[0] is f[1] for f, _ in pieces)
-    return Evolved(ket, ket if same else place([f[1] for f, _ in pieces]), (d_s, d_e, d_g))
+    return Evolved((d_s, d_e, d_g), ket, ket if same else place([f[1] for f, _ in pieces]))
 
 
 def weighted_output(ev: Evolved, m) -> np.ndarray:

@@ -426,26 +426,6 @@ class PolynomialPipeline:
     ops: list = field(default_factory=list)
     gate_count: int = 0
 
-    def stage_instruments(self, psi):
-        """Replay the program, yielding (op, instrument, inputs, expected)
-        tuples for every gate-bearing stage; used to check the program against
-        apply_exact stage by stage."""
-        v = asarray(psi)
-        n = self.n_qubits
-        stack: list[np.ndarray] = []
-        for op in self.ops:
-            operands = _step(stack, op, v)
-            if operands is None:
-                continue
-            if op[0] == "qhp":
-                inst = build_qhp_instrument(n)
-            elif op[0] == "gqt":
-                inst = build_gqt_instrument(n)
-            else:
-                beta = np.array([1, 1]) / math.sqrt(2)
-                inst = build_lincombo_instrument(op[1], op[2], beta, *operands)
-            yield op, inst, operands, stack[-1]
-
 
 def _step(stack: list, op: tuple, v: np.ndarray):
     """Run one pipeline op on the value stack. Returns the popped operands

@@ -332,6 +332,11 @@ class DenseOperator:
         """The identity's: pieces are placed in layout order, U applied after."""
         return PermutationUnitary.identity(self.array.shape[0]).preimage_indices(layout, groups)
 
+    def image_indices(self, layout: RegisterLayout, fixed: dict, rows, groups) -> None:
+        """None: a dense U is not read as a map of basis states, so its
+        evolution gathers (apply_gathered)."""
+        return None
+
     def apply_gathered(self, gather, shape, group) -> np.ndarray:
         """U on the joint block (axes: the layout's registers, then the
         columns, of sizes shape) that gather(order) writes at preimage_indices
@@ -430,9 +435,12 @@ class PermutationUnitary:
         return [(1.0 + 0j, ((0.5, eye), (0.5, self))), (-1.0 + 0j, ((0.5, eye), (-0.5, self)))]
 
     def contract(self, ev) -> np.ndarray:
-        """The weighted output of M[e',e] = 1 iff e' = perm[e], gathering the
-        bra along E in blocks of at most CONTRACTION_BLOCK_BYTES (or one column)."""
+        """The weighted output of M[e',e] = 1 iff e' = perm[e]: on a support,
+        a sum over the rows _join pairs; otherwise by gathering the bra along
+        E in blocks of at most CONTRACTION_BLOCK_BYTES (or one column)."""
         d_s, d_e, _ = ev.dims
+        if ev.support is not None:
+            return self._contract_support(ev.support)
         # tau_st = sum_{x,e} K[s,x,e] conj(B[t,x,perm[e]]), over blocks of
         # whole E rows, or of E columns in one x when an E row is too big
         ket, bra = ev.ket, ev.bra
@@ -448,6 +456,50 @@ class PermutationUnitary:
                 del b  # so that the next block's gather does not overlap this one
                 tau = part if tau is None else np.add(tau, part, out=tau)
         return tau
+
+    def _contract_support(self, sup) -> np.ndarray:
+        """tau_st = sum over the joined pairs (n, m) with s_n = s, s_m = t of
+        sum_c K[n, c] conj(B[m, c]), in blocks of at most
+        CONTRACTION_BLOCK_BYTES of gathered bra rows, accumulated by bincount."""
+        ket_rows, bra_rows = sup.kept(self, self._join)
+        ket, bra = sup.ket, sup.bra
+        d_s, _, d_g = sup.dims
+        s = sup.sg // d_g
+        st = (s if ket_rows is None else s[ket_rows]).astype(np.intp) * d_s
+        st += s if bra_rows is None else s[bra_rows]
+        step = max(1, CONTRACTION_BLOCK_BYTES // (16 * ket.shape[1]))
+        vals = np.empty(len(st), dtype=np.complex128)
+        for i in range(0, len(vals), step):
+            k = ket[i : i + step] if ket_rows is None else ket[ket_rows[i : i + step]]
+            if bra_rows is None:
+                b = bra[i : i + step].conj()
+            else:
+                b = bra[bra_rows[i : i + step]]
+                np.conjugate(b, out=b)
+            np.einsum("ij,ij->i", k, b, out=vals[i : i + step])
+        tau = np.empty(d_s * d_s, dtype=np.complex128)
+        tau.real = np.bincount(st, vals.real, d_s * d_s)
+        tau.imag = np.bincount(st, vals.imag, d_s * d_s)
+        return tau.reshape(d_s, d_s)
+
+    def _join(self, sup) -> tuple:
+        """(ket rows, bra rows) of the support's pairs: ket row n meets bra
+        row m where g_n = g_m and perm[e_n] = e_m (sort-merge: the bra's
+        (g, e) keys sorted, the ket's searched). Ket rows is None when each
+        row meets one, in order, and bra rows too when that one is itself."""
+        _, d_e, d_g = sup.dims
+        g = sup.sg % d_g
+        key = g * d_e + sup.e
+        order = np.argsort(key, kind="stable")
+        key, wanted = key[order], g * d_e + self.perm[sup.e]
+        lo = np.searchsorted(key, wanted, "left")
+        counts = np.searchsorted(key, wanted, "right") - lo
+        if (counts == 1).all():
+            bra_rows = order[lo]
+            return None, None if (bra_rows == np.arange(len(bra_rows))).all() else bra_rows
+        ket_rows = np.repeat(np.arange(len(counts)), counts)
+        within = np.arange(len(ket_rows)) - np.repeat(np.cumsum(counts) - counts, counts)
+        return ket_rows, order[np.repeat(lo, counts) + within]
 
     def as_measurement(self) -> "PermutationUnitary":
         """The table a measurement keeps: one over its whole space."""
@@ -476,6 +528,37 @@ class PermutationUnitary:
     def to_json(self) -> dict:
         """The full-layout table, whichever registers U is held on."""
         return {"permutation": [int(p) for p in self.lifted().perm]}
+
+    def image_indices(self, layout: RegisterLayout, fixed: dict, rows, groups) -> list[np.ndarray]:
+        """For each list of register positions in groups, the index over those
+        registers (in that order) of U|y>, as one array (int32 while the
+        layout's dimension fits) over the basis states y of layout whose
+        register p holds the digit fixed[p]: the registers in rows, all the
+        others, run over every digit, the first most significant. The
+        table's digits are sent through perm and cut back into digits, so
+        no array is larger than that slice."""
+        dims = layout.dims
+        shape = [dims[p] for p in rows]
+        digit = dict(fixed)
+        digit.update(zip(rows, np.indices(shape, sparse=True)))
+        table = range(len(dims)) if self.labels is None else [layout.index(l) for l in self.labels]
+        t = 0
+        for p in table:
+            t = t * dims[p] + digit[p]
+        t = self.perm[t]
+        for p in table[:0:-1]:
+            t, digit[p] = np.divmod(t, dims[p])
+        digit[table[0]] = t
+        dtype = np.int32 if math.prod(dims) < 2**31 else np.intp
+        out = []
+        for pos in groups:
+            idx = 0
+            for p in pos:
+                idx = idx * dims[p] + digit[p]
+            full = np.empty(shape, dtype=dtype)
+            full[...] = idx
+            out.append(full.reshape(-1))
+        return out
 
     def preimage_indices(self, layout: RegisterLayout, groups) -> list[np.ndarray]:
         """For each list of register positions in groups, the index over those
@@ -596,12 +679,21 @@ class LowRankOperator:
         return _projector_groups(values, q @ w, labels, zero)
 
     def contract(self, ev) -> np.ndarray:
-        """The weighted output of M on an evolved state, through the factors."""
+        """The weighted output of M on an evolved state, through the factors:
+        on a support whose S G indices hold equal numbers of rows, through
+        segment sums of its rows (_segment_sums), else on ket and bra."""
         d_s, d_e, _ = ev.dims
         # tau_st = sum_{x,k} (K conj(v))[s,x,k] conj((B conj(u))[t,x,k])
-        a = ev.ket.reshape(-1, d_e) @ self.v.conj()
-        same = self.u is self.v and ev.bra is ev.ket
-        b = a.copy() if same else ev.bra.reshape(-1, d_e) @ self.u.conj()
+        sup = ev.support
+        order = None if sup is None else sup.kept("segments", _segments)
+        if order is None:
+            a = ev.ket.reshape(-1, d_e) @ self.v.conj()
+            same = self.u is self.v and ev.bra is ev.ket
+            b = a.copy() if same else ev.bra.reshape(-1, d_e) @ self.u.conj()
+        else:
+            a = _segment_sums(sup, order, sup.ket, self.v)
+            same = self.u is self.v and sup.bra is sup.ket
+            b = a.copy() if same else _segment_sums(sup, order, sup.bra, self.u)
         np.conjugate(b, out=b)
         return a.reshape(d_s, -1) @ b.reshape(d_s, -1).T
 
@@ -616,6 +708,26 @@ class LowRankOperator:
 
     def as_measurement(self) -> "LowRankOperator":
         return self
+
+
+def _segments(sup):
+    """The order that sorts a support's rows by sg, when every S G index
+    holds the same number of rows; None for any other support."""
+    d_s, _, d_g = sup.dims
+    counts = np.bincount(sup.sg, minlength=d_s * d_g)
+    return np.argsort(sup.sg, kind="stable") if counts.min() == counts.max() else None
+
+
+def _segment_sums(sup, order, values, w) -> np.ndarray:
+    """A[sg, c, k] = sum over the support's rows n at sg of
+    values[n, c] conj(w[e_n, k]), a (d_S d_G, r, k) array: one batched GEMM
+    over the equal segments that order (_segments) sorts the rows into."""
+    d_s, _, d_g = sup.dims
+    shape = (d_s * d_g, len(order) // (d_s * d_g))
+    c = w[sup.e[order]]
+    np.conjugate(c, out=c)
+    x = values[order].reshape(shape + values.shape[1:])
+    return np.matmul(x.transpose(0, 2, 1), c.reshape(shape + w.shape[1:]))
 
 
 def form(op):

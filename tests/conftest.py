@@ -1,3 +1,5 @@
+import functools
+
 import numpy as np
 import pytest
 from hypothesis import HealthCheck, settings
@@ -55,3 +57,32 @@ def preparation_unitary(phi):
         u = np.eye(d, dtype=np.complex128) - 2.0 * np.outer(w, w.conj())
     u[:, 0] *= phase  # H maps phase*e0 -> v, so fold the phase into column 0
     return u
+
+
+def reference_weighted_output(inst, inputs):
+    """tau = Tr_EG[U (sigma (x) rho_in) U^dag (I_S (x) M (x) I_G)], densely:
+    rho_in is the np.kron of the input pieces (states, weighted states,
+    vectors or matrices, in input-register order), sigma (x) rho_in is
+    permuted into layout order, and U and M are read as matrices (an array
+    as it is, a form through its dense())."""
+    def dense(x):
+        m = np.asarray(getattr(x, "matrix", x), dtype=np.complex128)
+        return np.outer(m, m.conj()) if m.ndim == 1 else m
+
+    regs, dims = inst.layout.registers, inst.layout.dims
+    pieces = [inputs] if not isinstance(inputs, (list, tuple)) else list(inputs)
+    mats = ([] if inst.ancilla is None else [inst.ancilla.matrix]) + [dense(x) for x in pieces]
+    order = ([i for i, r in enumerate(regs) if r.source == "ancilla"]
+             + [i for i, r in enumerate(regs) if r.source == "input"])
+    k, d = len(dims), int(np.prod(dims))
+    back = list(np.argsort(order))
+    rho = functools.reduce(np.kron, mats).reshape([dims[p] for p in order] * 2)
+    rho = rho.transpose(back + [k + i for i in back]).reshape(d, d)
+    u = np.asarray(getattr(inst.unitary, "dense", lambda: inst.unitary)())
+    out = u @ rho @ u.conj().T
+    # rows and columns regrouped as (S, E, G), then Tr_EG[out (I (x) M (x) I)]
+    roles = {role: [i for i, r in enumerate(regs) if r.role == role] for role in "SEG"}
+    axes = roles["S"] + roles["E"] + roles["G"]
+    size = [int(np.prod([dims[i] for i in roles[role]])) for role in "SEG"]
+    out = out.reshape(dims * 2).transpose(axes + [k + i for i in axes]).reshape(size * 2)
+    return np.einsum("segtfg,fe->st", out, inst.measurement.matrix)

@@ -1,0 +1,178 @@
+"""Differential test of exact evaluation against one dense reference.
+
+Instruments are drawn with a basis-state ancilla, the case evolve holds on
+its support: 2-4 registers of dims 2-3 with roles S and E and, from three
+registers on, G; the ancilla one basis vector (any index, any phase) on one
+or two registers; U a register table that does or does not touch the
+ancilla, or a full-layout table; M dense Hermitian, dense non-normal, an
+involution, a 3-cycle or low-rank (rank 0 included); and inputs pure,
+density or weighted. apply_exact must match
+conftest.reference_weighted_output; the estimators and branches must match
+the same instrument with U given as a dense matrix, which takes the gather
+path.
+"""
+
+from dataclasses import replace
+
+import numpy as np
+from hypothesis import given, settings
+from hypothesis import strategies as st
+
+from wstate.instrument import (
+    MeasurementOperator,
+    QuantumInstrument,
+    QuantumState,
+    WeightedState,
+    apply_exact,
+    branches,
+    evolve,
+)
+from wstate.sampling import sample_estimate, variance_exact
+from wstate.tensor import LowRankOperator, PermutationUnitary, Register, RegisterLayout, form
+
+from conftest import rand_density, rand_hermitian, rand_state, reference_weighted_output
+
+M_KINDS = ("dense-hermitian", "dense-nonnormal", "involution", "3-cycle", "low-rank")
+
+
+def _complex(rng, *shape):
+    return rng.normal(size=shape) + 1j * rng.normal(size=shape)
+
+
+def _measurement(rng, kind, d):
+    if kind == "dense-hermitian":
+        return rand_hermitian(rng, d)
+    if kind == "dense-nonnormal":
+        return _complex(rng, d, d)
+    if kind == "involution":
+        perm = np.arange(d)
+        pairs = rng.permutation(d)[: 2 * rng.integers(1, d // 2 + 1)].reshape(-1, 2)
+        perm[pairs[:, 0]], perm[pairs[:, 1]] = pairs[:, 1], pairs[:, 0]
+        return PermutationUnitary(perm)
+    if kind == "3-cycle":
+        perm = np.arange(d)
+        cycle = rng.permutation(d)[:3]
+        perm[cycle] = np.roll(cycle, 1)
+        return PermutationUnitary(perm)
+    rank = rng.integers(0, 3)
+    return LowRankOperator(_complex(rng, d, rank), _complex(rng, d, rank))
+
+
+def _full_table(local: PermutationUnitary) -> np.ndarray:
+    """The full-layout table of a register table, built here: each basis
+    state's digits on the table's registers sent through perm."""
+    layout = local.layout
+    digits = list(np.indices(layout.dims))
+    pos = [layout.index(label) for label in local.labels]
+    t = 0
+    for p in pos:
+        t = t * layout.dims[p] + digits[p]
+    t = local.perm[t]
+    for p in reversed(pos):
+        t, digits[p] = np.divmod(t, layout.dims[p])
+    out = 0
+    for p, d in enumerate(layout.dims):
+        out = out * d + digits[p]
+    return out.reshape(-1)
+
+
+def _dense(table: np.ndarray) -> np.ndarray:
+    u = np.zeros((table.size, table.size), dtype=np.complex128)
+    u[table, np.arange(table.size)] = 1.0
+    return u
+
+
+@st.composite
+def instruments(draw):
+    """(instrument, inputs, dense U) with a basis-state ancilla."""
+    rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
+    dims = draw(st.lists(st.sampled_from([2, 3]), min_size=2, max_size=4))
+    k = len(dims)
+    # one S and one E register; G among the rest whenever there are more
+    rest = draw(st.lists(st.sampled_from("SEG"), min_size=k - 2, max_size=k - 2))
+    if rest and "G" not in rest:
+        rest[0] = "G"
+    roles = draw(st.permutations(["S", "E", *rest]))
+    anc = draw(st.sets(st.sampled_from(range(k)), min_size=1, max_size=min(2, k - 1)))
+    regs = tuple(Register(f"R{i}", d, role=roles[i], source="ancilla" if i in anc else "input")
+                 for i, d in enumerate(dims))
+    layout = RegisterLayout(regs)
+    sub = layout.sub(regs[i].label for i in anc)
+    vector = np.zeros(sub.total_dim, dtype=np.complex128)
+    vector[draw(st.integers(0, sub.total_dim - 1))] = np.exp(1j * draw(st.floats(0, 2 * np.pi)))
+    sigma = QuantumState(sub, vector=vector)
+
+    table = draw(st.sampled_from(["touches-ancilla", "inputs-only", "full"]))
+    if table == "full":
+        unitary = PermutationUnitary(rng.permutation(layout.total_dim))
+        full = unitary.perm
+    else:
+        inputs_at = [i for i in range(k) if i not in anc]
+        pool = range(k) if table == "touches-ancilla" else inputs_at
+        on = draw(st.lists(st.sampled_from(pool), min_size=1, max_size=len(pool), unique=True))
+        if table == "touches-ancilla" and not anc & set(on):
+            on.append(min(anc))
+        labels = [regs[i].label for i in on]
+        unitary = PermutationUnitary(rng.permutation(layout.dim_of(labels)), labels, layout)
+        full = _full_table(unitary)
+
+    d_e = layout.dim_of(layout.with_role("E"))
+    kinds = [m for m in M_KINDS if not (m == "3-cycle" and d_e < 3)]
+    m = _measurement(rng, draw(st.sampled_from(kinds)), d_e)
+    inst = QuantumInstrument(layout, sigma, unitary, MeasurementOperator.of(m))
+
+    inputs = []
+    for r in regs:
+        if r.source == "input":
+            kind = draw(st.sampled_from(["pure", "density", "weighted"]))
+            if kind == "pure":
+                inputs.append(QuantumState.pure(rand_state(rng, r.dim)))
+            elif kind == "density":
+                inputs.append(QuantumState.from_density(rand_density(rng, r.dim)))
+            else:
+                inputs.append(WeightedState(_complex(rng, r.dim, r.dim), RegisterLayout.of(r)))
+    return inst, inputs, _dense(full)
+
+
+def _close(got, want, scale):
+    return np.abs(np.asarray(got) - want).max() <= 1e-12 * scale
+
+
+@given(case=instruments())
+@settings(max_examples=150)
+def test_support_path_matches_dense_reference(case):
+    inst, inputs, u = case
+    dense = replace(inst, unitary=u)
+    ev, ev_dense = evolve(inst, inputs), evolve(dense, inputs)
+    assert ev.support is not None and ev_dense.support is None
+    # the support scattered into (S, G r, E) arrays is U K and U B
+    assert (ev.bra is ev.ket) == (ev_dense.bra is ev_dense.ket)
+    assert _close(ev.ket, ev_dense.ket, 1.0) and _close(ev.bra, ev_dense.bra, 1.0)
+    want = reference_weighted_output(dense, inputs)
+    m = inst.measurement.matrix
+    # |tau| <= ||M||_2 times the trace norms of the input pieces
+    scale = max(1.0, np.linalg.norm(m, 2)) * np.prod(
+        [np.linalg.norm(x.matrix, "nuc") for x in inputs])
+    assert _close(apply_exact(inst, inputs).matrix, want, scale)
+    assert _close(apply_exact(dense, inputs).matrix, want, scale)
+    if any(isinstance(x, WeightedState) for x in inputs):
+        return
+    rng = np.random.default_rng(len(want))
+    obs = rand_hermitian(rng, len(want))
+    o_norm = np.linalg.norm(obs, 2)
+    got = sample_estimate(inst, inputs, obs, shots=100, seed=1)
+    ref = sample_estimate(dense, inputs, obs, shots=100, seed=1)
+    parts = sum(abs(c) * np.linalg.norm(form(n).dense(), 2)
+                for c, n in inst.measurement.normal_parts())
+    for field in ("analytic_mean", "analytic_variance", "variance_bound"):
+        field_scale = (o_norm * parts) ** (1 if field == "analytic_mean" else 2)
+        assert _close(getattr(got, field), getattr(ref, field), max(1.0, field_scale)), field
+    assert _close(variance_exact(inst, inputs, obs), variance_exact(dense, inputs, obs),
+                  max(1.0, (o_norm * parts) ** 2))
+    if inst.measurement.kind != "nonnormal":
+        for a, b in zip(branches(inst, inputs), branches(dense, inputs), strict=True):
+            assert a.eigenvalue == b.eigenvalue
+            assert abs(a.probability - b.probability) <= 1e-12
+            if a.conditional_state is not None:
+                scale = 1.0 / a.probability
+                assert _close(a.conditional_state.matrix, b.conditional_state.matrix, scale)

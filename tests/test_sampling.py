@@ -479,20 +479,22 @@ class TestEvaluationPlan:
 
     @pytest.mark.parametrize("form", sorted(TABLE_FORMS))
     def test_plan_derived_once_per_instrument(self, monkeypatch, form):
+        # the gather path derives preimage_indices, the support path (GQT
+        # and teleport: a basis-state ancilla) image_indices; one or the other
         inst, inputs, obs = _fresh(form, 29)
-        real_indices = PermutationUnitary.preimage_indices
         real_factor = wstate.instrument._factor
         tables, factored = [], []
-
-        def indices_spy(table, layout, groups):
-            tables.append(table)
-            return real_indices(table, layout, groups)
 
         def factor_spy(x):
             factored.append(x)
             return real_factor(x)
 
-        monkeypatch.setattr(PermutationUnitary, "preimage_indices", indices_spy)
+        for name in ("preimage_indices", "image_indices"):
+            def indices_spy(table, *args, real=getattr(PermutationUnitary, name)):
+                tables.append(table)
+                return real(table, *args)
+
+            monkeypatch.setattr(PermutationUnitary, name, indices_spy)
         monkeypatch.setattr(wstate.instrument, "_factor", factor_spy)
         got = []
         for _ in range(3):

@@ -337,9 +337,12 @@ def test_mixed_ancilla_sampling_stays_small(rng):
 @pytest.mark.parametrize("kind", ["gqt-swap", "qsp-dense"])
 def test_weighted_output_allocates_one_bra(rng, kind):
     # full-rank density inputs: the GQT n = 4 ket is 4096 x 256 columns
-    # (16.8 MB); QSP n = 3 has a dense 2 x 2 M and a G register
+    # (16.8 MB), its ancilla a pure state that is no basis vector, so that
+    # the blocked permutation contraction runs on the whole ket; QSP n = 3
+    # has a dense 2 x 2 M and a G register
     if kind == "gqt-swap":
         inst, d = build_gqt_instrument(4), 16
+        inst = replace(inst, ancilla=QuantumState(inst.ancilla.layout, vector=rand_state(rng, d)))
     else:
         inst, d = build_qsp_instrument(rand_density(rng, 2), _complex(rng, 2), 3), 8
     inputs = [QuantumState.from_density(rand_density(rng, d)) for _ in inst.input_labels]
@@ -422,6 +425,22 @@ def test_n6_exact_path_holds_one_ket(rng, kind):
     inputs = [QuantumState.pure(a), QuantumState.pure(b)]
     tau, peak = _traced_peak(lambda: apply_exact(inst, inputs).matrix)
     assert peak <= 1.3 * d**3 * 16
+    ra, rb = np.outer(a, a.conj()), np.outer(b, b.conj())
+    want = gqt(ra, rb) if kind == "gqt" else teleport_map(rb, maps, ra)
+    assert np.abs(tau - want).max() <= 1e-10 * max(1.0, np.abs(want).max())
+
+
+@pytest.mark.parametrize("kind", ["gqt", "teleport"])
+def test_n6_support_path_holds_a_quarter_ket(rng, kind):
+    # the |0..0> ancilla: evolve keeps the d^2 input rows and where U sends
+    # them, never the d^3-entry ket (4 MiB), and each form contracts them
+    n, d = 6, 2**6
+    maps = [(_complex(rng, d), _complex(rng, d))]
+    inst = build_gqt_instrument(n) if kind == "gqt" else build_teleport_instrument(n, maps)
+    a, b = rand_state(rng, d), rand_state(rng, d)
+    inputs = [QuantumState.pure(a), QuantumState.pure(b)]
+    tau, peak = _traced_peak(lambda: apply_exact(inst, inputs).matrix)
+    assert peak <= d**3 * 16 / 4
     ra, rb = np.outer(a, a.conj()), np.outer(b, b.conj())
     want = gqt(ra, rb) if kind == "gqt" else teleport_map(rb, maps, ra)
     assert np.abs(tau - want).max() <= 1e-10 * max(1.0, np.abs(want).max())
