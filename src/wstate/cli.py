@@ -1,8 +1,10 @@
 """wstate command line: estimation, variance analysis, design helpers,
 combination workflows, experiment reproduction, and spec validation.
 
-Exit codes: 0 success, 2 validation or schema failure, 3 numerical
-precondition failure (for example orthogonal inputs).
+Exit codes: 0 success, 2 usage error (no or an unknown verb, an unknown
+option, a value out of range), validation or schema failure, or a --spec
+or --out file that cannot be read or written, 3 numerical precondition
+failure (for example orthogonal inputs).
 
 Each verb imports the library functions it calls in its own body, so one
 process loads only the modules of the verb it runs.
@@ -10,166 +12,86 @@ process loads only the modules of the verb it runs.
 
 from __future__ import annotations
 
-import functools
+import argparse
 import json
 import sys
 
-import click
 import numpy as np
 
+from . import __version__
 from .errors import NumericalPreconditionError, SchemaError, ValidationError
 
 
 def _load_spec(path: str) -> dict:
-    try:
-        with open(path) as fh:
+    with open(path) as fh:
+        try:
             return json.load(fh)
-    except ValueError as exc:  # JSONDecodeError, or an integer beyond int's digit limit
-        raise ValidationError(f"{path}: not valid JSON: {exc}") from exc
-    except OSError as exc:
-        raise ValidationError(f"{path}: {exc.strerror}") from exc
-
-
-def _emit(payload, out: str | None):
-    text = json.dumps(payload, indent=2, sort_keys=True) + "\n"
-    if out:
-        with open(out, "w") as fh:
-            fh.write(text)
-    else:
-        click.echo(text, nl=False)
+        except ValueError as exc:  # JSONDecodeError, or an integer beyond int's digit limit
+            raise ValidationError(f"{path}: not valid JSON: {exc}") from exc
 
 
 def _pair(z: complex) -> list:
     return [float(z.real), float(z.imag)]
 
 
-def handles_errors(fn):
-    @functools.wraps(fn)
-    def wrapped(*args, **kwargs):
-        try:
-            return fn(*args, **kwargs)
-        except NumericalPreconditionError as exc:
-            click.echo(f"error: {exc}", err=True)
-            sys.exit(3)
-        except ValidationError as exc:
-            click.echo(f"error: {exc}", err=True)
-            sys.exit(2)
-
-    return wrapped
-
-
-spec_option = click.option("--spec", "spec_path", required=True,
-                           type=click.Path(exists=True, dir_okay=False),
-                           help="JSON document to operate on.")
-out_option = click.option("--out", default=None, help="Write the result here instead of stdout.")
-seed_option = click.option("--seed", default=0, show_default=True, help="RNG stream seed.")
-shots_option = click.option("--shots", default=10000, show_default=True, help="Total shot budget.")
-workers_option = click.option("--workers", default=1, show_default=True,
-                              type=click.IntRange(min=1),
-                              help="Accepted for compatibility; sampling runs in the calling "
-                                   "thread, so results are identical for any count.")
-
-
-@click.group()
-@click.version_option(package_name="wstate")
-def main():
-    """Simulate and analyze classically reweighted quantum instruments."""
-
-
-@main.command()
-@spec_option
-@shots_option
-@seed_option
-@workers_option
-@click.option("--method", default="emulate", show_default=True,
-              type=click.Choice(["emulate", "randomized"]),
-              help="Realization of a non-normal M, echoed in the report; "
-                   "both draw the same cells.")
-@out_option
-@handles_errors
-def estimate(spec_path, shots, seed, workers, method, out):
+def estimate(spec, shots, seed, workers, method):
     """Shot-based estimate of Tr(tau O) for an instrument task document."""
     from .sampling import sample_estimate
     from .serialize import task_from_json
 
-    task = task_from_json(_load_spec(spec_path))
+    task = task_from_json(_load_spec(spec))
     report = sample_estimate(task.instrument, list(task.inputs), task.observable,
                              shots, seed, workers=workers, method=method)
     payload = report.to_json()
     payload["method"] = method
-    _emit(payload, out)
+    return payload
 
 
-@main.command()
-@spec_option
-@out_option
-@handles_errors
-def variance(spec_path, out):
+def variance(spec):
     """Exact mean and per-shot estimator variance for a task document."""
     from .instrument import apply_exact, expectation
     from .sampling import variance_exact
     from .serialize import task_from_json
 
-    task = task_from_json(_load_spec(spec_path))
+    task = task_from_json(_load_spec(spec))
     tau = apply_exact(task.instrument, list(task.inputs))
     mean = expectation(tau, task.observable)
     var = variance_exact(task.instrument, list(task.inputs), task.observable)
-    _emit({"mean": _pair(mean), "variance_per_shot": var}, out)
+    return {"mean": _pair(mean), "variance_per_shot": var}
 
 
-@main.command()
-@spec_option
-@out_option
-@handles_errors
-def bound(spec_path, out):
+def bound(spec):
     """Variance upper bounds for a task document."""
     from .sampling import variance_bound
     from .serialize import task_from_json
     from .tensor import spectral_norm
 
-    task = task_from_json(_load_spec(spec_path))
+    task = task_from_json(_load_spec(spec))
     norm = spectral_norm(task.observable)
     bounds = variance_bound(task.instrument, list(task.inputs), norm)
-    _emit({**bounds.to_json(), "obs_norm": norm}, out)
+    return {**bounds.to_json(), "obs_norm": norm}
 
 
-@main.command("design-beta")
-@click.option("--p", required=True, type=float, help="Coefficient weight |alpha0|^2 share.")
-@click.option("--r", required=True, type=float, help="Squared overlap of the two states.")
-@out_option
-@handles_errors
-def design_beta(p, r, out):
+def design_beta(p, r):
     """Variance-minimizing ancilla weight for a two-state combination."""
     from .sampling import optimal_beta
 
-    _emit(optimal_beta(p, r).to_json(), out)
+    return optimal_beta(p, r).to_json()
 
 
-@main.command()
-@click.option("--epsilon", required=True, type=float, help="Target absolute error.")
-@click.option("--delta", required=True, type=float, help="Failure probability.")
-@click.option("--obs-norm", default=1.0, show_default=True, help="Spectral norm of O.")
-@click.option("--m-norm", default=1.0, show_default=True, help="Spectral norm of M.")
-@out_option
-@handles_errors
-def hoeffding(epsilon, delta, obs_norm, m_norm, out):
+def hoeffding(epsilon, delta, obs_norm, m_norm):
     """Shots sufficient for |estimate - mean| <= epsilon with confidence 1 - delta."""
     from .sampling import hoeffding_shots
 
     shots = hoeffding_shots(epsilon, delta, obs_norm, m_norm)
-    _emit({"epsilon": epsilon, "delta": delta, "shots": shots}, out)
+    return {"epsilon": epsilon, "delta": delta, "shots": shots}
 
 
-@main.group()
-def lcs():
-    """Linear combinations of more than two states."""
-
-
-def _combo_doc(spec_path):
+def _combo_doc(spec):
     from .serialize import lcs_from_json
     from .tensor import matrix_from_json
 
-    doc = _load_spec(spec_path)
+    doc = _load_spec(spec)
     problem = lcs_from_json(doc, "combination")
     obs = None
     if "observable" in doc:
@@ -177,17 +99,13 @@ def _combo_doc(spec_path):
     return doc, problem, obs
 
 
-@lcs.command("all-at-once")
-@spec_option
-@out_option
-@handles_errors
-def lcs_all_at_once(spec_path, out):
+def lcs_all_at_once(spec):
     """Exact weighted state (and expectation, if an observable is given)."""
     from .instrument import expectation
     from .lcs import all_at_once_apply
     from .tensor import complex_from_json, matrix_to_json
 
-    doc, problem, obs = _combo_doc(spec_path)
+    doc, problem, obs = _combo_doc(spec)
     beta = None
     if "beta" in doc:
         pairs = doc["beta"]
@@ -199,77 +117,146 @@ def lcs_all_at_once(spec_path, out):
     payload = {"weighted_state": matrix_to_json(tau.matrix), "trace": _pair(tau.trace)}
     if obs is not None:
         payload["expectation"] = _pair(expectation(tau, obs))
-    _emit(payload, out)
+    return payload
 
 
-@lcs.command("incoherent")
-@spec_option
-@shots_option
-@seed_option
-@workers_option
-@out_option
-@handles_errors
-def lcs_incoherent(spec_path, shots, seed, workers, out):
+def lcs_incoherent(spec, shots, seed, workers):
     """Term-by-term estimate of the combination expectation value."""
     from .lcs import incoherent_estimate, pauli_decompose
     from .tensor import matrix_from_json
 
-    doc, problem, obs = _combo_doc(spec_path)
+    doc, problem, obs = _combo_doc(spec)
     if obs is None:
         raise ValidationError("incoherent estimation needs an 'observable' entry")
     v = None
     if "processing" in doc:
         v = matrix_from_json(doc["processing"], "combination.processing")
-    report = incoherent_estimate(problem, v, pauli_decompose(obs), shots, seed)
-    _emit(report.to_json(), out)
+    return incoherent_estimate(problem, v, pauli_decompose(obs), shots, seed).to_json()
 
 
-@lcs.command("lcu")
-@spec_option
-@out_option
-@handles_errors
-def lcs_lcu(spec_path, out):
+def lcs_lcu(spec):
     """Postselected coherent preparation of the combination."""
     from .lcs import lcu_prepare
 
-    doc, problem, obs = _combo_doc(spec_path)
+    doc, problem, obs = _combo_doc(spec)
     result = lcu_prepare(problem)
     payload = result.to_json()
     if obs is not None:
         val = complex(np.vdot(result.state, obs @ result.state))
         payload["normalized_expectation"] = _pair(val)
         payload["combination_expectation"] = _pair(result.norm**2 * val)
-    _emit(payload, out)
+    return payload
 
 
-@main.command()
-@spec_option
-@out_option
-@click.option("--seed", default=None, type=int, help="Override the seed in the spec.")
-@workers_option
-@handles_errors
-def experiment(spec_path, out, seed, workers):
+def experiment(spec, seed, workers):
     """Run a named parameter sweep and emit its CSV table."""
     from .experiments import run_experiment
     from .serialize import experiment_spec_from_json
 
-    spec = experiment_spec_from_json(_load_spec(spec_path))
+    sweep = experiment_spec_from_json(_load_spec(spec))
     if seed is not None:
-        spec["seed"] = seed
-    table = run_experiment(spec)
-    text = table.to_csv(out)
-    if not out:
-        click.echo(text, nl=False)
+        sweep["seed"] = seed
+    return run_experiment(sweep).to_csv()
 
 
-@main.command()
-@spec_option
-@handles_errors
-def validate(spec_path):
+def validate(spec):
     """Parse a document and check it reserializes to a fixed point."""
     from .serialize import io_roundtrip
 
-    _emit(io_roundtrip(spec_path), None)
+    return io_roundtrip(spec)
+
+
+def positive_int(text: str) -> int:
+    value = int(text)
+    if value < 1:
+        raise argparse.ArgumentTypeError(f"{value} is smaller than the minimum of 1")
+    return value
+
+
+SPEC = ("--spec", {"required": True, "help": "JSON document to operate on."})
+OUT = ("--out", {"help": "Write the result here instead of stdout."})
+SEED = ("--seed", {"type": int, "default": 0, "help": "RNG stream seed (default: 0)."})
+SHOTS = ("--shots", {"type": int, "default": 10000, "help": "Total shot budget (default: 10000)."})
+WORKERS = ("--workers", {"type": positive_int, "default": 1,
+                         "help": "Accepted for compatibility; sampling runs in the calling "
+                                 "thread, so results are identical for any count (default: 1)."})
+METHOD = ("--method", {"default": "emulate", "choices": ["emulate", "randomized"],
+                       "help": "Realization of a non-normal M, echoed in the report; "
+                               "both draw the same cells (default: emulate)."})
+
+
+# verb -> (function, options); a group maps to (help, its own table)
+VERBS = {
+    "estimate": (estimate, [SPEC, SHOTS, SEED, WORKERS, METHOD, OUT]),
+    "variance": (variance, [SPEC, OUT]),
+    "bound": (bound, [SPEC, OUT]),
+    "design-beta": (design_beta, [
+        ("--p", {"type": float, "required": True, "help": "Coefficient weight |alpha0|^2 share."}),
+        ("--r", {"type": float, "required": True, "help": "Squared overlap of the two states."}),
+        OUT]),
+    "hoeffding": (hoeffding, [
+        ("--epsilon", {"type": float, "required": True, "help": "Target absolute error."}),
+        ("--delta", {"type": float, "required": True, "help": "Failure probability."}),
+        ("--obs-norm", {"type": float, "default": 1.0, "help": "Spectral norm of O (default: 1)."}),
+        ("--m-norm", {"type": float, "default": 1.0, "help": "Spectral norm of M (default: 1)."}),
+        OUT]),
+    "lcs": ("Linear combinations of more than two states.", {
+        "all-at-once": (lcs_all_at_once, [SPEC, OUT]),
+        "incoherent": (lcs_incoherent, [SPEC, SHOTS, SEED, WORKERS, OUT]),
+        "lcu": (lcs_lcu, [SPEC, OUT]),
+    }),
+    "experiment": (experiment, [
+        SPEC, OUT, ("--seed", {"type": int, "help": "Override the seed in the spec."}), WORKERS]),
+    "validate": (validate, [SPEC]),
+}
+
+
+def _add_verbs(parser: argparse.ArgumentParser, table: dict) -> None:
+    verbs = parser.add_subparsers(required=True, metavar="VERB")
+    for name, (run, options) in table.items():
+        doc = run if isinstance(run, str) else run.__doc__
+        sub = verbs.add_parser(name, help=doc, description=doc, allow_abbrev=False)
+        if isinstance(options, dict):
+            _add_verbs(sub, options)
+            continue
+        sub.set_defaults(run=run)
+        for flag, kwargs in options:
+            sub.add_argument(flag, **kwargs)
+
+
+def main(args=None, prog_name="wstate"):
+    """Run the verb that args (default sys.argv[1:]) names and exit with its
+    code; usage errors exit 2 from the parser."""
+    parser = argparse.ArgumentParser(
+        prog=prog_name, allow_abbrev=False,
+        description="Simulate and analyze classically reweighted quantum instruments.")
+    parser.add_argument("--version", action="version", version=f"%(prog)s, version {__version__}")
+    _add_verbs(parser, VERBS)
+    options = vars(parser.parse_args(args))
+    run, out = options.pop("run"), options.pop("out", None)
+    code = 0
+    try:
+        text = run(**options)
+        if not isinstance(text, str):  # a JSON payload; experiment returns its CSV text
+            text = json.dumps(text, indent=2, sort_keys=True) + "\n"
+        if out:
+            with open(out, "w") as fh:
+                fh.write(text)
+        else:
+            sys.stdout.write(text)
+    except OSError as exc:  # a --spec that cannot be read or an --out that cannot be written
+        code, error = 2, f"{exc.filename}: {exc.strerror}"
+    except NumericalPreconditionError as exc:
+        code, error = 3, exc
+    except ValidationError as exc:
+        code, error = 2, exc
+    if code:
+        sys.stderr.write(f"error: {error}\n")
+    sys.exit(code)
+
+
+# bench/launch.py runs the command as main.main(args=argv, prog_name="wstate")
+main.main = main
 
 
 if __name__ == "__main__":

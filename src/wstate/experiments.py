@@ -50,7 +50,7 @@ class ResultTable:
             raise ValidationError(f"no column named {name!r}") from None
         return [r[i] for r in self.rows]
 
-    def to_csv(self, path=None) -> str:
+    def to_csv(self) -> str:
         header = dict(self.metadata)
         header["experiment"] = self.experiment
         header["timestamp"] = datetime.now(timezone.utc).isoformat()
@@ -58,11 +58,7 @@ class ResultTable:
         lines.append(",".join(self.columns))
         for row in self.rows:
             lines.append(",".join(_cell(v) for v in row))
-        text = "\n".join(lines) + "\n"
-        if path is not None:
-            with open(path, "w") as fh:
-                fh.write(text)
-        return text
+        return "\n".join(lines) + "\n"
 
 
 def _cell(v) -> str:

@@ -1,15 +1,37 @@
+import contextlib
 import functools
+import io
+from typing import NamedTuple
 
 import numpy as np
 import pytest
 from hypothesis import HealthCheck, settings
 
+from wstate.cli import main
 from wstate.errors import InvalidState
 
 settings.register_profile(
     "suite", deadline=None, suppress_health_check=[HealthCheck.too_slow]
 )
 settings.load_profile("suite")
+
+
+class CliResult(NamedTuple):
+    code: int
+    stdout: str
+    stderr: str
+
+
+def run_cli(*argv: str) -> CliResult:
+    """Run `wstate argv...` in this process and capture its exit code,
+    stdout and stderr. An exception other than SystemExit propagates."""
+    out, err = io.StringIO(), io.StringIO()
+    with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
+        try:
+            main(list(argv))
+        except SystemExit as exc:
+            code = exc.code
+    return CliResult(code, out.getvalue(), err.getvalue())
 
 
 @pytest.fixture

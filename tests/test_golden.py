@@ -19,10 +19,9 @@ import sys
 import tempfile
 from pathlib import Path
 
-from click.testing import CliRunner
-
 import wstate.sampling
-from wstate.cli import main
+
+from conftest import run_cli
 
 ROOT = Path(__file__).resolve().parents[1]
 GOLDEN = Path(__file__).with_name("golden_outputs.json")
@@ -124,14 +123,13 @@ def cli_outputs(workdir: Path) -> dict:
         "lcs-lcu": ["lcs", "lcu", *spec["combo"]],
     }
     calls.update({name: ["experiment", *spec[name]] for name in docs if name.startswith("exp-")})
-    runner = CliRunner()
     out = {}
     for name, argv in calls.items():
-        result = runner.invoke(main, argv)
-        assert result.exit_code == 0, f"{name}: {result.output}"
+        result = run_cli(*argv)
+        assert result.code == 0, f"{name}: {result.stderr}"
         out[name] = _strip_timestamp(result.stdout).splitlines()
         if "--seed" in argv or argv[0] == "experiment":
-            again = runner.invoke(main, [*argv, "--workers", "2"])
+            again = run_cli(*argv, "--workers", "2")
             assert _strip_timestamp(again.stdout).splitlines() == out[name], (
                 f"{name}: two workers changed stdout"
             )

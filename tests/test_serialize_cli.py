@@ -10,11 +10,9 @@ from dataclasses import replace
 
 import numpy as np
 import pytest
-from click.testing import CliRunner
 
 import wstate
 
-from wstate.cli import main
 from wstate.errors import SchemaError
 from wstate.instrument import QuantumState, apply_exact
 from wstate.lcs import LcsProblem
@@ -46,7 +44,7 @@ from wstate.subroutines import (
 )
 from wstate.tensor import Register, RegisterLayout
 
-from conftest import preparation_unitary, rand_density, rand_state
+from conftest import preparation_unitary, rand_density, rand_state, run_cli
 
 
 def fixed_point(doc):
@@ -201,11 +199,6 @@ class TestSchemaErrors:
 
 
 @pytest.fixture
-def runner():
-    return CliRunner()
-
-
-@pytest.fixture
 def task_file(tmp_path, rng):
     inst = build_qhp_instrument(1)
     inputs = (
@@ -241,7 +234,7 @@ def _capped_experiment(tmp_path, doc):
     code = ("import resource, sys\n"
             "resource.setrlimit(resource.RLIMIT_AS, (2**30, 2**30))\n"
             "from wstate.cli import main\n"
-            "main.main(args=sys.argv[1:], prog_name='wstate')\n")
+            "main(sys.argv[1:])\n")
     return subprocess.run(
         [sys.executable, "-c", code, "experiment", "--spec", str(spec)],
         capture_output=True, text=True, timeout=120,
@@ -251,46 +244,46 @@ def _capped_experiment(tmp_path, doc):
 
 
 class TestCli:
-    def test_estimate_consistent_with_variance(self, runner, task_file):
-        est = runner.invoke(main, ["estimate", "--spec", task_file, "--shots", "50000", "--seed", "1"])
-        assert est.exit_code == 0, est.output
-        var = runner.invoke(main, ["variance", "--spec", task_file])
-        assert var.exit_code == 0
-        e, v = json.loads(est.output), json.loads(var.output)
+    def test_estimate_consistent_with_variance(self, task_file):
+        est = run_cli("estimate", "--spec", task_file, "--shots", "50000", "--seed", "1")
+        assert est.code == 0, est.stderr
+        var = run_cli("variance", "--spec", task_file)
+        assert var.code == 0
+        e, v = json.loads(est.stdout), json.loads(var.stdout)
         assert abs(e["analytic_mean"][0] - v["mean"][0]) < 1e-12
         assert abs(e["analytic_variance"] - v["variance_per_shot"]) < 1e-12
 
-    def test_estimate_deterministic(self, runner, task_file):
+    def test_estimate_deterministic(self, task_file):
         args = ["estimate", "--spec", task_file, "--shots", "9999", "--seed", "4"]
-        a = runner.invoke(main, args)
-        b = runner.invoke(main, args)
-        assert a.output == b.output
+        a = run_cli(*args)
+        b = run_cli(*args)
+        assert a.stdout == b.stdout
 
-    def test_bound_orders(self, runner, task_file):
-        res = runner.invoke(main, ["bound", "--spec", task_file])
-        assert res.exit_code == 0
-        payload = json.loads(res.output)
+    def test_bound_orders(self, task_file):
+        res = run_cli("bound", "--spec", task_file)
+        assert res.code == 0
+        payload = json.loads(res.stdout)
         assert payload["b1"] <= payload["b2"] + 1e-12
 
-    def test_design_beta(self, runner):
-        res = runner.invoke(main, ["design-beta", "--p", "0.5", "--r", "0.3"])
-        assert res.exit_code == 0
-        assert json.loads(res.output)["q_opt"] == 0.5
+    def test_design_beta(self):
+        res = run_cli("design-beta", "--p", "0.5", "--r", "0.3")
+        assert res.code == 0
+        assert json.loads(res.stdout)["q_opt"] == 0.5
 
-    def test_hoeffding(self, runner):
-        res = runner.invoke(main, ["hoeffding", "--epsilon", "0.1", "--delta", "0.05"])
-        assert res.exit_code == 0
-        assert json.loads(res.output)["shots"] == 738
+    def test_hoeffding(self):
+        res = run_cli("hoeffding", "--epsilon", "0.1", "--delta", "0.05")
+        assert res.code == 0
+        assert json.loads(res.stdout)["shots"] == 738
 
-    def test_lcs_routes_agree(self, runner, combo_file):
-        aao = runner.invoke(main, ["lcs", "all-at-once", "--spec", combo_file])
-        lcu = runner.invoke(main, ["lcs", "lcu", "--spec", combo_file])
-        assert aao.exit_code == 0 and lcu.exit_code == 0
-        e1 = json.loads(aao.output)["expectation"][0]
-        e2 = json.loads(lcu.output)["combination_expectation"][0]
+    def test_lcs_routes_agree(self, combo_file):
+        aao = run_cli("lcs", "all-at-once", "--spec", combo_file)
+        lcu = run_cli("lcs", "lcu", "--spec", combo_file)
+        assert aao.code == 0 and lcu.code == 0
+        e1 = json.loads(aao.stdout)["expectation"][0]
+        e2 = json.loads(lcu.stdout)["combination_expectation"][0]
         assert abs(e1 - e2) < 1e-9
 
-    def test_lcs_incoherent_reports(self, runner, combo_file, tmp_path):
+    def test_lcs_incoherent_reports(self, combo_file, tmp_path):
         # also on 1-dimensional states: O = 2 is 2 times the Pauli string on
         # zero qubits, and |0.6 + 0.8i|^2 = 1
         one_dim = tmp_path / "combo1.json"
@@ -300,15 +293,13 @@ class TestCli:
             "observable": {"dims": [1, 1], "data": [[2, 0]]},
         }))
         for spec in (combo_file, str(one_dim)):
-            res = runner.invoke(
-                main, ["lcs", "incoherent", "--spec", spec, "--shots", "20000", "--seed", "2"]
-            )
-            assert res.exit_code == 0, res.output
-            payload = json.loads(res.output)
+            res = run_cli("lcs", "incoherent", "--spec", spec, "--shots", "20000", "--seed", "2")
+            assert res.code == 0, res.stderr
+            payload = json.loads(res.stdout)
             assert payload["shots"] == 20000
         assert abs(payload["analytic_mean"][0] - 2.0) < 1e-12
 
-    def test_experiment_writes_csv(self, runner, tmp_path):
+    def test_experiment_writes_csv(self, tmp_path):
         spec = tmp_path / "exp.json"
         spec.write_text(
             json.dumps(
@@ -320,25 +311,25 @@ class TestCli:
             )
         )
         out = tmp_path / "table.csv"
-        res = runner.invoke(main, ["experiment", "--spec", str(spec), "--out", str(out)])
-        assert res.exit_code == 0
+        res = run_cli("experiment", "--spec", str(spec), "--out", str(out))
+        assert res.code == 0
         lines = out.read_text().splitlines()
         assert lines[0].startswith("# {")
         assert lines[1] == "p,r,q_opt,bound_at_opt"
         assert len(lines) == 3
 
-    def test_validate(self, runner, task_file):
-        res = runner.invoke(main, ["validate", "--spec", task_file])
-        assert res.exit_code == 0
-        assert json.loads(res.output) == {"kind": "task", "stable": True}
+    def test_validate(self, task_file):
+        res = run_cli("validate", "--spec", task_file)
+        assert res.code == 0
+        assert json.loads(res.stdout) == {"kind": "task", "stable": True}
 
-    def test_schema_error_exits_2(self, runner, tmp_path):
+    def test_schema_error_exits_2(self, tmp_path):
         bad = tmp_path / "bad.json"
         bad.write_text('{"kind": "pure"}')
-        res = runner.invoke(main, ["validate", "--spec", str(bad)])
-        assert res.exit_code == 2
+        res = run_cli("validate", "--spec", str(bad))
+        assert res.code == 2
 
-    def test_numerical_precondition_exits_3(self, runner, tmp_path):
+    def test_numerical_precondition_exits_3(self, tmp_path):
         doc = {
             "states": [
                 {"dims": [2], "data": [[1.0, 0.0], [0.0, 0.0]]},
@@ -348,47 +339,47 @@ class TestCli:
         }
         path = tmp_path / "ortho.json"
         path.write_text(json.dumps(doc))
-        res = runner.invoke(main, ["lcs", "all-at-once", "--spec", str(path)])
-        assert res.exit_code == 3
+        res = run_cli("lcs", "all-at-once", "--spec", str(path))
+        assert res.code == 3
 
-    def test_roundtrip_miss_exits_3(self, runner, task_file, monkeypatch):
+    def test_roundtrip_miss_exits_3(self, task_file, monkeypatch):
         real, calls = wstate.serialize.dump_any, iter(range(2))
         monkeypatch.setattr(
             wstate.serialize, "dump_any", lambda kind, value: {**real(kind, value), "n": next(calls)}
         )
-        res = runner.invoke(main, ["validate", "--spec", task_file])
-        assert res.exit_code == 3, res.output
-        assert "fixed point" in res.output
+        res = run_cli("validate", "--spec", task_file)
+        assert res.code == 3, res.stderr
+        assert "fixed point" in res.stderr
 
-    def test_unknown_experiment_exits_2(self, runner, tmp_path):
+    def test_unknown_experiment_exits_2(self, tmp_path):
         spec = tmp_path / "exp.json"
         spec.write_text(json.dumps({"experiment": "nope"}))
-        res = runner.invoke(main, ["experiment", "--spec", str(spec)])
-        assert res.exit_code == 2
+        res = run_cli("experiment", "--spec", str(spec))
+        assert res.code == 2
 
-    def test_power_error_underflow_exits_2(self, runner, tmp_path):
+    def test_power_error_underflow_exits_2(self, tmp_path):
         # the flat family's trace is 4 * 2**(-2k): 0 in float64 from k = 538
         spec = tmp_path / "exp.json"
         spec.write_text(json.dumps({"experiment": "power-error", "params": {"n": 2, "kmax": 600}}))
-        res = runner.invoke(main, ["experiment", "--spec", str(spec)])
-        assert res.exit_code == 2, res.output
-        assert "'flat'" in res.output and "k = 538" in res.output
+        res = run_cli("experiment", "--spec", str(spec))
+        assert res.code == 2, res.stderr
+        assert "'flat'" in res.stderr and "k = 538" in res.stderr
 
-    def test_power_error_shots_beyond_int64_exit_2(self, runner, tmp_path):
+    def test_power_error_shots_beyond_int64_exit_2(self, tmp_path):
         spec = tmp_path / "exp.json"
         spec.write_text(json.dumps({"experiment": "power-error",
                                     "params": {"n": 2, "kmax": 2, "shots": 10**400}}))
-        res = runner.invoke(main, ["experiment", "--spec", str(spec)])
-        assert res.exit_code == 2, res.output
-        assert "2**63 - 1" in res.output
+        res = run_cli("experiment", "--spec", str(spec))
+        assert res.code == 2, res.stderr
+        assert "2**63 - 1" in res.stderr
 
-    def test_lincombo_variance_shots_beyond_int64_exit_2(self, runner, tmp_path):
+    def test_lincombo_variance_shots_beyond_int64_exit_2(self, tmp_path):
         spec = tmp_path / "exp.json"
         spec.write_text(json.dumps({"experiment": "lincombo-variance",
                                     "params": {"shots": 10**400}}))
-        res = runner.invoke(main, ["experiment", "--spec", str(spec)])
-        assert res.exit_code == 2, res.output
-        assert "shots must be at most 2**63 - 1" in res.output
+        res = run_cli("experiment", "--spec", str(spec))
+        assert res.code == 2, res.stderr
+        assert "shots must be at most 2**63 - 1" in res.stderr
 
     def test_power_error_qubits_beyond_layout_rule_exit_2(self, tmp_path):
         # refused before 2**n is formed; without the bound, forming it grows
@@ -406,32 +397,79 @@ class TestCli:
         assert "'expdecay': the trace underflows to 0 at k = 15336" in proc.stderr
 
     @pytest.mark.parametrize("verb", ["experiment", "validate"])
-    def test_integer_beyond_digit_limit_exits_2(self, runner, tmp_path, verb):
+    def test_integer_beyond_digit_limit_exits_2(self, tmp_path, verb):
         # json.load raises a plain ValueError, not a JSONDecodeError, for an
         # integer literal longer than int's 4,300-digit conversion limit
         spec = tmp_path / "exp.json"
         spec.write_text('{"experiment": "power-error", "params": {"n": 1' + "0" * 5000 + "}}")
-        res = runner.invoke(main, [verb, "--spec", str(spec)])
-        assert res.exit_code == 2, res.output
-        assert "not valid JSON" in res.output
+        res = run_cli(verb, "--spec", str(spec))
+        assert res.code == 2, res.stderr
+        assert "not valid JSON" in res.stderr
 
-    def test_workers_below_one_exit_2(self, runner, task_file, combo_file, tmp_path):
+    def test_workers_below_one_exit_2(self, task_file, combo_file, tmp_path):
         spec = tmp_path / "exp.json"
         spec.write_text(json.dumps({"experiment": "opt-beta-surface"}))
         for argv in (["estimate", "--spec", task_file],
                      ["lcs", "incoherent", "--spec", combo_file],
                      ["experiment", "--spec", str(spec)]):
-            res = runner.invoke(main, [*argv, "--workers", "0"])
-            assert res.exit_code == 2, (argv, res.output)
+            res = run_cli(*argv, "--workers", "0")
+            assert res.code == 2, (argv, res.stderr)
 
-    def test_power_error_rounded_ratio_is_clipped(self, runner, tmp_path):
+    @pytest.mark.parametrize("argv", [[], ["nosuch"], ["lcs"], ["lcs", "nosuch"],
+                                      ["estimate", "--sp", "x"], ["hoeffding", "--epsilon", "1"],
+                                      ["estimate", "--spec", "x", "--method", "other"]],
+                             ids=lambda argv: " ".join(argv) or "no-arguments")
+    def test_usage_error_exits_2(self, argv):
+        # options are never abbreviated: --sp is not --spec
+        res = run_cli(*argv)
+        assert res.code == 2 and res.stdout == "", res.stderr
+        assert "usage: wstate" in res.stderr
+
+    @pytest.mark.parametrize("argv", [["--help"], ["lcs", "--help"], ["estimate", "--help"]])
+    def test_help_exits_0(self, argv):
+        res = run_cli(*argv)
+        assert res.code == 0 and res.stdout.startswith("usage: wstate")
+
+    def test_version(self):
+        want = f"wstate, version {wstate.__version__}\n"
+        assert run_cli("--version") == (0, want, "")
+        proc = subprocess.run(
+            [sys.executable, "-m", "wstate.cli", "--version"], capture_output=True, text=True,
+            env=dict(os.environ, PYTHONPATH=str(pathlib.Path(wstate.__file__).parents[1])),
+        )
+        assert (proc.returncode, proc.stdout) == (0, want), proc.stderr
+
+    @pytest.mark.parametrize("verb", [["estimate"], ["variance"], ["bound"], ["lcs", "all-at-once"],
+                                      ["lcs", "incoherent"], ["lcs", "lcu"], ["experiment"],
+                                      ["validate"]], ids=" ".join)
+    @pytest.mark.parametrize("target", ["missing", "directory"])
+    def test_unreadable_spec_exits_2(self, tmp_path, verb, target):
+        # validate's io_roundtrip opens the path itself
+        path = tmp_path / "missing.json" if target == "missing" else tmp_path
+        res = run_cli(*verb, "--spec", str(path))
+        assert res.code == 2 and res.stdout == "", res.stderr
+        assert res.stderr.startswith(f"error: {path}: ")
+
+    @pytest.mark.parametrize("verb", ["hoeffding", "experiment"])
+    def test_unwritable_out_exits_2(self, tmp_path, verb):
+        spec = tmp_path / "exp.json"
+        spec.write_text(json.dumps({"experiment": "opt-beta-surface",
+                                    "params": {"p_grid": [0.5], "r_grid": [0.5]}}))
+        argv = {"hoeffding": ["hoeffding", "--epsilon", "0.1", "--delta", "0.05"],
+                "experiment": ["experiment", "--spec", str(spec)]}[verb]
+        out = tmp_path / "no-such-dir" / "result"
+        res = run_cli(*argv, "--out", str(out))
+        assert res.code == 2 and res.stdout == "", res.stderr
+        assert res.stderr.startswith(f"error: {out}: ")
+
+    def test_power_error_rounded_ratio_is_clipped(self, tmp_path):
         # at k = 1794 the expdecay ratio |psi^k_0|^2 / trace rounds to 1 + 2**-52
         spec = tmp_path / "exp.json"
         spec.write_text(json.dumps({"experiment": "power-error",
                                     "params": {"n": 2, "kmax": 1794, "families": ["expdecay"]}}))
-        res = runner.invoke(main, ["experiment", "--spec", str(spec)])
-        assert res.exit_code == 0, res.output
-        last = res.output.splitlines()[-1].split(",")
+        res = run_cli("experiment", "--spec", str(spec))
+        assert res.code == 0, res.stderr
+        last = res.stdout.splitlines()[-1].split(",")
         assert last[:2] == ["expdecay", "1794"]
         assert float(last[4]) == 0.0 and float(last[7]) == 0.0
 
@@ -515,7 +553,7 @@ def _with_value(doc, path, value):
     return out
 
 
-def test_malformed_documents_exit_0_2_or_3(runner, tmp_path):
+def test_malformed_documents_exit_0_2_or_3(tmp_path):
     """Each field of each document, replaced by each wrong-typed value, makes
     every verb that reads the document succeed or fail with a typed error:
     exit code 0, 2 or 3, never 1 with a traceback."""
@@ -526,14 +564,16 @@ def test_malformed_documents_exit_0_2_or_3(runner, tmp_path):
             for value in WRONG_VALUES:
                 spec.write_text(json.dumps(_with_value(doc, path, value)))
                 for argv in calls:
-                    res = runner.invoke(main, [*argv, "--spec", str(spec)])
-                    if res.exit_code not in (0, 2, 3):
+                    try:
+                        code = run_cli(*argv, "--spec", str(spec)).code
+                    except Exception as exc:
+                        code = type(exc).__name__
+                    if code not in (0, 2, 3):
                         field = ".".join(map(str, path))
-                        crashed.append(f"{name}.{field}={value!r} {' '.join(argv)}: "
-                                       f"{type(res.exception).__name__}")
+                        crashed.append(f"{name}.{field}={value!r} {' '.join(argv)}: {code}")
     assert crashed == []
     spec.write_text(json.dumps({"terms": [{"k": 1, "l": 0, "re": True, "im": math.nan}]}))
-    assert runner.invoke(main, ["validate", "--spec", str(spec)]).exit_code == 2
+    assert run_cli("validate", "--spec", str(spec)).code == 2
 
 
 @pytest.mark.parametrize(
@@ -547,7 +587,7 @@ def test_malformed_documents_exit_0_2_or_3(runner, tmp_path):
         [{"label": "S", "qubits": 40, "role": "S"}, {"label": "E", "dim": 2**40, "role": "E"}],
     ],
 )
-def test_huge_register_sizes_exit_2(runner, tmp_path, registers):
+def test_huge_register_sizes_exit_2(tmp_path, registers):
     """A register size or layout dimension of 2**63 or more is a schema
     error raised before any power or product of it, so it exits 2 at once."""
     doc, calls = MALFORMED_CORPUS["task"]
@@ -555,13 +595,13 @@ def test_huge_register_sizes_exit_2(runner, tmp_path, registers):
     spec = tmp_path / "doc.json"
     spec.write_text(json.dumps(doc))
     for argv in calls:
-        res = runner.invoke(main, [*argv, "--spec", str(spec)])
-        assert res.exit_code == 2, (argv, res.output)
-        assert "2**63" in res.output, res.output
+        res = run_cli(*argv, "--spec", str(spec))
+        assert res.code == 2, (argv, res.stderr)
+        assert "2**63" in res.stderr, res.stderr
 
 
 @pytest.mark.parametrize("entry", [2**70, 10**400], ids=["2**70", "10**400"])
-def test_huge_permutation_entries_exit_2(runner, tmp_path, entry):
+def test_huge_permutation_entries_exit_2(tmp_path, entry):
     """A permutation entry too large for int64 is a schema error raised
     before the conversion, so every verb that reads the task exits 2."""
     doc, calls = MALFORMED_CORPUS["task"]
@@ -569,9 +609,9 @@ def test_huge_permutation_entries_exit_2(runner, tmp_path, entry):
     spec = tmp_path / "doc.json"
     spec.write_text(json.dumps(doc))
     for argv in calls:
-        res = runner.invoke(main, [*argv, "--spec", str(spec)])
-        assert res.exit_code == 2, (argv, res.output)
-        assert "unitary.permutation" in res.output, res.output
+        res = run_cli(*argv, "--spec", str(spec))
+        assert res.code == 2, (argv, res.stderr)
+        assert "unitary.permutation" in res.stderr, res.stderr
 
 
 def test_library_raises_only_typed_errors():
@@ -612,19 +652,10 @@ def test_operator_forms_chosen_only_in_tensor():
     assert {name for _, name in found} <= {"form", "compose"}
 
 
-def _is_click_command(node) -> bool:
-    return any(
-        isinstance(dec, ast.Call)
-        and isinstance(dec.func, ast.Attribute)
-        and dec.func.attr in ("command", "group")
-        for dec in node.decorator_list
-    )
-
-
 def test_library_holds_no_test_only_code():
     """Every top-level function and class in library code is used by the
     library or exported from the package, so none exists only for tests.
-    Click commands are entry points and exempt."""
+    The command line's verb table names every verb function."""
     src = pathlib.Path(wstate.__file__).parent
     trees = {path.name: ast.parse(path.read_text()) for path in sorted(src.glob("*.py"))}
     del trees["__init__.py"]
@@ -638,7 +669,6 @@ def test_library_holds_no_test_only_code():
         for node in tree.body
         if isinstance(node, (ast.FunctionDef, ast.ClassDef))
         and node.name not in used | exported
-        and not _is_click_command(node)
     ]
     assert found == []
 
@@ -693,7 +723,10 @@ def test_verb_loads_only_its_modules(verb, task_file):
     loaded = _fresh(
         "import json, sys\n"
         "from wstate.cli import main\n"
-        "main.main(args=sys.argv[1:], prog_name='wstate', standalone_mode=False)\n"
+        "try:\n"
+        "    main(sys.argv[1:])\n"
+        "except SystemExit:\n"
+        "    pass\n"
         f"print(json.dumps({_LOADED}))",
         *argv,
     )
@@ -701,10 +734,10 @@ def test_verb_loads_only_its_modules(verb, task_file):
     assert not {"wstate.experiments", "wstate.lcs", "wstate.subroutines"} & set(loaded)
 
 
-def test_estimate_and_incoherent_run_without_scipy(runner, task_file, combo_file, monkeypatch):
+def test_estimate_and_incoherent_run_without_scipy(task_file, combo_file, monkeypatch):
     for name in {m for m in sys.modules if m.split(".")[0] == "scipy"} | {"scipy"}:
         monkeypatch.setitem(sys.modules, name, None)
-    est = runner.invoke(main, ["estimate", "--spec", task_file, "--shots", "1000"])
-    assert est.exit_code == 0, est.output
-    inc = runner.invoke(main, ["lcs", "incoherent", "--spec", combo_file, "--shots", "1000"])
-    assert inc.exit_code == 0, inc.output
+    est = run_cli("estimate", "--spec", task_file, "--shots", "1000")
+    assert est.code == 0, est.stderr
+    inc = run_cli("lcs", "incoherent", "--spec", combo_file, "--shots", "1000")
+    assert inc.code == 0, inc.stderr

@@ -416,18 +416,29 @@ def test_n7_sampling_path_stays_small(rng, kind):
 
 @pytest.mark.parametrize("kind", ["gqt", "teleport"])
 def test_n6_exact_path_holds_one_ket(rng, kind):
-    # the evolution writes one (S, G r, E) array of d^3 entries and the
-    # contraction adds one block of the bra, not a copy of it
+    # an ancilla that is no basis vector takes the array path: the evolution
+    # writes one (S, G r, E) array of d^3 entries and the contraction adds
+    # one block of the bra, not a copy of it
     n, d = 6, 2**6
-    maps = [(_complex(rng, d), _complex(rng, d))]
+    (j, k), = maps = [(_complex(rng, d), _complex(rng, d))]
     inst = build_gqt_instrument(n) if kind == "gqt" else build_teleport_instrument(n, maps)
+    sigma = rand_state(rng, d)
+    inst = replace(inst, ancilla=QuantumState(inst.ancilla.layout, vector=sigma))
     a, b = rand_state(rng, d), rand_state(rng, d)
     inputs = [QuantumState.pure(a), QuantumState.pure(b)]
     tau, peak = _traced_peak(lambda: apply_exact(inst, inputs).matrix)
     assert peak <= 1.3 * d**3 * 16
-    ra, rb = np.outer(a, a.conj()), np.outer(b, b.conj())
-    want = gqt(ra, rb) if kind == "gqt" else teleport_map(rb, maps, ra)
-    assert np.abs(tau - want).max() <= 1e-10 * max(1.0, np.abs(want).max())
+    x = np.arange(d)
+    if kind == "gqt":
+        # ket[s, e1, e2] = a[s] sigma[e1 ^ s] b[e2], M the SWAP of E1 and E2
+        amp = a * (sigma[x[None, :] ^ x[:, None]] @ b.conj())
+        want = np.outer(amp, amp.conj())
+    else:
+        # ket[(a, b), c] = alpha[a] beta[b] sigma[c ^ b], M = u v^dag on (A, B)
+        psi = np.einsum("a,bc->abc", a, b[:, None] * sigma[x[None, :] ^ x[:, None]]).reshape(d * d, d)
+        u, v = j.ravel(), k.T.ravel().conj() / d
+        want = np.outer(psi.T @ v.conj(), (psi.T @ u.conj()).conj())
+    assert np.abs(tau - want).max() <= 1e-12 * np.abs(want).max()
 
 
 @pytest.mark.parametrize("kind", ["gqt", "teleport"])
