@@ -163,7 +163,7 @@ def validate(spec):
     """Parse a document and check it reserializes to a fixed point."""
     from .serialize import io_roundtrip
 
-    return io_roundtrip(spec)
+    return io_roundtrip(_load_spec(spec))
 
 
 def positive_int(text: str) -> int:

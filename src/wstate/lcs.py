@@ -25,7 +25,6 @@ from .errors import (
     DimensionMismatch,
     FullyDestructive,
     InvalidState,
-    NotUnitary,
     ValidationError,
     VanishingOverlapProduct,
     ZeroBeta,
@@ -44,16 +43,14 @@ from .tensor import (
     RegisterLayout,
     _PAULIS,
     _eigenbasis,
-    _pauli_string,
     asarray,
+    check_unitary,
     combine_digits,
     norm_scale,
     register_digits,
-    unitarity_residual,
 )
 
 OVERLAP_FLOOR = 1e-9
-GRAM_PSD_TOL = 1e-9
 
 
 @dataclass(frozen=True)
@@ -90,15 +87,12 @@ class LcsProblem:
             if len(us) != len(states):
                 raise DimensionMismatch("one preparation unitary per state")
             for u, s in zip(us, states):
-                if unitarity_residual(u) > 1e-10:
-                    raise ValidationError("preparation matrix is not unitary")
+                check_unitary(u, "a preparation matrix")
                 if float(np.abs(u[:, 0] - s).max()) > 1e-10:
                     raise ValidationError("unitary does not prepare its state from |0>")
             object.__setattr__(self, "unitaries", us)
         mat = np.array(states)
         gram = mat.conj() @ mat.T
-        if float(np.linalg.eigvalsh((gram + gram.conj().T) / 2).min()) < -GRAM_PSD_TOL:
-            raise ValidationError("gram matrix is not positive semidefinite")
         object.__setattr__(self, "states", states)
         object.__setattr__(self, "alphas", alphas)
         object.__setattr__(self, "gram", gram)
@@ -225,55 +219,49 @@ def all_at_once_apply(problem: LcsProblem, beta=None, permutations=None) -> Weig
 # observable decompositions
 
 
+def _pauli_coefficients(a: np.ndarray) -> np.ndarray:
+    """Tr(P a) / d for every Pauli word P on a 2^n x 2^n array a, word w at
+    its base-4 index ("IXYZ" as digits, itertools.product order): each
+    qubit's row and column index of a meet the Pauli table, last qubit first
+    (Hantzko, Binkowski and Gupta, arXiv:2310.13421), with no Pauli string."""
+    d = a.shape[0]
+    n = d.bit_length() - 1
+    # Tr(P a) = sum_{i,j} prod_k P_k[j_k, i_k] a[i, j]: the table's (column,
+    # row) axes meet qubit k's (row, column) axes of a
+    t = a.reshape((2,) * (2 * n))
+    for _ in range(n):
+        t = np.tensordot(_PAULIS, t, axes=([2, 1], [n - 1, t.ndim - 1]))
+    return t.reshape(-1) / d
+
+
 @dataclass(frozen=True)
 class PauliDecomposition:
-    """O = sum_i eta_i U_i with unitary (Pauli-string) terms."""
+    """O = sum_i eta_i P_i, derived from the target O: terms holds the
+    (eta, word) pairs with |eta| above 1e-12 * norm_scale(O), a word being a
+    string over "IXYZ" whose first letter acts on the most significant qubit,
+    in itertools.product("IXYZ") order."""
 
-    terms: tuple
     target: np.ndarray
+    terms: tuple = field(init=False)
 
     def __post_init__(self):
         t = asarray(self.target, square=True)
-        terms = tuple((complex(c), asarray(u, square=True)) for c, u in self.terms)
-        if not terms:
+        d = t.shape[0]
+        if d < 1 or d & (d - 1):
+            raise DimensionMismatch("Pauli expansion needs a 2^n-dimensional observable")
+        eta = _pauli_coefficients(t)
+        keep = np.abs(eta) > 1e-12 * norm_scale(t)
+        if not keep.any():
             raise ValidationError("decomposition needs at least one term")
-        acc = np.zeros_like(t)
-        for c, u in terms:
-            if u.shape != t.shape:
-                raise DimensionMismatch("term dimension differs from the target")
-            if unitarity_residual(u) > 1e-10:
-                raise ValidationError("decomposition terms must be unitary")
-            acc = acc + c * u
-        if float(np.abs(acc - t).max()) > 1e-10 * norm_scale(t):
-            raise ValidationError("terms do not reconstruct the target observable")
+        words = itertools.compress(itertools.product("IXYZ", repeat=d.bit_length() - 1), keep)
+        terms = tuple((complex(c), "".join(w)) for c, w in zip(eta[keep], words))
         object.__setattr__(self, "terms", terms)
         object.__setattr__(self, "target", t)
 
 
 def pauli_decompose(obs) -> PauliDecomposition:
-    """Expand a qubit observable in the Pauli-string basis, dropping
-    coefficients below 1e-12 * norm_scale(obs).
-
-    Contracting each qubit's row and column index of O with the Pauli table,
-    last qubit first (Hantzko, Binkowski and Gupta, arXiv:2310.13421), gives
-    every eta_P = Tr(P O) / d in itertools.product("IXYZ") order. Only kept
-    coefficients get a dense Pauli string.
-    """
-    o = asarray(obs, square=True)
-    d = o.shape[0]
-    n = int(round(math.log2(d)))
-    if 2**n != d:
-        raise DimensionMismatch("Pauli expansion needs a 2^n-dimensional observable")
-    # Tr(P O) = sum_{i,j} prod_k P_k[j_k, i_k] O[i, j]: the table's (column,
-    # row) axes meet qubit k's (row, column) axes of O
-    t = o.reshape((2,) * (2 * n))
-    for _ in range(n):
-        t = np.tensordot(_PAULIS, t, axes=([2, 1], [n - 1, t.ndim - 1]))
-    eta = t.reshape(-1) / d
-    keep = np.abs(eta) > 1e-12 * norm_scale(o)
-    labels = itertools.compress(itertools.product("IXYZ", repeat=n), keep)
-    terms = tuple((c, _pauli_string(p)) for c, p in zip(eta[keep], labels))
-    return PauliDecomposition(terms, o)
+    """The Pauli-word expansion of a qubit observable (PauliDecomposition)."""
+    return PauliDecomposition(obs)
 
 
 # ---------------------------------------------------------------------------
@@ -304,15 +292,15 @@ def _incoherent_circuits(problem: LcsProblem, v, obs_decomposition: PauliDecompo
     circuit c, whose exact per-shot law is (values, probabilities).
 
     With psi_l = V phi_l, diagonal terms measure O in its own eigenbasis on
-    psi_l; cross terms estimate Re/Im <psi_l'|U_i|psi_l> with a Hadamard test
-    per decomposition term. V must be unitary (None is the identity).
+    psi_l; cross terms estimate Re/Im <psi_l'|P_i|psi_l> with a Hadamard test
+    per kept word P_i. All words of a pair come from one transform of
+    |psi_l><psi_l'|. V must be unitary (None is the identity).
     """
     o = _check_hermitian_obs(obs_decomposition.target)
     psi = np.array(problem.states)
     if v is not None:
         v = asarray(v, square=True)
-        if unitarity_residual(v) > 1e-10:
-            raise NotUnitary("the processing circuit must be unitary")
+        check_unitary(v, "the processing circuit")
         psi = psi @ v.T
     o_vals, o_vecs, o_labels = _eigenbasis(o, True)
     o_norm = float(np.abs(o_vals).max())
@@ -323,10 +311,13 @@ def _incoherent_circuits(problem: LcsProblem, v, obs_decomposition: PauliDecompo
         probs = np.zeros(len(o_vals))
         np.add.at(probs, o_labels, np.abs(o_vecs.conj().T @ s) ** 2)
         circuits.append((abs(a) ** 2, o_norm**2, o_vals.real, probs))
+    digits = str.maketrans("IXYZ", "0123")
+    kept = [int("0" + word.translate(digits), 4) for _, word in obs_decomposition.terms]
     for l, lp in itertools.combinations(range(problem.count), 2):
         cross = alphas[l] * np.conj(alphas[lp])
-        for eta, u in obs_decomposition.terms:
-            z = complex(np.vdot(psi[lp], u @ psi[l]))
+        # <psi_l'|P|psi_l> = Tr(P |psi_l><psi_l'|)
+        zs = psi.shape[1] * _pauli_coefficients(np.outer(psi[l], psi[lp].conj()))[kept]
+        for (eta, _), z in zip(obs_decomposition.terms, zs):
             w = cross * eta
             for pref, target in ((2.0 * w.real, z.real), (-2.0 * w.imag, z.imag)):
                 if pref != 0:

@@ -139,6 +139,13 @@ def unitarity_residual(m) -> float:
     return float(np.max(np.abs(a.conj().T @ a - np.eye(a.shape[0]))))
 
 
+def check_unitary(m, what: str) -> None:
+    """Raise NotUnitary, naming m as what, if |m^dag m - I| > NORMALITY_TOL anywhere."""
+    res = unitarity_residual(m)
+    if res > NORMALITY_TOL:
+        raise NotUnitary(f"{what} is not unitary: U^dag U deviates from identity by {res:.3e}")
+
+
 def norm_scale(m) -> float:
     """Largest |entry| of a dense matrix; 0 for the zero matrix.
 
@@ -323,9 +330,7 @@ class DenseOperator:
         d = layout.total_dim
         if u.shape != (d, d):
             raise DimensionMismatch(f"unitary shape {u.shape} vs layout dim {d}")
-        res = unitarity_residual(u)
-        if res > NORMALITY_TOL:
-            raise NotUnitary(f"U^dag U deviates from identity by {res:.3e}")
+        check_unitary(u, "U")
         return u
 
     def preimage_indices(self, layout: RegisterLayout, groups) -> list[np.ndarray]:

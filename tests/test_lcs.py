@@ -1,10 +1,10 @@
+import itertools
 import math
 import tracemalloc
 
 import numpy as np
 import pytest
 
-import wstate.lcs
 from wstate.errors import (
     DimensionMismatch,
     FullyDestructive,
@@ -16,6 +16,8 @@ from wstate.instrument import QuantumState, apply_exact, expectation
 from wstate.lcs import (
     LcsProblem,
     PauliDecomposition,
+    _incoherent_circuits,
+    _pauli_coefficients,
     all_at_once_M,
     all_at_once_apply,
     build_all_at_once_instrument,
@@ -142,35 +144,69 @@ class TestPauliDecomposition:
     def test_reconstructs_observable(self, rng):
         obs = rand_hermitian(rng, 4)
         dec = pauli_decompose(obs)
-        acc = sum(c * u for c, u in dec.terms)
+        acc = sum(c * _pauli_string(word) for c, word in dec.terms)
         assert np.abs(acc - obs).max() < 1e-10
-        # tolerances follow the scale of O: 2^k O keeps every term and
+        # tolerances follow the scale of O: 2^k O keeps every word and
         # scales every coefficient by 2^k
+        words = [word for _, word in dec.terms]
         for k in range(-40, 41):
             scaled = pauli_decompose(2.0**k * obs)
-            assert len(scaled.terms) == len(dec.terms)
-            for (c, u), (c0, u0) in zip(scaled.terms, dec.terms):
-                assert np.array_equal(u, u0)
+            assert [word for _, word in scaled.terms] == words
+            for (c, _), (c0, _) in zip(scaled.terms, dec.terms):
                 assert abs(c - 2.0**k * c0) <= 1e-15 * abs(2.0**k * c0)
 
-    def test_sparse_observable_has_few_terms(self, monkeypatch):
-        # a dense string is built for a kept coefficient only
-        built = []
-        monkeypatch.setattr(
-            wstate.lcs, "_pauli_string", lambda labels: built.append(labels) or _pauli_string(labels)
-        )
+    def test_sparse_observable_has_few_terms(self):
         z = np.diag([1.0, -1.0]).astype(complex)
         dec = pauli_decompose(np.kron(z, z))
-        assert len(dec.terms) == 1
-        assert built == [("Z", "Z")]
+        assert [word for _, word in dec.terms] == ["ZZ"]
+
+    def test_one_dimensional_observable_has_the_empty_word(self):
+        dec = PauliDecomposition(np.array([[2.0]]))
+        assert dec.terms == ((2.0, ""),)
+        prob = LcsProblem.from_states([np.array([1.0]), np.array([1j])], [0.6, 0.8])
+        rep = incoherent_estimate(prob, None, dec, shots=1000, seed=1)
+        assert abs(rep.analytic_mean - 2.0) < 1e-12
+        assert abs(rep.sample_mean - rep.analytic_mean) < 6 * rep.standard_error
 
     def test_non_power_of_two_rejected(self):
         with pytest.raises(DimensionMismatch):
             pauli_decompose(np.eye(3))
 
-    def test_terms_must_reconstruct(self, rng):
-        with pytest.raises(ValidationError):
-            PauliDecomposition(((1.0, np.eye(2)),), np.diag([1.0, -1.0]))
+    @pytest.mark.parametrize("n", range(4))
+    def test_coefficients_are_dense_traces(self, rng, n):
+        # non-Hermitian a, as the incoherent route transforms |psi_l><psi_l'|
+        d = 2**n
+        a = rng.normal(size=(d, d)) + 1j * rng.normal(size=(d, d))
+        eta = _pauli_coefficients(a)
+        words = list(itertools.product("IXYZ", repeat=n))
+        assert eta.shape == (len(words),)
+        for i, word in enumerate(words):
+            want = np.trace(_pauli_string(word) @ a) / d
+            assert abs(eta[i] - want) < 1e-12 * np.abs(a).max()
+
+    def test_decomposition_holds_no_dense_strings(self, rng):
+        # n = 6: 4,096 dense 64 x 64 strings would take 256 MiB
+        obs = rand_hermitian(rng, 64)
+        tracemalloc.start()
+        try:
+            dec = pauli_decompose(obs)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak <= 4 * 2**20
+        assert len(dec.terms) == 4**6
+
+    def test_circuit_means_sum_to_exact_value(self, rng):
+        # every cross term's word is read at its own index of the transform
+        prob = LcsProblem.from_states(
+            [rand_state(rng, 8) for _ in range(3)], [0.5, -0.3 + 0.2j, 0.4j]
+        )
+        z = np.diag([1.0, -1.0])
+        obs = np.kron(np.kron(z, np.eye(2)), z) + 0.3 * rand_hermitian(rng, 8)
+        v = rand_unitary(rng, 8)
+        circuits = _incoherent_circuits(prob, v, pauli_decompose(obs))
+        total = sum(pref * float(np.dot(values, probs)) for pref, _, values, probs in circuits)
+        assert abs(total - incoherent_exact(prob, v, obs)) < 1e-10
 
 
 class TestIncoherent:

@@ -342,6 +342,27 @@ class TestCli:
         res = run_cli("lcs", "all-at-once", "--spec", str(path))
         assert res.code == 3
 
+    def test_non_unitary_preparation_matrix_exits_3(self, tmp_path):
+        # as a non-unitary instrument U or processing V does
+        def prep(*diag):
+            data = [[float(diag[i]) if i == j else 0.0, 0.0] for i in range(2) for j in range(2)]
+            return {"unitary": {"dims": [2, 2], "data": data}, "prepares_from_zero": True}
+
+        path = tmp_path / "prep.json"
+        path.write_text(json.dumps({"states": [prep(1, 2), prep(1, 1)],
+                                    "alphas": [[0.6, 0.0], [0.8, 0.0]]}))
+        res = run_cli("lcs", "lcu", "--spec", str(path))
+        assert res.code == 3, res.stderr
+        assert "preparation matrix is not unitary" in res.stderr
+
+    def test_invalid_json_error_names_the_path(self, tmp_path):
+        path = tmp_path / "open.json"
+        path.write_text("{")
+        for verb in ("validate", "estimate"):
+            res = run_cli(verb, "--spec", str(path))
+            assert res.code == 2 and res.stdout == "", res.stderr
+            assert res.stderr.startswith(f"error: {path}: not valid JSON"), res.stderr
+
     def test_roundtrip_miss_exits_3(self, task_file, monkeypatch):
         real, calls = wstate.serialize.dump_any, iter(range(2))
         monkeypatch.setattr(
@@ -444,7 +465,7 @@ class TestCli:
                                       ["validate"]], ids=" ".join)
     @pytest.mark.parametrize("target", ["missing", "directory"])
     def test_unreadable_spec_exits_2(self, tmp_path, verb, target):
-        # validate's io_roundtrip opens the path itself
+        # every verb, validate too, reads its spec through the same reader
         path = tmp_path / "missing.json" if target == "missing" else tmp_path
         res = run_cli(*verb, "--spec", str(path))
         assert res.code == 2 and res.stdout == "", res.stderr
@@ -473,11 +494,9 @@ class TestCli:
         assert last[:2] == ["expdecay", "1794"]
         assert float(last[4]) == 0.0 and float(last[7]) == 0.0
 
-    def test_io_roundtrip_function(self, tmp_path, rng):
-        inst = build_gqt_instrument(1)
-        path = tmp_path / "inst.json"
-        path.write_text(json.dumps(instrument_to_json(inst)))
-        assert io_roundtrip(str(path)) == {"kind": "instrument", "stable": True}
+    def test_io_roundtrip_function(self):
+        doc = json.loads(json.dumps(instrument_to_json(build_gqt_instrument(1))))
+        assert io_roundtrip(doc) == {"kind": "instrument", "stable": True}
 
 
 MALFORMED_CORPUS = {
