@@ -19,7 +19,7 @@ import sys
 import numpy as np
 
 from . import __version__
-from .errors import NumericalPreconditionError, SchemaError, ValidationError
+from .errors import NumericalPreconditionError, ValidationError
 
 
 def _load_spec(path: str) -> dict:
@@ -87,62 +87,43 @@ def hoeffding(epsilon, delta, obs_norm, m_norm):
     return {"epsilon": epsilon, "delta": delta, "shots": shots}
 
 
-def _combo_doc(spec):
-    from .serialize import lcs_from_json
-    from .tensor import matrix_from_json
-
-    doc = _load_spec(spec)
-    problem = lcs_from_json(doc, "combination")
-    obs = None
-    if "observable" in doc:
-        obs = matrix_from_json(doc["observable"], "combination.observable")
-    return doc, problem, obs
-
-
 def lcs_all_at_once(spec):
     """Exact weighted state (and expectation, if an observable is given)."""
     from .instrument import expectation
     from .lcs import all_at_once_apply
-    from .tensor import complex_from_json, matrix_to_json
+    from .serialize import lcs_from_json
+    from .tensor import matrix_to_json
 
-    doc, problem, obs = _combo_doc(spec)
-    beta = None
-    if "beta" in doc:
-        pairs = doc["beta"]
-        if not isinstance(pairs, list):
-            raise SchemaError("combination.beta", "must be a list of [re, im] pairs")
-        beta = np.array([complex_from_json(p, f"combination.beta[{i}]")
-                         for i, p in enumerate(pairs)])
-    tau = all_at_once_apply(problem, beta)
+    combo = lcs_from_json(_load_spec(spec))
+    tau = all_at_once_apply(combo.problem, combo.beta)
     payload = {"weighted_state": matrix_to_json(tau.matrix), "trace": _pair(tau.trace)}
-    if obs is not None:
-        payload["expectation"] = _pair(expectation(tau, obs))
+    if combo.observable is not None:
+        payload["expectation"] = _pair(expectation(tau, combo.observable))
     return payload
 
 
 def lcs_incoherent(spec, shots, seed, workers):
     """Term-by-term estimate of the combination expectation value."""
     from .lcs import incoherent_estimate, pauli_decompose
-    from .tensor import matrix_from_json
+    from .serialize import lcs_from_json
 
-    doc, problem, obs = _combo_doc(spec)
-    if obs is None:
+    combo = lcs_from_json(_load_spec(spec))
+    if combo.observable is None:
         raise ValidationError("incoherent estimation needs an 'observable' entry")
-    v = None
-    if "processing" in doc:
-        v = matrix_from_json(doc["processing"], "combination.processing")
-    return incoherent_estimate(problem, v, pauli_decompose(obs), shots, seed).to_json()
+    return incoherent_estimate(combo.problem, combo.processing, pauli_decompose(combo.observable),
+                               shots, seed).to_json()
 
 
 def lcs_lcu(spec):
     """Postselected coherent preparation of the combination."""
     from .lcs import lcu_prepare
+    from .serialize import lcs_from_json
 
-    doc, problem, obs = _combo_doc(spec)
-    result = lcu_prepare(problem)
+    combo = lcs_from_json(_load_spec(spec))
+    result = lcu_prepare(combo.problem)
     payload = result.to_json()
-    if obs is not None:
-        val = complex(np.vdot(result.state, obs @ result.state))
+    if combo.observable is not None:
+        val = complex(np.vdot(result.state, combo.observable @ result.state))
         payload["normalized_expectation"] = _pair(val)
         payload["combination_expectation"] = _pair(result.norm**2 * val)
     return payload

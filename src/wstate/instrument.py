@@ -103,17 +103,17 @@ class QuantumState:
             object.__setattr__(self, "density", m)
 
     @staticmethod
-    def pure(vec, layout: RegisterLayout | None = None, label: str = "R") -> "QuantumState":
+    def pure(vec, layout: RegisterLayout | None = None) -> "QuantumState":
         v = asarray(vec)
         if layout is None:
-            layout = RegisterLayout.of(Register(label, v.shape[0]))
+            layout = RegisterLayout.of(Register("R", v.shape[0]))
         return QuantumState(layout, vector=v)
 
     @staticmethod
-    def from_density(mat, layout: RegisterLayout | None = None, label: str = "R") -> "QuantumState":
+    def from_density(mat, layout: RegisterLayout | None = None) -> "QuantumState":
         m = asarray(mat, square=True)
         if layout is None:
-            layout = RegisterLayout.of(Register(label, m.shape[0]))
+            layout = RegisterLayout.of(Register("R", m.shape[0]))
         return QuantumState(layout, density=m)
 
     @property
@@ -530,17 +530,17 @@ def evolve(inst: QuantumInstrument, inputs) -> Evolved:
 
 def _basis_entry(piece, dims):
     """(digits, amplitude) of an ancilla piece that is one computational
-    basis vector: its registers' digits at the one nonzero entry, by
-    position, and that entry; None for any other piece."""
+    basis vector: the digits of the one nonzero entry of its ket, viewed as
+    a grid over its registers, by position, and that entry; None for any
+    other piece."""
     (ket, bra), pos = piece
-    nonzero = np.flatnonzero(ket) if ket is bra and ket.shape[1] == 1 else ()
-    if len(nonzero) != 1:
+    if ket is not bra or ket.shape[1] != 1:
         return None
-    i, digits = int(nonzero[0]), {}
-    amplitude = complex(ket[i, 0])
-    for p in reversed(pos):
-        i, digits[p] = divmod(i, dims[p])
-    return digits, amplitude
+    grid = ket.reshape([dims[p] for p in pos])
+    digits = np.nonzero(grid)
+    if len(digits[0]) != 1:
+        return None
+    return {p: int(d[0]) for p, d in zip(pos, digits)}, complex(grid[digits][0])
 
 
 def _evolve(inst: QuantumInstrument, pieces) -> Evolved:

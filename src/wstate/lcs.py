@@ -132,19 +132,7 @@ def default_permutations(count: int) -> tuple[tuple[int, ...], ...]:
     )
 
 
-def _check_permutations(perms, count: int):
-    if len(perms) != count:
-        raise ValidationError(f"need {count} permutations, got {len(perms)}")
-    for l, p in enumerate(perms):
-        if sorted(p) != list(range(count)):
-            raise ValidationError(f"branch {l}: {p} is not a permutation")
-        if p[0] != l:
-            raise ValidationError(
-                f"branch {l}: permutation must place state {l} on the output register"
-            )
-
-
-def all_at_once_M(problem: LcsProblem, beta, permutations=None) -> MeasurementOperator:
+def all_at_once_M(problem: LcsProblem, beta) -> MeasurementOperator:
     """Hermitian ancilla measurement undoing the branch overlap products.
 
     M[l', l] = alpha_l alpha_l'^* / (beta_l beta_l'^* prod_{k>=1}
@@ -157,10 +145,7 @@ def all_at_once_M(problem: LcsProblem, beta, permutations=None) -> MeasurementOp
         raise DimensionMismatch("one ancilla amplitude per state")
     if float(np.abs(b).min()) < 1e-12:
         raise ZeroBeta("all ancilla amplitudes must be nonzero")
-    perms = default_permutations(count) if permutations is None else tuple(
-        tuple(p) for p in permutations
-    )
-    _check_permutations(perms, count)
+    perms = default_permutations(count)
     alphas = problem.alphas
     gram = problem.gram
     m = np.zeros((count, count), dtype=np.complex128)
@@ -178,17 +163,13 @@ def all_at_once_M(problem: LcsProblem, beta, permutations=None) -> MeasurementOp
     return MeasurementOperator(m, "hermitian")
 
 
-def build_all_at_once_instrument(
-    problem: LcsProblem, beta, permutations=None
-) -> QuantumInstrument:
+def build_all_at_once_instrument(problem: LcsProblem, beta) -> QuantumInstrument:
     """Ancilla-controlled register permutation with the overlap-compensating
     ancilla measurement; applying it to (phi_0, ..., phi_L) yields
     |Phi><Phi| exactly."""
     count, d = problem.count, problem.dim
-    meas = all_at_once_M(problem, beta, permutations)
-    perms = default_permutations(count) if permutations is None else tuple(
-        tuple(p) for p in permutations
-    )
+    meas = all_at_once_M(problem, beta)
+    perms = default_permutations(count)
     regs = [Register("A", count, role="E", source="ancilla")]
     regs.append(Register("R0", d, role="S", source="input"))
     regs.extend(
@@ -207,11 +188,11 @@ def build_all_at_once_instrument(
     )
 
 
-def all_at_once_apply(problem: LcsProblem, beta=None, permutations=None) -> WeightedState:
+def all_at_once_apply(problem: LcsProblem, beta=None) -> WeightedState:
     """Exact weighted output |Phi><Phi| of the all-at-once instrument."""
     if beta is None:
         beta = np.full(problem.count, 1.0 / math.sqrt(problem.count))
-    inst = build_all_at_once_instrument(problem, beta, permutations)
+    inst = build_all_at_once_instrument(problem, beta)
     return apply_exact(inst, [QuantumState.pure(s) for s in problem.states])
 
 

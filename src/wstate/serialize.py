@@ -304,7 +304,20 @@ def polyspec_from_json(obj, field_path: str = "polynomial") -> PolySpec:
         raise SchemaError(f"{field_path}.terms", str(exc)) from exc
 
 
-def lcs_to_json(problem: LcsProblem) -> dict:
+@dataclass(frozen=True)
+class Combination:
+    """A combination document: its states and coefficients, and the
+    observable, ancilla amplitudes beta and processing unitary it may give
+    (None when absent)."""
+
+    problem: LcsProblem
+    observable: np.ndarray | None = None
+    beta: np.ndarray | None = None
+    processing: np.ndarray | None = None
+
+
+def lcs_to_json(combo: Combination) -> dict:
+    problem = combo.problem
     if problem.unitaries is not None:
         states = [
             {"unitary": matrix_to_json(u), "prepares_from_zero": True}
@@ -312,13 +325,19 @@ def lcs_to_json(problem: LcsProblem) -> dict:
         ]
     else:
         states = [vector_to_json(s) for s in problem.states]
-    return {
-        "states": states,
-        "alphas": [[float(a.real), float(a.imag)] for a in problem.alphas],
-    }
+    out = {"states": states, "alphas": [[float(a.real), float(a.imag)] for a in problem.alphas]}
+    if combo.observable is not None:
+        out["observable"] = matrix_to_json(combo.observable)
+    if combo.beta is not None:
+        out["beta"] = [[float(b.real), float(b.imag)] for b in combo.beta]
+    if combo.processing is not None:
+        out["processing"] = matrix_to_json(combo.processing)
+    return out
 
 
-def lcs_from_json(obj, field_path: str = "combination") -> LcsProblem:
+def lcs_from_json(obj, field_path: str = "combination") -> Combination:
+    """The whole combination document, its optional fields checked against
+    its states: observable and processing d x d, one beta entry per state."""
     from .lcs import LcsProblem
 
     obj = _require_dict(obj, field_path)
@@ -339,11 +358,29 @@ def lcs_from_json(obj, field_path: str = "combination") -> LcsProblem:
                 _require(ej.get("prepares_from_zero") is True, f"{loc}.prepares_from_zero",
                          "must be true")
                 us.append(matrix_from_json(ej["unitary"], f"{loc}.unitary"))
-            return LcsProblem.from_unitaries(us, alphas)
-        vecs = [vector_from_json(e, f"{field_path}.states[{i}]") for i, e in enumerate(sj)]
-        return LcsProblem.from_states(vecs, alphas)
+            problem = LcsProblem.from_unitaries(us, alphas)
+        else:
+            vecs = [vector_from_json(e, f"{field_path}.states[{i}]") for i, e in enumerate(sj)]
+            problem = LcsProblem.from_states(vecs, alphas)
     except ValidationError as exc:
         raise SchemaError(field_path, str(exc)) from exc
+    d = problem.dim
+
+    def square(key):
+        if key not in obj:
+            return None
+        m = matrix_from_json(obj[key], f"{field_path}.{key}")
+        _require(m.shape == (d, d), f"{field_path}.{key}", f"must be {d}x{d} like the states")
+        return m
+
+    observable, beta = square("observable"), None
+    if "beta" in obj:
+        pairs = obj["beta"]
+        _require(isinstance(pairs, list) and len(pairs) == len(sj), f"{field_path}.beta",
+                 "must be one [re, im] pair per state")
+        beta = np.array([complex_from_json(p, f"{field_path}.beta[{i}]")
+                         for i, p in enumerate(pairs)])
+    return Combination(problem, observable, beta, square("processing"))
 
 
 def experiment_spec_from_json(obj, field_path: str = "spec") -> dict:

@@ -369,7 +369,7 @@ def build_lincombo_instrument(alpha0, alpha1, beta, psi0, psi1) -> QuantumInstru
     )
     m = lincombo_pair_M(alpha0, alpha1, beta, gram)
     b = asarray(beta)
-    sigma = QuantumState.pure(b / np.linalg.norm(b), label="C")
+    sigma = QuantumState.pure(b / np.linalg.norm(b))
     return build_qsp_instrument(sigma, m, n)
 
 

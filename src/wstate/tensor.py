@@ -78,31 +78,25 @@ class RegisterLayout:
     registers: tuple[Register, ...]
 
     def __post_init__(self):
-        labels = [r.label for r in self.registers]
+        labels = tuple(r.label for r in self.registers)
         if len(set(labels)) != len(labels):
-            raise ValidationError(f"duplicate register labels in {labels}")
+            raise ValidationError(f"duplicate register labels in {list(labels)}")
+        # read many times per evaluation, so derived once
+        object.__setattr__(self, "labels", labels)
+        object.__setattr__(self, "dims", tuple(r.dim for r in self.registers))
 
     @staticmethod
     def of(*regs: Register) -> "RegisterLayout":
         return RegisterLayout(tuple(regs))
 
     @property
-    def dims(self) -> tuple[int, ...]:
-        return tuple(r.dim for r in self.registers)
-
-    @property
-    def labels(self) -> tuple[str, ...]:
-        return tuple(r.label for r in self.registers)
-
-    @property
     def total_dim(self) -> int:
         return math.prod(self.dims)
 
     def index(self, label: str) -> int:
-        for i, r in enumerate(self.registers):
-            if r.label == label:
-                return i
-        raise UnknownLabel(f"no register labeled {label!r} in {self.labels}")
+        if label not in self.labels:
+            raise UnknownLabel(f"no register labeled {label!r} in {self.labels}")
+        return self.labels.index(label)
 
     def sub(self, labels: Iterable[str]) -> "RegisterLayout":
         """Sub-layout of the given labels, in layout order."""
@@ -335,7 +329,8 @@ class DenseOperator:
 
     def preimage_indices(self, layout: RegisterLayout, groups) -> list[np.ndarray]:
         """The identity's: pieces are placed in layout order, U applied after."""
-        return PermutationUnitary.identity(self.array.shape[0]).preimage_indices(layout, groups)
+        digits, dims = register_digits(layout), layout.dims
+        return [combine_digits([digits[p] for p in pos], [dims[p] for p in pos]) for pos in groups]
 
     def image_indices(self, layout: RegisterLayout, fixed: dict, rows, groups) -> None:
         """None: a dense U is not read as a map of basis states, so its
@@ -375,7 +370,7 @@ class PermutationUnitary:
     layout: RegisterLayout | None = None
 
     def __post_init__(self):
-        p = np.asarray(self.perm, dtype=np.intp)
+        p = np.asarray(self.perm, dtype=np.intp).reshape(-1)
         object.__setattr__(self, "perm", p)
         # bijectivity check on indices in range; counts are cheaper than sorting
         if p.size == 0 or p.min() < 0 or p.max() >= p.size or np.bincount(p).max() != 1:
@@ -534,89 +529,70 @@ class PermutationUnitary:
         """The full-layout table, whichever registers U is held on."""
         return {"permutation": [int(p) for p in self.lifted().perm]}
 
+    def _digits(self, table: np.ndarray, layout: RegisterLayout, fixed: dict) -> list:
+        """digits[p]: the digit of register p in table[x] (table is perm for
+        U or its inverse for U^dag), for the basis states x of layout whose
+        register q holds the digit fixed[q]. Each is a grid over the free
+        registers in layout order, of length 1 along those it does not vary
+        with.
+
+        The table is viewed as a grid over its registers, cut at the fixed
+        digits and split into one digit grid per register. A register off
+        the table keeps its own digits: fixed[p], or a sparse grid along its
+        own axis. So does a free register that the table leaves alone (the
+        control of a CNOT ladder) when the slice spans other free registers
+        too, so that an index over such registers spans only their axes."""
+        dims = layout.dims
+        free = [p for p in range(len(dims)) if p not in fixed]
+        on = range(len(dims)) if self.labels is None else [layout.index(l) for l in self.labels]
+        cut = [p for p in on if p not in fixed]
+        digits = [fixed.get(p) for p in range(len(dims))]
+        for i, p in enumerate(free):  # own digits: off the table, or to compare with
+            if len(cut) > 1 or p not in on:
+                digits[p] = np.arange(dims[p]).reshape([1] * i + [-1] + [1] * (len(free) - 1 - i))
+        grid = table.reshape([dims[p] for p in on])
+        if fixed:
+            grid = grid[tuple(fixed.get(p, slice(None)) for p in on)]
+        grid = grid.transpose(sorted(range(len(cut)), key=cut.__getitem__)).reshape(
+            [dims[p] if p in cut else 1 for p in free])
+        below = table.size
+        for p in on:  # most significant first; grid keeps the digits still to split
+            below //= dims[p]
+            digit = grid
+            if below > 1:
+                digit = grid // below
+                grid = grid - digit * below
+            if p in fixed or len(cut) == 1 or np.count_nonzero(digit != digits[p]):
+                digits[p] = digit
+        return digits
+
     def image_indices(self, layout: RegisterLayout, fixed: dict, rows, groups) -> list[np.ndarray]:
         """For each list of register positions in groups, the index over those
         registers (in that order) of U|y>, as one array (int32 while the
         layout's dimension fits) over the basis states y of layout whose
         register p holds the digit fixed[p]: the registers in rows, all the
-        others, run over every digit, the first most significant. The
-        table's digits are sent through perm and cut back into digits, so
-        no array is larger than that slice."""
+        others, run over every digit, the first most significant."""
         dims = layout.dims
+        digits = self._digits(self.perm, layout, fixed)
         shape = [dims[p] for p in rows]
-        digit = dict(fixed)
-        digit.update(zip(rows, np.indices(shape, sparse=True)))
-        table = range(len(dims)) if self.labels is None else [layout.index(l) for l in self.labels]
-        t = 0
-        for p in table:
-            t = t * dims[p] + digit[p]
-        t = self.perm[t]
-        for p in table[:0:-1]:
-            t, digit[p] = np.divmod(t, dims[p])
-        digit[table[0]] = t
         dtype = np.int32 if math.prod(dims) < 2**31 else np.intp
+        axes = sorted(range(len(rows)), key=rows.__getitem__)  # the digits' axes, in rows order
         out = []
         for pos in groups:
-            idx = 0
-            for p in pos:
-                idx = idx * dims[p] + digit[p]
             full = np.empty(shape, dtype=dtype)
-            full[...] = idx
+            full.transpose(axes)[...] = combine_digits([digits[p] for p in pos],
+                                                       [dims[p] for p in pos])
             out.append(full.reshape(-1))
         return out
 
     def preimage_indices(self, layout: RegisterLayout, groups) -> list[np.ndarray]:
         """For each list of register positions in groups, the index over those
         registers (in that order) of U^dag|y> for every basis state y of
-        layout, as a grid that broadcasts against register_digits(layout).
-
-        The inverse table is viewed as a grid over the table's registers, and
-        a run of registers that sit next to each other in the table is cut
-        out of it by one floor division and remainder. A register off the
-        table takes its own digits, and so does a run that U leaves alone
-        (the control of a CNOT ladder) when the group holds other runs or
-        registers, so that the group's grid does not grow to the whole
-        layout. Without labels the table spans the layout."""
-        dims = layout.dims
-        table = [layout.index(l) for l in (layout.labels if self.labels is None else self.labels)]
+        layout, as a grid that broadcasts against register_digits(layout)."""
         inverse = np.empty_like(self.perm)
         inverse[self.perm] = np.arange(self.perm.size)
-        own = None  # register_digits(layout), built on first use
-        shape, below, size = [1] * len(dims), {}, 1  # below[p]: the table's dims after p
-        for p in reversed(table):
-            shape[p], below[p] = dims[p], size
-            size *= dims[p]
-        axes = sorted(range(len(table)), key=table.__getitem__)
-        grid = inverse.reshape([dims[p] for p in table]).transpose(axes).reshape(shape)
-        out = []
-        for pos in groups:
-            runs, i = [], 0  # the table registers adjacent in the table form one run
-            while i < len(pos):
-                j = i + 1
-                while pos[i] in below and j < len(pos) and (
-                    below.get(pos[j], 0) * dims[pos[j]] == below[pos[j - 1]]
-                ):
-                    j += 1
-                runs.append(pos[i:j])
-                i = j
-            idx = None
-            for run in runs:
-                size, on_table = math.prod(dims[p] for p in run), run[0] in below
-                if on_table:
-                    after = below[run[-1]]
-                    seg = grid // after if after > 1 else grid
-                    if size * after < self.perm.size:
-                        seg = seg - seg // size * size
-                if not on_table or len(runs) > 1:
-                    own = register_digits(layout) if own is None else own
-                    mine = own[run[0]]
-                    for p in run[1:]:
-                        mine = mine * dims[p] + own[p]
-                    if not on_table or (seg == mine).all():
-                        seg = mine
-                idx = seg if idx is None else idx * size + seg
-            out.append(idx)
-        return out
+        digits, dims = self._digits(inverse, layout, {}), layout.dims
+        return [combine_digits([digits[p] for p in pos], [dims[p] for p in pos]) for pos in groups]
 
 
 @dataclass(frozen=True)
@@ -757,31 +733,27 @@ def register_digits(layout: RegisterLayout) -> list[np.ndarray]:
     return list(np.indices(layout.dims, sparse=True))
 
 
-def combine_digits(digits: Sequence[np.ndarray], dims: Sequence[int]) -> np.ndarray:
-    """D-length basis index of digits, register_digits grids or arrays made
-    from them, broadcast together; together they must span every register."""
-    out = 0
-    for d, dim in zip(digits, dims):
+def combine_digits(digits: Sequence, dims: Sequence[int]):
+    """The index of the digits (the first most significant) over registers
+    of dims: digit grids, such as register_digits gives, or digits, combined
+    in the shape they broadcast to; 0 over no registers."""
+    out = digits[0] if len(digits) else 0
+    for d, dim in zip(digits[1:], dims[1:]):
         out = out * dim + d
-    return out.reshape(-1)
+    return out
 
 
 def embed_permutation(
     u: PermutationUnitary, labels: Sequence[str], layout: RegisterLayout
 ) -> PermutationUnitary:
     """The table of u, which acts on the given registers (in the order of
-    labels), extended to one table over the full layout, identity elsewhere:
-    the preimage table of u^dag.
+    labels), extended to one table over the full layout, identity elsewhere.
 
     The one place a full-layout table is built from a register table: only
     a dense U, a JSON document, a measurement and the flattened unitary of a
     concatenation need one."""
-    inverse = np.empty_like(u.perm)
-    inverse[u.perm] = np.arange(u.perm.size)
-    full = PermutationUnitary(inverse, labels, layout).preimage_indices(
-        layout, [range(len(layout.registers))]
-    )[0]
-    return PermutationUnitary(np.broadcast_to(full, layout.dims).reshape(-1))
+    held = PermutationUnitary(u.perm, labels, layout)
+    return PermutationUnitary(combine_digits(held._digits(held.perm, layout, {}), layout.dims))
 
 
 def embed_operator(op, labels: Sequence[str], layout: RegisterLayout) -> np.ndarray:

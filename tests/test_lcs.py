@@ -117,13 +117,6 @@ class TestAllAtOnce:
         with pytest.raises(VanishingOverlapProduct):
             all_at_once_apply(prob)
 
-    def test_permutations_must_fix_output_register(self, rng):
-        states = [rand_state(rng, 2) for _ in range(2)]
-        prob = LcsProblem.from_states(states, [1.0, 1.0])
-        beta = np.array([1.0, 1.0]) / math.sqrt(2)
-        with pytest.raises(ValidationError):
-            all_at_once_M(prob, beta, permutations=[(1, 0), (0, 1)])
-
     def test_default_permutations_are_cyclic(self):
         perms = default_permutations(3)
         assert perms == ((0, 1, 2), (1, 2, 0), (2, 0, 1))

@@ -17,6 +17,7 @@ from wstate.errors import SchemaError
 from wstate.instrument import QuantumState, apply_exact
 from wstate.lcs import LcsProblem
 from wstate.serialize import (
+    Combination,
     EstimationTask,
     detect_kind,
     dump_any,
@@ -124,11 +125,20 @@ class TestDocumentRoundtrips:
 
     def test_combination_both_encodings(self, rng):
         prob = LcsProblem.from_states([rand_state(rng, 4) for _ in range(2)], [0.6, 0.8])
-        fixed_point(lcs_to_json(prob))
+        fixed_point(lcs_to_json(Combination(prob)))
         probu = LcsProblem.from_unitaries(
             [preparation_unitary(rand_state(rng, 4)) for _ in range(2)], [1.0, 1.0j]
         )
-        fixed_point(lcs_to_json(probu))
+        fixed_point(lcs_to_json(Combination(probu)))
+
+    def test_combination_optional_fields(self, rng):
+        # observable, beta and processing are written back, so the round
+        # trip checks them too
+        prob = LcsProblem.from_states([rand_state(rng, 2) for _ in range(2)], [0.6, 0.8])
+        obs, v = np.diag([1.0, -1.0]).astype(complex), preparation_unitary(rand_state(rng, 2))
+        combo = fixed_point(lcs_to_json(Combination(prob, obs, np.array([0.6, 0.8j]), v)))
+        assert np.array_equal(combo.observable, obs) and np.array_equal(combo.processing, v)
+        assert np.array_equal(combo.beta, [0.6, 0.8j])
 
     def test_task(self, rng):
         inst = build_gqt_instrument(1)
@@ -187,7 +197,7 @@ class TestSchemaErrors:
 
     def test_mixed_state_encodings_rejected(self, rng):
         prob = LcsProblem.from_states([rand_state(rng, 2) for _ in range(2)], [1.0, 1.0])
-        doc = lcs_to_json(prob)
+        doc = lcs_to_json(Combination(prob))
         doc["states"][0] = {"unitary": {"dims": [2, 2], "data": [[1, 0], [0, 0], [0, 0], [1, 0]]},
                            "prepares_from_zero": True}
         with pytest.raises(SchemaError):
@@ -214,7 +224,7 @@ def task_file(tmp_path, rng):
 @pytest.fixture
 def combo_file(tmp_path, rng):
     prob = LcsProblem.from_states([rand_state(rng, 4) for _ in range(2)], [0.6, 0.8])
-    doc = lcs_to_json(prob)
+    doc = lcs_to_json(Combination(prob))
     doc["observable"] = {
         "dims": [4, 4],
         "data": [[float((i == j) * (1 - 2 * (i % 2))), 0.0] for i in range(4) for j in range(4)],
@@ -593,6 +603,47 @@ def test_malformed_documents_exit_0_2_or_3(tmp_path):
     assert crashed == []
     spec.write_text(json.dumps({"terms": [{"k": 1, "l": 0, "re": True, "im": math.nan}]}))
     assert run_cli("validate", "--spec", str(spec)).code == 2
+
+
+# the combination document of README.md
+README_COMBINATION = {
+    "states": [{"dims": [2], "data": [[1, 0], [0, 0]]},
+               {"dims": [2], "data": [[0.7071067811865475, 0], [0.7071067811865475, 0]]}],
+    "alphas": [[0.6, 0], [0.8, 0]],
+    "observable": {"dims": [2, 2], "data": [[1, 0], [0, 0], [0, 0], [-1, 0]]},
+}
+
+
+def test_readme_combination_validates(tmp_path):
+    spec = tmp_path / "combo.json"
+    spec.write_text(json.dumps(README_COMBINATION))
+    res = run_cli("validate", "--spec", str(spec))
+    assert (res.code, res.stdout) == (0, '{\n  "kind": "combination",\n  "stable": true\n}\n')
+
+
+@pytest.mark.parametrize(
+    "field,value,error",
+    [
+        ("observable", {"dims": [2, 2], "data": [[1, 0]]},
+         "combination.observable.data: expected 4 entries, got 1"),
+        ("observable", {"dims": [1, 1], "data": [[1, 0]]}, "combination.observable: must be 2x2"),
+        ("beta", "x", "combination.beta: must be one [re, im] pair per state"),
+        ("beta", [[1, 0]], "combination.beta: must be one [re, im] pair per state"),
+        ("beta", [[1, 0], ["a", 0]], "combination.beta[1]: re must be a finite number"),
+        ("processing", {"dims": [2, 2], "data": [[1, 0]] * 3},
+         "combination.processing.data: expected 4 entries, got 3"),
+        ("processing", {"dims": [1, 1], "data": [[1, 0]]}, "combination.processing: must be 2x2"),
+    ],
+)
+def test_malformed_combination_field_exits_2(tmp_path, field, value, error):
+    """validate reads a combination as the lcs verbs do: a malformed optional
+    field makes each of them exit 2 with the same error, not 0 (validate
+    read only the states) or 1 (a shape that reached a matrix product)."""
+    spec = tmp_path / "combo.json"
+    spec.write_text(json.dumps({**README_COMBINATION, field: value}))
+    for argv in (["validate"], ["lcs", "all-at-once"], ["lcs", "incoherent"], ["lcs", "lcu"]):
+        res = run_cli(*argv, "--spec", str(spec))
+        assert res.code == 2 and res.stderr.startswith(f"error: {error}"), (argv, res.stderr)
 
 
 @pytest.mark.parametrize(

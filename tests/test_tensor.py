@@ -10,7 +10,8 @@ from wstate.errors import (
     UnknownLabel,
     ValidationError,
 )
-from wstate.lcs import LcsProblem, build_all_at_once_instrument
+from wstate.instrument import MeasurementOperator, QuantumInstrument, QuantumState, apply_exact
+from wstate.lcs import LcsProblem, build_all_at_once_instrument, default_permutations
 from wstate.subroutines import (
     _xor_ladder_perm,
     build_gqt_instrument,
@@ -230,7 +231,7 @@ class TestPermutationUnitary:
         digits = register_digits(lay)
         assert [d.shape for d in digits] == [(2, 1, 1), (1, 3, 1), (1, 1, 2)]
         back = combine_digits(digits, lay.dims)
-        assert np.array_equal(back, np.arange(12))
+        assert np.array_equal(back.reshape(-1), np.arange(12))
 
     def test_embed_operator(self, rng):
         lay = RegisterLayout.of(Register("A", 2), Register("B", 3))
@@ -337,9 +338,8 @@ class TestPermutationBuilders:
     @pytest.mark.parametrize("count,d", [(2, 3), (3, 2), (4, 2)])
     def test_all_at_once_instrument(self, rng, count, d):
         prob = LcsProblem.from_states([rand_state(rng, d) for _ in range(count)], [1.0] * count)
-        # not the cyclic default: branch l keeps the other registers in order
-        perms = [(l,) + tuple(k for k in range(count) if k != l) for l in range(count)]
-        inst = build_all_at_once_instrument(prob, np.full(count, count**-0.5), perms)
+        perms = default_permutations(count)
+        inst = build_all_at_once_instrument(prob, np.full(count, count**-0.5))
 
         def image(digits):
             anc = digits[0]
@@ -347,3 +347,94 @@ class TestPermutationBuilders:
             return [anc] + outs
 
         assert np.array_equal(inst.unitary.perm, reference_perm(inst.layout.dims, image))
+
+
+def _ravel(digits, dims):
+    """Flat indices of digit arrays over registers of dims; 0 over none."""
+    return np.ravel_multi_index(digits, dims) if dims else 0
+
+
+class TestDigitMap:
+    """Both index methods of a permutation held on some registers, against
+    its lifted table (image_indices) and that table's inverse
+    (preimage_indices), computed here from flat digit arrays: mixed-radix
+    layouts, a table on a random ordered subset of the registers that may
+    leave some of them alone, fixed digits on a random subset, and rows in a
+    random order, as Pipeline.apply_staged passes them."""
+
+    @given(dims=st.lists(st.integers(2, 3), min_size=2, max_size=4), data=st.data())
+    @settings(max_examples=100)
+    def test_index_methods_match_the_lifted_table(self, dims, data):
+        k = len(dims)
+        layout = RegisterLayout(tuple(Register(f"R{i}", d) for i, d in enumerate(dims)))
+        on = data.draw(st.lists(st.sampled_from(range(k)), min_size=1, max_size=k, unique=True))
+        kept = data.draw(st.sets(st.sampled_from(range(len(on)))))
+        rng = np.random.default_rng(data.draw(st.integers(0, 2**32 - 1)))
+        # the table: a random permutation of the other registers' digits for
+        # each value of the kept ones (a controlled permutation)
+        sub_dims = [dims[p] for p in on]
+        digits = list(np.unravel_index(np.arange(int(np.prod(sub_dims))), sub_dims))
+        moved = [i for i in range(len(on)) if i not in kept]
+        moved_dims = [sub_dims[i] for i in moved]
+        kept_dims = [sub_dims[i] for i in sorted(kept)]
+        tables = np.array([rng.permutation(int(np.prod(moved_dims)))
+                           for _ in range(int(np.prod(kept_dims)))])
+        image = tables[_ravel([digits[i] for i in sorted(kept)], kept_dims),
+                       _ravel([digits[i] for i in moved], moved_dims)]
+        if moved:
+            for i, digit in zip(moved, np.unravel_index(image, moved_dims)):
+                digits[i] = digit
+        u = PermutationUnitary(_ravel(digits, sub_dims), [f"R{p}" for p in on], layout)
+
+        def lift(x):
+            inner = u.perm[np.ravel_multi_index([x[p] for p in on], sub_dims)]
+            for p, digit in zip(on, np.unravel_index(inner, sub_dims)):
+                x[p] = digit
+            return x
+
+        lifted = reference_perm(dims, lift)
+        inverse = np.argsort(lifted)
+        everything = np.unravel_index(np.arange(len(lifted)), dims)
+        left_alone = {p for p, digit in enumerate(np.unravel_index(lifted, dims))
+                      if np.array_equal(digit, everything[p])}
+        assert left_alone >= {on[i] for i in kept}
+        groups = data.draw(st.lists(st.lists(st.sampled_from(range(k)), max_size=k, unique=True),
+                                    min_size=1, max_size=3))
+
+        # preimage: every basis state y, at U^dag y; a gathered piece holds
+        # at least one register
+        x = np.unravel_index(inverse, dims)
+        pieces = [pos for pos in groups if pos]
+        for pos, got in zip(pieces, u.preimage_indices(layout, pieces)):
+            assert got.ndim == k
+            want = _ravel([x[p] for p in pos], [dims[p] for p in pos])
+            assert np.array_equal(np.broadcast_to(got, dims).reshape(-1), want)
+            if all(p not in on or p in left_alone for p in pos):
+                assert all(got.shape[q] == 1 for q in range(k) if q not in pos), got.shape
+
+        # image: the basis states y with the fixed digits, the rows in the
+        # order given, the first most significant
+        fixed = {p: data.draw(st.integers(0, dims[p] - 1))
+                 for p in data.draw(st.sets(st.sampled_from(range(k)), max_size=k - 1))}
+        rows = data.draw(st.permutations([p for p in range(k) if p not in fixed]))
+        free = np.unravel_index(np.arange(int(np.prod([dims[p] for p in rows]))),
+                                [dims[p] for p in rows])
+        y = [None] * k
+        for p, digit in fixed.items():
+            y[p] = np.full(len(free[0]), digit)
+        for p, digit in zip(rows, free):
+            y[p] = digit
+        z = np.unravel_index(lifted[np.ravel_multi_index(y, dims)], dims)
+        for pos, got in zip(groups, u.image_indices(layout, fixed, rows, groups)):
+            want = _ravel([z[p] for p in pos], [dims[p] for p in pos])
+            assert got.dtype == np.int32 and np.array_equal(got, np.broadcast_to(want, got.shape))
+
+    def test_support_path_without_e_registers(self):
+        # no E register: every support row lands at E index 0, and M is 1 x 1
+        layout = RegisterLayout.of(Register("S", 2, role="S"),
+                                   Register("G", 2, role="G", source="ancilla"))
+        ancilla = QuantumState(layout.sub(("G",)), vector=np.array([1.0, 0.0]))
+        u = PermutationUnitary(np.array([0, 1, 3, 2]))
+        inst = QuantumInstrument(layout, ancilla, u, MeasurementOperator.of(np.eye(1)))
+        tau = apply_exact(inst, [QuantumState.pure(np.array([0.6, 0.8]))]).matrix
+        assert np.abs(tau - np.diag([0.36, 0.64])).max() <= 1e-15
