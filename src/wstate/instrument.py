@@ -67,10 +67,13 @@ KEPT_DERIVATIONS = 8
 class QuantumState:
     """A physical state: pure vector fast path or a density matrix.
 
-    The factor columns an evolution takes (factors) are kept from their
-    first read, so a density input is diagonalized once however many
-    evaluations it enters. The density is copied at construction, so an
-    edit of the caller's array after it is not seen by the state.
+    factors holds the factor columns (K, B) an evolution takes, K B^dag the
+    state: a vector is one column and its own bra; a density V diag(w) V^dag
+    gives K = V sqrt|w| sign(w) and B = V sqrt|w|, the bra being the ket
+    unless some w < 0. The one eigh behind them also checks positivity at
+    construction, so a density is diagonalized once however many evaluations
+    it enters. The density is copied at construction, so an edit of the
+    caller's array after it is not seen by the state.
     """
 
     layout: RegisterLayout
@@ -89,6 +92,8 @@ class QuantumState:
             if abs(nrm - 1.0) > STATE_TOL:
                 raise InvalidState(f"pure state norm {nrm} is not 1 within {STATE_TOL}")
             object.__setattr__(self, "vector", v)
+            column = v[:, None]
+            factors = column, column
         else:
             m = asarray(np.array(self.density, dtype=np.complex128), square=True)
             if m.shape != (d, d):
@@ -98,9 +103,13 @@ class QuantumState:
             tr = float(np.trace(m).real)
             if abs(tr - 1.0) > STATE_TOL:
                 raise InvalidState(f"density trace {tr} is not 1 within {STATE_TOL}")
-            if float(np.linalg.eigvalsh((m + m.conj().T) / 2).min()) < -STATE_TOL:
+            w, vecs = np.linalg.eigh(m)
+            if float(w.min()) < -STATE_TOL:
                 raise InvalidState("density matrix has a negative eigenvalue")
             object.__setattr__(self, "density", m)
+            bra = vecs * np.sqrt(np.abs(w))
+            factors = (bra * np.sign(w) if (w < 0).any() else bra), bra
+        object.__setattr__(self, "factors", factors)
 
     @staticmethod
     def pure(vec, layout: RegisterLayout | None = None) -> "QuantumState":
@@ -129,18 +138,6 @@ class QuantumState:
         if self.vector is not None:
             return np.outer(self.vector, self.vector.conj())
         return self.density
-
-    @cached_property
-    def factors(self) -> tuple[np.ndarray, np.ndarray]:
-        """Factor columns (K, B), K B^dag the state: a vector is one column
-        and its own bra; a density V diag(w) V^dag gives K = V sqrt|w| sign(w)
-        and B = V sqrt|w|, the bra being the ket unless some w < 0."""
-        if self.vector is not None:
-            v = self.vector[:, None]
-            return v, v
-        w, v = np.linalg.eigh(self.density)
-        bra = v * np.sqrt(np.abs(w))
-        return (bra * np.sign(w) if (w < 0).any() else bra), bra
 
 
 @dataclass(frozen=True)
@@ -206,11 +203,11 @@ class MeasurementOperator:
     in; a given kind must equal the class, or be 'normal' for a Hermitian M.
 
     A non-normal M = sum_k c_k N_k takes normal parts at construction: given,
-    or, built without kind or decomposition (as `of` builds it), the form's
-    split into (1/2)(M + M^dag) and (1/2)(M - M^dag). `spectrum`, `rows`
-    (the estimator's probabilities, scaled values and merged outcome labels
-    over the spectral groups) and `part_norms` are kept from their first
-    read; all of this assumes M's arrays stay unchanged.
+    or else the form's split into (1/2)(M + M^dag) and (1/2)(M - M^dag).
+    `rows`, the one table derived from the parts (the estimator's
+    probabilities, scaled values, merged outcome labels and spectral
+    groups), is kept from its first read; this assumes M's arrays stay
+    unchanged.
     """
 
     operator: np.ndarray | object
@@ -229,7 +226,7 @@ class MeasurementOperator:
             raise ValidationError(f"kind {given!r} but the operator is {actual}")
         object.__setattr__(self, "kind", given or actual)
         if self.parts is None:
-            if given is None and actual == "nonnormal":
+            if actual == "nonnormal":
                 object.__setattr__(self, "parts", m.split())
             return
         parts = tuple((complex(c), form(n).as_measurement()) for c, n in self.parts)
@@ -264,53 +261,33 @@ class MeasurementOperator:
     def normal_parts(self) -> tuple[tuple[complex, object], ...]:
         """(coefficient, normal operator) terms summing to M: a normal M is
         one term as it is held, a non-normal M gives its parts."""
-        if self.kind != "nonnormal":
-            return ((1.0 + 0.0j, self.operator),)
-        if self.parts is None:
-            raise MissingDecomposition(
-                "non-normal measurement requires a decomposition into normal parts"
-            )
-        return self.parts
-
-    @cached_property
-    def spectrum(self) -> tuple[tuple[float, complex, object, list], ...]:
-        """Rows (q_k, scale_k, N_k, groups_k) over the normal_parts c_k N_k
-        with c_k != 0: q_k = |c_k| / sum|c|, scale_k = c_k / q_k, groups_k =
-        the spectral groups of N_k's form. The estimator draws part k with
-        probability q_k and scales its eigenvalue by scale_k; a normal M is
-        one row, q = 1."""
-        parts = self.normal_parts()
-        mags = np.array([abs(c) for c, _ in parts])
-        total = float(mags.sum())
-        rows = []
-        for (c, n), mag in zip(parts, mags):
-            if mag > 0:
-                q = mag / total
-                rows.append((q, c / q, n, form(n).groups()))
-        if not rows:
-            raise ValidationError("measurement decomposition has no nonzero part")
-        return tuple(rows)
+        return self.parts if self.kind == "nonnormal" else ((1.0 + 0.0j, self.operator),)
 
     @cached_property
     def rows(self) -> tuple[np.ndarray, np.ndarray, np.ndarray, np.ndarray, list]:
-        """(q, value, labels, merged, groups), one row r per group g of each
-        part k of spectrum: q[r] = q_k, value[r] = scale_k lambda_g, and
-        groups[r] its (eigenvalue, projector) group. labels and merged are
+        """(q, value, labels, merged, groups), one row r per spectral group
+        g of each normal part c_k N_k with c_k != 0: q[r] = q_k = |c_k| /
+        sum|c|, value[r] = (c_k / q_k) lambda_g, and groups[r] the
+        (eigenvalue lambda_g, projector) group of N_k's form. The estimator
+        draws part k with probability q_k and scales its eigenvalue by
+        c_k / q_k; a normal M is one part, q = 1. labels and merged are
         merge_values of value at its largest |value|: the merged outcomes,
         in which groups of different parts share a cell when their scaled
-        values agree."""
-        spectrum = self.spectrum
-        q = np.concatenate([np.full(len(groups), qk) for qk, _, _, groups in spectrum])
-        value = np.concatenate(
-            [scale * np.array([v for v, _ in groups]) for _, scale, _, groups in spectrum]
-        )
+        values agree. A normal N_k has ||N_k||_2 = max_g |lambda_g|, so the
+        largest |value| is max_k |c_k / q_k| ||N_k||_2."""
+        parts = self.normal_parts()
+        total = float(np.array([abs(c) for c, _ in parts]).sum())
+        q, value, groups = [], [], []
+        for c, n in parts:
+            if c != 0:
+                qk = abs(c) / total
+                gs = form(n).groups()
+                q.append(np.full(len(gs), qk))
+                value.append(c / qk * np.array([v for v, _ in gs]))
+                groups += gs
+        value = np.concatenate(value)
         labels, merged = merge_values(value, float(np.abs(value).max()))
-        return q, value, labels, merged, [g for *_, groups in spectrum for g in groups]
-
-    @cached_property
-    def part_norms(self) -> tuple[float, ...]:
-        """||N_k||_2 of each row of spectrum."""
-        return tuple(form(n).norm() for _, _, n, _ in self.spectrum)
+        return np.concatenate(q), value, labels, merged, groups
 
 
 # ---------------------------------------------------------------------------
@@ -382,10 +359,6 @@ class QuantumInstrument:
     @property
     def e_labels(self) -> tuple[str, ...]:
         return self.layout.with_role("E")
-
-    @property
-    def g_labels(self) -> tuple[str, ...]:
-        return self.layout.with_role("G")
 
     @property
     def output_layout(self) -> RegisterLayout:
@@ -668,14 +641,14 @@ class InstrumentBranch:
 
 def branches(inst: QuantumInstrument, inputs) -> list[InstrumentBranch]:
     """Outcome decomposition for a normal measurement: one branch per merged
-    eigenvalue, in the order of the groups of M's one-row spectrum; sum_j
-    lambda_j p_j (conditional) reproduces apply_exact. A non-normal
+    eigenvalue, in the order of the groups of M's rows, M being one part;
+    sum_j lambda_j p_j (conditional) reproduces apply_exact. A non-normal
     low-rank M reports the normality residual of its core."""
     meas = inst.measurement
     if meas.kind == "nonnormal":
         # raises the NotNormal of the matrix the form diagonalizes
         form(meas.operator).groups()
-    ((*_, groups),) = meas.spectrum
+    *_, groups = meas.rows
     ev = evolve(inst, inputs)
     out = []
     total_p = 0.0

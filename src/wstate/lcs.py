@@ -256,13 +256,22 @@ def _hadamard_circuit(pref: float, target: float) -> tuple:
     return pref, 1.0, np.array([1.0, -1.0]), np.array([p_plus, 1.0 - p_plus])
 
 
+def _operand(problem: LcsProblem, x, what: str) -> np.ndarray:
+    """x as a d x d array over the problem's states, DimensionMismatch
+    naming what otherwise."""
+    a = asarray(x, square=True)
+    if a.shape[0] != problem.dim:
+        raise DimensionMismatch(f"{what} dim {a.shape[0]} vs state dim {problem.dim}")
+    return a
+
+
 def incoherent_exact(problem: LcsProblem, v, obs) -> float:
     """Infinite-shot value Re <V Phi|O|V Phi>, the sum over l, l' of
     alpha_l alpha_l'^* <phi_l'|V^dag O V|phi_l> (None for V is the identity)."""
-    o = asarray(obs, square=True)
+    o = _operand(problem, obs, "observable")
     phi = problem.target
     if v is not None:
-        phi = asarray(v, square=True) @ phi
+        phi = _operand(problem, v, "processing circuit") @ phi
     return float(np.vdot(phi, o @ phi).real)
 
 
@@ -277,10 +286,10 @@ def _incoherent_circuits(problem: LcsProblem, v, obs_decomposition: PauliDecompo
     per kept word P_i. All words of a pair come from one transform of
     |psi_l><psi_l'|. V must be unitary (None is the identity).
     """
-    o = _check_hermitian_obs(obs_decomposition.target)
+    o = _check_hermitian_obs(_operand(problem, obs_decomposition.target, "observable"))
     psi = np.array(problem.states)
     if v is not None:
-        v = asarray(v, square=True)
+        v = _operand(problem, v, "processing circuit")
         check_unitary(v, "the processing circuit")
         psi = psi @ v.T
     o_vals, o_vecs, o_labels = _eigenbasis(o, True)

@@ -307,15 +307,14 @@ class VarianceBounds:
 def variance_bound(inst: QuantumInstrument, inputs, obs_norm: float) -> VarianceBounds:
     """b1 from one group table in the computational basis, where
     <|M|^2> = sum_k (|c_k|^2/q_k) sum_g |lambda_g|^2 Tr E_g by
-    W(N_k N_k^dag) = sum_g |lambda_g|^2 E_g; b2 from the parts' spectral
-    norms."""
+    W(N_k N_k^dag) = sum_g |lambda_g|^2 E_g; b2 from the same rows'
+    largest |value| = max_k |c_k/q_k| ||N_k||_2, a normal part's spectral
+    norm being its largest |eigenvalue|."""
     if not math.isfinite(obs_norm) or obs_norm < 0:
         raise ValidationError("observable norm must be finite and nonnegative")
-    meas = inst.measurement
-    table = _group_table(evolve(inst, inputs), meas)
-    worst = max(abs(scale) * nrm for (_, scale, _, _), nrm in zip(meas.spectrum, meas.part_norms))
+    table = _group_table(evolve(inst, inputs), inst.measurement)
     b1 = obs_norm**2 * table.second_moment(0)
-    b2 = obs_norm**2 * worst**2
+    b2 = obs_norm**2 * float(np.abs(table.value).max()) ** 2
     return VarianceBounds(float(b1), float(b2))
 
 

@@ -8,7 +8,8 @@ callers use only the forms' methods, so only this module tells forms apart.
 
 Conventions: arrays are complex128, row-major. Register order in a layout
 matches tensor-product order; the leftmost register carries the most
-significant index bits. Functions are pure; LowRankOperator caches its core.
+significant index bits. Functions are pure; LowRankOperator caches its core,
+and PermutationUnitary.identity the last identity it built.
 """
 
 from __future__ import annotations
@@ -16,7 +17,7 @@ from __future__ import annotations
 import math
 import sys
 from dataclasses import dataclass
-from functools import cached_property
+from functools import cached_property, lru_cache
 from typing import Iterable, Sequence
 
 import numpy as np
@@ -289,9 +290,6 @@ class DenseOperator:
     def kind(self) -> str:
         return classify(self.array)
 
-    def norm(self) -> float:
-        return spectral_norm(self.array)
-
     def groups(self) -> list:
         """The eigenbasis groups of a normal matrix (_projector_groups)."""
         values, basis, labels = eigenbasis(self.array)
@@ -411,7 +409,11 @@ class PermutationUnitary:
         return z
 
     @staticmethod
+    @lru_cache(maxsize=1)
     def identity(dim: int) -> "PermutationUnitary":
+        """The identity on dim basis states; the last one built is kept, so
+        the zero groups of one measurement's parts share one form, which a
+        contraction then takes once."""
         return PermutationUnitary(np.arange(dim))
 
     @property
@@ -422,9 +424,6 @@ class PermutationUnitary:
     def kind(self) -> str:
         """Unitary, hence normal; Hermitian when it is an involution."""
         return "hermitian" if self.is_involution else "normal"
-
-    def norm(self) -> float:
-        return 1.0
 
     def groups(self) -> list:
         """An involution P has the groups (I +- P)/2 for +1 and -1; any other
@@ -600,9 +599,10 @@ class LowRankOperator:
     """M = u v^dag from two d x r factors.
 
     Holds a rank <= r operator in O(d r) memory; the dense d x d matrix is
-    only built on request. The QR behind its core runs once, on first read.
-    The constructor checks its factors; derived() builds the parts and group
-    projectors that come from checked factors without a second check.
+    only built on request. The QR behind its core runs once, on first read,
+    and not at all for a part of a split, which holds the core it is built
+    from. The constructor checks its factors; derived() builds the parts and
+    group projectors that come from checked factors without a second check.
     """
 
     u: np.ndarray
@@ -645,9 +645,6 @@ class LowRankOperator:
         """The class of the core."""
         return classify(self.core[1])
 
-    def norm(self) -> float:
-        return spectral_norm(self.core[1])
-
     def groups(self) -> list:
         """One group Q W_g (Q W_g)^dag per nonzero eigenvalue of the core
         C = W diag W^dag, and a zero group that also spans the complement of
@@ -679,10 +676,15 @@ class LowRankOperator:
         return a.reshape(d_s, -1) @ b.reshape(d_s, -1).T
 
     def split(self) -> tuple:
-        """The split of the core: low-rank parts Q (C +- C^dag) Q^dag."""
+        """The split of the core: low-rank parts Q (C +- C^dag) Q^dag, each
+        holding its core (Q, C +- C^dag)."""
         q, c = self.core
-        return tuple((h, LowRankOperator.derived(q, q @ x.conj().T))
-                     for h, x in DenseOperator(c).split())
+        parts = []
+        for h, x in DenseOperator(c).split():
+            part = LowRankOperator.derived(q, q @ x.conj().T)
+            object.__setattr__(part, "core", (q, x))  # core is cached: no QR runs
+            parts.append((h, part))
+        return tuple(parts)
 
     def dense(self) -> np.ndarray:
         return self.u @ self.v.conj().T

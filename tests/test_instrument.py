@@ -9,7 +9,6 @@ from hypothesis import strategies as st
 from wstate.errors import (
     DimensionMismatch,
     InvalidState,
-    MissingDecomposition,
     NotUnitary,
     ValidationError,
 )
@@ -26,6 +25,7 @@ from wstate.instrument import (
     expectation,
     weighted_output,
 )
+from wstate.sampling import sample_estimate
 from wstate.subroutines import (
     build_gqt_instrument,
     build_qhp_instrument,
@@ -100,11 +100,20 @@ class TestMeasurementClassification:
         with pytest.raises(ValidationError):
             MeasurementOperator(upper, "normal")
 
-    def test_nonnormal_without_decomposition_cannot_apply(self):
+    def test_nonnormal_without_decomposition_splits(self, rng):
+        # labelled non-normal without parts, M splits as `of` splits it, and
+        # an instrument samples through those parts
         m = np.array([[1.0, 1.0], [0.0, 1.0]])
-        op = MeasurementOperator(m, "nonnormal")
-        with pytest.raises(MissingDecomposition):
-            op.normal_parts()
+        labelled, derived = MeasurementOperator(m, "nonnormal"), MeasurementOperator.of(m)
+        assert labelled.kind == derived.kind == "nonnormal"
+        for (c, n), (c2, n2) in zip(labelled.normal_parts(), derived.normal_parts(), strict=True):
+            assert c == c2 and np.array_equal(n, n2)
+        inst = build_qsp_instrument(rand_density(rng, 2), m, 1)
+        inputs = [QuantumState.pure(rand_state(rng, 2)) for _ in range(2)]
+        obs = rand_hermitian(rng, 2)
+        reports = [sample_estimate(replace(inst, measurement=meas), inputs, obs, 1000, seed=4)
+                   for meas in (labelled, derived)]
+        assert reports[0] == reports[1]
 
     def test_decomposition_must_reconstruct(self):
         m = np.array([[1.0, 1.0], [0.0, 1.0]])

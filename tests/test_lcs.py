@@ -231,6 +231,19 @@ class TestIncoherent:
         want = float(np.vdot(v @ target, obs @ v @ target).real)
         assert abs(got - want) < 1e-10
 
+    @pytest.mark.parametrize("operand", ["processing circuit", "observable"])
+    def test_mis_sized_operand_rejected(self, operand):
+        # states of dimension 2 with a 1 x 1 V, or a 4 x 4 O
+        prob = LcsProblem.from_states([np.array([1.0, 0.0]), np.array([0.6, 0.8])], [0.5, 0.5])
+        v, obs = ((np.eye(1), np.diag([1.0, -1.0])) if operand == "processing circuit"
+                  else (None, np.eye(4)))
+        calls = (lambda: incoherent_estimate(prob, v, pauli_decompose(obs), 100, 1),
+                 lambda: variance_postprocessing(prob, pauli_decompose(obs), 100, v),
+                 lambda: incoherent_exact(prob, v, obs))
+        for call in calls:
+            with pytest.raises(DimensionMismatch, match=operand):
+                call()
+
     def test_postprocessing_variance_matches_report_scale(self, rng):
         prob = LcsProblem.from_states([rand_state(rng, 4) for _ in range(2)], [0.7, -0.5])
         dec = pauli_decompose(rand_hermitian(rng, 4))

@@ -360,12 +360,11 @@ class TestGroupTable:
             inputs = [QuantumState.from_density(rand_density(rng, d)) for _ in range(2)]
         obs = rand_hermitian(rng, d)
         ev = evolve(inst, inputs)
-        spectrum = meas.spectrum
         table = _group_table(ev, meas, eigenbasis(obs))
 
         # tolerances relative to the operator scale, not to the value
         o_norm = spectral_norm(obs)
-        parts = [(q, s, as_form(nk).dense()) for q, s, nk, _ in spectrum]
+        parts = _weighted_parts(meas)
         mean_scale = o_norm * sum(abs(q * s) * spectral_norm(nk) for q, s, nk in parts)
         bounds = variance_bound(inst, inputs, o_norm)  # b2 = |O|^2 max_k |s_k|^2 |N_k|^2
 
@@ -407,7 +406,7 @@ class TestOneDecompositionPerCall:
 
         calls = (1, 2, "variance_exact", "variance_bound", 1)
         inst, inputs, obs = build(17)
-        n_parts = len(build(17)[0].measurement.spectrum)
+        n_parts = len(build(17)[0].measurement.normal_parts())
         meas = inst.measurement
         fields = {f.name: getattr(meas, f.name) for f in dataclasses.fields(meas)}
         seen = _spy_groups(monkeypatch)
@@ -431,10 +430,10 @@ class TestOneDecompositionPerCall:
         assert abs(sum(b.probability for b in first) - 1.0) <= 1e-9
         assert rep == sample_estimate(*_fresh(form, 23), shots=1000, seed=2)
 
-    @pytest.mark.parametrize("maps, contractions", [("one-random", 6), ("identity", 2)])
+    @pytest.mark.parametrize("maps, contractions", [("one-random", 5), ("identity", 2)])
     def test_each_form_contracted_once(self, rng, monkeypatch, maps, contractions):
-        # non-normal: two parts of two groups each, and each part's zero
-        # group adds only its identity; Hermitian: one group and the identity
+        # non-normal: two parts of two groups each, and the parts' zero
+        # groups share one identity; Hermitian: one group and the identity
         m = {"one-random": [(_complex(rng, (4, 4)), _complex(rng, (4, 4)))],
              "identity": [(np.eye(4), np.eye(4))]}[maps]
         inst = build_teleport_instrument(2, m)
@@ -450,6 +449,30 @@ class TestOneDecompositionPerCall:
         monkeypatch.setattr(wstate.instrument, "weighted_output", spy)
         assert sample_estimate(inst, inputs, obs, shots=1000, seed=3) == want
         assert len(forms) == len({id(f) for f in forms}) == contractions
+
+
+def _weighted_parts(meas) -> list:
+    """(q_k, c_k / q_k, dense N_k) of each normal part c_k N_k with c_k != 0,
+    q_k = |c_k| / sum|c|, built here from the parts."""
+    parts = [(c, n) for c, n in meas.normal_parts() if c != 0]
+    total = sum(abs(c) for c, _ in parts)
+    return [(abs(c) / total, c / (abs(c) / total), as_form(n).dense()) for c, n in parts]
+
+
+class TestWorstCaseBound:
+    """b2 is |O|^2 max_k |c_k/q_k|^2 ||N_k||_2^2, read here from the parts'
+    dense matrices and their singular values."""
+
+    @pytest.mark.parametrize("form", sorted(TABLE_FORMS))
+    @pytest.mark.parametrize("n", [1, 2])
+    def test_b2_from_the_parts_spectral_norms(self, form, n):
+        rng = np.random.default_rng(67 + n)
+        inst = TABLE_FORMS[form][1](rng, n)
+        inputs = [QuantumState.pure(rand_state(rng, 2**n)) for _ in range(2)]
+        o_norm = 1.7
+        want = o_norm**2 * max(abs(s) ** 2 * spectral_norm(nk) ** 2
+                               for _, s, nk in _weighted_parts(inst.measurement))
+        assert abs(variance_bound(inst, inputs, o_norm).b2 - want) <= 1e-12 * want
 
 
 def _spy_groups(monkeypatch) -> list:
@@ -590,8 +613,8 @@ class TestOperandReuse:
         assert sample_estimate(inst, inputs, obs, shots=1000, seed=2) == rep
 
     def test_density_input_factored_once(self, monkeypatch):
-        inst, inputs, obs = _fresh("dense-parts", 53)
-        densities = [x.density for x in inputs]
+        # one eigh per density, construction included: it checks positivity
+        # and gives the factor columns
         calls = []
 
         def eigh_spy(a, *args, real=np.linalg.eigh):
@@ -599,6 +622,8 @@ class TestOperandReuse:
             return real(a, *args)
 
         monkeypatch.setattr(np.linalg, "eigh", eigh_spy)
+        inst, inputs, obs = _fresh("dense-parts", 53)
+        densities = [x.density for x in inputs]
         got = [sample_estimate(inst, inputs, obs, shots=1000, seed=5),
                variance_exact(inst, inputs, obs),
                variance_bound(inst, inputs, 2.0),

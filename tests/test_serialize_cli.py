@@ -333,6 +333,21 @@ class TestCli:
         assert res.code == 0
         assert json.loads(res.stdout) == {"kind": "task", "stable": True}
 
+    def test_nonnormal_measurement_without_decomposition(self, task_file, tmp_path):
+        # labelled "nonnormal" with no parts, M takes its split, as a
+        # measurement built without a label does
+        doc = json.loads(pathlib.Path(task_file).read_text())
+        doc["instrument"]["measurement"] = {
+            "matrix": {"dims": [2, 2], "data": [[1, 0], [1, 0], [0, 0], [1, 0]]},
+            "kind": "nonnormal",
+        }
+        spec = tmp_path / "nonnormal.json"
+        spec.write_text(json.dumps(doc))
+        for argv in (["estimate", "--shots", "1000", "--seed", "2"], ["variance"], ["bound"],
+                     ["validate"]):
+            res = run_cli(argv[0], "--spec", str(spec), *argv[1:])
+            assert res.code == 0, (argv[0], res.stderr)
+
     def test_schema_error_exits_2(self, tmp_path):
         bad = tmp_path / "bad.json"
         bad.write_text('{"kind": "pure"}')

@@ -251,9 +251,9 @@ def test_permutation_held_on_registers_measures_as_its_lift(rng):
 
 @pytest.mark.parametrize("maps", ["identity", "one-random"])
 def test_low_rank_core_factored_once(rng, monkeypatch, maps):
-    # the QR of M's [u v] (16 x 2) runs once across construction, spectrum,
-    # part norms, normal parts and branches; each low-rank part of a
-    # non-normal M (16 x 4) factors its own once
+    # the QR of M's [u v] (16 x 2) runs once across construction, rows,
+    # normal parts, branches and estimates; each low-rank part of a
+    # non-normal M holds the core it is built from and runs none
     real = np.linalg.qr
     seen = []
 
@@ -265,15 +265,16 @@ def test_low_rank_core_factored_once(rng, monkeypatch, maps):
     inst = build_teleport_instrument(2, MAPS[maps](rng, 4))
     meas = inst.measurement
     inputs = _inputs(rng, 4, pure=True)
-    meas.spectrum, meas.part_norms, meas.normal_parts()
+    meas.rows, meas.normal_parts()
     if meas.kind == "nonnormal":
         with pytest.raises(NotNormal):
             branches(inst, inputs)
     else:
         branches(inst, inputs)
     sample_estimate(inst, inputs, rand_hermitian(rng, 4), shots=100, seed=1)
-    parts = len(meas.parts) if meas.kind == "nonnormal" else 0
-    assert seen == [(16, 2)] + [(16, 4)] * parts
+    variance_bound(inst, inputs, 1.0)
+    assert seen == [(16, 2)]
+    assert all(n.core[0] is meas.operator.core[0] for _, n in meas.parts or ())
 
 
 @pytest.mark.parametrize("maps", ["identity", "one-random"])
@@ -290,7 +291,7 @@ def test_derived_low_rank_forms_skip_the_factor_check(rng, monkeypatch, maps):
     monkeypatch.setattr(LowRankOperator, "__post_init__", spy)
     inst = build_teleport_instrument(2, MAPS[maps](rng, 4))
     meas = inst.measurement
-    groups = [g for *_, gs in meas.spectrum for g in gs]
+    *_, groups = meas.rows
     assert checked == [meas.operator]
     derived = [f for _, proj in groups for _, f in proj if isinstance(f, LowRankOperator)]
     derived += [n for _, n in meas.parts or ()]

@@ -179,7 +179,6 @@ class TestEigenbasis:
         for x in normal + nonnormal:
             f = form(x)
             assert f.kind == classify(f.dense())
-            assert abs(f.norm() - spectral_norm(f.dense())) <= 1e-12 * max(1.0, f.norm())
 
         groups_of = [form(x).groups() for x in normal]
         for x, groups in zip(normal, groups_of):
