@@ -14,16 +14,15 @@ __version__ = "0.1.0"
 _EXPORTS = {
     "errors": (
         "AllocationError", "ConsistencyError", "DimensionMismatch", "FullyDestructive",
-        "InvalidDistribution", "InvalidGrid", "InvalidState", "MissingDecomposition",
-        "NotNormal", "NotUnitary", "NumericalPreconditionError", "OrthogonalInputs",
-        "OrthogonalIntermediate", "SchemaError", "UnknownExperiment", "UnknownLabel",
-        "ValidationError", "VanishingOverlapProduct", "WstateError", "ZeroBeta",
+        "InvalidDistribution", "InvalidGrid", "InvalidState", "NotNormal", "NotUnitary",
+        "NumericalPreconditionError", "OrthogonalInputs", "OrthogonalIntermediate",
+        "SchemaError", "UnknownExperiment", "UnknownLabel", "ValidationError",
+        "VanishingOverlapProduct", "WstateError", "ZeroBeta",
     ),
     "experiments": ("ResultTable", "family_state", "run_experiment"),
     "instrument": (
         "InstrumentBranch", "MeasurementOperator", "Pipeline", "QuantumInstrument",
-        "QuantumState", "WeightedState", "apply_exact", "branches", "concatenate",
-        "emulate_nonnormal", "expectation",
+        "QuantumState", "WeightedState", "apply_exact", "branches", "concatenate", "expectation",
     ),
     "lcs": (
         "LcsProblem", "LcuResult", "PauliDecomposition", "all_at_once_M", "all_at_once_apply",
@@ -45,8 +44,8 @@ _EXPORTS = {
         "solve_qsp_realizable", "teleport_map",
     ),
     "tensor": (
-        "DenseOperator", "LowRankOperator", "PermutationUnitary", "Register", "RegisterLayout",
-        "dephase",
+        "ControlledSwap", "DenseOperator", "LowRankOperator", "PermutationUnitary", "Register",
+        "RegisterLayout", "dephase",
     ),
 }
 _MODULE_OF = {name: module for module, names in _EXPORTS.items() for name in names}

@@ -40,10 +40,6 @@ class InvalidState(ValidationError):
     """Matrix/vector fails the quantum-state invariants."""
 
 
-class MissingDecomposition(ValidationError):
-    """Non-normal measurement used where a decomposition is required."""
-
-
 class AllocationError(ValidationError):
     """Shot budget smaller than the number of circuits that need shots."""
 

@@ -15,19 +15,21 @@ one form: ket and bra factor columns K B^dag (one column per pure piece), and
 no D x D joint density is formed. When the ancilla is one computational
 basis vector and U a permutation (the CNOT ladders of GQT and teleport), U K
 has one nonzero row per input row, so the evolution keeps only the input's
-columns and where U sends each row (a Support, D / d_anc rows). Any other
-evolution writes one joint-sized array per side: a permutation U, held on
-the registers it acts on, gathers each factored piece at its preimage
-indices straight into that array, and a dense U takes one GEMM. M is
-contracted as for a pure state, with the columns traced alongside G, by the
-contract method of its form (tensor.form), which reads either.
+columns and where U sends each row (a Support, D / d_anc rows). A SWAP only
+renames axes, so QSP's controlled SWAP keeps the input pieces apart and
+holds four d_S x d_S blocks (_swap_blocks). Any other evolution writes one
+joint-sized array per side: a permutation U, held on the registers it acts
+on, gathers each factored piece at its preimage indices straight into that
+array, and a dense U takes one GEMM. M is contracted as for a pure state,
+with the columns traced alongside G, by the contract method of its form
+(tensor.form), which reads either; weighted_output contracts the blocks.
 """
 
 from __future__ import annotations
 
 import math
 from dataclasses import dataclass, replace
-from functools import cached_property, reduce
+from functools import cache, cached_property, reduce
 
 import numpy as np
 
@@ -35,7 +37,6 @@ from .errors import (
     DimensionMismatch,
     InvalidState,
     InvalidDistribution,
-    MissingDecomposition,
     ValidationError,
 )
 from .tensor import (
@@ -302,12 +303,13 @@ class QuantumInstrument:
     is represented by ancilla=None); callers supply the source='input'
     registers at application time. M acts on the E registers in layout order.
     U is a dense unitary, kept as a plain ndarray, or a PermutationUnitary: a
-    full-layout table, or a table on some of this layout's registers. The
-    evaluation plan is kept from first use: the ancilla's factor columns and
-    its basis index, if it is one basis vector; per tuple of piece
-    positions, the Support rows of a permutation U on such an ancilla (with
-    what each form's contraction derives from them) or else U's
-    preimage_indices grids; and the last observable an estimate read,
+    full-layout table, a table on some of this layout's registers, or QSP's
+    ControlledSwap. The evaluation plan is kept from first use: whether the
+    evolution takes the controlled-SWAP blocks (_swap_route); the ancilla's
+    factor columns and its basis index, if it is one basis vector; per tuple
+    of piece positions, the Support rows of a permutation U on such an
+    ancilla (with what each form's contraction derives from them) or else
+    U's preimage_indices grids; and the last observable an estimate read,
     checked and in its eigenbasis, under a key of its shape, dtype and
     bytes' digest (so one edited in place is checked and decomposed again);
     dataclasses.replace builds a new instance with an empty plan.
@@ -338,10 +340,10 @@ class QuantumInstrument:
             raise DimensionMismatch(
                 f"measurement dim {self.measurement.dim} vs E-register dim {de}"
             )
-        # the evaluation plan, filled by _evolve: "ancilla" -> the ancilla's
-        # piece, "basis" -> _basis_entry of that piece, a tuple of piece
-        # positions -> their Support rows or preimage_indices grids; and by
-        # the estimators: "observable" -> (key, eigenbasis)
+        # the evaluation plan, filled by _evolve: "swap" -> _swap_route, "ancilla"
+        # -> the ancilla's piece, "basis" -> _basis_entry of that piece, a tuple
+        # of piece positions -> their Support rows or preimage_indices grids;
+        # and by the estimators: "observable" -> (key, eigenbasis)
         object.__setattr__(self, "_plan", {})
 
     @property
@@ -411,8 +413,9 @@ def _pieces(inputs) -> list:
 
 def _input_factors(inputs):
     """Factor columns of the caller's input, its pieces tensored in
-    input-register order."""
-    return _kron_factors([_factor(x) for x in _pieces(inputs)])
+    input-register order; one piece's as they are."""
+    factors = [_factor(x) for x in _pieces(inputs)]
+    return factors[0] if len(factors) == 1 else _kron_factors(factors)
 
 
 @dataclass(frozen=True)
@@ -465,40 +468,96 @@ class Evolved:
     M contracts it through free reshapes. bra is ket when the input's bra
     was its ket. dims is (d_S, d_E, d_G). An evolution on the support of a
     basis-state ancilla holds only its Support, which each form contracts;
-    ket and bra are then scattered from it on first read.
+    ket and bra are then scattered from it on first read. QSP's controlled
+    SWAP (a JSON table does not) holds only the 4 d_S^2 block entries of
+    _swap_blocks, from the pieces' factors; ket and bra are then joint()'s.
     """
 
-    def __init__(self, dims, ket=None, bra=None, support: Support | None = None):
-        self.dims, self.support = dims, support
-        if support is None:
+    def __init__(self, dims, ket=None, bra=None, support: Support | None = None,
+                 blocks: np.ndarray | None = None, joint=None):
+        self.dims, self.support, self.blocks, self.joint = dims, support, blocks, joint
+        if support is None and joint is None:
             self.ket, self.bra = ket, bra
 
     @cached_property
     def ket(self) -> np.ndarray:
-        return self.support.scatter(self.support.ket)
+        sup = self.support
+        return self.joint().ket if sup is None else sup.scatter(sup.ket)
 
     @cached_property
     def bra(self) -> np.ndarray:
         sup = self.support
+        if sup is None:
+            return self.joint().bra
         return self.ket if sup.bra is sup.ket else sup.scatter(sup.bra)
 
 
 def evolve(inst: QuantumInstrument, inputs) -> Evolved:
     """U on ancilla (x) input.
 
-    When the ancilla is one computational basis vector and U a permutation,
-    the evolution is a Support: the input's factor columns as they are, and
-    the rows U sends them to (PermutationUnitary.image_indices). Any other
-    instrument writes one (S, G r, E) array per side: a permutation U gathers
-    each factored piece at its index under U^dag (preimage_indices) and
-    multiplies the pieces in place into that array; a dense U takes one GEMM
-    on the D x r product columns. The bra takes a second pass only when it
-    is not the ket. The instrument keeps the ancilla's factor columns and the
-    rows or index grids from its first evolution.
+    QSP's controlled SWAP keeps the input pieces apart: no product columns,
+    no gather, 4 d_S^2 block entries (_swap_blocks). When the ancilla is one
+    computational basis vector and U a permutation, the evolution is a
+    Support: the input's factor columns as they are, and the rows U sends
+    them to (PermutationUnitary.image_indices). Any other instrument, a
+    table read from JSON included, writes one (S, G r, E) array per side: a
+    permutation U gathers each factored piece at its index under U^dag
+    (preimage_indices) and multiplies the pieces in place into that array; a
+    dense U takes one GEMM on the D x r product columns. The bra takes a
+    second pass only when it is not the ket. The instrument keeps the
+    ancilla's factor columns and the rows or index grids from its first
+    evolution.
     """
-    regs = inst.layout.registers
-    return _evolve(inst, [(_input_factors(inputs), [i for i, r in enumerate(regs)
-                                                    if r.source == "input"])])
+    at = [i for i, r in enumerate(inst.layout.registers) if r.source == "input"]
+    pieces = _pieces(inputs)
+    if 1 < len(pieces) == len(at) and _swap_route(inst) is not None:
+        return _evolve(inst, [(_factor(x), [p]) for x, p in zip(pieces, at)])
+    return _evolve(inst, [(_input_factors(pieces), at)])
+
+
+def _swap_route(inst: QuantumInstrument):
+    """(S position, sigma as a (2, 2, 1, 1) array) when U is a controlled
+    SWAP of the S and the G register whose control, the third register, is
+    the one E register and holds the whole ancilla sigma; else None."""
+    plan, regs = inst._plan, inst.layout.registers
+    if "swap" not in plan:
+        pos = form(inst.unitary).controlled_swap or ()
+        roles = [regs[p].role for p in pos]
+        plan["swap"] = (pos[roles.index("S")], inst.ancilla.matrix[:, :, None, None]) if (
+            len(regs) == 3 and sorted(roles) == ["E", "G", "S"]
+            and inst.e_labels == inst.ancilla_labels == (regs[pos[0]].label,)) else None
+    return plan["swap"]
+
+
+def _swap_blocks(route, pieces) -> np.ndarray:
+    """X[c, c'] = sigma[c, c'] Tr_G[W_c rho W_c'^dag], W_0 = I and W_1 the
+    SWAP, a (2, 2, d_S, d_S) array from the factors rho_p = K_p B_p^dag:
+    rho_S Tr rho_G, rho_S rho_G; rho_G rho_S, rho_G Tr rho_S for pieces rho_S
+    and rho_G, or K_c B_c'^dag for one piece, K_c its ket with the register
+    that lands on S in branch c as rows."""
+    s, sigma = route
+    if len(pieces) == 2:
+        (k1, b1), (k2, b2) = (f for f, _ in sorted(pieces, key=lambda piece: piece[1] != [s]))
+        rho1, rho2 = k1 @ b1.conj().T, k2 @ b2.conj().T
+        y01 = _product(k1, b1, k2, b2, rho1, rho2)
+        y10 = y01.conj().T if k1 is b1 and k2 is b2 else _product(k2, b2, k1, b1, rho2, rho1)
+        y = [[rho1 * np.trace(rho2), y01], [y10, rho2 * np.trace(rho1)]]
+    else:
+        (k, b), pos = pieces[0]
+        d, order = math.isqrt(k.shape[0]), ((0, 1, 2), (1, 0, 2))[:: 1 if pos[0] == s else -1]
+        kc, bc = ([x.reshape(d, d, -1).transpose(o).reshape(d, -1) for o in order] for x in (k, b))
+        y = [[kc[c] @ bc[e].conj().T for e in (0, 1)] for c in (0, 1)]
+    x = np.array(y)
+    x *= sigma
+    return x
+
+
+def _product(k1, b1, k2, b2, rho1, rho2) -> np.ndarray:
+    """rho1 rho2, through the factors' r1 x r2 overlap when that is cheaper."""
+    d, r1, r2 = k1.shape[0], k1.shape[1], k2.shape[1]
+    if r2 * (2 * r1 + d) >= d * d:
+        return rho1 @ rho2
+    return (k1 @ (b1.conj().T @ k2)) @ b2.conj().T
 
 
 def _basis_entry(piece, dims):
@@ -516,17 +575,26 @@ def _basis_entry(piece, dims):
     return {p: int(d[0]) for p, d in zip(pos, digits)}, complex(grid[digits][0])
 
 
-def _evolve(inst: QuantumInstrument, pieces) -> Evolved:
+def _evolve(inst: QuantumInstrument, pieces, apart: bool = True) -> Evolved:
     """evolve of factored pieces ((ket, bra), positions): positions index the
     layout's registers, and the piece's rows run over them in that order.
     The columns of the product are the Kronecker product of the pieces'
-    columns, in piece order."""
+    columns, in piece order. apart=False takes a controlled SWAP's table."""
     regs, dims = inst.layout.registers, inst.layout.dims
     plan = inst._plan
     for (ket, _), pos in pieces:
         want = math.prod(dims[p] for p in pos)
         if ket.shape[0] != want:
             raise DimensionMismatch(f"input dim {ket.shape[0]} vs instrument input dim {want}")
+    role, size = {"S": [], "E": [], "G": []}, {"S": 1, "E": 1, "G": 1}
+    for i, r in enumerate(regs):
+        role[r.role].append(i)
+        size[r.role] *= r.dim
+    d_s, d_e, d_g = size["S"], size["E"], size["G"]
+    route = _swap_route(inst) if apart else None
+    if route is not None:
+        return Evolved((d_s, d_e, d_g), blocks=_swap_blocks(route, pieces),
+                       joint=cache(lambda: _evolve(inst, pieces, apart=False)))
     if inst.ancilla is not None:
         if "ancilla" not in plan:
             anc = [i for i, r in enumerate(regs) if r.source == "ancilla"]
@@ -534,11 +602,6 @@ def _evolve(inst: QuantumInstrument, pieces) -> Evolved:
             plan["basis"] = _basis_entry(plan["ancilla"], dims)
         pieces = [plan["ancilla"], *pieces]
     k, n = len(dims), len(pieces)
-    role, size = {"S": [], "E": [], "G": []}, {"S": 1, "E": 1, "G": 1}
-    for i, r in enumerate(regs):
-        role[r.role].append(i)
-        size[r.role] *= r.dim
-    d_s, d_e, d_g = size["S"], size["E"], size["G"]
     u = form(inst.unitary)
     key = tuple(tuple(pos) for _, pos in pieces)
     indices = plan.get(key)
@@ -590,8 +653,10 @@ def weighted_output(ev: Evolved, m) -> np.ndarray:
 
     The one entry point of every contraction with M: m, an array or a form,
     is contracted by its form's contract method, a structured m without a
-    dense matrix.
+    dense matrix; a controlled SWAP's blocks X here, as sum M[e', e] X[e, e'].
     """
+    if ev.blocks is not None:
+        return (form(m).dense().T.reshape(-1) @ ev.blocks.reshape(4, -1)).reshape(ev.dims[0], -1)
     return form(m).contract(ev)
 
 
@@ -672,7 +737,7 @@ def branches(inst: QuantumInstrument, inputs) -> list[InstrumentBranch]:
 
 
 # ---------------------------------------------------------------------------
-# non-normal emulation
+# concatenation
 
 
 def _fresh_label(base: str, taken) -> str:
@@ -680,51 +745,6 @@ def _fresh_label(base: str, taken) -> str:
     while label in taken:
         label = label + "'"
     return label
-
-
-def emulate_nonnormal(inst: QuantumInstrument) -> QuantumInstrument:
-    """Single physical instrument equivalent to one with a non-normal M.
-
-    Adds a measured qudit ancilla in the mixed state diag(q_k) with
-    q_k = |c_k|/sum|c_k| and the block measurement sum_k |k><k| (x) N_k
-    (rescaled so each block absorbs c_k/q_k); the result has a normal
-    measurement and the same weighted output on every input. A permutation
-    U keeps its table, held on the same registers of the new layout.
-    """
-    parts = [(c, n) for c, n in inst.measurement.normal_parts() if c != 0]
-    if not parts:
-        raise MissingDecomposition("decomposition has no nonzero terms")
-    total = sum(abs(c) for c, _ in parts)
-    q = np.array([abs(c) / total for c, _ in parts])
-    nk = len(parts)
-
-    taken = set(inst.layout.labels)
-    k_label = _fresh_label("K", taken)
-    k_reg = Register(k_label, nk, role="E", source="ancilla")
-    new_layout = RegisterLayout(inst.layout.registers + (k_reg,))
-
-    # measurement on the E sub-layout: old E registers (major) then K (minor),
-    # block k on the diagonal of K
-    d_e_old = inst.layout.dim_of(inst.e_labels)
-    blocks = np.zeros((d_e_old, nk, d_e_old, nk), dtype=np.complex128)
-    for k, ((c, n), qk) in enumerate(zip(parts, q)):
-        blocks[:, k, :, k] = (c / qk) * form(n).dense()
-    m_new = blocks.reshape(d_e_old * nk, d_e_old * nk)
-
-    anc_layout = new_layout.sub(r.label for r in new_layout.registers if r.source == "ancilla")
-    rho = inst.ancilla.matrix if inst.ancilla else np.ones((1, 1))
-    anc_state = QuantumState(anc_layout, density=np.kron(rho, np.diag(q)))
-
-    return QuantumInstrument(
-        new_layout,
-        ancilla=anc_state,
-        unitary=form(inst.unitary).placed(inst.layout.labels, new_layout),
-        measurement=MeasurementOperator.of(m_new),
-    )
-
-
-# ---------------------------------------------------------------------------
-# concatenation
 
 
 @dataclass(frozen=True)

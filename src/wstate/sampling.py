@@ -203,9 +203,8 @@ def _joint_cells(table: _GroupTable):
     eigenvalue) pairs: row r of the table puts q[r] t[r, a] into the cell of
     b_a's observable group and its value's merged group. Groups of different
     parts share a cell when their scaled values agree within DEGENERACY_TOL
-    times the largest. This is the law of the instrument emulate_nonnormal
-    builds: state rho_out (x) diag(q) and block measurement
-    sum_k |k><k| (x) scale_k N_k.
+    times the largest. This is the law of measuring rho_out (x) diag(q) with
+    the block measurement sum_k |k><k| (x) scale_k N_k, a normal one.
     """
     cells = np.zeros((len(table.merged), len(table.obs_values)))
     np.add.at(cells, (table.labels[:, None], table.obs_labels[None, :]),
@@ -232,19 +231,19 @@ def sample_estimate(
     """Shot-based estimate of Tr(tau O) with exact reference statistics.
 
     method names how a non-normal measurement is realized: 'emulate'
-    (default) measures the instrument that emulate_nonnormal builds, which
-    adds a part-selection register; 'randomized' draws a decomposition part
-    per shot and rescales its eigenvalue. Both give the estimator the same
-    law, so both draw from the one cell table of _joint_cells. method and
-    workers (at least 1) are only validated: they do not change the draws.
+    (default) measures a part-selection register alongside it; 'randomized'
+    draws a decomposition part per shot and rescales its eigenvalue. Both
+    give the estimator the law of _joint_cells, so both draw from its one
+    cell table. method and workers (at least 1) are only validated: they do
+    not change the draws.
 
     The input is evolved once through inst and contracted once per distinct
     projector form of M's parts N_k = sum_g lambda_g P_g, giving the group
     outputs E_g = W(P_g). The cells, the analytic mean, the variance and its
     bound are all sums over that one group table: W(N_k) = sum_g lambda_g E_g
     and W(N_k N_k^dag) = sum_g |lambda_g|^2 E_g, with ||O|| the largest
-    |eigenvalue| in the table. The emulating instrument is never built: its
-    cells are the parts' cells summed over equal scaled eigenvalues.
+    |eigenvalue| in the table. No emulating instrument is built: its cells
+    are the parts' cells summed over equal scaled eigenvalues.
 
     Repeated on one task, it decomposes nothing again: O's eigenbasis, the
     inputs' factor columns and M's rows are kept by their owners (module

@@ -32,6 +32,7 @@ from .instrument import (
     _mat,
 )
 from .tensor import (
+    ControlledSwap,
     LowRankOperator,
     PermutationUnitary,
     Register,
@@ -193,7 +194,9 @@ def build_qsp_instrument(sigma, m, n: int) -> QuantumInstrument:
     """Controlled-SWAP instrument with a one-qubit measured ancilla.
 
     Realizes qsp_oracle with alpha = sigma (.) M^T (.) gamma_in, where
-    gamma_in picks up the input traces.
+    gamma_in picks up the input traces. U is a ControlledSwap on (C; S, G):
+    an evolution holds 4 d^2 block entries (instrument._swap_blocks). A
+    document carries its table, which takes the gather path when read back.
     """
     if n < 1:
         raise ValidationError("qubit count must be >= 1")
@@ -215,11 +218,7 @@ def build_qsp_instrument(sigma, m, n: int) -> QuantumInstrument:
     meas = m if isinstance(m, MeasurementOperator) else MeasurementOperator.of(m)
     if meas.dim != 2:
         raise DimensionMismatch("QSP measurement must be 2x2")
-    # c=1 branch swaps the two d-dim registers
-    c, i, j = register_digits(layout)
-    swapped = [c, np.where(c == 1, j, i), np.where(c == 1, i, j)]
-    perm = PermutationUnitary(combine_digits(swapped, layout.dims))
-    return QuantumInstrument(layout, ancilla=anc, unitary=perm, measurement=meas)
+    return QuantumInstrument(layout, anc, ControlledSwap(("C", "S", "G"), layout), meas)
 
 
 def build_teleport_instrument(n: int, maps) -> QuantumInstrument:

@@ -2,14 +2,15 @@
 
 Register layouts, classification and spectral decomposition of normal
 matrices, dephasing, Pauli strings, JSON forms of arrays, and the forms an
-operator is held in: DenseOperator, PermutationUnitary and LowRankOperator.
-As with SciPy's aslinearoperator, form(x) wraps a plain array once and
-callers use only the forms' methods, so only this module tells forms apart.
+operator is held in: DenseOperator, PermutationUnitary, ControlledSwap and
+LowRankOperator. As with SciPy's aslinearoperator, form(x) wraps a plain
+array once and callers use only the forms' methods, so only this module
+tells forms apart.
 
 Conventions: arrays are complex128, row-major. Register order in a layout
 matches tensor-product order; the leftmost register carries the most
 significant index bits. Functions are pure; LowRankOperator caches its core,
-and PermutationUnitary.identity the last identity it built.
+ControlledSwap its table, PermutationUnitary.identity the last one it built.
 """
 
 from __future__ import annotations
@@ -285,6 +286,7 @@ class DenseOperator:
     as_measurement or as_unitary."""
 
     array: np.ndarray
+    controlled_swap = None  # no ControlledSwap (instrument._swap_route)
 
     @property
     def kind(self) -> str:
@@ -366,6 +368,7 @@ class PermutationUnitary:
     perm: np.ndarray
     labels: tuple[str, ...] | None = None
     layout: RegisterLayout | None = None
+    controlled_swap = None  # a table is read as one, whatever it permutes
 
     def __post_init__(self):
         p = np.asarray(self.perm, dtype=np.intp).reshape(-1)
@@ -528,42 +531,63 @@ class PermutationUnitary:
         """The full-layout table, whichever registers U is held on."""
         return {"permutation": [int(p) for p in self.lifted().perm]}
 
-    def _digits(self, table: np.ndarray, layout: RegisterLayout, fixed: dict) -> list:
-        """digits[p]: the digit of register p in table[x] (table is perm for
-        U or its inverse for U^dag), for the basis states x of layout whose
-        register q holds the digit fixed[q]. Each is a grid over the free
-        registers in layout order, of length 1 along those it does not vary
-        with.
-
-        The table is viewed as a grid over its registers, cut at the fixed
-        digits and split into one digit grid per register. A register off
-        the table keeps its own digits: fixed[p], or a sparse grid along its
-        own axis. So does a free register that the table leaves alone (the
-        control of a CNOT ladder) when the slice spans other free registers
-        too, so that an index over such registers spans only their axes."""
-        dims = layout.dims
-        free = [p for p in range(len(dims)) if p not in fixed]
-        on = range(len(dims)) if self.labels is None else [layout.index(l) for l in self.labels]
-        cut = [p for p in on if p not in fixed]
-        digits = [fixed.get(p) for p in range(len(dims))]
-        for i, p in enumerate(free):  # own digits: off the table, or to compare with
-            if len(cut) > 1 or p not in on:
-                digits[p] = np.arange(dims[p]).reshape([1] * i + [-1] + [1] * (len(free) - 1 - i))
+    def _indices(self, table: np.ndarray, layout: RegisterLayout, fixed: dict, groups) -> list:
+        """For each list of register positions in groups, the index over
+        those registers (in that order, the first most significant) of
+        table[x] (perm for U, its inverse for U^dag), for the basis states x
+        of layout whose register q holds the digit fixed[q]: a grid over the
+        free registers in layout order, of length 1 along those it does not
+        vary with. The table, viewed as a grid over its registers and cut at
+        the fixed digits, is split into one digit grid per register, the
+        most significant first, as far as the groups need; the table's
+        registers from one of them on, in table order, take the rest of the
+        grid there (QHP's (S, E); a full QSP table's (S, G) after C). A
+        register off the table keeps its own digits (fixed[p], or a sparse
+        grid along its own axis), and so do free registers that the table
+        leaves alone (a CNOT ladder's control) when the slice spans other
+        free registers, so that an index spans only the axes it varies on."""
+        dims, k = layout.dims, len(layout.dims)
+        on = list(range(k)) if self.labels is None else [layout.labels.index(l) for l in self.labels]
+        free, cut = range(k), on
         grid = table.reshape([dims[p] for p in on])
         if fixed:
+            free, cut = [p for p in free if p not in fixed], [p for p in on if p not in fixed]
             grid = grid[tuple(fixed.get(p, slice(None)) for p in on)]
         grid = grid.transpose(sorted(range(len(cut)), key=cut.__getitem__)).reshape(
             [dims[p] if p in cut else 1 for p in free])
-        below = table.size
-        for p in on:  # most significant first; grid keeps the digits still to split
+        tails = {tuple(on[i:]): i for i in range(len(on))}
+        starts = [tails.get(tuple(pos)) for pos in groups]
+        if starts == [0] * len(groups):  # each group is the whole table
+            return [grid] * len(groups)
+        need = {p for pos, i in zip(groups, starts) if i is None for p in pos}
+        last = max([i for i in starts if i is not None], default=0)
+        own = [fixed.get(p) for p in range(k)]
+        for i, p in enumerate(free):  # off the table, or to compare with
+            if len(cut) > 1 or p not in on:
+                own[p] = np.arange(dims[p]).reshape([1] * i + [-1] + [1] * (len(free) - 1 - i))
+
+        def alone(grid, run, below):  # grid less run's own digits; None unless all left alone
+            for p in run:
+                below //= dims[p]
+                grid = grid - own[p] * below
+                if grid.min() < 0 or grid.max() >= below:
+                    return None
+            return grid
+
+        digits, rest, below = list(own), [], table.size
+        for i, p in enumerate(on):  # most significant first; grid keeps the digits still to split
+            rest.append(grid)
+            if i >= last and need.isdisjoint(on[i:]):
+                break
+            left = alone(grid, [p], below) if p not in fixed and len(cut) > 1 else None
             below //= dims[p]
-            digit = grid
-            if below > 1:
-                digit = grid // below
-                grid = grid - digit * below
-            if p in fixed or len(cut) == 1 or np.count_nonzero(digit != digits[p]):
-                digits[p] = digit
-        return digits
+            if left is None:
+                digits[p] = grid // below if below > 1 else grid
+            grid = grid - digits[p] * below if left is None else left
+        return [combine_digits([digits[p] for p in pos], [dims[p] for p in pos])
+                if i is None or i > 0 and len(cut) > 1 and fixed.keys().isdisjoint(pos)
+                and alone(rest[i], pos, math.prod(dims[p] for p in pos)) is not None
+                else rest[i] for pos, i in zip(groups, starts)]
 
     def image_indices(self, layout: RegisterLayout, fixed: dict, rows, groups) -> list[np.ndarray]:
         """For each list of register positions in groups, the index over those
@@ -572,15 +596,13 @@ class PermutationUnitary:
         register p holds the digit fixed[p]: the registers in rows, all the
         others, run over every digit, the first most significant."""
         dims = layout.dims
-        digits = self._digits(self.perm, layout, fixed)
         shape = [dims[p] for p in rows]
         dtype = np.int32 if math.prod(dims) < 2**31 else np.intp
         axes = sorted(range(len(rows)), key=rows.__getitem__)  # the digits' axes, in rows order
         out = []
-        for pos in groups:
+        for index in self._indices(self.perm, layout, fixed, groups):
             full = np.empty(shape, dtype=dtype)
-            full.transpose(axes)[...] = combine_digits([digits[p] for p in pos],
-                                                       [dims[p] for p in pos])
+            full.transpose(axes)[...] = index
             out.append(full.reshape(-1))
         return out
 
@@ -590,8 +612,33 @@ class PermutationUnitary:
         layout, as a grid that broadcasts against register_digits(layout)."""
         inverse = np.empty_like(self.perm)
         inverse[self.perm] = np.arange(self.perm.size)
-        digits, dims = self._digits(inverse, layout, {}), layout.dims
-        return [combine_digits([digits[p] for p in pos], [dims[p] for p in pos]) for pos in groups]
+        return self._indices(inverse, layout, {}, groups)
+
+
+class ControlledSwap(PermutationUnitary):
+    """U|c, a, b> = |c, b, a> for c = 1, |c, a, b> for c = 0: a SWAP of two
+    registers of one dim controlled by a qubit, held as its registers labels
+    = (control, a, b) of layout (QSP's (C; S, G)). An evolution reads only
+    controlled_swap (instrument._swap_blocks); perm, the table on those
+    registers, is derived on first read."""
+
+    def __init__(self, labels: Sequence[str], layout: RegisterLayout):
+        object.__setattr__(self, "labels", tuple(labels))
+        object.__setattr__(self, "layout", layout)
+        dims = [layout.dim_of((label,)) for label in self.labels]
+        if len(set(self.labels)) != 3 or dims[0] != 2 or dims[1] != dims[2]:
+            raise DimensionMismatch(f"controlled SWAP on registers {self.labels} of dims {dims}")
+
+    @cached_property
+    def perm(self) -> np.ndarray:
+        c, i, j = np.indices([self.layout.dim_of((label,)) for label in self.labels], sparse=True)
+        swapped = [c, np.where(c == 1, j, i), np.where(c == 1, i, j)]
+        return combine_digits(swapped, [2, i.size, i.size]).reshape(-1)
+
+    @property
+    def controlled_swap(self) -> tuple[int, int, int]:
+        """The layout positions of (control, a, b)."""
+        return tuple(self.layout.index(label) for label in self.labels)
 
 
 @dataclass(frozen=True)
@@ -755,7 +802,7 @@ def embed_permutation(
     a dense U, a JSON document, a measurement and the flattened unitary of a
     concatenation need one."""
     held = PermutationUnitary(u.perm, labels, layout)
-    return PermutationUnitary(combine_digits(held._digits(held.perm, layout, {}), layout.dims))
+    return PermutationUnitary(held._indices(held.perm, layout, {}, [range(len(layout.dims))])[0])
 
 
 def embed_operator(op, labels: Sequence[str], layout: RegisterLayout) -> np.ndarray:

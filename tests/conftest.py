@@ -9,6 +9,8 @@ from hypothesis import HealthCheck, settings
 
 from wstate.cli import main
 from wstate.errors import InvalidState
+from wstate.instrument import MeasurementOperator, QuantumInstrument, QuantumState
+from wstate.tensor import Register, RegisterLayout, form
 
 settings.register_profile(
     "suite", deadline=None, suppress_health_check=[HealthCheck.too_slow]
@@ -108,3 +110,44 @@ def reference_weighted_output(inst, inputs):
     size = [int(np.prod([dims[i] for i in roles[role]])) for role in "SEG"]
     out = out.reshape(dims * 2).transpose(axes + [k + i for i in axes]).reshape(size * 2)
     return np.einsum("segtfg,fe->st", out, inst.measurement.matrix)
+
+
+def emulate_nonnormal(inst):
+    """Single physical instrument equivalent to one with a non-normal M.
+
+    Adds a measured qudit ancilla in the mixed state diag(q_k) with
+    q_k = |c_k|/sum|c_k| and the block measurement sum_k |k><k| (x) N_k
+    (rescaled so each block absorbs c_k/q_k); the result has a normal
+    measurement and the same weighted output on every input, and its law is
+    the one sampling._joint_cells draws from. A permutation U keeps its
+    table, held on the same registers of the new layout.
+    """
+    parts = [(c, n) for c, n in inst.measurement.normal_parts() if c != 0]
+    total = sum(abs(c) for c, _ in parts)
+    q = np.array([abs(c) / total for c, _ in parts])
+    nk = len(parts)
+
+    k_label = "K"
+    while k_label in inst.layout.labels:
+        k_label += "'"
+    k_reg = Register(k_label, nk, role="E", source="ancilla")
+    new_layout = RegisterLayout(inst.layout.registers + (k_reg,))
+
+    # measurement on the E sub-layout: old E registers (major) then K (minor),
+    # block k on the diagonal of K
+    d_e_old = inst.layout.dim_of(inst.e_labels)
+    blocks = np.zeros((d_e_old, nk, d_e_old, nk), dtype=np.complex128)
+    for k, ((c, n), qk) in enumerate(zip(parts, q)):
+        blocks[:, k, :, k] = (c / qk) * form(n).dense()
+    m_new = blocks.reshape(d_e_old * nk, d_e_old * nk)
+
+    anc_layout = new_layout.sub(r.label for r in new_layout.registers if r.source == "ancilla")
+    rho = inst.ancilla.matrix if inst.ancilla else np.ones((1, 1))
+    anc_state = QuantumState(anc_layout, density=np.kron(rho, np.diag(q)))
+
+    return QuantumInstrument(
+        new_layout,
+        ancilla=anc_state,
+        unitary=form(inst.unitary).placed(inst.layout.labels, new_layout),
+        measurement=MeasurementOperator.of(m_new),
+    )

@@ -1,17 +1,20 @@
 """Exact evaluation and estimation at scale: GQT at n = 8 and 10, teleport at
-n = 7 and 9.
+n = 7 and 9, QSP at n = 8.
 
-Each apply_exact must match its closed-form oracle (subroutines.gqt and
-subroutines.teleport_map). At n = 8 and 7 it must hold, at its tracemalloc
-peak, at most 1.3 times the bytes of the dense evolved ket (d^3 complex
-entries for pure inputs): 256 MiB at n = 8 and 32 MiB at n = 7. A ket of
-that size would take 16 GiB at GQT n = 10 and 2 GiB at teleport n = 9, so
-there the peak, instrument build included, has an absolute bound: 256 MiB
-and 128 MiB. Two sample_estimate calls on the same instrument must then give
-equal reports, and what the instrument keeps of its evaluation plan
-(tracemalloc, current bytes after gc.collect()) must stay below 1/8 of the
-dense ket at n = 8 and 7, and below the peak bound at n = 10 and 9. Run from
-the repository root:
+Each apply_exact must match its closed-form oracle (subroutines.gqt,
+subroutines.teleport_map and subroutines.qsp_oracle). At GQT n = 8 and
+teleport n = 7 it must hold, at its tracemalloc peak, at most 1.3 times the
+bytes of the dense evolved ket (d^3 complex entries for pure inputs): 256 MiB
+at n = 8 and 32 MiB at n = 7. A ket of that size would take 16 GiB at GQT
+n = 10 and 2 GiB at teleport n = 9, so there the peak, instrument build
+included, has an absolute bound: 256 MiB and 128 MiB. QSP at n = 8 takes a
+mixed ancilla and two full-rank density inputs, whose joint ket (2 d^2 rows,
+d^2 columns) would take 64 GiB; its bound is 16 MiB, build included. Two
+sample_estimate calls on the same instrument must then give equal reports,
+and what the instrument keeps of its evaluation plan (tracemalloc, current
+bytes after gc.collect()) must stay below 1/8 of the dense ket at n = 8 and
+7, and below the peak bound where that is absolute. Run from the repository
+root:
 
     PYTHONPATH=src timeout 60 python tests/scale_smoke.py
 """
@@ -25,7 +28,16 @@ import numpy as np
 
 from wstate.instrument import QuantumState, apply_exact
 from wstate.sampling import sample_estimate
-from wstate.subroutines import build_gqt_instrument, build_teleport_instrument, gqt, teleport_map
+from wstate.subroutines import (
+    alpha_of,
+    build_gqt_instrument,
+    build_qsp_instrument,
+    build_teleport_instrument,
+    gamma_in,
+    gqt,
+    qsp_oracle,
+    teleport_map,
+)
 
 PEAK_KETS = 1.3
 RETAINED_KETS = 1 / 8
@@ -34,6 +46,12 @@ RETAINED_KETS = 1 / 8
 def _state(rng, d):
     v = rng.normal(size=d) + 1j * rng.normal(size=d)
     return v / np.linalg.norm(v)
+
+
+def _density(rng, d):
+    a = rng.normal(size=(d, d)) + 1j * rng.normal(size=(d, d))
+    m = a @ a.conj().T
+    return m / np.trace(m).real
 
 
 def check(kind: str, n: int, rng, bound_mib: int | None = None) -> bool:
@@ -47,8 +65,13 @@ def check(kind: str, n: int, rng, bound_mib: int | None = None) -> bool:
     obs = obs + obs.conj().T
     inputs = [QuantumState.pure(a), QuantumState.pure(b)]
     ket_bytes = d**3 * 16
+    if kind == "qsp":
+        sigma, m = _density(rng, 2), rng.normal(size=(2, 2)) + 1j * rng.normal(size=(2, 2))
+        inputs = [QuantumState.from_density(_density(rng, d)) for _ in range(2)]
 
     def build():
+        if kind == "qsp":
+            return build_qsp_instrument(sigma, m, n)
         return build_gqt_instrument(n) if kind == "gqt" else build_teleport_instrument(n, maps)
 
     inst = build() if bound_mib is None else None
@@ -68,8 +91,11 @@ def check(kind: str, n: int, rng, bound_mib: int | None = None) -> bool:
         retained = tracemalloc.get_traced_memory()[0] - tau.nbytes
     finally:
         tracemalloc.stop()
-    ra, rb = np.outer(a, a.conj()), np.outer(b, b.conj())
-    want = gqt(ra, rb) if kind == "gqt" else teleport_map(rb, maps, ra)
+    ra, rb = (x.matrix for x in inputs)
+    if kind == "qsp":
+        want = qsp_oracle(ra, rb, alpha_of(sigma, m, gamma_in(np.trace(ra), np.trace(rb))))
+    else:
+        want = gqt(ra, rb) if kind == "gqt" else teleport_map(rb, maps, ra)
     err = float(np.abs(tau - want).max()) / max(1.0, float(np.abs(want).max()))
     kets, kept = peak / ket_bytes, retained / ket_bytes
     if bound_mib is None:
@@ -89,7 +115,8 @@ def check(kind: str, n: int, rng, bound_mib: int | None = None) -> bool:
 def main() -> int:
     rng = np.random.default_rng(8)
     results = [check("gqt", 8, rng), check("teleport", 7, rng),
-               check("gqt", 10, rng, bound_mib=256), check("teleport", 9, rng, bound_mib=128)]
+               check("gqt", 10, rng, bound_mib=256), check("teleport", 9, rng, bound_mib=128),
+               check("qsp", 8, rng, bound_mib=16)]
     return 0 if all(results) else 1
 
 

@@ -20,7 +20,6 @@ from wstate.instrument import (
     apply_exact,
     branches,
     concatenate,
-    emulate_nonnormal,
     evolve,
     expectation,
     weighted_output,
@@ -43,7 +42,13 @@ from wstate.tensor import (
     form,
 )
 
-from conftest import rand_density, rand_hermitian, rand_state, rand_unitary
+from conftest import (
+    emulate_nonnormal,
+    rand_density,
+    rand_hermitian,
+    rand_state,
+    rand_unitary,
+)
 
 
 class TestQuantumState:
@@ -424,7 +429,13 @@ class TestContractions:
             a = rand_operator(rng, d_s)
             want = dense(a)
             tau = weighted_output(ev, b)
-            assert np.array_equal(form(b).contract(ev), tau)
+            # the form contracts the joint ket; weighted_output contracts the
+            # blocks of a controlled SWAP itself, from the same state
+            joint = form(b).contract(ev)
+            if ev.blocks is None:
+                assert np.array_equal(joint, tau)
+            else:
+                assert np.abs(joint - tau).max() <= 1e-12 * max(1.0, np.abs(joint).max())
             got = complex(np.einsum("st,ts->", tau, a))
             assert abs(got - want) <= 1e-12 * abs(want)
 
@@ -477,16 +488,6 @@ class TestEmulation:
             assert merged.measurement.kind in ("hermitian", "normal")
             t2 = apply_exact(merged, inputs)
             assert np.abs(t1.matrix - t2.matrix).max() < 1e-10
-
-    def test_large_teleport_emulation_is_normal(self, rng):
-        # d_E = 1024: the block measurement is 2048 x 2048, classified
-        # exactly, neither Hermitian nor skew-Hermitian
-        d = 32
-        inst = build_teleport_instrument(5, [(rand_operator(rng, d), rand_operator(rng, d))])
-        assert inst.measurement.kind == "nonnormal"
-        emulated = emulate_nonnormal(inst)
-        assert emulated.measurement.dim == 2048
-        assert emulated.measurement.kind == "normal"
 
 
 class TestConcatenate:

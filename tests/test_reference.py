@@ -10,14 +10,26 @@ density or weighted. apply_exact must match
 conftest.reference_weighted_output; the estimators and branches must match
 the same instrument with U given as a dense matrix, which takes the gather
 path.
+
+The controlled-SWAP instruments of build_qsp_instrument, whose evolution
+holds four blocks, are drawn too: the ancilla a pure vector, a density or a
+QuantumState; the inputs pure, density or weighted, as two pieces or one
+joint piece over (S, G); M dense Hermitian, dense normal, non-normal with
+and without given parts, low-rank (rank 0 included) or the 2 x 2 SWAP.
+Every exact and analytic result, and a QSP second stage of a pipeline, must
+match the same instrument holding its derived table, and the dense
+reference, without a gather or product columns.
 """
 
+import contextlib
 from dataclasses import replace
 
 import numpy as np
+import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+import wstate.instrument
 from wstate.instrument import (
     MeasurementOperator,
     QuantumInstrument,
@@ -25,12 +37,28 @@ from wstate.instrument import (
     WeightedState,
     apply_exact,
     branches,
+    concatenate,
     evolve,
 )
-from wstate.sampling import sample_estimate, variance_exact
-from wstate.tensor import LowRankOperator, PermutationUnitary, Register, RegisterLayout, form
+from wstate.sampling import sample_estimate, variance_bound, variance_exact
+from wstate.subroutines import build_qhp_instrument, build_qsp_instrument, build_teleport_instrument
+from wstate.tensor import (
+    DenseOperator,
+    LowRankOperator,
+    PermutationUnitary,
+    Register,
+    RegisterLayout,
+    form,
+)
 
-from conftest import rand_density, rand_hermitian, rand_state, reference_weighted_output
+from conftest import (
+    emulate_nonnormal,
+    rand_density,
+    rand_hermitian,
+    rand_state,
+    rand_unitary,
+    reference_weighted_output,
+)
 
 M_KINDS = ("dense-hermitian", "dense-nonnormal", "involution", "3-cycle", "low-rank")
 
@@ -176,3 +204,160 @@ def test_support_path_matches_dense_reference(case):
             if a.conditional_state is not None:
                 scale = 1.0 / a.probability
                 assert _close(a.conditional_state.matrix, b.conditional_state.matrix, scale)
+
+
+def test_large_teleport_emulation_is_normal(rng):
+    # d_E = 1024: the block measurement is 2048 x 2048, classified
+    # exactly, neither Hermitian nor skew-Hermitian
+    inst = build_teleport_instrument(5, [(_complex(rng, 32, 32), _complex(rng, 32, 32))])
+    assert inst.measurement.kind == "nonnormal"
+    emulated = emulate_nonnormal(inst)
+    assert emulated.measurement.dim == 2048
+    assert emulated.measurement.kind == "normal"
+
+
+# ---------------------------------------------------------------------------
+# the controlled SWAP of QSP
+
+QSP_M = ("dense-hermitian", "dense-normal", "nonnormal", "nonnormal-parts", "low-rank", "swap")
+
+
+def _qsp_measurement(rng, kind):
+    if kind == "dense-hermitian":
+        return MeasurementOperator.of(rand_hermitian(rng, 2))
+    if kind == "dense-normal":
+        v = rand_unitary(rng, 2)
+        return MeasurementOperator.of(v @ np.diag(_complex(rng, 2)) @ v.conj().T)
+    if kind == "swap":
+        return MeasurementOperator.of(PermutationUnitary(np.array([1, 0])))
+    if kind == "low-rank":
+        rank = rng.integers(0, 3)
+        return MeasurementOperator.of(LowRankOperator(_complex(rng, 2, rank), _complex(rng, 2, rank)))
+    m = _complex(rng, 2, 2)
+    if kind == "nonnormal":
+        return MeasurementOperator.of(m)
+    # the Hermitian and anti-Hermitian halves, given as M = A + i B
+    return MeasurementOperator.of(m, ((1.0, (m + m.conj().T) / 2), (1j, (m - m.conj().T) / 2j)))
+
+
+def _piece(rng, kind, d):
+    if kind == "pure":
+        return QuantumState.pure(rand_state(rng, d))
+    if kind == "density":
+        return QuantumState.from_density(rand_density(rng, d))
+    return WeightedState(_complex(rng, d, d), RegisterLayout.of(Register("W", d)))
+
+
+@st.composite
+def qsp_cases(draw):
+    """(instrument, inputs) of build_qsp_instrument at n = 1 or 2."""
+    rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
+    n = draw(st.integers(1, 2))
+    d = 2**n
+    ancilla = draw(st.sampled_from(["vector", "density", "pure-state", "density-state"]))
+    sigma = rand_state(rng, 2) if ancilla in ("vector", "pure-state") else rand_density(rng, 2)
+    if ancilla.endswith("state"):
+        lay = RegisterLayout.of(Register("A", 2))
+        sigma = QuantumState(lay, vector=sigma) if sigma.ndim == 1 else QuantumState(lay, density=sigma)
+    inst = build_qsp_instrument(sigma, _qsp_measurement(rng, draw(st.sampled_from(QSP_M))), n)
+    kinds = st.sampled_from(["pure", "density", "weighted"])
+    if draw(st.booleans()):
+        inputs = [_piece(rng, draw(kinds), d) for _ in range(2)]
+    else:
+        inputs = [_piece(rng, draw(kinds), d * d)]
+    return inst, inputs
+
+
+def _table(inst):
+    """The same instrument holding the table its controlled SWAP derives."""
+    u = inst.unitary
+    return replace(inst, unitary=PermutationUnitary(u.perm, u.labels, u.layout))
+
+
+@contextlib.contextmanager
+def _no_gather():
+    """Fail on a gather (preimage or image indices, apply_gathered) or on
+    product columns (_kron_factors) inside the block."""
+
+    def fail(*args, **kwargs):
+        raise AssertionError("a controlled-SWAP evolution gathered or formed product columns")
+
+    with pytest.MonkeyPatch.context() as patch:
+        for cls in (PermutationUnitary, DenseOperator):
+            for name in ("preimage_indices", "image_indices", "apply_gathered"):
+                patch.setattr(cls, name, fail)
+        patch.setattr(wstate.instrument, "_kron_factors", fail)
+        yield
+
+
+@given(case=qsp_cases())
+@settings(max_examples=150)
+def test_controlled_swap_matches_its_table_and_the_reference(case):
+    inst, inputs = case
+    table = _table(inst)
+    m_norm = max(1.0, np.linalg.norm(inst.measurement.matrix, 2))
+    scale = m_norm * np.prod([np.linalg.norm(x.matrix, "nuc") for x in inputs])
+    with _no_gather():
+        ev = evolve(inst, inputs)
+        assert ev.blocks is not None and ev.blocks.shape == (2, 2, *inst.output_layout.dims * 2)
+        tau = apply_exact(inst, inputs).matrix
+        obs = rand_hermitian(np.random.default_rng(len(tau)), len(tau))
+        got = [variance_exact(inst, inputs, obs), variance_bound(inst, inputs, 2.0)]
+        physical = not any(isinstance(x, WeightedState) for x in inputs)
+        if physical:
+            got.append(sample_estimate(inst, inputs, obs, shots=100, seed=1))
+            if inst.measurement.kind != "nonnormal":
+                got.append(branches(inst, inputs))
+    assert _close(tau, reference_weighted_output(inst, inputs), scale)
+    assert _close(tau, apply_exact(table, inputs).matrix, scale)
+    o_norm = np.linalg.norm(obs, 2)
+    parts = sum(abs(c) * np.linalg.norm(form(n).dense(), 2)
+                for c, n in inst.measurement.normal_parts())
+    var_scale = max(1.0, (o_norm * parts) ** 2) * scale
+    assert _close(got[0], variance_exact(table, inputs, obs), var_scale)
+    want = variance_bound(table, inputs, 2.0)
+    assert _close([got[1].b1, got[1].b2], [want.b1, want.b2], var_scale)
+    if len(got) > 2:
+        want = sample_estimate(table, inputs, obs, shots=100, seed=1)
+        for field in ("analytic_mean", "analytic_variance", "variance_bound"):
+            field_scale = max(1.0, o_norm * parts) ** (1 if field == "analytic_mean" else 2)
+            assert _close(getattr(got[2], field), getattr(want, field), field_scale), field
+    if len(got) > 3:
+        for a, b in zip(got[3], branches(table, inputs), strict=True):
+            assert a.eigenvalue == b.eigenvalue
+            assert abs(a.probability - b.probability) <= 1e-12
+            if a.conditional_state is not None:
+                scale = 1.0 / a.probability
+                assert _close(a.conditional_state.matrix, b.conditional_state.matrix, scale)
+    # the joint ket, read on demand, is the table's evolution
+    ev_table = evolve(table, inputs)
+    assert _close(ev.ket, ev_table.ket, 1.0) and _close(ev.bra, ev_table.bra, 1.0)
+
+
+@given(seed=st.integers(0, 2**32 - 1), first=st.sampled_from(["qhp", "joint"]),
+       swapped=st.booleans(), n=st.integers(1, 2))
+@settings(max_examples=40)
+def test_qsp_second_stage_keeps_pieces_apart(seed, first, swapped, n):
+    # a QHP stage feeds one of QSP's inputs, S or G, a fresh input the other;
+    # a stage that passes its two inputs through feeds both, in either order
+    rng = np.random.default_rng(seed)
+    d = 2**n
+    qsp = build_qsp_instrument(rand_density(rng, 2), _complex(rng, 2, 2), n)
+    if first == "qhp":
+        stage = build_qhp_instrument(n)
+        wiring = {"S": "G" if swapped else "S"}
+        fresh = [QuantumState.from_density(rand_density(rng, d))]
+    else:
+        lay = RegisterLayout.of(Register("A", d, role="S"), Register("B", d, role="S"))
+        stage = QuantumInstrument(lay, None, PermutationUnitary(np.arange(d * d)),
+                                  MeasurementOperator.of(np.eye(1)))
+        wiring = {"A": "G", "B": "S"} if swapped else {"A": "S", "B": "G"}
+        fresh = []
+    states = [QuantumState.pure(rand_state(rng, d)), QuantumState.from_density(rand_density(rng, d))]
+    pipe = concatenate(stage, qsp, wiring)
+    staged = pipe.apply_staged(states, fresh).matrix
+    scale = max(1.0, np.linalg.norm(qsp.measurement.matrix, 2))
+    assert _close(staged, concatenate(stage, _table(qsp), wiring).apply_staged(states, fresh).matrix,
+                  scale)
+    assert _close(staged, pipe.apply_flattened(states, fresh).matrix, scale)
+    assert _close(staged, reference_weighted_output(pipe.flattened, states + fresh), scale)

@@ -24,7 +24,6 @@ from wstate.instrument import (
     apply_exact,
     concatenate,
     branches,
-    emulate_nonnormal,
     evolve,
     expectation,
     weighted_output,
@@ -55,7 +54,7 @@ from wstate.tensor import (
     spectral_norm,
 )
 
-from conftest import rand_density, rand_hermitian, rand_state
+from conftest import emulate_nonnormal, rand_density, rand_hermitian, rand_state
 
 
 def _complex(rng, d):
