@@ -29,7 +29,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass, replace
-from functools import cache, cached_property, reduce
+from functools import cached_property, reduce
 
 import numpy as np
 
@@ -303,12 +303,13 @@ class QuantumInstrument:
     is represented by ancilla=None); callers supply the source='input'
     registers at application time. M acts on the E registers in layout order.
     U is a dense unitary, kept as a plain ndarray, or a PermutationUnitary: a
-    full-layout table, a table on some of this layout's registers, or QSP's
-    ControlledSwap. The evaluation plan is kept from first use: whether the
-    evolution takes the controlled-SWAP blocks (_swap_route); the ancilla's
-    factor columns and its basis index, if it is one basis vector; per tuple
-    of piece positions, the Support rows of a permutation U on such an
-    ancilla (with what each form's contraction derives from them) or else
+    full-layout table, a table on some of this layout's registers, or a
+    ControlledSwap (QSP's, or a table that is one). The evaluation plan is
+    kept from first use: whether the evolution takes the controlled-SWAP
+    blocks (_swap_route); the ancilla's factor columns and its basis index,
+    if it is one basis vector; per tuple of piece positions, the Support
+    rows of a permutation U on such an ancilla (with what each form's
+    contraction derives from them) or else
     U's preimage_indices grids; and the last observable an estimate read,
     checked and in its eigenbasis, under a key of its shape, dtype and
     bytes' digest (so one edited in place is checked and decomposed again);
@@ -468,39 +469,35 @@ class Evolved:
     M contracts it through free reshapes. bra is ket when the input's bra
     was its ket. dims is (d_S, d_E, d_G). An evolution on the support of a
     basis-state ancilla holds only its Support, which each form contracts;
-    ket and bra are then scattered from it on first read. QSP's controlled
-    SWAP (a JSON table does not) holds only the 4 d_S^2 block entries of
-    _swap_blocks, from the pieces' factors; ket and bra are then joint()'s.
+    ket and bra are then scattered from it on first read. A controlled
+    SWAP's holds only dims and the 4 d_S^2 block entries of _swap_blocks.
     """
 
     def __init__(self, dims, ket=None, bra=None, support: Support | None = None,
-                 blocks: np.ndarray | None = None, joint=None):
-        self.dims, self.support, self.blocks, self.joint = dims, support, blocks, joint
-        if support is None and joint is None:
+                 blocks: np.ndarray | None = None):
+        self.dims, self.support, self.blocks = dims, support, blocks
+        if support is None:
             self.ket, self.bra = ket, bra
 
     @cached_property
     def ket(self) -> np.ndarray:
-        sup = self.support
-        return self.joint().ket if sup is None else sup.scatter(sup.ket)
+        return self.support.scatter(self.support.ket)
 
     @cached_property
     def bra(self) -> np.ndarray:
         sup = self.support
-        if sup is None:
-            return self.joint().bra
         return self.ket if sup.bra is sup.ket else sup.scatter(sup.bra)
 
 
 def evolve(inst: QuantumInstrument, inputs) -> Evolved:
     """U on ancilla (x) input.
 
-    QSP's controlled SWAP keeps the input pieces apart: no product columns,
-    no gather, 4 d_S^2 block entries (_swap_blocks). When the ancilla is one
-    computational basis vector and U a permutation, the evolution is a
-    Support: the input's factor columns as they are, and the rows U sends
-    them to (PermutationUnitary.image_indices). Any other instrument, a
-    table read from JSON included, writes one (S, G r, E) array per side: a
+    QSP's controlled SWAP, built or read from a document, keeps the input
+    pieces apart: no product columns, no gather, 4 d_S^2 block entries
+    (_swap_blocks). When the ancilla is one computational basis vector and
+    U a permutation, the evolution is a Support: the input's factor columns
+    as they are, and the rows U sends them to (image_indices). Any other
+    instrument writes one (S, G r, E) array per side: a
     permutation U gathers each factored piece at its index under U^dag
     (preimage_indices) and multiplies the pieces in place into that array; a
     dense U takes one GEMM on the D x r product columns. The bra takes a
@@ -553,11 +550,14 @@ def _swap_blocks(route, pieces) -> np.ndarray:
 
 
 def _product(k1, b1, k2, b2, rho1, rho2) -> np.ndarray:
-    """rho1 rho2, through the factors' r1 x r2 overlap when that is cheaper."""
+    """rho1 rho2 in the association of fewest flops: rho1 rho2 (d^3), or
+    through the factors' overlap, (K1 (B1^dag K2)) B2^dag (2 d r1 r2 + d^2 r2)
+    or K1 ((B1^dag K2) B2^dag) (2 d r1 r2 + d^2 r1)."""
     d, r1, r2 = k1.shape[0], k1.shape[1], k2.shape[1]
-    if r2 * (2 * r1 + d) >= d * d:
+    if d * d <= 2 * r1 * r2 + d * min(r1, r2):
         return rho1 @ rho2
-    return (k1 @ (b1.conj().T @ k2)) @ b2.conj().T
+    overlap = b1.conj().T @ k2
+    return (k1 @ overlap) @ b2.conj().T if r2 <= r1 else k1 @ (overlap @ b2.conj().T)
 
 
 def _basis_entry(piece, dims):
@@ -575,11 +575,11 @@ def _basis_entry(piece, dims):
     return {p: int(d[0]) for p, d in zip(pos, digits)}, complex(grid[digits][0])
 
 
-def _evolve(inst: QuantumInstrument, pieces, apart: bool = True) -> Evolved:
+def _evolve(inst: QuantumInstrument, pieces) -> Evolved:
     """evolve of factored pieces ((ket, bra), positions): positions index the
     layout's registers, and the piece's rows run over them in that order.
     The columns of the product are the Kronecker product of the pieces'
-    columns, in piece order. apart=False takes a controlled SWAP's table."""
+    columns, in piece order."""
     regs, dims = inst.layout.registers, inst.layout.dims
     plan = inst._plan
     for (ket, _), pos in pieces:
@@ -591,10 +591,9 @@ def _evolve(inst: QuantumInstrument, pieces, apart: bool = True) -> Evolved:
         role[r.role].append(i)
         size[r.role] *= r.dim
     d_s, d_e, d_g = size["S"], size["E"], size["G"]
-    route = _swap_route(inst) if apart else None
+    route = _swap_route(inst)
     if route is not None:
-        return Evolved((d_s, d_e, d_g), blocks=_swap_blocks(route, pieces),
-                       joint=cache(lambda: _evolve(inst, pieces, apart=False)))
+        return Evolved((d_s, d_e, d_g), blocks=_swap_blocks(route, pieces))
     if inst.ancilla is not None:
         if "ancilla" not in plan:
             anc = [i for i, r in enumerate(regs) if r.source == "ancilla"]

@@ -196,7 +196,7 @@ def build_qsp_instrument(sigma, m, n: int) -> QuantumInstrument:
     Realizes qsp_oracle with alpha = sigma (.) M^T (.) gamma_in, where
     gamma_in picks up the input traces. U is a ControlledSwap on (C; S, G):
     an evolution holds 4 d^2 block entries (instrument._swap_blocks). A
-    document carries its table, which takes the gather path when read back.
+    document carries its table, which reads back as the same ControlledSwap.
     """
     if n < 1:
         raise ValidationError("qubit count must be >= 1")

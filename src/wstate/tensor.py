@@ -508,11 +508,22 @@ class PermutationUnitary:
         return self.lifted()
 
     def as_unitary(self, layout: RegisterLayout) -> "PermutationUnitary":
-        """The permutation, checked to act on layout."""
+        """The permutation, checked to act on layout. A full-layout table (a
+        document's, a two-state combination's) that is a qubit-controlled
+        SWAP of the layout's other two registers is held as that
+        ControlledSwap, whose evolution keeps the input pieces apart."""
         if self.dim != layout.total_dim:
             raise DimensionMismatch(f"unitary dim {self.dim} vs layout {layout.total_dim}")
         if self.layout not in (None, layout):
             raise ValidationError("the unitary's registers belong to another layout")
+        if self.labels is None and len(layout.dims) == 3:
+            for c, label in enumerate(layout.labels):
+                try:
+                    swap = ControlledSwap((label, *layout.labels[:c], *layout.labels[c + 1:]), layout)
+                except DimensionMismatch:
+                    continue
+                if np.array_equal(swap.lifted().perm, self.perm):
+                    return swap
         return self
 
     def apply_gathered(self, gather, shape, group) -> np.ndarray:
@@ -538,56 +549,30 @@ class PermutationUnitary:
         of layout whose register q holds the digit fixed[q]: a grid over the
         free registers in layout order, of length 1 along those it does not
         vary with. The table, viewed as a grid over its registers and cut at
-        the fixed digits, is split into one digit grid per register, the
-        most significant first, as far as the groups need; the table's
-        registers from one of them on, in table order, take the rest of the
-        grid there (QHP's (S, E); a full QSP table's (S, G) after C). A
-        register off the table keeps its own digits (fixed[p], or a sparse
-        grid along its own axis), and so do free registers that the table
-        leaves alone (a CNOT ladder's control) when the slice spans other
-        free registers, so that an index spans only the axes it varies on."""
+        the fixed digits, is split once into one digit grid per register; a
+        register keeps its own digits (fixed[p], or a sparse grid along its
+        own axis) where the table leaves it alone (a register off the table,
+        a CNOT ladder's control), so that an index spans only the axes it
+        varies on. A group that is the whole table, in table order, with
+        nothing fixed (QHP's (S, E)) takes the table itself."""
         dims, k = layout.dims, len(layout.dims)
         on = list(range(k)) if self.labels is None else [layout.labels.index(l) for l in self.labels]
-        free, cut = range(k), on
-        grid = table.reshape([dims[p] for p in on])
-        if fixed:
-            free, cut = [p for p in free if p not in fixed], [p for p in on if p not in fixed]
-            grid = grid[tuple(fixed.get(p, slice(None)) for p in on)]
+        free = [p for p in range(k) if p not in fixed]
+        cut = [p for p in on if p not in fixed]
+        grid = table.reshape([dims[p] for p in on])[tuple(fixed.get(p, slice(None)) for p in on)]
         grid = grid.transpose(sorted(range(len(cut)), key=cut.__getitem__)).reshape(
             [dims[p] if p in cut else 1 for p in free])
-        tails = {tuple(on[i:]): i for i in range(len(on))}
-        starts = [tails.get(tuple(pos)) for pos in groups]
-        if starts == [0] * len(groups):  # each group is the whole table
+        whole = [not fixed and list(pos) == on for pos in groups]
+        if all(whole):
             return [grid] * len(groups)
-        need = {p for pos, i in zip(groups, starts) if i is None for p in pos}
-        last = max([i for i in starts if i is not None], default=0)
-        own = [fixed.get(p) for p in range(k)]
-        for i, p in enumerate(free):  # off the table, or to compare with
-            if len(cut) > 1 or p not in on:
-                own[p] = np.arange(dims[p]).reshape([1] * i + [-1] + [1] * (len(free) - 1 - i))
-
-        def alone(grid, run, below):  # grid less run's own digits; None unless all left alone
-            for p in run:
-                below //= dims[p]
-                grid = grid - own[p] * below
-                if grid.min() < 0 or grid.max() >= below:
-                    return None
-            return grid
-
-        digits, rest, below = list(own), [], table.size
-        for i, p in enumerate(on):  # most significant first; grid keeps the digits still to split
-            rest.append(grid)
-            if i >= last and need.isdisjoint(on[i:]):
-                break
-            left = alone(grid, [p], below) if p not in fixed and len(cut) > 1 else None
-            below //= dims[p]
-            if left is None:
-                digits[p] = grid // below if below > 1 else grid
-            grid = grid - digits[p] * below if left is None else left
-        return [combine_digits([digits[p] for p in pos], [dims[p] for p in pos])
-                if i is None or i > 0 and len(cut) > 1 and fixed.keys().isdisjoint(pos)
-                and alone(rest[i], pos, math.prod(dims[p] for p in pos)) is not None
-                else rest[i] for pos, i in zip(groups, starts)]
+        digits = [fixed.get(p) for p in range(k)]  # each register's own, then the table's
+        for i, p in enumerate(free):
+            digits[p] = np.arange(dims[p]).reshape([1] * i + [-1] + [1] * (len(free) - 1 - i))
+        for p, digit in zip(on, np.unravel_index(grid, [dims[p] for p in on])):
+            if not (digit == digits[p]).all():
+                digits[p] = digit
+        return [grid if w else combine_digits([digits[p] for p in pos], [dims[p] for p in pos])
+                for pos, w in zip(groups, whole)]
 
     def image_indices(self, layout: RegisterLayout, fixed: dict, rows, groups) -> list[np.ndarray]:
         """For each list of register positions in groups, the index over those
@@ -618,9 +603,11 @@ class PermutationUnitary:
 class ControlledSwap(PermutationUnitary):
     """U|c, a, b> = |c, b, a> for c = 1, |c, a, b> for c = 0: a SWAP of two
     registers of one dim controlled by a qubit, held as its registers labels
-    = (control, a, b) of layout (QSP's (C; S, G)). An evolution reads only
-    controlled_swap (instrument._swap_blocks); perm, the table on those
-    registers, is derived on first read."""
+    = (control, a, b) of layout. QSP builds one on (C; S, G), and
+    as_unitary holds every full-layout table equal to one as one, so a
+    document writes and reads the same table. An evolution that takes the
+    blocks (instrument._swap_blocks) reads only controlled_swap; perm, the
+    table on those registers, is derived on first read."""
 
     def __init__(self, labels: Sequence[str], layout: RegisterLayout):
         object.__setattr__(self, "labels", tuple(labels))

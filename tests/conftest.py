@@ -1,16 +1,18 @@
 import contextlib
 import functools
 import io
+from dataclasses import replace
 from typing import NamedTuple
 
 import numpy as np
 import pytest
 from hypothesis import HealthCheck, settings
 
+import wstate.instrument
 from wstate.cli import main
 from wstate.errors import InvalidState
 from wstate.instrument import MeasurementOperator, QuantumInstrument, QuantumState
-from wstate.tensor import Register, RegisterLayout, form
+from wstate.tensor import DenseOperator, PermutationUnitary, Register, RegisterLayout, form
 
 settings.register_profile(
     "suite", deadline=None, suppress_health_check=[HealthCheck.too_slow]
@@ -110,6 +112,30 @@ def reference_weighted_output(inst, inputs):
     size = [int(np.prod([dims[i] for i in roles[role]])) for role in "SEG"]
     out = out.reshape(dims * 2).transpose(axes + [k + i for i in axes]).reshape(size * 2)
     return np.einsum("segtfg,fe->st", out, inst.measurement.matrix)
+
+
+def table_held(inst):
+    """The same instrument holding its unitary's table on the same
+    registers: for a ControlledSwap, the table it derives, which takes the
+    gather path and whose evolution holds the joint ket and bra."""
+    u = inst.unitary
+    return replace(inst, unitary=PermutationUnitary(u.perm, u.labels, u.layout))
+
+
+@contextlib.contextmanager
+def no_gather():
+    """Fail on a gather (preimage or image indices, apply_gathered) or on
+    product columns (instrument._kron_factors) inside the block."""
+
+    def fail(*args, **kwargs):
+        raise AssertionError("a controlled-SWAP evolution gathered or formed product columns")
+
+    with pytest.MonkeyPatch.context() as patch:
+        for cls in (PermutationUnitary, DenseOperator):
+            for name in ("preimage_indices", "image_indices", "apply_gathered"):
+                patch.setattr(cls, name, fail)
+        patch.setattr(wstate.instrument, "_kron_factors", fail)
+        yield
 
 
 def emulate_nonnormal(inst):

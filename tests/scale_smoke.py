@@ -1,5 +1,5 @@
 """Exact evaluation and estimation at scale: GQT at n = 8 and 10, teleport at
-n = 7 and 9, QSP at n = 8.
+n = 7 and 9, QSP at n = 8, and `wstate variance` on a QSP n = 7 document.
 
 Each apply_exact must match its closed-form oracle (subroutines.gqt,
 subroutines.teleport_map and subroutines.qsp_oracle). At GQT n = 8 and
@@ -13,21 +13,31 @@ d^2 columns) would take 64 GiB; its bound is 16 MiB, build included. Two
 sample_estimate calls on the same instrument must then give equal reports,
 and what the instrument keeps of its evaluation plan (tracemalloc, current
 bytes after gc.collect()) must stay below 1/8 of the dense ket at n = 8 and
-7, and below the peak bound where that is absolute. Run from the repository
-root:
+7, and below the peak bound where that is absolute. The QSP n = 7 task
+document (two full-rank density inputs, 2.5 MB) runs through
+`wstate variance` in process: it must exit 0, its mean must match
+qsp_oracle, and its peak, the document's parse included, must stay below
+32 MiB. Run from the repository root:
 
     PYTHONPATH=src timeout 60 python tests/scale_smoke.py
 """
 
+import contextlib
 import gc
+import io
+import json
+import os
 import sys
+import tempfile
 import time
 import tracemalloc
 
 import numpy as np
 
-from wstate.instrument import QuantumState, apply_exact
+from wstate.cli import main as cli_main
+from wstate.instrument import QuantumState, apply_exact, expectation
 from wstate.sampling import sample_estimate
+from wstate.serialize import EstimationTask, task_to_json
 from wstate.subroutines import (
     alpha_of,
     build_gqt_instrument,
@@ -112,11 +122,56 @@ def check(kind: str, n: int, rng, bound_mib: int | None = None) -> bool:
     return ok and est_ok
 
 
+def check_document(n: int, rng, bound_mib: int) -> bool:
+    """`wstate variance` on the task document of QSP at n qubits with a mixed
+    ancilla and two full-rank density inputs, in process: exit code, the
+    oracle's mean and the tracemalloc peak from reading the document on."""
+    d = 2**n
+    sigma, m = _density(rng, 2), rng.normal(size=(2, 2)) + 1j * rng.normal(size=(2, 2))
+    inputs = [QuantumState.from_density(_density(rng, d)) for _ in range(2)]
+    obs = rng.normal(size=(d, d)) + 1j * rng.normal(size=(d, d))
+    obs = obs + obs.conj().T
+    task = EstimationTask(build_qsp_instrument(sigma, m, n), tuple(inputs), obs)
+    out, err = io.StringIO(), io.StringIO()
+    with tempfile.TemporaryDirectory() as tmp:
+        path = os.path.join(tmp, "task.json")
+        with open(path, "w") as fh:
+            json.dump(task_to_json(task), fh)
+        size = os.path.getsize(path)
+        tracemalloc.start()
+        t0 = time.perf_counter()
+        try:
+            with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
+                cli_main(["variance", "--spec", path])
+        except SystemExit as exc:
+            code = exc.code
+        except Exception as exc:  # what the command would exit 1 with
+            code = 1
+            err.write(f"{type(exc).__name__}: {exc}\n")
+        finally:
+            seconds = time.perf_counter() - t0
+            peak = tracemalloc.get_traced_memory()[1]
+            tracemalloc.stop()
+    ra, rb = (x.matrix for x in inputs)
+    tau = qsp_oracle(ra, rb, alpha_of(sigma, m, gamma_in(np.trace(ra), np.trace(rb))))
+    want = expectation(tau, obs)
+    error = float("inf")
+    if code == 0:
+        re, im = json.loads(out.getvalue())["mean"]
+        error = abs(complex(re, im) - want) / max(1.0, abs(want))
+    ok = code == 0 and error <= 1e-10 and peak <= bound_mib * 2**20
+    print(f"qsp document n={n} ({size / 2**20:.1f} MiB): exit {code} in {seconds:.2f} s, "
+          f"peak {peak / 2**20:.1f} MiB, oracle error {error:.1e}: {'ok' if ok else 'FAILED'}")
+    if code:
+        print(err.getvalue().strip())
+    return ok
+
+
 def main() -> int:
     rng = np.random.default_rng(8)
     results = [check("gqt", 8, rng), check("teleport", 7, rng),
                check("gqt", 10, rng, bound_mib=256), check("teleport", 9, rng, bound_mib=128),
-               check("qsp", 8, rng, bound_mib=16)]
+               check("qsp", 8, rng, bound_mib=16), check_document(7, rng, bound_mib=32)]
     return 0 if all(results) else 1
 
 

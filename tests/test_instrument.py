@@ -48,6 +48,7 @@ from conftest import (
     rand_hermitian,
     rand_state,
     rand_unitary,
+    table_held,
 )
 
 
@@ -368,7 +369,9 @@ class TestContractions:
 
     The QSP layout (E, S, G) has d_G > 1; the teleport layout puts two E
     registers ahead of S. Each example runs the pinned pure or full-rank
-    density inputs, whose bra is their ket, then inputs of drawn kinds.
+    density inputs, whose bra is their ket, then inputs of drawn kinds. A
+    QSP evolution holds the controlled SWAP's blocks and no ket, so each
+    form's own contraction reads the evolution of its table (table_held).
     """
 
     @pytest.mark.parametrize("pure", [True, False], ids=["pure", "density"])
@@ -390,14 +393,15 @@ class TestContractions:
         for kinds in (base, drawn):
             inputs = [_input_of_kind(rng, k, d) for k in kinds]
             ev = evolve(inst, inputs)
+            joint = evolve(table_held(inst), inputs) if kind == "qsp" else ev
             if kinds is base:
-                assert ev.bra is ev.ket
+                assert joint.bra is joint.ket
             if kind == "qsp":
-                assert ev.dims[2] > 1
-            self._check(inst, inputs, ev, rng)
+                assert ev.blocks is not None and ev.dims[2] > 1
+            self._check(inst, inputs, ev, joint, rng)
 
     @staticmethod
-    def _check(inst, inputs, ev, rng):
+    def _check(inst, inputs, ev, joint_ev, rng):
         # B_E in each form weighted_output takes, as an array or through
         # form(): dense, a permutation, low-rank u v^dag, u v^dag with u is v
         # (the projectors of groups()), and the rank-0 zero operator
@@ -431,7 +435,7 @@ class TestContractions:
             tau = weighted_output(ev, b)
             # the form contracts the joint ket; weighted_output contracts the
             # blocks of a controlled SWAP itself, from the same state
-            joint = form(b).contract(ev)
+            joint = form(b).contract(joint_ev)
             if ev.blocks is None:
                 assert np.array_equal(joint, tau)
             else:

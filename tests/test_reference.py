@@ -18,10 +18,14 @@ joint piece over (S, G); M dense Hermitian, dense normal, non-normal with
 and without given parts, low-rank (rank 0 included) or the 2 x 2 SWAP.
 Every exact and analytic result, and a QSP second stage of a pipeline, must
 match the same instrument holding its derived table, and the dense
-reference, without a gather or product columns.
+reference, without a gather or product columns; so must the instrument
+read back from its document, which holds the table and must hold it as a
+ControlledSwap again. A full-layout table is held as one exactly when it
+is one.
 """
 
 import contextlib
+import json
 from dataclasses import replace
 
 import numpy as np
@@ -29,7 +33,6 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-import wstate.instrument
 from wstate.instrument import (
     MeasurementOperator,
     QuantumInstrument,
@@ -39,25 +42,30 @@ from wstate.instrument import (
     branches,
     concatenate,
     evolve,
+    weighted_output,
 )
 from wstate.sampling import sample_estimate, variance_bound, variance_exact
+from wstate.serialize import instrument_from_json, instrument_to_json
 from wstate.subroutines import build_qhp_instrument, build_qsp_instrument, build_teleport_instrument
 from wstate.tensor import (
-    DenseOperator,
+    ControlledSwap,
     LowRankOperator,
     PermutationUnitary,
     Register,
     RegisterLayout,
+    combine_digits,
     form,
 )
 
 from conftest import (
     emulate_nonnormal,
+    no_gather,
     rand_density,
     rand_hermitian,
     rand_state,
     rand_unitary,
     reference_weighted_output,
+    table_held,
 )
 
 M_KINDS = ("dense-hermitian", "dense-nonnormal", "involution", "3-cycle", "low-rank")
@@ -268,53 +276,38 @@ def qsp_cases(draw):
     return inst, inputs
 
 
-def _table(inst):
-    """The same instrument holding the table its controlled SWAP derives."""
-    u = inst.unitary
-    return replace(inst, unitary=PermutationUnitary(u.perm, u.labels, u.layout))
-
-
-@contextlib.contextmanager
-def _no_gather():
-    """Fail on a gather (preimage or image indices, apply_gathered) or on
-    product columns (_kron_factors) inside the block."""
-
-    def fail(*args, **kwargs):
-        raise AssertionError("a controlled-SWAP evolution gathered or formed product columns")
-
-    with pytest.MonkeyPatch.context() as patch:
-        for cls in (PermutationUnitary, DenseOperator):
-            for name in ("preimage_indices", "image_indices", "apply_gathered"):
-                patch.setattr(cls, name, fail)
-        patch.setattr(wstate.instrument, "_kron_factors", fail)
-        yield
-
-
 @given(case=qsp_cases())
 @settings(max_examples=150)
 def test_controlled_swap_matches_its_table_and_the_reference(case):
     inst, inputs = case
-    table = _table(inst)
+    table = table_held(inst)
+    read = instrument_from_json(json.loads(json.dumps(instrument_to_json(inst))))
+    assert isinstance(read.unitary, ControlledSwap)
     m_norm = max(1.0, np.linalg.norm(inst.measurement.matrix, 2))
-    scale = m_norm * np.prod([np.linalg.norm(x.matrix, "nuc") for x in inputs])
-    with _no_gather():
+    nuc = np.prod([np.linalg.norm(x.matrix, "nuc") for x in inputs])
+    scale = m_norm * nuc
+    with no_gather():
         ev = evolve(inst, inputs)
         assert ev.blocks is not None and ev.blocks.shape == (2, 2, *inst.output_layout.dims * 2)
         tau = apply_exact(inst, inputs).matrix
         obs = rand_hermitian(np.random.default_rng(len(tau)), len(tau))
         got = [variance_exact(inst, inputs, obs), variance_bound(inst, inputs, 2.0)]
+        from_doc = [apply_exact(read, inputs).matrix, variance_exact(read, inputs, obs)]
         physical = not any(isinstance(x, WeightedState) for x in inputs)
         if physical:
             got.append(sample_estimate(inst, inputs, obs, shots=100, seed=1))
+            from_doc.append(sample_estimate(read, inputs, obs, shots=100, seed=1))
             if inst.measurement.kind != "nonnormal":
                 got.append(branches(inst, inputs))
     assert _close(tau, reference_weighted_output(inst, inputs), scale)
+    assert _close(from_doc[0], tau, scale)
     assert _close(tau, apply_exact(table, inputs).matrix, scale)
     o_norm = np.linalg.norm(obs, 2)
     parts = sum(abs(c) * np.linalg.norm(form(n).dense(), 2)
                 for c, n in inst.measurement.normal_parts())
     var_scale = max(1.0, (o_norm * parts) ** 2) * scale
     assert _close(got[0], variance_exact(table, inputs, obs), var_scale)
+    assert _close(from_doc[1], got[0], var_scale)
     want = variance_bound(table, inputs, 2.0)
     assert _close([got[1].b1, got[1].b2], [want.b1, want.b2], var_scale)
     if len(got) > 2:
@@ -322,6 +315,7 @@ def test_controlled_swap_matches_its_table_and_the_reference(case):
         for field in ("analytic_mean", "analytic_variance", "variance_bound"):
             field_scale = max(1.0, o_norm * parts) ** (1 if field == "analytic_mean" else 2)
             assert _close(getattr(got[2], field), getattr(want, field), field_scale), field
+            assert _close(getattr(from_doc[2], field), getattr(want, field), field_scale), field
     if len(got) > 3:
         for a, b in zip(got[3], branches(table, inputs), strict=True):
             assert a.eigenvalue == b.eigenvalue
@@ -329,9 +323,50 @@ def test_controlled_swap_matches_its_table_and_the_reference(case):
             if a.conditional_state is not None:
                 scale = 1.0 / a.probability
                 assert _close(a.conditional_state.matrix, b.conditional_state.matrix, scale)
-    # the joint ket, read on demand, is the table's evolution
+    # block X[e, f] is the table's weighted output for M = |f><e|
     ev_table = evolve(table, inputs)
-    assert _close(ev.ket, ev_table.ket, 1.0) and _close(ev.bra, ev_table.bra, 1.0)
+    for e, f in np.ndindex(2, 2):
+        unit = np.zeros((2, 2))
+        unit[f, e] = 1.0
+        assert _close(ev.blocks[e, f], weighted_output(ev_table, unit), nuc)
+
+
+@pytest.mark.parametrize("case", ["control-first", "control-last", "swap-on-0", "pair-exchanged",
+                                  "unequal-dims"])
+def test_full_table_is_a_controlled_swap_only_when_it_is_one(case):
+    # a full-layout table on a measured qubit C and inputs S, G: the
+    # controlled SWAP, with C first or last, is held as a ControlledSwap
+    # and takes the blocks; the SWAP controlled on |0>, a controlled SWAP
+    # with two entries exchanged and a table on S, G of unequal dims stay
+    # tables; each matches the dense reference of its table
+    rng = np.random.default_rng(11)
+    d, d_g = 3, 2 if case == "unequal-dims" else 3
+    regs = [Register("C", 2, role="E", source="ancilla"), Register("S", d, role="S", source="input"),
+            Register("G", d_g, role="G", source="input")]
+    layout = RegisterLayout.of(*(regs[1:] + regs[:1] if case == "control-last" else regs))
+    x = dict(zip(layout.labels, np.indices(layout.dims, sparse=True)))
+    c, s, g = x["C"], x["S"], x["G"]
+    if case == "unequal-dims":
+        y = {"C": c, "S": s, "G": (g + c) % d_g}
+    else:
+        swapped = c == (0 if case == "swap-on-0" else 1)
+        y = {"C": c, "S": np.where(swapped, g, s), "G": np.where(swapped, s, g)}
+    perm = np.broadcast_to(combine_digits([y[l] for l in layout.labels], layout.dims),
+                           layout.dims).reshape(-1).copy()
+    if case == "pair-exchanged":
+        perm[[0, 1]] = perm[[1, 0]]
+    sigma = QuantumState(layout.sub(("C",)), density=rand_density(rng, 2))
+    inst = QuantumInstrument(layout, sigma, PermutationUnitary(perm),
+                             MeasurementOperator.of(_complex(rng, 2, 2)))
+    held = case.startswith("control")
+    assert isinstance(inst.unitary, ControlledSwap) == held
+    assert np.array_equal(form(inst.unitary).lifted().perm, perm)
+    inputs = [QuantumState.from_density(rand_density(rng, d)),
+              QuantumState.from_density(rand_density(rng, d_g))]
+    with no_gather() if held else contextlib.nullcontext():
+        tau = apply_exact(inst, inputs).matrix
+    want = reference_weighted_output(replace(inst, unitary=_dense(perm)), inputs)
+    assert _close(tau, want, np.linalg.norm(inst.measurement.matrix, 2))
 
 
 @given(seed=st.integers(0, 2**32 - 1), first=st.sampled_from(["qhp", "joint"]),
@@ -357,7 +392,7 @@ def test_qsp_second_stage_keeps_pieces_apart(seed, first, swapped, n):
     pipe = concatenate(stage, qsp, wiring)
     staged = pipe.apply_staged(states, fresh).matrix
     scale = max(1.0, np.linalg.norm(qsp.measurement.matrix, 2))
-    assert _close(staged, concatenate(stage, _table(qsp), wiring).apply_staged(states, fresh).matrix,
+    assert _close(staged, concatenate(stage, table_held(qsp), wiring).apply_staged(states, fresh).matrix,
                   scale)
     assert _close(staged, pipe.apply_flattened(states, fresh).matrix, scale)
     assert _close(staged, reference_weighted_output(pipe.flattened, states + fresh), scale)

@@ -65,7 +65,7 @@ from wstate.tensor import (
     spectral_norm,
 )
 
-from conftest import rand_density, rand_hermitian, rand_state, rand_unitary
+from conftest import rand_density, rand_hermitian, rand_state, rand_unitary, table_held
 
 
 class TestSampleCounts:
@@ -503,8 +503,10 @@ class TestEvaluationPlan:
     @pytest.mark.parametrize("form", sorted(TABLE_FORMS))
     def test_plan_derived_once_per_instrument(self, monkeypatch, form):
         # the gather path derives preimage_indices, the support path (GQT
-        # and teleport: a basis-state ancilla) image_indices; one or the other
+        # and teleport: a basis-state ancilla) image_indices; one or the other.
+        # QSP's controlled SWAP derives neither, so each form runs on its table
         inst, inputs, obs = _fresh(form, 29)
+        inst = table_held(inst)
         real_factor = wstate.instrument._factor
         tables, factored = [], []
 
@@ -530,7 +532,7 @@ class TestEvaluationPlan:
         assert all(np.array_equal(a, b) for a, b in zip(got[:2], got[3:5]))
         assert got[2] == got[5] == got[8]
         fresh, inputs, obs = _fresh(form, 29)
-        assert np.array_equal(evolve(fresh, inputs).ket, got[0])
+        assert np.array_equal(evolve(table_held(fresh), inputs).ket, got[0])
 
     @pytest.mark.parametrize("form", ["dense-normal", "permutation", "low-rank"])
     def test_replaced_unitary_takes_its_own_plan(self, form):

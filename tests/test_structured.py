@@ -54,7 +54,7 @@ from wstate.tensor import (
     spectral_norm,
 )
 
-from conftest import emulate_nonnormal, rand_density, rand_hermitian, rand_state
+from conftest import emulate_nonnormal, rand_density, rand_hermitian, rand_state, table_held
 
 
 def _complex(rng, d):
@@ -339,14 +339,18 @@ def test_weighted_output_allocates_one_bra(rng, kind):
     # full-rank density inputs: the GQT n = 4 ket is 4096 x 256 columns
     # (16.8 MB), its ancilla a pure state that is no basis vector, so that
     # the blocked permutation contraction runs on the whole ket; QSP n = 3
-    # has a dense 2 x 2 M and a G register
+    # has a dense 2 x 2 M and a G register, and its table (whose evolution
+    # holds the joint ket, where the controlled SWAP's holds blocks) is
+    # checked against the blocks
     if kind == "gqt-swap":
         inst, d = build_gqt_instrument(4), 16
         inst = replace(inst, ancilla=QuantumState(inst.ancilla.layout, vector=rand_state(rng, d)))
+        table = inst
     else:
         inst, d = build_qsp_instrument(rand_density(rng, 2), _complex(rng, 2), 3), 8
+        table = table_held(inst)
     inputs = [QuantumState.from_density(rand_density(rng, d)) for _ in inst.input_labels]
-    ev = evolve(inst, inputs)
+    ev = evolve(table, inputs)
     assert ev.ket.flags.c_contiguous and ev.bra.flags.c_contiguous
     m = inst.measurement.operator
     tau, peak = _traced_peak(lambda: weighted_output(ev, m))
