@@ -189,7 +189,7 @@ def expectation(tau, obs) -> complex:
 # measurement operators
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, init=False)
 class MeasurementOperator:
     """Measurement operator M with its normality class.
 
@@ -198,39 +198,45 @@ class MeasurementOperator:
     as one table over the E space, or a LowRankOperator (the teleport
     instrument's Bell-type map). `matrix` builds the dense form on each read.
 
-    kind is one of hermitian / normal / nonnormal, decided once by the form,
+    kind is one of hermitian / normal / nonnormal, decided by the form,
     exactly and at every size; a dense class is relative to norm_scale(M),
-    so c*M keeps the class of M for every c != 0. An omitted kind is filled
-    in; a given kind must equal the class, or be 'normal' for a Hermitian M.
+    so c*M keeps the class of M for every c != 0. A given kind is checked at
+    construction: it must equal the class, or be 'normal' for a Hermitian M.
+    An omitted kind is decided on first read and kept: the exact weighted
+    output is linear in M and reads neither kind nor parts, so building and
+    applying an instrument classifies nothing. Both are deterministic, so
+    two threads racing on a first read only decide the same value twice.
 
-    A non-normal M = sum_k c_k N_k takes normal parts at construction: given,
-    or else the form's split into (1/2)(M + M^dag) and (1/2)(M - M^dag).
-    `rows`, the one table derived from the parts (the estimator's
-    probabilities, scaled values, merged outcome labels and spectral
-    groups), is kept from its first read; this assumes M's arrays stay
-    unchanged.
+    A non-normal M = sum_k c_k N_k has normal parts: given ones are checked
+    at construction; otherwise the first read of parts takes the form's
+    split into (1/2)(M + M^dag) and (1/2)(M - M^dag), and parts is None for
+    a normal M. `rows`, the one table derived from the parts (the
+    estimator's probabilities, scaled values, merged outcome labels and
+    spectral groups), is kept from its first read; this assumes M's arrays
+    stay unchanged.
     """
 
     operator: np.ndarray | object
-    kind: str | None = None
-    parts: tuple[tuple[complex, object], ...] | None = None
 
-    def __post_init__(self):
-        op = form(self.operator).as_measurement()
-        object.__setattr__(self, "operator", op)
-        m = form(op)
-        actual = m.kind
-        given = self.kind
-        if given is not None and given not in (
-            (actual, "normal") if actual == "hermitian" else (actual,)
-        ):
-            raise ValidationError(f"kind {given!r} but the operator is {actual}")
-        object.__setattr__(self, "kind", given or actual)
-        if self.parts is None:
-            if actual == "nonnormal":
-                object.__setattr__(self, "parts", m.split())
+    def __init__(self, operator, kind: str | None = None,
+                 parts: tuple[tuple[complex, object], ...] | None = None):
+        # a dataclass __init__ with kind and parts as init-only values: the
+        # instance keeps them only where given, else they are derived
+        object.__setattr__(self, "operator", form(operator).as_measurement())
+        self.__post_init__(kind, parts)
+
+    def __post_init__(self, kind, parts):
+        """The checks of a given kind and given parts; the derived ones are
+        left to their first read."""
+        m = form(self.operator)
+        if kind is not None:
+            actual = m.kind
+            if kind not in ((actual, "normal") if actual == "hermitian" else (actual,)):
+                raise ValidationError(f"kind {kind!r} but the operator is {actual}")
+            object.__setattr__(self, "kind", kind)
+        if parts is None:
             return
-        parts = tuple((complex(c), form(n).as_measurement()) for c, n in self.parts)
+        parts = tuple((complex(c), form(n).as_measurement()) for c, n in parts)
         if not parts:
             raise ValidationError("empty decomposition")
         full = m.dense()
@@ -244,10 +250,18 @@ class MeasurementOperator:
             raise ValidationError("decomposition does not reconstruct the matrix")
         object.__setattr__(self, "parts", parts)
 
+    @cached_property
+    def kind(self) -> str:
+        return form(self.operator).kind
+
+    @cached_property
+    def parts(self) -> tuple[tuple[complex, object], ...] | None:
+        return form(self.operator).split() if self.kind == "nonnormal" else None
+
     @staticmethod
     def of(matrix, decomposition=None) -> "MeasurementOperator":
-        """Wrap M, held in any of the three forms, with the class that the
-        construction decides."""
+        """Wrap M, held in any of the three forms; its class is decided on
+        first read."""
         return MeasurementOperator(matrix, None, decomposition)
 
     @property
@@ -753,15 +767,14 @@ class Pipeline:
     wiring maps each S register of the first stage onto an input register of
     the second. Staged evaluation applies the second stage by linearity to
     the factor columns of tau_1 (x) fresh inputs, with tau_1 factored by its
-    SVD and no D_in x D_in matrix formed; the flattened form is a single
+    SVD and no D_in x D_in matrix formed; the flattened form, a single
     instrument with the combined unitary and the product measurement, used
-    for sampling and variance analysis.
+    for sampling and variance analysis, is built on first read.
     """
 
     first: QuantumInstrument
     second: QuantumInstrument
     wiring: dict
-    flattened: QuantumInstrument
 
     def apply_staged(self, first_inputs, fresh_inputs=()) -> WeightedState:
         tau1 = apply_exact(self.first, first_inputs)
@@ -779,6 +792,74 @@ class Pipeline:
     def apply_flattened(self, first_inputs, fresh_inputs=()) -> WeightedState:
         return apply_exact(self.flattened, _pieces(first_inputs) + _pieces(fresh_inputs))
 
+    @cached_property
+    def flattened(self) -> QuantumInstrument:
+        """One instrument on the union of the stages' registers: U = U2 U1
+        and M1 (x) M2 on the union of E registers."""
+        first, second, wiring = self.first, self.second, self.wiring
+        lay2 = second.layout
+        inverse = {b: a for a, b in wiring.items()}
+        taken = set(first.layout.labels)
+        rename: dict[str, str] = {}
+        combined: list[Register] = []
+        for r in first.layout.registers:
+            if r.label in wiring:
+                tgt = lay2.registers[lay2.index(wiring[r.label])]
+                combined.append(replace(r, role=tgt.role))
+            else:
+                combined.append(r)
+        for r in lay2.registers:
+            if r.label in inverse:
+                rename[r.label] = inverse[r.label]
+                continue
+            new_label = _fresh_label(r.label, taken)
+            taken.add(new_label)
+            rename[r.label] = new_label
+            combined.append(replace(r, label=new_label))
+        new_layout = RegisterLayout(tuple(combined))
+
+        # second-stage unitary acts on its registers wherever they now live
+        u2_labels = [rename[r.label] for r in lay2.registers]
+        u_total = compose(
+            form(second.unitary).placed(u2_labels, new_layout),
+            form(first.unitary).placed(first.layout.labels, new_layout),
+        )
+
+        # the stages measure disjoint registers, so M1 (x) M2, and each product
+        # of their normal parts (a tensor product of normal operators, hence
+        # normal), is one Kronecker product placed on the union of E registers
+        e_sub = new_layout.sub(r.label for r in combined if r.role == "E")
+        e12 = list(first.e_labels) + [rename[l] for l in second.e_labels]
+
+        def product(a, b):
+            return embed_operator(np.kron(form(a).dense(), form(b).dense()), e12, e_sub)
+
+        meas1, meas2 = first.measurement, second.measurement
+        m_total = product(meas1.operator, meas2.operator)
+        decomposition = None
+        if "nonnormal" in (meas1.kind, meas2.kind):
+            parts2 = meas2.normal_parts()
+            decomposition = tuple(
+                (c1 * c2, product(n1, n2)) for c1, n1 in meas1.normal_parts() for c2, n2 in parts2
+            )
+
+        # the ancilla registers of both stages, in layout order: first, then second
+        ancillas = [a for a in (first.ancilla, second.ancilla) if a is not None]
+        anc = None
+        if ancillas:
+            anc_layout = new_layout.sub(r.label for r in combined if r.source == "ancilla")
+            if all(a.is_pure for a in ancillas):
+                anc = QuantumState(anc_layout, vector=reduce(np.kron, [a.vector for a in ancillas]))
+            else:
+                anc = QuantumState(anc_layout, density=reduce(np.kron, [a.matrix for a in ancillas]))
+
+        return QuantumInstrument(
+            new_layout,
+            ancilla=anc,
+            unitary=u_total,
+            measurement=MeasurementOperator.of(m_total, decomposition),
+        )
+
 
 def concatenate(
     first: QuantumInstrument, second: QuantumInstrument, wiring: dict | None = None
@@ -786,8 +867,9 @@ def concatenate(
     """Wire the first stage's S registers into input registers of the second.
 
     Unwired second-stage inputs become fresh inputs of the pipeline, appended
-    after the first stage's own inputs. The flattened instrument applies
-    U = U2 U1 and measures M1 (x) M2 on the union of E registers.
+    after the first stage's own inputs. The wiring is checked here; the
+    flattened instrument, which applies U = U2 U1 and measures M1 (x) M2 on
+    the union of E registers, is built when first read.
     """
     s1 = list(first.s_labels)
     in2 = list(second.input_labels)
@@ -809,71 +891,4 @@ def concatenate(
         db = lay2.registers[lay2.index(b)].dim
         if da != db:
             raise DimensionMismatch(f"wire {a!r}->{b!r} joins dims {da} and {db}")
-
-    inverse = {b: a for a, b in wiring.items()}
-    taken = set(first.layout.labels)
-    rename: dict[str, str] = {}
-    combined: list[Register] = []
-    for r in first.layout.registers:
-        if r.label in wiring:
-            tgt = lay2.registers[lay2.index(wiring[r.label])]
-            combined.append(replace(r, role=tgt.role))
-        else:
-            combined.append(r)
-    for r in lay2.registers:
-        if r.label in inverse:
-            rename[r.label] = inverse[r.label]
-            continue
-        new_label = _fresh_label(r.label, taken)
-        taken.add(new_label)
-        rename[r.label] = new_label
-        combined.append(replace(r, label=new_label))
-    new_layout = RegisterLayout(tuple(combined))
-
-    # second-stage unitary acts on its registers wherever they now live
-    u2_labels = [rename[r.label] for r in lay2.registers]
-    u_total = compose(
-        form(second.unitary).placed(u2_labels, new_layout),
-        form(first.unitary).placed(first.layout.labels, new_layout),
-    )
-
-    # the stages measure disjoint registers, so M1 (x) M2, and each product
-    # of their normal parts (a tensor product of normal operators, hence
-    # normal), is one Kronecker product placed on the union of E registers
-    e_sub = new_layout.sub(r.label for r in combined if r.role == "E")
-    e12 = list(first.e_labels) + [rename[l] for l in second.e_labels]
-
-    def product(a, b):
-        return embed_operator(np.kron(form(a).dense(), form(b).dense()), e12, e_sub)
-
-    meas1, meas2 = first.measurement, second.measurement
-    m_total = product(meas1.operator, meas2.operator)
-    decomposition = None
-    if "nonnormal" in (meas1.kind, meas2.kind):
-        parts2 = meas2.normal_parts()
-        decomposition = tuple(
-            (c1 * c2, product(n1, n2)) for c1, n1 in meas1.normal_parts() for c2, n2 in parts2
-        )
-
-    # the ancilla registers of both stages, in layout order: first, then second
-    ancillas = [a for a in (first.ancilla, second.ancilla) if a is not None]
-    anc = None
-    if ancillas:
-        anc_layout = new_layout.sub(r.label for r in combined if r.source == "ancilla")
-        if all(a.is_pure for a in ancillas):
-            anc = QuantumState(anc_layout, vector=reduce(np.kron, [a.vector for a in ancillas]))
-        else:
-            anc = QuantumState(anc_layout, density=reduce(np.kron, [a.matrix for a in ancillas]))
-
-    flattened = QuantumInstrument(
-        new_layout,
-        ancilla=anc,
-        unitary=u_total,
-        measurement=MeasurementOperator.of(m_total, decomposition),
-    )
-    return Pipeline(
-        first=first,
-        second=second,
-        wiring=dict(wiring),
-        flattened=flattened,
-    )
+    return Pipeline(first=first, second=second, wiring=dict(wiring))

@@ -159,7 +159,7 @@ def build_qhp_instrument(n: int) -> QuantumInstrument:
         layout,
         ancilla=None,
         unitary=_xor_ladder_perm(layout, src=0, dst=1),
-        measurement=MeasurementOperator.of(np.diag(np.eye(d, dtype=np.complex128)[0])),
+        measurement=MeasurementOperator.of(np.diag(np.eye(1, d, dtype=np.complex128)[0])),
     )
 
 
@@ -178,15 +178,13 @@ def build_gqt_instrument(n: int) -> QuantumInstrument:
         Register("E1", d, role="E", source="ancilla"),
         Register("E2", d, role="E", source="input"),
     )
-    anc = QuantumState(
-        layout.sub(("E1",)), vector=np.eye(d, dtype=np.complex128)[0].copy()
-    )
+    anc = QuantumState(layout.sub(("E1",)), vector=np.eye(1, d, dtype=np.complex128)[0])
     swap = PermutationUnitary(combine_digits(np.indices((d, d), sparse=True)[::-1], (d, d)))
     return QuantumInstrument(
         layout,
         ancilla=anc,
         unitary=_xor_ladder_perm(layout, src=0, dst=1),
-        measurement=MeasurementOperator(swap, "hermitian"),
+        measurement=MeasurementOperator.of(swap),
     )
 
 
@@ -238,9 +236,7 @@ def build_teleport_instrument(n: int, maps) -> QuantumInstrument:
         Register("B", d, role="E", source="input"),
         Register("C", d, role="S", source="ancilla"),
     )
-    anc = QuantumState(
-        layout.sub(("C",)), vector=np.eye(d, dtype=np.complex128)[0].copy()
-    )
+    anc = QuantumState(layout.sub(("C",)), vector=np.eye(1, d, dtype=np.complex128)[0])
     us, vs = [], []
     for j, k in maps:
         j = asarray(j, square=True)

@@ -9,6 +9,10 @@ A change that moves seeded numbers regenerates the file, so that the move
 shows as a diff:
 
     PYTHONPATH=src python tests/test_golden.py
+
+The writer keeps a stored analytic field when the new value lies within the
+test's tolerance of it, so the diff shows only the fields that moved beyond
+it, not the last bits that another host's rounding moves.
 """
 
 from __future__ import annotations
@@ -167,8 +171,28 @@ def test_cli_stdout_matches_golden(tmp_path):
     assert not moved, "CLI stdout moved (regenerate and list it): " + ", ".join(moved)
 
 
+def _keep_stored_analytic(estimate: dict, stored: dict) -> int:
+    """Put back each stored analytic field that the new value lies within
+    ANALYTIC_RTOL of, so that a regeneration moves only the fields that
+    really moved, not those the host rounds differently; returns how many
+    were put back."""
+    kept = 0
+    for key, fields in estimate.items():
+        for f in ANALYTIC_FIELDS:
+            old = stored.get(key, {}).get(f)
+            if old is not None and old != fields[f]:
+                x, y = _value(fields[f]), _value(old)
+                if abs(x - y) <= ANALYTIC_RTOL * abs(y):
+                    fields[f] = old
+                    kept += 1
+    return kept
+
+
 if __name__ == "__main__":
     with tempfile.TemporaryDirectory() as tmp:
         golden = {"estimate": estimate_reports(), "cli": cli_outputs(Path(tmp))}
+    stored = _golden()["estimate"] if GOLDEN.exists() else {}
+    kept = _keep_stored_analytic(golden["estimate"], stored)
     GOLDEN.write_text(json.dumps(golden, indent=1, sort_keys=True) + "\n")
-    print(f"wrote {GOLDEN.relative_to(ROOT)}")
+    print(f"wrote {GOLDEN.relative_to(ROOT)}, keeping {kept} analytic fields within "
+          f"{ANALYTIC_RTOL:g} of the stored ones")

@@ -9,6 +9,7 @@ from hypothesis import strategies as st
 from wstate.errors import (
     DimensionMismatch,
     InvalidState,
+    NotNormal,
     NotUnitary,
     ValidationError,
 )
@@ -127,8 +128,6 @@ class TestMeasurementClassification:
             MeasurementOperator(m, "nonnormal", ((1.0, np.eye(2)),))
 
     def test_decomposition_parts_must_be_normal(self):
-        from wstate.errors import NotNormal
-
         m = np.array([[1.0, 1.0], [0.0, 1.0]])
         with pytest.raises(NotNormal):
             MeasurementOperator(m, "nonnormal", ((1.0, m),))
@@ -174,12 +173,38 @@ class TestMeasurementClassification:
             "permutation": lambda: PermutationUnitary(np.array([1, 2, 0])),
             "low-rank": lambda: LowRankOperator(*(rand_operator(rng, 4)[:, :2] for _ in "uv")),
         }
+        # of() decides no class; the first read of kind decides it once
         op = MeasurementOperator.of(ops[held]())
-        assert len(calls) == 1
+        assert calls == []
+        kind = op.kind
+        assert op.kind is kind and len(calls) == 1
         monkeypatch.undo()
-        assert op.kind == form(op.operator).kind
+        assert kind == form(op.operator).kind
         if held == "nonnormal":
             assert len(op.normal_parts()) == 2
+
+    def test_given_kind_and_decomposition_checked_at_construction(self, rng):
+        # a given kind or decomposition is still checked when it is given,
+        # with the errors of a wrong one, however M is held
+        upper = np.array([[1.0, 1.0], [0.0, 1.0]])
+        swap = PermutationUnitary(np.array([0, 2, 1, 3]))
+        cycle = PermutationUnitary(np.array([1, 2, 0]))
+        u = rand_operator(rng, 4)[:, :1]
+        projector = LowRankOperator(u, u)
+        for held, wrong in ((upper, "normal"), (swap, "nonnormal"), (cycle, "hermitian"),
+                            (projector, "nonnormal"), (rand_hermitian(rng, 2), "nonnormal")):
+            with pytest.raises(ValidationError, match="but the operator is"):
+                MeasurementOperator(held, wrong)
+        with pytest.raises(ValidationError, match="does not reconstruct"):
+            MeasurementOperator.of(upper, ((1.0, np.eye(2)),))
+        with pytest.raises(ValidationError, match="does not reconstruct"):
+            MeasurementOperator.of(projector, ((1.0, np.eye(4)),))
+        with pytest.raises(DimensionMismatch):
+            MeasurementOperator.of(upper, ((1.0, np.eye(3)),))
+        with pytest.raises(NotNormal):
+            MeasurementOperator.of(upper, ((1.0, upper),))
+        with pytest.raises(ValidationError, match="empty decomposition"):
+            MeasurementOperator.of(upper, ())
 
 
 def _operator_of_kind(rng, kind, d):
@@ -544,6 +569,7 @@ class TestConcatenate:
         k = len(first.input_labels)
         inputs, fresh = states[:k], states[k:]
         staged = chained.apply_staged(inputs, fresh)
+        assert "flattened" not in vars(chained)  # built on its first read only
         flat = chained.apply_flattened(inputs, fresh)
         assert np.abs(staged.matrix - flat.matrix).max() <= 1e-10 * np.abs(flat.matrix).max()
 
@@ -558,6 +584,33 @@ class TestConcatenate:
         )
         direct = np.trace(qhp(qhp(states[0], states[1]), states[2]) @ obs)
         assert abs(expectation(tau, obs) - direct) < 1e-10
+
+    def test_wiring_checked_at_concatenation(self):
+        # the wiring is checked when the stages are joined, before any
+        # flattened instrument is built
+        two = QuantumInstrument(
+            RegisterLayout.of(Register("S1", 2, role="S"), Register("S2", 2, role="S")),
+            ancilla=None,
+            unitary=PermutationUnitary.identity(4),
+            measurement=MeasurementOperator.of(np.array([[1.0]])),
+        )
+        one = QuantumInstrument(
+            RegisterLayout.of(Register("S", 2, role="S")),
+            ancilla=None,
+            unitary=PermutationUnitary.identity(2),
+            measurement=MeasurementOperator.of(np.array([[1.0]])),
+        )
+        qhp1, qhp2 = build_qhp_instrument(1), build_qhp_instrument(2)
+        teleport = build_teleport_instrument(1, [(np.eye(2), np.eye(2))])
+        for first, second, wiring, error in (
+            (qhp1, qhp1, {"E": "S"}, ValidationError),
+            (two, qhp1, {"S1": "S", "S2": "S"}, ValidationError),
+            (qhp1, teleport, {"S": "C"}, ValidationError),
+            (qhp1, qhp2, None, DimensionMismatch),
+            (two, one, None, DimensionMismatch),
+        ):
+            with pytest.raises(error):
+                concatenate(first, second, wiring)
 
     def test_stage_without_e_registers_keeps_its_scalar_measurement(self, rng):
         # a 1 x 1 M on no E registers scales the weighted state; the

@@ -15,6 +15,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from wstate import tensor
 from wstate.errors import DimensionMismatch, NotNormal, ValidationError
 from wstate.instrument import (
     MeasurementOperator,
@@ -38,6 +39,7 @@ from wstate.sampling import (
 )
 from wstate.subroutines import (
     build_gqt_instrument,
+    build_qhp_instrument,
     build_qsp_instrument,
     build_teleport_instrument,
     gqt,
@@ -191,7 +193,8 @@ def test_structured_nonnormal_split_matches_dense(rng):
 
 
 def test_reads_leave_the_measurement_unchanged(rng):
-    # M is held in one form: reading its matrix or its parts writes nothing
+    # M is held in one form: once its class and parts are decided, reading
+    # its matrix or its parts writes nothing, so no dense array is kept
     ops = [
         np.array([[1.0, 1.0], [0.0, 1.0]]),
         PermutationUnitary(np.array([0, 2, 1, 3])),
@@ -200,10 +203,44 @@ def test_reads_leave_the_measurement_unchanged(rng):
     assert MeasurementOperator.of(ops[2]).kind == "nonnormal"
     for form in ops:
         meas = MeasurementOperator.of(form)
+        meas.kind, meas.parts
         before = dict(vars(meas))
-        meas.matrix, meas.normal_parts()
-        assert vars(meas).keys() == before.keys()
+        meas.matrix, meas.normal_parts(), meas.matrix, meas.normal_parts()
+        assert vars(meas).keys() == before.keys() == {"operator", "kind", "parts"}
         assert all(vars(meas)[k] is v for k, v in before.items())
+
+
+@pytest.mark.parametrize("name", ["qhp", "gqt", "teleport-identity", "teleport-one-random"])
+def test_build_and_apply_exact_decide_no_class(rng, monkeypatch, name):
+    # the exact output is linear in M, so building an instrument and
+    # applying it decide nothing about M: no classify, no involution test
+    # of a permutation, no QR core of a low-rank M; the first read of kind
+    # decides the class
+    calls = []
+
+    def spy(label, real):
+        def counted(*args):
+            calls.append(label)
+            return real(*args)
+
+        return counted
+
+    monkeypatch.setattr(tensor, "classify", spy("classify", tensor.classify))
+    monkeypatch.setattr(PermutationUnitary, "is_involution",
+                        property(spy("is_involution", PermutationUnitary.is_involution.fget)))
+    monkeypatch.setattr(LowRankOperator, "core",
+                        property(spy("core", LowRankOperator.__dict__["core"].func)))
+    if name == "qhp":
+        inst = build_qhp_instrument(2)
+    elif name == "gqt":
+        inst = build_gqt_instrument(2)
+    else:
+        inst = build_teleport_instrument(2, MAPS[name.split("-", 1)[1]](rng, 4))
+    for pure in (True, False):
+        apply_exact(inst, _inputs(rng, 4, pure=pure))
+    assert calls == []
+    inst.measurement.kind
+    assert calls
 
 
 def test_zero_rank_measurement_matches_dense_zero(rng):
