@@ -43,7 +43,6 @@ from .tensor import (
     NORMALITY_TOL,
     Register,
     RegisterLayout,
-    asarray,
     compose,
     embed_operator,
     form,
@@ -51,6 +50,7 @@ from .tensor import (
     merge_values,
     norm_scale,
     not_normal,
+    operand,
 )
 
 STATE_TOL = 1e-10
@@ -86,9 +86,7 @@ class QuantumState:
             raise ValidationError("state needs exactly one of vector or density")
         d = self.layout.total_dim
         if self.vector is not None:
-            v = asarray(self.vector)
-            if v.shape != (d,):
-                raise DimensionMismatch(f"vector shape {v.shape} vs layout dim {d}")
+            v = operand(self.vector, d, "state vector", ndim=1)
             nrm = float(np.linalg.norm(v))
             if abs(nrm - 1.0) > STATE_TOL:
                 raise InvalidState(f"pure state norm {nrm} is not 1 within {STATE_TOL}")
@@ -96,9 +94,7 @@ class QuantumState:
             column = v[:, None]
             factors = column, column
         else:
-            m = asarray(np.array(self.density, dtype=np.complex128), square=True)
-            if m.shape != (d, d):
-                raise DimensionMismatch(f"density shape {m.shape} vs layout dim {d}")
+            m = operand(np.array(self.density, dtype=np.complex128), d, "density")
             if hermiticity_residual(m) > STATE_TOL:
                 raise InvalidState("density matrix is not Hermitian within tolerance")
             tr = float(np.trace(m).real)
@@ -114,14 +110,14 @@ class QuantumState:
 
     @staticmethod
     def pure(vec, layout: RegisterLayout | None = None) -> "QuantumState":
-        v = asarray(vec)
+        v = operand(vec, what="state vector", ndim=1)
         if layout is None:
             layout = RegisterLayout.of(Register("R", v.shape[0]))
         return QuantumState(layout, vector=v)
 
     @staticmethod
     def from_density(mat, layout: RegisterLayout | None = None) -> "QuantumState":
-        m = asarray(mat, square=True)
+        m = operand(mat, what="density")
         if layout is None:
             layout = RegisterLayout.of(Register("R", m.shape[0]))
         return QuantumState(layout, density=m)
@@ -149,11 +145,7 @@ class WeightedState:
     layout: RegisterLayout
 
     def __post_init__(self):
-        m = asarray(self.matrix, square=True)
-        if m.shape[0] != self.layout.total_dim:
-            raise DimensionMismatch(
-                f"matrix dim {m.shape[0]} vs layout total {self.layout.total_dim}"
-            )
+        m = operand(self.matrix, self.layout.total_dim, "weighted state")
         object.__setattr__(self, "matrix", m)
 
     @property
@@ -165,23 +157,23 @@ class WeightedState:
         return complex(np.trace(self.matrix))
 
 
-def _mat(x) -> np.ndarray:
-    """An operand as a square array: the matrix of a QuantumState or
-    WeightedState, the projector |v><v| of a vector, or a square array."""
+def _mat(x, dim: int | None = None, what: str = "state") -> np.ndarray:
+    """An operand as a square array, of size dim when given (tensor.operand):
+    the matrix of a QuantumState or WeightedState, checked when it was built,
+    the projector |v><v| of a vector, or a square array."""
     if isinstance(x, (QuantumState, WeightedState)):
-        return x.matrix
-    a = asarray(x)
+        return x.matrix if dim in (None, x.dim) else operand(x.matrix, dim, what)
+    a = np.asarray(x, dtype=np.complex128)
     if a.ndim == 1:
-        return np.outer(a, a.conj())
-    return asarray(a, square=True)
+        v = operand(a, dim, what, ndim=1)
+        return np.outer(v, v.conj())
+    return operand(a, dim, what)
 
 
 def expectation(tau, obs) -> complex:
     """Tr(tau O) for any operand that _mat accepts."""
     m = _mat(tau)
-    o = asarray(obs, square=True)
-    if o.shape != m.shape:
-        raise DimensionMismatch(f"observable shape {o.shape} vs state shape {m.shape}")
+    o = operand(obs, len(m), "observable")
     return complex(np.einsum("ij,ji->", m, o))
 
 
@@ -395,11 +387,11 @@ def _factor(x):
     """
     if isinstance(x, QuantumState):
         return x.factors
-    a = asarray(x.matrix if isinstance(x, WeightedState) else x)
+    a = np.asarray(x.matrix if isinstance(x, WeightedState) else x, dtype=np.complex128)
     if a.ndim == 1:
-        v = a[:, None]
+        v = operand(a, what="input", ndim=1)[:, None]
         return v, v
-    u, s, vh = np.linalg.svd(asarray(a, square=True))
+    u, s, vh = np.linalg.svd(operand(a, what="input"))
     r = np.sqrt(s)
     return u * r, vh.conj().T * r
 

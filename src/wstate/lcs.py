@@ -43,10 +43,10 @@ from .tensor import (
     RegisterLayout,
     _PAULIS,
     _eigenbasis,
-    asarray,
     check_unitary,
     combine_digits,
     norm_scale,
+    operand,
     register_digits,
 )
 
@@ -68,13 +68,11 @@ class LcsProblem:
     gram: np.ndarray = field(init=False)
 
     def __post_init__(self):
-        states = tuple(asarray(s) for s in self.states)
-        if not states:
+        if not len(self.states):
             raise ValidationError("need at least one state")
-        d = states[0].shape[0]
+        d = len(operand(self.states[0], what="state 0", ndim=1))
+        states = tuple(operand(s, d, f"state {l}", ndim=1) for l, s in enumerate(self.states))
         for s in states:
-            if s.shape != (d,):
-                raise DimensionMismatch("states must share one dimension")
             if abs(np.linalg.norm(s) - 1.0) > 1e-10:
                 raise InvalidState("combination states must be normalized")
         alphas = tuple(complex(a) for a in self.alphas)
@@ -83,7 +81,7 @@ class LcsProblem:
                 f"{len(alphas)} coefficients for {len(states)} states"
             )
         if self.unitaries is not None:
-            us = tuple(asarray(u, square=True) for u in self.unitaries)
+            us = tuple(operand(u, d, "preparation unitary") for u in self.unitaries)
             if len(us) != len(states):
                 raise DimensionMismatch("one preparation unitary per state")
             for u, s in zip(us, states):
@@ -103,7 +101,7 @@ class LcsProblem:
 
     @staticmethod
     def from_unitaries(unitaries, alphas) -> "LcsProblem":
-        us = tuple(asarray(u, square=True) for u in unitaries)
+        us = tuple(operand(u, what="preparation unitary") for u in unitaries)
         return LcsProblem(tuple(u[:, 0].copy() for u in us), tuple(alphas), us)
 
     @property
@@ -140,9 +138,7 @@ def all_at_once_M(problem: LcsProblem, beta) -> MeasurementOperator:
     rejected, naming the offending (l, l', k) triple.
     """
     count = problem.count
-    b = asarray(beta)
-    if b.shape != (count,):
-        raise DimensionMismatch("one ancilla amplitude per state")
+    b = operand(beta, count, "beta", ndim=1)
     if float(np.abs(b).min()) < 1e-12:
         raise ZeroBeta("all ancilla amplitudes must be nonzero")
     perms = default_permutations(count)
@@ -181,8 +177,7 @@ def build_all_at_once_instrument(problem: LcsProblem, beta) -> QuantumInstrument
     # branch l places input register pi_l(k) at position k
     out = [np.select(branch, [inputs[p[k]] for p in perms]) for k in range(count)]
     perm = combine_digits([anc, *out], layout.dims)
-    b = asarray(beta)
-    anc_state = QuantumState(layout.sub(("A",)), vector=b)
+    anc_state = QuantumState(layout.sub(("A",)), vector=beta)
     return QuantumInstrument(
         layout, ancilla=anc_state, unitary=PermutationUnitary(perm), measurement=meas
     )
@@ -226,7 +221,7 @@ class PauliDecomposition:
     terms: tuple = field(init=False)
 
     def __post_init__(self):
-        t = asarray(self.target, square=True)
+        t = operand(self.target, what="observable")
         d = t.shape[0]
         if d < 1 or d & (d - 1):
             raise DimensionMismatch("Pauli expansion needs a 2^n-dimensional observable")
@@ -256,22 +251,13 @@ def _hadamard_circuit(pref: float, target: float) -> tuple:
     return pref, 1.0, np.array([1.0, -1.0]), np.array([p_plus, 1.0 - p_plus])
 
 
-def _operand(problem: LcsProblem, x, what: str) -> np.ndarray:
-    """x as a d x d array over the problem's states, DimensionMismatch
-    naming what otherwise."""
-    a = asarray(x, square=True)
-    if a.shape[0] != problem.dim:
-        raise DimensionMismatch(f"{what} dim {a.shape[0]} vs state dim {problem.dim}")
-    return a
-
-
 def incoherent_exact(problem: LcsProblem, v, obs) -> float:
     """Infinite-shot value Re <V Phi|O|V Phi>, the sum over l, l' of
     alpha_l alpha_l'^* <phi_l'|V^dag O V|phi_l> (None for V is the identity)."""
-    o = _operand(problem, obs, "observable")
+    o = operand(obs, problem.dim, "observable")
     phi = problem.target
     if v is not None:
-        phi = _operand(problem, v, "processing circuit") @ phi
+        phi = operand(v, problem.dim, "processing circuit") @ phi
     return float(np.vdot(phi, o @ phi).real)
 
 
@@ -286,10 +272,10 @@ def _incoherent_circuits(problem: LcsProblem, v, obs_decomposition: PauliDecompo
     per kept word P_i. All words of a pair come from one transform of
     |psi_l><psi_l'|. V must be unitary (None is the identity).
     """
-    o = _check_hermitian_obs(_operand(problem, obs_decomposition.target, "observable"))
+    o = _check_hermitian_obs(obs_decomposition.target, problem.dim)
     psi = np.array(problem.states)
     if v is not None:
-        v = _operand(problem, v, "processing circuit")
+        v = operand(v, problem.dim, "processing circuit")
         check_unitary(v, "the processing circuit")
         psi = psi @ v.T
     o_vals, o_vecs, o_labels = _eigenbasis(o, True)

@@ -17,7 +17,6 @@ import numpy as np
 
 from .errors import (
     AllocationError,
-    DimensionMismatch,
     InvalidDistribution,
     OrthogonalInputs,
     ValidationError,
@@ -32,9 +31,9 @@ from .instrument import (
 )
 from .tensor import (
     _eigenbasis,
-    asarray,
     dephase,
     is_hermitian,
+    operand,
 )
 
 _MASK64 = (1 << 64) - 1
@@ -113,9 +112,10 @@ class EstimatorReport:
         }
 
 
-def _check_hermitian_obs(obs) -> np.ndarray:
-    """O as a square array, Hermitian within NORMALITY_TOL of its scale."""
-    o = asarray(obs, square=True)
+def _check_hermitian_obs(obs, dim: int | None = None) -> np.ndarray:
+    """O as a square array (of size dim when given), Hermitian within
+    NORMALITY_TOL of its scale."""
+    o = operand(obs, dim, "observable")
     if not is_hermitian(o):
         raise ValidationError("observable must be Hermitian")
     return o
@@ -134,10 +134,7 @@ def _observable_basis(inst: QuantumInstrument, obs):
     key = (o.shape, o.dtype.str, hashlib.blake2b(np.ascontiguousarray(o)).digest())
     kept = inst._plan.get("observable")
     if kept is None or kept[0] != key:
-        o = _check_hermitian_obs(o)
-        d_s = inst.layout.dim_of(inst.s_labels)
-        if o.shape[0] != d_s:
-            raise DimensionMismatch(f"observable dim {o.shape[0]} vs output dim {d_s}")
+        o = _check_hermitian_obs(o, inst.layout.dim_of(inst.s_labels))
         kept = inst._plan["observable"] = (key, _eigenbasis(o, True))
     return kept[1]
 
@@ -324,8 +321,8 @@ def variance_bound(inst: QuantumInstrument, inputs, obs_norm: float) -> Variance
 def variance_qhp(tau, obs, shots: int) -> float:
     """(Tr[tau O^2] - |Tr tau O|^2) / shots for the entrywise product's
     projective instrument."""
-    o = _check_hermitian_obs(obs)
-    t = _mat(tau)
+    t = _mat(tau, what="tau")
+    o = _check_hermitian_obs(obs, len(t))
     return float(
         (expectation(t, o @ o).real - abs(expectation(t, o)) ** 2) / shots
     )
@@ -335,8 +332,9 @@ def variance_gqt(sigma, rho, obs, shots: int) -> float:
     """(Tr[D(sigma) O^2] Tr rho - |Tr[(sigma (.) rho^T) O]|^2) / shots; the
     SWAP measurement squares to the identity, leaving only the dephased
     first input."""
-    o = _check_hermitian_obs(obs)
-    s, r = _mat(sigma), _mat(rho)
+    s = _mat(sigma, what="sigma")
+    r = _mat(rho, len(s), "rho")
+    o = _check_hermitian_obs(obs, len(s))
     tau = s * r.T
     second = expectation(dephase(s), o @ o).real * np.trace(r).real
     return float((second - abs(expectation(tau, o)) ** 2) / shots)
@@ -344,10 +342,11 @@ def variance_gqt(sigma, rho, obs, shots: int) -> float:
 
 def variance_qsp(sigma, m, rho0, rho1, obs, shots: int) -> float:
     """Per-run variance of the controlled-SWAP instrument in closed form."""
-    o = _check_hermitian_obs(obs)
-    s = _mat(sigma)
-    mm = asarray(m, square=True)
-    r0, r1 = _mat(rho0), _mat(rho1)
+    s = _mat(sigma, 2, "sigma")
+    mm = operand(m, 2, "M")
+    r0 = _mat(rho0, what="rho0")
+    r1 = _mat(rho1, len(r0), "rho1")
+    o = _check_hermitian_obs(obs, len(r0))
     o2 = o @ o
     mm2 = mm @ mm.conj().T
     tau = qsp_from_parts(s, mm, r0, r1)
@@ -375,8 +374,10 @@ def variance_lincombo(alpha0, alpha1, beta0, states, obs, shots: int) -> float:
     """
     from .subroutines import ORTHOGONALITY_TOL
 
-    o = _check_hermitian_obs(obs)
-    p0, p1 = (asarray(v) for v in states)
+    psi0, psi1 = states
+    p0 = operand(psi0, what="psi0", ndim=1)
+    p1 = operand(psi1, len(p0), "psi1", ndim=1)
+    o = _check_hermitian_obs(obs, len(p0))
     q = abs(beta0) ** 2
     if not 0 < q < 1:
         raise ValidationError("|beta0|^2 must lie strictly between 0 and 1")
@@ -466,11 +467,14 @@ def optimal_beta(p: float, r: float) -> BetaDesign:
 def hoeffding_shots(epsilon: float, delta: float, obs_norm: float, m_norm: float) -> int:
     """Shots guaranteeing P(|mean - estimate| > epsilon) <= delta for
     eigenvalue products bounded by obs_norm * m_norm."""
-    if epsilon <= 0 or not 0 < delta < 1:
-        raise ValidationError("need epsilon > 0 and 0 < delta < 1")
-    if obs_norm <= 0 or m_norm <= 0:
-        raise ValidationError("norms must be positive")
-    return math.ceil(2.0 * (obs_norm * m_norm) ** 2 * math.log(2.0 / delta) / epsilon**2)
+    if not (0 < epsilon < math.inf and 0 < delta < 1):
+        raise ValidationError("need a finite epsilon > 0 and 0 < delta < 1")
+    if not (0 < obs_norm < math.inf and 0 < m_norm < math.inf):
+        raise ValidationError("norms must be positive and finite")
+    try:
+        return math.ceil(2.0 * (obs_norm * m_norm) ** 2 * math.log(2.0 / delta) / epsilon**2)
+    except (OverflowError, ZeroDivisionError):
+        raise ValidationError("the shot count overflows a float") from None
 
 
 def allocate_shots(weights, total: int) -> list[int]:
@@ -482,8 +486,8 @@ def allocate_shots(weights, total: int) -> list[int]:
     w = np.asarray(weights, dtype=float)
     if w.ndim != 1 or w.size == 0:
         raise ValidationError("weights must form a nonempty vector")
-    if float(w.min()) < 0:
-        raise ValidationError("weights must be nonnegative")
+    if not np.isfinite(w).all() or float(w.min()) < 0:
+        raise ValidationError("weights must be finite and nonnegative")
     nonzero = w > 0
     k = int(nonzero.sum())
     if k == 0:
@@ -528,9 +532,10 @@ def compare_concat_vs_direct(rho0, rho1, obs) -> ConcatComparison:
     transpose stage (uniform ancilla, d-scaled SWAP measurement) feeding the
     entrywise stage. Both have the same mean; the concatenation pays a d^2
     factor on the second moment."""
-    o = _check_hermitian_obs(obs)
-    r0, r1 = _mat(rho0), _mat(rho1)
+    r0 = _mat(rho0, what="rho0")
     d = r0.shape[0]
+    r1 = _mat(rho1, d, "rho1")
+    o = _check_hermitian_obs(obs, d)
     tau = r0 * r1.T
     o2 = o @ o
     mean_sq = abs(expectation(tau, o)) ** 2
@@ -556,8 +561,8 @@ class PowerComparison:
 def compare_power_methods(psi, k: int, obs) -> PowerComparison:
     from .subroutines import power_state
 
-    o = _check_hermitian_obs(obs)
-    v = asarray(psi)
+    v = operand(psi, what="psi", ndim=1)
+    o = _check_hermitian_obs(obs, len(v))
     vk = power_state(v, k)
     o2 = o @ o
     mean_sq = abs(np.vdot(vk, o @ vk)) ** 2

@@ -37,9 +37,9 @@ from .tensor import (
     PermutationUnitary,
     Register,
     RegisterLayout,
-    asarray,
     classify,
     combine_digits,
+    operand,
     register_digits,
 )
 
@@ -52,44 +52,34 @@ GATES_GQT = 3
 GATES_LINCOMBO = 18
 
 
-def _check_same_dim(a: np.ndarray, b: np.ndarray):
-    if a.shape != b.shape:
-        raise DimensionMismatch(f"operand shapes {a.shape} and {b.shape} differ")
-
-
 # ---------------------------------------------------------------------------
 # oracles
 
 
 def qhp(a, b) -> np.ndarray:
     """Entrywise (Hadamard) product of two states."""
-    a, b = _mat(a), _mat(b)
-    _check_same_dim(a, b)
-    return a * b
+    a = _mat(a, what="a")
+    return a * _mat(b, len(a), "b")
 
 
 def gqt(sigma, rho) -> np.ndarray:
     """sigma (.) rho^T; with sigma = |+..+><+..+| this is rho^T / d."""
-    s, r = _mat(sigma), _mat(rho)
-    _check_same_dim(s, r)
-    return s * r.T
+    s = _mat(sigma, what="sigma")
+    return s * _mat(rho, len(s), "rho").T
 
 
 def power_state(psi, k: int) -> np.ndarray:
     """Amplitude-wise k-th power; k=1 is the identity."""
     if k < 1:
         raise ValidationError(f"power k must be >= 1, got {k}")
-    v = asarray(psi)
-    return v**k
+    return operand(psi, what="psi", ndim=1) ** k
 
 
 def qsp_oracle(rho0, rho1, alpha) -> np.ndarray:
     """a00 rho0 + a11 rho1 + a01 rho0 rho1 + a10 rho1 rho0."""
-    r0, r1 = _mat(rho0), _mat(rho1)
-    _check_same_dim(r0, r1)
-    a = asarray(alpha, square=True)
-    if a.shape != (2, 2):
-        raise DimensionMismatch(f"alpha must be 2x2, got {a.shape}")
+    r0 = _mat(rho0, what="rho0")
+    r1 = _mat(rho1, len(r0), "rho1")
+    a = operand(alpha, 2, "alpha")
     return a[0, 0] * r0 + a[1, 1] * r1 + a[0, 1] * (r0 @ r1) + a[1, 0] * (r1 @ r0)
 
 
@@ -100,14 +90,12 @@ def teleport_map(sigma, maps, rho) -> np.ndarray:
     deformation; (I, I) recovers standard teleportation up to the 1/d^2
     success weight.
     """
-    s, r = _mat(sigma), _mat(rho)
-    _check_same_dim(s, r)
-    d = r.shape[0]
+    s = _mat(sigma, what="sigma")
+    d = len(s)
+    r = _mat(rho, d, "rho")
     e_rho = np.zeros_like(r)
     for j, k in maps:
-        j, k = asarray(j, square=True), asarray(k, square=True)
-        if j.shape != r.shape or k.shape != r.shape:
-            raise DimensionMismatch("map pair dimension differs from the state")
+        j, k = operand(j, d, "map J"), operand(k, d, "map K")
         e_rho += k @ r @ j
     return s * e_rho / d
 
@@ -124,9 +112,9 @@ def gamma_in(trace_rho0: complex = 1.0, trace_rho1: complex = 1.0) -> np.ndarray
 
 def alpha_of(sigma, m, gamma=None) -> np.ndarray:
     """alpha = sigma (.) M^T (.) gamma_in."""
-    s = _mat(sigma)
-    mm = asarray(m, square=True)
-    g = gamma_in() if gamma is None else asarray(gamma, square=True)
+    s = _mat(sigma, 2, "sigma")
+    mm = operand(m, 2, "M")
+    g = gamma_in() if gamma is None else operand(gamma, 2, "gamma")
     return s * mm.T * g
 
 
@@ -207,15 +195,13 @@ def build_qsp_instrument(sigma, m, n: int) -> QuantumInstrument:
     if isinstance(sigma, QuantumState):
         anc = QuantumState(layout.sub(("C",)), vector=sigma.vector, density=sigma.density)
     else:
-        s = asarray(sigma)
+        s = np.asarray(sigma)
         anc = (
             QuantumState(layout.sub(("C",)), vector=s)
             if s.ndim == 1
             else QuantumState(layout.sub(("C",)), density=s)
         )
     meas = m if isinstance(m, MeasurementOperator) else MeasurementOperator.of(m)
-    if meas.dim != 2:
-        raise DimensionMismatch("QSP measurement must be 2x2")
     return QuantumInstrument(layout, anc, ControlledSwap(("C", "S", "G"), layout), meas)
 
 
@@ -239,10 +225,7 @@ def build_teleport_instrument(n: int, maps) -> QuantumInstrument:
     anc = QuantumState(layout.sub(("C",)), vector=np.eye(1, d, dtype=np.complex128)[0])
     us, vs = [], []
     for j, k in maps:
-        j = asarray(j, square=True)
-        k = asarray(k, square=True)
-        if j.shape != (d, d) or k.shape != (d, d):
-            raise DimensionMismatch("map pair dimension differs from 2^n")
+        j, k = operand(j, d, "map J"), operand(k, d, "map K")
         # (J (x) I)|Phi+> = vec(J)/sqrt(d); <Phi+|(K (x) I) row = vec(K^T)/sqrt(d)
         us.append(j.ravel())
         vs.append(k.T.ravel().conj() / d)
@@ -326,14 +309,10 @@ def lincombo_pair_M(alpha0: complex, alpha1: complex, beta, gram) -> Measurement
     The construction degrades as the overlap vanishes, so near-orthogonal
     inputs are rejected.
     """
-    b = asarray(beta)
-    if b.shape != (2,):
-        raise DimensionMismatch("beta must have two entries")
+    b = operand(beta, 2, "beta", ndim=1)
     if min(abs(b[0]), abs(b[1])) < 1e-12:
         raise ZeroBeta("both ancilla amplitudes must be nonzero")
-    g = asarray(gram, square=True)
-    if g.shape != (2, 2):
-        raise DimensionMismatch("gram must be 2x2")
+    g = operand(gram, 2, "gram")
     norm0, norm1 = g[0, 0].real, g[1, 1].real
     if norm0 <= 0 or norm1 <= 0:
         raise ValidationError("gram diagonal must be positive")
@@ -353,8 +332,8 @@ def lincombo_pair_M(alpha0: complex, alpha1: complex, beta, gram) -> Measurement
 def build_lincombo_instrument(alpha0, alpha1, beta, psi0, psi1) -> QuantumInstrument:
     """QSP instrument realizing the pairwise linear combination of two pure
     states (fed as inputs in this order)."""
-    v0, v1 = asarray(psi0), asarray(psi1)
-    _check_same_dim(v0, v1)
+    v0 = operand(psi0, what="psi0", ndim=1)
+    v1 = operand(psi1, len(v0), "psi1", ndim=1)
     d = v0.shape[0]
     n = int(round(math.log2(d)))
     if 2**n != d:
@@ -363,7 +342,7 @@ def build_lincombo_instrument(alpha0, alpha1, beta, psi0, psi1) -> QuantumInstru
         [[np.vdot(v0, v0), np.vdot(v0, v1)], [np.vdot(v1, v0), np.vdot(v1, v1)]]
     )
     m = lincombo_pair_M(alpha0, alpha1, beta, gram)
-    b = asarray(beta)
+    b = np.asarray(beta, dtype=np.complex128)
     sigma = QuantumState.pure(b / np.linalg.norm(b))
     return build_qsp_instrument(sigma, m, n)
 
@@ -451,7 +430,7 @@ def polynomial_pipeline(psi, spec: PolySpec) -> tuple[np.ndarray, PolynomialPipe
     Every linear-combination stage requires a nonvanishing overlap between its
     operands; violations raise OrthogonalIntermediate naming the stage.
     """
-    v = asarray(psi)
+    v = operand(psi, what="psi", ndim=1)
     d = v.shape[0]
     n = int(round(math.log2(d)))
     if 2**n != d:
@@ -569,10 +548,8 @@ def solve_qsp_realizable(alpha, gamma=None) -> SolveResult:
     the Hermitian part of u A plus i diag(p, q) (with p = q = 0 in case1), so
     it is normal to working precision.
     """
-    a = asarray(alpha, square=True)
-    if a.shape != (2, 2):
-        raise DimensionMismatch("alpha must be 2x2")
-    g = gamma_in() if gamma is None else asarray(gamma, square=True)
+    a = operand(alpha, 2, "alpha")
+    g = gamma_in() if gamma is None else operand(gamma, 2, "gamma")
     if float(np.abs(g).min()) < 1e-12:
         raise ValidationError("gamma has a vanishing entry")
     a_eff = a / g

@@ -1,11 +1,11 @@
 """Complex linear algebra substrate and the operator protocol.
 
-Register layouts, classification and spectral decomposition of normal
-matrices, dephasing, Pauli strings, JSON forms of arrays, and the forms an
-operator is held in: DenseOperator, PermutationUnitary, ControlledSwap and
-LowRankOperator. As with SciPy's aslinearoperator, form(x) wraps a plain
-array once and callers use only the forms' methods, so only this module
-tells forms apart.
+The size check of every operand (operand), register layouts, classification
+and spectral decomposition of normal matrices, dephasing, Pauli strings,
+JSON forms of arrays, and the forms an operator is held in: DenseOperator,
+PermutationUnitary, ControlledSwap and LowRankOperator. As with SciPy's
+aslinearoperator, form(x) wraps a plain array once and callers use only the
+forms' methods, so only this module tells forms apart.
 
 Conventions: arrays are complex128, row-major. Register order in a layout
 matches tensor-product order; the leftmost register carries the most
@@ -40,13 +40,23 @@ CONTRACTION_BLOCK_BYTES = 1 << 19
 Roles = ("S", "E", "G")
 
 
-def asarray(m, square: bool | None = None) -> np.ndarray:
+def asarray(m) -> np.ndarray:
     a = np.asarray(m, dtype=np.complex128)
     if not np.isfinite(a).all():
         raise ValidationError("array contains NaN or Inf entries")
-    if square is True:
-        if a.ndim != 2 or a.shape[0] != a.shape[1]:
-            raise DimensionMismatch(f"expected a square matrix, got shape {a.shape}")
+    return a
+
+
+def operand(x, dim: int | None = None, what: str = "operand", ndim: int = 2) -> np.ndarray:
+    """x as a finite complex128 square matrix (ndim 2) or vector (ndim 1),
+    of size dim when dim is given: the one size check of every matrix and
+    vector the library takes. DimensionMismatch naming x as what otherwise."""
+    a = asarray(x)
+    n = dim if dim is not None else (a.shape[0] if a.ndim else 0)
+    if a.shape != (n,) * ndim:
+        size = "d" if dim is None else dim
+        want = f"{size} x {size}" if ndim == 2 else f"a vector of {size} entries"
+        raise DimensionMismatch(f"{what} must be {want}, got shape {a.shape}")
     return a
 
 
@@ -116,8 +126,7 @@ class RegisterLayout:
 
 def dephase(m) -> np.ndarray:
     """Project onto the computational-basis diagonal: D(m) = sum_i m_ii |i><i|."""
-    a = asarray(m, square=True)
-    return np.diag(np.diag(a))
+    return np.diag(np.diag(operand(m)))
 
 
 def hermiticity_residual(m) -> float:
@@ -229,7 +238,7 @@ def eigenbasis(m):
     DEGENERACY_TOL * ||A||_F, so c*A has the groups of A at every scale.
     Normality is checked relative to norm_scale(m)^2.
     """
-    a = asarray(m, square=True)
+    a = operand(m)
     hermitian = is_hermitian(a)
     if not hermitian and not is_normal(a):
         raise not_normal(a)
@@ -316,14 +325,11 @@ class DenseOperator:
 
     def as_measurement(self) -> np.ndarray:
         """The array a measurement keeps: square, finite, complex128."""
-        return asarray(self.array, square=True)
+        return operand(self.array, what="measurement")
 
     def as_unitary(self, layout: RegisterLayout) -> np.ndarray:
         """The array an instrument on layout keeps as U, checked unitary."""
-        u = asarray(self.array, square=True)
-        d = layout.total_dim
-        if u.shape != (d, d):
-            raise DimensionMismatch(f"unitary shape {u.shape} vs layout dim {d}")
+        u = operand(self.array, layout.total_dim, "unitary")
         check_unitary(u, "U")
         return u
 
@@ -795,14 +801,10 @@ def embed_permutation(
 def embed_operator(op, labels: Sequence[str], layout: RegisterLayout) -> np.ndarray:
     """Dense embedding of an operator on the given registers (in the order of
     labels) into the full layout, identity elsewhere."""
-    a = asarray(op, square=True)
     dims = layout.dims
     k = len(dims)
     pos = [layout.index(l) for l in labels]
-    if math.prod(dims[p] for p in pos) != a.shape[0]:
-        raise DimensionMismatch(
-            f"operator dim {a.shape[0]} does not match registers {list(labels)}"
-        )
+    a = operand(op, math.prod(dims[p] for p in pos), f"operator on {list(labels)}")
     rest = [i for i in range(k) if i not in set(pos)]
     d_rest = math.prod(dims[i] for i in rest) if rest else 1
     full = np.kron(a, np.eye(d_rest, dtype=np.complex128))

@@ -800,6 +800,11 @@ class TestShotPlanning:
         out = allocate_shots([1000.0, 1.0, 1.0], 5)
         assert min(out[i] for i in (1, 2)) >= 1 and sum(out) == 5
 
+    @pytest.mark.parametrize("bad", [math.nan, math.inf, -1.0])
+    def test_allocation_rejects_non_finite_or_negative_weights(self, bad):
+        with pytest.raises(ValidationError, match="finite and nonnegative"):
+            allocate_shots([bad, 1.0], 10)
+
     def test_impossible_allocation(self):
         with pytest.raises(AllocationError):
             allocate_shots([1.0, 1.0, 1.0], 2)

@@ -285,6 +285,15 @@ class TestCli:
         assert res.code == 0
         assert json.loads(res.stdout)["shots"] == 738
 
+    @pytest.mark.parametrize("flag, value", [
+        ("--epsilon", "nan"), ("--epsilon", "inf"), ("--delta", "nan"), ("--obs-norm", "inf"),
+        ("--m-norm", "nan"), ("--epsilon", "1e-200"), ("--obs-norm", "1e200")])
+    def test_hoeffding_rejects_non_finite_input(self, flag, value):
+        # a non-finite input, or one whose shot count overflows a float
+        args = {"--epsilon": "0.1", "--delta": "0.05", flag: value}
+        res = run_cli("hoeffding", *(x for item in args.items() for x in item))
+        assert res.code == 2 and res.stdout == "", res.stderr
+
     def test_lcs_routes_agree(self, combo_file):
         aao = run_cli("lcs", "all-at-once", "--spec", combo_file)
         lcu = run_cli("lcs", "lcu", "--spec", combo_file)

@@ -24,7 +24,6 @@ from wstate.tensor import (
     PermutationUnitary,
     Register,
     RegisterLayout,
-    asarray,
     classify,
     combine_digits,
     dephase,
@@ -35,6 +34,7 @@ from wstate.tensor import (
     matrix_from_json,
     matrix_to_json,
     normality_residual,
+    operand,
     register_digits,
     spectral_norm,
     unitarity_residual,
@@ -263,9 +263,18 @@ class TestArrayJson:
             matrix_from_json({"dims": [1, 1], "data": [["a", 0.0]]}, "obs")
         assert str(exc.value).startswith("obs")
 
-    def test_asarray_square_check(self):
-        with pytest.raises(DimensionMismatch):
-            asarray(np.zeros((2, 3)), square=True)
+    def test_operand_size_check(self):
+        for x, dim, ndim in [(np.zeros((2, 3)), None, 2), (np.zeros(4), None, 2),
+                             (np.eye(2), 4, 2), (np.zeros(3), 2, 1), (np.eye(2), None, 1),
+                             (1.0, None, 2), (1.0, None, 1)]:
+            with pytest.raises(DimensionMismatch, match="^widget must be"):
+                operand(x, dim, "widget", ndim)
+        with pytest.raises(ValidationError, match="NaN"):
+            operand(np.full((2, 2), np.nan), 2, "widget")
+        got = operand([[1, 2], [3, 4]], 2, "widget")
+        assert got.dtype == np.complex128 and np.array_equal(got, [[1, 2], [3, 4]])
+        assert operand(np.ones(3), what="widget", ndim=1).shape == (3,)
+        assert operand(np.zeros((0, 0))).shape == (0, 0)
 
 
 def reference_perm(dims, image):
