@@ -45,7 +45,7 @@ _EXPORTS = {
     ),
     "tensor": (
         "ControlledSwap", "DenseOperator", "LowRankOperator", "PermutationUnitary", "Register",
-        "RegisterLayout", "dephase",
+        "RegisterLayout", "Xor", "dephase",
     ),
 }
 _MODULE_OF = {name: module for module, names in _EXPORTS.items() for name in names}

@@ -12,17 +12,22 @@ which in general is neither Hermitian, positive, nor normalized.
 
 tau is linear in the input, so the joint state sigma (x) rho_in is held in
 one form: ket and bra factor columns K B^dag (one column per pure piece), and
-no D x D joint density is formed. When the ancilla is one computational
-basis vector and U a permutation (the CNOT ladders of GQT and teleport), U K
-has one nonzero row per input row, so the evolution keeps only the input's
-columns and where U sends each row (a Support, D / d_anc rows). A SWAP only
-renames axes, so QSP's controlled SWAP keeps the input pieces apart and
-holds four d_S x d_S blocks (_swap_blocks). Any other evolution writes one
-joint-sized array per side: a permutation U, held on the registers it acts
-on, gathers each factored piece at its preimage indices straight into that
-array, and a dense U takes one GEMM. M is contracted as for a pure state,
-with the columns traced alongside G, by the contract method of its form
-(tensor.form), which reads either; weighted_output contracts the blocks.
+no D x D joint density is formed. Two register-level circuits keep the input
+pieces apart. A CNOT ladder onto a basis-state ancilla copies a register
+(the COPY tensor), so GQT's and teleport's evolution holds the copied
+piece's density and the other piece's factor columns (_Copy), and tau is
+entrywise the one times M's partial trace against the other. A SWAP only
+renames axes, so QSP's controlled SWAP holds four d_S x d_S blocks
+(_swap_blocks). When the ancilla is one computational basis vector and U
+any other permutation, or the input one joint piece, U K has one nonzero
+row per input row, so the evolution keeps only the input's columns and
+where U sends each row (a Support, D / d_anc rows). Any other evolution
+writes one joint-sized array per side: a permutation U, held on the
+registers it acts on, gathers each factored piece at its preimage indices
+straight into that array, and a dense U takes one GEMM. M is contracted as
+for a pure state, with the columns traced alongside G, by the contract
+method of its form (tensor.form), which reads either; weighted_output
+contracts the blocks and the copy.
 """
 
 from __future__ import annotations
@@ -309,10 +314,12 @@ class QuantumInstrument:
     is represented by ancilla=None); callers supply the source='input'
     registers at application time. M acts on the E registers in layout order.
     U is a dense unitary, kept as a plain ndarray, or a PermutationUnitary: a
-    full-layout table, a table on some of this layout's registers, or a
+    full-layout table, a table on some of this layout's registers, an Xor
+    (the CNOT ladder of QHP, GQT or teleport, or a table that is one) or a
     ControlledSwap (QSP's, or a table that is one). The evaluation plan is
     kept from first use: whether the evolution takes the controlled-SWAP
-    blocks (_swap_route); the ancilla's factor columns and its basis index,
+    blocks (_swap_route) or the copy of a CNOT ladder onto a basis ancilla
+    (_copy_route); the ancilla's factor columns and its basis index,
     if it is one basis vector; per tuple of piece positions, the Support
     rows of a permutation U on such an ancilla (with what each form's
     contraction derives from them) or else
@@ -347,8 +354,9 @@ class QuantumInstrument:
             raise DimensionMismatch(
                 f"measurement dim {self.measurement.dim} vs E-register dim {de}"
             )
-        # the evaluation plan, filled by _evolve: "swap" -> _swap_route, "ancilla"
-        # -> the ancilla's piece, "basis" -> _basis_entry of that piece, a tuple
+        # the evaluation plan, filled by _evolve: "swap" -> _swap_route, "copy" ->
+        # _copy_route, "ancilla" -> the ancilla's piece, "basis" -> _basis_entry
+        # of that piece (both by _ancilla), a tuple
         # of piece positions -> their Support rows or preimage_indices grids;
         # and by the estimators: "observable" -> (key, eigenbasis)
         object.__setattr__(self, "_plan", {})
@@ -476,12 +484,13 @@ class Evolved:
     was its ket. dims is (d_S, d_E, d_G). An evolution on the support of a
     basis-state ancilla holds only its Support, which each form contracts;
     ket and bra are then scattered from it on first read. A controlled
-    SWAP's holds only dims and the 4 d_S^2 block entries of _swap_blocks.
+    SWAP's holds only dims and the 4 d_S^2 block entries of _swap_blocks; a
+    CNOT ladder's copy onto a basis ancilla only dims and its _Copy.
     """
 
     def __init__(self, dims, ket=None, bra=None, support: Support | None = None,
-                 blocks: np.ndarray | None = None):
-        self.dims, self.support, self.blocks = dims, support, blocks
+                 blocks: np.ndarray | None = None, copy: "_Copy | None" = None):
+        self.dims, self.support, self.blocks, self.copy = dims, support, blocks, copy
         if support is None:
             self.ket, self.bra = ket, bra
 
@@ -500,8 +509,12 @@ def evolve(inst: QuantumInstrument, inputs) -> Evolved:
 
     QSP's controlled SWAP, built or read from a document, keeps the input
     pieces apart: no product columns, no gather, 4 d_S^2 block entries
-    (_swap_blocks). When the ancilla is one computational basis vector and
-    U a permutation, the evolution is a Support: the input's factor columns
+    (_swap_blocks). So does the CNOT ladder of GQT or teleport, given one
+    piece per input register: the copied piece's density and the other's
+    factor columns (_Copy), with no table, support rows or product columns.
+    When the ancilla is one computational basis vector and U another
+    permutation, or the input is one joint piece, the evolution is a
+    Support: the input's factor columns
     as they are, and the rows U sends them to (image_indices). Any other
     instrument writes one (S, G r, E) array per side: a
     permutation U gathers each factored piece at its index under U^dag
@@ -513,7 +526,7 @@ def evolve(inst: QuantumInstrument, inputs) -> Evolved:
     """
     at = [i for i, r in enumerate(inst.layout.registers) if r.source == "input"]
     pieces = _pieces(inputs)
-    if 1 < len(pieces) == len(at) and _swap_route(inst) is not None:
+    if 1 < len(pieces) == len(at) and (_swap_route(inst) or _copy_route(inst)) is not None:
         return _evolve(inst, [(_factor(x), [p]) for x, p in zip(pieces, at)])
     return _evolve(inst, [(_input_factors(pieces), at)])
 
@@ -566,6 +579,78 @@ def _product(k1, b1, k2, b2, rho1, rho2) -> np.ndarray:
     return (k1 @ overlap) @ b2.conj().T if r2 <= r1 else k1 @ (overlap @ b2.conj().T)
 
 
+def _ancilla(inst: QuantumInstrument):
+    """The ancilla's factored piece and its _basis_entry, kept in the plan."""
+    plan = inst._plan
+    if "ancilla" not in plan:
+        anc = [i for i, r in enumerate(inst.layout.registers) if r.source == "ancilla"]
+        plan["ancilla"] = (_factor(inst.ancilla), anc)
+        plan["basis"] = _basis_entry(plan["ancilla"], inst.layout.dims)
+    return plan["ancilla"], plan["basis"]
+
+
+def _copy_route(inst: QuantumInstrument):
+    """(src, index, scatter, at, weight) when U is an Xor whose dst
+    register holds the whole ancilla, one basis vector |a> of amplitude c,
+    on a layout of src, dst and one input register Y of role E, src and dst
+    having roles S and E (GQT: S onto E1 with Y = E2; teleport: B onto C
+    with Y = A); else None. index picks the e x e entries of a d_dst x d_dst
+    array, e being src's digits XOR a (slices when a = 0); scatter says
+    whether dst is the S register, at is Y's place (0 or 1) among the two E
+    registers, and weight is |c|^2."""
+    plan, regs = inst._plan, inst.layout.registers
+    if "copy" not in plan:
+        src, dst = form(inst.unitary).xor or (0, 0)
+        y = 3 - src - dst
+        plan["copy"] = None
+        if (len(regs) == 3 and src != dst and inst.ancilla_labels == (regs[dst].label,)
+                and regs[y].role == "E" and {regs[src].role, regs[dst].role} == {"S", "E"}):
+            basis = _ancilla(inst)[1]
+            if basis is not None:
+                (digits, amplitude), z = basis, src if regs[src].role == "E" else dst
+                e = np.arange(regs[src].dim) ^ digits[dst]
+                index = (slice(len(e)),) * 2 if digits[dst] == 0 else np.ix_(e, e)
+                plan["copy"] = (src, index, regs[dst].role == "S", int(y > z),
+                                abs(amplitude) ** 2)
+    return plan["copy"]
+
+
+@dataclass(frozen=True)
+class _Copy:
+    """A CNOT ladder's copy of the input register X = src onto a basis
+    ancilla |a>, with the pieces rho_X and rho_Y = ket bra^dag kept apart,
+    Y being the E register at at (0 or 1) among the two. With e(x) = x XOR a
+    (index picks e x e) and N = Tr_Y[M (I (x) rho_Y)] on the other E
+    register (the forms' partial_trace, which reads ket, bra, rho and at),
+
+        tau[s, t] = rho_X[s, t] N[e(t), e(s)]        when S is X,
+        tau[e(x), e(x')] = rho_X[x, x'] N[x', x]      when S is dst (scatter),
+
+    x being rho_X times the ancilla's weight |c|^2."""
+
+    x: np.ndarray
+    index: tuple
+    scatter: bool
+    ket: np.ndarray
+    bra: np.ndarray
+    at: int
+
+    @cached_property
+    def rho(self) -> np.ndarray:
+        return self.ket @ self.bra.conj().T
+
+
+def _copy(route, pieces) -> _Copy:
+    """The _Copy of the route (_copy_route) on one factored piece per input
+    register."""
+    src, index, scatter, at, weight = route
+    ((kx, bx), _), ((ky, by), _) = sorted(pieces, key=lambda piece: piece[1][0] != src)
+    x = kx @ bx.conj().T
+    if weight != 1:
+        x *= weight
+    return _Copy(x, index, scatter, ky, by, at)
+
+
 def _basis_entry(piece, dims):
     """(digits, amplitude) of an ancilla piece that is one computational
     basis vector: the digits of the one nonzero entry of its ket, viewed as
@@ -600,12 +685,11 @@ def _evolve(inst: QuantumInstrument, pieces) -> Evolved:
     route = _swap_route(inst)
     if route is not None:
         return Evolved((d_s, d_e, d_g), blocks=_swap_blocks(route, pieces))
+    route = _copy_route(inst)
+    if route is not None and len(pieces) == 2:
+        return Evolved((d_s, d_e, d_g), copy=_copy(route, pieces))
     if inst.ancilla is not None:
-        if "ancilla" not in plan:
-            anc = [i for i, r in enumerate(regs) if r.source == "ancilla"]
-            plan["ancilla"] = (_factor(inst.ancilla), anc)
-            plan["basis"] = _basis_entry(plan["ancilla"], dims)
-        pieces = [plan["ancilla"], *pieces]
+        pieces = [_ancilla(inst)[0], *pieces]
     k, n = len(dims), len(pieces)
     u = form(inst.unitary)
     key = tuple(tuple(pos) for _, pos in pieces)
@@ -658,10 +742,19 @@ def weighted_output(ev: Evolved, m) -> np.ndarray:
 
     The one entry point of every contraction with M: m, an array or a form,
     is contracted by its form's contract method, a structured m without a
-    dense matrix; a controlled SWAP's blocks X here, as sum M[e', e] X[e, e'].
+    dense matrix; a controlled SWAP's blocks X here, as sum M[e', e] X[e, e'];
+    a copy's pieces here, entrywise against m's partial_trace (_Copy).
     """
     if ev.blocks is not None:
         return (form(m).dense().T.reshape(-1) @ ev.blocks.reshape(4, -1)).reshape(ev.dims[0], -1)
+    if ev.copy is not None:
+        c = ev.copy
+        n_t = form(m).partial_trace(c).T
+        if not c.scatter:
+            return c.x * n_t[c.index]
+        tau = np.zeros((ev.dims[0],) * 2, dtype=np.complex128)
+        tau[c.index] = c.x * n_t
+        return tau
     return form(m).contract(ev)
 
 

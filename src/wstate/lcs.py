@@ -14,6 +14,7 @@ success probability (|Phi| / |alpha|_1)^2.
 
 from __future__ import annotations
 
+import cmath
 import itertools
 import math
 from dataclasses import dataclass, field
@@ -76,6 +77,8 @@ class LcsProblem:
             if abs(np.linalg.norm(s) - 1.0) > 1e-10:
                 raise InvalidState("combination states must be normalized")
         alphas = tuple(complex(a) for a in self.alphas)
+        if not all(cmath.isfinite(a) for a in alphas):
+            raise ValidationError("coefficients must be finite")
         if len(alphas) != len(states):
             raise DimensionMismatch(
                 f"{len(alphas)} coefficients for {len(states)} states"

@@ -112,6 +112,12 @@ class EstimatorReport:
         }
 
 
+def _check_shots(shots: int) -> None:
+    """ValidationError unless 1 <= shots <= 2**63 - 1."""
+    if not 1 <= shots <= _MAX_SHOTS:
+        raise ValidationError("shot count must lie in [1, 2**63 - 1]")
+
+
 def _check_hermitian_obs(obs, dim: int | None = None) -> np.ndarray:
     """O as a square array (of size dim when given), Hermitian within
     NORMALITY_TOL of its scale."""
@@ -246,8 +252,7 @@ def sample_estimate(
     inputs' factor columns and M's rows are kept by their owners (module
     docstring), and the shots are drawn from the cells _joint_cells checked.
     """
-    if not 1 <= shots <= _MAX_SHOTS:
-        raise ValidationError("shot count must lie in [1, 2**63 - 1]")
+    _check_shots(shots)
     basis = _observable_basis(inst, obs)
     if method not in ("emulate", "randomized"):
         raise ValidationError(f"unknown sampling method {method!r}")
@@ -321,6 +326,7 @@ def variance_bound(inst: QuantumInstrument, inputs, obs_norm: float) -> Variance
 def variance_qhp(tau, obs, shots: int) -> float:
     """(Tr[tau O^2] - |Tr tau O|^2) / shots for the entrywise product's
     projective instrument."""
+    _check_shots(shots)
     t = _mat(tau, what="tau")
     o = _check_hermitian_obs(obs, len(t))
     return float(
@@ -332,6 +338,7 @@ def variance_gqt(sigma, rho, obs, shots: int) -> float:
     """(Tr[D(sigma) O^2] Tr rho - |Tr[(sigma (.) rho^T) O]|^2) / shots; the
     SWAP measurement squares to the identity, leaving only the dephased
     first input."""
+    _check_shots(shots)
     s = _mat(sigma, what="sigma")
     r = _mat(rho, len(s), "rho")
     o = _check_hermitian_obs(obs, len(s))
@@ -342,6 +349,7 @@ def variance_gqt(sigma, rho, obs, shots: int) -> float:
 
 def variance_qsp(sigma, m, rho0, rho1, obs, shots: int) -> float:
     """Per-run variance of the controlled-SWAP instrument in closed form."""
+    _check_shots(shots)
     s = _mat(sigma, 2, "sigma")
     mm = operand(m, 2, "M")
     r0 = _mat(rho0, what="rho0")
@@ -374,6 +382,9 @@ def variance_lincombo(alpha0, alpha1, beta0, states, obs, shots: int) -> float:
     """
     from .subroutines import ORTHOGONALITY_TOL
 
+    _check_shots(shots)
+    if len(states) != 2:
+        raise ValidationError(f"states must be a pair (psi0, psi1), got {len(states)}")
     psi0, psi1 = states
     p0 = operand(psi0, what="psi0", ndim=1)
     p1 = operand(psi1, len(p0), "psi1", ndim=1)

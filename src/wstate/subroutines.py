@@ -38,9 +38,9 @@ from .tensor import (
     Register,
     RegisterLayout,
     classify,
+    Xor,
     combine_digits,
     operand,
-    register_digits,
 )
 
 ORTHOGONALITY_TOL = 1e-6
@@ -122,20 +122,9 @@ def alpha_of(sigma, m, gamma=None) -> np.ndarray:
 # instrument builders
 
 
-def _xor_ladder_perm(layout: RegisterLayout, src: int, dst: int) -> PermutationUnitary:
-    """Permutation sending digit[dst] -> digit[dst] XOR digit[src], held on
-    the two registers as a d_src d_dst table in layout order; the
-    PermutationUnitary checks that the table is a bijection."""
-    pair = layout.sub((layout.registers[src].label, layout.registers[dst].label))
-    digits = register_digits(pair)
-    i, j = (0, 1) if src < dst else (1, 0)
-    digits[j] = np.bitwise_xor(digits[j], digits[i])
-    return PermutationUnitary(combine_digits(digits, pair.dims), pair.labels, layout)
-
-
 def build_qhp_instrument(n: int) -> QuantumInstrument:
-    """CNOT ladder (i,j) -> (i, i xor j) with all-zero postselection on the
-    second register; realizes the entrywise product."""
+    """CNOT ladder (i,j) -> (i, i xor j), held as an Xor, with all-zero
+    postselection on the second register; realizes the entrywise product."""
     if n < 1:
         raise ValidationError("qubit count must be >= 1")
     d = 2**n
@@ -146,7 +135,7 @@ def build_qhp_instrument(n: int) -> QuantumInstrument:
     return QuantumInstrument(
         layout,
         ancilla=None,
-        unitary=_xor_ladder_perm(layout, src=0, dst=1),
+        unitary=Xor(("S", "E"), layout),
         measurement=MeasurementOperator.of(np.diag(np.eye(1, d, dtype=np.complex128)[0])),
     )
 
@@ -155,8 +144,10 @@ def build_gqt_instrument(n: int) -> QuantumInstrument:
     """CNOT coupling of the input onto a |0..0> register plus a SWAP
     measurement against the second input; realizes sigma (.) rho^T.
 
-    The SWAP |i j> -> |j i> on (E1, E2) is held as a PermutationUnitary, so
-    no d^2 x d^2 matrix is built unless a caller reads measurement.matrix.
+    The ladder is an Xor of S onto E1, so an evolution of two pieces takes
+    the copy (instrument._Copy). The SWAP |i j> -> |j i> on (E1, E2) is held
+    as a PermutationUnitary, so no d^2 x d^2 matrix is built unless a caller
+    reads measurement.matrix.
     """
     if n < 1:
         raise ValidationError("qubit count must be >= 1")
@@ -171,7 +162,7 @@ def build_gqt_instrument(n: int) -> QuantumInstrument:
     return QuantumInstrument(
         layout,
         ancilla=anc,
-        unitary=_xor_ladder_perm(layout, src=0, dst=1),
+        unitary=Xor(("S", "E1"), layout),
         measurement=MeasurementOperator.of(swap),
     )
 
@@ -207,8 +198,9 @@ def build_qsp_instrument(sigma, m, n: int) -> QuantumInstrument:
 
 def build_teleport_instrument(n: int, maps) -> QuantumInstrument:
     """Teleportation-type instrument: inputs rho (A) and sigma (B), ancilla
-    |0..0> (C, the output), CNOT ladder B -> C, and the deformed Bell
-    measurement sum_m (J_m (x) I)|Phi+><Phi+|(K_m (x) I) on (A, B).
+    |0..0> (C, the output), CNOT ladder B -> C (an Xor, so an evolution of
+    two pieces takes the copy), and the deformed Bell measurement
+    sum_m (J_m (x) I)|Phi+><Phi+|(K_m (x) I) on (A, B).
 
     The measurement has rank at most len(maps) and is held as a
     LowRankOperator u v^dag with column m of u equal to vec(J_m) and of v to
@@ -233,7 +225,7 @@ def build_teleport_instrument(n: int, maps) -> QuantumInstrument:
     return QuantumInstrument(
         layout,
         ancilla=anc,
-        unitary=_xor_ladder_perm(layout, src=1, dst=2),
+        unitary=Xor(("B", "C"), layout),
         measurement=MeasurementOperator.of(LowRankOperator(*factors)),
     )
 
@@ -255,6 +247,8 @@ def mixture_case(p: float, trace_rho0: complex = 1.0, trace_rho1: complex = 1.0)
     """tau = p rho0 + (1-p) rho1."""
     if not 0.0 <= p <= 1.0:
         raise ValidationError(f"mixture weight must lie in [0,1], got {p}")
+    if trace_rho0 == 0 or trace_rho1 == 0:
+        raise ValidationError("input traces must be nonzero")
     sigma = np.diag([p, 1.0 - p]).astype(np.complex128)
     m = np.diag([1.0 / trace_rho1, 1.0 / trace_rho0]).astype(np.complex128)
     return SpecialCase(

@@ -3,18 +3,21 @@
 The size check of every operand (operand), register layouts, classification
 and spectral decomposition of normal matrices, dephasing, Pauli strings,
 JSON forms of arrays, and the forms an operator is held in: DenseOperator,
-PermutationUnitary, ControlledSwap and LowRankOperator. As with SciPy's
+PermutationUnitary, its subclasses Xor and ControlledSwap, and
+LowRankOperator. As with SciPy's
 aslinearoperator, form(x) wraps a plain array once and callers use only the
 forms' methods, so only this module tells forms apart.
 
 Conventions: arrays are complex128, row-major. Register order in a layout
 matches tensor-product order; the leftmost register carries the most
 significant index bits. Functions are pure; LowRankOperator caches its core,
-ControlledSwap its table, PermutationUnitary.identity the last one it built.
+Xor and ControlledSwap their tables, PermutationUnitary.identity the last
+one it built.
 """
 
 from __future__ import annotations
 
+import contextlib
 import math
 import sys
 from dataclasses import dataclass
@@ -296,6 +299,7 @@ class DenseOperator:
 
     array: np.ndarray
     controlled_swap = None  # no ControlledSwap (instrument._swap_route)
+    xor = None  # no Xor (instrument._copy_route)
 
     @property
     def kind(self) -> str:
@@ -314,6 +318,14 @@ class DenseOperator:
         b = ev.bra.reshape(-1, d_e) @ self.array.conj()
         np.conjugate(b, out=b)
         return ev.ket.reshape(d_s, -1) @ b.reshape(d_s, -1).T
+
+    def partial_trace(self, y) -> np.ndarray:
+        """N = Tr_Y[M (I (x) rho_Y)] for M on two registers, Y the one at
+        y.at (0 or 1) and rho_Y = y.ket y.bra^dag: one reshape, one einsum."""
+        d_y = len(y.ket)
+        d_z = len(self.array) // d_y
+        m = self.array.reshape((d_z, d_y) * 2 if y.at else (d_y, d_z) * 2)
+        return np.einsum("aybx,xy->ab" if y.at else "yaxb,xy->ab", m, y.rho)
 
     def split(self) -> tuple:
         """M = (1/2)(M + M^dag) + (1/2)(M - M^dag), two normal parts."""
@@ -375,6 +387,7 @@ class PermutationUnitary:
     labels: tuple[str, ...] | None = None
     layout: RegisterLayout | None = None
     controlled_swap = None  # a table is read as one, whatever it permutes
+    xor = None
 
     def __post_init__(self):
         p = np.asarray(self.perm, dtype=np.intp).reshape(-1)
@@ -509,27 +522,60 @@ class PermutationUnitary:
         within = np.arange(len(ket_rows)) - np.repeat(np.cumsum(counts) - counts, counts)
         return ket_rows, order[np.repeat(lo, counts) + within]
 
+    def partial_trace(self, y) -> np.ndarray:
+        """N = Tr_Y[M (I (x) rho_Y)] (DenseOperator.partial_trace) of
+        M[e', e] = 1 iff e' = perm[e]: rho_Y gathered at the (y, y') pair
+        of each e = (z, y), e' = (z', y'), summed into N[z', z] by bincount."""
+        d_y = len(y.ket)
+        d_z = self.perm.size // d_y
+        if y.at:  # e = z d_Y + y, the table as a (d_Z, d_Y) grid
+            z, y_in = np.arange(d_z)[:, None], np.arange(d_y)
+            z_out, y_out = np.divmod(self.perm.reshape(d_z, d_y), d_y)
+        else:  # e = y d_Z + z
+            y_in, z = np.arange(d_y)[:, None], np.arange(d_z)
+            y_out, z_out = np.divmod(self.perm.reshape(d_y, d_z), d_z)
+        vals = y.rho[y_in, y_out]
+        at = np.add(z_out * d_z, z, out=z_out).reshape(-1)
+        vals = vals.reshape(-1)
+        out = np.empty(d_z * d_z, dtype=np.complex128)
+        out.real = np.bincount(at, vals.real, d_z * d_z)
+        out.imag = np.bincount(at, vals.imag, d_z * d_z)
+        return out.reshape(d_z, d_z)
+
     def as_measurement(self) -> "PermutationUnitary":
         """The table a measurement keeps: one over its whole space."""
         return self.lifted()
 
     def as_unitary(self, layout: RegisterLayout) -> "PermutationUnitary":
         """The permutation, checked to act on layout. A full-layout table (a
-        document's, a two-state combination's) that is a qubit-controlled
-        SWAP of the layout's other two registers is held as that
-        ControlledSwap, whose evolution keeps the input pieces apart."""
+        document's, a two-state combination's) that is an XOR of one
+        register into another, or, on three registers, a qubit-controlled
+        SWAP of the other two, is held as that Xor or ControlledSwap, whose
+        evolutions keep the input pieces apart. The first basis state x the
+        table moves names the one candidate: an XOR moves x = |src = 1, 0
+        elsewhere> in dst alone, a controlled SWAP moves two registers and
+        leaves its control. The candidate's table, built from its digits,
+        is compared with this one: a few passes over the D entries, however
+        many registers the layout has."""
         if self.dim != layout.total_dim:
             raise DimensionMismatch(f"unitary dim {self.dim} vs layout {layout.total_dim}")
         if self.layout not in (None, layout):
             raise ValidationError("the unitary's registers belong to another layout")
-        if self.labels is None and len(layout.dims) == 3:
-            for c, label in enumerate(layout.labels):
-                try:
-                    swap = ControlledSwap((label, *layout.labels[:c], *layout.labels[c + 1:]), layout)
-                except DimensionMismatch:
-                    continue
-                if np.array_equal(swap.lifted().perm, self.perm):
-                    return swap
+        if self.labels is not None or len(layout.dims) < 2:
+            return self
+        dims, labels = layout.dims, layout.labels
+        x = int(np.argmax(self.perm != np.arange(self.perm.size)))
+        here, there = (np.unravel_index(i, dims) for i in (x, int(self.perm[x])))
+        moved = [p for p in range(len(dims)) if here[p] != there[p]]
+        candidate = None
+        with contextlib.suppress(DimensionMismatch):
+            if len(moved) == 1 and np.count_nonzero(here) == 1:
+                candidate = Xor((labels[int(np.flatnonzero(here)[0])], labels[moved[0]]), layout)
+            elif len(moved) == 2 and len(dims) == 3:
+                candidate = ControlledSwap([labels[3 - sum(moved)], *(labels[p] for p in moved)],
+                                           layout)
+        if candidate is not None and np.array_equal(candidate.lifted().perm, self.perm):
+            return candidate
         return self
 
     def apply_gathered(self, gather, shape, group) -> np.ndarray:
@@ -548,19 +594,22 @@ class PermutationUnitary:
         """The full-layout table, whichever registers U is held on."""
         return {"permutation": [int(p) for p in self.lifted().perm]}
 
-    def _indices(self, table: np.ndarray, layout: RegisterLayout, fixed: dict, groups) -> list:
+    def _indices(self, layout: RegisterLayout, fixed: dict, groups, inverse: bool = False) -> list:
         """For each list of register positions in groups, the index over
         those registers (in that order, the first most significant) of
-        table[x] (perm for U, its inverse for U^dag), for the basis states x
-        of layout whose register q holds the digit fixed[q]: a grid over the
-        free registers in layout order, of length 1 along those it does not
-        vary with. The table, viewed as a grid over its registers and cut at
-        the fixed digits, is split once into one digit grid per register; a
-        register keeps its own digits (fixed[p], or a sparse grid along its
-        own axis) where the table leaves it alone (a register off the table,
-        a CNOT ladder's control), so that an index spans only the axes it
-        varies on. A group that is the whole table, in table order, with
-        nothing fixed (QHP's (S, E)) takes the table itself."""
+        table[x] (perm for U, its inverse for U^dag when inverse), for the
+        basis states x of layout whose register q holds the digit fixed[q]: a
+        grid over the free registers in layout order, of length 1 along those
+        it does not vary with. The table, viewed as a grid over its registers
+        and cut at the fixed digits, is split once into one digit grid per
+        register; a register keeps its own digits (_own_digits) where the
+        table leaves it alone (a register off the table), so that an index
+        spans only the axes it varies on. A group that is the whole table, in
+        table order, with nothing fixed takes the table itself."""
+        table = self.perm
+        if inverse:
+            table = np.empty_like(self.perm)
+            table[self.perm] = np.arange(self.perm.size)
         dims, k = layout.dims, len(layout.dims)
         on = list(range(k)) if self.labels is None else [layout.labels.index(l) for l in self.labels]
         free = [p for p in range(k) if p not in fixed]
@@ -571,9 +620,7 @@ class PermutationUnitary:
         whole = [not fixed and list(pos) == on for pos in groups]
         if all(whole):
             return [grid] * len(groups)
-        digits = [fixed.get(p) for p in range(k)]  # each register's own, then the table's
-        for i, p in enumerate(free):
-            digits[p] = np.arange(dims[p]).reshape([1] * i + [-1] + [1] * (len(free) - 1 - i))
+        digits = _own_digits(dims, fixed)
         for p, digit in zip(on, np.unravel_index(grid, [dims[p] for p in on])):
             if not (digit == digits[p]).all():
                 digits[p] = digit
@@ -591,7 +638,7 @@ class PermutationUnitary:
         dtype = np.int32 if math.prod(dims) < 2**31 else np.intp
         axes = sorted(range(len(rows)), key=rows.__getitem__)  # the digits' axes, in rows order
         out = []
-        for index in self._indices(self.perm, layout, fixed, groups):
+        for index in self._indices(layout, fixed, groups):
             full = np.empty(shape, dtype=dtype)
             full.transpose(axes)[...] = index
             out.append(full.reshape(-1))
@@ -601,9 +648,57 @@ class PermutationUnitary:
         """For each list of register positions in groups, the index over those
         registers (in that order) of U^dag|y> for every basis state y of
         layout, as a grid that broadcasts against register_digits(layout)."""
-        inverse = np.empty_like(self.perm)
-        inverse[self.perm] = np.arange(self.perm.size)
-        return self._indices(inverse, layout, {}, groups)
+        return self._indices(layout, {}, groups, inverse=True)
+
+
+def _own_digits(dims: Sequence[int], fixed: dict) -> list:
+    """Each register's own digit over the basis states whose register p
+    holds fixed[p]: that digit, or, for a free register, a sparse grid along
+    its own axis among the free registers (in layout order)."""
+    free = [p for p in range(len(dims)) if p not in fixed]
+    digits = [fixed.get(p) for p in range(len(dims))]
+    for i, p in enumerate(free):
+        digits[p] = np.arange(dims[p]).reshape([1] * i + [-1] + [1] * (len(free) - 1 - i))
+    return digits
+
+
+class Xor(PermutationUnitary):
+    """U|x> = |x'>, where x' is x with the digit of register dst replaced by
+    its XOR with the digit of register src: a CNOT ladder from src onto
+    dst, held as its registers labels = (src, dst) of layout. dst's dim is a
+    power of two no smaller than src's, so every XOR is a digit of dst.
+    QHP, GQT and teleport build one, and as_unitary holds every full-layout
+    table equal to one as one, so a document writes and reads the same
+    table. Index grids come from the register digits (dst ^= src, its own
+    inverse); perm, the table on (src, dst), is derived on first read."""
+
+    def __init__(self, labels: Sequence[str], layout: RegisterLayout):
+        object.__setattr__(self, "labels", tuple(labels))
+        object.__setattr__(self, "layout", layout)
+        dims = [layout.dim_of((label,)) for label in self.labels]
+        pair = len(dims) == 2 == len(set(self.labels))
+        if not (pair and dims[0] <= dims[1] and dims[1] & (dims[1] - 1) == 0):
+            raise DimensionMismatch(f"XOR on registers {self.labels} of dims {dims}")
+
+    @cached_property
+    def perm(self) -> np.ndarray:
+        dims = [self.layout.dim_of((label,)) for label in self.labels]
+        src, dst = np.indices(dims, sparse=True)
+        return combine_digits([src, dst ^ src], dims).reshape(-1)
+
+    @property
+    def xor(self) -> tuple[int, int]:
+        """The layout positions of (src, dst)."""
+        return tuple(self.layout.index(label) for label in self.labels)
+
+    def _indices(self, layout: RegisterLayout, fixed: dict, groups, inverse: bool = False) -> list:
+        """PermutationUnitary._indices from the digits alone, with no table:
+        a XOR is its own inverse."""
+        src, dst = self.xor
+        digits = _own_digits(layout.dims, fixed)
+        digits[dst] = digits[dst] ^ digits[src]
+        return [combine_digits([digits[p] for p in pos], [layout.dims[p] for p in pos])
+                for pos in groups]
 
 
 class ControlledSwap(PermutationUnitary):
@@ -715,6 +810,22 @@ class LowRankOperator:
         np.conjugate(b, out=b)
         return a.reshape(d_s, -1) @ b.reshape(d_s, -1).T
 
+    def partial_trace(self, y) -> np.ndarray:
+        """N = Tr_Y[M (I (x) rho_Y)] (DenseOperator.partial_trace) through
+        the factors: N = P Q^dag with P[z', (k, c)] = sum_y' u[(z', y'), k]
+        conj(B_Y[y', c]) and Q the same of v and K_Y, no d_E x d_E array."""
+        d_y = len(y.ket)
+        d_z = self.dim // d_y
+
+        def half(w, x):  # sum_y w[(z, y), k] conj(x[y, c]) as a (d_Z, k r) array
+            if y.at:
+                return (x.conj().T @ w.reshape(d_z, d_y, -1)).reshape(d_z, -1)
+            return (w.reshape(d_y, -1).T @ x.conj()).reshape(d_z, -1)
+
+        p = half(self.u, y.bra)
+        q = p if self.u is self.v and y.bra is y.ket else half(self.v, y.ket)
+        return p @ q.conj().T
+
     def split(self) -> tuple:
         """The split of the core: low-rank parts Q (C +- C^dag) Q^dag, each
         holding its core (Q, C +- C^dag)."""
@@ -793,9 +904,11 @@ def embed_permutation(
 
     The one place a full-layout table is built from a register table: only
     a dense U, a JSON document, a measurement and the flattened unitary of a
-    concatenation need one."""
-    held = PermutationUnitary(u.perm, labels, layout)
-    return PermutationUnitary(held._indices(held.perm, layout, {}, [range(len(layout.dims))])[0])
+    concatenation need one. A u held on those registers (an Xor) gives its
+    own digit grids, without its table."""
+    held = u if u.layout is layout and u.labels == tuple(labels) else PermutationUnitary(
+        u.perm, labels, layout)
+    return PermutationUnitary(held._indices(layout, {}, [range(len(layout.dims))])[0])
 
 
 def embed_operator(op, labels: Sequence[str], layout: RegisterLayout) -> np.ndarray:

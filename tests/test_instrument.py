@@ -395,8 +395,9 @@ class TestContractions:
     The QSP layout (E, S, G) has d_G > 1; the teleport layout puts two E
     registers ahead of S. Each example runs the pinned pure or full-rank
     density inputs, whose bra is their ket, then inputs of drawn kinds. A
-    QSP evolution holds the controlled SWAP's blocks and no ket, so each
-    form's own contraction reads the evolution of its table (table_held).
+    QSP evolution holds the controlled SWAP's blocks and a teleport one the
+    copy's pieces, neither a ket, so each form's own contraction reads the
+    evolution of its table (table_held).
     """
 
     @pytest.mark.parametrize("pure", [True, False], ids=["pure", "density"])
@@ -418,11 +419,13 @@ class TestContractions:
         for kinds in (base, drawn):
             inputs = [_input_of_kind(rng, k, d) for k in kinds]
             ev = evolve(inst, inputs)
-            joint = evolve(table_held(inst), inputs) if kind == "qsp" else ev
+            joint = evolve(table_held(inst), inputs)
             if kinds is base:
                 assert joint.bra is joint.ket
             if kind == "qsp":
                 assert ev.blocks is not None and ev.dims[2] > 1
+            else:
+                assert ev.copy is not None
             self._check(inst, inputs, ev, joint, rng)
 
     @staticmethod
@@ -459,12 +462,10 @@ class TestContractions:
             want = dense(a)
             tau = weighted_output(ev, b)
             # the form contracts the joint ket; weighted_output contracts the
-            # blocks of a controlled SWAP itself, from the same state
+            # blocks of a controlled SWAP or the pieces of a copy itself, from
+            # the same state
             joint = form(b).contract(joint_ev)
-            if ev.blocks is None:
-                assert np.array_equal(joint, tau)
-            else:
-                assert np.abs(joint - tau).max() <= 1e-12 * max(1.0, np.abs(joint).max())
+            assert np.abs(joint - tau).max() <= 1e-12 * max(1.0, np.abs(joint).max())
             got = complex(np.einsum("st,ts->", tau, a))
             assert abs(got - want) <= 1e-12 * abs(want)
 

@@ -44,6 +44,11 @@ class TestLcsProblem:
         with pytest.raises(DimensionMismatch):
             LcsProblem.from_states([rand_state(rng, 2)], [1.0, 2.0])
 
+    @pytest.mark.parametrize("bad", [math.nan, math.inf, complex(1, math.nan)])
+    def test_coefficients_must_be_finite(self, bad):
+        with pytest.raises(ValidationError, match="finite"):
+            LcsProblem.from_states([[0.6, 0.8], [1, 0]], [bad, 1])
+
     def test_unitaries_must_prepare_states(self, rng):
         u = rand_unitary(rng, 2)
         with pytest.raises(ValidationError):

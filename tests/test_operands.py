@@ -12,6 +12,7 @@ from wstate.instrument import (
     QuantumInstrument,
     QuantumState,
     WeightedState,
+    apply_exact,
     expectation,
 )
 from wstate.lcs import LcsProblem, all_at_once_M
@@ -28,6 +29,7 @@ from wstate.sampling import (
 from wstate.subroutines import (
     PolySpec,
     alpha_of,
+    build_gqt_instrument,
     build_lincombo_instrument,
     build_qhp_instrument,
     build_qsp_instrument,
@@ -107,6 +109,12 @@ PROBES = {
     "WeightedState": ("weighted state", lambda: WeightedState(np.eye(3), PAIR)),
     "sample_estimate": ("observable", lambda: sample_estimate(*_qhp_task(), np.eye(4), 10, 1)),
     "variance_exact": ("observable", lambda: variance_exact(*_qhp_task(), np.eye(4))),
+    # one piece per input register: the copy of a CNOT ladder checks each
+    "gqt-copy-piece": ("input", lambda: apply_exact(
+        build_gqt_instrument(1), [QuantumState.pure(PSI2), QuantumState.pure(PSI4)])),
+    "teleport-copy-piece": ("input", lambda: apply_exact(
+        build_teleport_instrument(1, [(np.eye(2), np.eye(2))]),
+        [QuantumState.pure(PSI4), QuantumState.pure(PSI2)])),
     "dense-unitary": ("unitary", lambda: QuantumInstrument(
         PAIR, None, np.eye(2), MeasurementOperator.of(np.diag([1.0, 0.0])))),
     "embed_operator": ("operator", lambda: embed_operator(np.eye(4), ("S",), PAIR)),

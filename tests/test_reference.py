@@ -4,7 +4,8 @@ Instruments are drawn with a basis-state ancilla, the case evolve holds on
 its support: 2-4 registers of dims 2-3 with roles S and E and, from three
 registers on, G; the ancilla one basis vector (any index, any phase) on one
 or two registers; U a register table that does or does not touch the
-ancilla, or a full-layout table; M dense Hermitian, dense non-normal, an
+ancilla, a full-layout table, or an Xor of two qubit registers, the
+ancilla as its src or dst included; M dense Hermitian, dense non-normal, an
 involution, a 3-cycle or low-rank (rank 0 included); and inputs pure,
 density or weighted. apply_exact must match
 conftest.reference_weighted_output; the estimators and branches must match
@@ -22,6 +23,19 @@ reference, without a gather or product columns; so must the instrument
 read back from its document, which holds the table and must hold it as a
 ControlledSwap again. A full-layout table is held as one exactly when it
 is one.
+
+The CNOT ladders (tensor.Xor) that copy an input register onto a basis
+ancilla, as GQT's and teleport's do, are drawn in either orientation with
+the three registers in any order, dims 2-4 and any basis index and phase;
+M dense Hermitian, dense non-normal with and without given parts, a
+permutation or low-rank (rank 0 included); the inputs pure, density or
+weighted, one piece per register (the copy, which must neither gather nor
+form product columns) or one joint piece (the support). apply_exact must
+match the dense reference, and the estimators, both variance bounds and
+the branches the same instrument with a dense U. A full-layout table is
+held as an Xor exactly when it is one; an Xor whose src is the basis
+ancilla takes the support; and no builder derives its Xor's table to
+build, apply or estimate.
 """
 
 import contextlib
@@ -30,7 +44,7 @@ from dataclasses import replace
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
 from wstate.instrument import (
@@ -38,6 +52,8 @@ from wstate.instrument import (
     QuantumInstrument,
     QuantumState,
     WeightedState,
+    _copy_route,
+    _swap_route,
     apply_exact,
     branches,
     concatenate,
@@ -46,13 +62,19 @@ from wstate.instrument import (
 )
 from wstate.sampling import sample_estimate, variance_bound, variance_exact
 from wstate.serialize import instrument_from_json, instrument_to_json
-from wstate.subroutines import build_qhp_instrument, build_qsp_instrument, build_teleport_instrument
+from wstate.subroutines import (
+    build_gqt_instrument,
+    build_qhp_instrument,
+    build_qsp_instrument,
+    build_teleport_instrument,
+)
 from wstate.tensor import (
     ControlledSwap,
     LowRankOperator,
     PermutationUnitary,
     Register,
     RegisterLayout,
+    Xor,
     combine_digits,
     form,
 )
@@ -138,8 +160,14 @@ def instruments(draw):
     vector[draw(st.integers(0, sub.total_dim - 1))] = np.exp(1j * draw(st.floats(0, 2 * np.pi)))
     sigma = QuantumState(sub, vector=vector)
 
-    table = draw(st.sampled_from(["touches-ancilla", "inputs-only", "full"]))
-    if table == "full":
+    qubits = [i for i in range(k) if dims[i] == 2]
+    tables = ["touches-ancilla", "inputs-only", "full"] + (["xor"] if len(qubits) > 1 else [])
+    table = draw(st.sampled_from(tables))
+    if table == "xor":
+        src, dst = draw(st.permutations(qubits))[:2]
+        unitary = Xor((regs[src].label, regs[dst].label), layout)
+        full = _full_table(unitary)
+    elif table == "full":
         unitary = PermutationUnitary(rng.permutation(layout.total_dim))
         full = unitary.perm
     else:
@@ -156,6 +184,9 @@ def instruments(draw):
     kinds = [m for m in M_KINDS if not (m == "3-cycle" and d_e < 3)]
     m = _measurement(rng, draw(st.sampled_from(kinds)), d_e)
     inst = QuantumInstrument(layout, sigma, unitary, MeasurementOperator.of(m))
+    # the controlled-SWAP blocks and the copy keep no support; they have
+    # their own tests (qsp_cases, xor_cases)
+    assume(_swap_route(inst) is None and _copy_route(inst) is None)
 
     inputs = []
     for r in regs:
@@ -396,3 +427,185 @@ def test_qsp_second_stage_keeps_pieces_apart(seed, first, swapped, n):
                   scale)
     assert _close(staged, pipe.apply_flattened(states, fresh).matrix, scale)
     assert _close(staged, reference_weighted_output(pipe.flattened, states + fresh), scale)
+
+
+# ---------------------------------------------------------------------------
+# the CNOT ladders of QHP, GQT and teleport
+
+XOR_M = ("dense-hermitian", "dense-nonnormal", "nonnormal-parts", "permutation", "low-rank")
+
+
+def _xor_measurement(rng, kind, d):
+    if kind == "dense-hermitian":
+        return MeasurementOperator.of(rand_hermitian(rng, d))
+    if kind == "permutation":
+        return MeasurementOperator.of(PermutationUnitary(rng.permutation(d)))
+    if kind == "low-rank":
+        rank = rng.integers(0, 3)
+        u, v = _complex(rng, d, rank), _complex(rng, d, rank)
+        return MeasurementOperator.of(LowRankOperator(u, v))
+    m = _complex(rng, d, d)
+    if kind == "dense-nonnormal":
+        return MeasurementOperator.of(m)
+    return MeasurementOperator.of(m, ((1.0, (m + m.conj().T) / 2), (1j, (m - m.conj().T) / 2j)))
+
+
+@st.composite
+def xor_cases(draw):
+    """(instrument, inputs) of a CNOT ladder copying input register X onto a
+    basis-state ancilla: GQT's orientation (X is S, the copy an E register)
+    or teleport's (X is E, the copy S), the three registers (X, the copy and
+    the second E register Y) in any order, the ancilla any basis vector with
+    any phase; M dense Hermitian, dense non-normal with and without given
+    parts, a permutation or low-rank (rank 0 included); one pure, density or
+    weighted piece per input register, or one joint piece over both."""
+    rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
+    gqt_like = draw(st.booleans())
+    d_x = draw(st.sampled_from([2, 3, 4]))
+    d_copy = draw(st.sampled_from([d for d in (2, 4) if d >= d_x]))
+    regs = {"X": Register("X", d_x, role="S" if gqt_like else "E"),
+            "C": Register("C", d_copy, role="E" if gqt_like else "S", source="ancilla"),
+            "Y": Register("Y", draw(st.sampled_from([2, 3])), role="E")}
+    layout = RegisterLayout.of(*(regs[l] for l in draw(st.permutations("XCY"))))
+    vector = np.zeros(d_copy, dtype=np.complex128)
+    vector[draw(st.integers(0, d_copy - 1))] = np.exp(1j * draw(st.floats(0, 2 * np.pi)))
+    sigma = QuantumState(layout.sub(("C",)), vector=vector)
+    d_e = layout.dim_of(layout.with_role("E"))
+    meas = _xor_measurement(rng, draw(st.sampled_from(XOR_M)), d_e)
+    inst = QuantumInstrument(layout, sigma, Xor(("X", "C"), layout), meas)
+    kinds = st.sampled_from(["pure", "density", "weighted"])
+    inputs = [_piece(rng, draw(kinds), regs[l].dim) for l in inst.input_labels]
+    if draw(st.integers(0, 3)) == 0:
+        joint = np.kron(*(x.matrix for x in inputs))
+        inputs = [WeightedState(joint, RegisterLayout.of(Register("W", len(joint))))
+                  if any(isinstance(x, WeightedState) for x in inputs)
+                  else QuantumState.from_density(joint)]
+    return inst, inputs
+
+
+@given(case=xor_cases())
+@settings(max_examples=150)
+def test_xor_copy_matches_the_reference(case):
+    inst, inputs = case
+    dense = replace(inst, unitary=inst.unitary.dense())
+    scale = max(1.0, np.linalg.norm(inst.measurement.matrix, 2)) * np.prod(
+        [np.linalg.norm(x.matrix, "nuc") for x in inputs])
+    apart = len(inputs) == 2
+    with no_gather() if apart else contextlib.nullcontext():
+        ev = evolve(inst, inputs)
+        tau = apply_exact(inst, inputs).matrix
+    assert (ev.copy is not None) == apart and (ev.support is not None) != apart
+    assert _close(tau, reference_weighted_output(inst, inputs), scale)
+    if any(isinstance(x, WeightedState) for x in inputs):
+        return
+    obs = rand_hermitian(np.random.default_rng(len(tau)), len(tau))
+    o_norm = np.linalg.norm(obs, 2)
+    parts = sum(abs(c) * np.linalg.norm(form(n).dense(), 2)
+                for c, n in inst.measurement.normal_parts())
+    with no_gather() if apart else contextlib.nullcontext():
+        got = sample_estimate(inst, inputs, obs, shots=100, seed=1)
+        var = variance_exact(inst, inputs, obs)
+        bound = variance_bound(inst, inputs, 2.0)
+        branched = branches(inst, inputs) if inst.measurement.kind != "nonnormal" else []
+    want = sample_estimate(dense, inputs, obs, shots=100, seed=1)
+    field_scale = max(1.0, o_norm * parts) * scale
+    mean = np.einsum("st,ts->", reference_weighted_output(inst, inputs), obs)
+    assert _close(got.analytic_mean, mean, field_scale)
+    for field in ("analytic_mean", "analytic_variance", "variance_bound"):
+        assert _close(getattr(got, field), getattr(want, field), field_scale ** 2), field
+    assert _close(var, variance_exact(dense, inputs, obs), field_scale ** 2)
+    dense_bound = variance_bound(dense, inputs, 2.0)
+    assert _close([bound.b1, bound.b2], [dense_bound.b1, dense_bound.b2], field_scale ** 2)
+    for a, b in zip(branched, branches(dense, inputs) if branched else [], strict=True):
+        assert a.eigenvalue == b.eigenvalue
+        assert abs(a.probability - b.probability) <= 1e-12
+        if a.conditional_state is not None:
+            assert _close(a.conditional_state.matrix, b.conditional_state.matrix,
+                          1.0 / a.probability)
+
+
+@pytest.mark.parametrize("case", ["src-first", "src-last", "qhp-layout", "add-mod-4",
+                                  "two-registers-moved", "pair-exchanged", "dst-of-dim-6"])
+def test_full_table_is_an_xor_only_when_it_is_one(case):
+    # a full-layout table on an input S, an E register C holding a basis
+    # ancilla and an input E register Y: dst ^= src, with S before or after
+    # C, or on QHP's two input registers, is held as an Xor and takes the
+    # copy (or, without an ancilla, the gather from digit grids); C += S mod
+    # 4, the XOR with a flip of Y, the XOR with two entries exchanged and a
+    # valid XOR onto a register of dim 6 stay tables; each matches the dense
+    # reference of its table, and a document of each carries the table
+    rng = np.random.default_rng(12)
+    d_c = 6 if case == "dst-of-dim-6" else 4
+    regs = [Register("S", 2 if case == "dst-of-dim-6" else 4, role="S"),
+            Register("C", d_c, role="E", source="ancilla"), Register("Y", 3, role="E")]
+    if case == "qhp-layout":
+        regs = [Register("S", 4, role="S"), Register("C", 4, role="E")]
+    layout = RegisterLayout.of(*(regs[1:2] + regs[:1] + regs[2:] if case == "src-last" else regs))
+    x = dict(zip(layout.labels, np.indices(layout.dims, sparse=True)))
+    y = dict(x, C=(x["C"] + x["S"]) % d_c if case == "add-mod-4" else x["C"] ^ x["S"])
+    if case == "two-registers-moved":
+        y["Y"] = 2 - x["Y"]
+    perm = np.broadcast_to(combine_digits([y[l] for l in layout.labels], layout.dims),
+                           layout.dims).reshape(-1).copy()
+    if case == "pair-exchanged":
+        perm[[0, 1]] = perm[[1, 0]]
+    held = case in ("src-first", "src-last", "qhp-layout")
+    d_e = layout.dim_of(layout.with_role("E"))
+    sigma = None
+    if case != "qhp-layout":
+        vector = np.zeros(d_c, dtype=np.complex128)
+        vector[3] = 1.0
+        sigma = QuantumState(layout.sub(("C",)), vector=vector)
+    inst = QuantumInstrument(layout, sigma, PermutationUnitary(perm),
+                             MeasurementOperator.of(_complex(rng, d_e, d_e)))
+    assert isinstance(inst.unitary, Xor) == held
+    assert np.array_equal(form(inst.unitary).lifted().perm, perm)
+    assert instrument_to_json(inst)["unitary"] == {"permutation": perm.tolist()}
+    inputs = [QuantumState.from_density(rand_density(rng, layout.dim_of((l,))))
+              for l in inst.input_labels]
+    with no_gather() if held and sigma is not None else contextlib.nullcontext():
+        tau = apply_exact(inst, inputs).matrix
+    if held:
+        assert "perm" not in vars(inst.unitary)
+    want = reference_weighted_output(replace(inst, unitary=_dense(perm)), inputs)
+    assert _close(tau, want, np.linalg.norm(inst.measurement.matrix, 2))
+
+
+@pytest.mark.parametrize("dst_role", ["S", "E", "G"])
+@pytest.mark.parametrize("a", [0, 1])
+def test_xor_from_a_basis_ancilla_takes_the_support(dst_role, a, rng):
+    # an Xor whose src is the basis ancilla |a>, which no copy takes: the
+    # support's rows come from the digits with the ancilla's digit fixed,
+    # so dst ^= a on every row, without the table
+    regs = [Register("A", 2, role="E", source="ancilla"), Register("D", 4, role=dst_role),
+            Register("P", 2, role="S"), Register("Q", 3, role="E" if dst_role == "G" else "G")]
+    layout = RegisterLayout.of(*regs)
+    vector = np.zeros(2, dtype=np.complex128)
+    vector[a] = np.exp(0.3j)
+    d_e = layout.dim_of(layout.with_role("E"))
+    inst = QuantumInstrument(layout, QuantumState(layout.sub(("A",)), vector=vector),
+                             Xor(("A", "D"), layout), MeasurementOperator.of(_complex(rng, d_e, d_e)))
+    inputs = [QuantumState.from_density(rand_density(rng, layout.dim_of((l,))))
+              for l in inst.input_labels]
+    assert evolve(inst, inputs).support is not None
+    tau = apply_exact(inst, inputs).matrix
+    assert "perm" not in vars(inst.unitary)
+    want = reference_weighted_output(replace(inst, unitary=_dense(_full_table(inst.unitary))), inputs)
+    assert _close(tau, want, np.linalg.norm(inst.measurement.matrix, 2))
+
+
+@pytest.mark.parametrize("build", ["qhp", "gqt", "teleport"])
+def test_builders_never_derive_their_xor_table(build, rng):
+    # build, apply_exact and two estimates with one piece per input read
+    # only the Xor's digits, never its table
+    n, d = 2, 4
+    inst = {"qhp": lambda: build_qhp_instrument(n), "gqt": lambda: build_gqt_instrument(n),
+            "teleport": lambda: build_teleport_instrument(n, [(_complex(rng, d, d),) * 2])}[build]()
+    assert isinstance(inst.unitary, Xor) and "perm" not in vars(inst.unitary)
+    inputs = [QuantumState.from_density(rand_density(rng, d)),
+              QuantumState.pure(rand_state(rng, d))]
+    apply_exact(inst, inputs)
+    obs = rand_hermitian(rng, d)
+    first, second = (sample_estimate(inst, inputs, obs, shots=1000, seed=3) for _ in range(2))
+    assert first == second
+    assert "perm" not in vars(inst.unitary)

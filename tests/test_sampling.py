@@ -720,6 +720,26 @@ class TestVarianceClosures:
         v = rand_state(rng, 2)
         assert abs(expectation(v, obs) - np.vdot(v, obs @ v)) < 1e-12
 
+    @pytest.mark.parametrize("shots", [0, -5, 2**63])
+    @pytest.mark.parametrize("closure", ["qhp", "gqt", "qsp", "lincombo"])
+    def test_closures_check_their_shot_count(self, closure, shots):
+        # sample_estimate's check and message: 0 shots divided by zero (qhp)
+        # or gave inf, and a negative count a negative variance
+        r, v, obs = np.eye(2) / 2, np.array([0.6, 0.8]), np.diag([1.0, -1.0])
+        call = {
+            "qhp": lambda: variance_qhp(r, obs, shots),
+            "gqt": lambda: variance_gqt(r, r, obs, shots),
+            "qsp": lambda: variance_qsp(r, np.eye(2), r, r, obs, shots),
+            "lincombo": lambda: variance_lincombo(0.6, 0.8, 0.6, (v, v[::-1]), obs, shots),
+        }[closure]
+        with pytest.raises(ValidationError, match=r"shot count must lie in \[1, 2\*\*63 - 1\]"):
+            call()
+
+    def test_lincombo_takes_a_pair_of_states(self, rng):
+        states = tuple(rand_state(rng, 2) for _ in range(3))
+        with pytest.raises(ValidationError, match="pair"):
+            variance_lincombo(0.6, 0.8, 0.6, states, np.eye(2), 10)
+
     @pytest.mark.parametrize("norm", [-1.0, math.nan, math.inf])
     def test_bound_rejects_a_bad_observable_norm(self, rng, norm):
         inst = build_qhp_instrument(1)

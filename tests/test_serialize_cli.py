@@ -43,7 +43,7 @@ from wstate.subroutines import (
     build_qhp_instrument,
     build_teleport_instrument,
 )
-from wstate.tensor import Register, RegisterLayout
+from wstate.tensor import Register, RegisterLayout, Xor
 
 from conftest import preparation_unitary, rand_density, rand_state, run_cli
 
@@ -89,10 +89,10 @@ class TestDocumentRoundtrips:
             ).max() < 1e-12
 
     def test_register_table_written_in_full(self):
-        # GQT holds its CNOT ladder as a 16-entry table on (S, E1); the task
-        # document carries the 64-entry table of the whole layout, the same
-        # bytes as when the builder made the full table (the SHA-256 of that
-        # document), and reads back as one table acting on every register
+        # GQT holds its CNOT ladder as an Xor on (S, E1), whose table has 16
+        # entries; the task document carries the 64-entry table of the whole
+        # layout, the same bytes as when the builder made the full table (the
+        # SHA-256 of that document), and reads back as the same Xor
         inst = build_gqt_instrument(2)
         assert inst.unitary.perm.size == 16
         inputs = [QuantumState.from_density(np.diag([0.4, 0.3, 0.2, 0.1]).astype(complex)),
@@ -107,8 +107,9 @@ class TestDocumentRoundtrips:
         want = (s * d + (e1 ^ s)) * d + e2
         assert json.loads(text)["instrument"]["unitary"]["permutation"] == want.tolist()
         back = task_from_json(json.loads(text))
-        assert back.instrument.unitary.labels is None
-        assert back.instrument.unitary.perm.size == d**3
+        assert isinstance(back.instrument.unitary, Xor)
+        assert back.instrument.unitary.labels == ("S", "E1")
+        assert np.array_equal(back.instrument.unitary.lifted().perm, want)
         assert np.array_equal(apply_exact(back.instrument, inputs).matrix,
                               apply_exact(inst, inputs).matrix)
 

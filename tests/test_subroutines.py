@@ -166,6 +166,11 @@ class TestSpecialCases:
         with pytest.raises(ValidationError):
             mixture_case(1.5)
 
+    @pytest.mark.parametrize("traces", [{"trace_rho0": 0.0}, {"trace_rho1": 0j}])
+    def test_mixture_of_a_traceless_input_rejected(self, traces):
+        with pytest.raises(ValidationError, match="traces must be nonzero"):
+            mixture_case(0.5, **traces)
+
 
 class TestTeleport:
     def test_identity_maps_project_to_rho_over_d_sq(self, rng):

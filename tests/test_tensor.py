@@ -13,7 +13,6 @@ from wstate.errors import (
 from wstate.instrument import MeasurementOperator, QuantumInstrument, QuantumState, apply_exact
 from wstate.lcs import LcsProblem, build_all_at_once_instrument, default_permutations
 from wstate.subroutines import (
-    _xor_ladder_perm,
     build_gqt_instrument,
     build_qhp_instrument,
     build_qsp_instrument,
@@ -24,6 +23,7 @@ from wstate.tensor import (
     PermutationUnitary,
     Register,
     RegisterLayout,
+    Xor,
     classify,
     combine_digits,
     dephase,
@@ -300,8 +300,8 @@ class TestPermutationBuilders:
     def test_xor_ladder_mixed_radix(self):
         # the ladder holds a d_src d_dst table on its two registers only
         for src, dst in ((0, 2), (2, 0)):
-            u = _xor_ladder_perm(self.MIXED, src, dst)
-            assert u.labels == ("A", "C") and u.perm.size == 4
+            u = Xor((self.MIXED.labels[src], self.MIXED.labels[dst]), self.MIXED)
+            assert u.xor == (src, dst) and u.perm.size == 4
             got = u.lifted().perm
             assert np.array_equal(got, reference_perm(self.MIXED.dims, _xor(src, dst)))
 
