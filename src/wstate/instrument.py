@@ -11,23 +11,11 @@ weighted state
 which in general is neither Hermitian, positive, nor normalized.
 
 tau is linear in the input, so the joint state sigma (x) rho_in is held in
-one form: ket and bra factor columns K B^dag (one column per pure piece), and
-no D x D joint density is formed. Two register-level circuits keep the input
-pieces apart. A CNOT ladder onto a basis-state ancilla copies a register
-(the COPY tensor), so GQT's and teleport's evolution holds the copied
-piece's density and the other piece's factor columns (_Copy), and tau is
-entrywise the one times M's partial trace against the other. A SWAP only
-renames axes, so QSP's controlled SWAP holds four d_S x d_S blocks
-(_swap_blocks). When the ancilla is one computational basis vector and U
-any other permutation, or the input one joint piece, U K has one nonzero
-row per input row, so the evolution keeps only the input's columns and
-where U sends each row (a Support, D / d_anc rows). Any other evolution
-writes one joint-sized array per side: a permutation U, held on the
-registers it acts on, gathers each factored piece at its preimage indices
-straight into that array, and a dense U takes one GEMM. M is contracted as
-for a pure state, with the columns traced alongside G, by the contract
-method of its form (tensor.form), which reads either; weighted_output
-contracts the blocks and the copy.
+factor columns K B^dag (one column per pure piece), and no D x D joint
+density is formed. Each evolution takes one of four routes (_route): QSP's
+controlled-SWAP blocks, the copy of a CNOT ladder onto a basis ancilla, the
+Support of a permutation on one, and the gather. An evolution contracts
+itself with M in any form (tensor.form) through that form's primitives.
 """
 
 from __future__ import annotations
@@ -317,16 +305,13 @@ class QuantumInstrument:
     full-layout table, a table on some of this layout's registers, an Xor
     (the CNOT ladder of QHP, GQT or teleport, or a table that is one) or a
     ControlledSwap (QSP's, or a table that is one). The evaluation plan is
-    kept from first use: whether the evolution takes the controlled-SWAP
-    blocks (_swap_route) or the copy of a CNOT ladder onto a basis ancilla
-    (_copy_route); the ancilla's factor columns and its basis index,
-    if it is one basis vector; per tuple of piece positions, the Support
-    rows of a permutation U on such an ancilla (with what each form's
-    contraction derives from them) or else
-    U's preimage_indices grids; and the last observable an estimate read,
-    checked and in its eigenbasis, under a key of its shape, dtype and
-    bytes' digest (so one edited in place is checked and decomposed again);
-    dataclasses.replace builds a new instance with an empty plan.
+    kept from first use: per tuple of piece positions, the route of their
+    evolution (_route), with the index grids or support rows it derives and
+    what each form's contraction derives from them; and the last observable
+    an estimate read, checked and in its eigenbasis, under a key of its
+    shape, dtype and bytes' digest (so one edited in place is checked and
+    decomposed again); dataclasses.replace builds a new instance with an
+    empty plan.
     """
 
     layout: RegisterLayout
@@ -343,22 +328,18 @@ class QuantumInstrument:
             if anc:
                 raise ValidationError(f"ancilla registers {anc} but no ancilla state")
         else:
-            sub = self.layout.sub(anc)
-            if self.ancilla.layout.dims != sub.dims:
-                raise DimensionMismatch(
-                    f"ancilla dims {self.ancilla.layout.dims} vs registers {sub.dims}"
-                )
+            have = self.ancilla.layout.dims
+            want = tuple(r.dim for r in self.layout.registers if r.source == "ancilla")
+            if have != want:
+                raise DimensionMismatch(f"ancilla dims {have} vs registers {want}")
         object.__setattr__(self, "unitary", form(self.unitary).as_unitary(self.layout))
         de = self.layout.dim_of(self.e_labels)
         if self.measurement.dim != de:
             raise DimensionMismatch(
                 f"measurement dim {self.measurement.dim} vs E-register dim {de}"
             )
-        # the evaluation plan, filled by _evolve: "swap" -> _swap_route, "copy" ->
-        # _copy_route, "ancilla" -> the ancilla's piece, "basis" -> _basis_entry
-        # of that piece (both by _ancilla), a tuple
-        # of piece positions -> their Support rows or preimage_indices grids;
-        # and by the estimators: "observable" -> (key, eigenbasis)
+        # the evaluation plan: a tuple of piece positions -> its route (_route);
+        # and, by the estimators, "observable" -> (key, eigenbasis)
         object.__setattr__(self, "_plan", {})
 
     @property
@@ -433,222 +414,87 @@ def _input_factors(inputs):
     return factors[0] if len(factors) == 1 else _kron_factors(factors)
 
 
-@dataclass(frozen=True)
-class Support:
-    """The evolved state on the support of a basis-state ancilla.
-
-    A permutation U sends each basis state with the ancilla at its basis
-    index to one basis state, so row n of the input's factor columns (the
-    input registers in piece order, as _kron_factors gives them) lands at
-    S G index sg[n] = s d_G + g and E index e[n]. ket and bra are those
-    (D / d_anc) x r columns as they are, times the ancilla's entry; bra is
-    ket when the input's is. The plan keeps sg, e, dims (d_S, d_E, d_G) and
-    cache (see kept) with ket and bra None; holding() fills them in.
-    """
-
-    sg: np.ndarray
-    e: np.ndarray
-    dims: tuple[int, int, int]
-    cache: dict
-    ket: np.ndarray | None = None
-    bra: np.ndarray | None = None
-
-    def holding(self, ket: np.ndarray, bra: np.ndarray) -> "Support":
-        return Support(self.sg, self.e, self.dims, self.cache, ket, bra)
-
-    def kept(self, owner, derive):
-        """derive(self), kept in cache under owner (the form that contracts
-        with it, or a name) from its first call; at most KEPT_DERIVATIONS
-        owners are kept."""
-        hit = self.cache.get(id(owner))
-        if hit is None or hit[0] is not owner:
-            if len(self.cache) >= KEPT_DERIVATIONS:
-                self.cache.clear()
-            hit = self.cache[id(owner)] = (owner, derive(self))
-        return hit[1]
-
-    def scatter(self, values: np.ndarray) -> np.ndarray:
-        """values written at their rows into a zero (S, G r, E) array."""
-        d_s, d_e, d_g = self.dims
-        out = np.zeros((d_s * d_g, values.shape[1], d_e), dtype=np.complex128)
-        out[self.sg, :, self.e] = values
-        return out.reshape(d_s, -1, d_e)
-
-
-class Evolved:
-    """Joint state after U as factor columns, rho_out = K B^dag.
-
-    ket and bra are U K and U B as C-contiguous (S, G r, E) arrays: the r
-    columns ride along with G and are traced with it, and E comes last, so
-    M contracts it through free reshapes. bra is ket when the input's bra
-    was its ket. dims is (d_S, d_E, d_G). An evolution on the support of a
-    basis-state ancilla holds only its Support, which each form contracts;
-    ket and bra are then scattered from it on first read. A controlled
-    SWAP's holds only dims and the 4 d_S^2 block entries of _swap_blocks; a
-    CNOT ladder's copy onto a basis ancilla only dims and its _Copy.
-    """
-
-    def __init__(self, dims, ket=None, bra=None, support: Support | None = None,
-                 blocks: np.ndarray | None = None, copy: "_Copy | None" = None):
-        self.dims, self.support, self.blocks, self.copy = dims, support, blocks, copy
-        if support is None:
-            self.ket, self.bra = ket, bra
-
-    @cached_property
-    def ket(self) -> np.ndarray:
-        return self.support.scatter(self.support.ket)
-
-    @cached_property
-    def bra(self) -> np.ndarray:
-        sup = self.support
-        return self.ket if sup.bra is sup.ket else sup.scatter(sup.bra)
-
-
-def evolve(inst: QuantumInstrument, inputs) -> Evolved:
-    """U on ancilla (x) input.
-
-    QSP's controlled SWAP, built or read from a document, keeps the input
-    pieces apart: no product columns, no gather, 4 d_S^2 block entries
-    (_swap_blocks). So does the CNOT ladder of GQT or teleport, given one
-    piece per input register: the copied piece's density and the other's
-    factor columns (_Copy), with no table, support rows or product columns.
-    When the ancilla is one computational basis vector and U another
-    permutation, or the input is one joint piece, the evolution is a
-    Support: the input's factor columns
-    as they are, and the rows U sends them to (image_indices). Any other
-    instrument writes one (S, G r, E) array per side: a
-    permutation U gathers each factored piece at its index under U^dag
-    (preimage_indices) and multiplies the pieces in place into that array; a
-    dense U takes one GEMM on the D x r product columns. The bra takes a
-    second pass only when it is not the ket. The instrument keeps the
-    ancilla's factor columns and the rows or index grids from its first
-    evolution.
-    """
+def evolve(inst: QuantumInstrument, inputs):
+    """U on ancilla (x) input: the caller's pieces, one per input register
+    when it gives one, else their product as one piece, evolved by the
+    route _route keeps for their positions."""
     at = [i for i, r in enumerate(inst.layout.registers) if r.source == "input"]
     pieces = _pieces(inputs)
-    if 1 < len(pieces) == len(at) and (_swap_route(inst) or _copy_route(inst)) is not None:
+    if len(pieces) == len(at):
         return _evolve(inst, [(_factor(x), [p]) for x, p in zip(pieces, at)])
     return _evolve(inst, [(_input_factors(pieces), at)])
 
 
-def _swap_route(inst: QuantumInstrument):
-    """(S position, sigma as a (2, 2, 1, 1) array) when U is a controlled
-    SWAP of the S and the G register whose control, the third register, is
-    the one E register and holds the whole ancilla sigma; else None."""
-    plan, regs = inst._plan, inst.layout.registers
-    if "swap" not in plan:
-        pos = form(inst.unitary).controlled_swap or ()
-        roles = [regs[p].role for p in pos]
-        plan["swap"] = (pos[roles.index("S")], inst.ancilla.matrix[:, :, None, None]) if (
-            len(regs) == 3 and sorted(roles) == ["E", "G", "S"]
-            and inst.e_labels == inst.ancilla_labels == (regs[pos[0]].label,)) else None
-    return plan["swap"]
+def _evolve(inst: QuantumInstrument, pieces):
+    """evolve of factored pieces ((ket, bra), positions): positions index the
+    layout's registers, and the piece's rows run over them in that order.
+    The columns of the product are the Kronecker product of the pieces'
+    columns, in piece order."""
+    dims = inst.layout.dims
+    for (ket, _), pos in pieces:
+        want = math.prod(dims[p] for p in pos)
+        if ket.shape[0] != want:
+            raise DimensionMismatch(f"input dim {ket.shape[0]} vs instrument input dim {want}")
+    return _route(inst, tuple(tuple(pos) for _, pos in pieces)).evolve(pieces)
 
 
-def _swap_blocks(route, pieces) -> np.ndarray:
-    """X[c, c'] = sigma[c, c'] Tr_G[W_c rho W_c'^dag], W_0 = I and W_1 the
-    SWAP, a (2, 2, d_S, d_S) array from the factors rho_p = K_p B_p^dag:
-    rho_S Tr rho_G, rho_S rho_G; rho_G rho_S, rho_G Tr rho_S for pieces rho_S
-    and rho_G, or K_c B_c'^dag for one piece, K_c its ket with the register
-    that lands on S in branch c as rows."""
-    s, sigma = route
-    if len(pieces) == 2:
-        (k1, b1), (k2, b2) = (f for f, _ in sorted(pieces, key=lambda piece: piece[1] != [s]))
-        rho1, rho2 = k1 @ b1.conj().T, k2 @ b2.conj().T
-        y01 = _product(k1, b1, k2, b2, rho1, rho2)
-        y10 = y01.conj().T if k1 is b1 and k2 is b2 else _product(k2, b2, k1, b1, rho2, rho1)
-        y = [[rho1 * np.trace(rho2), y01], [y10, rho2 * np.trace(rho1)]]
+def _route(inst: QuantumInstrument, key):
+    """The route of an evolution of input pieces at the register positions
+    key: the first of these that applies, chosen on first use and kept in
+    the plan under key. Its evolve(pieces) returns an evolution with dims
+    (d_S, d_E, d_G) and contract(form of M), which weighted_output calls.
+
+    - _Blocks (QSP): U is a ControlledSwap of S and G whose control, the
+      one E register, holds the whole ancilla. A SWAP only renames axes, so
+      the pieces stay apart in 4 d_S^2 block entries.
+    - _Copy (GQT: S onto E1, Y = E2; teleport: B onto C, Y = A): U is an
+      Xor whose dst holds the whole ancilla, one basis vector, on a layout
+      of src, dst and an input E register Y, src and dst having roles S and
+      E; one piece per input register. The COPY tensor keeps the copied
+      piece's density and Y's factor columns, no table or product columns.
+    - Support: the ancilla is one basis vector and U a permutation. U K has
+      one nonzero row per input row, so the evolution keeps the input's
+      product columns and where U sends each row (image_indices).
+    - _Gather: any other. One (S, G r, E) array per side: each factored
+      piece gathered at its index under U^dag (preimage_indices) and
+      multiplied in, then one GEMM for a dense U.
+
+    A new route is one class and one clause here.
+    """
+    route = inst._plan.get(key)
+    if route is not None:
+        return route
+    regs, u = inst.layout.registers, form(inst.unitary)
+    role, size = {"S": [], "E": [], "G": []}, {"S": 1, "E": 1, "G": 1}
+    for i, r in enumerate(regs):
+        role[r.role].append(i)
+        size[r.role] *= r.dim
+    dims = (size["S"], size["E"], size["G"])
+    swap, (src, dst) = u.controlled_swap or (), u.xor or (0, 0)
+    roles, y = [regs[p].role for p in swap], 3 - src - dst
+    blocks = (len(regs) == 3 and sorted(roles) == ["E", "G", "S"]
+              and inst.e_labels == inst.ancilla_labels == (regs[swap[0]].label,))
+    anc = None if inst.ancilla is None else (
+        _factor(inst.ancilla), [i for i, r in enumerate(regs) if r.source == "ancilla"])
+    basis = None if anc is None or blocks else _basis_entry(anc, inst.layout.dims)
+    if blocks:
+        route = _Blocks(swap[roles.index("S")], inst.ancilla.matrix[:, :, None, None], dims)
+    elif (basis and len(key) == 2 and len(regs) == 3 and src != dst
+          and inst.ancilla_labels == (regs[dst].label,) and regs[y].role == "E"
+          and {regs[src].role, regs[dst].role} == {"S", "E"}):
+        (digits, amplitude), z = basis, src if regs[src].role == "E" else dst
+        e = np.arange(regs[src].dim) ^ digits[dst]
+        index = (slice(len(e)),) * 2 if digits[dst] == 0 else np.ix_(e, e)
+        route = _Copy(src, index, regs[dst].role == "S", int(y > z), abs(amplitude) ** 2, dims)
+    elif basis and (rows := u.image_indices(inst.layout, basis[0], [p for pos in key for p in pos],
+                                            [role["S"] + role["G"], role["E"]])):
+        route = Support(*rows, dims, {}, basis[1])
     else:
-        (k, b), pos = pieces[0]
-        d, order = math.isqrt(k.shape[0]), ((0, 1, 2), (1, 0, 2))[:: 1 if pos[0] == s else -1]
-        kc, bc = ([x.reshape(d, d, -1).transpose(o).reshape(d, -1) for o in order] for x in (k, b))
-        y = [[kc[c] @ bc[e].conj().T for e in (0, 1)] for c in (0, 1)]
-    x = np.array(y)
-    x *= sigma
-    return x
-
-
-def _product(k1, b1, k2, b2, rho1, rho2) -> np.ndarray:
-    """rho1 rho2 in the association of fewest flops: rho1 rho2 (d^3), or
-    through the factors' overlap, (K1 (B1^dag K2)) B2^dag (2 d r1 r2 + d^2 r2)
-    or K1 ((B1^dag K2) B2^dag) (2 d r1 r2 + d^2 r1)."""
-    d, r1, r2 = k1.shape[0], k1.shape[1], k2.shape[1]
-    if d * d <= 2 * r1 * r2 + d * min(r1, r2):
-        return rho1 @ rho2
-    overlap = b1.conj().T @ k2
-    return (k1 @ overlap) @ b2.conj().T if r2 <= r1 else k1 @ (overlap @ b2.conj().T)
-
-
-def _ancilla(inst: QuantumInstrument):
-    """The ancilla's factored piece and its _basis_entry, kept in the plan."""
-    plan = inst._plan
-    if "ancilla" not in plan:
-        anc = [i for i, r in enumerate(inst.layout.registers) if r.source == "ancilla"]
-        plan["ancilla"] = (_factor(inst.ancilla), anc)
-        plan["basis"] = _basis_entry(plan["ancilla"], inst.layout.dims)
-    return plan["ancilla"], plan["basis"]
-
-
-def _copy_route(inst: QuantumInstrument):
-    """(src, index, scatter, at, weight) when U is an Xor whose dst
-    register holds the whole ancilla, one basis vector |a> of amplitude c,
-    on a layout of src, dst and one input register Y of role E, src and dst
-    having roles S and E (GQT: S onto E1 with Y = E2; teleport: B onto C
-    with Y = A); else None. index picks the e x e entries of a d_dst x d_dst
-    array, e being src's digits XOR a (slices when a = 0); scatter says
-    whether dst is the S register, at is Y's place (0 or 1) among the two E
-    registers, and weight is |c|^2."""
-    plan, regs = inst._plan, inst.layout.registers
-    if "copy" not in plan:
-        src, dst = form(inst.unitary).xor or (0, 0)
-        y = 3 - src - dst
-        plan["copy"] = None
-        if (len(regs) == 3 and src != dst and inst.ancilla_labels == (regs[dst].label,)
-                and regs[y].role == "E" and {regs[src].role, regs[dst].role} == {"S", "E"}):
-            basis = _ancilla(inst)[1]
-            if basis is not None:
-                (digits, amplitude), z = basis, src if regs[src].role == "E" else dst
-                e = np.arange(regs[src].dim) ^ digits[dst]
-                index = (slice(len(e)),) * 2 if digits[dst] == 0 else np.ix_(e, e)
-                plan["copy"] = (src, index, regs[dst].role == "S", int(y > z),
-                                abs(amplitude) ** 2)
-    return plan["copy"]
-
-
-@dataclass(frozen=True)
-class _Copy:
-    """A CNOT ladder's copy of the input register X = src onto a basis
-    ancilla |a>, with the pieces rho_X and rho_Y = ket bra^dag kept apart,
-    Y being the E register at at (0 or 1) among the two. With e(x) = x XOR a
-    (index picks e x e) and N = Tr_Y[M (I (x) rho_Y)] on the other E
-    register (the forms' partial_trace, which reads ket, bra, rho and at),
-
-        tau[s, t] = rho_X[s, t] N[e(t), e(s)]        when S is X,
-        tau[e(x), e(x')] = rho_X[x, x'] N[x', x]      when S is dst (scatter),
-
-    x being rho_X times the ancilla's weight |c|^2."""
-
-    x: np.ndarray
-    index: tuple
-    scatter: bool
-    ket: np.ndarray
-    bra: np.ndarray
-    at: int
-
-    @cached_property
-    def rho(self) -> np.ndarray:
-        return self.ket @ self.bra.conj().T
-
-
-def _copy(route, pieces) -> _Copy:
-    """The _Copy of the route (_copy_route) on one factored piece per input
-    register."""
-    src, index, scatter, at, weight = route
-    ((kx, bx), _), ((ky, by), _) = sorted(pieces, key=lambda piece: piece[1][0] != src)
-    x = kx @ bx.conj().T
-    if weight != 1:
-        x *= weight
-    return _Copy(x, index, scatter, ky, by, at)
+        groups = ((tuple(anc[1]),) if anc else ()) + key
+        route = _Gather(u, u.preimage_indices(inst.layout, groups), anc[0] if anc else None,
+                        inst.layout.dims, role["S"] + role["G"], role["E"], dims)
+    inst._plan[key] = route
+    return route
 
 
 def _basis_entry(piece, dims):
@@ -666,96 +512,242 @@ def _basis_entry(piece, dims):
     return {p: int(d[0]) for p, d in zip(pos, digits)}, complex(grid[digits][0])
 
 
-def _evolve(inst: QuantumInstrument, pieces) -> Evolved:
-    """evolve of factored pieces ((ket, bra), positions): positions index the
-    layout's registers, and the piece's rows run over them in that order.
-    The columns of the product are the Kronecker product of the pieces'
-    columns, in piece order."""
-    regs, dims = inst.layout.registers, inst.layout.dims
-    plan = inst._plan
-    for (ket, _), pos in pieces:
-        want = math.prod(dims[p] for p in pos)
-        if ket.shape[0] != want:
-            raise DimensionMismatch(f"input dim {ket.shape[0]} vs instrument input dim {want}")
-    role, size = {"S": [], "E": [], "G": []}, {"S": 1, "E": 1, "G": 1}
-    for i, r in enumerate(regs):
-        role[r.role].append(i)
-        size[r.role] *= r.dim
-    d_s, d_e, d_g = size["S"], size["E"], size["G"]
-    route = _swap_route(inst)
-    if route is not None:
-        return Evolved((d_s, d_e, d_g), blocks=_swap_blocks(route, pieces))
-    route = _copy_route(inst)
-    if route is not None and len(pieces) == 2:
-        return Evolved((d_s, d_e, d_g), copy=_copy(route, pieces))
-    if inst.ancilla is not None:
-        pieces = [_ancilla(inst)[0], *pieces]
-    k, n = len(dims), len(pieces)
-    u = form(inst.unitary)
-    key = tuple(tuple(pos) for _, pos in pieces)
-    indices = plan.get(key)
-    if indices is None:
-        basis, rows = plan.get("basis"), None
-        if basis is not None:
-            rows = u.image_indices(inst.layout, basis[0], [p for _, pos in pieces[1:] for p in pos],
-                                   [role["S"] + role["G"], role["E"]])
-        indices = plan[key] = (Support(*rows, (d_s, d_e, d_g), {}) if rows
-                               else u.preimage_indices(inst.layout, key))
-    if isinstance(indices, Support):
-        factors = [f for f, _ in pieces[1:]]
-        amplitude = plan["basis"][1]
-        if amplitude != 1:
-            a = np.full((1, 1), amplitude)
-            factors.insert(0, (a, a))
-        return Evolved((d_s, d_e, d_g), support=indices.holding(*_kron_factors(factors)))
-    # axes: the k registers, then one column axis per piece
-    shape = dims + tuple(f[0].shape[1] for f, _ in pieces)
-    group = role["S"] + role["G"] + list(range(k, k + n)) + role["E"]
+@dataclass(frozen=True)
+class Evolved:
+    """The gather's evolution: the joint state after U as factor columns,
+    rho_out = K B^dag.
 
-    def place(cols):
-        def gather(order):
-            # out[y, c] = prod_i cols[i][index of piece i at y, c_i], axes in
-            # order, multiplied right to left, as _kron_factors nests the pieces
-            terms = []
-            for i, (x, idx) in enumerate(zip(cols, indices)):
-                t = x.take(idx, axis=0)
-                terms.append(t.reshape(idx.shape + (1,) * i + x.shape[1:]
-                                       + (1,) * (n - 1 - i)).transpose(order))
-            out = np.empty([shape[a] for a in order], dtype=np.complex128)
-            if n == 1:
-                np.copyto(out, terms[0])
-            else:
-                np.multiply(terms[-2], terms[-1], out=out)
-                for t in reversed(terms[:-2]):
-                    np.multiply(t, out, out=out)
-            return out
-
-        return u.apply_gathered(gather, shape, group).reshape(d_s, -1, d_e)
-
-    ket = place([f[0] for f, _ in pieces])
-    same = all(f[0] is f[1] for f, _ in pieces)
-    return Evolved((d_s, d_e, d_g), ket, ket if same else place([f[1] for f, _ in pieces]))
-
-
-def weighted_output(ev: Evolved, m) -> np.ndarray:
-    """tau_st = sum_{x,e,e'} K[s,x,e] conj(B[t,x,e']) M[e',e], x = (g, column).
-
-    The one entry point of every contraction with M: m, an array or a form,
-    is contracted by its form's contract method, a structured m without a
-    dense matrix; a controlled SWAP's blocks X here, as sum M[e', e] X[e, e'];
-    a copy's pieces here, entrywise against m's partial_trace (_Copy).
+    ket and bra are U K and U B as C-contiguous (S, G r, E) arrays: the r
+    columns ride along with G and are traced with it, and E comes last, so
+    M contracts it through free reshapes. bra is ket when the input's bra
+    was its ket. dims is (d_S, d_E, d_G). Each form's contract reads them.
     """
-    if ev.blocks is not None:
-        return (form(m).dense().T.reshape(-1) @ ev.blocks.reshape(4, -1)).reshape(ev.dims[0], -1)
-    if ev.copy is not None:
-        c = ev.copy
-        n_t = form(m).partial_trace(c).T
-        if not c.scatter:
-            return c.x * n_t[c.index]
-        tau = np.zeros((ev.dims[0],) * 2, dtype=np.complex128)
-        tau[c.index] = c.x * n_t
+
+    dims: tuple[int, int, int]
+    ket: np.ndarray
+    bra: np.ndarray
+
+    def contract(self, m) -> np.ndarray:
+        return m.contract(self)
+
+
+@dataclass(frozen=True)
+class _Gather:
+    """The gather route (_route): U's preimage_indices grids, one per
+    piece, the ancilla's first; the ancilla's factor columns (None without
+    one); the layout's dims; and the S G and E positions."""
+
+    u: object
+    indices: list
+    ancilla: tuple | None
+    layout_dims: tuple
+    sg: list
+    e: list
+    dims: tuple[int, int, int]
+
+    def evolve(self, pieces) -> Evolved:
+        lead = int(self.ancilla is not None)
+        cols = [self.ancilla] * lead + [f for f, _ in pieces]
+        k, n = len(self.layout_dims), len(cols)
+        # axes: the k registers, then one column axis per piece
+        shape = self.layout_dims + tuple(x.shape[1] for x, _ in cols)
+        group = self.sg + list(range(k, k + n)) + self.e
+
+        def place(side):
+            def gather(order):
+                # out[y, c] = prod_i side[i][index of piece i at y, c_i], axes
+                # in order: the input pieces multiplied left to right, as
+                # _kron_factors nests them, then the ancilla's
+                terms = []
+                for i, (x, idx) in enumerate(zip(side, self.indices)):
+                    t = x.take(idx, axis=0)
+                    terms.append(t.reshape(idx.shape + (1,) * i + x.shape[1:]
+                                           + (1,) * (n - 1 - i)).transpose(order))
+                out = np.empty([shape[a] for a in order], dtype=np.complex128)
+                acc = reduce(lambda a, t: np.multiply(a, t, out=out), terms[lead + 1 :], terms[lead])
+                if lead:
+                    acc = np.multiply(terms[0], acc, out=out)
+                if acc is not out:
+                    np.copyto(out, acc)
+                return out
+
+            return self.u.apply_gathered(gather, shape, group).reshape(self.dims[0], -1, self.dims[1])
+
+        ket = place([x for x, _ in cols])
+        same = all(x is b for x, b in cols)
+        return Evolved(self.dims, ket, ket if same else place([b for _, b in cols]))
+
+
+@dataclass(frozen=True)
+class Support:
+    """The support route (_route), and the evolutions it returns.
+
+    Row n of the input's product columns (the input registers in piece
+    order, as _kron_factors gives them) lands at S G index
+    sg[n] = s d_G + g and E index e[n]. An evolution holds those
+    (D / d_anc) x r columns times the ancilla's entry amplitude as kcols
+    and bcols (bcols is kcols when the input's bra is its ket), not as a
+    gather's ket and bra: each form contracts it by contract_support. cache,
+    shared by the route and its evolutions, keeps what those derive (kept).
+    """
+
+    sg: np.ndarray
+    e: np.ndarray
+    dims: tuple[int, int, int]
+    cache: dict
+    amplitude: complex = 1
+    kcols: np.ndarray | None = None
+    bcols: np.ndarray | None = None
+
+    def evolve(self, pieces) -> "Support":
+        cols = _kron_factors([f for f, _ in pieces])
+        if self.amplitude != 1:
+            a = np.full((1, 1), self.amplitude)
+            cols = _kron_factors([(a, a), cols])
+        return Support(self.sg, self.e, self.dims, self.cache, self.amplitude, *cols)
+
+    def contract(self, m) -> np.ndarray:
+        return m.contract_support(self)
+
+    def kept(self, owner, derive):
+        """derive(self), kept in cache under owner (the form that contracts
+        with it, or a name) from its first call; at most KEPT_DERIVATIONS
+        owners are kept."""
+        hit = self.cache.get(id(owner))
+        if hit is None or hit[0] is not owner:
+            if len(self.cache) >= KEPT_DERIVATIONS:
+                self.cache.clear()
+            hit = self.cache[id(owner)] = (owner, derive(self))
+        return hit[1]
+
+    @cached_property
+    def scattered(self) -> Evolved:
+        """The gather's arrays U K and U B, the columns written at their rows
+        into zero (S, G r, E) arrays once per evolution."""
+        d_s, d_e, d_g = self.dims
+
+        def scatter(values):
+            out = np.zeros((d_s * d_g, values.shape[1], d_e), dtype=np.complex128)
+            out[self.sg, :, self.e] = values
+            return out.reshape(d_s, -1, d_e)
+
+        ket = scatter(self.kcols)
+        return Evolved(self.dims, ket, ket if self.bcols is self.kcols else scatter(self.bcols))
+
+
+@dataclass(frozen=True)
+class _Blocks:
+    """The controlled-SWAP route (_route), and the evolutions it returns.
+
+    An evolution holds X[c, c'] = sigma[c, c'] Tr_G[W_c rho W_c'^dag],
+    W_0 = I and W_1 the SWAP, as x, a (2, 2, d_S, d_S) array from the
+    factors rho_p = K_p B_p^dag: rho_S Tr rho_G, rho_S rho_G; rho_G rho_S,
+    rho_G Tr rho_S for pieces rho_S and rho_G, or K_c B_c'^dag for one
+    piece, K_c its ket with the register that lands on S in branch c as
+    rows. Each block is written in place into x. s is the S register's
+    position and sigma the ancilla as a (2, 2, 1, 1) array.
+    """
+
+    s: int
+    sigma: np.ndarray
+    dims: tuple[int, int, int]
+    x: np.ndarray | None = None
+
+    def evolve(self, pieces) -> "_Blocks":
+        d = self.dims[0]
+        x = np.empty((2, 2, d, d), dtype=np.complex128)
+        if len(pieces) == 2:
+            (k1, b1), (k2, b2) = (f for f, _ in sorted(pieces, key=lambda p: p[1] != [self.s]))
+            rho1 = np.matmul(k1, b1.conj().T, out=x[0, 0])
+            rho2 = np.matmul(k2, b2.conj().T, out=x[1, 1])
+            _product(k1, b1, k2, b2, rho1, rho2, x[0, 1])
+            if k1 is b1 and k2 is b2:
+                np.conjugate(x[0, 1].T, out=x[1, 0])
+            else:
+                _product(k2, b2, k1, b1, rho2, rho1, x[1, 0])
+            t1, t2 = np.trace(rho1), np.trace(rho2)
+            rho1 *= t2
+            rho2 *= t1
+        else:
+            (k, b), pos = pieces[0]
+            order = ((0, 1, 2), (1, 0, 2))[:: 1 if pos[0] == self.s else -1]
+            kc, bc = ([y.reshape(d, d, -1).transpose(o).reshape(d, -1) for o in order] for y in (k, b))
+            for c, e in np.ndindex(2, 2):
+                np.matmul(kc[c], bc[e].conj().T, out=x[c, e])
+        x *= self.sigma
+        return _Blocks(self.s, self.sigma, self.dims, x)
+
+    def contract(self, m) -> np.ndarray:
+        """sum M[e', e] X[e, e']."""
+        return (m.dense().T.reshape(-1) @ self.x.reshape(4, -1)).reshape(self.dims[0], -1)
+
+
+def _product(k1, b1, k2, b2, rho1, rho2, out) -> np.ndarray:
+    """rho1 rho2 into out in the association of fewest flops: rho1 rho2
+    (d^3), or through the factors' overlap, (K1 (B1^dag K2)) B2^dag
+    (2 d r1 r2 + d^2 r2) or K1 ((B1^dag K2) B2^dag) (2 d r1 r2 + d^2 r1)."""
+    d, r1, r2 = k1.shape[0], k1.shape[1], k2.shape[1]
+    if d * d <= 2 * r1 * r2 + d * min(r1, r2):
+        return np.matmul(rho1, rho2, out=out)
+    overlap = b1.conj().T @ k2
+    if r2 <= r1:
+        return np.matmul(k1 @ overlap, b2.conj().T, out=out)
+    return np.matmul(k1, overlap @ b2.conj().T, out=out)
+
+
+@dataclass(frozen=True)
+class _Copy:
+    """The copy route (_route), and the evolutions it returns.
+
+    A CNOT ladder's copy of the input register X = src onto a basis
+    ancilla |a> of amplitude c, with the pieces rho_X and rho_Y = ket
+    bra^dag kept apart, Y being the E register at at (0 or 1) among the
+    two. With e(x) = x XOR a (index picks the e x e entries of a
+    d_dst x d_dst array; slices when a = 0) and N = Tr_Y[M (I (x) rho_Y)] on
+    the other E register (the forms' partial_trace, which reads ket, bra,
+    rho and at),
+
+        tau[s, t] = rho_X[s, t] N[e(t), e(s)]        when S is X,
+        tau[e(x), e(x')] = rho_X[x, x'] N[x', x]      when S is dst (scatter),
+
+    x being rho_X times the ancilla's weight |c|^2.
+    """
+
+    src: int
+    index: tuple
+    scatter: bool
+    at: int
+    weight: float
+    dims: tuple[int, int, int]
+    x: np.ndarray | None = None
+    ket: np.ndarray | None = None
+    bra: np.ndarray | None = None
+
+    def evolve(self, pieces) -> "_Copy":
+        ((kx, bx), _), ((ky, by), _) = sorted(pieces, key=lambda piece: piece[1][0] != self.src)
+        x = kx @ bx.conj().T
+        if self.weight != 1:
+            x *= self.weight
+        return _Copy(self.src, self.index, self.scatter, self.at, self.weight, self.dims, x, ky, by)
+
+    @cached_property
+    def rho(self) -> np.ndarray:
+        return self.ket @ self.bra.conj().T
+
+    def contract(self, m) -> np.ndarray:
+        n_t = m.partial_trace(self).T
+        if not self.scatter:
+            return self.x * n_t[self.index]
+        tau = np.zeros((self.dims[0],) * 2, dtype=np.complex128)
+        tau[self.index] = self.x * n_t
         return tau
-    return form(m).contract(ev)
+
+
+def weighted_output(ev, m) -> np.ndarray:
+    """tau_st = sum_{x,e,e'} K[s,x,e] conj(B[t,x,e']) M[e',e], x = (g, column):
+    the one entry point of every contraction with M, an array or a form,
+    which the evolution ev contracts by its route (_route)."""
+    return ev.contract(form(m))
 
 
 def projected_outputs(ev: Evolved, groups) -> list[np.ndarray]:

@@ -23,7 +23,6 @@ from .errors import (
 )
 from .instrument import (
     QuantumInstrument,
-    Evolved,
     _mat,
     evolve,
     expectation,
@@ -179,10 +178,11 @@ class _GroupTable:
         return float(((self.q * np.abs(self.value) ** 2) @ (self.t @ o)).real)
 
 
-def _group_table(ev: Evolved, meas, basis=None):
-    """The _GroupTable of an evolution over the rows of MeasurementOperator
-    meas, in the observable eigenbasis basis (_observable_basis), or in the
-    computational basis (a single eigenvalue 1) when basis is None.
+def _group_table(ev, meas, basis=None):
+    """The _GroupTable of an evolution (instrument.evolve) over the rows of
+    MeasurementOperator meas, in the observable eigenbasis basis
+    (_observable_basis), or in the computational basis (a single eigenvalue
+    1) when basis is None.
 
     The outputs of all parts' groups come from one projected_outputs call,
     so each distinct projector form is contracted once and no d_E x d_E

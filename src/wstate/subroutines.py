@@ -145,9 +145,9 @@ def build_gqt_instrument(n: int) -> QuantumInstrument:
     measurement against the second input; realizes sigma (.) rho^T.
 
     The ladder is an Xor of S onto E1, so an evolution of two pieces takes
-    the copy (instrument._Copy). The SWAP |i j> -> |j i> on (E1, E2) is held
-    as a PermutationUnitary, so no d^2 x d^2 matrix is built unless a caller
-    reads measurement.matrix.
+    the copy route (instrument._route). The SWAP |i j> -> |j i> on (E1, E2)
+    is held as a PermutationUnitary, so no d^2 x d^2 matrix is built unless
+    a caller reads measurement.matrix.
     """
     if n < 1:
         raise ValidationError("qubit count must be >= 1")
@@ -172,7 +172,7 @@ def build_qsp_instrument(sigma, m, n: int) -> QuantumInstrument:
 
     Realizes qsp_oracle with alpha = sigma (.) M^T (.) gamma_in, where
     gamma_in picks up the input traces. U is a ControlledSwap on (C; S, G):
-    an evolution holds 4 d^2 block entries (instrument._swap_blocks). A
+    an evolution takes the blocks route (instrument._route), 4 d^2 entries. A
     document carries its table, which reads back as the same ControlledSwap.
     """
     if n < 1:

@@ -298,8 +298,8 @@ class DenseOperator:
     as_measurement or as_unitary."""
 
     array: np.ndarray
-    controlled_swap = None  # no ControlledSwap (instrument._swap_route)
-    xor = None  # no Xor (instrument._copy_route)
+    controlled_swap = None  # no ControlledSwap, so no blocks (instrument._route)
+    xor = None  # no Xor, so no copy (instrument._route)
 
     @property
     def kind(self) -> str:
@@ -311,13 +311,17 @@ class DenseOperator:
         return _projector_groups(values, basis, labels, np.zeros(len(values), dtype=bool))
 
     def contract(self, ev) -> np.ndarray:
-        """The weighted output of M on an evolved state: b = B conj(M),
+        """The weighted output of M on a gathered evolution: b = B conj(M),
         fresh and conjugated in place, about one bra's bytes beyond tau."""
         d_s, d_e, _ = ev.dims
         # C[t,x,e] = sum_e' B[t,x,e'] conj(M)[e',e]; tau = <K, C> over (x, e)
         b = ev.bra.reshape(-1, d_e) @ self.array.conj()
         np.conjugate(b, out=b)
         return ev.ket.reshape(d_s, -1) @ b.reshape(d_s, -1).T
+
+    def contract_support(self, sup) -> np.ndarray:
+        """contract on the support's scattered arrays."""
+        return self.contract(sup.scattered)
 
     def partial_trace(self, y) -> np.ndarray:
         """N = Tr_Y[M (I (x) rho_Y)] for M on two registers, Y the one at
@@ -456,12 +460,10 @@ class PermutationUnitary:
         return [(1.0 + 0j, ((0.5, eye), (0.5, self))), (-1.0 + 0j, ((0.5, eye), (-0.5, self)))]
 
     def contract(self, ev) -> np.ndarray:
-        """The weighted output of M[e',e] = 1 iff e' = perm[e]: on a support,
-        a sum over the rows _join pairs; otherwise by gathering the bra along
-        E in blocks of at most CONTRACTION_BLOCK_BYTES (or one column)."""
+        """The weighted output of M[e',e] = 1 iff e' = perm[e] on a gathered
+        evolution: the bra gathered along E in blocks of at most
+        CONTRACTION_BLOCK_BYTES (or one column)."""
         d_s, d_e, _ = ev.dims
-        if ev.support is not None:
-            return self._contract_support(ev.support)
         # tau_st = sum_{x,e} K[s,x,e] conj(B[t,x,perm[e]]), over blocks of
         # whole E rows, or of E columns in one x when an E row is too big
         ket, bra = ev.ket, ev.bra
@@ -478,12 +480,13 @@ class PermutationUnitary:
                 tau = part if tau is None else np.add(tau, part, out=tau)
         return tau
 
-    def _contract_support(self, sup) -> np.ndarray:
-        """tau_st = sum over the joined pairs (n, m) with s_n = s, s_m = t of
-        sum_c K[n, c] conj(B[m, c]), in blocks of at most
-        CONTRACTION_BLOCK_BYTES of gathered bra rows, accumulated by bincount."""
+    def contract_support(self, sup) -> np.ndarray:
+        """The weighted output on a support: tau_st = sum over the joined
+        pairs (n, m) with s_n = s, s_m = t of sum_c K[n, c] conj(B[m, c]), in
+        blocks of at most CONTRACTION_BLOCK_BYTES of gathered bra rows,
+        accumulated by bincount."""
         ket_rows, bra_rows = sup.kept(self, self._join)
-        ket, bra = sup.ket, sup.bra
+        ket, bra = sup.kcols, sup.bcols
         d_s, _, d_g = sup.dims
         s = sup.sg // d_g
         st = (s if ket_rows is None else s[ket_rows]).astype(np.intp) * d_s
@@ -706,9 +709,9 @@ class ControlledSwap(PermutationUnitary):
     registers of one dim controlled by a qubit, held as its registers labels
     = (control, a, b) of layout. QSP builds one on (C; S, G), and
     as_unitary holds every full-layout table equal to one as one, so a
-    document writes and reads the same table. An evolution that takes the
-    blocks (instrument._swap_blocks) reads only controlled_swap; perm, the
-    table on those registers, is derived on first read."""
+    document writes and reads the same table. The blocks route
+    (instrument._route) reads only controlled_swap; perm, the table on
+    those registers, is derived on first read."""
 
     def __init__(self, labels: Sequence[str], layout: RegisterLayout):
         object.__setattr__(self, "labels", tuple(labels))
@@ -792,23 +795,27 @@ class LowRankOperator:
         return _projector_groups(values, q @ w, labels, zero)
 
     def contract(self, ev) -> np.ndarray:
-        """The weighted output of M on an evolved state, through the factors:
-        on a support whose S G indices hold equal numbers of rows, through
-        segment sums of its rows (_segment_sums), else on ket and bra."""
+        """The weighted output of M on a gathered evolution, through the factors."""
         d_s, d_e, _ = ev.dims
         # tau_st = sum_{x,k} (K conj(v))[s,x,k] conj((B conj(u))[t,x,k])
-        sup = ev.support
-        order = None if sup is None else sup.kept("segments", _segments)
-        if order is None:
-            a = ev.ket.reshape(-1, d_e) @ self.v.conj()
-            same = self.u is self.v and ev.bra is ev.ket
-            b = a.copy() if same else ev.bra.reshape(-1, d_e) @ self.u.conj()
-        else:
-            a = _segment_sums(sup, order, sup.ket, self.v)
-            same = self.u is self.v and sup.bra is sup.ket
-            b = a.copy() if same else _segment_sums(sup, order, sup.bra, self.u)
+        a = ev.ket.reshape(-1, d_e) @ self.v.conj()
+        same = self.u is self.v and ev.bra is ev.ket
+        b = a.copy() if same else ev.bra.reshape(-1, d_e) @ self.u.conj()
         np.conjugate(b, out=b)
         return a.reshape(d_s, -1) @ b.reshape(d_s, -1).T
+
+    def contract_support(self, sup) -> np.ndarray:
+        """contract on a support, through segment sums of its rows
+        (_segment_sums) when its S G indices hold equal numbers of rows, on
+        its scattered arrays otherwise."""
+        order = sup.kept("segments", _segments)
+        if order is None:
+            return self.contract(sup.scattered)
+        a = _segment_sums(sup, order, sup.kcols, self.v)
+        same = self.u is self.v and sup.bcols is sup.kcols
+        b = a.copy() if same else _segment_sums(sup, order, sup.bcols, self.u)
+        np.conjugate(b, out=b)
+        return a.reshape(sup.dims[0], -1) @ b.reshape(sup.dims[0], -1).T
 
     def partial_trace(self, y) -> np.ndarray:
         """N = Tr_Y[M (I (x) rho_Y)] (DenseOperator.partial_trace) through

@@ -1,6 +1,6 @@
 """Exact evaluation and estimation at scale: GQT at n = 8 and 10, teleport at
-n = 7 and 9, QSP at n = 8, GQT and teleport at n = 7 on density inputs, and
-`wstate variance` on a QSP n = 7 document.
+n = 7 and 9, QSP at n = 8 and 11, GQT and teleport at n = 7 on density
+inputs, and `wstate variance` on a QSP n = 7 document.
 
 Each apply_exact must match its closed-form oracle (subroutines.gqt,
 subroutines.teleport_map and subroutines.qsp_oracle). At GQT n = 8 and
@@ -10,7 +10,9 @@ at n = 8 and 32 MiB at n = 7. A ket of that size would take 16 GiB at GQT
 n = 10 and 2 GiB at teleport n = 9, so there the peak, instrument build
 included, has an absolute bound: 256 MiB and 128 MiB. QSP at n = 8 takes a
 mixed ancilla and two full-rank density inputs, whose joint ket (2 d^2 rows,
-d^2 columns) would take 64 GiB; its bound is 16 MiB, build included. GQT
+d^2 columns) would take 64 GiB; its bound is 16 MiB, build included. QSP
+at n = 11 takes a mixed ancilla and two pure inputs: its four d x d blocks
+are 256 MiB and tau 64 MiB, and its bound is 384 MiB, build included. GQT
 and teleport at n = 7 on two full-rank density inputs, whose product
 columns (d^2 rows, d^2 columns) would take 4 GiB, keep the pieces apart
 too: 16 MiB each, build included. Two
@@ -71,7 +73,7 @@ def _density(rng, d):
 def check(kind: str, n: int, rng, bound_mib: int | None = None, densities: bool = False) -> bool:
     """One case; bound_mib (an absolute bound, build included) in place of
     the bounds in kets; two full-rank density inputs in place of pure ones
-    when densities (always for QSP)."""
+    when densities. QSP takes a mixed ancilla."""
     d = 2**n
     a, b = _state(rng, d), _state(rng, d)
     maps = [(rng.normal(size=(d, d)) + 1j * rng.normal(size=(d, d)),
@@ -82,7 +84,7 @@ def check(kind: str, n: int, rng, bound_mib: int | None = None, densities: bool 
     ket_bytes = d**3 * 16
     if kind == "qsp":
         sigma, m = _density(rng, 2), rng.normal(size=(2, 2)) + 1j * rng.normal(size=(2, 2))
-    if kind == "qsp" or densities:
+    if densities:
         inputs = [QuantumState.from_density(_density(rng, d)) for _ in range(2)]
 
     def build():
@@ -178,9 +180,11 @@ def main() -> int:
     rng = np.random.default_rng(8)
     results = [check("gqt", 8, rng), check("teleport", 7, rng),
                check("gqt", 10, rng, bound_mib=256), check("teleport", 9, rng, bound_mib=128),
-               check("qsp", 8, rng, bound_mib=16), check_document(7, rng, bound_mib=32),
+               check("qsp", 8, rng, bound_mib=16, densities=True),
+               check_document(7, rng, bound_mib=32),
                check("gqt", 7, rng, bound_mib=16, densities=True),
-               check("teleport", 7, rng, bound_mib=16, densities=True)]
+               check("teleport", 7, rng, bound_mib=16, densities=True),
+               check("qsp", 11, rng, bound_mib=384)]
     return 0 if all(results) else 1
 
 

@@ -14,10 +14,17 @@ from wstate.errors import (
     ValidationError,
 )
 from wstate.instrument import (
+    Evolved,
     MeasurementOperator,
     QuantumInstrument,
     QuantumState,
+    Support,
     WeightedState,
+    _Blocks,
+    _Copy,
+    _evolve,
+    _factor,
+    _kron_factors,
     apply_exact,
     branches,
     concatenate,
@@ -25,6 +32,7 @@ from wstate.instrument import (
     expectation,
     weighted_output,
 )
+from wstate.lcs import LcsProblem, build_all_at_once_instrument
 from wstate.sampling import sample_estimate
 from wstate.subroutines import (
     build_gqt_instrument,
@@ -396,7 +404,7 @@ class TestContractions:
     registers ahead of S. Each example runs the pinned pure or full-rank
     density inputs, whose bra is their ket, then inputs of drawn kinds. A
     QSP evolution holds the controlled SWAP's blocks and a teleport one the
-    copy's pieces, neither a ket, so each form's own contraction reads the
+    copy's pieces, neither a ket, so each is also checked against the
     evolution of its table (table_held).
     """
 
@@ -421,11 +429,12 @@ class TestContractions:
             ev = evolve(inst, inputs)
             joint = evolve(table_held(inst), inputs)
             if kinds is base:
-                assert joint.bra is joint.ket
+                arrays = joint.scattered if isinstance(joint, Support) else joint
+                assert arrays.bra is arrays.ket
             if kind == "qsp":
-                assert ev.blocks is not None and ev.dims[2] > 1
+                assert isinstance(ev, _Blocks) and ev.dims[2] > 1
             else:
-                assert ev.copy is not None
+                assert isinstance(ev, _Copy)
             self._check(inst, inputs, ev, joint, rng)
 
     @staticmethod
@@ -461,10 +470,10 @@ class TestContractions:
             a = rand_operator(rng, d_s)
             want = dense(a)
             tau = weighted_output(ev, b)
-            # the form contracts the joint ket; weighted_output contracts the
-            # blocks of a controlled SWAP or the pieces of a copy itself, from
-            # the same state
-            joint = form(b).contract(joint_ev)
+            # the table's evolution (the gather's joint ket, or a support)
+            # against the blocks of a controlled SWAP or the pieces of a
+            # copy, from the same state
+            joint = weighted_output(joint_ev, b)
             assert np.abs(joint - tau).max() <= 1e-12 * max(1.0, np.abs(joint).max())
             got = complex(np.einsum("st,ts->", tau, a))
             assert abs(got - want) <= 1e-12 * abs(want)
@@ -629,3 +638,45 @@ class TestConcatenate:
             staged = chained.apply_staged(rho, fresh)
             flat = chained.apply_flattened(rho, fresh)
             assert np.abs(staged.matrix - flat.matrix).max() < 1e-12
+
+
+class TestRoutes:
+    """What the routes of instrument._route promise beyond their outputs."""
+
+    @pytest.mark.parametrize("case", ["lcs-3", "lcs-4", "dense-u"])
+    def test_gather_multiplies_pieces_as_kron_factors(self, case, rng):
+        # a non-basis ancilla (LCS all-at-once) or a dense U takes the
+        # gather, which multiplies one piece per input register itself: the
+        # input pieces left to right, then the ancilla's, the order
+        # _kron_factors gives the same pieces' product passed as one piece
+        if case == "dense-u":
+            inst = build_gqt_instrument(2)
+            inst = replace(inst, unitary=inst.unitary.dense())
+        else:
+            count = int(case[-1])
+            problem = LcsProblem.from_states([rand_state(rng, 3) for _ in range(count)],
+                                             rng.normal(size=count) + 1j * rng.normal(size=count))
+            inst = build_all_at_once_instrument(problem, np.full(count, count**-0.5))
+        pieces = [QuantumState.from_density(rand_density(rng, inst.layout.dim_of((label,))))
+                  for label in inst.input_labels]
+        at = [inst.layout.index(label) for label in inst.input_labels]
+        joint = _evolve(inst, [(_kron_factors([_factor(x) for x in pieces]), at)])
+        assert isinstance(evolve(inst, pieces), Evolved) and isinstance(joint, Evolved)
+        want = weighted_output(joint, inst.measurement.operator)
+        assert np.array_equal(apply_exact(inst, pieces).matrix, want)
+
+    def test_support_is_not_a_gathered_evolution(self, rng):
+        # a form's contract reads a gather's ket and bra, which a support
+        # does not hold: handed one, it fails rather than contract the
+        # unscattered columns; contract_support gives the table's tau
+        inst = build_gqt_instrument(2)
+        joint = QuantumState.from_density(rand_density(rng, 16))
+        ev = evolve(inst, joint)
+        assert isinstance(ev, Support)
+        dense = evolve(replace(inst, unitary=inst.unitary.dense()), joint)
+        for m in (rand_operator(rng, 16), PermutationUnitary(rng.permutation(16)),
+                  LowRankOperator(rand_operator(rng, 16)[:, :2], rand_operator(rng, 16)[:, :2])):
+            with pytest.raises(AttributeError):
+                form(m).contract(ev)
+            want = form(m).contract(dense)
+            assert np.abs(form(m).contract_support(ev) - want).max() <= 1e-12 * np.abs(want).max()

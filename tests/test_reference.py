@@ -7,7 +7,9 @@ or two registers; U a register table that does or does not touch the
 ancilla, a full-layout table, or an Xor of two qubit registers, the
 ancilla as its src or dst included; M dense Hermitian, dense non-normal, an
 involution, a 3-cycle or low-rank (rank 0 included); and inputs pure,
-density or weighted. apply_exact must match
+density or weighted. One in five has no ancilla, dims 2-4 and U an Xor
+between two input registers (QHP's shape, dst no smaller than src) or a
+full-layout table, which take the gather. apply_exact must match
 conftest.reference_weighted_output; the estimators and branches must match
 the same instrument with U given as a dense matrix, which takes the gather
 path.
@@ -51,9 +53,12 @@ from wstate.instrument import (
     MeasurementOperator,
     QuantumInstrument,
     QuantumState,
+    Evolved,
+    Support,
     WeightedState,
-    _copy_route,
-    _swap_route,
+    _Blocks,
+    _Copy,
+    _route,
     apply_exact,
     branches,
     concatenate,
@@ -142,29 +147,41 @@ def _dense(table: np.ndarray) -> np.ndarray:
 
 @st.composite
 def instruments(draw):
-    """(instrument, inputs, dense U) with a basis-state ancilla."""
+    """(instrument, inputs, dense U) with a basis-state ancilla, or, one in
+    five, without an ancilla."""
     rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
-    dims = draw(st.lists(st.sampled_from([2, 3]), min_size=2, max_size=4))
+    ancilla = draw(st.sampled_from([True, True, True, True, False]))
+    dims = draw(st.lists(st.sampled_from([2, 3] if ancilla else [2, 3, 4]), min_size=2, max_size=4))
     k = len(dims)
     # one S and one E register; G among the rest whenever there are more
     rest = draw(st.lists(st.sampled_from("SEG"), min_size=k - 2, max_size=k - 2))
     if rest and "G" not in rest:
         rest[0] = "G"
     roles = draw(st.permutations(["S", "E", *rest]))
-    anc = draw(st.sets(st.sampled_from(range(k)), min_size=1, max_size=min(2, k - 1)))
+    anc = set()
+    if ancilla:
+        anc = draw(st.sets(st.sampled_from(range(k)), min_size=1, max_size=min(2, k - 1)))
     regs = tuple(Register(f"R{i}", d, role=roles[i], source="ancilla" if i in anc else "input")
                  for i, d in enumerate(dims))
     layout = RegisterLayout(regs)
-    sub = layout.sub(regs[i].label for i in anc)
-    vector = np.zeros(sub.total_dim, dtype=np.complex128)
-    vector[draw(st.integers(0, sub.total_dim - 1))] = np.exp(1j * draw(st.floats(0, 2 * np.pi)))
-    sigma = QuantumState(sub, vector=vector)
+    sigma = None
+    if ancilla:
+        sub = layout.sub(regs[i].label for i in anc)
+        vector = np.zeros(sub.total_dim, dtype=np.complex128)
+        vector[draw(st.integers(0, sub.total_dim - 1))] = np.exp(1j * draw(st.floats(0, 2 * np.pi)))
+        sigma = QuantumState(sub, vector=vector)
 
     qubits = [i for i in range(k) if dims[i] == 2]
     tables = ["touches-ancilla", "inputs-only", "full"] + (["xor"] if len(qubits) > 1 else [])
+    # without an ancilla: an Xor between two input registers (QHP's shape,
+    # dst a power of two no smaller than src) or a full-layout table
+    pairs = [(a, b) for a in range(k) for b in range(k)
+             if a != b and dims[b] in (2, 4) and dims[a] <= dims[b]]
+    if not ancilla:
+        tables = ["full"] + (["xor"] if pairs else [])
     table = draw(st.sampled_from(tables))
     if table == "xor":
-        src, dst = draw(st.permutations(qubits))[:2]
+        src, dst = draw(st.permutations(qubits))[:2] if ancilla else draw(st.sampled_from(pairs))
         unitary = Xor((regs[src].label, regs[dst].label), layout)
         full = _full_table(unitary)
     elif table == "full":
@@ -186,7 +203,8 @@ def instruments(draw):
     inst = QuantumInstrument(layout, sigma, unitary, MeasurementOperator.of(m))
     # the controlled-SWAP blocks and the copy keep no support; they have
     # their own tests (qsp_cases, xor_cases)
-    assume(_swap_route(inst) is None and _copy_route(inst) is None)
+    key = tuple((i,) for i, r in enumerate(regs) if r.source == "input")
+    assume(not isinstance(_route(inst, key), (_Blocks, _Copy)))
 
     inputs = []
     for r in regs:
@@ -206,15 +224,17 @@ def _close(got, want, scale):
 
 
 @given(case=instruments())
-@settings(max_examples=150)
+@settings(max_examples=190)
 def test_support_path_matches_dense_reference(case):
     inst, inputs, u = case
     dense = replace(inst, unitary=u)
     ev, ev_dense = evolve(inst, inputs), evolve(dense, inputs)
-    assert ev.support is not None and ev_dense.support is None
+    # a basis ancilla takes the support, no ancilla the gather
+    assert isinstance(ev, Support if inst.ancilla else Evolved) and isinstance(ev_dense, Evolved)
     # the support scattered into (S, G r, E) arrays is U K and U B
-    assert (ev.bra is ev.ket) == (ev_dense.bra is ev_dense.ket)
-    assert _close(ev.ket, ev_dense.ket, 1.0) and _close(ev.bra, ev_dense.bra, 1.0)
+    got = ev.scattered if inst.ancilla else ev
+    assert (got.bra is got.ket) == (ev_dense.bra is ev_dense.ket)
+    assert _close(got.ket, ev_dense.ket, 1.0) and _close(got.bra, ev_dense.bra, 1.0)
     want = reference_weighted_output(dense, inputs)
     m = inst.measurement.matrix
     # |tau| <= ||M||_2 times the trace norms of the input pieces
@@ -319,7 +339,7 @@ def test_controlled_swap_matches_its_table_and_the_reference(case):
     scale = m_norm * nuc
     with no_gather():
         ev = evolve(inst, inputs)
-        assert ev.blocks is not None and ev.blocks.shape == (2, 2, *inst.output_layout.dims * 2)
+        assert isinstance(ev, _Blocks) and ev.x.shape == (2, 2, *inst.output_layout.dims * 2)
         tau = apply_exact(inst, inputs).matrix
         obs = rand_hermitian(np.random.default_rng(len(tau)), len(tau))
         got = [variance_exact(inst, inputs, obs), variance_bound(inst, inputs, 2.0)]
@@ -359,7 +379,7 @@ def test_controlled_swap_matches_its_table_and_the_reference(case):
     for e, f in np.ndindex(2, 2):
         unit = np.zeros((2, 2))
         unit[f, e] = 1.0
-        assert _close(ev.blocks[e, f], weighted_output(ev_table, unit), nuc)
+        assert _close(ev.x[e, f], weighted_output(ev_table, unit), nuc)
 
 
 @pytest.mark.parametrize("case", ["control-first", "control-last", "swap-on-0", "pair-exchanged",
@@ -494,7 +514,7 @@ def test_xor_copy_matches_the_reference(case):
     with no_gather() if apart else contextlib.nullcontext():
         ev = evolve(inst, inputs)
         tau = apply_exact(inst, inputs).matrix
-    assert (ev.copy is not None) == apart and (ev.support is not None) != apart
+    assert isinstance(ev, _Copy if apart else Support)
     assert _close(tau, reference_weighted_output(inst, inputs), scale)
     if any(isinstance(x, WeightedState) for x in inputs):
         return
@@ -587,7 +607,7 @@ def test_xor_from_a_basis_ancilla_takes_the_support(dst_role, a, rng):
                              Xor(("A", "D"), layout), MeasurementOperator.of(_complex(rng, d_e, d_e)))
     inputs = [QuantumState.from_density(rand_density(rng, layout.dim_of((l,))))
               for l in inst.input_labels]
-    assert evolve(inst, inputs).support is not None
+    assert isinstance(evolve(inst, inputs), Support)
     tau = apply_exact(inst, inputs).matrix
     assert "perm" not in vars(inst.unitary)
     want = reference_weighted_output(replace(inst, unitary=_dense(_full_table(inst.unitary))), inputs)
