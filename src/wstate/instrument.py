@@ -21,6 +21,7 @@ itself with M in any form (tensor.form) through that form's primitives.
 from __future__ import annotations
 
 import math
+import weakref
 from dataclasses import dataclass, replace
 from functools import cached_property, reduce
 
@@ -304,14 +305,16 @@ class QuantumInstrument:
     U is a dense unitary, kept as a plain ndarray, or a PermutationUnitary: a
     full-layout table, a table on some of this layout's registers, an Xor
     (the CNOT ladder of QHP, GQT or teleport, or a table that is one) or a
-    ControlledSwap (QSP's, or a table that is one). The evaluation plan is
-    kept from first use: per tuple of piece positions, the route of their
-    evolution (_route), with the index grids or support rows it derives and
-    what each form's contraction derives from them; and the last observable
-    an estimate read, checked and in its eigenbasis, under a key of its
-    shape, dtype and bytes' digest (so one edited in place is checked and
-    decomposed again); dataclasses.replace builds a new instance with an
-    empty plan.
+    ControlledSwap (QSP's, or a table that is one). Instruments on one
+    layout, ancilla and U object share a route table, which the layout keeps
+    (at most KEPT_DERIVATIONS, found by the identity of ancilla and U; none
+    for a plain-array U, which may be edited in place): U as checked, the E
+    dim, the output layout, and per tuple of piece positions the route of
+    their evolution (_route) with what it derives. A later build on them
+    checks M's dim alone. The plan, each instrument's own, keeps the last
+    observable an estimate read, checked and in its eigenbasis, under a key
+    of its shape, dtype and bytes' digest (so one edited in place is checked
+    and decomposed again).
     """
 
     layout: RegisterLayout
@@ -320,26 +323,40 @@ class QuantumInstrument:
     measurement: MeasurementOperator
 
     def __post_init__(self):
-        for r in self.layout.registers:
-            if r.role is None:
-                raise ValidationError(f"register {r.label!r} has no role")
-        anc = self.ancilla_labels
-        if self.ancilla is None:
-            if anc:
-                raise ValidationError(f"ancilla registers {anc} but no ancilla state")
-        else:
-            have = self.ancilla.layout.dims
-            want = tuple(r.dim for r in self.layout.registers if r.source == "ancilla")
-            if have != want:
-                raise DimensionMismatch(f"ancilla dims {have} vs registers {want}")
-        object.__setattr__(self, "unitary", form(self.unitary).as_unitary(self.layout))
-        de = self.layout.dim_of(self.e_labels)
-        if self.measurement.dim != de:
+        # a kept table holds its ancilla and U, so no other object has their ids
+        kept, key = self.layout.kept, (id(self.ancilla), id(self.unitary))
+        hit = kept.get(key)
+        if hit is None:
+            for r in self.layout.registers:
+                if r.role is None:
+                    raise ValidationError(f"register {r.label!r} has no role")
+            anc = self.ancilla_labels
+            if self.ancilla is None:
+                if anc:
+                    raise ValidationError(f"ancilla registers {anc} but no ancilla state")
+            else:
+                have = self.ancilla.layout.dims
+                want = tuple(r.dim for r in self.layout.registers if r.source == "ancilla")
+                if have != want:
+                    raise DimensionMismatch(f"ancilla dims {have} vs registers {want}")
+            # the route table: piece positions -> their route (_route)
+            u = form(self.unitary)
+            hit = self.ancilla, self.unitary, {
+                "unitary": u.as_unitary(self.layout),
+                "e": self.layout.dim_of(self.e_labels),
+                "output": self.layout.sub(self.s_labels)}
+            if u is self.unitary:  # a plain array may change: not shared
+                if len(kept) >= KEPT_DERIVATIONS:
+                    kept.clear()
+                kept[key] = hit
+        routes = hit[2]
+        if self.measurement.dim != routes["e"]:
             raise DimensionMismatch(
-                f"measurement dim {self.measurement.dim} vs E-register dim {de}"
+                f"measurement dim {self.measurement.dim} vs E-register dim {routes['e']}"
             )
-        # the evaluation plan: a tuple of piece positions -> its route (_route);
-        # and, by the estimators, "observable" -> (key, eigenbasis)
+        object.__setattr__(self, "unitary", routes["unitary"])
+        object.__setattr__(self, "_routes", routes)
+        # by the estimators: "observable" -> (key, eigenbasis)
         object.__setattr__(self, "_plan", {})
 
     @property
@@ -360,7 +377,7 @@ class QuantumInstrument:
 
     @property
     def output_layout(self) -> RegisterLayout:
-        return self.layout.sub(self.s_labels)
+        return self._routes["output"]
 
 
 # ---------------------------------------------------------------------------
@@ -440,9 +457,11 @@ def _evolve(inst: QuantumInstrument, pieces):
 
 def _route(inst: QuantumInstrument, key):
     """The route of an evolution of input pieces at the register positions
-    key: the first of these that applies, chosen on first use and kept in
-    the plan under key. Its evolve(pieces) returns an evolution with dims
-    (d_S, d_E, d_G) and contract(form of M), which weighted_output calls.
+    key: the first of these that applies, chosen on first use and kept
+    under key in the route table (QuantumInstrument) while the layout keeps
+    it; a builder's frame (subroutines) keeps it for every build of its
+    size. Its evolve(pieces) returns an evolution with dims (d_S, d_E, d_G)
+    and contract(form of M), which weighted_output calls.
 
     - _Blocks (QSP): U is a ControlledSwap of S and G whose control, the
       one E register, holds the whole ancilla. A SWAP only renames axes, so
@@ -461,7 +480,7 @@ def _route(inst: QuantumInstrument, key):
 
     A new route is one class and one clause here.
     """
-    route = inst._plan.get(key)
+    route = inst._routes.get(key)
     if route is not None:
         return route
     regs, u = inst.layout.registers, form(inst.unitary)
@@ -493,7 +512,7 @@ def _route(inst: QuantumInstrument, key):
         groups = ((tuple(anc[1]),) if anc else ()) + key
         route = _Gather(u, u.preimage_indices(inst.layout, groups), anc[0] if anc else None,
                         inst.layout.dims, role["S"] + role["G"], role["E"], dims)
-    inst._plan[key] = route
+    inst._routes[key] = route
     return route
 
 
@@ -611,13 +630,14 @@ class Support:
 
     def kept(self, owner, derive):
         """derive(self), kept in cache under owner (the form that contracts
-        with it, or a name) from its first call; at most KEPT_DERIVATIONS
-        owners are kept."""
-        hit = self.cache.get(id(owner))
-        if hit is None or hit[0] is not owner:
-            if len(self.cache) >= KEPT_DERIVATIONS:
-                self.cache.clear()
-            hit = self.cache[id(owner)] = (owner, derive(self))
+        with it, or derive) from its first call while the owner lives, as a
+        route outlives its instruments; at most KEPT_DERIVATIONS owners."""
+        key, cache = id(owner), self.cache
+        hit = cache.get(key)
+        if hit is None or hit[0]() is not owner:
+            if len(cache) >= KEPT_DERIVATIONS:
+                cache.clear()
+            hit = cache[key] = (weakref.ref(owner, lambda _: cache.pop(key, None)), derive(self))
         return hit[1]
 
     @cached_property

@@ -14,6 +14,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass, field
+from functools import lru_cache
 
 import numpy as np
 
@@ -26,6 +27,7 @@ from .errors import (
     ZeroBeta,
 )
 from .instrument import (
+    KEPT_DERIVATIONS,
     MeasurementOperator,
     QuantumInstrument,
     QuantumState,
@@ -122,22 +124,63 @@ def alpha_of(sigma, m, gamma=None) -> np.ndarray:
 # instrument builders
 
 
-def build_qhp_instrument(n: int) -> QuantumInstrument:
-    """CNOT ladder (i,j) -> (i, i xor j), held as an Xor, with all-zero
-    postselection on the second register; realizes the entrywise product."""
+# Each builder takes what depends on n alone from one frame per size: its
+# layout, U and |0..0> ancilla (vector read-only), kept for the last
+# KEPT_DERIVATIONS sizes. The layout keeps the route table that builds on
+# one frame share (QuantumInstrument), so their routes live as long as the
+# frame; M, sigma and the maps are per call.
+
+
+def _qubits(n: int) -> int:
     if n < 1:
         raise ValidationError("qubit count must be >= 1")
-    d = 2**n
+    return 2**n
+
+
+def _zero_state(layout: RegisterLayout, label: str) -> QuantumState:
+    v = np.eye(1, layout.dim_of((label,)), dtype=np.complex128)[0]
+    v.flags.writeable = False
+    return QuantumState(layout.sub((label,)), vector=v)
+
+
+@lru_cache(maxsize=KEPT_DERIVATIONS)
+def _qhp_frame(n: int):
+    d = _qubits(n)
+    layout = RegisterLayout.of(Register("S", d, "S"), Register("E", d, "E"))
+    return layout, Xor(("S", "E"), layout)
+
+
+@lru_cache(maxsize=KEPT_DERIVATIONS)
+def _gqt_frame(n: int):
+    d = _qubits(n)
     layout = RegisterLayout.of(
-        Register("S", d, role="S", source="input"),
-        Register("E", d, role="E", source="input"),
-    )
-    return QuantumInstrument(
-        layout,
-        ancilla=None,
-        unitary=Xor(("S", "E"), layout),
-        measurement=MeasurementOperator.of(np.diag(np.eye(1, d, dtype=np.complex128)[0])),
-    )
+        Register("S", d, "S"), Register("E1", d, "E", "ancilla"), Register("E2", d, "E"))
+    return layout, _zero_state(layout, "E1"), Xor(("S", "E1"), layout)
+
+
+@lru_cache(maxsize=KEPT_DERIVATIONS)
+def _qsp_frame(n: int):
+    d = _qubits(n)
+    layout = RegisterLayout.of(
+        Register("C", 2, "E", "ancilla"), Register("S", d, "S"), Register("G", d, "G"))
+    return layout, layout.sub(("C",)), ControlledSwap(("C", "S", "G"), layout)
+
+
+@lru_cache(maxsize=KEPT_DERIVATIONS)
+def _teleport_frame(n: int):
+    d = _qubits(n)
+    layout = RegisterLayout.of(
+        Register("A", d, "E"), Register("B", d, "E"), Register("C", d, "S", "ancilla"))
+    return layout, _zero_state(layout, "C"), Xor(("B", "C"), layout)
+
+
+def build_qhp_instrument(n: int) -> QuantumInstrument:
+    """CNOT ladder (i,j) -> (i, i xor j), held as an Xor, with all-zero
+    postselection on the second register; realizes the entrywise product.
+    The layout and Xor are the frame of n (above), with its routes."""
+    layout, xor = _qhp_frame(n)
+    meas = MeasurementOperator.of(np.diag(np.eye(1, 2**n, dtype=np.complex128)[0]))
+    return QuantumInstrument(layout, ancilla=None, unitary=xor, measurement=meas)
 
 
 def build_gqt_instrument(n: int) -> QuantumInstrument:
@@ -145,26 +188,15 @@ def build_gqt_instrument(n: int) -> QuantumInstrument:
     measurement against the second input; realizes sigma (.) rho^T.
 
     The ladder is an Xor of S onto E1, so an evolution of two pieces takes
-    the copy route (instrument._route). The SWAP |i j> -> |j i> on (E1, E2)
-    is held as a PermutationUnitary, so no d^2 x d^2 matrix is built unless
-    a caller reads measurement.matrix.
+    the copy route (instrument._route). The layout, |0..0> and Xor are the
+    frame of n (above), with its routes. The SWAP |i j> -> |j i> on
+    (E1, E2) is held as a PermutationUnitary, built per call, so no
+    d^2 x d^2 matrix is built unless a caller reads measurement.matrix.
     """
-    if n < 1:
-        raise ValidationError("qubit count must be >= 1")
+    layout, anc, xor = _gqt_frame(n)
     d = 2**n
-    layout = RegisterLayout.of(
-        Register("S", d, role="S", source="input"),
-        Register("E1", d, role="E", source="ancilla"),
-        Register("E2", d, role="E", source="input"),
-    )
-    anc = QuantumState(layout.sub(("E1",)), vector=np.eye(1, d, dtype=np.complex128)[0])
     swap = PermutationUnitary(combine_digits(np.indices((d, d), sparse=True)[::-1], (d, d)))
-    return QuantumInstrument(
-        layout,
-        ancilla=anc,
-        unitary=Xor(("S", "E1"), layout),
-        measurement=MeasurementOperator.of(swap),
-    )
+    return QuantumInstrument(layout, anc, xor, MeasurementOperator.of(swap))
 
 
 def build_qsp_instrument(sigma, m, n: int) -> QuantumInstrument:
@@ -174,26 +206,18 @@ def build_qsp_instrument(sigma, m, n: int) -> QuantumInstrument:
     gamma_in picks up the input traces. U is a ControlledSwap on (C; S, G):
     an evolution takes the blocks route (instrument._route), 4 d^2 entries. A
     document carries its table, which reads back as the same ControlledSwap.
+    The layout and ControlledSwap are the frame of n (above). A sigma that
+    is a state on the frame's C register is the ancilla itself, so builds
+    with it share their routes; any other sigma gives a new state.
     """
-    if n < 1:
-        raise ValidationError("qubit count must be >= 1")
-    d = 2**n
-    layout = RegisterLayout.of(
-        Register("C", 2, role="E", source="ancilla"),
-        Register("S", d, role="S", source="input"),
-        Register("G", d, role="G", source="input"),
-    )
-    if isinstance(sigma, QuantumState):
-        anc = QuantumState(layout.sub(("C",)), vector=sigma.vector, density=sigma.density)
-    else:
+    layout, c, cswap = _qsp_frame(n)
+    if not isinstance(sigma, QuantumState):
         s = np.asarray(sigma)
-        anc = (
-            QuantumState(layout.sub(("C",)), vector=s)
-            if s.ndim == 1
-            else QuantumState(layout.sub(("C",)), density=s)
-        )
+        sigma = QuantumState(c, vector=s) if s.ndim == 1 else QuantumState(c, density=s)
+    elif sigma.layout != c:
+        sigma = QuantumState(c, vector=sigma.vector, density=sigma.density)
     meas = m if isinstance(m, MeasurementOperator) else MeasurementOperator.of(m)
-    return QuantumInstrument(layout, anc, ControlledSwap(("C", "S", "G"), layout), meas)
+    return QuantumInstrument(layout, sigma, cswap, meas)
 
 
 def build_teleport_instrument(n: int, maps) -> QuantumInstrument:
@@ -202,19 +226,13 @@ def build_teleport_instrument(n: int, maps) -> QuantumInstrument:
     two pieces takes the copy), and the deformed Bell measurement
     sum_m (J_m (x) I)|Phi+><Phi+|(K_m (x) I) on (A, B).
 
-    The measurement has rank at most len(maps) and is held as a
-    LowRankOperator u v^dag with column m of u equal to vec(J_m) and of v to
-    conj(vec(K_m^T))/d.
+    The layout, |0..0> and Xor are the frame of n (above), with its
+    routes. The measurement has
+    rank at most len(maps) and is held as a LowRankOperator u v^dag with
+    column m of u equal to vec(J_m) and of v to conj(vec(K_m^T))/d.
     """
-    if n < 1:
-        raise ValidationError("qubit count must be >= 1")
+    layout, anc, xor = _teleport_frame(n)
     d = 2**n
-    layout = RegisterLayout.of(
-        Register("A", d, role="E", source="input"),
-        Register("B", d, role="E", source="input"),
-        Register("C", d, role="S", source="ancilla"),
-    )
-    anc = QuantumState(layout.sub(("C",)), vector=np.eye(1, d, dtype=np.complex128)[0])
     us, vs = [], []
     for j, k in maps:
         j, k = operand(j, d, "map J"), operand(k, d, "map K")
@@ -222,12 +240,7 @@ def build_teleport_instrument(n: int, maps) -> QuantumInstrument:
         us.append(j.ravel())
         vs.append(k.T.ravel().conj() / d)
     factors = [np.array(f, dtype=np.complex128).reshape(-1, d * d).T for f in (us, vs)]
-    return QuantumInstrument(
-        layout,
-        ancilla=anc,
-        unitary=Xor(("B", "C"), layout),
-        measurement=MeasurementOperator.of(LowRankOperator(*factors)),
-    )
+    return QuantumInstrument(layout, anc, xor, MeasurementOperator.of(LowRankOperator(*factors)))
 
 
 # ---------------------------------------------------------------------------

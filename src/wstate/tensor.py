@@ -96,9 +96,11 @@ class RegisterLayout:
         labels = tuple(r.label for r in self.registers)
         if len(set(labels)) != len(labels):
             raise ValidationError(f"duplicate register labels in {list(labels)}")
-        # read many times per evaluation, so derived once
+        # read many times per evaluation, so derived once; kept holds the
+        # route tables of the instruments on this layout (QuantumInstrument)
         object.__setattr__(self, "labels", labels)
         object.__setattr__(self, "dims", tuple(r.dim for r in self.registers))
+        object.__setattr__(self, "kept", {})
 
     @staticmethod
     def of(*regs: Register) -> "RegisterLayout":
@@ -808,7 +810,7 @@ class LowRankOperator:
         """contract on a support, through segment sums of its rows
         (_segment_sums) when its S G indices hold equal numbers of rows, on
         its scattered arrays otherwise."""
-        order = sup.kept("segments", _segments)
+        order = sup.kept(_segments, _segments)
         if order is None:
             return self.contract(sup.scattered)
         a = _segment_sums(sup, order, sup.kcols, self.v)

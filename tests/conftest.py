@@ -12,6 +12,7 @@ import wstate.instrument
 from wstate.cli import main
 from wstate.errors import InvalidState
 from wstate.instrument import MeasurementOperator, QuantumInstrument, QuantumState
+from wstate.subroutines import _gqt_frame, _qhp_frame, _qsp_frame, _teleport_frame
 from wstate.tensor import DenseOperator, PermutationUnitary, Register, RegisterLayout, form
 
 settings.register_profile(
@@ -41,6 +42,20 @@ def run_cli(*argv: str) -> CliResult:
 @pytest.fixture
 def rng():
     return np.random.default_rng(20240811)
+
+
+@pytest.fixture
+def fresh_frames():
+    """The builders' frames (subroutines) built anew, so that a test which
+    counts what a build derives sees nothing an earlier test derived; the
+    fixture's value clears them again."""
+
+    def clear():
+        for frame in (_qhp_frame, _gqt_frame, _qsp_frame, _teleport_frame):
+            frame.cache_clear()
+
+    clear()
+    return clear
 
 
 def rand_state(rng, d):

@@ -1,6 +1,6 @@
 """Exact evaluation and estimation at scale: GQT at n = 8 and 10, teleport at
 n = 7 and 9, QSP at n = 8 and 11, GQT and teleport at n = 7 on density
-inputs, and `wstate variance` on a QSP n = 7 document.
+inputs, `wstate variance` on a QSP n = 7 document, and QHP at n = 10.
 
 Each apply_exact must match its closed-form oracle (subroutines.gqt,
 subroutines.teleport_map and subroutines.qsp_oracle). At GQT n = 8 and
@@ -23,7 +23,14 @@ bytes after gc.collect()) must stay below 1/8 of the dense ket at n = 8 and
 document (two full-rank density inputs, 2.5 MB) runs through
 `wstate variance` in process: it must exit 0, its mean must match
 qsp_oracle, and its peak, the document's parse included, must stay below
-32 MiB. Run from the repository root:
+32 MiB. QHP at n = 10 on two pure inputs runs apply_exact alone: it must
+match subroutines.qhp, and its peak, the build's dense d x d M included,
+must stay below 80 MiB. Each case then drops its instrument and outputs and
+reads what the library still holds of it (tracemalloc, current bytes after
+gc.collect()): the builders' frames and their shared routes, and the
+identity a permutation M's groups keep. The sum over the cases, an upper
+bound of what the library holds after them all, must stay below 24 MiB.
+Run from the repository root:
 
     PYTHONPATH=src timeout 60 python tests/scale_smoke.py
 """
@@ -47,16 +54,19 @@ from wstate.serialize import EstimationTask, task_to_json
 from wstate.subroutines import (
     alpha_of,
     build_gqt_instrument,
+    build_qhp_instrument,
     build_qsp_instrument,
     build_teleport_instrument,
     gamma_in,
     gqt,
+    qhp,
     qsp_oracle,
     teleport_map,
 )
 
 PEAK_KETS = 1.3
 RETAINED_KETS = 1 / 8
+HELD_MIB = 24
 
 
 def _state(rng, d):
@@ -70,10 +80,13 @@ def _density(rng, d):
     return m / np.trace(m).real
 
 
-def check(kind: str, n: int, rng, bound_mib: int | None = None, densities: bool = False) -> bool:
+def check(kind: str, n: int, rng, bound_mib: int | None = None, densities: bool = False,
+          estimates: bool = True) -> tuple[bool, int]:
     """One case; bound_mib (an absolute bound, build included) in place of
     the bounds in kets; two full-rank density inputs in place of pure ones
-    when densities. QSP takes a mixed ancilla."""
+    when densities; apply_exact alone unless estimates. QSP takes a mixed
+    ancilla. Returns whether the case passed and the bytes the library
+    still holds of it once its instrument and outputs are gone."""
     d = 2**n
     a, b = _state(rng, d), _state(rng, d)
     maps = [(rng.normal(size=(d, d)) + 1j * rng.normal(size=(d, d)),
@@ -86,10 +99,19 @@ def check(kind: str, n: int, rng, bound_mib: int | None = None, densities: bool 
         sigma, m = _density(rng, 2), rng.normal(size=(2, 2)) + 1j * rng.normal(size=(2, 2))
     if densities:
         inputs = [QuantumState.from_density(_density(rng, d)) for _ in range(2)]
+    ra, rb = (x.matrix for x in inputs)
+    if kind == "qsp":
+        want = qsp_oracle(ra, rb, alpha_of(sigma, m, gamma_in(np.trace(ra), np.trace(rb))))
+    elif kind == "qhp":
+        want = qhp(ra, rb)
+    else:
+        want = gqt(ra, rb) if kind == "gqt" else teleport_map(rb, maps, ra)
 
     def build():
         if kind == "qsp":
             return build_qsp_instrument(sigma, m, n)
+        if kind == "qhp":
+            return build_qhp_instrument(n)
         return build_gqt_instrument(n) if kind == "gqt" else build_teleport_instrument(n, maps)
 
     inst = build() if bound_mib is None else None
@@ -100,35 +122,36 @@ def check(kind: str, n: int, rng, bound_mib: int | None = None, densities: bool 
         tau = apply_exact(inst, inputs).matrix
         seconds = time.perf_counter() - t0
         peak = tracemalloc.get_traced_memory()[1]
-        t0 = time.perf_counter()
-        reports = [sample_estimate(inst, inputs, obs, 100_000, seed=5) for _ in range(2)]
-        est_seconds = time.perf_counter() - t0
-        same = reports[0] == reports[1]
-        del reports
+        err = float(np.abs(tau - want).max()) / max(1.0, float(np.abs(want).max()))
+        if estimates:
+            t0 = time.perf_counter()
+            reports = [sample_estimate(inst, inputs, obs, 100_000, seed=5) for _ in range(2)]
+            est_seconds = time.perf_counter() - t0
+            same = reports[0] == reports[1]
+            del reports
+            gc.collect()
+            retained = tracemalloc.get_traced_memory()[0] - tau.nbytes
+        del inst, tau
         gc.collect()
-        retained = tracemalloc.get_traced_memory()[0] - tau.nbytes
+        held = tracemalloc.get_traced_memory()[0]
     finally:
         tracemalloc.stop()
-    ra, rb = (x.matrix for x in inputs)
-    if kind == "qsp":
-        want = qsp_oracle(ra, rb, alpha_of(sigma, m, gamma_in(np.trace(ra), np.trace(rb))))
-    else:
-        want = gqt(ra, rb) if kind == "gqt" else teleport_map(rb, maps, ra)
-    err = float(np.abs(tau - want).max()) / max(1.0, float(np.abs(want).max()))
-    kets, kept = peak / ket_bytes, retained / ket_bytes
-    if bound_mib is None:
-        ok = err <= 1e-10 and kets <= PEAK_KETS
-        est_ok = same and kept <= RETAINED_KETS
-    else:
-        ok = err <= 1e-10 and peak <= bound_mib * 2**20
-        est_ok = same and retained <= bound_mib * 2**20
     name = f"{kind} n={n}{' densities' if densities else ''}"
+    kets = peak / ket_bytes
+    bound = PEAK_KETS * ket_bytes if bound_mib is None else bound_mib * 2**20
+    ok = err <= 1e-10 and peak <= bound
     print(f"{name}: {seconds:.2f} s, peak {peak / 2**20:.1f} MiB = {kets:.2f} kets, "
-          f"oracle error {err:.1e}: {'ok' if ok else 'FAILED'}")
+          f"oracle error {err:.1e}, {held / 2**20:.2f} MiB held once gone: "
+          f"{'ok' if ok else 'FAILED'}")
+    if not estimates:
+        return ok, held
+    kept = retained / ket_bytes
+    bound = RETAINED_KETS * ket_bytes if bound_mib is None else bound_mib * 2**20
+    est_ok = same and retained <= bound
     print(f"{name}: two estimates in {est_seconds:.2f} s, "
           f"{'equal' if same else 'DIFFERENT'} reports, plan keeps "
           f"{retained / 2**20:.2f} MiB = {kept:.4f} kets: {'ok' if est_ok else 'FAILED'}")
-    return ok and est_ok
+    return ok and est_ok, held
 
 
 def check_document(n: int, rng, bound_mib: int) -> bool:
@@ -178,14 +201,19 @@ def check_document(n: int, rng, bound_mib: int) -> bool:
 
 def main() -> int:
     rng = np.random.default_rng(8)
-    results = [check("gqt", 8, rng), check("teleport", 7, rng),
-               check("gqt", 10, rng, bound_mib=256), check("teleport", 9, rng, bound_mib=128),
-               check("qsp", 8, rng, bound_mib=16, densities=True),
-               check_document(7, rng, bound_mib=32),
-               check("gqt", 7, rng, bound_mib=16, densities=True),
-               check("teleport", 7, rng, bound_mib=16, densities=True),
-               check("qsp", 11, rng, bound_mib=384)]
-    return 0 if all(results) else 1
+    cases = [check("gqt", 8, rng), check("teleport", 7, rng),
+             check("gqt", 10, rng, bound_mib=256), check("teleport", 9, rng, bound_mib=128),
+             check("qsp", 8, rng, bound_mib=16, densities=True)]
+    document = check_document(7, rng, bound_mib=32)
+    cases += [check("gqt", 7, rng, bound_mib=16, densities=True),
+              check("teleport", 7, rng, bound_mib=16, densities=True),
+              check("qsp", 11, rng, bound_mib=384),
+              check("qhp", 10, rng, bound_mib=80, estimates=False)]
+    held = sum(h for _, h in cases)
+    held_ok = held <= HELD_MIB * 2**20
+    print(f"held once every instrument is gone: {held / 2**20:.2f} MiB: "
+          f"{'ok' if held_ok else 'FAILED'}")
+    return 0 if document and held_ok and all(ok for ok, _ in cases) else 1
 
 
 if __name__ == "__main__":

@@ -614,6 +614,7 @@ def test_xor_from_a_basis_ancilla_takes_the_support(dst_role, a, rng):
     assert _close(tau, want, np.linalg.norm(inst.measurement.matrix, 2))
 
 
+@pytest.mark.usefixtures("fresh_frames")
 @pytest.mark.parametrize("build", ["qhp", "gqt", "teleport"])
 def test_builders_never_derive_their_xor_table(build, rng):
     # build, apply_exact and two estimates with one piece per input read

@@ -1,4 +1,9 @@
+import gc
 import math
+import sys
+import threading
+import weakref
+from dataclasses import replace
 
 import numpy as np
 import pytest
@@ -11,7 +16,9 @@ from wstate.errors import (
     ValidationError,
     ZeroBeta,
 )
-from wstate.instrument import QuantumState, apply_exact, expectation
+import wstate.instrument
+from wstate.instrument import QuantumInstrument, QuantumState, apply_exact, expectation
+from wstate.sampling import sample_estimate
 from wstate.subroutines import (
     SPECIAL_CASES,
     PolySpec,
@@ -37,9 +44,9 @@ from wstate.subroutines import (
     _step,
 )
 
-from wstate.tensor import classify
+from wstate.tensor import PermutationUnitary, RegisterLayout, classify
 
-from conftest import rand_density, rand_state, rand_unitary
+from conftest import rand_density, rand_hermitian, rand_state, rand_unitary
 
 
 def apply_pair(inst, a, b):
@@ -393,3 +400,159 @@ class TestRealizabilitySolver:
             sol = res.solutions[0]
             assert np.abs(alpha_of(sol.sigma, sol.m) - alpha).max() <= 2e-9 * s
             assert classify(sol.m) != "nonnormal"
+
+
+def _frame_build(kind, n, rng, sigma=None):
+    """A build of kind at n qubits with a fresh M (and sigma, unless given)."""
+    d = 2**n
+    if kind == "qhp":
+        return build_qhp_instrument(n)
+    if kind == "gqt":
+        return build_gqt_instrument(n)
+    if kind == "qsp":
+        sigma = rand_density(rng, 2) if sigma is None else sigma
+        return build_qsp_instrument(sigma, rng.normal(size=(2, 2)) + 0j, n)
+    maps = [(rng.normal(size=(d, d)) + 1j * rng.normal(size=(d, d)),) * 2]
+    return build_teleport_instrument(n, maps)
+
+
+def _on_fresh_objects(inst):
+    """inst rebuilt on new Register, layout, ancilla and U objects, so that it
+    shares nothing with the builder's frame."""
+    layout = RegisterLayout(tuple(replace(r) for r in inst.layout.registers))
+    anc = inst.ancilla
+    if anc is not None:
+        sub = layout.sub(inst.ancilla_labels)
+        anc = QuantumState(sub, vector=None if anc.vector is None else anc.vector.copy(),
+                           density=anc.density)
+    u = type(inst.unitary)(inst.unitary.labels, layout)
+    return QuantumInstrument(layout, anc, u, inst.measurement)
+
+
+class TestSharedFrames:
+    """Each builder takes its layout, U and |0..0> ancilla from one frame
+    per size, and instruments on one frame's objects share one route table:
+    a second build checks only M's dim and chooses no route."""
+
+    @pytest.mark.parametrize("kind", ["qhp", "gqt", "qsp", "teleport"])
+    def test_second_build_chooses_no_route(self, rng, monkeypatch, kind):
+        n, d = 2, 4
+        inputs = [QuantumState.pure(rand_state(rng, d)),
+                  QuantumState.from_density(rand_density(rng, d))]
+        first = _frame_build(kind, n, rng)
+        apply_exact(first, inputs)
+        calls = []
+
+        def spy(name, real):
+            def run(*args, **kwargs):
+                calls.append(name)
+                return real(*args, **kwargs)
+            return run
+
+        monkeypatch.setattr(wstate.instrument, "_basis_entry",
+                            spy("_basis_entry", wstate.instrument._basis_entry))
+        for cls, name in [(PermutationUnitary, "preimage_indices"),
+                          (PermutationUnitary, "image_indices"),
+                          (PermutationUnitary, "as_unitary"), (RegisterLayout, "sub")]:
+            monkeypatch.setattr(cls, name, spy(name, getattr(cls, name)))
+        second = _frame_build(kind, n, rng, first.ancilla)
+        tau = apply_exact(second, inputs).matrix
+        monkeypatch.undo()
+        assert calls == []
+        assert second._routes is first._routes and second.layout is first.layout
+        want = apply_exact(_on_fresh_objects(second), inputs).matrix
+        assert np.array_equal(tau, want)
+
+    @pytest.mark.parametrize("kind", ["gqt", "qsp", "teleport"])
+    def test_replaced_unitary_or_ancilla_takes_its_own_routes(self, rng, kind):
+        n, d = 2, 4
+        inputs = [QuantumState.pure(rand_state(rng, d)) for _ in range(2)]
+        inst = _frame_build(kind, n, rng)
+        tau = apply_exact(inst, inputs).matrix
+        table = PermutationUnitary(inst.unitary.perm, inst.unitary.labels, inst.layout)
+        anc = QuantumState(inst.ancilla.layout, density=inst.ancilla.matrix)
+        for other in (replace(inst, unitary=table), replace(inst, ancilla=anc)):
+            assert other._routes is not inst._routes
+            got = apply_exact(other, inputs).matrix
+            assert np.abs(got - tau).max() <= 1e-12 * max(1.0, np.abs(tau).max())
+            assert len(other._routes) == len(inst._routes)
+        assert replace(inst, measurement=inst.measurement)._routes is inst._routes
+
+    def test_plain_array_unitary_is_not_shared(self, rng):
+        inst = build_gqt_instrument(1)
+        u = inst.unitary.dense()
+        a, b = (QuantumInstrument(inst.layout, inst.ancilla, u, inst.measurement)
+                for _ in range(2))
+        assert a._routes is not b._routes
+
+    def test_instruments_of_one_frame_keep_their_own_observables(self, rng, monkeypatch):
+        n, d = 2, 4
+        inputs = [QuantumState.from_density(rand_density(rng, d)) for _ in range(2)]
+        insts = [build_gqt_instrument(n) for _ in range(2)]
+        observables = [rand_hermitian(rng, d) for _ in range(2)]
+        calls = []
+
+        def eigh_spy(a, *args, real=np.linalg.eigh, **kwargs):
+            calls.append(np.array(a))
+            return real(a, *args, **kwargs)
+
+        monkeypatch.setattr(np.linalg, "eigh", eigh_spy)
+        reports = [sample_estimate(inst, inputs, obs, shots=1000, seed=9)
+                   for _ in range(2) for inst, obs in zip(insts, observables)]
+        monkeypatch.undo()
+        assert [sum(np.array_equal(c, o) for c in calls) for o in observables] == [1, 1]
+        assert reports[:2] == reports[2:]
+
+    @pytest.mark.parametrize("build", [build_gqt_instrument,
+                                       lambda n: build_teleport_instrument(n, [(np.eye(4),) * 2])])
+    def test_frame_arrays_are_read_only(self, build):
+        anc = build(2).ancilla
+        for array in (anc.vector, *anc.factors):
+            with pytest.raises(ValueError):
+                array[0] = 1.0
+
+    def test_concurrent_builds_give_the_same_outputs(self, rng, fresh_frames):
+        # six threads on two cores build and apply every builder at two
+        # sizes from empty frames on; a lost or mixed-up route would change
+        # some tau
+        cases = [(kind, n, rand_density(rng, 2),
+                  [QuantumState.pure(rand_state(rng, 2**n)) for _ in range(2)])
+                 for kind in ("qhp", "gqt", "qsp", "teleport") for n in (1, 2)]
+
+        def build(kind, n, sigma):
+            return _frame_build(kind, n, np.random.default_rng(n), sigma)
+
+        want = [apply_exact(_on_fresh_objects(build(*case[:3])), case[3]).matrix
+                for case in cases]
+        fresh_frames()
+        wrong = []
+
+        def work():
+            for _ in range(20):
+                for (*case, inputs), tau in zip(cases, want):
+                    if not np.array_equal(apply_exact(build(*case), inputs).matrix, tau):
+                        wrong.append(case[:2])
+
+        interval = sys.getswitchinterval()
+        sys.setswitchinterval(1e-6)
+        try:
+            threads = [threading.Thread(target=work) for _ in range(6)]
+            for t in threads:
+                t.start()
+            for t in threads:
+                t.join(timeout=60)
+        finally:
+            sys.setswitchinterval(interval)
+        assert not any(t.is_alive() for t in threads)
+        assert wrong == []
+
+    def test_support_keeps_no_measurement_it_outlived(self, rng):
+        # one piece over (S, E2): the support route, whose join is kept per M
+        inst = build_gqt_instrument(2)
+        apply_exact(inst, QuantumState.from_density(rand_density(rng, 16)))
+        route = inst._routes[((0, 2),)]
+        held = weakref.ref(inst.measurement.operator)
+        assert len(route.cache) == 1
+        del inst
+        gc.collect()
+        assert held() is None and route.cache == {}
