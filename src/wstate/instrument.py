@@ -21,7 +21,6 @@ itself with M in any form (tensor.form) through that form's primitives.
 from __future__ import annotations
 
 import math
-import weakref
 from dataclasses import dataclass, replace
 from functools import cached_property, reduce
 
@@ -296,6 +295,37 @@ class MeasurementOperator:
 
 
 @dataclass(frozen=True)
+class Frame:
+    """What instruments on one layout, ancilla and U share once checked
+    (Frame.of): U as checked, the E dim, the output layout, and per tuple of
+    piece positions the route of their evolution (_route) with what it
+    derives, kept from first use. Nothing in a frame refers back to it."""
+
+    layout: RegisterLayout
+    ancilla: QuantumState | None
+    unitary: np.ndarray | PermutationUnitary
+    e: int
+    output: RegisterLayout
+    routes: dict
+
+    @classmethod
+    def of(cls, layout: RegisterLayout, ancilla, unitary) -> Frame:
+        for r in layout.registers:
+            if r.role is None:
+                raise ValidationError(f"register {r.label!r} has no role")
+        anc = tuple(r.label for r in layout.registers if r.source == "ancilla")
+        if ancilla is None:
+            if anc:
+                raise ValidationError(f"ancilla registers {anc} but no ancilla state")
+        else:
+            have, want = ancilla.layout.dims, tuple(layout.dim_of((a,)) for a in anc)
+            if have != want:
+                raise DimensionMismatch(f"ancilla dims {have} vs registers {want}")
+        u, e = form(unitary).as_unitary(layout), layout.dim_of(layout.with_role("E"))
+        return cls(layout, ancilla, u, e, layout.sub(layout.with_role("S")), {})
+
+
+@dataclass(frozen=True)
 class QuantumInstrument:
     """(ancilla, U, M) over a role-annotated register layout.
 
@@ -305,16 +335,13 @@ class QuantumInstrument:
     U is a dense unitary, kept as a plain ndarray, or a PermutationUnitary: a
     full-layout table, a table on some of this layout's registers, an Xor
     (the CNOT ladder of QHP, GQT or teleport, or a table that is one) or a
-    ControlledSwap (QSP's, or a table that is one). Instruments on one
-    layout, ancilla and U object share a route table, which the layout keeps
-    (at most KEPT_DERIVATIONS, found by the identity of ancilla and U; none
-    for a plain-array U, which may be edited in place): U as checked, the E
-    dim, the output layout, and per tuple of piece positions the route of
-    their evolution (_route) with what it derives. A later build on them
-    checks M's dim alone. The plan, each instrument's own, keeps the last
-    observable an estimate read, checked and in its eigenbasis, under a key
-    of its shape, dtype and bytes' digest (so one edited in place is checked
-    and decomposed again).
+    ControlledSwap (QSP's, or a table that is one). Its routes live in its
+    Frame: its own, checked at construction and gone with it, or a
+    builder's kept frame (subroutines, QuantumInstrument.on), shared by the
+    builds of one size. Its own plan keeps the last observable an estimate
+    read, checked and in its eigenbasis, under a key of its shape, dtype and
+    bytes' digest (so one edited in place is checked and decomposed again);
+    dataclasses.replace builds a new instance with its own frame and plan.
     """
 
     layout: RegisterLayout
@@ -323,41 +350,24 @@ class QuantumInstrument:
     measurement: MeasurementOperator
 
     def __post_init__(self):
-        # a kept table holds its ancilla and U, so no other object has their ids
-        kept, key = self.layout.kept, (id(self.ancilla), id(self.unitary))
-        hit = kept.get(key)
-        if hit is None:
-            for r in self.layout.registers:
-                if r.role is None:
-                    raise ValidationError(f"register {r.label!r} has no role")
-            anc = self.ancilla_labels
-            if self.ancilla is None:
-                if anc:
-                    raise ValidationError(f"ancilla registers {anc} but no ancilla state")
-            else:
-                have = self.ancilla.layout.dims
-                want = tuple(r.dim for r in self.layout.registers if r.source == "ancilla")
-                if have != want:
-                    raise DimensionMismatch(f"ancilla dims {have} vs registers {want}")
-            # the route table: piece positions -> their route (_route)
-            u = form(self.unitary)
-            hit = self.ancilla, self.unitary, {
-                "unitary": u.as_unitary(self.layout),
-                "e": self.layout.dim_of(self.e_labels),
-                "output": self.layout.sub(self.s_labels)}
-            if u is self.unitary:  # a plain array may change: not shared
-                if len(kept) >= KEPT_DERIVATIONS:
-                    kept.clear()
-                kept[key] = hit
-        routes = hit[2]
-        if self.measurement.dim != routes["e"]:
+        # on() hands over a builder's frame; any other construction checks its own
+        frame = vars(self).get("_frame") or Frame.of(self.layout, self.ancilla, self.unitary)
+        if self.measurement.dim != frame.e:
             raise DimensionMismatch(
-                f"measurement dim {self.measurement.dim} vs E-register dim {routes['e']}"
+                f"measurement dim {self.measurement.dim} vs E-register dim {frame.e}"
             )
-        object.__setattr__(self, "unitary", routes["unitary"])
-        object.__setattr__(self, "_routes", routes)
+        object.__setattr__(self, "unitary", frame.unitary)
+        object.__setattr__(self, "_frame", frame)
         # by the estimators: "observable" -> (key, eigenbasis)
         object.__setattr__(self, "_plan", {})
+
+    @classmethod
+    def on(cls, frame: Frame, measurement: MeasurementOperator) -> QuantumInstrument:
+        """An instrument on frame's objects, sharing its routes: only M's dim is checked."""
+        inst = cls.__new__(cls)
+        object.__setattr__(inst, "_frame", frame)
+        inst.__init__(frame.layout, frame.ancilla, frame.unitary, measurement)
+        return inst
 
     @property
     def ancilla_labels(self) -> tuple[str, ...]:
@@ -377,7 +387,7 @@ class QuantumInstrument:
 
     @property
     def output_layout(self) -> RegisterLayout:
-        return self._routes["output"]
+        return self._frame.output
 
 
 # ---------------------------------------------------------------------------
@@ -458,10 +468,11 @@ def _evolve(inst: QuantumInstrument, pieces):
 def _route(inst: QuantumInstrument, key):
     """The route of an evolution of input pieces at the register positions
     key: the first of these that applies, chosen on first use and kept
-    under key in the route table (QuantumInstrument) while the layout keeps
-    it; a builder's frame (subroutines) keeps it for every build of its
-    size. Its evolve(pieces) returns an evolution with dims (d_S, d_E, d_G)
-    and contract(form of M), which weighted_output calls.
+    under key in the instrument's Frame for as long as the frame lives:
+    with the instrument, or with a builder's kept frame (subroutines) for
+    every build of its size. Its evolve(pieces) returns an evolution with
+    dims (d_S, d_E, d_G) and contract(form of M), which weighted_output
+    calls.
 
     - _Blocks (QSP): U is a ControlledSwap of S and G whose control, the
       one E register, holds the whole ancilla. A SWAP only renames axes, so
@@ -480,7 +491,7 @@ def _route(inst: QuantumInstrument, key):
 
     A new route is one class and one clause here.
     """
-    route = inst._routes.get(key)
+    route = inst._frame.routes.get(key)
     if route is not None:
         return route
     regs, u = inst.layout.registers, form(inst.unitary)
@@ -512,7 +523,7 @@ def _route(inst: QuantumInstrument, key):
         groups = ((tuple(anc[1]),) if anc else ()) + key
         route = _Gather(u, u.preimage_indices(inst.layout, groups), anc[0] if anc else None,
                         inst.layout.dims, role["S"] + role["G"], role["E"], dims)
-    inst._routes[key] = route
+    inst._frame.routes[key] = route
     return route
 
 
@@ -630,14 +641,13 @@ class Support:
 
     def kept(self, owner, derive):
         """derive(self), kept in cache under owner (the form that contracts
-        with it, or derive) from its first call while the owner lives, as a
-        route outlives its instruments; at most KEPT_DERIVATIONS owners."""
-        key, cache = id(owner), self.cache
-        hit = cache.get(key)
-        if hit is None or hit[0]() is not owner:
-            if len(cache) >= KEPT_DERIVATIONS:
-                cache.clear()
-            hit = cache[key] = (weakref.ref(owner, lambda _: cache.pop(key, None)), derive(self))
+        with it, or a name) from its first call; at most KEPT_DERIVATIONS
+        owners are kept."""
+        hit = self.cache.get(id(owner))
+        if hit is None or hit[0] is not owner:
+            if len(self.cache) >= KEPT_DERIVATIONS:
+                self.cache.clear()
+            hit = self.cache[id(owner)] = (owner, derive(self))
         return hit[1]
 
     @cached_property

@@ -27,7 +27,7 @@ from .errors import (
     ZeroBeta,
 )
 from .instrument import (
-    KEPT_DERIVATIONS,
+    Frame,
     MeasurementOperator,
     QuantumInstrument,
     QuantumState,
@@ -124,17 +124,19 @@ def alpha_of(sigma, m, gamma=None) -> np.ndarray:
 # instrument builders
 
 
-# Each builder takes what depends on n alone from one frame per size: its
-# layout, U and |0..0> ancilla (vector read-only), kept for the last
-# KEPT_DERIVATIONS sizes. The layout keeps the route table that builds on
-# one frame share (QuantumInstrument), so their routes live as long as the
-# frame; M, sigma and the maps are per call.
+# A builder takes what depends on n alone from a Frame (instrument): the
+# layout, U and |0..0> ancilla (read-only), checked, and its routes. It is
+# kept per size up to FRAME_QUBITS; above, a frame's arrays grow with d^2
+# (QHP's gather grids) and outweigh its savings, so each build makes its
+# own, gone with its instrument. M, sigma and the maps are per call.
+FRAME_QUBITS = 6
 
 
-def _qubits(n: int) -> int:
+def _frame(make, n: int):
+    """make(n), kept by make's lru_cache up to FRAME_QUBITS qubits."""
     if n < 1:
         raise ValidationError("qubit count must be >= 1")
-    return 2**n
+    return make(n) if n <= FRAME_QUBITS else make.__wrapped__(n)
 
 
 def _zero_state(layout: RegisterLayout, label: str) -> QuantumState:
@@ -143,44 +145,39 @@ def _zero_state(layout: RegisterLayout, label: str) -> QuantumState:
     return QuantumState(layout.sub((label,)), vector=v)
 
 
-@lru_cache(maxsize=KEPT_DERIVATIONS)
-def _qhp_frame(n: int):
-    d = _qubits(n)
-    layout = RegisterLayout.of(Register("S", d, "S"), Register("E", d, "E"))
-    return layout, Xor(("S", "E"), layout)
+@lru_cache(maxsize=FRAME_QUBITS)
+def _qhp_frame(n: int) -> Frame:
+    layout = RegisterLayout.of(Register("S", 2**n, "S"), Register("E", 2**n, "E"))
+    return Frame.of(layout, None, Xor(("S", "E"), layout))
 
 
-@lru_cache(maxsize=KEPT_DERIVATIONS)
-def _gqt_frame(n: int):
-    d = _qubits(n)
+@lru_cache(maxsize=FRAME_QUBITS)
+def _gqt_frame(n: int) -> Frame:
     layout = RegisterLayout.of(
-        Register("S", d, "S"), Register("E1", d, "E", "ancilla"), Register("E2", d, "E"))
-    return layout, _zero_state(layout, "E1"), Xor(("S", "E1"), layout)
+        Register("S", 2**n, "S"), Register("E1", 2**n, "E", "ancilla"), Register("E2", 2**n, "E"))
+    return Frame.of(layout, _zero_state(layout, "E1"), Xor(("S", "E1"), layout))
 
 
-@lru_cache(maxsize=KEPT_DERIVATIONS)
+@lru_cache(maxsize=FRAME_QUBITS)
 def _qsp_frame(n: int):
-    d = _qubits(n)
     layout = RegisterLayout.of(
-        Register("C", 2, "E", "ancilla"), Register("S", d, "S"), Register("G", d, "G"))
+        Register("C", 2, "E", "ancilla"), Register("S", 2**n, "S"), Register("G", 2**n, "G"))
     return layout, layout.sub(("C",)), ControlledSwap(("C", "S", "G"), layout)
 
 
-@lru_cache(maxsize=KEPT_DERIVATIONS)
-def _teleport_frame(n: int):
-    d = _qubits(n)
+@lru_cache(maxsize=FRAME_QUBITS)
+def _teleport_frame(n: int) -> Frame:
     layout = RegisterLayout.of(
-        Register("A", d, "E"), Register("B", d, "E"), Register("C", d, "S", "ancilla"))
-    return layout, _zero_state(layout, "C"), Xor(("B", "C"), layout)
+        Register("A", 2**n, "E"), Register("B", 2**n, "E"), Register("C", 2**n, "S", "ancilla"))
+    return Frame.of(layout, _zero_state(layout, "C"), Xor(("B", "C"), layout))
 
 
 def build_qhp_instrument(n: int) -> QuantumInstrument:
     """CNOT ladder (i,j) -> (i, i xor j), held as an Xor, with all-zero
     postselection on the second register; realizes the entrywise product.
     The layout and Xor are the frame of n (above), with its routes."""
-    layout, xor = _qhp_frame(n)
     meas = MeasurementOperator.of(np.diag(np.eye(1, 2**n, dtype=np.complex128)[0]))
-    return QuantumInstrument(layout, ancilla=None, unitary=xor, measurement=meas)
+    return QuantumInstrument.on(_frame(_qhp_frame, n), meas)
 
 
 def build_gqt_instrument(n: int) -> QuantumInstrument:
@@ -193,10 +190,9 @@ def build_gqt_instrument(n: int) -> QuantumInstrument:
     (E1, E2) is held as a PermutationUnitary, built per call, so no
     d^2 x d^2 matrix is built unless a caller reads measurement.matrix.
     """
-    layout, anc, xor = _gqt_frame(n)
-    d = 2**n
+    frame, d = _frame(_gqt_frame, n), 2**n
     swap = PermutationUnitary(combine_digits(np.indices((d, d), sparse=True)[::-1], (d, d)))
-    return QuantumInstrument(layout, anc, xor, MeasurementOperator.of(swap))
+    return QuantumInstrument.on(frame, MeasurementOperator.of(swap))
 
 
 def build_qsp_instrument(sigma, m, n: int) -> QuantumInstrument:
@@ -206,18 +202,17 @@ def build_qsp_instrument(sigma, m, n: int) -> QuantumInstrument:
     gamma_in picks up the input traces. U is a ControlledSwap on (C; S, G):
     an evolution takes the blocks route (instrument._route), 4 d^2 entries. A
     document carries its table, which reads back as the same ControlledSwap.
-    The layout and ControlledSwap are the frame of n (above). A sigma that
-    is a state on the frame's C register is the ancilla itself, so builds
-    with it share their routes; any other sigma gives a new state.
+    Only the layout and U come from the frame of n (above): sigma is each
+    build's own ancilla state, so each build checks and routes on its own.
     """
-    layout, c, cswap = _qsp_frame(n)
-    if not isinstance(sigma, QuantumState):
+    layout, c, cswap = _frame(_qsp_frame, n)
+    if isinstance(sigma, QuantumState):
+        anc = QuantumState(c, vector=sigma.vector, density=sigma.density)
+    else:
         s = np.asarray(sigma)
-        sigma = QuantumState(c, vector=s) if s.ndim == 1 else QuantumState(c, density=s)
-    elif sigma.layout != c:
-        sigma = QuantumState(c, vector=sigma.vector, density=sigma.density)
+        anc = QuantumState(c, vector=s) if s.ndim == 1 else QuantumState(c, density=s)
     meas = m if isinstance(m, MeasurementOperator) else MeasurementOperator.of(m)
-    return QuantumInstrument(layout, sigma, cswap, meas)
+    return QuantumInstrument(layout, anc, cswap, meas)
 
 
 def build_teleport_instrument(n: int, maps) -> QuantumInstrument:
@@ -227,12 +222,11 @@ def build_teleport_instrument(n: int, maps) -> QuantumInstrument:
     sum_m (J_m (x) I)|Phi+><Phi+|(K_m (x) I) on (A, B).
 
     The layout, |0..0> and Xor are the frame of n (above), with its
-    routes. The measurement has
-    rank at most len(maps) and is held as a LowRankOperator u v^dag with
-    column m of u equal to vec(J_m) and of v to conj(vec(K_m^T))/d.
+    routes. The measurement has rank at most len(maps) and is held as a
+    LowRankOperator u v^dag with column m of u equal to vec(J_m) and of v
+    to conj(vec(K_m^T))/d.
     """
-    layout, anc, xor = _teleport_frame(n)
-    d = 2**n
+    frame, d = _frame(_teleport_frame, n), 2**n
     us, vs = [], []
     for j, k in maps:
         j, k = operand(j, d, "map J"), operand(k, d, "map K")
@@ -240,7 +234,7 @@ def build_teleport_instrument(n: int, maps) -> QuantumInstrument:
         us.append(j.ravel())
         vs.append(k.T.ravel().conj() / d)
     factors = [np.array(f, dtype=np.complex128).reshape(-1, d * d).T for f in (us, vs)]
-    return QuantumInstrument(layout, anc, xor, MeasurementOperator.of(LowRankOperator(*factors)))
+    return QuantumInstrument.on(frame, MeasurementOperator.of(LowRankOperator(*factors)))
 
 
 # ---------------------------------------------------------------------------

@@ -96,11 +96,9 @@ class RegisterLayout:
         labels = tuple(r.label for r in self.registers)
         if len(set(labels)) != len(labels):
             raise ValidationError(f"duplicate register labels in {list(labels)}")
-        # read many times per evaluation, so derived once; kept holds the
-        # route tables of the instruments on this layout (QuantumInstrument)
+        # read many times per evaluation, so derived once
         object.__setattr__(self, "labels", labels)
         object.__setattr__(self, "dims", tuple(r.dim for r in self.registers))
-        object.__setattr__(self, "kept", {})
 
     @staticmethod
     def of(*regs: Register) -> "RegisterLayout":
@@ -589,10 +587,13 @@ class PermutationUnitary:
         return gather(group)
 
     def placed(self, labels: Sequence[str], layout: RegisterLayout) -> "PermutationUnitary":
-        """U on the registers labels (those of U's layout, renamed) of layout."""
+        """U on the registers labels (those of U's layout, renamed) of layout.
+        An Xor or ControlledSwap stays one, so no table is read from it."""
         if self.labels is not None:
             new = dict(zip(self.layout.labels, labels))
             labels = [new[label] for label in self.labels]
+            if isinstance(self, (Xor, ControlledSwap)):
+                return type(self)(labels, layout)
         return PermutationUnitary(self.perm, labels, layout)
 
     def to_json(self) -> dict:
@@ -810,7 +811,7 @@ class LowRankOperator:
         """contract on a support, through segment sums of its rows
         (_segment_sums) when its S G indices hold equal numbers of rows, on
         its scattered arrays otherwise."""
-        order = sup.kept(_segments, _segments)
+        order = sup.kept("segments", _segments)
         if order is None:
             return self.contract(sup.scattered)
         a = _segment_sums(sup, order, sup.kcols, self.v)

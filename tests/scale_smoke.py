@@ -27,9 +27,16 @@ qsp_oracle, and its peak, the document's parse included, must stay below
 match subroutines.qhp, and its peak, the build's dense d x d M included,
 must stay below 80 MiB. Each case then drops its instrument and outputs and
 reads what the library still holds of it (tracemalloc, current bytes after
-gc.collect()): the builders' frames and their shared routes, and the
-identity a permutation M's groups keep. The sum over the cases, an upper
-bound of what the library holds after them all, must stay below 24 MiB.
+gc.collect()): above subroutines.FRAME_QUBITS (6) the builders keep no
+frame, so this is the identity a permutation M's groups keep
+(PermutationUnitary.identity). The sum over the cases, an upper bound of
+what the library holds after them all, must stay below 12 MiB. Last, a
+pipeline of two QHP n = 5 instruments, whose frame is kept, is flattened
+and applied to three pure inputs: it must match subroutines.qhp applied
+twice, peak below 48 MiB, and hold below 4 KiB once the pipeline is gone,
+so that flattening derives nothing on the kept frame (an Xor's table there
+would be 8 KiB).
+
 Run from the repository root:
 
     PYTHONPATH=src timeout 60 python tests/scale_smoke.py
@@ -48,7 +55,7 @@ import tracemalloc
 import numpy as np
 
 from wstate.cli import main as cli_main
-from wstate.instrument import QuantumState, apply_exact, expectation
+from wstate.instrument import QuantumState, apply_exact, concatenate, expectation
 from wstate.sampling import sample_estimate
 from wstate.serialize import EstimationTask, task_to_json
 from wstate.subroutines import (
@@ -66,7 +73,7 @@ from wstate.subroutines import (
 
 PEAK_KETS = 1.3
 RETAINED_KETS = 1 / 8
-HELD_MIB = 24
+HELD_MIB = 12
 
 
 def _state(rng, d):
@@ -199,6 +206,35 @@ def check_document(n: int, rng, bound_mib: int) -> bool:
     return ok
 
 
+def check_pipeline(n: int, rng, bound_mib: int, held_kib: int) -> bool:
+    """QHP at n qubits wired into QHP at n qubits, flattened and applied to
+    three pure inputs, the builders' frame of n built beforehand: the
+    oracle, the tracemalloc peak from the builds on, and what is held once
+    the pipeline and its output are gone."""
+    d = 2**n
+    inputs = [QuantumState.pure(_state(rng, d)) for _ in range(3)]
+    want = qhp(qhp(*(x.matrix for x in inputs[:2])), inputs[2].matrix)
+    build_qhp_instrument(n)
+    tracemalloc.start()
+    t0 = time.perf_counter()
+    try:
+        pipe = concatenate(build_qhp_instrument(n), build_qhp_instrument(n))
+        tau = pipe.apply_flattened(inputs[:2], inputs[2:]).matrix
+        seconds = time.perf_counter() - t0
+        peak = tracemalloc.get_traced_memory()[1]
+        err = float(np.abs(tau - want).max()) / max(1.0, float(np.abs(want).max()))
+        del pipe, tau
+        gc.collect()
+        held = tracemalloc.get_traced_memory()[0]
+    finally:
+        tracemalloc.stop()
+    ok = err <= 1e-10 and peak <= bound_mib * 2**20 and held <= held_kib * 2**10
+    print(f"qhp pipeline n={n} flattened: {seconds:.2f} s, peak {peak / 2**20:.1f} MiB, "
+          f"oracle error {err:.1e}, {held / 2**10:.2f} KiB held once gone: "
+          f"{'ok' if ok else 'FAILED'}")
+    return ok
+
+
 def main() -> int:
     rng = np.random.default_rng(8)
     cases = [check("gqt", 8, rng), check("teleport", 7, rng),
@@ -213,7 +249,8 @@ def main() -> int:
     held_ok = held <= HELD_MIB * 2**20
     print(f"held once every instrument is gone: {held / 2**20:.2f} MiB: "
           f"{'ok' if held_ok else 'FAILED'}")
-    return 0 if document and held_ok and all(ok for ok, _ in cases) else 1
+    pipeline = check_pipeline(5, rng, bound_mib=48, held_kib=4)
+    return 0 if document and held_ok and pipeline and all(ok for ok, _ in cases) else 1
 
 
 if __name__ == "__main__":

@@ -17,9 +17,16 @@ from wstate.errors import (
     ZeroBeta,
 )
 import wstate.instrument
-from wstate.instrument import QuantumInstrument, QuantumState, apply_exact, expectation
+from wstate.instrument import (
+    QuantumInstrument,
+    QuantumState,
+    apply_exact,
+    concatenate,
+    expectation,
+)
 from wstate.sampling import sample_estimate
 from wstate.subroutines import (
+    FRAME_QUBITS,
     SPECIAL_CASES,
     PolySpec,
     alpha_of,
@@ -431,18 +438,13 @@ def _on_fresh_objects(inst):
 
 class TestSharedFrames:
     """Each builder takes its layout, U and |0..0> ancilla from one frame
-    per size, and instruments on one frame's objects share one route table:
-    a second build checks only M's dim and chooses no route."""
+    per size up to FRAME_QUBITS, and its builds share that frame's routes:
+    a second build checks only M's dim and chooses no route. Above
+    FRAME_QUBITS, and for an instrument a caller builds, the frame and its
+    routes are the instrument's own and go with it."""
 
-    @pytest.mark.parametrize("kind", ["qhp", "gqt", "qsp", "teleport"])
-    def test_second_build_chooses_no_route(self, rng, monkeypatch, kind):
-        n, d = 2, 4
-        inputs = [QuantumState.pure(rand_state(rng, d)),
-                  QuantumState.from_density(rand_density(rng, d))]
-        first = _frame_build(kind, n, rng)
-        apply_exact(first, inputs)
-        calls = []
-
+    @staticmethod
+    def _spied(monkeypatch, calls):
         def spy(name, real):
             def run(*args, **kwargs):
                 calls.append(name)
@@ -455,35 +457,59 @@ class TestSharedFrames:
                           (PermutationUnitary, "image_indices"),
                           (PermutationUnitary, "as_unitary"), (RegisterLayout, "sub")]:
             monkeypatch.setattr(cls, name, spy(name, getattr(cls, name)))
-        second = _frame_build(kind, n, rng, first.ancilla)
+
+    @pytest.mark.parametrize("kind", ["qhp", "gqt", "teleport"])
+    def test_second_build_chooses_no_route(self, rng, monkeypatch, kind):
+        n, d = 2, 4
+        inputs = [QuantumState.pure(rand_state(rng, d)),
+                  QuantumState.from_density(rand_density(rng, d))]
+        first = _frame_build(kind, n, rng)
+        apply_exact(first, inputs)
+        calls = []
+        self._spied(monkeypatch, calls)
+        second = _frame_build(kind, n, rng)
         tau = apply_exact(second, inputs).matrix
         monkeypatch.undo()
         assert calls == []
-        assert second._routes is first._routes and second.layout is first.layout
+        assert second._frame is first._frame
         want = apply_exact(_on_fresh_objects(second), inputs).matrix
         assert np.array_equal(tau, want)
 
+    def test_qsp_builds_share_the_frame_but_route_on_their_own(self, rng):
+        n, d = 2, 4
+        inputs = [QuantumState.pure(rand_state(rng, d)) for _ in range(2)]
+        first, second = (_frame_build("qsp", n, rng) for _ in range(2))
+        assert second.layout is first.layout and second.unitary is first.unitary
+        assert second._frame is not first._frame
+        tau = apply_exact(second, inputs).matrix
+        assert np.array_equal(tau, apply_exact(_on_fresh_objects(second), inputs).matrix)
+
     @pytest.mark.parametrize("kind", ["gqt", "qsp", "teleport"])
-    def test_replaced_unitary_or_ancilla_takes_its_own_routes(self, rng, kind):
+    def test_replaced_instruments_take_their_own_routes(self, rng, kind):
         n, d = 2, 4
         inputs = [QuantumState.pure(rand_state(rng, d)) for _ in range(2)]
         inst = _frame_build(kind, n, rng)
         tau = apply_exact(inst, inputs).matrix
         table = PermutationUnitary(inst.unitary.perm, inst.unitary.labels, inst.layout)
         anc = QuantumState(inst.ancilla.layout, density=inst.ancilla.matrix)
-        for other in (replace(inst, unitary=table), replace(inst, ancilla=anc)):
-            assert other._routes is not inst._routes
+        for other in (replace(inst, unitary=table), replace(inst, ancilla=anc),
+                      replace(inst, measurement=inst.measurement)):
+            assert other._frame is not inst._frame
             got = apply_exact(other, inputs).matrix
             assert np.abs(got - tau).max() <= 1e-12 * max(1.0, np.abs(tau).max())
-            assert len(other._routes) == len(inst._routes)
-        assert replace(inst, measurement=inst.measurement)._routes is inst._routes
+            assert len(other._frame.routes) == len(inst._frame.routes)
 
-    def test_plain_array_unitary_is_not_shared(self, rng):
+    def test_caller_built_instruments_take_their_own_frames(self, rng):
         inst = build_gqt_instrument(1)
-        u = inst.unitary.dense()
-        a, b = (QuantumInstrument(inst.layout, inst.ancilla, u, inst.measurement)
+        a, b = (QuantumInstrument(inst.layout, inst.ancilla, inst.unitary, inst.measurement)
                 for _ in range(2))
-        assert a._routes is not b._routes
+        assert len({id(a._frame), id(b._frame), id(inst._frame)}) == 3
+
+    def test_frames_are_kept_up_to_frame_qubits(self):
+        kept = build_qhp_instrument(FRAME_QUBITS)
+        assert build_qhp_instrument(FRAME_QUBITS)._frame is kept._frame
+        big = build_qhp_instrument(FRAME_QUBITS + 1)
+        assert build_qhp_instrument(FRAME_QUBITS + 1)._frame is not big._frame
 
     def test_instruments_of_one_frame_keep_their_own_observables(self, rng, monkeypatch):
         n, d = 2, 4
@@ -546,13 +572,33 @@ class TestSharedFrames:
         assert not any(t.is_alive() for t in threads)
         assert wrong == []
 
-    def test_support_keeps_no_measurement_it_outlived(self, rng):
-        # one piece over (S, E2): the support route, whose join is kept per M
-        inst = build_gqt_instrument(2)
-        apply_exact(inst, QuantumState.from_density(rand_density(rng, 16)))
-        route = inst._routes[((0, 2),)]
-        held = weakref.ref(inst.measurement.operator)
-        assert len(route.cache) == 1
-        del inst
+    @pytest.mark.parametrize("case", ["caller-built support", "builder above FRAME_QUBITS"])
+    def test_routes_go_with_their_instrument(self, rng, case):
+        # with the cyclic collector off, only reference counts can free them
+        if case == "caller-built support":
+            # one piece over (S, E2): the support route, whose join is kept per M
+            inst = _on_fresh_objects(build_gqt_instrument(2))
+            inputs = QuantumState.from_density(rand_density(rng, 16))
+        else:
+            n = FRAME_QUBITS + 1
+            inst = build_qhp_instrument(n)
+            inputs = [QuantumState.pure(rand_state(rng, 2**n)) for _ in range(2)]
         gc.collect()
-        assert held() is None and route.cache == {}
+        gc.disable()
+        try:
+            apply_exact(inst, inputs)
+            (route,) = inst._frame.routes.values()
+            held = [weakref.ref(x) for x in (inst._frame, route, inst.measurement.operator)]
+            del inst, route
+            assert [ref() for ref in held] == [None] * 3
+        finally:
+            gc.enable()
+
+    def test_flattening_reads_no_table_of_a_frame(self, rng, fresh_frames):
+        first, second = build_qhp_instrument(2), build_qhp_instrument(2)
+        pipe = concatenate(first, second)
+        inputs = [rand_density(rng, 4) for _ in range(3)]
+        flat = pipe.apply_flattened(inputs[:2], inputs[2:]).matrix
+        staged = pipe.apply_staged(inputs[:2], inputs[2:]).matrix
+        assert np.abs(flat - staged).max() <= 1e-12
+        assert "perm" not in vars(first.unitary)
