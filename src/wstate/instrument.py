@@ -338,10 +338,10 @@ class QuantumInstrument:
     ControlledSwap (QSP's, or a table that is one). Its routes live in its
     Frame: its own, checked at construction and gone with it, or a
     builder's kept frame (subroutines, QuantumInstrument.on), shared by the
-    builds of one size. Its own plan keeps the last observable an estimate
-    read, checked and in its eigenbasis, under a key of its shape, dtype and
-    bytes' digest (so one edited in place is checked and decomposed again);
-    dataclasses.replace builds a new instance with its own frame and plan.
+    builds of one size. Its own plan keeps the estimator's laws
+    (sampling._observable_basis): the last observable's, keyed by a digest
+    of its bytes, and the computational basis's; dataclasses.replace builds
+    a new instance with its own frame and plan.
     """
 
     layout: RegisterLayout
@@ -358,7 +358,7 @@ class QuantumInstrument:
             )
         object.__setattr__(self, "unitary", frame.unitary)
         object.__setattr__(self, "_frame", frame)
-        # by the estimators: "observable" -> (key, eigenbasis)
+        # by the estimators: "observable" and "computational" -> (key, law)
         object.__setattr__(self, "_plan", {})
 
     @classmethod
@@ -784,16 +784,17 @@ def projected_outputs(ev: Evolved, groups) -> list[np.ndarray]:
     """weighted_output of each (eigenvalue, projector) group of a form's
     groups(); a form shared by several projectors, such as the identity and
     the SWAP in (I +- P)/2, or a group form and its reuse in a zero group
-    I - sum_g P_g, is contracted once."""
+    I - sum_g P_g, is contracted once. A group's sum starts from its first
+    term and skips a coefficient 1, so an output may be a shared contraction
+    itself: callers only read them."""
     done: dict[int, np.ndarray] = {}
     out = []
     for _, projector in groups:
-        acc = 0
-        for c, form in projector:
-            if id(form) not in done:
-                done[id(form)] = weighted_output(ev, form)
-            acc = acc + c * done[id(form)]
-        out.append(acc)
+        for _, f in projector:
+            if id(f) not in done:
+                done[id(f)] = weighted_output(ev, f)
+        terms = [done[id(f)] if c == 1 else c * done[id(f)] for c, f in projector]
+        out.append(sum(terms[1:], terms[0]))
     return out
 
 
@@ -846,11 +847,7 @@ def branches(inst: QuantumInstrument, inputs) -> list[InstrumentBranch]:
         else:
             cond = ej / p
             cond = (cond + cond.conj().T) / 2
-            out.append(
-                InstrumentBranch(
-                    complex(val), p, QuantumState(out_layout, density=cond)
-                )
-            )
+            out.append(InstrumentBranch(complex(val), p, QuantumState(out_layout, density=cond)))
     if abs(total_p - 1.0) > PROBABILITY_TOL:
         raise InvalidDistribution(f"branch probabilities sum to {total_p}")
     return out

@@ -11,7 +11,7 @@ key), never on scheduling or worker count.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
+from dataclasses import asdict, dataclass
 
 import numpy as np
 
@@ -126,77 +126,96 @@ def _check_hermitian_obs(obs, dim: int | None = None) -> np.ndarray:
     return o
 
 
-def _observable_basis(inst: QuantumInstrument, obs):
-    """The eigenbasis (values, vectors, labels) of a Hermitian O on inst's
-    output, kept in inst's plan for the last observable read.
+def _observable_basis(inst: QuantumInstrument, obs=None) -> _Law:
+    """The estimator's _Law on inst's output in the eigenbasis of a
+    Hermitian O, or in the computational basis when obs is None, kept in
+    inst's plan under "observable" for the last O read, or "computational".
+    O's key is its shape, dtype and a BLAKE2b digest of its bytes, not a
+    copy of them, so an O edited in place is checked, decomposed and given
+    a new law."""
+    name, key = "computational", None
+    if obs is not None:
+        import hashlib  # the command line does not load it otherwise
 
-    The key is O's shape, dtype and a BLAKE2b digest of its bytes, not a
-    copy of them, so an O edited in place is checked and decomposed again.
-    """
-    import hashlib  # the command line does not load it otherwise
-
-    o = np.asarray(obs, dtype=np.complex128)
-    key = (o.shape, o.dtype.str, hashlib.blake2b(np.ascontiguousarray(o)).digest())
-    kept = inst._plan.get("observable")
+        o = np.asarray(obs, dtype=np.complex128)
+        name = "observable"
+        key = (o.shape, o.dtype.str, hashlib.blake2b(np.ascontiguousarray(o)).digest())
+    kept = inst._plan.get(name)
     if kept is None or kept[0] != key:
-        o = _check_hermitian_obs(o, inst.layout.dim_of(inst.s_labels))
-        kept = inst._plan["observable"] = (key, _eigenbasis(o, True))
+        d = inst.layout.dim_of(inst.s_labels)
+        basis = None if obs is None else _eigenbasis(_check_hermitian_obs(o, d), True)
+        kept = inst._plan[name] = (key, _law(inst.measurement.rows, basis, d))
     return kept[1]
 
 
 @dataclass(frozen=True)
-class _GroupTable:
-    """The estimator's law from one evolution, one row per spectral group.
+class _Law:
+    """What the estimator's law takes from M's rows and a basis b_a alone:
+    M's groups, the b_a (vecs; None for the computational basis), the rows'
+    q, the flat cell index[r A + a] = labels[r] + len(merged) obs_labels[a]
+    of row r and column a, the cells' weights (cell i + len(merged) j
+    carries merged[i] times observable eigenvalue j) and |weights|^2,
+    cols[k] = o^k for k = 0, 1, 2 with o[a] the eigenvalue of b_a, the rows'
+    qv = q value and qv2 = q |value|^2, and o_norm = max_a |o[a]|."""
 
-    Row r is group g of normal part k (MeasurementOperator.rows): drawn with
-    probability q[r] = q_k, it carries the value scale_k lambda_g, merged
-    into outcome merged[labels[r]], and t[r, a] = <b_a|E_g|b_a>, where E_g
-    is the weighted output of the group's projector and b_a is column a of
-    the observable's eigenbasis. obs_values[obs_labels[a]] is the merged
-    eigenvalue of b_a. Every statistic of the estimator is a sum over it.
-    """
-
+    groups: list
+    vecs: np.ndarray | None
     q: np.ndarray
-    value: np.ndarray
-    labels: np.ndarray
-    merged: np.ndarray
+    index: np.ndarray
+    weights: np.ndarray
+    weights2: np.ndarray
+    cols: np.ndarray
+    qv: np.ndarray
+    qv2: np.ndarray
+    o_norm: float
+
+
+def _law(rows, basis, d: int) -> _Law:
+    """The _Law of M's rows (q, value, labels, merged, groups) in the
+    eigenbasis (values, vectors, labels) of O, or in the computational
+    basis of the d-dim output (one eigenvalue 1) when basis is None."""
+    q, value, labels, merged, groups = rows
+    o_vals, o_vecs, o_labels = basis or (np.ones(1), None, np.zeros(d, dtype=np.intp))
+    o = o_vals.real[o_labels]
+    weights = (o_vals.real[:, None] * merged[None, :]).ravel()
+    return _Law(groups, o_vecs, q, (labels[:, None] + len(merged) * o_labels[None, :]).ravel(),
+                weights, np.abs(weights) ** 2, np.stack((o**0, o, o**2)), q * value,
+                q * np.abs(value) ** 2, float(np.abs(o_vals).max()))
+
+
+@dataclass(frozen=True)
+class _GroupTable:
+    """The estimator's law from one evolution: its kept _Law and t[r, a] =
+    <b_a|E_g|b_a>, row r being group g of normal part k (drawn with
+    probability q_k, value scale_k lambda_g) and E_g the weighted output of
+    its projector. Every statistic of the estimator is a sum over it."""
+
+    law: _Law
     t: np.ndarray
-    obs_values: np.ndarray
-    obs_labels: np.ndarray
 
     def mean(self) -> complex:
         """sum_k c_k sum_g lambda_g Tr(E_g O) = Tr(tau O), as W(N_k) =
         sum_g lambda_g E_g."""
-        o = self.obs_values.real[self.obs_labels]
-        return complex((self.q * self.value) @ (self.t @ o))
+        return complex(self.law.qv @ (self.t @ self.law.cols[1]))
 
     def second_moment(self, power: int) -> float:
         """sum_k q_k |scale_k|^2 sum_g |lambda_g|^2 Tr(E_g O^power): the
         per-shot second moment for power 2, <|M|^2> for power 0, as
         W(N_k N_k^dag) = sum_g |lambda_g|^2 E_g."""
-        o = self.obs_values.real[self.obs_labels] ** power
-        return float(((self.q * np.abs(self.value) ** 2) @ (self.t @ o)).real)
+        return float((self.law.qv2 @ (self.t @ self.law.cols[power])).real)
 
 
-def _group_table(ev, meas, basis=None):
-    """The _GroupTable of an evolution (instrument.evolve) over the rows of
-    MeasurementOperator meas, in the observable eigenbasis basis
-    (_observable_basis), or in the computational basis (a single eigenvalue
-    1) when basis is None.
-
-    The outputs of all parts' groups come from one projected_outputs call,
-    so each distinct projector form is contracted once and no d_E x d_E
-    array is formed for a structured M.
-    """
-    d_s = ev.dims[0]
-    if basis is None:
-        o_vals, o_vecs, o_labels = np.ones(1), np.eye(d_s), np.zeros(d_s, dtype=np.intp)
-    else:
-        o_vals, o_vecs, o_labels = basis
-    q, value, labels, merged, groups = meas.rows
-    outs = np.array(projected_outputs(ev, groups))
-    t = np.einsum("sa,gsa->ga", o_vecs.conj(), outs @ o_vecs)
-    return _GroupTable(q, value, labels, merged, t, o_vals, o_labels)
+def _group_table(ev, meas, basis=None, law=None):
+    """The _GroupTable of an evolution over the rows of MeasurementOperator
+    meas in O's eigenbasis basis, or the computational one (t[r] is then
+    E_g's diagonal, read without a product) when None; law, their kept _Law
+    (_observable_basis), stands for both. One projected_outputs call
+    contracts each projector form once: a structured M forms no d_E x d_E."""
+    law = law or _law(meas.rows, basis, ev.dims[0])
+    outs = projected_outputs(ev, law.groups)
+    if law.vecs is None:
+        return _GroupTable(law, np.array([e.diagonal() for e in outs]))
+    return _GroupTable(law, np.einsum("sa,gsa->ga", law.vecs.conj(), np.array(outs) @ law.vecs))
 
 
 def _joint_cells(table: _GroupTable):
@@ -204,22 +223,20 @@ def _joint_cells(table: _GroupTable):
 
     Cells enumerate (merged observable eigenvalue, merged scaled measurement
     eigenvalue) pairs: row r of the table puts q[r] t[r, a] into the cell of
-    b_a's observable group and its value's merged group. Groups of different
+    b_a's observable group and its value's merged group, the law's kept
+    flat index, summed by one np.bincount in row order. Groups of different
     parts share a cell when their scaled values agree within DEGENERACY_TOL
     times the largest. This is the law of measuring rho_out (x) diag(q) with
     the block measurement sum_k |k><k| (x) scale_k N_k, a normal one.
     """
-    cells = np.zeros((len(table.merged), len(table.obs_values)))
-    np.add.at(cells, (table.labels[:, None], table.obs_labels[None, :]),
-              table.q[:, None] * table.t.real)
-    p = cells.T.ravel()
-    w = (table.obs_values.real[:, None] * table.merged[None, :]).ravel()
+    law = table.law
+    p = np.bincount(law.index, (law.q[:, None] * table.t.real).ravel(), len(law.weights))
     total = float(p.sum())
     if not math.isfinite(total) or abs(total - 1.0) > 1e-9 or float(p.min()) < -1e-9:
         raise InvalidDistribution(
             f"joint outcome probabilities sum to {total:.12f} (min {float(p.min()):.3e})"
         )
-    return np.clip(p, 0.0, None), w
+    return np.maximum(p, 0.0), law.weights
 
 
 def sample_estimate(
@@ -248,26 +265,23 @@ def sample_estimate(
     |eigenvalue| in the table. No emulating instrument is built: its cells
     are the parts' cells summed over equal scaled eigenvalues.
 
-    Repeated on one task, it decomposes nothing again: O's eigenbasis, the
-    inputs' factor columns and M's rows are kept by their owners (module
-    docstring), and the shots are drawn from the cells _joint_cells checked.
+    Repeated on one task, it derives nothing again: the inputs keep their
+    factor columns, M its rows, and inst's plan O's eigenbasis in the _Law
+    of both (_observable_basis). A call evolves its input, forms t, sums
+    the cells in one bincount, takes one GEMV per statistic and draws.
     """
     _check_shots(shots)
-    basis = _observable_basis(inst, obs)
+    law = _observable_basis(inst, obs)
     if method not in ("emulate", "randomized"):
         raise ValidationError(f"unknown sampling method {method!r}")
     if workers < 1:
         raise ValidationError("workers must be >= 1")
-    table = _group_table(evolve(inst, inputs), inst.measurement, basis)
+    table = _group_table(evolve(inst, inputs), inst.measurement, law=law)
     probs, weights = _joint_cells(table)
     counts = _draw(probs, shots, seed)
-    total_w = np.dot(counts, weights)
-    mean = total_w / shots
-    second = float(np.dot(counts, np.abs(weights) ** 2).real)
-    if shots > 1:
-        sample_var = (second - shots * abs(mean) ** 2) / (shots - 1)
-    else:
-        sample_var = 0.0
+    mean = np.dot(counts, weights) / shots
+    second = float(np.dot(counts, law.weights2).real)
+    sample_var = (second - shots * abs(mean) ** 2) / (shots - 1) if shots > 1 else 0.0
     a_mean = table.mean()
     return EstimatorReport(
         shots=shots,
@@ -276,7 +290,7 @@ def sample_estimate(
         sample_variance=float(max(sample_var, 0.0)),
         analytic_mean=a_mean,
         analytic_variance=table.second_moment(2) - abs(a_mean) ** 2,
-        variance_bound=float(np.abs(table.obs_values).max()) ** 2 * table.second_moment(0),
+        variance_bound=law.o_norm ** 2 * table.second_moment(0),
     )
 
 
@@ -288,8 +302,7 @@ def variance_exact(inst: QuantumInstrument, inputs, obs) -> float:
     """Per-shot variance of the sampled estimator:
     sum_k (|c_k|^2/q_k) Tr[rho_out (O^2 (x) N_k N_k^dag (x) I)] - |Tr tau O|^2,
     read from one group table through W(N_k N_k^dag) = sum_g |lambda_g|^2 E_g."""
-    basis = _observable_basis(inst, obs)
-    table = _group_table(evolve(inst, inputs), inst.measurement, basis)
+    table = _group_table(evolve(inst, inputs), inst.measurement, law=_observable_basis(inst, obs))
     return float(table.second_moment(2) - abs(table.mean()) ** 2)
 
 
@@ -306,16 +319,16 @@ class VarianceBounds:
 
 
 def variance_bound(inst: QuantumInstrument, inputs, obs_norm: float) -> VarianceBounds:
-    """b1 from one group table in the computational basis, where
-    <|M|^2> = sum_k (|c_k|^2/q_k) sum_g |lambda_g|^2 Tr E_g by
-    W(N_k N_k^dag) = sum_g |lambda_g|^2 E_g; b2 from the same rows'
-    largest |value| = max_k |c_k/q_k| ||N_k||_2, a normal part's spectral
-    norm being its largest |eigenvalue|."""
+    """b1 from one group table in the computational basis (its law kept in
+    inst's plan), where <|M|^2> = sum_k (|c_k|^2/q_k) sum_g |lambda_g|^2 Tr E_g
+    by W(N_k N_k^dag) = sum_g |lambda_g|^2 E_g; b2 from M's rows' largest
+    |value| = max_k |c_k/q_k| ||N_k||_2, a normal part's spectral norm
+    being its largest |eigenvalue|."""
     if not math.isfinite(obs_norm) or obs_norm < 0:
         raise ValidationError("observable norm must be finite and nonnegative")
-    table = _group_table(evolve(inst, inputs), inst.measurement)
+    table = _group_table(evolve(inst, inputs), inst.measurement, law=_observable_basis(inst))
     b1 = obs_norm**2 * table.second_moment(0)
-    b2 = obs_norm**2 * float(np.abs(table.value).max()) ** 2
+    b2 = obs_norm**2 * float(np.abs(inst.measurement.rows[1]).max()) ** 2
     return VarianceBounds(float(b1), float(b2))
 
 
@@ -349,6 +362,8 @@ def variance_gqt(sigma, rho, obs, shots: int) -> float:
 
 def variance_qsp(sigma, m, rho0, rho1, obs, shots: int) -> float:
     """Per-run variance of the controlled-SWAP instrument in closed form."""
+    from .subroutines import alpha_of, gamma_in, qsp_oracle
+
     _check_shots(shots)
     s = _mat(sigma, 2, "sigma")
     mm = operand(m, 2, "M")
@@ -357,7 +372,7 @@ def variance_qsp(sigma, m, rho0, rho1, obs, shots: int) -> float:
     o = _check_hermitian_obs(obs, len(r0))
     o2 = o @ o
     mm2 = mm @ mm.conj().T
-    tau = qsp_from_parts(s, mm, r0, r1)
+    tau = qsp_oracle(r0, r1, alpha_of(s, mm, gamma_in(np.trace(r0), np.trace(r1))))
     second = (
         s[0, 0] * mm2[0, 0] * np.trace(r0 @ o2) * np.trace(r1)
         + s[1, 1] * mm2[1, 1] * np.trace(r1 @ o2) * np.trace(r0)
@@ -365,13 +380,6 @@ def variance_qsp(sigma, m, rho0, rho1, obs, shots: int) -> float:
         + s[1, 0] * mm2[0, 1] * np.trace(r1 @ r0 @ o2)
     )
     return float((second.real - abs(expectation(tau, o)) ** 2) / shots)
-
-
-def qsp_from_parts(sigma, m, rho0, rho1) -> np.ndarray:
-    from .subroutines import alpha_of, gamma_in, qsp_oracle
-
-    g = gamma_in(np.trace(rho0), np.trace(rho1))
-    return qsp_oracle(rho0, rho1, alpha_of(sigma, m, g))
 
 
 def variance_lincombo(alpha0, alpha1, beta0, states, obs, shots: int) -> float:
@@ -431,12 +439,7 @@ class BetaDesign:
     bound_at_opt: float
 
     def to_json(self) -> dict:
-        return {
-            "p": self.p,
-            "r": self.r,
-            "q_opt": self.q_opt,
-            "bound_at_opt": self.bound_at_opt,
-        }
+        return asdict(self)
 
 
 def beta_variance_bound(p: float, q: float, r: float) -> float:

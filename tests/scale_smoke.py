@@ -1,6 +1,8 @@
 """Exact evaluation and estimation at scale: GQT at n = 8 and 10, teleport at
 n = 7 and 9, QSP at n = 8 and 11, GQT and teleport at n = 7 on density
 inputs, `wstate variance` on a QSP n = 7 document, and QHP at n = 10.
+GQT at n = 10 also runs variance_bound after apply_exact and prints its
+time; its peak counts against that case's bound.
 
 Each apply_exact must match its closed-form oracle (subroutines.gqt,
 subroutines.teleport_map and subroutines.qsp_oracle). At GQT n = 8 and
@@ -56,7 +58,7 @@ import numpy as np
 
 from wstate.cli import main as cli_main
 from wstate.instrument import QuantumState, apply_exact, concatenate, expectation
-from wstate.sampling import sample_estimate
+from wstate.sampling import sample_estimate, variance_bound
 from wstate.serialize import EstimationTask, task_to_json
 from wstate.subroutines import (
     alpha_of,
@@ -88,12 +90,13 @@ def _density(rng, d):
 
 
 def check(kind: str, n: int, rng, bound_mib: int | None = None, densities: bool = False,
-          estimates: bool = True) -> tuple[bool, int]:
+          estimates: bool = True, with_bound: bool = False) -> tuple[bool, int]:
     """One case; bound_mib (an absolute bound, build included) in place of
     the bounds in kets; two full-rank density inputs in place of pure ones
-    when densities; apply_exact alone unless estimates. QSP takes a mixed
-    ancilla. Returns whether the case passed and the bytes the library
-    still holds of it once its instrument and outputs are gone."""
+    when densities; apply_exact alone unless estimates; a timed
+    variance_bound after apply_exact, inside the peak, when with_bound.
+    QSP takes a mixed ancilla. Returns whether the case passed and the bytes
+    the library still holds of it once its instrument and outputs are gone."""
     d = 2**n
     a, b = _state(rng, d), _state(rng, d)
     maps = [(rng.normal(size=(d, d)) + 1j * rng.normal(size=(d, d)),
@@ -128,6 +131,10 @@ def check(kind: str, n: int, rng, bound_mib: int | None = None, densities: bool 
         inst = inst or build()
         tau = apply_exact(inst, inputs).matrix
         seconds = time.perf_counter() - t0
+        if with_bound:
+            t0 = time.perf_counter()
+            variance_bound(inst, inputs, 1.0)
+            bound_seconds = time.perf_counter() - t0
         peak = tracemalloc.get_traced_memory()[1]
         err = float(np.abs(tau - want).max()) / max(1.0, float(np.abs(want).max()))
         if estimates:
@@ -147,7 +154,8 @@ def check(kind: str, n: int, rng, bound_mib: int | None = None, densities: bool 
     kets = peak / ket_bytes
     bound = PEAK_KETS * ket_bytes if bound_mib is None else bound_mib * 2**20
     ok = err <= 1e-10 and peak <= bound
-    print(f"{name}: {seconds:.2f} s, peak {peak / 2**20:.1f} MiB = {kets:.2f} kets, "
+    timed = f", variance_bound {bound_seconds:.2f} s" if with_bound else ""
+    print(f"{name}: {seconds:.2f} s{timed}, peak {peak / 2**20:.1f} MiB = {kets:.2f} kets, "
           f"oracle error {err:.1e}, {held / 2**20:.2f} MiB held once gone: "
           f"{'ok' if ok else 'FAILED'}")
     if not estimates:
@@ -238,7 +246,8 @@ def check_pipeline(n: int, rng, bound_mib: int, held_kib: int) -> bool:
 def main() -> int:
     rng = np.random.default_rng(8)
     cases = [check("gqt", 8, rng), check("teleport", 7, rng),
-             check("gqt", 10, rng, bound_mib=256), check("teleport", 9, rng, bound_mib=128),
+             check("gqt", 10, rng, bound_mib=256, with_bound=True),
+             check("teleport", 9, rng, bound_mib=128),
              check("qsp", 8, rng, bound_mib=16, densities=True)]
     document = check_document(7, rng, bound_mib=32)
     cases += [check("gqt", 7, rng, bound_mib=16, densities=True),

@@ -12,7 +12,10 @@ between two input registers (QHP's shape, dst no smaller than src) or a
 full-layout table, which take the gather. apply_exact must match
 conftest.reference_weighted_output; the estimators and branches must match
 the same instrument with U given as a dense matrix, which takes the gather
-path.
+path. On both, the cells must equal bit for bit, and the reports of
+sample_estimate, variance_exact and variance_bound must equal (==), a
+reference built here from the group table by one np.add.at per row and each
+statistic's own formula, with O random or degenerate.
 
 The controlled-SWAP instruments of build_qsp_instrument, whose evolution
 holds four blocks, are drawn too: the ancilla a pure vector, a density or a
@@ -63,9 +66,19 @@ from wstate.instrument import (
     branches,
     concatenate,
     evolve,
+    projected_outputs,
     weighted_output,
 )
-from wstate.sampling import sample_estimate, variance_bound, variance_exact
+from wstate.sampling import (
+    EstimatorReport,
+    VarianceBounds,
+    _group_table,
+    _joint_cells,
+    sample_counts,
+    sample_estimate,
+    variance_bound,
+    variance_exact,
+)
 from wstate.serialize import instrument_from_json, instrument_to_json
 from wstate.subroutines import (
     build_gqt_instrument,
@@ -81,6 +94,7 @@ from wstate.tensor import (
     RegisterLayout,
     Xor,
     combine_digits,
+    eigenbasis,
     form,
 )
 
@@ -263,6 +277,95 @@ def test_support_path_matches_dense_reference(case):
             if a.conditional_state is not None:
                 scale = 1.0 / a.probability
                 assert _close(a.conditional_state.matrix, b.conditional_state.matrix, scale)
+
+
+def _observable(rng, d, degenerate):
+    """A random Hermitian O, or one whose eigenvalues 1.5 and -0.5 repeat,
+    in a random basis."""
+    if not degenerate:
+        return rand_hermitian(rng, d)
+    v = rand_unitary(rng, d)
+    return (v * np.where(np.arange(d) <= d // 2, 1.5, -0.5)) @ v.conj().T
+
+
+def _per_row_reference(inst, inputs, obs, shots, seed):
+    """The cells (probabilities, weights), the report of sample_estimate,
+    variance_exact and variance_bound at ||O|| = 1, assembled from the group
+    tables' t here: the cells by one np.add.at per row of M's rows, each
+    statistic by its own formula, and the computational-basis t through the
+    identity's GEMM and einsum."""
+    rows = inst.measurement.rows
+    q, value, labels, merged, groups = rows
+    basis = o_vals, _, o_labels = eigenbasis(obs)
+    ev = evolve(inst, inputs)
+    t = _group_table(ev, inst.measurement, basis).t
+    cells = np.zeros((len(o_vals), len(merged)))
+    for r in range(len(q)):
+        np.add.at(cells[:, labels[r]], o_labels, q[r] * t.real[r])
+    probs = np.clip(cells.ravel(), 0.0, None)
+    weights = (o_vals.real[:, None] * merged[None, :]).ravel()
+    counts = sample_counts(probs, shots, seed)
+    mean = np.dot(counts, weights) / shots
+    second = float(np.dot(counts, np.abs(weights) ** 2).real)
+    o = o_vals.real[o_labels]
+
+    def moment(t, o):
+        return float(((q * np.abs(value) ** 2) @ (t @ o)).real)
+
+    a_mean = complex((q * value) @ (t @ o))
+    eye = np.eye(len(o))
+    diagonal = np.einsum("sa,gsa->ga", eye.conj(), np.array(projected_outputs(ev, groups)) @ eye)
+    sample_var = (second - shots * abs(mean) ** 2) / (shots - 1)
+    report = EstimatorReport(
+        shots, seed, complex(mean), float(max(sample_var, 0.0)), a_mean,
+        moment(t, o**2) - abs(a_mean) ** 2, float(np.abs(o_vals).max()) ** 2 * moment(t, o**0))
+    bounds = VarianceBounds(moment(diagonal, np.ones(len(o))), float(np.abs(value).max()) ** 2)
+    return (probs, weights), report, report.analytic_variance, bounds
+
+
+def _check_per_row_reference(inst, inputs, obs):
+    """_joint_cells bit for bit, and the estimators' reports equal (==), on
+    inst against _per_row_reference."""
+    cells, report, variance, bounds = _per_row_reference(inst, inputs, obs, 100, 1)
+    got = _joint_cells(_group_table(evolve(inst, inputs), inst.measurement, eigenbasis(obs)))
+    assert [x.tobytes() for x in got] == [x.tobytes() for x in cells]
+    assert sample_estimate(inst, inputs, obs, shots=100, seed=1) == report
+    assert variance_exact(inst, inputs, obs) == variance
+    assert variance_bound(inst, inputs, 1.0) == bounds
+
+
+@given(case=instruments(), degenerate=st.booleans())
+@settings(max_examples=60)
+def test_cells_and_reports_match_the_per_row_reference(case, degenerate):
+    # the kept law's flat index, bincount and moment columns against the
+    # per-row sums they replace, on the instrument and on its dense-U twin
+    inst, inputs, u = case
+    if any(isinstance(x, WeightedState) for x in inputs):
+        return
+    d = inst.output_layout.total_dim
+    obs = _observable(np.random.default_rng(d), d, degenerate)
+    for x in (inst, replace(inst, unitary=u)):
+        _check_per_row_reference(x, inputs, obs)
+
+
+@pytest.mark.parametrize("pure", [True, False], ids=["pure", "density"])
+def test_merged_cells_of_parts_and_a_degenerate_observable(pure, rng):
+    # M = |0><0| + i |+><+|, given as those two parts, is not normal; each
+    # part has the scaled value 0 once, and both zero groups fall into one
+    # cell; O repeats its eigenvalues, so its columns share cells too
+    plus = np.full((2, 2), 0.5)
+    zero = np.diag([1.0, 0.0])
+    meas = MeasurementOperator.of(zero + 1j * plus, ((1.0, zero), (1j, plus)))
+    inst = build_qsp_instrument(rand_density(rng, 2), meas, 2)
+    assert inst.measurement.kind == "nonnormal"
+    _, value, labels, merged, _ = inst.measurement.rows
+    assert len(merged) == len(value) - 1 and np.sum(labels == labels[value == 0][0]) == 2
+    make = QuantumState.pure if pure else QuantumState.from_density
+    inputs = [make((rand_state if pure else rand_density)(rng, 4)) for _ in range(2)]
+    obs = _observable(rng, 4, degenerate=True)
+    assert len(eigenbasis(obs)[0]) == 2
+    _check_per_row_reference(inst, inputs, obs)
+    _check_per_row_reference(table_held(inst), inputs, obs)
 
 
 def test_large_teleport_emulation_is_normal(rng):

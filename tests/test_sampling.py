@@ -662,6 +662,78 @@ class TestOperandReuse:
         assert sample_estimate(inst, inputs, obs, shots=2**63 - 1, seed=0).shots == 2**63 - 1
 
 
+class TestKeptLaw:
+    """The estimator's law (sampling._law) is derived once per instrument
+    and observable digest, and once per instrument for the computational
+    basis of variance_bound; an observable edited in place or another one
+    derives a new law, and a replaced instrument starts with an empty plan."""
+
+    @pytest.fixture
+    def laws(self, monkeypatch):
+        derived = []
+
+        def spy(rows, basis, d, real=wstate.sampling._law):
+            derived.append("computational" if basis is None else "observable")
+            return real(rows, basis, d)
+
+        monkeypatch.setattr(wstate.sampling, "_law", spy)
+        return derived
+
+    @pytest.mark.parametrize("form", sorted(TABLE_FORMS))
+    def test_repeated_calls_derive_nothing(self, laws, form):
+        inst, inputs, obs = _fresh(form, 67)
+        got = [sample_estimate(inst, inputs, obs, shots=1000, seed=9),
+               variance_exact(inst, inputs, obs), variance_bound(inst, inputs, 2.0)]
+        assert laws == ["observable", "computational"]
+        for _ in range(2):
+            assert got == [sample_estimate(inst, inputs, obs, shots=1000, seed=9),
+                           variance_exact(inst, inputs, obs), variance_bound(inst, inputs, 2.0)]
+        assert laws == ["observable", "computational"]
+        fresh = _fresh(form, 67)
+        assert got == [sample_estimate(*fresh, shots=1000, seed=9), variance_exact(*fresh),
+                       variance_bound(*fresh[:2], 2.0)]
+
+    def test_law_keeps_no_operator_sized_array_beyond_the_basis(self, rng):
+        # the law adds O(G d) entries to the eigenbasis it holds, no d x d copy
+        inst, inputs, obs = _fresh("low-rank", 71)
+        sample_estimate(inst, inputs, obs, shots=1000, seed=1)
+        variance_bound(inst, inputs, 1.0)
+        d, rows = len(obs), len(inst.measurement.rows[0])
+        (_, law), (_, diagonal) = inst._plan["observable"], inst._plan["computational"]
+        assert law.vecs.shape == (d, d) and diagonal.vecs is None
+        for kept in (law, diagonal):
+            arrays = [x for name, x in vars(kept).items()
+                      if isinstance(x, np.ndarray) and name != "vecs"]
+            assert max(x.size for x in arrays) <= max(3, rows) * d
+
+    def test_new_observable_derives_a_new_law(self, laws, rng):
+        inst, inputs, obs = _fresh("dense-parts", 73)
+        other, third = rand_hermitian(rng, 4), rand_hermitian(rng, 4)
+        want = sample_estimate(_fresh("dense-parts", 73)[0], inputs, third, shots=1000, seed=4)
+        laws.clear()
+        first = sample_estimate(inst, inputs, obs, shots=1000, seed=4)
+        assert sample_estimate(inst, inputs, other, shots=1000, seed=4) != first
+        assert laws == ["observable"] * 2
+        kept = obs.copy()
+        obs[...] = third  # edited in place: the digest changes
+        assert sample_estimate(inst, inputs, obs, shots=1000, seed=4) == want
+        obs[...] = kept
+        assert sample_estimate(inst, inputs, obs, shots=1000, seed=4) == first
+        assert laws == ["observable"] * 4
+
+    def test_replaced_measurement_starts_with_an_empty_plan(self, laws):
+        inst, inputs, obs = _fresh("dense-parts", 79)
+        sample_estimate(inst, inputs, obs, shots=1000, seed=3)
+        variance_bound(inst, inputs, 1.0)
+        meas = wstate.instrument.MeasurementOperator.of(-inst.measurement.matrix)
+        moved = dataclasses.replace(inst, measurement=meas)
+        assert set(inst._plan) == {"observable", "computational"} and moved._plan == {}
+        got = sample_estimate(moved, inputs, obs, shots=1000, seed=3)
+        assert laws == ["observable", "computational", "observable"]
+        fresh = wstate.instrument.QuantumInstrument(inst.layout, inst.ancilla, inst.unitary, meas)
+        assert got == sample_estimate(fresh, inputs, obs, shots=1000, seed=3)
+
+
 class TestVarianceClosures:
     def test_qhp_closure(self, rng):
         inst = build_qhp_instrument(1)
