@@ -338,10 +338,10 @@ class QuantumInstrument:
     ControlledSwap (QSP's, or a table that is one). Its routes live in its
     Frame: its own, checked at construction and gone with it, or a
     builder's kept frame (subroutines, QuantumInstrument.on), shared by the
-    builds of one size. Its own plan keeps the estimator's laws
-    (sampling._observable_basis): the last observable's, keyed by a digest
-    of its bytes, and the computational basis's; dataclasses.replace builds
-    a new instance with its own frame and plan.
+    builds of one size. Its own plan keeps the estimator's law for the last
+    observable an estimate read (sampling._observable_basis), under a key of
+    its shape, dtype and bytes' digest (so one edited in place gets a new
+    law); dataclasses.replace builds a new instance with its own frame and plan.
     """
 
     layout: RegisterLayout
@@ -358,7 +358,7 @@ class QuantumInstrument:
             )
         object.__setattr__(self, "unitary", frame.unitary)
         object.__setattr__(self, "_frame", frame)
-        # by the estimators: "observable" and "computational" -> (key, law)
+        # by the estimators: "observable" -> (key, law)
         object.__setattr__(self, "_plan", {})
 
     @classmethod
@@ -847,7 +847,11 @@ def branches(inst: QuantumInstrument, inputs) -> list[InstrumentBranch]:
         else:
             cond = ej / p
             cond = (cond + cond.conj().T) / 2
-            out.append(InstrumentBranch(complex(val), p, QuantumState(out_layout, density=cond)))
+            out.append(
+                InstrumentBranch(
+                    complex(val), p, QuantumState(out_layout, density=cond)
+                )
+            )
     if abs(total_p - 1.0) > PROBABILITY_TOL:
         raise InvalidDistribution(f"branch probabilities sum to {total_p}")
     return out

@@ -11,7 +11,7 @@ key), never on scheduling or worker count.
 from __future__ import annotations
 
 import math
-from dataclasses import asdict, dataclass
+from dataclasses import dataclass
 
 import numpy as np
 
@@ -126,25 +126,23 @@ def _check_hermitian_obs(obs, dim: int | None = None) -> np.ndarray:
     return o
 
 
-def _observable_basis(inst: QuantumInstrument, obs=None) -> _Law:
+def _observable_basis(inst: QuantumInstrument, obs) -> _Law:
     """The estimator's _Law on inst's output in the eigenbasis of a
-    Hermitian O, or in the computational basis when obs is None, kept in
-    inst's plan under "observable" for the last O read, or "computational".
-    O's key is its shape, dtype and a BLAKE2b digest of its bytes, not a
-    copy of them, so an O edited in place is checked, decomposed and given
-    a new law."""
-    name, key = "computational", None
-    if obs is not None:
-        import hashlib  # the command line does not load it otherwise
+    Hermitian O, kept in inst's plan for the last observable read.
 
-        o = np.asarray(obs, dtype=np.complex128)
-        name = "observable"
-        key = (o.shape, o.dtype.str, hashlib.blake2b(np.ascontiguousarray(o)).digest())
-    kept = inst._plan.get(name)
+    The key is O's shape, dtype and a BLAKE2b digest of its bytes, not a
+    copy of them, so an O edited in place is checked, decomposed and given
+    a new law.
+    """
+    import hashlib  # the command line does not load it otherwise
+
+    o = np.asarray(obs, dtype=np.complex128)
+    key = (o.shape, o.dtype.str, hashlib.blake2b(np.ascontiguousarray(o)).digest())
+    kept = inst._plan.get("observable")
     if kept is None or kept[0] != key:
         d = inst.layout.dim_of(inst.s_labels)
-        basis = None if obs is None else _eigenbasis(_check_hermitian_obs(o, d), True)
-        kept = inst._plan[name] = (key, _law(inst.measurement.rows, basis, d))
+        basis = _eigenbasis(_check_hermitian_obs(o, d), True)
+        kept = inst._plan["observable"] = (key, _law(inst.measurement.rows, basis, d))
     return kept[1]
 
 
@@ -155,8 +153,8 @@ class _Law:
     q, the flat cell index[r A + a] = labels[r] + len(merged) obs_labels[a]
     of row r and column a, the cells' weights (cell i + len(merged) j
     carries merged[i] times observable eigenvalue j) and |weights|^2,
-    cols[k] = o^k for k = 0, 1, 2 with o[a] the eigenvalue of b_a, the rows'
-    qv = q value and qv2 = q |value|^2, and o_norm = max_a |o[a]|."""
+    cols[k] = o^k for k = 0, 1, 2 with o[a] the eigenvalue of b_a, and the
+    rows' qv = q value and qv2 = q |value|^2."""
 
     groups: list
     vecs: np.ndarray | None
@@ -167,7 +165,6 @@ class _Law:
     cols: np.ndarray
     qv: np.ndarray
     qv2: np.ndarray
-    o_norm: float
 
 
 def _law(rows, basis, d: int) -> _Law:
@@ -178,9 +175,17 @@ def _law(rows, basis, d: int) -> _Law:
     o_vals, o_vecs, o_labels = basis or (np.ones(1), None, np.zeros(d, dtype=np.intp))
     o = o_vals.real[o_labels]
     weights = (o_vals.real[:, None] * merged[None, :]).ravel()
-    return _Law(groups, o_vecs, q, (labels[:, None] + len(merged) * o_labels[None, :]).ravel(),
-                weights, np.abs(weights) ** 2, np.stack((o**0, o, o**2)), q * value,
-                q * np.abs(value) ** 2, float(np.abs(o_vals).max()))
+    return _Law(
+        groups=groups,
+        vecs=o_vecs,
+        q=q,
+        index=(labels[:, None] + len(merged) * o_labels[None, :]).ravel(),
+        weights=weights,
+        weights2=np.abs(weights) ** 2,
+        cols=np.stack((o**0, o, o**2)),
+        qv=q * value,
+        qv2=q * np.abs(value) ** 2,
+    )
 
 
 @dataclass(frozen=True)
@@ -205,13 +210,12 @@ class _GroupTable:
         return float((self.law.qv2 @ (self.t @ self.law.cols[power])).real)
 
 
-def _group_table(ev, meas, basis=None, law=None):
-    """The _GroupTable of an evolution over the rows of MeasurementOperator
-    meas in O's eigenbasis basis, or the computational one (t[r] is then
-    E_g's diagonal, read without a product) when None; law, their kept _Law
-    (_observable_basis), stands for both. One projected_outputs call
-    contracts each projector form once: a structured M forms no d_E x d_E."""
-    law = law or _law(meas.rows, basis, ev.dims[0])
+def _group_table(ev, law: _Law) -> _GroupTable:
+    """The _GroupTable of an evolution over the rows and basis of law
+    (_law): t[r] is E_g's diagonal in the computational basis, read without
+    a product, and otherwise one GEMM and einsum with the basis. One
+    projected_outputs call contracts each projector form once, so a
+    structured M forms no d_E x d_E array."""
     outs = projected_outputs(ev, law.groups)
     if law.vecs is None:
         return _GroupTable(law, np.array([e.diagonal() for e in outs]))
@@ -276,12 +280,16 @@ def sample_estimate(
         raise ValidationError(f"unknown sampling method {method!r}")
     if workers < 1:
         raise ValidationError("workers must be >= 1")
-    table = _group_table(evolve(inst, inputs), inst.measurement, law=law)
+    table = _group_table(evolve(inst, inputs), law)
     probs, weights = _joint_cells(table)
     counts = _draw(probs, shots, seed)
-    mean = np.dot(counts, weights) / shots
+    total_w = np.dot(counts, weights)
+    mean = total_w / shots
     second = float(np.dot(counts, law.weights2).real)
-    sample_var = (second - shots * abs(mean) ** 2) / (shots - 1) if shots > 1 else 0.0
+    if shots > 1:
+        sample_var = (second - shots * abs(mean) ** 2) / (shots - 1)
+    else:
+        sample_var = 0.0
     a_mean = table.mean()
     return EstimatorReport(
         shots=shots,
@@ -290,7 +298,7 @@ def sample_estimate(
         sample_variance=float(max(sample_var, 0.0)),
         analytic_mean=a_mean,
         analytic_variance=table.second_moment(2) - abs(a_mean) ** 2,
-        variance_bound=law.o_norm ** 2 * table.second_moment(0),
+        variance_bound=float(np.abs(law.cols[1]).max()) ** 2 * table.second_moment(0),
     )
 
 
@@ -302,7 +310,7 @@ def variance_exact(inst: QuantumInstrument, inputs, obs) -> float:
     """Per-shot variance of the sampled estimator:
     sum_k (|c_k|^2/q_k) Tr[rho_out (O^2 (x) N_k N_k^dag (x) I)] - |Tr tau O|^2,
     read from one group table through W(N_k N_k^dag) = sum_g |lambda_g|^2 E_g."""
-    table = _group_table(evolve(inst, inputs), inst.measurement, law=_observable_basis(inst, obs))
+    table = _group_table(evolve(inst, inputs), _observable_basis(inst, obs))
     return float(table.second_moment(2) - abs(table.mean()) ** 2)
 
 
@@ -319,14 +327,15 @@ class VarianceBounds:
 
 
 def variance_bound(inst: QuantumInstrument, inputs, obs_norm: float) -> VarianceBounds:
-    """b1 from one group table in the computational basis (its law kept in
-    inst's plan), where <|M|^2> = sum_k (|c_k|^2/q_k) sum_g |lambda_g|^2 Tr E_g
-    by W(N_k N_k^dag) = sum_g |lambda_g|^2 E_g; b2 from M's rows' largest
-    |value| = max_k |c_k/q_k| ||N_k||_2, a normal part's spectral norm
-    being its largest |eigenvalue|."""
+    """b1 from one group table in the computational basis, where
+    <|M|^2> = sum_k (|c_k|^2/q_k) sum_g |lambda_g|^2 Tr E_g by
+    W(N_k N_k^dag) = sum_g |lambda_g|^2 E_g; b2 from the same rows'
+    largest |value| = max_k |c_k/q_k| ||N_k||_2, a normal part's spectral
+    norm being its largest |eigenvalue|."""
     if not math.isfinite(obs_norm) or obs_norm < 0:
         raise ValidationError("observable norm must be finite and nonnegative")
-    table = _group_table(evolve(inst, inputs), inst.measurement, law=_observable_basis(inst))
+    ev = evolve(inst, inputs)
+    table = _group_table(ev, _law(inst.measurement.rows, None, ev.dims[0]))
     b1 = obs_norm**2 * table.second_moment(0)
     b2 = obs_norm**2 * float(np.abs(inst.measurement.rows[1]).max()) ** 2
     return VarianceBounds(float(b1), float(b2))
@@ -362,8 +371,6 @@ def variance_gqt(sigma, rho, obs, shots: int) -> float:
 
 def variance_qsp(sigma, m, rho0, rho1, obs, shots: int) -> float:
     """Per-run variance of the controlled-SWAP instrument in closed form."""
-    from .subroutines import alpha_of, gamma_in, qsp_oracle
-
     _check_shots(shots)
     s = _mat(sigma, 2, "sigma")
     mm = operand(m, 2, "M")
@@ -372,7 +379,7 @@ def variance_qsp(sigma, m, rho0, rho1, obs, shots: int) -> float:
     o = _check_hermitian_obs(obs, len(r0))
     o2 = o @ o
     mm2 = mm @ mm.conj().T
-    tau = qsp_oracle(r0, r1, alpha_of(s, mm, gamma_in(np.trace(r0), np.trace(r1))))
+    tau = qsp_from_parts(s, mm, r0, r1)
     second = (
         s[0, 0] * mm2[0, 0] * np.trace(r0 @ o2) * np.trace(r1)
         + s[1, 1] * mm2[1, 1] * np.trace(r1 @ o2) * np.trace(r0)
@@ -380,6 +387,13 @@ def variance_qsp(sigma, m, rho0, rho1, obs, shots: int) -> float:
         + s[1, 0] * mm2[0, 1] * np.trace(r1 @ r0 @ o2)
     )
     return float((second.real - abs(expectation(tau, o)) ** 2) / shots)
+
+
+def qsp_from_parts(sigma, m, rho0, rho1) -> np.ndarray:
+    from .subroutines import alpha_of, gamma_in, qsp_oracle
+
+    g = gamma_in(np.trace(rho0), np.trace(rho1))
+    return qsp_oracle(rho0, rho1, alpha_of(sigma, m, g))
 
 
 def variance_lincombo(alpha0, alpha1, beta0, states, obs, shots: int) -> float:
@@ -439,7 +453,12 @@ class BetaDesign:
     bound_at_opt: float
 
     def to_json(self) -> dict:
-        return asdict(self)
+        return {
+            "p": self.p,
+            "r": self.r,
+            "q_opt": self.q_opt,
+            "bound_at_opt": self.bound_at_opt,
+        }
 
 
 def beta_variance_bound(p: float, q: float, r: float) -> float:

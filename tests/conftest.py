@@ -12,6 +12,7 @@ import wstate.instrument
 from wstate.cli import main
 from wstate.errors import InvalidState
 from wstate.instrument import MeasurementOperator, QuantumInstrument, QuantumState
+from wstate.sampling import _group_table, _law
 from wstate.subroutines import _gqt_frame, _qhp_frame, _qsp_frame, _teleport_frame
 from wstate.tensor import DenseOperator, PermutationUnitary, Register, RegisterLayout, form
 
@@ -127,6 +128,13 @@ def reference_weighted_output(inst, inputs):
     size = [int(np.prod([dims[i] for i in roles[role]])) for role in "SEG"]
     out = out.reshape(dims * 2).transpose(axes + [k + i for i in axes]).reshape(size * 2)
     return np.einsum("segtfg,fe->st", out, inst.measurement.matrix)
+
+
+def group_table(ev, meas, basis):
+    """sampling._group_table of an evolution over MeasurementOperator meas's
+    rows in an eigenbasis (tensor.eigenbasis of O), through a law derived
+    here rather than one kept in an instrument's plan."""
+    return _group_table(ev, _law(meas.rows, basis, ev.dims[0]))
 
 
 def table_held(inst):

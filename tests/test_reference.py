@@ -72,7 +72,6 @@ from wstate.instrument import (
 from wstate.sampling import (
     EstimatorReport,
     VarianceBounds,
-    _group_table,
     _joint_cells,
     sample_counts,
     sample_estimate,
@@ -100,6 +99,7 @@ from wstate.tensor import (
 
 from conftest import (
     emulate_nonnormal,
+    group_table,
     no_gather,
     rand_density,
     rand_hermitian,
@@ -298,7 +298,7 @@ def _per_row_reference(inst, inputs, obs, shots, seed):
     q, value, labels, merged, groups = rows
     basis = o_vals, _, o_labels = eigenbasis(obs)
     ev = evolve(inst, inputs)
-    t = _group_table(ev, inst.measurement, basis).t
+    t = group_table(ev, inst.measurement, basis).t
     cells = np.zeros((len(o_vals), len(merged)))
     for r in range(len(q)):
         np.add.at(cells[:, labels[r]], o_labels, q[r] * t.real[r])
@@ -327,7 +327,7 @@ def _check_per_row_reference(inst, inputs, obs):
     """_joint_cells bit for bit, and the estimators' reports equal (==), on
     inst against _per_row_reference."""
     cells, report, variance, bounds = _per_row_reference(inst, inputs, obs, 100, 1)
-    got = _joint_cells(_group_table(evolve(inst, inputs), inst.measurement, eigenbasis(obs)))
+    got = _joint_cells(group_table(evolve(inst, inputs), inst.measurement, eigenbasis(obs)))
     assert [x.tobytes() for x in got] == [x.tobytes() for x in cells]
     assert sample_estimate(inst, inputs, obs, shots=100, seed=1) == report
     assert variance_exact(inst, inputs, obs) == variance

@@ -26,7 +26,6 @@ from wstate.instrument import (
     weighted_output,
 )
 from wstate.sampling import (
-    _group_table,
     _joint_cells,
     EstimatorReport,
     allocate_shots,
@@ -66,7 +65,14 @@ from wstate.tensor import (
     spectral_norm,
 )
 
-from conftest import rand_density, rand_hermitian, rand_state, rand_unitary, table_held
+from conftest import (
+    group_table,
+    rand_density,
+    rand_hermitian,
+    rand_state,
+    rand_unitary,
+    table_held,
+)
 
 
 class TestSampleCounts:
@@ -116,7 +122,7 @@ class TestSampleCounts:
         with pytest.raises(InvalidDistribution):
             sample_counts(np.array([0.5, bad, 0.5]), 10, seed=1)
         inst, inputs, obs = _fresh("dense-parts", 5)
-        table = _group_table(evolve(inst, inputs), inst.measurement, eigenbasis(obs))
+        table = group_table(evolve(inst, inputs), inst.measurement, eigenbasis(obs))
         t = table.t.copy()
         t[0, 0] = bad
         with pytest.raises(InvalidDistribution):
@@ -213,7 +219,7 @@ class TestSampleEstimate:
         assert scaled.measurement.kind == base.measurement.kind
         counts = []
         for inst in (base, scaled):
-            table = _group_table(evolve(inst, inputs), inst.measurement, eigenbasis(obs))
+            table = group_table(evolve(inst, inputs), inst.measurement, eigenbasis(obs))
             probs, _ = _joint_cells(table)
             counts.append(sample_counts(probs, 20000, seed=3))
         assert np.array_equal(counts[0], counts[1])
@@ -361,7 +367,7 @@ class TestGroupTable:
             inputs = [QuantumState.from_density(rand_density(rng, d)) for _ in range(2)]
         obs = rand_hermitian(rng, d)
         ev = evolve(inst, inputs)
-        table = _group_table(ev, meas, eigenbasis(obs))
+        table = group_table(ev, meas, eigenbasis(obs))
 
         # tolerances relative to the operator scale, not to the value
         o_norm = spectral_norm(obs)
@@ -663,17 +669,18 @@ class TestOperandReuse:
 
 
 class TestKeptLaw:
-    """The estimator's law (sampling._law) is derived once per instrument
-    and observable digest, and once per instrument for the computational
-    basis of variance_bound; an observable edited in place or another one
-    derives a new law, and a replaced instrument starts with an empty plan."""
+    """The estimator's law (sampling._law) in an observable's eigenbasis is
+    derived once per instrument and observable digest; an observable edited
+    in place or another one derives a new law, and a replaced instrument
+    starts with an empty plan."""
 
     @pytest.fixture
     def laws(self, monkeypatch):
         derived = []
 
         def spy(rows, basis, d, real=wstate.sampling._law):
-            derived.append("computational" if basis is None else "observable")
+            if basis is not None:  # variance_bound derives its own each call
+                derived.append("observable")
             return real(rows, basis, d)
 
         monkeypatch.setattr(wstate.sampling, "_law", spy)
@@ -684,11 +691,11 @@ class TestKeptLaw:
         inst, inputs, obs = _fresh(form, 67)
         got = [sample_estimate(inst, inputs, obs, shots=1000, seed=9),
                variance_exact(inst, inputs, obs), variance_bound(inst, inputs, 2.0)]
-        assert laws == ["observable", "computational"]
+        assert laws == ["observable"]
         for _ in range(2):
             assert got == [sample_estimate(inst, inputs, obs, shots=1000, seed=9),
                            variance_exact(inst, inputs, obs), variance_bound(inst, inputs, 2.0)]
-        assert laws == ["observable", "computational"]
+        assert laws == ["observable"]
         fresh = _fresh(form, 67)
         assert got == [sample_estimate(*fresh, shots=1000, seed=9), variance_exact(*fresh),
                        variance_bound(*fresh[:2], 2.0)]
@@ -699,12 +706,12 @@ class TestKeptLaw:
         sample_estimate(inst, inputs, obs, shots=1000, seed=1)
         variance_bound(inst, inputs, 1.0)
         d, rows = len(obs), len(inst.measurement.rows[0])
-        (_, law), (_, diagonal) = inst._plan["observable"], inst._plan["computational"]
-        assert law.vecs.shape == (d, d) and diagonal.vecs is None
-        for kept in (law, diagonal):
-            arrays = [x for name, x in vars(kept).items()
-                      if isinstance(x, np.ndarray) and name != "vecs"]
-            assert max(x.size for x in arrays) <= max(3, rows) * d
+        assert set(inst._plan) == {"observable"}
+        _, law = inst._plan["observable"]
+        assert law.vecs.shape == (d, d)
+        arrays = [x for name, x in vars(law).items()
+                  if isinstance(x, np.ndarray) and name != "vecs"]
+        assert max(x.size for x in arrays) <= max(3, rows) * d
 
     def test_new_observable_derives_a_new_law(self, laws, rng):
         inst, inputs, obs = _fresh("dense-parts", 73)
@@ -727,11 +734,21 @@ class TestKeptLaw:
         variance_bound(inst, inputs, 1.0)
         meas = wstate.instrument.MeasurementOperator.of(-inst.measurement.matrix)
         moved = dataclasses.replace(inst, measurement=meas)
-        assert set(inst._plan) == {"observable", "computational"} and moved._plan == {}
+        assert set(inst._plan) == {"observable"} and moved._plan == {}
         got = sample_estimate(moved, inputs, obs, shots=1000, seed=3)
-        assert laws == ["observable", "computational", "observable"]
+        assert laws == ["observable", "observable"]
         fresh = wstate.instrument.QuantumInstrument(inst.layout, inst.ancilla, inst.unitary, meas)
         assert got == sample_estimate(fresh, inputs, obs, shots=1000, seed=3)
+
+
+    def test_missing_observable_rejected(self):
+        # None is not an observable, nor a request for the computational basis
+        inst, inputs, _ = _fresh("dense-parts", 83)
+        with pytest.raises(ValidationError):
+            sample_estimate(inst, inputs, None, shots=1000, seed=3)
+        with pytest.raises(ValidationError):
+            variance_exact(inst, inputs, None)
+        assert inst._plan == {}
 
 
 class TestVarianceClosures:

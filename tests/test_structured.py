@@ -30,7 +30,6 @@ from wstate.instrument import (
     weighted_output,
 )
 from wstate.sampling import (
-    _group_table,
     _joint_cells,
     sample_estimate,
     variance_bound,
@@ -56,7 +55,14 @@ from wstate.tensor import (
     spectral_norm,
 )
 
-from conftest import emulate_nonnormal, rand_density, rand_hermitian, rand_state, table_held
+from conftest import (
+    emulate_nonnormal,
+    group_table,
+    rand_density,
+    rand_hermitian,
+    rand_state,
+    table_held,
+)
 
 
 def _complex(rng, d):
@@ -120,8 +126,8 @@ def test_structured_cells_match_dense(rng, n, pure, method):
         inputs = _inputs(rng, d, pure)
         obs = rand_hermitian(rng, d)
         ev = evolve(inst, inputs)
-        got = _law(*_joint_cells(_group_table(ev, inst.measurement, eigenbasis(obs))))
-        want = _law(*_joint_cells(_group_table(ev, dense.measurement, eigenbasis(obs))))
+        got = _law(*_joint_cells(group_table(ev, inst.measurement, eigenbasis(obs))))
+        want = _law(*_joint_cells(group_table(ev, dense.measurement, eigenbasis(obs))))
         assert len(got[0]) == len(want[0]), name
         assert np.abs(got[0] - want[0]).max() <= 1e-12 * np.abs(want[0]).max(), name
         assert np.abs(got[1] - want[1]).max() <= 1e-12, name
@@ -154,8 +160,8 @@ def test_merged_cells_match_emulated_instrument(rng, n, pure, kind):
     inputs = _inputs(rng, d, pure)
     obs = rand_hermitian(rng, d)
     basis = eigenbasis(obs)
-    got = _law(*_joint_cells(_group_table(evolve(inst, inputs), inst.measurement, basis)))
-    want = _law(*_joint_cells(_group_table(evolve(emulated, inputs), emulated.measurement, basis)))
+    got = _law(*_joint_cells(group_table(evolve(inst, inputs), inst.measurement, basis)))
+    want = _law(*_joint_cells(group_table(evolve(emulated, inputs), emulated.measurement, basis)))
     assert len(got[0]) == len(want[0])
     assert np.abs(got[0] - want[0]).max() <= 1e-12 * np.abs(want[0]).max()
     assert np.abs(got[1] - want[1]).max() <= 1e-12
