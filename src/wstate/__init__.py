@@ -21,8 +21,8 @@ _EXPORTS = {
     ),
     "experiments": ("ResultTable", "family_state", "run_experiment"),
     "instrument": (
-        "InstrumentBranch", "MeasurementOperator", "Pipeline", "QuantumInstrument",
-        "QuantumState", "WeightedState", "apply_exact", "branches", "concatenate", "expectation",
+        "InstrumentBranch", "MeasurementOperator", "QuantumInstrument", "QuantumState",
+        "WeightedState", "apply_exact", "branches", "expectation",
     ),
     "lcs": (
         "LcsProblem", "LcuResult", "PauliDecomposition", "all_at_once_M", "all_at_once_apply",

@@ -21,7 +21,7 @@ itself with M in any form (tensor.form) through that form's primitives.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, replace
+from dataclasses import dataclass
 from functools import cached_property, reduce
 
 import numpy as np
@@ -36,8 +36,6 @@ from .tensor import (
     NORMALITY_TOL,
     Register,
     RegisterLayout,
-    compose,
-    embed_operator,
     form,
     hermiticity_residual,
     merge_values,
@@ -855,148 +853,3 @@ def branches(inst: QuantumInstrument, inputs) -> list[InstrumentBranch]:
     if abs(total_p - 1.0) > PROBABILITY_TOL:
         raise InvalidDistribution(f"branch probabilities sum to {total_p}")
     return out
-
-
-# ---------------------------------------------------------------------------
-# concatenation
-
-
-def _fresh_label(base: str, taken) -> str:
-    label = base
-    while label in taken:
-        label = label + "'"
-    return label
-
-
-@dataclass(frozen=True)
-class Pipeline:
-    """Two instruments wired in sequence plus the flattened equivalent.
-
-    wiring maps each S register of the first stage onto an input register of
-    the second. Staged evaluation applies the second stage by linearity to
-    the factor columns of tau_1 (x) fresh inputs, with tau_1 factored by its
-    SVD and no D_in x D_in matrix formed; the flattened form, a single
-    instrument with the combined unitary and the product measurement, used
-    for sampling and variance analysis, is built on first read.
-    """
-
-    first: QuantumInstrument
-    second: QuantumInstrument
-    wiring: dict
-
-    def apply_staged(self, first_inputs, fresh_inputs=()) -> WeightedState:
-        tau1 = apply_exact(self.first, first_inputs)
-        lay = self.second.layout
-        wired = [lay.index(self.wiring[l]) for l in self.first.s_labels]
-        other = [lay.index(l) for l in self.second.input_labels if lay.index(l) not in wired]
-        pieces = [(_factor(tau1), wired)]
-        if other:
-            pieces.append((_input_factors(fresh_inputs), other))
-        ev = _evolve(self.second, pieces)
-        return WeightedState(
-            weighted_output(ev, self.second.measurement.operator), self.second.output_layout
-        )
-
-    def apply_flattened(self, first_inputs, fresh_inputs=()) -> WeightedState:
-        return apply_exact(self.flattened, _pieces(first_inputs) + _pieces(fresh_inputs))
-
-    @cached_property
-    def flattened(self) -> QuantumInstrument:
-        """One instrument on the union of the stages' registers: U = U2 U1
-        and M1 (x) M2 on the union of E registers."""
-        first, second, wiring = self.first, self.second, self.wiring
-        lay2 = second.layout
-        inverse = {b: a for a, b in wiring.items()}
-        taken = set(first.layout.labels)
-        rename: dict[str, str] = {}
-        combined: list[Register] = []
-        for r in first.layout.registers:
-            if r.label in wiring:
-                tgt = lay2.registers[lay2.index(wiring[r.label])]
-                combined.append(replace(r, role=tgt.role))
-            else:
-                combined.append(r)
-        for r in lay2.registers:
-            if r.label in inverse:
-                rename[r.label] = inverse[r.label]
-                continue
-            new_label = _fresh_label(r.label, taken)
-            taken.add(new_label)
-            rename[r.label] = new_label
-            combined.append(replace(r, label=new_label))
-        new_layout = RegisterLayout(tuple(combined))
-
-        # second-stage unitary acts on its registers wherever they now live
-        u2_labels = [rename[r.label] for r in lay2.registers]
-        u_total = compose(
-            form(second.unitary).placed(u2_labels, new_layout),
-            form(first.unitary).placed(first.layout.labels, new_layout),
-        )
-
-        # the stages measure disjoint registers, so M1 (x) M2, and each product
-        # of their normal parts (a tensor product of normal operators, hence
-        # normal), is one Kronecker product placed on the union of E registers
-        e_sub = new_layout.sub(r.label for r in combined if r.role == "E")
-        e12 = list(first.e_labels) + [rename[l] for l in second.e_labels]
-
-        def product(a, b):
-            return embed_operator(np.kron(form(a).dense(), form(b).dense()), e12, e_sub)
-
-        meas1, meas2 = first.measurement, second.measurement
-        m_total = product(meas1.operator, meas2.operator)
-        decomposition = None
-        if "nonnormal" in (meas1.kind, meas2.kind):
-            parts2 = meas2.normal_parts()
-            decomposition = tuple(
-                (c1 * c2, product(n1, n2)) for c1, n1 in meas1.normal_parts() for c2, n2 in parts2
-            )
-
-        # the ancilla registers of both stages, in layout order: first, then second
-        ancillas = [a for a in (first.ancilla, second.ancilla) if a is not None]
-        anc = None
-        if ancillas:
-            anc_layout = new_layout.sub(r.label for r in combined if r.source == "ancilla")
-            if all(a.is_pure for a in ancillas):
-                anc = QuantumState(anc_layout, vector=reduce(np.kron, [a.vector for a in ancillas]))
-            else:
-                anc = QuantumState(anc_layout, density=reduce(np.kron, [a.matrix for a in ancillas]))
-
-        return QuantumInstrument(
-            new_layout,
-            ancilla=anc,
-            unitary=u_total,
-            measurement=MeasurementOperator.of(m_total, decomposition),
-        )
-
-
-def concatenate(
-    first: QuantumInstrument, second: QuantumInstrument, wiring: dict | None = None
-) -> Pipeline:
-    """Wire the first stage's S registers into input registers of the second.
-
-    Unwired second-stage inputs become fresh inputs of the pipeline, appended
-    after the first stage's own inputs. The wiring is checked here; the
-    flattened instrument, which applies U = U2 U1 and measures M1 (x) M2 on
-    the union of E registers, is built when first read.
-    """
-    s1 = list(first.s_labels)
-    in2 = list(second.input_labels)
-    if wiring is None:
-        if len(s1) > len(in2):
-            raise DimensionMismatch(
-                f"first stage outputs {len(s1)} registers, second accepts {len(in2)}"
-            )
-        wiring = dict(zip(s1, in2))
-    if sorted(wiring.keys()) != sorted(s1):
-        raise ValidationError(f"wiring must cover exactly the S registers {s1}")
-    if len(set(wiring.values())) != len(wiring):
-        raise ValidationError("wiring maps two registers onto the same target")
-    lay2 = second.layout
-    for a, b in wiring.items():
-        if b not in in2:
-            raise ValidationError(f"wiring target {b!r} is not an input register")
-        da = first.layout.registers[first.layout.index(a)].dim
-        db = lay2.registers[lay2.index(b)].dim
-        if da != db:
-            raise DimensionMismatch(f"wire {a!r}->{b!r} joins dims {da} and {db}")
-    return Pipeline(first=first, second=second, wiring=dict(wiring))

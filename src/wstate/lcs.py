@@ -37,7 +37,13 @@ from .instrument import (
     WeightedState,
     apply_exact,
 )
-from .sampling import EstimatorReport, _check_hermitian_obs, allocate_shots, sample_counts
+from .sampling import (
+    EstimatorReport,
+    _check_hermitian_obs,
+    _check_shots,
+    allocate_shots,
+    sample_counts,
+)
 from .tensor import (
     PermutationUnitary,
     Register,
@@ -322,8 +328,7 @@ def incoherent_estimate(
     The budget is allocated proportionally to the term prefactors; every
     active circuit gets its own deterministic RNG stream.
     """
-    if shots < 1:
-        raise ValidationError("shot count must be >= 1")
+    _check_shots(shots)
     circuits = _incoherent_circuits(problem, v, obs_decomposition)
     alloc = allocate_shots([abs(c[0]) for c in circuits], shots)
     estimate = 0.0
@@ -362,6 +367,7 @@ def variance_postprocessing(problem, obs_decomposition, total_shots: int, v=None
     The allocation s_c = total_shots |pref_c| / W is treated as continuous,
     which is the infinite-total limit of the integer allocator.
     """
+    _check_shots(total_shots)
     if not isinstance(obs_decomposition, PauliDecomposition):
         raise ValidationError("need a PauliDecomposition of the observable")
     circuits = _incoherent_circuits(problem, v, obs_decomposition)

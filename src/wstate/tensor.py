@@ -350,7 +350,7 @@ class DenseOperator:
         return u
 
     def preimage_indices(self, layout: RegisterLayout, groups) -> list[np.ndarray]:
-        """The identity's: pieces are placed in layout order, U applied after."""
+        """The identity's: pieces sit in layout order, U applied after."""
         digits, dims = register_digits(layout), layout.dims
         return [combine_digits([digits[p] for p in pos], [dims[p] for p in pos]) for pos in groups]
 
@@ -365,10 +365,6 @@ class DenseOperator:
         with its axes in order: one GEMM in layout order, then a transpose."""
         y = self.array @ gather(list(range(len(shape)))).reshape(self.array.shape[0], -1)
         return np.ascontiguousarray(y.reshape(shape).transpose(group))
-
-    def placed(self, labels: Sequence[str], layout: RegisterLayout) -> "DenseOperator":
-        """U on the registers labels (those of U's layout, renamed) of layout."""
-        return DenseOperator(embed_operator(self.array, labels, layout))
 
     def to_json(self) -> dict:
         return matrix_to_json(self.array)
@@ -415,12 +411,6 @@ class PermutationUnitary:
     @property
     def shape(self) -> tuple[int, int]:
         return (self.dim, self.dim)
-
-    def __matmul__(self, other: "PermutationUnitary") -> "PermutationUnitary":
-        # matrix semantics: other acts first
-        if (self.labels, self.layout) != (other.labels, other.layout):
-            raise DimensionMismatch("permutations held on different registers")
-        return PermutationUnitary(self.perm[other.perm], self.labels, self.layout)
 
     def lifted(self) -> "PermutationUnitary":
         """The same U as one table over the whole layout."""
@@ -585,16 +575,6 @@ class PermutationUnitary:
         """U on the joint block that gather(order) writes at preimage_indices:
         the gather itself applies U, straight in group order."""
         return gather(group)
-
-    def placed(self, labels: Sequence[str], layout: RegisterLayout) -> "PermutationUnitary":
-        """U on the registers labels (those of U's layout, renamed) of layout.
-        An Xor or ControlledSwap stays one, so no table is read from it."""
-        if self.labels is not None:
-            new = dict(zip(self.layout.labels, labels))
-            labels = [new[label] for label in self.labels]
-            if isinstance(self, (Xor, ControlledSwap)):
-                return type(self)(labels, layout)
-        return PermutationUnitary(self.perm, labels, layout)
 
     def to_json(self) -> dict:
         """The full-layout table, whichever registers U is held on."""
@@ -882,14 +862,6 @@ def form(op):
     return DenseOperator(op)
 
 
-def compose(second, first):
-    """second @ first of two unitary forms placed on one layout: one
-    full-layout table when both are permutations, a dense array otherwise."""
-    if isinstance(second, PermutationUnitary) and isinstance(first, PermutationUnitary):
-        return second.lifted() @ first.lifted()
-    return second.dense() @ first.dense()
-
-
 def register_digits(layout: RegisterLayout) -> list[np.ndarray]:
     """digits[r] = value of register r (mixed radix) as a grid of dims[r]
     entries on axis r and length 1 on every other axis, not a D-length array."""
@@ -913,30 +885,11 @@ def embed_permutation(
     labels), extended to one table over the full layout, identity elsewhere.
 
     The one place a full-layout table is built from a register table: only
-    a dense U, a JSON document, a measurement and the flattened unitary of a
-    concatenation need one. A u held on those registers (an Xor) gives its
-    own digit grids, without its table."""
+    a dense U, a JSON document and a measurement need one. A u held on
+    those registers (an Xor) gives its own digit grids, without its table."""
     held = u if u.layout is layout and u.labels == tuple(labels) else PermutationUnitary(
         u.perm, labels, layout)
     return PermutationUnitary(held._indices(layout, {}, [range(len(layout.dims))])[0])
-
-
-def embed_operator(op, labels: Sequence[str], layout: RegisterLayout) -> np.ndarray:
-    """Dense embedding of an operator on the given registers (in the order of
-    labels) into the full layout, identity elsewhere."""
-    dims = layout.dims
-    k = len(dims)
-    pos = [layout.index(l) for l in labels]
-    a = operand(op, math.prod(dims[p] for p in pos), f"operator on {list(labels)}")
-    rest = [i for i in range(k) if i not in set(pos)]
-    d_rest = math.prod(dims[i] for i in rest) if rest else 1
-    full = np.kron(a, np.eye(d_rest, dtype=np.complex128))
-    axis_dims = [dims[p] for p in pos] + [dims[i] for i in rest]
-    t = full.reshape(axis_dims + axis_dims)
-    order = pos + rest  # axis i of t belongs to register order[i]
-    inv = [order.index(r) for r in range(k)]
-    t = t.transpose(inv + [k + p for p in inv])
-    return t.reshape(layout.total_dim, layout.total_dim)
 
 
 # ---------------------------------------------------------------------------

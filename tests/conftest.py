@@ -14,7 +14,15 @@ from wstate.errors import InvalidState
 from wstate.instrument import MeasurementOperator, QuantumInstrument, QuantumState
 from wstate.sampling import _group_table, _law
 from wstate.subroutines import _gqt_frame, _qhp_frame, _qsp_frame, _teleport_frame
-from wstate.tensor import DenseOperator, PermutationUnitary, Register, RegisterLayout, form
+from wstate.tensor import (
+    ControlledSwap,
+    DenseOperator,
+    PermutationUnitary,
+    Register,
+    RegisterLayout,
+    Xor,
+    form,
+)
 
 settings.register_profile(
     "suite", deadline=None, suppress_health_check=[HealthCheck.too_slow]
@@ -168,8 +176,9 @@ def emulate_nonnormal(inst):
     q_k = |c_k|/sum|c_k| and the block measurement sum_k |k><k| (x) N_k
     (rescaled so each block absorbs c_k/q_k); the result has a normal
     measurement and the same weighted output on every input, and its law is
-    the one sampling._joint_cells draws from. A permutation U keeps its
-    table, held on the same registers of the new layout.
+    the one sampling._joint_cells draws from. K is the last register, so a
+    dense U becomes U (x) I_K, and a permutation U keeps its table, held on
+    the same registers of the new layout.
     """
     parts = [(c, n) for c, n in inst.measurement.normal_parts() if c != 0]
     total = sum(abs(c) for c, _ in parts)
@@ -194,9 +203,29 @@ def emulate_nonnormal(inst):
     rho = inst.ancilla.matrix if inst.ancilla else np.ones((1, 1))
     anc_state = QuantumState(anc_layout, density=np.kron(rho, np.diag(q)))
 
+    u = form(inst.unitary)
+    if isinstance(u, DenseOperator):
+        unitary = np.kron(u.array, np.eye(nk))
+    else:
+        labels = inst.layout.labels if u.labels is None else u.labels
+        unitary = (type(u)(labels, new_layout) if isinstance(u, (Xor, ControlledSwap))
+                   else PermutationUnitary(u.perm, labels, new_layout))
     return QuantumInstrument(
         new_layout,
         ancilla=anc_state,
-        unitary=form(inst.unitary).placed(inst.layout.labels, new_layout),
+        unitary=unitary,
         measurement=MeasurementOperator.of(m_new),
     )
+
+
+def embed_operator(op, labels, layout):
+    """Dense embedding of an operator on the given registers (in the order
+    of labels) into the full layout, identity elsewhere."""
+    dims, k = layout.dims, len(layout.dims)
+    pos = [layout.index(l) for l in labels]
+    rest = [i for i in range(k) if i not in pos]
+    full = np.kron(op, np.eye(int(np.prod([dims[i] for i in rest]))))
+    order = pos + rest  # axis i of the product belongs to register order[i]
+    inv = [order.index(r) for r in range(k)]
+    t = full.reshape([dims[i] for i in order] * 2).transpose(inv + [k + i for i in inv])
+    return t.reshape(layout.total_dim, layout.total_dim)

@@ -32,11 +32,12 @@ reads what the library still holds of it (tracemalloc, current bytes after
 gc.collect()): above subroutines.FRAME_QUBITS (6) the builders keep no
 frame, so this is the identity a permutation M's groups keep
 (PermutationUnitary.identity). The sum over the cases, an upper bound of
-what the library holds after them all, must stay below 12 MiB. Last, a
-pipeline of two QHP n = 5 instruments, whose frame is kept, is flattened
-and applied to three pure inputs: it must match subroutines.qhp applied
-twice, peak below 48 MiB, and hold below 4 KiB once the pipeline is gone,
-so that flattening derives nothing on the kept frame (an Xor's table there
+what the library holds after them all, must stay below 12 MiB. Last, two
+QHP n = 5 instruments, whose frame and its route are kept and warmed
+beforehand, are chained on three pure inputs, the second fed the first's
+weighted state through apply_exact: it must match subroutines.qhp applied
+twice, peak below 48 MiB, and hold below 4 KiB once both stages are gone,
+so that the chain derives nothing on the kept frame (an Xor's table there
 would be 8 KiB).
 
 Run from the repository root:
@@ -57,7 +58,7 @@ import tracemalloc
 import numpy as np
 
 from wstate.cli import main as cli_main
-from wstate.instrument import QuantumState, apply_exact, concatenate, expectation
+from wstate.instrument import QuantumState, apply_exact, expectation
 from wstate.sampling import sample_estimate, variance_bound
 from wstate.serialize import EstimationTask, task_to_json
 from wstate.subroutines import (
@@ -215,29 +216,30 @@ def check_document(n: int, rng, bound_mib: int) -> bool:
 
 
 def check_pipeline(n: int, rng, bound_mib: int, held_kib: int) -> bool:
-    """QHP at n qubits wired into QHP at n qubits, flattened and applied to
-    three pure inputs, the builders' frame of n built beforehand: the
-    oracle, the tracemalloc peak from the builds on, and what is held once
-    the pipeline and its output are gone."""
+    """QHP at n qubits fed into QHP at n qubits, apply_exact(second,
+    [apply_exact(first, inputs[:2]), inputs[2]]) on three pure inputs, the
+    builders' frame of n and its route chosen beforehand: the oracle, the
+    tracemalloc peak from the builds on, and what is held once both stages
+    and their outputs are gone."""
     d = 2**n
     inputs = [QuantumState.pure(_state(rng, d)) for _ in range(3)]
     want = qhp(qhp(*(x.matrix for x in inputs[:2])), inputs[2].matrix)
-    build_qhp_instrument(n)
+    apply_exact(build_qhp_instrument(n), inputs[:2])
     tracemalloc.start()
     t0 = time.perf_counter()
     try:
-        pipe = concatenate(build_qhp_instrument(n), build_qhp_instrument(n))
-        tau = pipe.apply_flattened(inputs[:2], inputs[2:]).matrix
+        first, second = build_qhp_instrument(n), build_qhp_instrument(n)
+        tau = apply_exact(second, [apply_exact(first, inputs[:2]), inputs[2]]).matrix
         seconds = time.perf_counter() - t0
         peak = tracemalloc.get_traced_memory()[1]
         err = float(np.abs(tau - want).max()) / max(1.0, float(np.abs(want).max()))
-        del pipe, tau
+        del first, second, tau
         gc.collect()
         held = tracemalloc.get_traced_memory()[0]
     finally:
         tracemalloc.stop()
     ok = err <= 1e-10 and peak <= bound_mib * 2**20 and held <= held_kib * 2**10
-    print(f"qhp pipeline n={n} flattened: {seconds:.2f} s, peak {peak / 2**20:.1f} MiB, "
+    print(f"qhp chain n={n} through apply_exact: {seconds:.2f} s, peak {peak / 2**20:.1f} MiB, "
           f"oracle error {err:.1e}, {held / 2**10:.2f} KiB held once gone: "
           f"{'ok' if ok else 'FAILED'}")
     return ok

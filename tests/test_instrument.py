@@ -27,7 +27,6 @@ from wstate.instrument import (
     _kron_factors,
     apply_exact,
     branches,
-    concatenate,
     evolve,
     expectation,
     weighted_output,
@@ -47,16 +46,17 @@ from wstate.tensor import (
     PermutationUnitary,
     Register,
     RegisterLayout,
-    embed_operator,
     form,
 )
 
 from conftest import (
+    embed_operator,
     emulate_nonnormal,
     rand_density,
     rand_hermitian,
     rand_state,
     rand_unitary,
+    reference_weighted_output,
     table_held,
 )
 
@@ -529,15 +529,32 @@ class TestEmulation:
             assert np.abs(t1.matrix - t2.matrix).max() < 1e-10
 
 
+def _composed(first, second, inputs, fresh, at=0):
+    """second after first: tau_1 = apply_exact(first, inputs) fed into the
+    second stage's input register at, fresh pieces into the others."""
+    pieces = list(fresh)
+    pieces.insert(at, apply_exact(first, inputs))
+    return apply_exact(second, pieces).matrix
+
+
+def _staged_reference(first, second, inputs, fresh, at=0):
+    """_composed through conftest.reference_weighted_output, stage by stage."""
+    pieces = list(fresh)
+    pieces.insert(at, reference_weighted_output(first, inputs))
+    return reference_weighted_output(second, pieces)
+
+
 class TestConcatenate:
+    """A concatenation is one apply_exact fed the weighted state of another:
+    apply_exact(second, [apply_exact(first, inputs), *fresh]), tau_1 taken
+    through its SVD (instrument._factor) as one piece of the second stage."""
+
     def test_two_qhp_stages_square_twice(self, rng):
         # (a ⊙ b) ⊙ c with the first stage's output feeding stage two
         inst = build_qhp_instrument(1)
-        chained = concatenate(inst, inst)
         a, b, c = (rand_density(rng, 2) for _ in range(3))
         inputs = [QuantumState.from_density(s) for s in (a, b)]
-        fresh = [QuantumState.from_density(c)]
-        tau = chained.apply_flattened(inputs, fresh)
+        tau = apply_exact(inst, [apply_exact(inst, inputs), QuantumState.from_density(c)])
         assert np.abs(tau.matrix - qhp(qhp(a, b), c)).max() < 1e-10
 
     @given(
@@ -550,10 +567,10 @@ class TestConcatenate:
     @example(seed=0, stages=["qsp", "teleport"], to_second=False, mixed=[True, False, True],
              dense=True)
     @settings(max_examples=40)
-    def test_staged_equals_flattened(self, seed, stages, to_second, mixed, dense):
+    def test_composed_equals_reference(self, seed, stages, to_second, mixed, dense):
         # QSP and teleport stages with random maps make tau_1 non-Hermitian,
         # so the second stage takes it through the SVD factor; a first stage
-        # with a dense unitary makes the flattened unitary dense
+        # with a dense unitary takes the gather
         rng = np.random.default_rng(seed)
 
         def build(name):
@@ -568,8 +585,6 @@ class TestConcatenate:
         first, second = map(build, stages)
         if dense:
             first = replace(first, unitary=first.unitary.dense())
-        target = second.input_labels[int(to_second)]
-        chained = concatenate(first, second, {first.s_labels[0]: target})
         states = [
             QuantumState.from_density(rand_density(rng, 2))
             if m
@@ -577,54 +592,22 @@ class TestConcatenate:
             for m in mixed
         ]
         k = len(first.input_labels)
-        inputs, fresh = states[:k], states[k:]
-        staged = chained.apply_staged(inputs, fresh)
-        assert "flattened" not in vars(chained)  # built on its first read only
-        flat = chained.apply_flattened(inputs, fresh)
-        assert np.abs(staged.matrix - flat.matrix).max() <= 1e-10 * np.abs(flat.matrix).max()
+        args = (first, second, states[:k], states[k:], int(to_second))
+        got, want = _composed(*args), _staged_reference(*args)
+        assert np.abs(got - want).max() <= 1e-12 * np.abs(want).max()
 
     def test_expectation_matches_composition(self, rng):
         inst = build_qhp_instrument(1)
-        chained = concatenate(inst, inst)
         states = [rand_density(rng, 2) for _ in range(3)]
         obs = rand_hermitian(rng, 2)
-        tau = chained.apply_flattened(
-            [QuantumState.from_density(s) for s in states[:2]],
-            [QuantumState.from_density(states[2])],
-        )
+        tau = _composed(inst, inst, [QuantumState.from_density(s) for s in states[:2]],
+                        [QuantumState.from_density(states[2])])
         direct = np.trace(qhp(qhp(states[0], states[1]), states[2]) @ obs)
         assert abs(expectation(tau, obs) - direct) < 1e-10
 
-    def test_wiring_checked_at_concatenation(self):
-        # the wiring is checked when the stages are joined, before any
-        # flattened instrument is built
-        two = QuantumInstrument(
-            RegisterLayout.of(Register("S1", 2, role="S"), Register("S2", 2, role="S")),
-            ancilla=None,
-            unitary=PermutationUnitary.identity(4),
-            measurement=MeasurementOperator.of(np.array([[1.0]])),
-        )
-        one = QuantumInstrument(
-            RegisterLayout.of(Register("S", 2, role="S")),
-            ancilla=None,
-            unitary=PermutationUnitary.identity(2),
-            measurement=MeasurementOperator.of(np.array([[1.0]])),
-        )
-        qhp1, qhp2 = build_qhp_instrument(1), build_qhp_instrument(2)
-        teleport = build_teleport_instrument(1, [(np.eye(2), np.eye(2))])
-        for first, second, wiring, error in (
-            (qhp1, qhp1, {"E": "S"}, ValidationError),
-            (two, qhp1, {"S1": "S", "S2": "S"}, ValidationError),
-            (qhp1, teleport, {"S": "C"}, ValidationError),
-            (qhp1, qhp2, None, DimensionMismatch),
-            (two, one, None, DimensionMismatch),
-        ):
-            with pytest.raises(error):
-                concatenate(first, second, wiring)
-
     def test_stage_without_e_registers_keeps_its_scalar_measurement(self, rng):
-        # a 1 x 1 M on no E registers scales the weighted state; the
-        # flattened product M1 (x) M2 keeps that factor
+        # a 1 x 1 M on no E registers scales the weighted state, and the
+        # composition keeps that factor
         scaled = QuantumInstrument(
             RegisterLayout.of(Register("S", 2, role="S")),
             ancilla=None,
@@ -633,11 +616,10 @@ class TestConcatenate:
         )
         rho = QuantumState.from_density(rand_density(rng, 2))
         for first, second in ((scaled, build_qhp_instrument(1)), (scaled, scaled)):
-            chained = concatenate(first, second)
             fresh = [rho] * (len(second.input_labels) - 1)
-            staged = chained.apply_staged(rho, fresh)
-            flat = chained.apply_flattened(rho, fresh)
-            assert np.abs(staged.matrix - flat.matrix).max() < 1e-12
+            want = _staged_reference(first, second, rho, fresh)
+            assert np.abs(_composed(first, second, rho, fresh) - want).max() <= 1e-12 * np.abs(
+                want).max()
 
 
 class TestRoutes:

@@ -252,6 +252,19 @@ class TestIncoherent:
             with pytest.raises(DimensionMismatch, match=operand):
                 call()
 
+    @pytest.mark.parametrize("shots", [0, -5, 10**30, 10**400],
+                             ids=["0", "-5", "10**30", "10**400"])
+    def test_shot_count_checked_as_sample_estimate_checks_it(self, rng, shots):
+        # one check (sampling._check_shots) on every route: no inf or
+        # negative variance at 0 or -5, no overflow or garbage allocation
+        # beyond 2**63 - 1
+        prob = LcsProblem.from_states([rand_state(rng, 4) for _ in range(2)], [0.7, -0.5])
+        dec = pauli_decompose(rand_hermitian(rng, 4))
+        for call in (lambda: incoherent_estimate(prob, None, dec, shots, 1),
+                     lambda: variance_postprocessing(prob, dec, shots)):
+            with pytest.raises(ValidationError, match="shot count"):
+                call()
+
     def test_postprocessing_variance_matches_report_scale(self, rng):
         prob = LcsProblem.from_states([rand_state(rng, 4) for _ in range(2)], [0.7, -0.5])
         dec = pauli_decompose(rand_hermitian(rng, 4))

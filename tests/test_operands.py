@@ -43,7 +43,7 @@ from wstate.subroutines import (
     solve_qsp_realizable,
     teleport_map,
 )
-from wstate.tensor import Register, RegisterLayout, embed_operator
+from wstate.tensor import Register, RegisterLayout
 
 I2, I3, I4 = np.eye(2) / 2, np.eye(3) / 3, np.eye(4) / 4  # unit-trace densities
 Z2 = np.diag([1.0, -1.0])
@@ -117,7 +117,6 @@ PROBES = {
         [QuantumState.pure(PSI4), QuantumState.pure(PSI2)])),
     "dense-unitary": ("unitary", lambda: QuantumInstrument(
         PAIR, None, np.eye(2), MeasurementOperator.of(np.diag([1.0, 0.0])))),
-    "embed_operator": ("operator", lambda: embed_operator(np.eye(4), ("S",), PAIR)),
 }
 
 

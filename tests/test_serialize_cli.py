@@ -319,6 +319,13 @@ class TestCli:
             assert payload["shots"] == 20000
         assert abs(payload["analytic_mean"][0] - 2.0) < 1e-12
 
+    @pytest.mark.parametrize("shots", [10**30, 10**400], ids=["10**30", "10**400"])
+    def test_lcs_incoherent_shots_beyond_int64_exit_2(self, combo_file, shots):
+        # refused before any allocation, as estimate refuses it
+        res = run_cli("lcs", "incoherent", "--spec", combo_file, "--shots", str(shots))
+        assert res.code == 2, res.stderr
+        assert "2**63 - 1" in res.stderr
+
     def test_experiment_writes_csv(self, tmp_path):
         spec = tmp_path / "exp.json"
         spec.write_text(
@@ -728,7 +735,7 @@ def test_library_raises_only_typed_errors():
 def test_operator_forms_chosen_only_in_tensor():
     """No library module but tensor asks which form (dense, permutation or
     low-rank) an operator is held in, and tensor asks only in the adapter
-    (form) and in the product of two permutations (compose)."""
+    (form)."""
     forms = {"DenseOperator", "LowRankOperator", "PermutationUnitary"}
     src = pathlib.Path(wstate.__file__).parent
     found = []
@@ -744,7 +751,7 @@ def test_operator_forms_chosen_only_in_tensor():
                     ):
                         found.append((path.name, getattr(scope, "name", None)))
     assert [f for f in found if f[0] != "tensor.py"] == []
-    assert {name for _, name in found} <= {"form", "compose"}
+    assert {name for _, name in found} == {"form"}
 
 
 def test_library_holds_no_test_only_code():

@@ -23,7 +23,6 @@ from wstate.instrument import (
     QuantumState,
     WeightedState,
     apply_exact,
-    concatenate,
     branches,
     evolve,
     expectation,
@@ -61,6 +60,7 @@ from conftest import (
     rand_density,
     rand_hermitian,
     rand_state,
+    reference_weighted_output,
     table_held,
 )
 
@@ -574,15 +574,14 @@ class TestRegisterTables:
     @given(seed=st.integers(0, 2**32 - 1), pure=st.lists(st.booleans(), min_size=3, max_size=3))
     @settings(max_examples=10)
     def test_two_gqt_stages(self, seed, pure):
-        # both stages hold their ladder on two of three registers; the
-        # flattened pipeline holds one full-layout table
+        # both stages hold their ladder on two of three registers, and the
+        # second takes the first's weighted state as its first piece
         rng = np.random.default_rng(seed)
-        chained = concatenate(build_gqt_instrument(2), build_gqt_instrument(2))
-        assert chained.flattened.unitary.labels is None
+        inst = build_gqt_instrument(2)
         states = [QuantumState.pure(rand_state(rng, 4)) if p
                   else QuantumState.from_density(rand_density(rng, 4)) for p in pure]
-        staged = chained.apply_staged(states[:2], states[2:])
-        flat = chained.apply_flattened(states[:2], states[2:])
-        assert _close(staged.matrix, flat.matrix)
-        want = gqt(gqt(states[0].matrix, states[1].matrix), states[2].matrix)
-        assert _close(flat.matrix, want, 1e-10)
+        tau = apply_exact(inst, [apply_exact(inst, states[:2]), states[2]]).matrix
+        want = reference_weighted_output(inst, [reference_weighted_output(inst, states[:2]),
+                                                states[2]])
+        assert _close(tau, want)
+        assert _close(tau, gqt(gqt(states[0].matrix, states[1].matrix), states[2].matrix), 1e-10)

@@ -21,7 +21,6 @@ from wstate.instrument import (
     QuantumInstrument,
     QuantumState,
     apply_exact,
-    concatenate,
     expectation,
 )
 from wstate.sampling import sample_estimate
@@ -53,7 +52,13 @@ from wstate.subroutines import (
 
 from wstate.tensor import PermutationUnitary, RegisterLayout, classify
 
-from conftest import rand_density, rand_hermitian, rand_state, rand_unitary
+from conftest import (
+    rand_density,
+    rand_hermitian,
+    rand_state,
+    rand_unitary,
+    reference_weighted_output,
+)
 
 
 def apply_pair(inst, a, b):
@@ -594,11 +599,12 @@ class TestSharedFrames:
         finally:
             gc.enable()
 
-    def test_flattening_reads_no_table_of_a_frame(self, rng, fresh_frames):
+    def test_composition_reads_no_table_of_a_frame(self, rng, fresh_frames):
+        # two builds on one frame, the second fed the first's weighted state
         first, second = build_qhp_instrument(2), build_qhp_instrument(2)
-        pipe = concatenate(first, second)
         inputs = [rand_density(rng, 4) for _ in range(3)]
-        flat = pipe.apply_flattened(inputs[:2], inputs[2:]).matrix
-        staged = pipe.apply_staged(inputs[:2], inputs[2:]).matrix
-        assert np.abs(flat - staged).max() <= 1e-12
+        tau = apply_exact(second, [apply_exact(first, inputs[:2]), inputs[2]]).matrix
+        want = reference_weighted_output(
+            second, [reference_weighted_output(first, inputs[:2]), inputs[2]])
+        assert np.abs(tau - want).max() <= 1e-12 * np.abs(want).max()
         assert "perm" not in vars(first.unitary)

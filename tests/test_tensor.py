@@ -28,7 +28,6 @@ from wstate.tensor import (
     combine_digits,
     dephase,
     eigenbasis,
-    embed_operator,
     embed_permutation,
     form,
     matrix_from_json,
@@ -214,8 +213,9 @@ class TestPermutationUnitary:
 
     @given(st.permutations(list(range(6))), st.permutations(list(range(6))))
     def test_inverse_composition(self, perm, other):
+        # U|x> = |perm[x]>, so U V (V first) holds the table perm[other]
         u, v = PermutationUnitary(np.array(perm)), PermutationUnitary(np.array(other))
-        assert np.array_equal((u @ v).dense(), u.dense() @ v.dense())
+        assert np.array_equal(PermutationUnitary(u.perm[v.perm]).dense(), u.dense() @ v.dense())
 
     def test_embed_permutation(self):
         lay = RegisterLayout.of(Register("A", 2), Register("B", 2))
@@ -231,12 +231,6 @@ class TestPermutationUnitary:
         assert [d.shape for d in digits] == [(2, 1, 1), (1, 3, 1), (1, 1, 2)]
         back = combine_digits(digits, lay.dims)
         assert np.array_equal(back.reshape(-1), np.arange(12))
-
-    def test_embed_operator(self, rng):
-        lay = RegisterLayout.of(Register("A", 2), Register("B", 3))
-        op = rand_hermitian(rng, 3)
-        big = embed_operator(op, ("B",), lay)
-        assert np.abs(big - np.kron(np.eye(2), op)).max() < 1e-12
 
 
 class TestArrayJson:
@@ -367,8 +361,8 @@ class TestDigitMap:
     its lifted table (image_indices) and that table's inverse
     (preimage_indices), computed here from flat digit arrays: mixed-radix
     layouts, a table on a random ordered subset of the registers that may
-    leave some of them alone, fixed digits on a random subset, and rows in a
-    random order, as Pipeline.apply_staged passes them."""
+    leave some of them alone, fixed digits on a random subset, and a group's
+    registers listed in a random order."""
 
     @given(dims=st.lists(st.integers(2, 3), min_size=2, max_size=4), data=st.data())
     @settings(max_examples=100)
