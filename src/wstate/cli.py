@@ -34,29 +34,23 @@ def _pair(z: complex) -> list:
     return [float(z.real), float(z.imag)]
 
 
-def estimate(spec, shots, seed, workers, method):
+def estimate(spec, shots, seed, workers):
     """Shot-based estimate of Tr(tau O) for an instrument task document."""
     from .sampling import sample_estimate
     from .serialize import task_from_json
 
     task = task_from_json(_load_spec(spec))
-    report = sample_estimate(task.instrument, list(task.inputs), task.observable,
-                             shots, seed, workers=workers, method=method)
-    payload = report.to_json()
-    payload["method"] = method
-    return payload
+    return sample_estimate(task.instrument, list(task.inputs), task.observable,
+                           shots, seed, workers=workers).to_json()
 
 
 def variance(spec):
     """Exact mean and per-shot estimator variance for a task document."""
-    from .instrument import apply_exact, expectation
-    from .sampling import variance_exact
+    from .sampling import _mean_and_variance
     from .serialize import task_from_json
 
     task = task_from_json(_load_spec(spec))
-    tau = apply_exact(task.instrument, list(task.inputs))
-    mean = expectation(tau, task.observable)
-    var = variance_exact(task.instrument, list(task.inputs), task.observable)
+    mean, var = _mean_and_variance(task.instrument, list(task.inputs), task.observable)
     return {"mean": _pair(mean), "variance_per_shot": var}
 
 
@@ -161,14 +155,11 @@ SHOTS = ("--shots", {"type": int, "default": 10000, "help": "Total shot budget (
 WORKERS = ("--workers", {"type": positive_int, "default": 1,
                          "help": "Accepted for compatibility; sampling runs in the calling "
                                  "thread, so results are identical for any count (default: 1)."})
-METHOD = ("--method", {"default": "emulate", "choices": ["emulate", "randomized"],
-                       "help": "Realization of a non-normal M, echoed in the report; "
-                               "both draw the same cells (default: emulate)."})
 
 
 # verb -> (function, options); a group maps to (help, its own table)
 VERBS = {
-    "estimate": (estimate, [SPEC, SHOTS, SEED, WORKERS, METHOD, OUT]),
+    "estimate": (estimate, [SPEC, SHOTS, SEED, WORKERS, OUT]),
     "variance": (variance, [SPEC, OUT]),
     "bound": (bound, [SPEC, OUT]),
     "design-beta": (design_beta, [

@@ -19,10 +19,10 @@ from .errors import InvalidGrid, UnknownExperiment, ValidationError
 from .lcs import LcsProblem, pauli_decompose, variance_postprocessing
 from .sampling import (
     _MAX_SHOTS,
+    _stream,
     beta_variance_bound,
     compare_power_methods,
     optimal_beta,
-    sample_counts,
     variance_lincombo,
 )
 from .subroutines import power_state
@@ -114,7 +114,7 @@ def overlap_pair(dim: int, r: float, seed: int) -> tuple[np.ndarray, np.ndarray]
 # upper bounds of the integer parameters, by name, with the rule each keeps
 _INT_LIMITS = {
     "n": (62, "62, the layout's qubit rule"),
-    "shots": (_MAX_SHOTS, "2**63 - 1, the most shots sample_counts draws"),
+    "shots": (_MAX_SHOTS, "2**63 - 1, the most shots one draw takes"),
 }
 
 
@@ -175,7 +175,8 @@ def power_error(params: dict, seed: int) -> ResultTable:
 
     rel_error is the analytic per-shot relative standard error
     sqrt((1-q)/(q s)) of the reweighted projector estimate at q =
-    |psi^k_0|^2 / tr; sampled_rel_error is one Monte Carlo draw.
+    |psi^k_0|^2 / tr; sampled_rel_error is one binomial draw, the rows
+    drawing in turn from the seed's one stream.
     """
     n = _int_param(params, "n", 6, 1)
     kmax = _int_param(params, "kmax", 6, 1)
@@ -192,14 +193,14 @@ def power_error(params: dict, seed: int) -> ResultTable:
             "observable": "projector on |0...0>",
         },
     )
-    for fi, family in enumerate(families):
+    stream = _stream(seed)
+    for family in families:
         psi = family_state(family, n)
         for k in range(1, kmax + 1):
             vk, trace, exact = _power(psi, k, family)
             # exact <= trace, but rounding can put q just above 1
             q = min(exact / trace, 1.0)
-            counts = sample_counts(np.array([q, 1.0 - q]), shots, seed, stream_key=(fi, k))
-            estimate = trace * float(counts[0]) / shots
+            estimate = trace * float(stream.binomial(shots, q)) / shots
             std = trace * math.sqrt(q * (1.0 - q) / shots)
             # second-moment bound on the std dev of the reweighted estimate
             bound = trace * math.sqrt(q / shots)

@@ -6,7 +6,8 @@ in one shot per sample.
 
 incoherent: estimate <Phi|V^dag O V|Phi> term by term, diagonal entries from
 measurements of O on V|phi_l> and cross terms from Hadamard tests, with the
-shot budget split proportionally to the term prefactors.
+shot budget split proportionally to the term prefactors and every circuit
+drawn from the seed's one stream.
 
 LCU: prepare Phi by postselecting a select-ancilla, trading shots for a
 success probability (|Phi| / |alpha|_1)^2.
@@ -17,6 +18,7 @@ from __future__ import annotations
 import cmath
 import itertools
 import math
+from collections import namedtuple
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -41,8 +43,9 @@ from .sampling import (
     EstimatorReport,
     _check_hermitian_obs,
     _check_shots,
+    _laws,
+    _stream,
     allocate_shots,
-    sample_counts,
 )
 from .tensor import (
     PermutationUnitary,
@@ -253,13 +256,6 @@ def pauli_decompose(obs) -> PauliDecomposition:
 # incoherent estimation
 
 
-def _hadamard_circuit(pref: float, target: float) -> tuple:
-    """Plan row of a Hadamard test with <+-1> = target: P(+1) = (1 + target)/2,
-    clipped to [0, 1], and a per-shot variance of at most 1."""
-    p_plus = min(max((1.0 + target) / 2.0, 0.0), 1.0)
-    return pref, 1.0, np.array([1.0, -1.0]), np.array([p_plus, 1.0 - p_plus])
-
-
 def incoherent_exact(problem: LcsProblem, v, obs) -> float:
     """Infinite-shot value Re <V Phi|O|V Phi>, the sum over l, l' of
     alpha_l alpha_l'^* <phi_l'|V^dag O V|phi_l> (None for V is the identity)."""
@@ -270,17 +266,30 @@ def incoherent_exact(problem: LcsProblem, v, obs) -> float:
     return float(np.vdot(phi, o @ phi).real)
 
 
-def _incoherent_circuits(problem: LcsProblem, v, obs_decomposition: PauliDecomposition):
-    """The incoherent route's circuits, one row (prefactor, max per-shot
-    variance, values, probabilities) each: the estimate is
-    sum_c prefactor_c <values>_c, where <values>_c is the mean outcome of
-    circuit c, whose exact per-shot law is (values, probabilities).
+_Circuits = namedtuple("_Circuits", "pref mean var maxvar values table p_plus")
 
-    With psi_l = V phi_l, diagonal terms measure O in its own eigenbasis on
-    psi_l; cross terms estimate Re/Im <psi_l'|P_i|psi_l> with a Hadamard test
-    per kept word P_i. All words of a pair come from one transform of
-    |psi_l><psi_l'|. V must be unitary (None is the identity).
-    """
+
+def _squares(x: np.ndarray) -> np.ndarray:
+    """x**2 by the C library's pow, as a scalar power rounds it."""
+    return np.array([t**2 for t in x.tolist()])
+
+
+def _sum_in_order(x: np.ndarray) -> float:
+    """The left-to-right sum of a loop, not np.sum's pairwise one."""
+    return float(np.add.accumulate(x)[-1])
+
+
+def _incoherent_circuits(problem: LcsProblem, v, obs_decomposition: PauliDecomposition):
+    """The incoherent route's circuits as arrays (_Circuits), in order: the
+    L+1 measurements of O on psi_l = V phi_l, then for each pair l < l' and
+    kept word P_i a Re and an Im Hadamard test of <psi_l'|P_i|psi_l>, zero
+    prefactors dropped. The estimate is sum_c pref[c] <outcome>_c, circuit
+    c's law having mean mean[c] and per-shot variance var[c] <= maxvar[c],
+    each rounded as for circuit c alone: measurement l draws O's merged
+    eigenvalue values[g] with probability table[l, g], Hadamard test h +1
+    with probability p_plus[h] and -1 otherwise. All words of a pair come
+    from one transform of |psi_l><psi_l'|. V must be unitary (None is the
+    identity)."""
     o = _check_hermitian_obs(obs_decomposition.target, problem.dim)
     psi = np.array(problem.states)
     if v is not None:
@@ -288,73 +297,65 @@ def _incoherent_circuits(problem: LcsProblem, v, obs_decomposition: PauliDecompo
         check_unitary(v, "the processing circuit")
         psi = psi @ v.T
     o_vals, o_vecs, o_labels = _eigenbasis(o, True)
-    o_norm = float(np.abs(o_vals).max())
-    alphas = problem.alphas
-
-    circuits = []
-    for a, s in zip(alphas, psi):
-        probs = np.zeros(len(o_vals))
-        np.add.at(probs, o_labels, np.abs(o_vecs.conj().T @ s) ** 2)
-        circuits.append((abs(a) ** 2, o_norm**2, o_vals.real, probs))
+    values = o_vals.real
+    table = [np.bincount(o_labels, np.abs(o_vecs.conj().T @ s) ** 2, len(values)) for s in psi]
+    means = [float(np.dot(p, values)) for p in table]
     digits = str.maketrans("IXYZ", "0123")
     kept = [int("0" + word.translate(digits), 4) for _, word in obs_decomposition.terms]
-    for l, lp in itertools.combinations(range(problem.count), 2):
-        cross = alphas[l] * np.conj(alphas[lp])
-        # <psi_l'|P|psi_l> = Tr(P |psi_l><psi_l'|)
-        zs = psi.shape[1] * _pauli_coefficients(np.outer(psi[l], psi[lp].conj()))[kept]
-        for (eta, _), z in zip(obs_decomposition.terms, zs):
-            w = cross * eta
-            for pref, target in ((2.0 * w.real, z.real), (-2.0 * w.imag, z.imag)):
-                if pref != 0:
-                    circuits.append(_hadamard_circuit(pref, target))
-    return circuits
+    eta = np.array([eta for eta, _ in obs_decomposition.terms])
+    a, pairs = problem.alphas, list(itertools.combinations(range(problem.count), 2))
+    cross = np.array([a[l] * np.conj(a[lp]) for l, lp in pairs]).reshape(-1, 1)
+    # <psi_l'|P|psi_l> = Tr(P |psi_l><psi_l'|)
+    z = np.array([psi.shape[1] * _pauli_coefficients(np.outer(psi[l], psi[lp].conj()))[kept]
+                  for l, lp in pairs]).reshape(-1, len(kept))
+    # 2 Re and -2 Im of w = cross eta, in the real arithmetic of one product
+    pref = np.stack((2.0 * (cross.real * eta.real - cross.imag * eta.imag),
+                     -2.0 * (cross.real * eta.imag + cross.imag * eta.real)), -1).ravel()
+    keep = pref != 0
+    p_plus = np.clip((1.0 + np.stack((z.real, z.imag), -1).ravel()[keep]) / 2.0, 0.0, 1.0)
+    q = 1.0 - p_plus
+    return _Circuits(
+        pref=np.concatenate(([abs(x) ** 2 for x in a], pref[keep])),
+        mean=np.concatenate((means, p_plus - q)),
+        var=np.concatenate(([float(np.dot(p, values**2)) - m**2 for p, m in zip(table, means)],
+                            (p_plus + q) - _squares(p_plus - q))),
+        maxvar=np.concatenate((np.full(len(table), float(np.abs(o_vals).max()) ** 2),
+                               np.ones(len(q)))),
+        values=values,
+        table=np.array(table),
+        p_plus=p_plus,
+    )
 
 
-def _law_variance(values, probs) -> float:
-    mean = float(np.dot(probs, values))
-    return float(np.dot(probs, values**2)) - mean**2
-
-
-def incoherent_estimate(
-    problem: LcsProblem,
-    v,
-    obs_decomposition: PauliDecomposition,
-    shots: int,
-    seed: int,
-) -> EstimatorReport:
+def incoherent_estimate(problem: LcsProblem, v, obs_decomposition: PauliDecomposition,
+                        shots: int, seed: int) -> EstimatorReport:
     """Term-by-term estimate of <Phi|V^dag O V|Phi> over the circuits of
-    _incoherent_circuits.
-
-    The budget is allocated proportionally to the term prefactors; every
-    active circuit gets its own deterministic RNG stream.
+    _incoherent_circuits, the budget allocated proportionally to their
+    prefactors. All draw from the seed's one stream: the measurements of O
+    with one multinomial over their table's rows, then every Hadamard test
+    with one binomial. The analytic fields sum the circuits' terms in order.
     """
     _check_shots(shots)
-    circuits = _incoherent_circuits(problem, v, obs_decomposition)
-    alloc = allocate_shots([abs(c[0]) for c in circuits], shots)
-    estimate = 0.0
-    sample_var = 0.0
-    analytic_var = 0.0
-    bound = 0.0
-    for idx, ((pref, maxvar, values, probs), s_c) in enumerate(zip(circuits, alloc)):
-        if s_c == 0:
-            continue
-        counts = sample_counts(probs, s_c, seed, stream_key=(idx,))
-        mean_c = float(np.dot(counts, values) / s_c)
-        estimate += pref * mean_c
-        analytic_var += pref**2 * _law_variance(values, probs) / s_c
-        bound += pref**2 * maxvar / s_c
-        if s_c > 1:
-            var_c = (float(np.dot(counts, values**2)) - s_c * mean_c**2) / (s_c - 1)
-            sample_var += pref**2 * max(var_c, 0.0) / s_c
-    exact_total = incoherent_exact(problem, v, obs_decomposition.target)
+    c = _incoherent_circuits(problem, v, obs_decomposition)
+    alloc = np.array(allocate_shots(np.abs(c.pref), shots))
+    n, stream = len(c.table), _stream(seed)
+    counts = stream.multinomial(alloc[:n], _laws(c.table))
+    plus = stream.binomial(alloc[n:], _laws(np.stack((c.p_plus, 1.0 - c.p_plus), -1))[:, 0])
+    # each circuit's sums of outcomes and of squared outcomes
+    s1 = np.concatenate((counts @ c.values, plus - (alloc[n:] - plus)))
+    s2 = np.concatenate((counts @ c.values**2, alloc[n:]))
+    on = alloc > 0
+    s, pref, pref2 = alloc[on], c.pref[on], _squares(c.pref[on])
+    mean = s1[on] / s
+    var = np.where(s > 1, s2[on] - s * mean**2, 0.0) / np.maximum(s - 1, 1)
     return EstimatorReport(
         shots=shots,
         seed=seed,
-        sample_mean=complex(estimate),
-        sample_variance=float(sample_var * shots),
-        analytic_mean=complex(exact_total),
-        analytic_variance=float(analytic_var * shots),
-        variance_bound=float(bound * shots),
+        sample_mean=complex(np.sum(pref * mean)),
+        sample_variance=float(np.sum(pref**2 * np.maximum(var, 0.0) / s) * shots),
+        analytic_mean=complex(incoherent_exact(problem, v, obs_decomposition.target)),
+        analytic_variance=_sum_in_order(pref2 * c.var[on] / s) * shots,
+        variance_bound=_sum_in_order(pref2 * c.maxvar[on] / s) * shots,
     )
 
 
@@ -370,9 +371,9 @@ def variance_postprocessing(problem, obs_decomposition, total_shots: int, v=None
     _check_shots(total_shots)
     if not isinstance(obs_decomposition, PauliDecomposition):
         raise ValidationError("need a PauliDecomposition of the observable")
-    circuits = _incoherent_circuits(problem, v, obs_decomposition)
-    terms = [(abs(pref), _law_variance(values, probs)) for pref, _, values, probs in circuits]
-    return sum(w for w, _ in terms) * sum(w * var for w, var in terms) / total_shots
+    c = _incoherent_circuits(problem, v, obs_decomposition)
+    w = np.abs(c.pref)
+    return _sum_in_order(w) * _sum_in_order(w * c.var) / total_shots
 
 
 # ---------------------------------------------------------------------------

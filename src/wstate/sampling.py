@@ -2,10 +2,10 @@
 
 The estimator draws joint (observable outcome, measurement outcome) pairs
 from the instrument's output distribution and averages the product of the
-observable eigenvalue with the measurement eigenvalue. Each call draws all
-of its shots with one multinomial from one counter-based (Philox) stream,
-keyed by (seed, stream key), so results depend only on (seed, shots, stream
-key), never on scheduling or worker count.
+observable eigenvalue with the measurement eigenvalue. Every sampled call
+draws from one counter-based (Philox) stream of its seed (_stream), all of
+its shots at once, so results depend only on (seed, shots), never on
+scheduling or worker count.
 """
 
 from __future__ import annotations
@@ -43,32 +43,36 @@ _MAX_SHOTS = (1 << 63) - 1
 # deterministic sampling
 
 
-def sample_counts(probs, shots: int, seed: int, stream_key: tuple = ()) -> np.ndarray:
-    """Multinomial counts over the given cells, every shot drawn at once.
+def _stream(seed: int) -> np.random.Generator:
+    """The one stream of a sampled call: the Philox generator the seed
+    spawns at (0,)."""
+    ss = np.random.SeedSequence(entropy=seed & _MASK64, spawn_key=(0,))
+    return np.random.Generator(np.random.Philox(ss))
 
-    The draw uses the Philox stream spawned at (*stream_key, 0) from the
-    seed, so the result is a function of (seed, shots, stream_key) alone. A
-    call of at most 2^14 shots draws what the former 2^14-shot block layout
-    drew, whose first block used that stream. shots must fit the
-    multinomial's int64 count.
-    """
+
+def _laws(probs: np.ndarray) -> np.ndarray:
+    """The laws along the last axis of probs, clipped at 0 and scaled to sum
+    1; InvalidDistribution unless each sums to 1 within 1e-9 with no entry
+    below -1e-12."""
+    off = np.abs(probs.sum(axis=-1) - 1.0)
+    if not (off <= 1e-9).all() or (probs < -1e-12).any():
+        raise InvalidDistribution(f"cell probabilities sum {float(off.max()):.3e} away "
+                                  f"from 1, with min {float(probs.min()):.3e}")
+    p = np.clip(probs, 0.0, None)
+    return p / p.sum(axis=-1, keepdims=True)
+
+
+def sample_counts(probs, shots: int, seed: int) -> np.ndarray:
+    """Multinomial counts over the given cells, every shot drawn at once
+    from the seed's stream (_stream), so the result is a function of (seed,
+    shots) alone. shots must fit the multinomial's int64 count."""
     p = np.asarray(probs, dtype=float)
     if p.ndim != 1 or p.size == 0:
         raise ValidationError("probabilities must form a nonempty vector")
-    total = float(p.sum())
-    if not math.isfinite(total) or float(p.min()) < -1e-12 or abs(total - 1.0) > 1e-9:
-        raise InvalidDistribution(
-            f"cell probabilities sum to {total:.12f} with min {float(p.min()):.3e}"
-        )
+    law = _laws(p)
     if not 0 <= shots <= _MAX_SHOTS:
         raise ValidationError("shot count must lie in [0, 2**63 - 1]")
-    return _draw(np.clip(p, 0.0, None), shots, seed, stream_key)
-
-
-def _draw(p: np.ndarray, shots: int, seed: int, stream_key: tuple = ()) -> np.ndarray:
-    """The multinomial of sample_counts on checked nonnegative p and shots."""
-    ss = np.random.SeedSequence(entropy=seed & _MASK64, spawn_key=(*stream_key, 0))
-    return np.random.Generator(np.random.Philox(ss)).multinomial(shots, p / p.sum())
+    return _stream(seed).multinomial(shots, law)
 
 
 # ---------------------------------------------------------------------------
@@ -282,14 +286,10 @@ def sample_estimate(
         raise ValidationError("workers must be >= 1")
     table = _group_table(evolve(inst, inputs), law)
     probs, weights = _joint_cells(table)
-    counts = _draw(probs, shots, seed)
-    total_w = np.dot(counts, weights)
-    mean = total_w / shots
+    counts = _stream(seed).multinomial(shots, probs / probs.sum())
+    mean = np.dot(counts, weights) / shots
     second = float(np.dot(counts, law.weights2).real)
-    if shots > 1:
-        sample_var = (second - shots * abs(mean) ** 2) / (shots - 1)
-    else:
-        sample_var = 0.0
+    sample_var = (second - shots * abs(mean) ** 2) / (shots - 1) if shots > 1 else 0.0
     a_mean = table.mean()
     return EstimatorReport(
         shots=shots,
@@ -310,8 +310,14 @@ def variance_exact(inst: QuantumInstrument, inputs, obs) -> float:
     """Per-shot variance of the sampled estimator:
     sum_k (|c_k|^2/q_k) Tr[rho_out (O^2 (x) N_k N_k^dag (x) I)] - |Tr tau O|^2,
     read from one group table through W(N_k N_k^dag) = sum_g |lambda_g|^2 E_g."""
+    return _mean_and_variance(inst, inputs, obs)[1]
+
+
+def _mean_and_variance(inst: QuantumInstrument, inputs, obs) -> tuple[complex, float]:
+    """Tr(tau O) and variance_exact, both read from one group table."""
     table = _group_table(evolve(inst, inputs), _observable_basis(inst, obs))
-    return float(table.second_moment(2) - abs(table.mean()) ** 2)
+    mean = table.mean()
+    return mean, float(table.second_moment(2) - abs(mean) ** 2)
 
 
 @dataclass(frozen=True)
@@ -533,14 +539,13 @@ def allocate_shots(weights, total: int) -> list[int]:
     order = np.argsort(-(raw - base), kind="stable")
     base[order[:rem]] += 1
     # repair: move shots from the largest allocations onto starved circuits
-    starved = [i for i in range(w.size) if nonzero[i] and base[i] == 0]
-    for i in starved:
+    for i in np.flatnonzero(nonzero & (base == 0)):
         donor = int(np.argmax(base))
         if base[donor] <= 1:
             raise AllocationError("cannot give every circuit a shot")
         base[donor] -= 1
         base[i] = 1
-    return [int(x) for x in base]
+    return base.tolist()
 
 
 # ---------------------------------------------------------------------------

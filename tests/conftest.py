@@ -54,6 +54,21 @@ def rng():
 
 
 @pytest.fixture
+def generators_built(monkeypatch) -> list:
+    """A list that gains one entry per Philox generator built while the test
+    runs."""
+    built = []
+    real = np.random.Philox
+
+    def spy(*args, **kwargs):
+        built.append(args)
+        return real(*args, **kwargs)
+
+    monkeypatch.setattr(np.random, "Philox", spy)
+    return built
+
+
+@pytest.fixture
 def fresh_frames():
     """The builders' frames (subroutines) built anew, so that a test which
     counts what a build derives sees nothing an earlier test derived; the

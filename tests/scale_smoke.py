@@ -38,7 +38,11 @@ beforehand, are chained on three pure inputs, the second fed the first's
 weighted state through apply_exact: it must match subroutines.qhp applied
 twice, peak below 48 MiB, and hold below 4 KiB once both stages are gone,
 so that the chain derives nothing on the kept frame (an Xor's table there
-would be 8 KiB).
+would be 8 KiB). Then the incoherent route runs on CI's n = 7 dense
+combination (16,386 circuits) in process: its estimate must lie within 5
+standard errors of incoherent_exact and its peak below 8 MiB (a table
+padded to one outcome count for all circuits would take about 65 MiB); it
+prints its time.
 
 Run from the repository root:
 
@@ -59,8 +63,9 @@ import numpy as np
 
 from wstate.cli import main as cli_main
 from wstate.instrument import QuantumState, apply_exact, expectation
+from wstate.lcs import incoherent_estimate, incoherent_exact, pauli_decompose
 from wstate.sampling import sample_estimate, variance_bound
-from wstate.serialize import EstimationTask, task_to_json
+from wstate.serialize import EstimationTask, lcs_from_json, task_to_json
 from wstate.subroutines import (
     alpha_of,
     build_gqt_instrument,
@@ -73,6 +78,7 @@ from wstate.subroutines import (
     qsp_oracle,
     teleport_map,
 )
+from wstate.tensor import matrix_to_json, vector_to_json
 
 PEAK_KETS = 1.3
 RETAINED_KETS = 1 / 8
@@ -245,6 +251,36 @@ def check_pipeline(n: int, rng, bound_mib: int, held_kib: int) -> bool:
     return ok
 
 
+def check_combination(bound_mib: int) -> bool:
+    """The incoherent route on CI's n = 7 combination (two random states and
+    a dense Hermitian O of 16,384 Pauli words, 16,386 circuits, the
+    runtime step's combo7.json), in process, parse and decomposition
+    excluded: within 5 standard errors of incoherent_exact, and the
+    tracemalloc peak of the call."""
+    rng, d = np.random.default_rng(7), 128
+    s = rng.normal(size=(2, d)) + 1j * rng.normal(size=(2, d))
+    h = rng.normal(size=(d, d)) + 1j * rng.normal(size=(d, d))
+    combo = lcs_from_json(json.loads(json.dumps({
+        "states": [vector_to_json(v / np.linalg.norm(v)) for v in s],
+        "alphas": [[0.6, 0], [0.8, 0]], "observable": matrix_to_json(h + h.conj().T)})))
+    dec = pauli_decompose(combo.observable)
+    tracemalloc.start()
+    t0 = time.perf_counter()
+    try:
+        report = incoherent_estimate(combo.problem, None, dec, 20_000, seed=3)
+        seconds = time.perf_counter() - t0
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    exact = incoherent_exact(combo.problem, None, combo.observable)
+    se = abs(report.sample_mean.real - exact) / report.standard_error
+    ok = se <= 5 and peak <= bound_mib * 2**20
+    print(f"incoherent n=7 combination ({len(dec.terms)} words): {seconds:.3f} s, "
+          f"peak {peak / 2**20:.1f} MiB, {se:.2f} standard errors from the exact value: "
+          f"{'ok' if ok else 'FAILED'}")
+    return ok
+
+
 def main() -> int:
     rng = np.random.default_rng(8)
     cases = [check("gqt", 8, rng), check("teleport", 7, rng),
@@ -261,7 +297,9 @@ def main() -> int:
     print(f"held once every instrument is gone: {held / 2**20:.2f} MiB: "
           f"{'ok' if held_ok else 'FAILED'}")
     pipeline = check_pipeline(5, rng, bound_mib=48, held_kib=4)
-    return 0 if document and held_ok and pipeline and all(ok for ok, _ in cases) else 1
+    combination = check_combination(bound_mib=8)
+    return 0 if (document and held_ok and pipeline and combination
+                 and all(ok for ok, _ in cases)) else 1
 
 
 if __name__ == "__main__":

@@ -128,6 +128,17 @@ class TestPowerError:
         table = run_experiment({"experiment": "power-error", "seed": 0, "params": {"n": 2, "kmax": 1, "shots": 10}})
         assert "sin" in table.metadata["formulas"]
 
+    def test_sweep_draws_from_one_generator(self, generators_built):
+        # 18 rows, drawn in turn from the seed's one stream
+        table = run_experiment({"experiment": "power-error", "seed": 5})
+        assert len(table.rows) == 18
+        assert len(generators_built) == 1
+
+    def test_sampled_estimates_within_5_se(self):
+        table = run_experiment({"experiment": "power-error", "seed": 5, "params": {"shots": 100000}})
+        for exact, std, estimate in zip(*(table.column(c) for c in ("exact", "std_dev", "estimate"))):
+            assert abs(estimate - exact) <= 5 * std
+
 
 class TestLincomboVariance:
     def test_argmin_agreement(self):

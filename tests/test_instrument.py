@@ -75,6 +75,11 @@ class TestQuantumState:
         with pytest.raises(InvalidState):
             QuantumState.from_density(m)
 
+    def test_density_requires_nonnegative_eigenvalues(self):
+        # Hermitian with unit trace, but eigenvalues 1.5 and -0.5
+        with pytest.raises(InvalidState, match="negative eigenvalue"):
+            QuantumState.from_density(np.diag([1.5, -0.5]))
+
     def test_matrix_view(self, rng):
         v = rand_state(rng, 3)
         st = QuantumState.pure(v)
@@ -305,6 +310,15 @@ class TestInstrumentValidation:
         )
         with pytest.raises(ValidationError):
             QuantumInstrument(lay, None, np.eye(4), MeasurementOperator.of(np.eye(2)))
+
+    def test_ancilla_state_must_fit_its_registers(self):
+        lay = RegisterLayout.of(
+            Register("A", 2, role="E", source="ancilla"),
+            Register("S", 2, role="S"),
+        )
+        anc = QuantumState.pure(np.ones(3) / np.sqrt(3))
+        with pytest.raises(DimensionMismatch, match="ancilla dims"):
+            QuantumInstrument(lay, anc, np.eye(4), MeasurementOperator.of(np.eye(2)))
 
 
 class TestApplyExact:

@@ -6,6 +6,7 @@ import tracemalloc
 import numpy as np
 import pytest
 
+import wstate.lcs
 from wstate.errors import (
     DimensionMismatch,
     FullyDestructive,
@@ -30,7 +31,8 @@ from wstate.lcs import (
     variance_postprocessing,
 )
 from wstate.subroutines import lincombo_pair_M
-from wstate.tensor import _pauli_string
+from wstate.sampling import allocate_shots
+from wstate.tensor import _eigenbasis, _pauli_string
 
 from conftest import no_gather, preparation_unitary, rand_hermitian, rand_state, rand_unitary
 
@@ -206,11 +208,80 @@ class TestPauliDecomposition:
         obs = np.kron(np.kron(z, np.eye(2)), z) + 0.3 * rand_hermitian(rng, 8)
         v = rand_unitary(rng, 8)
         circuits = _incoherent_circuits(prob, v, pauli_decompose(obs))
-        total = sum(pref * float(np.dot(values, probs)) for pref, _, values, probs in circuits)
-        assert abs(total - incoherent_exact(prob, v, obs)) < 1e-10
+        assert abs(circuits.pref @ circuits.mean - incoherent_exact(prob, v, obs)) < 1e-10
+        # each circuit's mean is that of the law it draws from
+        n = len(circuits.table)
+        assert np.allclose(circuits.mean[:n], circuits.table @ circuits.values, atol=1e-14)
+        assert np.allclose(circuits.mean[n:], 2 * circuits.p_plus - 1, atol=1e-15)
+
+
+def _reference_circuits(problem, v, dec) -> list:
+    """The incoherent route's circuits built one at a time with scalar
+    arithmetic, as (prefactor, max per-shot variance, values, probabilities)
+    rows: the loop whose numbers _incoherent_circuits must keep bit for bit."""
+    psi = np.array(problem.states) if v is None else np.array(problem.states) @ v.T
+    o_vals, o_vecs, o_labels = _eigenbasis(dec.target, True)
+    rows = []
+    for a, s in zip(problem.alphas, psi):
+        probs = np.zeros(len(o_vals))
+        np.add.at(probs, o_labels, np.abs(o_vecs.conj().T @ s) ** 2)
+        rows.append((abs(a) ** 2, float(np.abs(o_vals).max()) ** 2, o_vals.real, probs))
+    digits = str.maketrans("IXYZ", "0123")
+    kept = [int("0" + word.translate(digits), 4) for _, word in dec.terms]
+    for l, lp in itertools.combinations(range(problem.count), 2):
+        cross = problem.alphas[l] * np.conj(problem.alphas[lp])
+        zs = psi.shape[1] * _pauli_coefficients(np.outer(psi[l], psi[lp].conj()))[kept]
+        for (eta, _), z in zip(dec.terms, zs):
+            w = cross * eta
+            for pref, target in ((2.0 * w.real, z.real), (-2.0 * w.imag, z.imag)):
+                if pref != 0:
+                    p_plus = min(max((1.0 + target) / 2.0, 0.0), 1.0)
+                    rows.append((pref, 1.0, np.array([1.0, -1.0]), np.array([p_plus, 1.0 - p_plus])))
+    return rows
+
+
+def _law_variance(values, probs) -> float:
+    mean = float(np.dot(probs, values))
+    return float(np.dot(probs, values**2)) - mean**2
 
 
 class TestIncoherent:
+    @pytest.mark.parametrize("seed, with_v", [(5, False), (10, False), (0, True)])
+    def test_analytic_fields_match_the_circuit_loop_bit_for_bit(self, seed, with_v):
+        # each circuit keeps its own arithmetic: a scalar complex product
+        # (the Pauli coefficients of an O Hermitian only within tolerance
+        # are complex) and the C library's square (at seeds 5 and 10 numpy's
+        # square rounds one differently); the sums keep the loop's order. So
+        # only the sampled fields may differ from the loop's
+        rng = np.random.default_rng(seed)
+        alphas = rng.normal(size=3) + 1j * rng.normal(size=3)
+        prob = LcsProblem.from_states([rand_state(rng, 32) for _ in alphas], alphas)
+        g = rng.normal(size=(32, 32)) + 1j * rng.normal(size=(32, 32))
+        dec = pauli_decompose(rand_hermitian(rng, 32) + 1e-14 * (g - g.conj().T))
+        v = rand_unitary(rng, 32) if with_v else None
+        rows = _reference_circuits(prob, v, dec)
+        circuits = _incoherent_circuits(prob, v, dec)
+        n = len(alphas)
+        assert circuits.pref.tolist() == [r[0] for r in rows]
+        assert circuits.maxvar.tolist() == [r[1] for r in rows]
+        assert circuits.var.tolist() == [_law_variance(*r[2:]) for r in rows]
+        assert circuits.table.tolist() == [r[3].tolist() for r in rows[:n]]
+        assert circuits.p_plus.tolist() == [r[3][0] for r in rows[n:]]
+        shots = 50000
+        alloc = allocate_shots([abs(r[0]) for r in rows], shots)
+        var = bound = 0.0
+        for (pref, maxvar, values, probs), s_c in zip(rows, alloc):
+            if s_c:
+                var += pref**2 * _law_variance(values, probs) / s_c
+                bound += pref**2 * maxvar / s_c
+        rep = incoherent_estimate(prob, v, dec, shots, seed)
+        assert rep.analytic_variance == var * shots and rep.variance_bound == bound * shots
+        weight = weighted = 0.0
+        for pref, _, values, probs in rows:
+            weight += abs(pref)
+            weighted += abs(pref) * _law_variance(values, probs)
+        assert variance_postprocessing(prob, dec, shots, v) == weight * weighted / shots
+
     def test_exact_is_quadratic_form(self, rng):
         prob = LcsProblem.from_states(
             [rand_state(rng, 4) for _ in range(3)], [0.5, 0.2j, -0.3]
@@ -264,6 +335,47 @@ class TestIncoherent:
                      lambda: variance_postprocessing(prob, dec, shots)):
             with pytest.raises(ValidationError, match="shot count"):
                 call()
+
+    def test_zero_coefficient_circuit_gets_no_shots(self, rng, monkeypatch):
+        # a state of coefficient 0 adds one measurement of prefactor 0 and
+        # only zero cross terms: its circuit gets 0 shots and draws nothing,
+        # so the report is that of the combination without it
+        states = [rand_state(rng, 4) for _ in range(3)]
+        dec = pauli_decompose(rand_hermitian(rng, 4))
+        allocations = []
+        real = wstate.lcs.allocate_shots
+        monkeypatch.setattr(wstate.lcs, "allocate_shots",
+                            lambda *args: allocations.append(real(*args)) or allocations[-1])
+        with_zero = incoherent_estimate(
+            LcsProblem.from_states(states, [0.7, 0.0, -0.5]), None, dec, 20000, 4)
+        without = incoherent_estimate(
+            LcsProblem.from_states(states[::2], [0.7, -0.5]), None, dec, 20000, 4)
+        assert allocations[0][:3] == [allocations[1][0], 0, allocations[1][1]]
+        assert allocations[0][3:] == allocations[1][2:]
+        assert with_zero.sample_mean == without.sample_mean
+        assert with_zero.sample_variance == without.sample_variance
+        assert abs(with_zero.analytic_variance - without.analytic_variance) <= (
+            1e-12 * without.analytic_variance)
+
+    def test_one_generator_per_call(self, rng, generators_built):
+        # CI's n = 7 combination: two states and a dense observable, 16,386
+        # circuits, all drawn from the seed's one stream
+        d = 128
+        states = [rand_state(rng, d) for _ in range(2)]
+        dec = pauli_decompose(rand_hermitian(rng, d))
+        prob = LcsProblem.from_states(states, [0.6, 0.8])
+        assert len(_incoherent_circuits(prob, None, dec).pref) == 16386
+        incoherent_estimate(prob, None, dec, 20000, 3)
+        assert len(generators_built) == 1
+
+    @pytest.mark.parametrize("seed", [1, 2, 3])
+    def test_sample_mean_within_5_se_of_exact(self, rng, seed):
+        prob = LcsProblem.from_states(
+            [rand_state(rng, 8) for _ in range(3)], [0.5, -0.3 + 0.2j, 0.4j])
+        obs = rand_hermitian(rng, 8)
+        rep = incoherent_estimate(prob, None, pauli_decompose(obs), 200000, seed)
+        assert abs(rep.sample_mean - incoherent_exact(prob, None, obs)) < 5 * rep.standard_error
+        assert abs(rep.sample_variance / rep.analytic_variance - 1.0) < 0.05
 
     def test_postprocessing_variance_matches_report_scale(self, rng):
         prob = LcsProblem.from_states([rand_state(rng, 4) for _ in range(2)], [0.7, -0.5])

@@ -82,25 +82,19 @@ class TestSampleCounts:
         b = sample_counts(p, 99991, seed=7)
         assert np.array_equal(a, b)
 
-    def test_stream_key_changes_draws(self):
-        p = np.array([0.5, 0.5])
-        a = sample_counts(p, 10000, seed=1, stream_key=(0,))
-        b = sample_counts(p, 10000, seed=1, stream_key=(1,))
-        assert not np.array_equal(a, b)
-
     def test_counts_sum_to_shots(self):
         p = np.array([0.1, 0.2, 0.7])
         for shots in (1, 16384, 16385, 32767, 3 * 16384 + 17, 10**12):
             assert sample_counts(p, shots, seed=3).sum() == shots
 
     def test_one_stream_spawned_at_key_and_zero(self):
-        # the stream of the former first 2^14-shot block, so such calls keep
-        # their draws
+        # the stream the seed spawns at (0,), that of the former first
+        # 2^14-shot block, so such calls keep their draws
         p = np.array([0.1, 0.2, 0.3, 0.4])
-        for shots, key in ((1, ()), (977, (4,)), (16384, (2, 5))):
-            ss = np.random.SeedSequence(1234, spawn_key=(*key, 0))
+        for shots in (1, 977, 16384):
+            ss = np.random.SeedSequence(1234, spawn_key=(0,))
             want = np.random.Generator(np.random.Philox(ss)).multinomial(shots, p)
-            assert np.array_equal(sample_counts(p, shots, seed=1234, stream_key=key), want)
+            assert np.array_equal(sample_counts(p, shots, seed=1234), want)
 
     def test_shot_count_beyond_int64_rejected(self):
         p = np.array([0.5, 0.5])
@@ -184,6 +178,16 @@ class TestSampleEstimate:
         assert abs(rep.sample_mean - rep.analytic_mean) < 5 * rep.standard_error
         assert rep.analytic_variance <= rep.variance_bound + 1e-12
         assert abs(rep.sample_variance / rep.analytic_variance - 1.0) < 0.05
+
+    def test_one_shot_has_zero_sample_variance(self, rng):
+        # one shot has no spread to estimate; its value is one cell's weight
+        inst = build_qhp_instrument(1)
+        inputs = [QuantumState.pure(rand_state(rng, 2)) for _ in range(2)]
+        obs = rand_hermitian(rng, 2)
+        rep = sample_estimate(inst, inputs, obs, shots=1, seed=5)
+        assert rep.shots == 1 and rep.sample_variance == 0.0
+        assert rep.sample_mean in wstate.sampling._observable_basis(inst, obs).weights
+        assert rep.analytic_mean == sample_estimate(inst, inputs, obs, 1000, 5).analytic_mean
 
     def test_emulate_and_randomized_agree_in_law(self, rng):
         # one cell table serves both methods, normal and non-normal M alike

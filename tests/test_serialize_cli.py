@@ -12,10 +12,12 @@ import numpy as np
 import pytest
 
 import wstate
+import wstate.sampling
 
 from wstate.errors import SchemaError
-from wstate.instrument import QuantumState, apply_exact
+from wstate.instrument import QuantumState, apply_exact, expectation
 from wstate.lcs import LcsProblem
+from wstate.sampling import variance_exact
 from wstate.serialize import (
     Combination,
     EstimationTask,
@@ -264,6 +266,27 @@ class TestCli:
         assert abs(e["analytic_mean"][0] - v["mean"][0]) < 1e-12
         assert abs(e["analytic_variance"] - v["variance_per_shot"]) < 1e-12
 
+    def test_estimate_reports_its_fields_alone(self, task_file):
+        est = run_cli("estimate", "--spec", task_file, "--shots", "100", "--seed", "1")
+        assert sorted(json.loads(est.stdout)) == [
+            "analytic_mean", "analytic_variance", "sample_mean", "sample_variance", "seed",
+            "shots", "variance_bound"]
+
+    def test_variance_evaluates_once(self, task_file, monkeypatch):
+        # the mean and the variance come from one group table
+        task = task_from_json(json.loads(pathlib.Path(task_file).read_text()))
+        tau = apply_exact(task.instrument, list(task.inputs))
+        want = variance_exact(task.instrument, list(task.inputs), task.observable)
+        calls = []
+        real = wstate.sampling.evolve
+        monkeypatch.setattr(wstate.sampling, "evolve", lambda *a: calls.append(a) or real(*a))
+        res = run_cli("variance", "--spec", task_file)
+        assert res.code == 0, res.stderr
+        assert len(calls) == 1
+        payload = json.loads(res.stdout)
+        assert abs(complex(*payload["mean"]) - expectation(tau, task.observable)) < 1e-12
+        assert payload["variance_per_shot"] == want
+
     def test_estimate_deterministic(self, task_file):
         args = ["estimate", "--spec", task_file, "--shots", "9999", "--seed", "4"]
         a = run_cli(*args)
@@ -319,6 +342,15 @@ class TestCli:
             assert payload["shots"] == 20000
         assert abs(payload["analytic_mean"][0] - 2.0) < 1e-12
 
+    def test_lcs_incoherent_needs_an_observable(self, combo_file, tmp_path):
+        doc = json.loads(pathlib.Path(combo_file).read_text())
+        del doc["observable"]
+        spec = tmp_path / "no_obs.json"
+        spec.write_text(json.dumps(doc))
+        res = run_cli("lcs", "incoherent", "--spec", str(spec))
+        assert res.code == 2 and res.stdout == ""
+        assert "needs an 'observable'" in res.stderr
+
     @pytest.mark.parametrize("shots", [10**30, 10**400], ids=["10**30", "10**400"])
     def test_lcs_incoherent_shots_beyond_int64_exit_2(self, combo_file, shots):
         # refused before any allocation, as estimate refuses it
@@ -344,6 +376,19 @@ class TestCli:
         assert lines[0].startswith("# {")
         assert lines[1] == "p,r,q_opt,bound_at_opt"
         assert len(lines) == 3
+
+    def test_experiment_seed_overrides_the_document(self, tmp_path):
+        def table(seed, *argv):
+            spec = tmp_path / f"exp{seed}.json"
+            spec.write_text(json.dumps({"experiment": "power-error", "seed": seed,
+                                        "params": {"n": 2, "kmax": 2, "shots": 50}}))
+            res = run_cli("experiment", "--spec", str(spec), *argv)
+            assert res.code == 0, res.stderr
+            head, _, body = res.stdout.partition("\n")
+            return json.loads(head[2:])["seed"], body
+
+        assert table(5, "--seed", "9") == table(9)
+        assert table(5, "--seed", "9") != table(5)
 
     def test_validate(self, task_file):
         res = run_cli("validate", "--spec", task_file)
